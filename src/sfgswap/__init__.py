@@ -23,8 +23,8 @@ from .detection import (
     AnalyzerSetting,
     CoincidenceEfficiencies,
     DetectorModel,
+    click_patterns,
     click_prob,
-    coincidence_prob,
     herald_amplitude_branches,
     herald_projection,
     joint_click_pattern_probs,

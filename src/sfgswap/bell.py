@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 
 from .detection import (
     CoincidenceEfficiencies,
-    click_prob,
+    accidental_branches,
+    click_patterns,
     joint_click_pattern_probs,
+    rotated_diagonal,
 )
-from .fock import DensityOperator, PureState, mode_index, two_mode_rotation
+from .fock import DensityOperator, PureState
 from .optimize import bisect_threshold, multistart_maximize, prescan_monotone
 from .protocols import OUTPUT_REGISTER, ExperimentParams, sfg_heralded_branches
 
@@ -97,10 +99,14 @@ class BellSettings:
 
 def correlator(pattern_probs: dict, strategy_a: Strategy, strategy_b: Strategy) -> float:
     """Expectation of the +/-1 outcome product over joint click patterns."""
-    e = 0.0
-    for ((c1, c2), (c3, c4)), p in pattern_probs.items():
-        e += p * strategy_a.outcome(c1, c2) * strategy_b.outcome(c3, c4)
-    return e
+    return sum(p * strategy_a.outcome(*d) * strategy_b.outcome(*e)
+               for (d, e), p in pattern_probs.items())
+
+
+def _disagreement(pattern_probs: dict, strategy_a: Strategy, strategy_b: Strategy) -> float:
+    """Probability that the two parties' +/-1 outcomes differ."""
+    return sum(p for (d, e), p in pattern_probs.items()
+               if strategy_a.outcome(*d) != strategy_b.outcome(*e))
 
 
 def chsh_value(rho_herald: DensityOperator, settings: BellSettings,
@@ -119,31 +125,6 @@ def chsh_value(rho_herald: DensityOperator, settings: BellSettings,
     a1, a2 = settings.theta_a1, settings.theta_a2
     b1, b2 = settings.theta_b1, settings.theta_b2
     return e(a1, b1) + e(a2, b1) + e(a1, b2) - e(a2, b2)
-
-
-def accidental_branches(psi_in: PureState):
-    """Pure branches of the output-mode state left by a dark-count herald.
-
-    Grouping the input amplitudes by the traced-out analyzer-arm
-    occupations decomposes the reduced state into orthogonal pure pieces.
-    """
-    reg = psi_in.register
-    keep = [i for i, m in enumerate(reg) if m in OUTPUT_REGISTER]
-    drop = [i for i in range(len(reg)) if i not in keep]
-    out_reg = tuple(reg[i] for i in keep)
-    grouped = {}
-    for occ, a in psi_in.amps.items():
-        g = tuple(occ[i] for i in drop)
-        rest = tuple(occ[i] for i in keep)
-        d = grouped.setdefault(g, {})
-        d[rest] = d.get(rest, 0.0) + a
-    out = []
-    for amps in grouped.values():
-        amps = {k: v for k, v in amps.items() if abs(v) > 1e-16}
-        if amps:
-            phi = PureState(out_reg, amps, n_max=psi_in.n_max)
-            out.append(phi if out_reg == OUTPUT_REGISTER else phi.reorder(OUTPUT_REGISTER))
-    return out
 
 
 def heralded_state_with_dark(rho_sfg: DensityOperator, psi_in: PureState,
@@ -191,10 +172,6 @@ class HeraldedEnsemble:
         s = math.sqrt(gain)
         return [b.scaled(s) for b in self.sfg] + list(self.dark)
 
-    def density(self, gain: float = 1.0, normalized: bool = True) -> DensityOperator:
-        rho = DensityOperator.from_branches(self.branches(gain), register=OUTPUT_REGISTER)
-        return rho.scaled(1.0 / rho.trace()) if normalized else rho
-
 
 def heralded_ensemble(params: ExperimentParams, basis: str = "A") -> HeraldedEnsemble:
     """Build the branch ensemble of the heralded state for ``params``."""
@@ -213,36 +190,6 @@ def heralded_ensemble(params: ExperimentParams, basis: str = "A") -> HeraldedEns
     )
 
 
-def _branch_diagonal(branches, theta_d: float, theta_e: float) -> dict:
-    """Photon-number diagonal of the branch mixture in the rotated bases."""
-    diag = {}
-    for phi in branches:
-        rot = phi
-        if theta_d != 0.0:
-            rot = two_mode_rotation(rot, "dH", "dV", -theta_d)
-        if theta_e != 0.0:
-            rot = two_mode_rotation(rot, "eH", "eV", -theta_e)
-        for occ, a in rot.amps.items():
-            diag[occ] = diag.get(occ, 0.0) + (a * a.conjugate()).real
-    return diag
-
-
-def _diag_correlator(diag: dict, strategy_a: Strategy, strategy_b: Strategy,
-                     effs: CoincidenceEfficiencies) -> float:
-    etas = (effs.d_H, effs.d_V, effs.e_H, effs.e_V)
-    e = 0.0
-    for occ, w in diag.items():
-        p = [click_prob(etas[i], occ[i]) for i in range(4)]
-        for c in range(16):
-            bits = [(c >> i) & 1 for i in range(4)]
-            pr = w
-            for i in range(4):
-                pr *= p[i] if bits[i] else (1.0 - p[i])
-            e += (pr * strategy_a.outcome(bool(bits[0]), bool(bits[1]))
-                  * strategy_b.outcome(bool(bits[2]), bool(bits[3])))
-    return e
-
-
 def ensemble_chsh(ensemble: HeraldedEnsemble, settings: BellSettings,
                   strategy_a: Strategy = DEFAULT_STRATEGY,
                   strategy_b: Strategy = None,
@@ -256,8 +203,8 @@ def ensemble_chsh(ensemble: HeraldedEnsemble, settings: BellSettings,
         raise ValueError("zero total herald probability")
 
     def e(ta, tb):
-        diag = _branch_diagonal(branches, ta, tb)
-        return _diag_correlator(diag, strategy_a, sb, efficiencies) / total
+        table = click_patterns(rotated_diagonal(branches, ta, tb), efficiencies)
+        return correlator(table, strategy_a, sb) / total
 
     a1, a2 = settings.theta_a1, settings.theta_a2
     b1, b2 = settings.theta_b1, settings.theta_b2
@@ -273,33 +220,14 @@ def qber(rho_herald: DensityOperator, theta_a0: float, theta_b1: float,
         raise ValueError("qber requires a normalized density operator")
     sb = strategy if strategy_b is None else strategy_b
     probs = joint_click_pattern_probs(rho_herald, theta_a0, theta_b1, efficiencies)
-    q = 0.0
-    for ((c1, c2), (c3, c4)), p in probs.items():
-        if strategy.outcome(c1, c2) != sb.outcome(c3, c4):
-            q += p
-    return q
+    return _disagreement(probs, strategy, sb)
 
 
 def _ensemble_qber(ensemble: HeraldedEnsemble, theta_a0: float, theta_b1: float,
                    strategy_a: Strategy, strategy_b: Strategy,
                    effs: CoincidenceEfficiencies, gain: float) -> float:
-    branches = ensemble.branches(gain)
-    total = ensemble.trace(gain)
-    diag = _branch_diagonal(branches, theta_a0, theta_b1)
-    etas = (effs.d_H, effs.d_V, effs.e_H, effs.e_V)
-    q = 0.0
-    for occ, w in diag.items():
-        p = [click_prob(etas[i], occ[i]) for i in range(4)]
-        for c in range(16):
-            bits = [(c >> i) & 1 for i in range(4)]
-            if (strategy_a.outcome(bool(bits[0]), bool(bits[1]))
-                    == strategy_b.outcome(bool(bits[2]), bool(bits[3]))):
-                continue
-            pr = w
-            for i in range(4):
-                pr *= p[i] if bits[i] else (1.0 - p[i])
-            q += pr
-    return q / total
+    diag = rotated_diagonal(ensemble.branches(gain), theta_a0, theta_b1)
+    return _disagreement(click_patterns(diag, effs), strategy_a, strategy_b) / ensemble.trace(gain)
 
 
 def binary_entropy(x: float) -> float:

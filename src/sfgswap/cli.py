@@ -1,6 +1,6 @@
-"""Command-line front end: run named experiments, sweeps, and threshold
-searches from flat key=value (INI) or JSON configuration, and emit CSV or
-human-readable reports.
+"""Command-line front end: run named experiments and sweeps from flat
+key=value (INI) or JSON configuration, and emit CSV or human-readable
+reports.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on model errors.
 """

@@ -1,4 +1,4 @@
-"""Threshold-detector POVMs, SFG-photon heralding, and coincidence
+"""Threshold-detector POVMs, SFG-photon heralding, and click-pattern
 probabilities.
 
 A threshold detector with efficiency eta clicks on an n-photon mode with
@@ -6,6 +6,10 @@ probability 1 - (1 - eta)^n and cannot resolve photon number.  Polarization
 analyzers are modeled as a beamsplitter rotation of angle theta between the
 H and V mode of each output arm followed by threshold detection of each arm
 (theta = 0 is the Z basis, theta = pi/4 the X basis).
+
+Every analyzer readout folds one table: the photon-number diagonal after
+the analyzer rotations (``rotated_diagonal``) turned into the sixteen joint
+click patterns of the four arms (``click_patterns``).
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 
 from .fock import (
     DensityOperator,
-    ModeError,
     PureState,
     mode_index,
     partial_trace,
@@ -23,6 +26,7 @@ from .fock import (
     two_mode_rotation,
     unitary_column_map,
 )
+from .optics import ANALYZER_MODES, OUTPUT_REGISTER
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,7 @@ def herald_projection(rho: DensityOperator, basis: str, det: DetectorModel) -> D
             key = (rk, rb)
             entries[key] = entries.get(key, 0.0) + w
     reduced = DensityOperator(out_reg, entries, trace_meaning="event-probability", n_max=rho.n_max)
-    drop = [m for m in out_reg if m.startswith(("a", "b"))]
+    drop = [m for m in out_reg if m in ANALYZER_MODES]
     return partial_trace(reduced, drop) if drop else reduced
 
 
@@ -157,7 +161,7 @@ def herald_amplitude_branches(branches, basis: str, det: DetectorModel):
         iH = mode_index(reg, "cH")
         iV = mode_index(reg, "cV")
         keep = [j for j in range(len(reg)) if j not in (iH, iV)
-                and not reg[j].startswith(("a", "b"))]
+                and reg[j] not in ANALYZER_MODES]
         trace_over = [j for j in range(len(reg)) if j not in (iH, iV) and j not in keep]
         out_reg = tuple(reg[j] for j in keep)
         # Group by the traced-out (a, b) occupations: distinct occupations on
@@ -190,12 +194,10 @@ class CoincidenceEfficiencies:
     e_H: float
     e_V: float
 
-    def arm(self, side: str, pol: str) -> float:
-        return getattr(self, f"{side}_{pol}")
-
 
 def _rotated_diagonal(rho: DensityOperator, theta1: float, theta2: float) -> dict:
-    """Diagonal of rho after undoing the analyzer rotations on d and e."""
+    """Density-operator counterpart of ``rotated_diagonal``: the diagonal of
+    rho on (dH, dV, eH, eV) after undoing the analyzer rotations on d and e."""
     if theta1 != 0.0 or theta2 != 0.0:
         def unrotate(s):
             out = s
@@ -206,71 +208,90 @@ def _rotated_diagonal(rho: DensityOperator, theta1: float, theta2: float) -> dic
             return out
 
         rho = sandwich(rho, unitary_column_map(rho.register, rho.n_max, unrotate))
-    reg = rho.register
-    idx = {m: mode_index(reg, m) for m in ("dH", "dV", "eH", "eV")}
+    idx = [mode_index(rho.register, m) for m in OUTPUT_REGISTER]
     diag = {}
     for (k, b), v in rho.entries.items():
         if k == b:
-            key = (k[idx["dH"]], k[idx["dV"]], k[idx["eH"]], k[idx["eV"]])
+            key = tuple(k[i] for i in idx)
             diag[key] = diag.get(key, 0.0) + v.real
     return diag
 
 
-def coincidence_prob(rho: DensityOperator, settings, which: str,
-                     efficiencies: CoincidenceEfficiencies) -> float:
-    """Coincidence probability of one d arm and one e arm.
+def rotated_diagonal(branches, theta_d: float, theta_e: float) -> dict:
+    """Photon-number diagonal of the mixture of pure ``branches`` after the
+    analyzer rotations of angle theta_d on (dH, dV) and theta_e on (eH, eV).
 
-    ``which`` picks the arms: 'HV' means the H arm on side d and the V arm
-    on side e.  ``settings`` is the analyzer angle pair (theta1, theta2).
+    Keys are occupations of the branches' register, which is
+    (dH, dV, eH, eV) for the heralded and accidental branches.
     """
-    if which not in ("HH", "HV", "VH", "VV"):
-        raise ValueError(f"invalid coincidence selector {which!r}")
-    theta1, theta2 = settings
-    diag = _rotated_diagonal(rho, theta1, theta2)
-    arm_d, arm_e = which[0], which[1]
-    eta_d = efficiencies.arm("d", arm_d)
-    eta_e = efficiencies.arm("e", arm_e)
-    pick_d = 0 if arm_d == "H" else 1
-    pick_e = 2 if arm_e == "H" else 3
-    p = 0.0
-    for occ, w in diag.items():
-        p += w * click_prob(eta_d, occ[pick_d]) * click_prob(eta_e, occ[pick_e])
-    return p
+    diag = {}
+    for phi in branches:
+        if theta_d != 0.0:
+            phi = two_mode_rotation(phi, "dH", "dV", -theta_d)
+        if theta_e != 0.0:
+            phi = two_mode_rotation(phi, "eH", "eV", -theta_e)
+        for occ, a in phi.amps.items():
+            diag[occ] = diag.get(occ, 0.0) + (a * a.conjugate()).real
+    return diag
+
+
+# Pattern c of ``click_patterns`` has bit i set when arm i of
+# (dH, dV, eH, eV) clicked.
+_PATTERN_KEYS = tuple(((bool(c & 1), bool(c & 2)), (bool(c & 4), bool(c & 8)))
+                     for c in range(16))
+
+
+def click_patterns(diag: dict, efficiencies: CoincidenceEfficiencies) -> dict:
+    """All sixteen joint click/no-click pattern probabilities of the four
+    analyzer arms, given the photon-number diagonal on (dH, dV, eH, eV).
+
+    Keys are ((click_dH, click_dV), (click_eH, click_eV)) with booleans.
+    """
+    eta_dH, eta_dV = efficiencies.d_H, efficiencies.d_V
+    eta_eH, eta_eV = efficiencies.e_H, efficiencies.e_V
+    slots = [0.0] * 16
+    for (n_dH, n_dV, n_eH, n_eV), w in diag.items():
+        p_dH, p_dV = click_prob(eta_dH, n_dH), click_prob(eta_dV, n_dV)
+        p_eH, p_eV = click_prob(eta_eH, n_eH), click_prob(eta_eV, n_eV)
+        d = (w * (1.0 - p_dH) * (1.0 - p_dV), w * p_dH * (1.0 - p_dV),
+             w * (1.0 - p_dH) * p_dV, w * p_dH * p_dV)
+        e = ((1.0 - p_eH) * (1.0 - p_eV), p_eH * (1.0 - p_eV),
+             (1.0 - p_eH) * p_eV, p_eH * p_eV)
+        for j, pe in enumerate(e):
+            for i, pd in enumerate(d):
+                slots[4 * j + i] += pd * pe
+    return dict(zip(_PATTERN_KEYS, slots))
 
 
 def joint_click_pattern_probs(rho: DensityOperator, theta1: float, theta2: float,
                               efficiencies: CoincidenceEfficiencies) -> dict:
-    """All sixteen click/no-click pattern probabilities for one setting pair.
+    """``click_patterns`` of a density operator for one setting pair."""
+    return click_patterns(_rotated_diagonal(rho, theta1, theta2), efficiencies)
 
-    Keys are ((click_dH, click_dV), (click_eH, click_eV)) with booleans.
+
+def accidental_branches(psi_in: PureState):
+    """Pure branches of the output-mode state left by a dark-count herald.
+
+    Grouping the input amplitudes by the traced-out analyzer-arm
+    occupations decomposes the reduced state into orthogonal pure pieces.
     """
-    diag = _rotated_diagonal(rho, theta1, theta2)
-    probs = {}
-    etas = (efficiencies.d_H, efficiencies.d_V, efficiencies.e_H, efficiencies.e_V)
-    for occ, w in diag.items():
-        p_click = [click_prob(etas[i], occ[i]) for i in range(4)]
-        for pat in range(16):
-            bits = [(pat >> i) & 1 for i in range(4)]
-            p = w
-            for i in range(4):
-                p *= p_click[i] if bits[i] else (1.0 - p_click[i])
-            key = ((bool(bits[0]), bool(bits[1])), (bool(bits[2]), bool(bits[3])))
-            probs[key] = probs.get(key, 0.0) + p
-    return probs
-
-
-def accidental_state(psi_in: PureState) -> DensityOperator:
-    """Reduced state of the output modes with the analyzer input traced out;
-    this is what a dark-count herald leaves behind."""
-    rho = DensityOperator.from_pure(psi_in)
-    drop = [m for m in psi_in.register if m.startswith(("a", "b"))]
-    return partial_trace(rho, drop)
-
-
-def accidental_prob(psi_in: PureState, settings, which: str,
-                    efficiencies: CoincidenceEfficiencies) -> float:
-    """Coincidence probability on the unheralded reduced state."""
-    return coincidence_prob(accidental_state(psi_in), settings, which, efficiencies)
+    reg = psi_in.register
+    keep = [i for i, m in enumerate(reg) if m in OUTPUT_REGISTER]
+    drop = [i for i in range(len(reg)) if i not in keep]
+    out_reg = tuple(reg[i] for i in keep)
+    grouped = {}
+    for occ, a in psi_in.amps.items():
+        g = tuple(occ[i] for i in drop)
+        rest = tuple(occ[i] for i in keep)
+        d = grouped.setdefault(g, {})
+        d[rest] = d.get(rest, 0.0) + a
+    out = []
+    for amps in grouped.values():
+        amps = {k: v for k, v in amps.items() if abs(v) > 1e-16}
+        if amps:
+            phi = PureState(out_reg, amps, n_max=psi_in.n_max)
+            out.append(phi if out_reg == OUTPUT_REGISTER else phi.reorder(OUTPUT_REGISTER))
+    return out
 
 
 def mix_dark_counts(p_sfg: float, p_acd: float, dark: float) -> float:

@@ -99,8 +99,12 @@ def tmsv_pair(src: SourceParams, signal_modes, idler_modes, pair_cap: int) -> Pu
     return state.normalized()
 
 
-# Canonical register for the swapping pipeline.
-SWAP_REGISTER = ("aH", "aV", "bH", "bV", "dH", "dV", "eH", "eV")
+# Register roles of the swapping pipeline: the analyzer input modes a, b
+# (traced out once the herald is read), the output modes d, e carrying the
+# swapped state, and their canonical order.
+ANALYZER_MODES = ("aH", "aV", "bH", "bV")
+OUTPUT_REGISTER = ("dH", "dV", "eH", "eV")
+SWAP_REGISTER = ANALYZER_MODES + OUTPUT_REGISTER
 
 
 def build_swapping_input(eps1: SourceParams, eps2: SourceParams, pair_cap: int = 3) -> PureState:

@@ -19,7 +19,8 @@ from scipy.optimize import minimize
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Best point found over all starts."""
+    """Best point found over all starts: ``converged`` is that start's flag,
+    ``n_evaluations`` counts the evaluations of every start."""
 
     x: tuple
     value: float
@@ -72,7 +73,6 @@ def multistart_maximize(objective, bounds, n_starts: int = 16, seed: int = 0,
 
     best = None
     total_evals = 0
-    any_converged = False
     for s_idx, x_start in enumerate(starts):
         it = [0]
 
@@ -90,7 +90,6 @@ def multistart_maximize(objective, bounds, n_starts: int = 16, seed: int = 0,
                        options={"xatol": xatol, "fatol": fatol,
                                 "maxiter": 2000 * ndim})
         total_evals += res.nfev
-        any_converged = any_converged or bool(res.success)
         x_best = clip(res.x)
         value = -res.fun
         if best is None or value > best.value + 1e-15:
@@ -98,8 +97,7 @@ def multistart_maximize(objective, bounds, n_starts: int = 16, seed: int = 0,
                                   start_index=s_idx, n_evaluations=total_evals,
                                   converged=bool(res.success))
     return OptimizeResult(x=best.x, value=best.value, start_index=best.start_index,
-                          n_evaluations=total_evals,
-                          converged=any_converged)
+                          n_evaluations=total_evals, converged=best.converged)
 
 
 def prescan_monotone(f, lo: float, hi: float, n: int = 8, increasing: bool = None) -> bool:

@@ -8,8 +8,10 @@ The heralding pipeline is
     -> projection of the SFG photon on |D> or |A> -> threshold analyzers
     on d and e, with a dark-count heralding branch mixed in at the end.
 
-Pipelines run on pure-state Kraus branches for speed; equivalence with the
-density-operator channel ops is covered by tests.
+The pipelines run on pure-state Kraus branches, and every analyzer readout
+folds one click-pattern table (``detection.click_patterns``).  The
+density-operator route (``sfg_heralded_operator``) is the reference the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -20,15 +22,17 @@ from dataclasses import dataclass, field
 from .detection import (
     CoincidenceEfficiencies,
     DetectorModel,
-    accidental_state,
+    accidental_branches,
+    click_patterns,
     click_prob,
-    coincidence_prob,
     herald_amplitude_branches,
     mix_dark_counts,
+    rotated_diagonal,
 )
-from .fock import DensityOperator, PureState, apply_creation, partial_trace, tensor, two_mode_rotation
+from .fock import DensityOperator, PureState, apply_creation, tensor, two_mode_rotation
 from .optics import (
     LossMap,
+    OUTPUT_REGISTER,
     SWAP_REGISTER,
     SfgParams,
     SourceParams,
@@ -41,7 +45,8 @@ from .optics import (
 )
 
 HERALD_TARGET = {"A": "phi_minus", "D": "phi_plus"}
-OUTPUT_REGISTER = ("dH", "dV", "eH", "eV")
+# Analyzer angle of both parties in the Z and X visibility measurements.
+VISIBILITY_BASES = (("z", 0.0), ("x", math.pi / 4))
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,11 @@ class ExperimentParams:
     dark: float = 0.0
     window_acceptance: float = 1.0
     pair_cap: int = 3
+
+    def __post_init__(self):
+        if self.pair_cap < 2:
+            raise ValueError("pair_cap must be at least 2: the SFG herald "
+                             "needs one photon from each of two pairs")
 
     def channel_losses(self) -> LossMap:
         return LossMap({"aH": self.t1H, "aV": self.t1V, "bH": self.t2H, "bV": self.t2V})
@@ -142,11 +152,13 @@ def sfg_heralded_operator(params: ExperimentParams, basis: str = "A",
     return rho, psi_in
 
 
-def coincidence_table(rho: DensityOperator, theta1: float, theta2: float,
-                      effs: CoincidenceEfficiencies) -> dict:
-    """All four arm-pair coincidence probabilities for one analyzer setting."""
-    return {ij: coincidence_prob(rho, (theta1, theta2), ij, effs)
-            for ij in ("HH", "HV", "VH", "VV")}
+def _coincidences(diag: dict, effs: CoincidenceEfficiencies) -> dict:
+    """Coincidence probability of each (d arm, e arm) pair, 'HV' meaning
+    the H arm of d and the V arm of e: marginals of the click patterns."""
+    table = click_patterns(diag, effs)
+    arm = {"H": 0, "V": 1}
+    return {d + e: sum(p for (cd, ce), p in table.items() if cd[arm[d]] and ce[arm[e]])
+            for d in "HV" for e in "HV"}
 
 
 def _visibility_z(p: dict) -> float:
@@ -161,22 +173,22 @@ def _visibility_x(p: dict) -> float:
 
 def sfg_swap(params: ExperimentParams, basis: str = "A") -> VisibilityReport:
     """Full SFG-swapping pipeline: visibilities, fidelity bound, herald rate."""
-    rho_sfg, psi_in = sfg_heralded_operator(params, basis=basis)
+    sfg, psi_in = sfg_heralded_branches(params, basis=basis)
     # The finite coincidence window accepts only this fraction of signal
     # events; dark counts are uniform in time, so only the signal branch
     # is scaled.
     if params.window_acceptance != 1.0:
-        rho_sfg = rho_sfg.scaled(params.window_acceptance)
-    herald_prob = rho_sfg.trace()
+        w = math.sqrt(params.window_acceptance)
+        sfg = [b.scaled(w) for b in sfg]
+    herald_prob = sum(b.norm_sq() for b in sfg)
     effs = params.analyzer_efficiencies()
-    acc = accidental_state(psi_in).reorder(OUTPUT_REGISTER)
+    acd = accidental_branches(psi_in)
 
     tables = {}
-    for name, (th1, th2) in (("z", (0.0, 0.0)), ("x", (math.pi / 4, math.pi / 4))):
-        p_sfg = coincidence_table(rho_sfg, th1, th2, effs)
-        p_acd = coincidence_table(acc, th1, th2, effs)
-        p_mix = {ij: mix_dark_counts(p_sfg[ij], p_acd[ij], params.dark)
-                 for ij in ("HH", "HV", "VH", "VV")}
+    for name, theta in VISIBILITY_BASES:
+        p_sfg = _coincidences(rotated_diagonal(sfg, theta, theta), effs)
+        p_acd = _coincidences(rotated_diagonal(acd, theta, theta), effs)
+        p_mix = {ij: mix_dark_counts(p_sfg[ij], p_acd[ij], params.dark) for ij in p_sfg}
         tables[name] = (p_sfg, p_acd, p_mix)
 
     v_z = _visibility_z(tables["z"][2])
@@ -210,46 +222,36 @@ def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
     The a and b modes are mixed on a polarizing beamsplitter and the BSA
     heralds on a four-fold coincidence: the diagonal arm of each output
     (efficiency ``eta_bsa``) plus one analyzer arm on each of d and e.
-    The BSA is assumed dark-count free.
+    The BSA is assumed dark-count free; ``herald_prob`` is the probability
+    of its two-fold click.
     """
     psi_in = build_swapping_input(params.eps1, params.eps2, pair_cap=params.pair_cap)
-    branches = [_pbs_mix_branch(phi) for phi in loss_branches(psi_in, params.channel_losses())]
-
-    arm_eta = {"H": {"d": params.eta_1H, "e": params.eta_2H},
-               "V": {"d": params.eta_1V, "e": params.eta_2V}}
-
-    def fourfold(theta1, theta2, ij):
-        p = 0.0
-        for phi in branches:
-            rot = two_mode_rotation(phi, "aH", "aV", -math.pi / 4)
-            rot = two_mode_rotation(rot, "bH", "bV", -math.pi / 4)
-            if theta1 != 0.0:
-                rot = two_mode_rotation(rot, "dH", "dV", -theta1)
-            if theta2 != 0.0:
-                rot = two_mode_rotation(rot, "eH", "eV", -theta2)
-            reg = rot.register
-            idx = {m: reg.index(m) for m in ("aV", "bH", "dH", "dV", "eH", "eV")}
-            pick_d = idx["dH"] if ij[0] == "H" else idx["dV"]
-            pick_e = idx["eH"] if ij[1] == "H" else idx["eV"]
-            for occ, a in rot.amps.items():
-                w = (a * a.conjugate()).real
-                p += (w
-                      * click_prob(eta_bsa, occ[idx["bH"]])
-                      * click_prob(eta_bsa, occ[idx["aV"]])
-                      * click_prob(arm_eta[ij[0]]["d"], occ[pick_d])
-                      * click_prob(arm_eta[ij[1]]["e"], occ[pick_e]))
-        return p
+    branches = []
+    for phi in loss_branches(psi_in, params.channel_losses()):
+        phi = two_mode_rotation(_pbs_mix_branch(phi), "aH", "aV", -math.pi / 4)
+        branches.append(two_mode_rotation(phi, "bH", "bV", -math.pi / 4))
+    i_aV, i_bH = SWAP_REGISTER.index("aV"), SWAP_REGISTER.index("bH")
+    keep = [SWAP_REGISTER.index(m) for m in OUTPUT_REGISTER]
+    effs = params.analyzer_efficiencies()
 
     tables = {}
-    herald = 0.0
-    for name, (th1, th2) in (("z", (0.0, 0.0)), ("x", (math.pi / 4, math.pi / 4))):
-        tables[name] = {ij: fourfold(th1, th2, ij) for ij in ("HH", "HV", "VH", "VV")}
+    for name, theta in VISIBILITY_BASES:
+        # Weight each occupation by the BSA's two-fold click probability
+        # and reduce it to the output modes.
+        diag = {}
+        for occ, w in rotated_diagonal(branches, theta, theta).items():
+            w *= click_prob(eta_bsa, occ[i_bH]) * click_prob(eta_bsa, occ[i_aV])
+            key = tuple(occ[i] for i in keep)
+            diag[key] = diag.get(key, 0.0) + w
+        tables[name] = _coincidences(diag, effs)
     v_z = _visibility_z(tables["z"])
     v_x = _visibility_x(tables["x"])
+    # The BSA weight does not depend on the d, e rotations, so the trace of
+    # either weighted diagonal is the herald probability.
     return VisibilityReport(
         v_z=v_z, v_x=v_x,
         fidelity_lower_bound=(v_z + v_x) / 2.0,
-        herald_prob=herald,
+        herald_prob=sum(diag.values()),
         p_z=tables["z"], p_x=tables["x"],
         p_sfg_z=tables["z"], p_sfg_x=tables["x"],
     )

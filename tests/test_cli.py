@@ -120,6 +120,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["sweep", "--preset", "ideal"]) == 2
     assert main(["efficiency"]) == 2
     assert main(["swap-sfg", "--config", str(tmp_path / "missing.ini")]) == 2
+    assert main(["swap-sfg", "--preset", "ideal", "--set", "pair_cap=1"]) == 2
     capsys.readouterr()
 
 

@@ -7,21 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_density, product_basis, random_state
+from dense_oracle import dense_density, product_basis
 from sfgswap.detection import (
     AnalyzerSetting,
     CoincidenceEfficiencies,
     DetectorModel,
-    accidental_state,
+    accidental_branches,
+    click_patterns,
     click_prob,
-    coincidence_prob,
     herald_amplitude_branches,
     herald_projection,
-    joint_click_pattern_probs,
     mix_dark_counts,
+    rotated_diagonal,
     threshold_povm,
 )
-from sfgswap.fock import DensityOperator, PureState, expectation
+from sfgswap.fock import DensityOperator, PureState, expectation, partial_trace
+from sfgswap.optics import OUTPUT_REGISTER
 
 
 def test_click_prob_values():
@@ -106,29 +107,41 @@ def test_herald_on_diagonal_photon():
     assert herald_projection(rho, "A", DetectorModel(0.85)).trace() == pytest.approx(0.0)
 
 
-def test_coincidence_prob_matches_pattern_marginal():
+def test_click_pattern_marginals_match_threshold_povm():
+    # Each single-arm marginal of the click-pattern table must equal the
+    # expectation of that arm's rotated threshold POVM.
     rng = np.random.default_rng(9)
-    reg = ("dH", "dV", "eH", "eV")
-    psi = random_state(rng, reg, n_max=2)
+    amps = {occ: complex(rng.normal(), rng.normal())
+            for occ in product_basis(4, 2) if sum(occ) <= 2}
+    psi = PureState(OUTPUT_REGISTER, amps, n_max=2).normalized()
     rho = DensityOperator.from_pure(psi)
     effs = CoincidenceEfficiencies(0.9, 0.8, 0.7, 0.6)
-    theta1, theta2 = 0.2, -0.4
-    probs = joint_click_pattern_probs(rho, theta1, theta2, effs)
-    assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
-    for which, pick in (("HV", lambda d, e: d[0] and e[1]),
-                        ("VH", lambda d, e: d[1] and e[0])):
-        marginal = sum(v for (dc, ec), v in probs.items() if pick(dc, ec))
-        direct = coincidence_prob(rho, (theta1, theta2), which, effs)
-        assert direct == pytest.approx(marginal, abs=1e-12)
-    with pytest.raises(ValueError):
-        coincidence_prob(rho, (0.0, 0.0), "XY", effs)
+    theta_d, theta_e = 0.2, 2.7
+    table = click_patterns(rotated_diagonal([psi], theta_d, theta_e), effs)
+    assert len(table) == 16
+    assert sum(table.values()) == pytest.approx(1.0, abs=1e-12)
+    # Rotating (m2, m1) by pi - theta is the analyzer rotation of (m1, m2)
+    # by theta, up to a phase that cancels in the POVM.
+    arms = (("dH", "dV", theta_d, effs.d_H), ("dV", "dH", math.pi - theta_d, effs.d_V),
+            ("eH", "eV", theta_e, effs.e_H), ("eV", "eH", math.pi - theta_e, effs.e_V))
+    for i, (mode, partner, theta, eta) in enumerate(arms):
+        marginal = sum(p for (d, e), p in table.items() if (d + e)[i])
+        povm = threshold_povm(OUTPUT_REGISTER, mode, partner, AnalyzerSetting(theta),
+                              DetectorModel(eta), n_max=2, register_cap=2)
+        assert marginal == pytest.approx(expectation(rho, povm), abs=1e-12)
 
 
-def test_accidental_state_trace():
-    psi = PureState(("aH", "dH"), {(0, 0): 0.8, (1, 1): 0.6}, n_max=2)
-    acc = accidental_state(psi)
-    assert acc.register == ("dH",)
-    assert acc.trace() == pytest.approx(1.0)
+def test_accidental_branches_match_partial_trace():
+    amps = {(0, 0, 0, 0, 0): 0.8, (1, 1, 0, 0, 0): 0.48, (1, 0, 0, 1, 0): 0.36}
+    psi = PureState(("aH",) + OUTPUT_REGISTER, amps, n_max=2)
+    branches = accidental_branches(psi)
+    assert len(branches) == 2
+    assert all(b.register == OUTPUT_REGISTER for b in branches)
+    mix = DensityOperator.from_branches(branches, register=OUTPUT_REGISTER, n_max=2)
+    ref = partial_trace(DensityOperator.from_pure(psi), ["aH"])
+    dense = product_basis(4, 2)
+    assert np.abs(dense_density(mix, dense) - dense_density(ref, dense)).max() < 1e-15
+    assert mix.trace() == pytest.approx(1.0)
 
 
 @settings(max_examples=60, deadline=None)

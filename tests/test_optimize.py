@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from sfgswap import optimize
 from sfgswap.optimize import bisect_threshold, multistart_maximize, prescan_monotone
 
 
@@ -15,6 +16,25 @@ def test_multistart_finds_quadratic_maximum():
     assert res.x[1] == pytest.approx(-0.1, abs=1e-4)
     assert res.value == pytest.approx(0.0, abs=1e-8)
     assert res.converged
+
+
+def test_multistart_reports_best_start_convergence(monkeypatch):
+    # Start 0 sits on the maximum and stays best; only start 1 converges.
+    real_minimize = optimize.minimize
+    starts = []
+
+    def minimize(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        res.success = len(starts) == 1
+        starts.append(res)
+        return res
+
+    monkeypatch.setattr(optimize, "minimize", minimize)
+    res = multistart_maximize(lambda x: -(x[0] - 0.3) ** 2, [(-1.0, 1.0)],
+                              n_starts=2, seed=0, x0=(0.3,))
+    assert len(starts) == 2 and starts[1].success
+    assert res.start_index == 0
+    assert not res.converged
 
 
 def test_multistart_is_deterministic():

@@ -9,6 +9,7 @@ from dense_oracle import dense_density, product_basis
 from sfgswap.detection import DetectorModel, herald_amplitude_branches
 from sfgswap.fock import DensityOperator
 from sfgswap.optics import SfgParams, SourceParams, kraus_parity_check
+from sfgswap.presets import get_preset, swap_params
 from sfgswap.protocols import (
     OUTPUT_REGISTER,
     ExperimentParams,
@@ -101,6 +102,20 @@ def test_lo_swap_degrades_with_loss():
     clean = lo_swap(ideal_params())
     lossy = lo_swap(ideal_params(t1H=0.3, t1V=0.3, t2H=0.3, t2V=0.3))
     assert lossy.v_z < clean.v_z
+    assert lossy.herald_prob > 0.0
+    assert lossy.herald_prob < clean.herald_prob
+
+
+def test_sfg_swap_visibilities_invariant_under_sfg_gain():
+    # Without dark counts the heralded state only scales with the SFG
+    # efficiency, so the visibilities must not move when it is multiplied
+    # by 1e4; the measured preset's herald trace is of order 1e-11.
+    params = swap_params(get_preset("paper-tableS1")["params"]).replace(
+        dark=0.0, window_acceptance=1.0)
+    gained = params.replace(sfg=params.sfg.scaled(1e4))
+    r0, r1 = sfg_swap(params), sfg_swap(gained)
+    assert r1.v_z == pytest.approx(r0.v_z, abs=1e-10)
+    assert r1.v_x == pytest.approx(r0.v_x, abs=1e-10)
 
 
 def test_error_event_probs_closed_form():
