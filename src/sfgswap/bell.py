@@ -9,16 +9,20 @@ applied; every heralded trial contributes to the correlators.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .detection import (
     CoincidenceEfficiencies,
-    accidental_branches,
-    click_patterns,
+    arm_click_probs,
+    block_density,
+    block_readout,
     joint_click_pattern_probs,
-    rotated_diagonal,
+    reduced_branches,
 )
 from .fock import DensityOperator, PureState
 from .optimize import bisect_threshold, multistart_maximize, prescan_monotone
@@ -56,6 +60,17 @@ class Strategy:
         if click_second:
             return self.only_second
         return self.neither
+
+    @functools.lru_cache(maxsize=256)
+    def mean(self, eta_first: float, eta_second: float, n: int):
+        """Mean +/-1 outcome [N, a] of a party holding N photons, a in the
+        first arm; cached and read-only, as optimizers reuse a few."""
+        p_first, p_second = arm_click_probs(eta_first, eta_second, n)
+        q_first, q_second = 1.0 - p_first, 1.0 - p_second
+        o = (self.only_first * p_first * q_second + self.only_second * q_first * p_second
+             + self.both * p_first * p_second + self.neither * q_first * q_second)
+        o.setflags(write=False)
+        return o
 
     def negated(self) -> "Strategy":
         return Strategy(-self.only_first, -self.only_second, -self.both, -self.neither)
@@ -139,7 +154,7 @@ def heralded_state_with_dark(rho_sfg: DensityOperator, psi_in: PureState,
         raise ValueError("dark probability must be in [0, 1)")
     rho = rho_sfg.reorder(OUTPUT_REGISTER) if rho_sfg.register != OUTPUT_REGISTER else rho_sfg
     if dark > 0.0:
-        acd = DensityOperator.from_branches(accidental_branches(psi_in),
+        acd = DensityOperator.from_branches(reduced_branches(psi_in),
                                             register=OUTPUT_REGISTER,
                                             n_max=rho.n_max).scaled(dark)
         rho = rho.add(acd)
@@ -151,26 +166,22 @@ def heralded_state_with_dark(rho_sfg: DensityOperator, psi_in: PureState,
 
 @dataclass(frozen=True)
 class HeraldedEnsemble:
-    """Pure-branch decomposition of the heralded state, split by origin.
+    """Heralded state split by origin: the pure branches and their
+    photon-number-block densities (``detection.block_density``).
 
-    The photon-herald branches scale as sqrt(gain) in amplitude when the
-    analyzer efficiency is multiplied by ``gain``, so one decomposition
-    serves every gain factor.
+    The photon-herald part scales linearly when the analyzer efficiency is
+    multiplied by ``gain``, so one ensemble serves every gain factor.
     """
 
     sfg: tuple
     dark: tuple
     sfg_trace: float
     dark_trace: float
+    rho_sfg: np.ndarray
+    rho_dark: np.ndarray
 
     def trace(self, gain: float = 1.0) -> float:
         return gain * self.sfg_trace + self.dark_trace
-
-    def branches(self, gain: float = 1.0):
-        if gain == 1.0:
-            return list(self.sfg) + list(self.dark)
-        s = math.sqrt(gain)
-        return [b.scaled(s) for b in self.sfg] + list(self.dark)
 
 
 def heralded_ensemble(params: ExperimentParams, basis: str = "A") -> HeraldedEnsemble:
@@ -182,12 +193,35 @@ def heralded_ensemble(params: ExperimentParams, basis: str = "A") -> HeraldedEns
     dark = []
     if params.dark > 0.0:
         s = math.sqrt(params.dark)
-        dark = [b.scaled(s) for b in accidental_branches(psi_in)]
+        dark = [b.scaled(s) for b in reduced_branches(psi_in)]
     return HeraldedEnsemble(
         sfg=tuple(sfg), dark=tuple(dark),
         sfg_trace=sum(b.norm() ** 2 for b in sfg),
         dark_trace=sum(b.norm() ** 2 for b in dark),
+        rho_sfg=block_density(sfg, params.pair_cap),
+        rho_dark=block_density(dark, params.pair_cap),
     )
+
+
+def _correlators(ensemble: HeraldedEnsemble, thetas_a, thetas_b, strategy_a: Strategy,
+                 strategy_b: Strategy, effs: CoincidenceEfficiencies, gain: float):
+    """Normalized correlators E[p, q] at every pair of analyzer angles."""
+    total = ensemble.trace(gain)
+    if total <= 0.0:
+        raise ValueError("zero total herald probability")
+    rho = gain * ensemble.rho_sfg + ensemble.rho_dark
+    n = rho.shape[0] - 1
+    return block_readout(rho, thetas_a, [strategy_a.mean(effs.d_H, effs.d_V, n)], thetas_b,
+                         [strategy_b.mean(effs.e_H, effs.e_V, n)])[:, :, 0, 0] / total
+
+
+def _chsh(e) -> float:
+    return float(e[0, 0] + e[1, 0] + e[0, 1] - e[1, 1])
+
+
+def _qber(e: float) -> float:
+    # +/-1 outcomes, no postselection; rounding can leave E an ulp above 1.
+    return max(0.0, (1.0 - float(e)) / 2.0)
 
 
 def ensemble_chsh(ensemble: HeraldedEnsemble, settings: BellSettings,
@@ -195,20 +229,11 @@ def ensemble_chsh(ensemble: HeraldedEnsemble, settings: BellSettings,
                   strategy_b: Strategy = None,
                   efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES,
                   gain: float = 1.0) -> float:
-    """CHSH value of the normalized ensemble state (fast pure-branch path)."""
+    """CHSH value of the normalized ensemble state (photon-number blocks)."""
     sb = strategy_a if strategy_b is None else strategy_b
-    branches = ensemble.branches(gain)
-    total = ensemble.trace(gain)
-    if total <= 0.0:
-        raise ValueError("zero total herald probability")
-
-    def e(ta, tb):
-        table = click_patterns(rotated_diagonal(branches, ta, tb), efficiencies)
-        return correlator(table, strategy_a, sb) / total
-
-    a1, a2 = settings.theta_a1, settings.theta_a2
-    b1, b2 = settings.theta_b1, settings.theta_b2
-    return e(a1, b1) + e(a2, b1) + e(a1, b2) - e(a2, b2)
+    return _chsh(_correlators(ensemble, (settings.theta_a1, settings.theta_a2),
+                              (settings.theta_b1, settings.theta_b2),
+                              strategy_a, sb, efficiencies, gain))
 
 
 def qber(rho_herald: DensityOperator, theta_a0: float, theta_b1: float,
@@ -226,8 +251,8 @@ def qber(rho_herald: DensityOperator, theta_a0: float, theta_b1: float,
 def _ensemble_qber(ensemble: HeraldedEnsemble, theta_a0: float, theta_b1: float,
                    strategy_a: Strategy, strategy_b: Strategy,
                    effs: CoincidenceEfficiencies, gain: float) -> float:
-    diag = rotated_diagonal(ensemble.branches(gain), theta_a0, theta_b1)
-    return _disagreement(click_patterns(diag, effs), strategy_a, strategy_b) / ensemble.trace(gain)
+    return _qber(_correlators(ensemble, (theta_a0,), (theta_b1,), strategy_a, strategy_b,
+                              effs, gain)[0, 0])
 
 
 def binary_entropy(x: float) -> float:
@@ -271,6 +296,8 @@ class ChshOptimum:
     s: float = None
     q: float = None
     n_evaluations: int = 0
+    converged: bool = False
+    start_index: int = 0
 
 
 def _angle_bounds(n: int):
@@ -304,8 +331,8 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
                                   seed=seed, x0=x0 if x0 is not None else CANONICAL_X0,
                                   trace=trace)
         return ChshOptimum(value=res.value, settings=BellSettings(*res.x),
-                           mu_h=None, mu_v=None, s=res.value,
-                           n_evaluations=res.n_evaluations)
+                           mu_h=None, mu_v=None, s=res.value, n_evaluations=res.n_evaluations,
+                           converged=res.converged, start_index=res.start_index)
 
     from .optics import SourceParams
 
@@ -323,8 +350,8 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
     res = multistart_maximize(objective, bounds, n_starts=n_starts, seed=seed,
                               x0=x0, trace=trace)
     return ChshOptimum(value=res.value, settings=BellSettings(*res.x[2:6]),
-                       mu_h=res.x[0], mu_v=res.x[1], s=res.value,
-                       n_evaluations=res.n_evaluations)
+                       mu_h=res.x[0], mu_v=res.x[1], s=res.value, n_evaluations=res.n_evaluations,
+                       converged=res.converged, start_index=res.start_index)
 
 
 def optimize_key_rate(params: ExperimentParams,
@@ -342,10 +369,10 @@ def optimize_key_rate(params: ExperimentParams,
     ens = heralded_ensemble(params, basis=basis)
 
     def evaluate(x):
-        settings = BellSettings(*x[1:5], theta_a0=x[0])
-        s = ensemble_chsh(ens, settings, strategy_a, sb, efficiencies, gain)
-        q = _ensemble_qber(ens, x[0], x[3], strategy_a, sb, efficiencies, gain)
-        return s, q
+        st = BellSettings(*x[1:5], theta_a0=x[0])
+        e = _correlators(ens, (st.theta_a1, st.theta_a2, st.theta_a0),
+                         (st.theta_b1, st.theta_b2), strategy_a, sb, efficiencies, gain)
+        return _chsh(e), _qber(e[2, 0])
 
     def objective(x):
         s, q = evaluate(x)
@@ -358,7 +385,8 @@ def optimize_key_rate(params: ExperimentParams,
     s, q = evaluate(res.x)
     return ChshOptimum(value=res.value,
                        settings=BellSettings(*res.x[1:5], theta_a0=res.x[0]),
-                       s=s, q=q, n_evaluations=res.n_evaluations)
+                       s=s, q=q, n_evaluations=res.n_evaluations, converged=res.converged,
+                       start_index=res.start_index)
 
 
 def _partial_entanglement_seed(eta: float):

@@ -7,15 +7,20 @@ analyzers are modeled as a beamsplitter rotation of angle theta between the
 H and V mode of each output arm followed by threshold detection of each arm
 (theta = 0 is the Z basis, theta = pi/4 the X basis).
 
-Every analyzer readout folds one table: the photon-number diagonal after
-the analyzer rotations (``rotated_diagonal``) turned into the sixteen joint
-click patterns of the four arms (``click_patterns``).
+An analyzer rotation keeps each party's photon number N and acts on the
+N-photon (H, V) block as the spin-N/2 representation of SU(2), so every
+pipeline readout is one contraction (``block_readout``) of small blocks of
+the state (``block_density``).  The density-operator route
+(``joint_click_pattern_probs``) is the reference the tests compare against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fock import (
     DensityOperator,
@@ -157,31 +162,19 @@ def herald_amplitude_branches(branches, basis: str, det: DetectorModel):
     scale = math.sqrt(det.efficiency)
     out = []
     for phi in branches:
-        reg = phi.register
-        iH = mode_index(reg, "cH")
-        iV = mode_index(reg, "cV")
-        keep = [j for j in range(len(reg)) if j not in (iH, iV)
-                and reg[j] not in ANALYZER_MODES]
-        trace_over = [j for j in range(len(reg)) if j not in (iH, iV) and j not in keep]
-        out_reg = tuple(reg[j] for j in keep)
-        # Group by the traced-out (a, b) occupations: distinct occupations on
-        # traced modes yield orthogonal, hence separate, pure branches.
-        grouped = {}
+        iH, iV = mode_index(phi.register, "cH"), mode_index(phi.register, "cV")
+        rest_reg = tuple(m for j, m in enumerate(phi.register) if j not in (iH, iV))
+        amps = {}
         for occ, a in phi.amps.items():
             nH, nV = occ[iH], occ[iV]
             if nH + nV > 1:
                 raise ValueError("herald requires at most one c photon")
-            if nH + nV == 0:
-                continue
-            amp = a * (1.0 if nH == 1 else sign) / math.sqrt(2.0) * scale
-            group = tuple(occ[j] for j in trace_over)
-            rest = tuple(occ[j] for j in keep)
-            g = grouped.setdefault(group, {})
-            g[rest] = g.get(rest, 0.0) + amp
-        for amps in grouped.values():
-            amps = {k: v for k, v in amps.items() if abs(v) > 1e-16}
-            if amps:
-                out.append(PureState(out_reg, amps, n_max=phi.n_max))
+            if nH + nV == 1:
+                rest = tuple(n for j, n in enumerate(occ) if j not in (iH, iV))
+                amp = a * (1.0 if nH == 1 else sign) / math.sqrt(2.0) * scale
+                amps[rest] = amps.get(rest, 0.0) + amp
+        out.extend(reduced_branches(PureState(rest_reg, amps, n_max=phi.n_max),
+                                    [m for m in rest_reg if m not in ANALYZER_MODES]))
     return out
 
 
@@ -196,8 +189,8 @@ class CoincidenceEfficiencies:
 
 
 def _rotated_diagonal(rho: DensityOperator, theta1: float, theta2: float) -> dict:
-    """Density-operator counterpart of ``rotated_diagonal``: the diagonal of
-    rho on (dH, dV, eH, eV) after undoing the analyzer rotations on d and e."""
+    """Diagonal of rho on (dH, dV, eH, eV) after undoing the analyzer
+    rotations on d and e."""
     if theta1 != 0.0 or theta2 != 0.0:
         def unrotate(s):
             out = s
@@ -214,24 +207,6 @@ def _rotated_diagonal(rho: DensityOperator, theta1: float, theta2: float) -> dic
         if k == b:
             key = tuple(k[i] for i in idx)
             diag[key] = diag.get(key, 0.0) + v.real
-    return diag
-
-
-def rotated_diagonal(branches, theta_d: float, theta_e: float) -> dict:
-    """Photon-number diagonal of the mixture of pure ``branches`` after the
-    analyzer rotations of angle theta_d on (dH, dV) and theta_e on (eH, eV).
-
-    Keys are occupations of the branches' register, which is
-    (dH, dV, eH, eV) for the heralded and accidental branches.
-    """
-    diag = {}
-    for phi in branches:
-        if theta_d != 0.0:
-            phi = two_mode_rotation(phi, "dH", "dV", -theta_d)
-        if theta_e != 0.0:
-            phi = two_mode_rotation(phi, "eH", "eV", -theta_e)
-        for occ, a in phi.amps.items():
-            diag[occ] = diag.get(occ, 0.0) + (a * a.conjugate()).real
     return diag
 
 
@@ -269,29 +244,84 @@ def joint_click_pattern_probs(rho: DensityOperator, theta1: float, theta2: float
     return click_patterns(_rotated_diagonal(rho, theta1, theta2), efficiencies)
 
 
-def accidental_branches(psi_in: PureState):
-    """Pure branches of the output-mode state left by a dark-count herald.
+def block_density(pieces, n: int) -> np.ndarray:
+    """Photon-number-block density of the mixture of pure ``pieces`` on
+    (dH, dV, eH, eV), each party holding at most n photons: entry
+    [N_d, a, a', N_e, b, b'] is Re <a, N_d - a; b, N_e - b| rho |a', N_d - a'; b', N_e - b'>
+    (a, b count H photons).  Readouts conserve N_d and N_e and their
+    operators are real symmetric, so nothing else is kept."""
+    k = n + 1
+    rho = np.zeros((k * k, k * k, k * k))  # [(N_d, N_e), (a, b), (a', b')]
+    for chunk in (pieces[i:i + 32] for i in range(0, len(pieces), 32)):  # bounded scratch
+        psi = np.zeros((k * k, k * k, len(chunk)), dtype=complex)
+        for i, phi in enumerate(chunk):
+            for (dH, dV, eH, eV), amp in phi.amps.items():
+                psi[(dH + dV) * k + eH + eV, dH * k + eH, i] = amp
+        rho += (psi @ psi.conj().transpose(0, 2, 1)).real
+    return np.ascontiguousarray(rho.reshape((k,) * 6).transpose(0, 2, 4, 1, 3, 5))
 
-    Grouping the input amplitudes by the traced-out analyzer-arm
-    occupations decomposes the reduced state into orthogonal pure pieces.
-    """
-    reg = psi_in.register
-    keep = [i for i, m in enumerate(reg) if m in OUTPUT_REGISTER]
-    drop = [i for i in range(len(reg)) if i not in keep]
-    out_reg = tuple(reg[i] for i in keep)
-    grouped = {}
-    for occ, a in psi_in.amps.items():
-        g = tuple(occ[i] for i in drop)
-        rest = tuple(occ[i] for i in keep)
-        d = grouped.setdefault(g, {})
-        d[rest] = d.get(rest, 0.0) + a
-    out = []
-    for amps in grouped.values():
-        amps = {k: v for k, v in amps.items() if abs(v) > 1e-16}
-        if amps:
-            phi = PureState(out_reg, amps, n_max=psi_in.n_max)
-            out.append(phi if out_reg == OUTPUT_REGISTER else phi.reorder(OUTPUT_REGISTER))
+
+@functools.lru_cache(maxsize=None)
+def _rotation_eig(n: int):
+    """Eigenvalues w of i K_N, where K_N[a-1, a] = -K_N[a, a-1] = sqrt(a (N - a + 1))
+    generates ``two_mode_rotation`` on the N-photon block, the real and imaginary
+    parts of its eigenprojectors, and the identity, for N <= n, zero-padded."""
+    w, v = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1, n + 1), dtype=complex)
+    for N in range(n + 1):
+        off = np.sqrt(np.arange(1, N + 1) * np.arange(N, 0, -1.0))
+        gen = np.diag(off, 1) - np.diag(off, -1)
+        w[N, :N + 1], v[N, :N + 1, :N + 1] = np.linalg.eigh(1j * gen)
+    proj = np.einsum("Nak,Nbk->Nkab", v, v.conj())
+    eye = np.eye(n + 1) * np.tri(n + 1)[:, :, None]
+    out = w, np.concatenate([proj.real, proj.imag], axis=1), eye
+    for arr in out:
+        arr.setflags(write=False)  # shared by every caller
     return out
+
+
+def rotation_blocks(thetas, n: int) -> np.ndarray:
+    """R[p, N, a, a'] = <a, N - a| two_mode_rotation(theta_p) |a', N - a'>
+    for N <= n, zero-padded: I + V (exp(-i theta w) - 1) V+, exact at 0."""
+    w, proj, eye = _rotation_eig(n)
+    wt = np.multiply.outer(np.asarray(thetas, dtype=float), w)
+    trig = np.concatenate([np.cos(wt) - 1.0, np.sin(wt)], axis=2)
+    return eye + np.einsum("pNk,Nkab->pNab", trig, proj)
+
+
+def arm_click_probs(eta_H: float, eta_V: float, n: int) -> np.ndarray:
+    """Click probabilities [arm, N, a] of the H and V arm of one analyzer
+    when it holds N photons, a of them in the (rotated) H mode."""
+    N, a = np.indices((n + 1, n + 1))
+    return np.stack([1.0 - (1.0 - eta_H) ** a, 1.0 - (1.0 - eta_V) ** np.maximum(N - a, 0)])
+
+
+def block_readout(rho: np.ndarray, thetas_d, weights_d, thetas_e, weights_e) -> np.ndarray:
+    """E[p, q, i, j] = Tr[rho (O(thetas_d[p], weights_d[i]) x O(thetas_e[q], weights_e[j]))]
+    for a ``block_density`` rho, with O(theta, o) = R(-theta)^T diag(o) R(-theta) for a
+    weight o[N, a] per photon-number state after the analyzer."""
+    k, n_d = rho.shape[0], len(thetas_d)
+    r = rotation_blocks(-np.concatenate([thetas_d, thetas_e]), k - 1)
+
+    def operators(r, weights):
+        return np.einsum("pNca,iNc,pNcb->piNab", r, np.asarray(weights), r).reshape(-1, k ** 3)
+
+    e = operators(r[:n_d], weights_d) @ rho.reshape(k ** 3, -1) @ operators(r[n_d:], weights_e).T
+    return e.reshape(n_d, -1, len(thetas_e), len(weights_e)).transpose(0, 2, 1, 3)
+
+
+def reduced_branches(psi: PureState, modes=OUTPUT_REGISTER):
+    """Orthogonal pure pieces of the reduced state of ``psi`` on ``modes``
+    (by default the output modes, the state a dark-count herald leaves):
+    one piece per occupation of the traced-out modes."""
+    keep = [mode_index(psi.register, m) for m in modes]
+    drop = [i for i in range(len(psi.register)) if i not in keep]
+    grouped = {}
+    for occ, a in psi.amps.items():
+        d = grouped.setdefault(tuple(occ[i] for i in drop), {})
+        rest = tuple(occ[i] for i in keep)
+        d[rest] = d.get(rest, 0.0) + a
+    pieces = ({k: v for k, v in amps.items() if abs(v) > 1e-16} for amps in grouped.values())
+    return [PureState(tuple(modes), amps, n_max=psi.n_max) for amps in pieces if amps]
 
 
 def mix_dark_counts(p_sfg: float, p_acd: float, dark: float) -> float:

@@ -120,10 +120,6 @@ def sfg_eff_theoretical(cp: CrystalParams) -> float:
     return (cp.eta_shg / 2.0) * photon_energy * (cp.delta_nu_hat * cp.length_cm / cp.tbp)
 
 
-def phase_matching_sigma_nm(pm_fwhm_nm: float) -> float:
-    return pm_fwhm_nm * FWHM_TO_SIGMA
-
-
 def _overlap_integrand(a: SpectralProfile, b: SpectralProfile, pm: SpectralProfile):
     """Integrand of the spectral-overlap integral in centered coordinates.
 

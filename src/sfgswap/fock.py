@@ -7,7 +7,8 @@ the cost of every operation scales with the number of nonzero terms rather
 than with the dimension of the truncated Hilbert space.
 
 All values are immutable by convention: operations are pure functions that
-return new states.  Amplitudes whose magnitude drops below ``EPS_AMP`` are
+return new states.  Amplitudes below ``EPS_AMP`` (density-operator entries
+below ``EPS_AMP`` relative to the largest, if that is below 1) are
 discarded; weight removed by the total-photon truncation is accumulated in
 ``dropped_weight`` so callers can confirm it is negligible.
 """
@@ -174,6 +175,12 @@ def _prune(amps: dict, eps: float = EPS_AMP) -> dict:
     return {k: complex(a) for k, a in amps.items() if abs(a) > eps}
 
 
+def _prune_entries(entries: dict) -> dict:
+    # Relative to the largest entry, so an operator of tiny trace stays exact.
+    scale = max((abs(v) for v in entries.values()), default=0.0)
+    return _prune(entries, EPS_AMP * min(1.0, scale))
+
+
 def apply_creation(state: PureState, mode: str, truncate: bool = True) -> PureState:
     """Creation operator on one mode: |..n..> -> sqrt(n+1)|..n+1..>.
 
@@ -288,7 +295,7 @@ class DensityOperator:
         for k, ak in items:
             for b, ab in items:
                 entries[(k, b)] = ak * ab.conjugate()
-        return cls(psi.register, _prune(entries), trace_meaning=trace_meaning, n_max=psi.n_max)
+        return cls(psi.register, _prune_entries(entries), trace_meaning=trace_meaning, n_max=psi.n_max)
 
     @classmethod
     def from_branches(cls, branches, register=None, trace_meaning: str = TRACE_EVENT,
@@ -309,7 +316,7 @@ class DensityOperator:
                     entries[key] = entries.get(key, 0.0) + ak * ab.conjugate()
         if reg is None:
             raise ValueError("no branches given and no register specified")
-        return cls(reg, _prune(entries), trace_meaning=trace_meaning, n_max=n_max)
+        return cls(reg, _prune_entries(entries), trace_meaning=trace_meaning, n_max=n_max)
 
     def trace(self) -> float:
         return float(sum(v.real for (k, b), v in self.entries.items() if k == b))
@@ -328,7 +335,7 @@ class DensityOperator:
     def scaled(self, factor: float) -> "DensityOperator":
         return DensityOperator(
             self.register,
-            _prune({kb: v * factor for kb, v in self.entries.items()}),
+            _prune_entries({kb: v * factor for kb, v in self.entries.items()}),
             trace_meaning=self.trace_meaning,
             n_max=self.n_max,
         )
@@ -339,7 +346,7 @@ class DensityOperator:
         entries = dict(self.entries)
         for kb, v in other.entries.items():
             entries[kb] = entries.get(kb, 0.0) + v
-        return DensityOperator(self.register, _prune(entries),
+        return DensityOperator(self.register, _prune_entries(entries),
                                trace_meaning=self.trace_meaning, n_max=self.n_max)
 
     def is_hermitian(self, eps: float = EPS_HERM) -> bool:
@@ -392,7 +399,7 @@ def tensor_density(rA: DensityOperator, rB: DensityOperator) -> DensityOperator:
         for (kb, bb), vb in rB.entries.items():
             entries[(ka + kb, ba + bb)] = va * vb
     meaning = rA.trace_meaning if rA.trace_meaning == rB.trace_meaning else TRACE_EVENT
-    return DensityOperator(rA.register + rB.register, _prune(entries),
+    return DensityOperator(rA.register + rB.register, _prune_entries(entries),
                            trace_meaning=meaning, n_max=max(rA.n_max, rB.n_max))
 
 
@@ -409,7 +416,8 @@ def partial_trace(rho: DensityOperator, modes) -> DensityOperator:
         kk = tuple(k[i] for i in keep)
         bb = tuple(b[i] for i in keep)
         entries[(kk, bb)] = entries.get((kk, bb), 0.0) + v
-    return DensityOperator(new_reg, _prune(entries), trace_meaning=rho.trace_meaning, n_max=rho.n_max)
+    return DensityOperator(new_reg, _prune_entries(entries), trace_meaning=rho.trace_meaning,
+                           n_max=rho.n_max)
 
 
 def expectation(rho: DensityOperator, op: DensityOperator) -> float:
@@ -449,7 +457,7 @@ def sandwich(rho: DensityOperator, column_map) -> DensityOperator:
             for nb, ab in cb.items():
                 key = (nk, nb)
                 entries[key] = entries.get(key, 0.0) + v * ak * ab.conjugate()
-    return DensityOperator(rho.register, _prune(entries),
+    return DensityOperator(rho.register, _prune_entries(entries),
                            trace_meaning=rho.trace_meaning, n_max=rho.n_max)
 
 

@@ -39,8 +39,8 @@ class SourceParams:
     mu_V: float
 
     def __post_init__(self):
-        if self.mu_H < 0 or self.mu_V < 0:
-            raise ValueError("mean photon numbers must be nonnegative")
+        if not (0.0 <= self.mu_H < math.inf and 0.0 <= self.mu_V < math.inf):
+            raise ValueError("mean photon numbers must be finite and nonnegative")
 
     @property
     def gamma_H(self) -> float:

@@ -9,9 +9,9 @@ The heralding pipeline is
     on d and e, with a dark-count heralding branch mixed in at the end.
 
 The pipelines run on pure-state Kraus branches, and every analyzer readout
-folds one click-pattern table (``detection.click_patterns``).  The
-density-operator route (``sfg_heralded_operator``) is the reference the
-tests compare against.
+is one contraction of their photon-number-block density
+(``detection.block_readout``).  The density-operator route
+(``sfg_heralded_operator``) is the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 from .detection import (
     CoincidenceEfficiencies,
     DetectorModel,
-    accidental_branches,
-    click_patterns,
+    arm_click_probs,
+    block_density,
+    block_readout,
     click_prob,
     herald_amplitude_branches,
     mix_dark_counts,
-    rotated_diagonal,
+    reduced_branches,
 )
 from .fock import DensityOperator, PureState, apply_creation, tensor, two_mode_rotation
 from .optics import (
@@ -72,6 +73,12 @@ class ExperimentParams:
     pair_cap: int = 3
 
     def __post_init__(self):
+        for name in ("t1H", "t1V", "t2H", "t2V", "eta_tH", "eta_tV", "eta_1H", "eta_1V",
+                     "eta_2H", "eta_2V", "eta_d", "window_acceptance"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
+        if not 0.0 <= self.dark < 1.0:
+            raise ValueError(f"dark must be in [0, 1), got {self.dark!r}")
         if self.pair_cap < 2:
             raise ValueError("pair_cap must be at least 2: the SFG herald "
                              "needs one photon from each of two pairs")
@@ -152,13 +159,16 @@ def sfg_heralded_operator(params: ExperimentParams, basis: str = "A",
     return rho, psi_in
 
 
-def _coincidences(diag: dict, effs: CoincidenceEfficiencies) -> dict:
-    """Coincidence probability of each (d arm, e arm) pair, 'HV' meaning
-    the H arm of d and the V arm of e: marginals of the click patterns."""
-    table = click_patterns(diag, effs)
-    arm = {"H": 0, "V": 1}
-    return {d + e: sum(p for (cd, ce), p in table.items() if cd[arm[d]] and ce[arm[e]])
-            for d in "HV" for e in "HV"}
+def _coincidence_tables(rho, effs: CoincidenceEfficiencies) -> dict:
+    """Coincidence probability of each (d arm, e arm) pair in each visibility
+    basis of a block density, 'HV' meaning the H arm of d and the V arm of e."""
+    n = rho.shape[0] - 1
+    thetas = [theta for _, theta in VISIBILITY_BASES]
+    c = block_readout(rho, thetas, arm_click_probs(effs.d_H, effs.d_V, n),
+                      thetas, arm_click_probs(effs.e_H, effs.e_V, n))
+    return {name: {d + e: float(c[k, k, i, j])
+                   for i, d in enumerate("HV") for j, e in enumerate("HV")}
+            for k, (name, _) in enumerate(VISIBILITY_BASES)}
 
 
 def _visibility_z(p: dict) -> float:
@@ -182,25 +192,20 @@ def sfg_swap(params: ExperimentParams, basis: str = "A") -> VisibilityReport:
         sfg = [b.scaled(w) for b in sfg]
     herald_prob = sum(b.norm_sq() for b in sfg)
     effs = params.analyzer_efficiencies()
-    acd = accidental_branches(psi_in)
-
-    tables = {}
-    for name, theta in VISIBILITY_BASES:
-        p_sfg = _coincidences(rotated_diagonal(sfg, theta, theta), effs)
-        p_acd = _coincidences(rotated_diagonal(acd, theta, theta), effs)
-        p_mix = {ij: mix_dark_counts(p_sfg[ij], p_acd[ij], params.dark) for ij in p_sfg}
-        tables[name] = (p_sfg, p_acd, p_mix)
-
-    v_z = _visibility_z(tables["z"][2])
-    v_x = _visibility_x(tables["x"][2])
+    p_sfg = _coincidence_tables(block_density(sfg, params.pair_cap), effs)
+    p_acd = _coincidence_tables(block_density(reduced_branches(psi_in), params.pair_cap), effs)
+    p_mix = {name: {ij: mix_dark_counts(p, p_acd[name][ij], params.dark) for ij, p in table.items()}
+             for name, table in p_sfg.items()}
+    v_z = _visibility_z(p_mix["z"])
+    v_x = _visibility_x(p_mix["x"])
     return VisibilityReport(
         v_z=v_z,
         v_x=v_x,
         fidelity_lower_bound=(v_z + v_x) / 2.0,
         herald_prob=herald_prob,
-        p_z=tables["z"][2], p_x=tables["x"][2],
-        p_sfg_z=tables["z"][0], p_sfg_x=tables["x"][0],
-        p_acd_z=tables["z"][1], p_acd_x=tables["x"][1],
+        p_z=p_mix["z"], p_x=p_mix["x"],
+        p_sfg_z=p_sfg["z"], p_sfg_x=p_sfg["x"],
+        p_acd_z=p_acd["z"], p_acd_x=p_acd["x"],
     )
 
 
@@ -226,32 +231,25 @@ def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
     of its two-fold click.
     """
     psi_in = build_swapping_input(params.eps1, params.eps2, pair_cap=params.pair_cap)
-    branches = []
+    i_aV, i_bH = SWAP_REGISTER.index("aV"), SWAP_REGISTER.index("bH")
+    pieces = []
     for phi in loss_branches(psi_in, params.channel_losses()):
         phi = two_mode_rotation(_pbs_mix_branch(phi), "aH", "aV", -math.pi / 4)
-        branches.append(two_mode_rotation(phi, "bH", "bV", -math.pi / 4))
-    i_aV, i_bH = SWAP_REGISTER.index("aV"), SWAP_REGISTER.index("bH")
-    keep = [SWAP_REGISTER.index(m) for m in OUTPUT_REGISTER]
-    effs = params.analyzer_efficiencies()
-
-    tables = {}
-    for name, theta in VISIBILITY_BASES:
-        # Weight each occupation by the BSA's two-fold click probability
-        # and reduce it to the output modes.
-        diag = {}
-        for occ, w in rotated_diagonal(branches, theta, theta).items():
-            w *= click_prob(eta_bsa, occ[i_bH]) * click_prob(eta_bsa, occ[i_aV])
-            key = tuple(occ[i] for i in keep)
-            diag[key] = diag.get(key, 0.0) + w
-        tables[name] = _coincidences(diag, effs)
+        phi = two_mode_rotation(phi, "bH", "bV", -math.pi / 4)
+        # Weight each amplitude by the square root of the BSA's two-fold
+        # click probability, then split by the a, b occupations: one piece
+        # on the output modes per BSA photon-number outcome.
+        amps = {occ: a * math.sqrt(click_prob(eta_bsa, occ[i_bH]) * click_prob(eta_bsa, occ[i_aV]))
+                for occ, a in phi.amps.items()}
+        pieces.extend(reduced_branches(PureState(phi.register, amps, n_max=phi.n_max)))
+    tables = _coincidence_tables(block_density(pieces, params.pair_cap),
+                                 params.analyzer_efficiencies())
     v_z = _visibility_z(tables["z"])
     v_x = _visibility_x(tables["x"])
-    # The BSA weight does not depend on the d, e rotations, so the trace of
-    # either weighted diagonal is the herald probability.
     return VisibilityReport(
         v_z=v_z, v_x=v_x,
         fidelity_lower_bound=(v_z + v_x) / 2.0,
-        herald_prob=sum(diag.values()),
+        herald_prob=sum(p.norm_sq() for p in pieces),
         p_z=tables["z"], p_x=tables["x"],
         p_sfg_z=tables["z"], p_sfg_x=tables["x"],
     )

@@ -1,5 +1,7 @@
 """CHSH correlators, outcome strategies, key rates, and their dual routes."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 
 from sfgswap.bell import (
     CANONICAL_X0,
+    DEFAULT_STRATEGY,
     BellSettings,
     Strategy,
     TSIRELSON,
+    _ensemble_qber,
     _partial_entanglement_seed,
     all_strategies,
     binary_entropy,
@@ -21,6 +25,8 @@ from sfgswap.bell import (
     heralded_ensemble,
     heralded_state_with_dark,
     holevo_chsh,
+    optimize_chsh,
+    optimize_key_rate,
     qber,
 )
 from sfgswap.detection import CoincidenceEfficiencies
@@ -95,16 +101,25 @@ def test_chsh_has_pi_period_in_analyzer_angles():
                                                         abs=1e-10)
 
 
-def test_chsh_dual_route_equivalence():
-    params = make_params(eta_tH=0.8, eta_tV=0.7, dark=1e-4)
+@pytest.mark.parametrize("params", [
+    make_params(eta_tH=0.8, eta_tV=0.7, dark=1e-4),
+    # Heralded trace about 7.5e-12: the density route must keep its
+    # relative precision on an operator of tiny trace.
+    swap_params(get_preset("paper-tableS1")["params"]),
+], ids=["lossy-dark", "paper-tableS1"])
+def test_chsh_dual_route_equivalence(params):
     rho_sfg, psi_in = sfg_heralded_operator(params, basis="A")
-    rho = heralded_state_with_dark(rho_sfg, psi_in, params.dark)
+    rho = heralded_state_with_dark(rho_sfg.scaled(params.window_acceptance), psi_in,
+                                   params.dark)
     ens = heralded_ensemble(params)
     effs = CoincidenceEfficiencies(0.9, 0.85, 0.8, 0.75)
     settings_ = BellSettings(0.1, 0.7, -0.2, 0.5)
     slow = chsh_value(rho, settings_, efficiencies=effs)
     fast = ensemble_chsh(ens, settings_, efficiencies=effs)
     assert fast == pytest.approx(slow, abs=1e-10)
+    slow_q = qber(rho, 0.3, -0.2, efficiencies=effs)
+    fast_q = _ensemble_qber(ens, 0.3, -0.2, DEFAULT_STRATEGY, DEFAULT_STRATEGY, effs, 1.0)
+    assert fast_q == pytest.approx(slow_q, abs=1e-10)
 
 
 def test_chsh_value_requires_normalized_state():
@@ -116,8 +131,9 @@ def test_chsh_value_requires_normalized_state():
 def test_ensemble_gain_scaling():
     ens = heralded_ensemble(make_params(dark=1e-4))
     assert ens.trace(3.0) == pytest.approx(3.0 * ens.sfg_trace + ens.dark_trace)
-    scaled = ens.branches(4.0)
-    assert sum(b.norm_sq() for b in scaled) == pytest.approx(ens.trace(4.0))
+    # The trace of the gain-scaled block density matches the branch norms.
+    rho = 4.0 * ens.rho_sfg + ens.rho_dark
+    assert np.einsum("NaaMbb->", rho) == pytest.approx(ens.trace(4.0))
 
 
 def test_dark_herald_fraction_of_measured_pipeline():
@@ -151,3 +167,17 @@ def test_partial_entanglement_seed_shape():
         assert -math.pi / 2 <= a < math.pi / 2
     # Near the critical efficiency the optimum is weakly entangled.
     assert ratio < 0.5
+
+
+def test_optima_report_best_start_diagnostics():
+    # converged and start_index come from the start that gave the optimum:
+    # the optimizer trace of that start must reach the reported value.
+    params = make_params(pair_cap=2)
+    for optimize in (optimize_chsh, optimize_key_rate):
+        trace = io.StringIO()
+        opt = optimize(params, n_starts=3, seed=5, trace=trace)
+        rows = list(csv.DictReader(io.StringIO(trace.getvalue())))
+        best = max(float(r["objective"]) for r in rows if int(r["start"]) == opt.start_index)
+        assert 0 <= opt.start_index < 3
+        assert best == pytest.approx(opt.value, abs=1e-9)
+        assert opt.converged is True

@@ -121,6 +121,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["efficiency"]) == 2
     assert main(["swap-sfg", "--config", str(tmp_path / "missing.ini")]) == 2
     assert main(["swap-sfg", "--preset", "ideal", "--set", "pair_cap=1"]) == 2
+    for bad in ("mu_1h=nan", "t_1h=1.5", "eta_1h=-0.1", "window_acceptance=2"):
+        assert main(["swap-sfg", "--preset", "ideal", "--set", bad]) == 2
     capsys.readouterr()
 
 

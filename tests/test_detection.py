@@ -12,16 +12,25 @@ from sfgswap.detection import (
     AnalyzerSetting,
     CoincidenceEfficiencies,
     DetectorModel,
-    accidental_branches,
-    click_patterns,
+    arm_click_probs,
+    block_density,
+    block_readout,
     click_prob,
     herald_amplitude_branches,
     herald_projection,
+    joint_click_pattern_probs,
     mix_dark_counts,
-    rotated_diagonal,
+    reduced_branches,
+    rotation_blocks,
     threshold_povm,
 )
-from sfgswap.fock import DensityOperator, PureState, expectation, partial_trace
+from sfgswap.fock import (
+    DensityOperator,
+    PureState,
+    expectation,
+    partial_trace,
+    two_mode_rotation,
+)
 from sfgswap.optics import OUTPUT_REGISTER
 
 
@@ -108,8 +117,9 @@ def test_herald_on_diagonal_photon():
 
 
 def test_click_pattern_marginals_match_threshold_povm():
-    # Each single-arm marginal of the click-pattern table must equal the
-    # expectation of that arm's rotated threshold POVM.
+    # Each single-arm click probability, as a marginal of the click-pattern
+    # table and as a block-kernel readout, must equal the expectation of
+    # that arm's rotated threshold POVM.
     rng = np.random.default_rng(9)
     amps = {occ: complex(rng.normal(), rng.normal())
             for occ in product_basis(4, 2) if sum(occ) <= 2}
@@ -117,9 +127,16 @@ def test_click_pattern_marginals_match_threshold_povm():
     rho = DensityOperator.from_pure(psi)
     effs = CoincidenceEfficiencies(0.9, 0.8, 0.7, 0.6)
     theta_d, theta_e = 0.2, 2.7
-    table = click_patterns(rotated_diagonal([psi], theta_d, theta_e), effs)
+    table = joint_click_pattern_probs(rho, theta_d, theta_e, effs)
     assert len(table) == 16
     assert sum(table.values()) == pytest.approx(1.0, abs=1e-12)
+    # Weight vectors: the H-arm and V-arm click probabilities, then 1.
+    one = np.ones((3, 3))
+    e = block_readout(block_density([psi], 2),
+                      [theta_d], [*arm_click_probs(effs.d_H, effs.d_V, 2), one],
+                      [theta_e], [*arm_click_probs(effs.e_H, effs.e_V, 2), one])[0, 0]
+    assert e[2, 2] == pytest.approx(1.0, abs=1e-12)
+    kernel = (e[0, 2], e[1, 2], e[2, 0], e[2, 1])
     # Rotating (m2, m1) by pi - theta is the analyzer rotation of (m1, m2)
     # by theta, up to a phase that cancels in the POVM.
     arms = (("dH", "dV", theta_d, effs.d_H), ("dV", "dH", math.pi - theta_d, effs.d_V),
@@ -129,12 +146,28 @@ def test_click_pattern_marginals_match_threshold_povm():
         povm = threshold_povm(OUTPUT_REGISTER, mode, partner, AnalyzerSetting(theta),
                               DetectorModel(eta), n_max=2, register_cap=2)
         assert marginal == pytest.approx(expectation(rho, povm), abs=1e-12)
+        assert kernel[i] == pytest.approx(expectation(rho, povm), abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.4, -1.3, 2.9, -math.pi / 4])
+def test_rotation_blocks_match_two_mode_rotation(theta):
+    # Column a' of block N is the rotation of |a', N - a'>.
+    blocks = rotation_blocks([theta], 6)[0]
+    for n in range(7):
+        for a in range(n + 1):
+            out = two_mode_rotation(PureState.basis(("H", "V"), (a, n - a), n_max=6),
+                                    "H", "V", theta)
+            column = np.zeros(7)
+            for (h, _), amp in out.amps.items():
+                assert abs(amp.imag) < 1e-15
+                column[h] = amp.real
+            assert np.abs(blocks[n, :, a] - column).max() < 1e-13
 
 
 def test_accidental_branches_match_partial_trace():
     amps = {(0, 0, 0, 0, 0): 0.8, (1, 1, 0, 0, 0): 0.48, (1, 0, 0, 1, 0): 0.36}
     psi = PureState(("aH",) + OUTPUT_REGISTER, amps, n_max=2)
-    branches = accidental_branches(psi)
+    branches = reduced_branches(psi)
     assert len(branches) == 2
     assert all(b.register == OUTPUT_REGISTER for b in branches)
     mix = DensityOperator.from_branches(branches, register=OUTPUT_REGISTER, n_max=2)
