@@ -28,7 +28,6 @@ from .detection import (
     herald_amplitude_branches,
     herald_projection,
     joint_click_pattern_probs,
-    mix_dark_counts,
     threshold_povm,
 )
 from .efficiency import (

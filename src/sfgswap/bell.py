@@ -19,14 +19,21 @@ import numpy as np
 from .detection import (
     CoincidenceEfficiencies,
     arm_click_probs,
-    block_density,
     block_readout,
     joint_click_pattern_probs,
     reduced_branches,
 )
 from .fock import DensityOperator, PureState
+from .optics import SourceParams
 from .optimize import bisect_threshold, multistart_maximize, prescan_monotone
-from .protocols import OUTPUT_REGISTER, ExperimentParams, sfg_heralded_branches
+from .protocols import (
+    OUTPUT_REGISTER,
+    ExperimentParams,
+    HeraldedEnsemble,
+    filtered_ensemble,
+    heralded_ensemble,
+    heralding_filter,
+)
 
 RT2 = math.sqrt(2.0)
 TSIRELSON = 2.0 * RT2
@@ -146,9 +153,9 @@ def heralded_state_with_dark(rho_sfg: DensityOperator, psi_in: PureState,
                              dark: float) -> DensityOperator:
     """Normalized heralded state mixing the photon and dark-count heralds.
 
-    rho_sfg is the event-weighted analyzer-heralded operator; the dark
-    branch is the unheralded reduced input state weighted by the dark
-    probability per window.
+    rho_sfg is the event-weighted analyzer-heralded operator, kept when no
+    dark count fires (probability 1 - dark); a dark count heralds the
+    unheralded reduced input state.
     """
     if not 0.0 <= dark < 1.0:
         raise ValueError("dark probability must be in [0, 1)")
@@ -157,50 +164,11 @@ def heralded_state_with_dark(rho_sfg: DensityOperator, psi_in: PureState,
         acd = DensityOperator.from_branches(reduced_branches(psi_in),
                                             register=OUTPUT_REGISTER,
                                             n_max=rho.n_max).scaled(dark)
-        rho = rho.add(acd)
+        rho = rho.scaled(1.0 - dark).add(acd)
     total = rho.trace()
     if total <= 0.0:
         raise ValueError("zero total herald probability")
     return rho.scaled(1.0 / total)
-
-
-@dataclass(frozen=True)
-class HeraldedEnsemble:
-    """Heralded state split by origin: the pure branches and their
-    photon-number-block densities (``detection.block_density``).
-
-    The photon-herald part scales linearly when the analyzer efficiency is
-    multiplied by ``gain``, so one ensemble serves every gain factor.
-    """
-
-    sfg: tuple
-    dark: tuple
-    sfg_trace: float
-    dark_trace: float
-    rho_sfg: np.ndarray
-    rho_dark: np.ndarray
-
-    def trace(self, gain: float = 1.0) -> float:
-        return gain * self.sfg_trace + self.dark_trace
-
-
-def heralded_ensemble(params: ExperimentParams, basis: str = "A") -> HeraldedEnsemble:
-    """Build the branch ensemble of the heralded state for ``params``."""
-    sfg, psi_in = sfg_heralded_branches(params, basis=basis)
-    if params.window_acceptance != 1.0:
-        w = math.sqrt(params.window_acceptance)
-        sfg = [b.scaled(w) for b in sfg]
-    dark = []
-    if params.dark > 0.0:
-        s = math.sqrt(params.dark)
-        dark = [b.scaled(s) for b in reduced_branches(psi_in)]
-    return HeraldedEnsemble(
-        sfg=tuple(sfg), dark=tuple(dark),
-        sfg_trace=sum(b.norm() ** 2 for b in sfg),
-        dark_trace=sum(b.norm() ** 2 for b in dark),
-        rho_sfg=block_density(sfg, params.pair_cap),
-        rho_dark=block_density(dark, params.pair_cap),
-    )
 
 
 def _correlators(ensemble: HeraldedEnsemble, thetas_a, thetas_b, strategy_a: Strategy,
@@ -315,8 +283,8 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
     mean photon numbers of the sources).
 
     With ``free_mu`` the two pump strengths are varied per polarization and
-    shared between the sources; the heralded state depends on them through
-    a full pipeline rebuild per evaluation.
+    shared between the sources; the heralding filter is built once, and
+    each evaluation only rescales it by the source amplitudes.
     """
     sb = strategy_a if strategy_b is None else strategy_b
 
@@ -334,15 +302,12 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
                            mu_h=None, mu_v=None, s=res.value, n_evaluations=res.n_evaluations,
                            converged=res.converged, start_index=res.start_index)
 
-    from .optics import SourceParams
+    filt = heralding_filter(params, basis=basis)
 
     def objective(x):
-        mu_h, mu_v = x[0], x[1]
-        p = params.replace(eps1=SourceParams(mu_h, mu_v),
-                           eps2=SourceParams(mu_h, mu_v))
-        ens = heralded_ensemble(p, basis=basis)
-        return ensemble_chsh(ens, BellSettings(*x[2:6]), strategy_a, sb,
-                             efficiencies, gain)
+        eps = SourceParams(x[0], x[1])
+        return ensemble_chsh(filtered_ensemble(filt, params, eps, eps), BellSettings(*x[2:6]),
+                             strategy_a, sb, efficiencies, gain)
 
     bounds = [mu_bounds, mu_bounds] + _angle_bounds(4)
     if x0 is None:
@@ -452,9 +417,8 @@ def efficiency_threshold(params: ExperimentParams,
     pre-scan checks that the optimized S is nondecreasing in the
     efficiency before bisecting.
     """
-    from .optics import SourceParams
-
     sb = strategy_a if strategy_b is None else strategy_b
+    filt = heralding_filter(params, basis=basis)
     warm = {"x0": None}
 
     def margin(eta):
@@ -462,13 +426,9 @@ def efficiency_threshold(params: ExperimentParams,
         ratio0, angles0 = _partial_entanglement_seed(eta)
 
         def objective(x):
-            ratio = x[0]
-            p = params.replace(
-                eps1=SourceParams(mu_floor, mu_floor * ratio),
-                eps2=SourceParams(mu_floor, mu_floor * ratio))
-            ens = heralded_ensemble(p, basis=basis)
-            return ensemble_chsh(ens, BellSettings(*x[1:5]), strategy_a, sb,
-                                 effs)
+            eps = SourceParams(mu_floor, mu_floor * x[0])
+            return ensemble_chsh(filtered_ensemble(filt, params, eps, eps),
+                                 BellSettings(*x[1:5]), strategy_a, sb, effs)
 
         bounds = [(1e-4, 1.0)] + _angle_bounds(4)
         starts = [(max(ratio0, 1e-4),) + angles0, (1.0,) + CANONICAL_X0]

@@ -323,10 +323,3 @@ def reduced_branches(psi: PureState, modes=OUTPUT_REGISTER):
     pieces = ({k: v for k, v in amps.items() if abs(v) > 1e-16} for amps in grouped.values())
     return [PureState(tuple(modes), amps, n_max=psi.n_max) for amps in pieces if amps]
 
-
-def mix_dark_counts(p_sfg: float, p_acd: float, dark: float) -> float:
-    """Total coincidence probability with a dark-count heralding branch."""
-    for name, v in (("p_sfg", p_sfg), ("p_acd", p_acd), ("dark", dark)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} outside [0, 1]: {v}")
-    return p_sfg * (1.0 - dark) + dark * p_acd

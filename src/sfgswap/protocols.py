@@ -8,16 +8,23 @@ The heralding pipeline is
     -> projection of the SFG photon on |D> or |A> -> threshold analyzers
     on d and e, with a dark-count heralding branch mixed in at the end.
 
-The pipelines run on pure-state Kraus branches, and every analyzer readout
-is one contraction of their photon-number-block density
-(``detection.block_readout``).  The density-operator route
-(``sfg_heralded_operator``) is the reference the tests compare against.
+Loss, SFG and the herald act on the a, b and c modes only, and each pair
+source puts as many photons in d as in a (in e as in b), so the heralded
+state is a fixed heralding filter (``heralding_filter``, the pipeline run
+once on pure-state Kraus branches) rescaled by the source amplitudes
+(``source_amplitudes``).  Every analyzer readout is one contraction of its
+photon-number-block density (``detection.block_readout``).  The
+density-operator route (``sfg_heralded_operator``) is the reference the
+tests compare against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .detection import (
     CoincidenceEfficiencies,
@@ -27,7 +34,6 @@ from .detection import (
     block_readout,
     click_prob,
     herald_amplitude_branches,
-    mix_dark_counts,
     reduced_branches,
 )
 from .fock import DensityOperator, PureState, apply_creation, tensor, two_mode_rotation
@@ -108,6 +114,7 @@ class VisibilityReport:
     herald_prob: float
     p_z: dict = field(default_factory=dict)  # ij -> mixed coincidence prob, Z basis
     p_x: dict = field(default_factory=dict)
+    # The photon-herald and dark-count parts of p_z and p_x, which are their sums.
     p_sfg_z: dict = field(default_factory=dict)
     p_sfg_x: dict = field(default_factory=dict)
     p_acd_z: dict = field(default_factory=dict)
@@ -127,6 +134,20 @@ class VisibilityReport:
         return "\n".join(lines) + "\n"
 
 
+def _herald(psi: PureState, params: ExperimentParams, basis: str, gain: float = 1.0):
+    """Channel loss, first-order SFG, loss on c and the herald applied to
+    ``psi``: pure branches on (dH, dV, eH, eV) whose outer-product sum is the
+    event-weighted heralded operator."""
+    branches = loss_branches(psi, params.channel_losses())
+    branches = sfg_branches(branches, params.sfg.scaled(gain))
+    out = []
+    for phi in branches:
+        out.extend(loss_branches(phi, params.c_losses()))
+    heralded = herald_amplitude_branches(out, basis, DetectorModel(params.eta_d))
+    return [phi if phi.register == OUTPUT_REGISTER else phi.reorder(OUTPUT_REGISTER)
+            for phi in heralded]
+
+
 def sfg_heralded_branches(params: ExperimentParams, basis: str = "A", gain: float = 1.0):
     """Pure branches of the unnormalized heralded state on (dH, dV, eH, eV).
 
@@ -135,15 +156,77 @@ def sfg_heralded_branches(params: ExperimentParams, basis: str = "A", gain: floa
     probability.
     """
     psi_in = build_swapping_input(params.eps1, params.eps2, pair_cap=params.pair_cap)
-    branches = loss_branches(psi_in, params.channel_losses())
-    branches = sfg_branches(branches, params.sfg.scaled(gain))
-    out = []
-    for phi in branches:
-        out.extend(loss_branches(phi, params.c_losses()))
-    heralded = herald_amplitude_branches(out, basis, DetectorModel(params.eta_d))
-    heralded = [phi if phi.register == OUTPUT_REGISTER else phi.reorder(OUTPUT_REGISTER)
-                for phi in heralded]
-    return heralded, psi_in
+    return _herald(psi_in, params, basis, gain), psi_in
+
+
+def heralding_filter(params: ExperimentParams, basis: str = "A") -> np.ndarray:
+    """Block density R (``detection.block_density``) of the heralded state of
+    the unit-amplitude input: amplitude 1 on every term of
+    ``build_swapping_input`` with at most ``pair_cap`` pairs.
+
+    It does not depend on the source strengths: the heralded state of any
+    sources is R times the outer product of their ``source_amplitudes``.
+    """
+    cap = params.pair_cap
+    unit = {pairs + pairs: 1.0 for pairs in itertools.product(range(cap + 1), repeat=4)
+            if sum(pairs) <= cap}
+    return block_density(_herald(PureState(SWAP_REGISTER, unit, n_max=2 * cap), params, basis),
+                         cap)
+
+
+def source_amplitudes(eps1: SourceParams, eps2: SourceParams, pair_cap: int) -> np.ndarray:
+    """c[N_d, a, N_e, b]: amplitude of ``build_swapping_input`` on the term
+    with a H and N_d - a V pairs from source 1 and b H and N_e - b V pairs
+    from source 2, zero past the cap."""
+    n = np.arange(pair_cap + 1)
+    down = n[:, None] - n
+
+    def party(src):
+        return np.where(down >= 0, src.gamma_H ** n * src.gamma_V ** np.abs(down), 0.0)
+
+    c = np.multiply.outer(party(eps1), party(eps2))
+    c *= (np.add.outer(n, n) <= pair_cap)[:, None, :, None]
+    return c / math.sqrt(np.vdot(c, c))
+
+
+@dataclass(frozen=True)
+class HeraldedEnsemble:
+    """Heralded state split by origin, as photon-number-block densities
+    (``detection.block_density``) weighted by their event probabilities:
+    ``rho_sfg`` for a photon herald within the coincidence window and no
+    dark count, ``rho_dark`` for a dark-count herald, which leaves the
+    whole reduced input state.
+
+    The photon-herald part scales linearly when the analyzer efficiency is
+    multiplied by ``gain``, so one ensemble serves every gain factor.
+    """
+
+    rho_sfg: np.ndarray
+    rho_dark: np.ndarray
+    sfg_trace: float
+    dark_trace: float
+
+    def trace(self, gain: float = 1.0) -> float:
+        return gain * self.sfg_trace + self.dark_trace
+
+
+def filtered_ensemble(filt: np.ndarray, params: ExperimentParams, eps1: SourceParams,
+                      eps2: SourceParams) -> HeraldedEnsemble:
+    """Heralded ensemble of the sources ``eps1``, ``eps2`` from the
+    ``heralding_filter`` of ``params`` (whose own sources are ignored)."""
+    c = source_amplitudes(eps1, eps2, filt.shape[0] - 1)
+    rho_sfg = ((1.0 - params.dark) * params.window_acceptance) * filt \
+        * np.einsum("NaMb,NcMd->NacMbd", c, c)
+    eye = np.eye(c.shape[1])
+    rho_dark = params.dark * np.einsum("NaMb,ac,bd->NacMbd", c * c, eye, eye)
+    return HeraldedEnsemble(rho_sfg=rho_sfg, rho_dark=rho_dark,
+                            sfg_trace=float(np.einsum("NaaMbb->", rho_sfg)),
+                            dark_trace=float(np.einsum("NaaMbb->", rho_dark)))
+
+
+def heralded_ensemble(params: ExperimentParams, basis: str = "A") -> HeraldedEnsemble:
+    """Heralded ensemble of the sources of ``params``."""
+    return filtered_ensemble(heralding_filter(params, basis), params, params.eps1, params.eps2)
 
 
 def sfg_heralded_operator(params: ExperimentParams, basis: str = "A",
@@ -183,18 +266,11 @@ def _visibility_x(p: dict) -> float:
 
 def sfg_swap(params: ExperimentParams, basis: str = "A") -> VisibilityReport:
     """Full SFG-swapping pipeline: visibilities, fidelity bound, herald rate."""
-    sfg, psi_in = sfg_heralded_branches(params, basis=basis)
-    # The finite coincidence window accepts only this fraction of signal
-    # events; dark counts are uniform in time, so only the signal branch
-    # is scaled.
-    if params.window_acceptance != 1.0:
-        w = math.sqrt(params.window_acceptance)
-        sfg = [b.scaled(w) for b in sfg]
-    herald_prob = sum(b.norm_sq() for b in sfg)
+    ens = heralded_ensemble(params, basis=basis)
     effs = params.analyzer_efficiencies()
-    p_sfg = _coincidence_tables(block_density(sfg, params.pair_cap), effs)
-    p_acd = _coincidence_tables(block_density(reduced_branches(psi_in), params.pair_cap), effs)
-    p_mix = {name: {ij: mix_dark_counts(p, p_acd[name][ij], params.dark) for ij, p in table.items()}
+    p_sfg = _coincidence_tables(ens.rho_sfg, effs)
+    p_acd = _coincidence_tables(ens.rho_dark, effs)
+    p_mix = {name: {ij: p + p_acd[name][ij] for ij, p in table.items()}
              for name, table in p_sfg.items()}
     v_z = _visibility_z(p_mix["z"])
     v_x = _visibility_x(p_mix["x"])
@@ -202,7 +278,8 @@ def sfg_swap(params: ExperimentParams, basis: str = "A") -> VisibilityReport:
         v_z=v_z,
         v_x=v_x,
         fidelity_lower_bound=(v_z + v_x) / 2.0,
-        herald_prob=herald_prob,
+        # The photon herald within the window, before dark-count mixing.
+        herald_prob=ens.sfg_trace / (1.0 - params.dark),
         p_z=p_mix["z"], p_x=p_mix["x"],
         p_sfg_z=p_sfg["z"], p_sfg_x=p_sfg["x"],
         p_acd_z=p_acd["z"], p_acd_x=p_acd["x"],

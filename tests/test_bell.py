@@ -21,6 +21,7 @@ from sfgswap.bell import (
     binary_entropy,
     chsh_value,
     dw_key_rate,
+    efficiency_threshold,
     ensemble_chsh,
     heralded_ensemble,
     heralded_state_with_dark,
@@ -29,10 +30,10 @@ from sfgswap.bell import (
     optimize_key_rate,
     qber,
 )
-from sfgswap.detection import CoincidenceEfficiencies
+from sfgswap.detection import CoincidenceEfficiencies, block_density, reduced_branches
 from sfgswap.optics import SfgParams, SourceParams
 from sfgswap.presets import get_preset, swap_params
-from sfgswap.protocols import ExperimentParams, sfg_heralded_operator
+from sfgswap.protocols import ExperimentParams, sfg_heralded_branches, sfg_heralded_operator
 
 
 def make_params(**kwargs):
@@ -122,6 +123,37 @@ def test_chsh_dual_route_equivalence(params):
     assert fast_q == pytest.approx(slow_q, abs=1e-10)
 
 
+def _preset(name, **kwargs):
+    return swap_params(get_preset(name)["params"]).replace(**kwargs)
+
+
+@pytest.mark.parametrize("basis", ["A", "D"])
+@pytest.mark.parametrize("params", [
+    _preset("ideal", pair_cap=2),
+    _preset("ideal"),
+    _preset("paper-tableS1"),
+    _preset("paper-tableS1", pair_cap=5),
+    _preset("ideal", t1H=0.7, t1V=0.6, t2H=0.5, t2V=0.8, eta_tH=0.8, eta_tV=0.9,
+            eta_d=0.85, dark=1e-3, window_acceptance=0.9, pair_cap=4),
+], ids=["ideal-2", "ideal-3", "paper-tableS1-3", "paper-tableS1-5", "lossy-dark-windowed"])
+def test_ensemble_matches_heralded_branches(params, basis):
+    # The ensemble rescales one heralding filter by the source amplitudes;
+    # the full pipeline on the sources' own input state must give the same
+    # blocks, with independent pump strengths per source and polarization.
+    rng = np.random.default_rng(7)
+    mu = rng.uniform(0.01, 0.3, size=4)
+    params = params.replace(eps1=SourceParams(mu[0], mu[1]), eps2=SourceParams(mu[2], mu[3]))
+    ens = heralded_ensemble(params, basis=basis)
+    branches, psi_in = sfg_heralded_branches(params, basis=basis)
+    rho_sfg = ((1.0 - params.dark) * params.window_acceptance
+               * block_density(branches, params.pair_cap))
+    rho_dark = params.dark * block_density(reduced_branches(psi_in), params.pair_cap)
+    for fast, slow in ((ens.rho_sfg, rho_sfg), (ens.rho_dark, rho_dark)):
+        assert np.abs(fast - slow).max() <= 1e-13 * np.abs(slow).max()
+    assert ens.sfg_trace == pytest.approx(np.einsum("NaaMbb->", rho_sfg), rel=1e-13)
+    assert ens.dark_trace == pytest.approx(params.dark, rel=1e-13)
+
+
 def test_chsh_value_requires_normalized_state():
     rho_sfg, _ = sfg_heralded_operator(make_params(), basis="A")
     with pytest.raises(ValueError):
@@ -167,6 +199,15 @@ def test_partial_entanglement_seed_shape():
         assert -math.pi / 2 <= a < math.pi / 2
     # Near the critical efficiency the optimum is weakly entangled.
     assert ratio < 0.5
+
+
+def test_efficiency_threshold_eberhard_limit():
+    # At a weak pump the threshold approaches Eberhard's 2/3 for threshold
+    # detectors with no-click events kept (PRA 47, R747 (1993)).
+    params = _preset("ideal", pair_cap=2)
+    xtol = 1e-3
+    eta = efficiency_threshold(params, xtol=xtol)
+    assert 2.0 / 3.0 - xtol <= eta <= 2.0 / 3.0 + 0.005
 
 
 def test_optima_report_best_start_diagnostics():

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dense_oracle import dense_density, product_basis
 from sfgswap.detection import (
@@ -19,7 +17,6 @@ from sfgswap.detection import (
     herald_amplitude_branches,
     herald_projection,
     joint_click_pattern_probs,
-    mix_dark_counts,
     reduced_branches,
     rotation_blocks,
     threshold_povm,
@@ -176,14 +173,3 @@ def test_accidental_branches_match_partial_trace():
     assert np.abs(dense_density(mix, dense) - dense_density(ref, dense)).max() < 1e-15
     assert mix.trace() == pytest.approx(1.0)
 
-
-@settings(max_examples=60, deadline=None)
-@given(p_sfg=st.floats(0, 1), p_acd=st.floats(0, 1), dark=st.floats(0, 1))
-def test_mix_dark_counts_is_a_convex_mixture(p_sfg, p_acd, dark):
-    mixed = mix_dark_counts(p_sfg, p_acd, dark)
-    assert min(p_sfg, p_acd) - 1e-12 <= mixed <= max(p_sfg, p_acd) + 1e-12
-
-
-def test_mix_dark_counts_validation():
-    with pytest.raises(ValueError):
-        mix_dark_counts(1.2, 0.0, 0.0)

@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 
 from dense_oracle import dense_density, product_basis
-from sfgswap.detection import DetectorModel, herald_amplitude_branches
+from sfgswap.bell import heralded_state_with_dark
+from sfgswap.detection import DetectorModel, herald_amplitude_branches, joint_click_pattern_probs
 from sfgswap.fock import DensityOperator
 from sfgswap.optics import SfgParams, SourceParams, kraus_parity_check
 from sfgswap.presets import get_preset, swap_params
 from sfgswap.protocols import (
     OUTPUT_REGISTER,
     ExperimentParams,
+    _coincidence_tables,
+    _visibility_x,
+    _visibility_z,
     error_event_probs,
     error_event_probs_simulated,
+    heralded_ensemble,
     lo_swap,
     qfc_teleport_strong_pump,
     sfg_heralded_operator,
@@ -90,6 +95,26 @@ def test_dark_counts_degrade_visibility():
     noisy = sfg_swap(params.replace(dark=clean.herald_prob))
     assert noisy.v_z < clean.v_z
     assert noisy.v_x < clean.v_x
+
+
+def test_sfg_swap_matches_ensemble_with_dark_counts():
+    # One heralded state for every readout: a photon herald without a dark
+    # count (weight 1 - dark) plus a dark-count herald of the whole reduced
+    # input.  Read the ensemble's blocks and the density reference route.
+    params = swap_params(get_preset("ideal")["params"]).replace(dark=0.1)
+    rep = sfg_swap(params)
+    effs = params.analyzer_efficiencies()
+    ens = heralded_ensemble(params)
+    blocks = _coincidence_tables(ens.rho_sfg + ens.rho_dark, effs)
+    rho_sfg, psi_in = sfg_heralded_operator(params)
+    rho = heralded_state_with_dark(rho_sfg, psi_in, params.dark)
+    for (basis, theta), visibility, v in ((("z", 0.0), _visibility_z, rep.v_z),
+                                          (("x", math.pi / 4), _visibility_x, rep.v_x)):
+        probs = joint_click_pattern_probs(rho, theta, theta, effs)
+        oracle = {d + e: sum(p for (cd, ce), p in probs.items() if cd[i] and ce[j])
+                  for i, d in enumerate("HV") for j, e in enumerate("HV")}
+        assert v == pytest.approx(visibility(blocks[basis]), abs=1e-12)
+        assert v == pytest.approx(visibility(oracle), abs=1e-10)
 
 
 def test_lo_swap_low_pump_limit():
