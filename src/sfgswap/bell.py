@@ -354,6 +354,7 @@ def optimize_key_rate(params: ExperimentParams,
                        start_index=res.start_index)
 
 
+@functools.lru_cache(maxsize=128)
 def _partial_entanglement_seed(eta: float):
     """Starting point for the CHSH search at symmetric efficiency ``eta``.
 

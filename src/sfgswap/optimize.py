@@ -5,6 +5,11 @@ dimensional but can have several local optima in the measurement angles, so
 each search runs Nelder-Mead from a fixed number of seeded starting points
 and keeps the best result.  Given the same seed the outcome is reproducible;
 ties are broken by the lowest start index.
+
+The simplex search itself (``nelder_mead``) is a NumPy port of scipy's
+``scipy.optimize.minimize(method="Nelder-Mead")`` for the one configuration
+used here, with the same arithmetic, so the package needs no scipy at run
+time and its optima match scipy's to the last bit.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 
 @dataclass(frozen=True)
@@ -27,6 +31,115 @@ class OptimizeResult:
     start_index: int
     n_evaluations: int
     converged: bool
+
+
+@dataclass
+class SimplexResult:
+    """One simplex run: the best vertex ``x``, its value ``fun``, the number
+    of objective calls ``nfev``, and ``success``, whether the tolerances
+    were met within ``maxiter`` iterations."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    success: bool
+
+
+def nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int) -> SimplexResult:
+    """Minimize ``func`` by the Nelder-Mead downhill simplex from ``x0``.
+
+    Ported from ``_minimize_neldermead`` in scipy 1.17.1
+    (scipy/optimize/_optimize.py; BSD-3-Clause, Copyright (c) 2001-2002
+    Enthought, Inc. and 2003-2024 SciPy Developers), restricted to
+    ``adaptive=False``, no bounds, the default initial simplex and no limit
+    on evaluations.  The operations and their order are scipy's, so the
+    result equals that of ``scipy.optimize.minimize(func, x0,
+    method="Nelder-Mead", options={"xatol": xatol, "fatol": fatol,
+    "maxiter": maxiter})`` bit for bit.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+
+    x0 = np.asarray(x0, dtype=float).ravel()
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = x0.copy()
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return func(np.copy(x))
+
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    for k in range(N + 1):
+        fsim[k] = f(sim[k])
+    # scipy sorts twice before the first iteration; np.argsort is not
+    # stable, so the second sort can reorder tied vertices and is kept.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        doshrink = False
+
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1] = xe
+                fsim[-1] = fxe
+            else:
+                sim[-1] = xr
+                fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        elif fxr < fsim[-1]:
+            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+            fxc = f(xc)
+            if fxc <= fxr:
+                sim[-1] = xc
+                fsim[-1] = fxc
+            else:
+                doshrink = True
+        else:
+            xcc = (1 - psi) * xbar + psi * sim[-1]
+            fxcc = f(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1] = xcc
+                fsim[-1] = fxcc
+            else:
+                doshrink = True
+
+        if doshrink:
+            for j in range(1, N + 1):
+                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return SimplexResult(x=sim[0], fun=np.min(fsim), nfev=nfev,
+                         success=iterations < maxiter)
 
 
 def multistart_maximize(objective, bounds, n_starts: int = 16, seed: int = 0,
@@ -86,9 +199,8 @@ def multistart_maximize(objective, bounds, n_starts: int = 16, seed: int = 0,
             it[0] += 1
             return -v
 
-        res = minimize(neg, x_start, method="Nelder-Mead",
-                       options={"xatol": xatol, "fatol": fatol,
-                                "maxiter": 2000 * ndim})
+        res = nelder_mead(neg, x_start, xatol=xatol, fatol=fatol,
+                          maxiter=2000 * ndim)
         total_evals += res.nfev
         x_best = clip(res.x)
         value = -res.fun
@@ -125,8 +237,9 @@ def bisect_threshold(f, lo: float, hi: float, xtol: float, rtol: float = 0.0):
         raise ValueError("no sign change in bracket")
     while (hi - lo) > xtol + rtol * hi:
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            hi = mid
+        f_mid = f(mid)
+        if f_mid > 0.0:
+            hi, f_hi = mid, f_mid
         else:
             lo = mid
-    return hi, f(hi)
+    return hi, f_hi

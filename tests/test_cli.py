@@ -1,9 +1,16 @@
 """Command-line interface: config handling, output formats, exit codes."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import sfgswap
 from sfgswap.cli import main
 
 
@@ -97,6 +104,30 @@ def test_bell_report(tmp_path):
                      "--set", "bell.n_starts=1")
     assert code == 0
     assert "S = " in text and "bell_violation = 1" in text
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # scipy is a test dependency only: with it unimportable, the CLI still
+    # imports, loads no scipy module and runs an optimizing experiment.
+    out = tmp_path / "bell.txt"
+    script = textwrap.dedent(f"""
+        import sys
+        sys.modules["scipy"] = None
+        import sfgswap.cli
+        loaded = [m for m, mod in sys.modules.items()
+                  if m.split(".")[0] == "scipy" and mod is not None]
+        assert not loaded, loaded
+        sys.exit(sfgswap.cli.main(["bell", "--preset", "ideal",
+                                   "--set", "bell.free_mu=true",
+                                   "--set", "bell.n_starts=1",
+                                   "--out", {str(out)!r}]))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(sfgswap.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    values = dict(line.split(" = ") for line in out.read_text().splitlines())
+    assert abs(float(values["S"]) - 2.0 * math.sqrt(2.0)) <= 1e-4
 
 
 def test_sweep_ordering_and_parallel_determinism(tmp_path):

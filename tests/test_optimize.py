@@ -3,10 +3,59 @@
 import io
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from sfgswap import optimize
-from sfgswap.optimize import bisect_threshold, multistart_maximize, prescan_monotone
+from sfgswap.optimize import (
+    bisect_threshold,
+    multistart_maximize,
+    nelder_mead,
+    prescan_monotone,
+)
+
+
+def _quadratic(x):
+    return (x[0] - 0.3) ** 2 + 2.0 * (x[1] + 0.1) ** 2
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _rastrigin_like(x):
+    return x[0] ** 2 - 0.3 * math.cos(8 * x[0])
+
+
+def _staircase(x):
+    # flat steps: many vertices share a value, so argsort meets ties
+    return math.floor(4 * abs(x[0])) + math.floor(4 * abs(x[1])) + 0.01 * abs(x[0])
+
+
+def _wiggly(x):
+    # fine ripples make contractions fail, so the simplex shrinks
+    return x[0] ** 2 + x[1] ** 2 + 0.05 * math.cos(200 * x[0]) * math.cos(200 * x[1])
+
+
+@pytest.mark.parametrize("func, x0, maxiter", [
+    (_quadratic, (0.9, -0.7), 4000),
+    (_rosenbrock, (1.3, 0.7, 0.8, 1.9, 1.2), 10000),
+    (_quadratic, (0.0, 0.5), 4000),
+    (_rastrigin_like, (1.7,), 2000),
+    (_staircase, (0.9, 0.7), 4000),
+    (_wiggly, (0.9, 0.4), 4000),
+    (_rosenbrock, (-1.2, 1.0), 20),
+], ids=["quadratic-2d", "rosenbrock-5d", "zero-coordinate", "rastrigin-like",
+        "plateau", "shrink", "maxiter"])
+def test_nelder_mead_matches_scipy_bit_for_bit(func, x0, maxiter):
+    options = {"xatol": 1e-6, "fatol": 1e-12, "maxiter": maxiter}
+    ref = minimize(func, x0, method="Nelder-Mead", options=options)
+    res = nelder_mead(func, x0, **options)
+    assert np.array_equal(res.x, ref.x)
+    assert res.fun == ref.fun
+    assert res.nfev == ref.nfev
+    assert res.success == ref.success
 
 
 def test_multistart_finds_quadratic_maximum():
@@ -20,7 +69,7 @@ def test_multistart_finds_quadratic_maximum():
 
 def test_multistart_reports_best_start_convergence(monkeypatch):
     # Start 0 sits on the maximum and stays best; only start 1 converges.
-    real_minimize = optimize.minimize
+    real_minimize = optimize.nelder_mead
     starts = []
 
     def minimize(*args, **kwargs):
@@ -29,7 +78,7 @@ def test_multistart_reports_best_start_convergence(monkeypatch):
         starts.append(res)
         return res
 
-    monkeypatch.setattr(optimize, "minimize", minimize)
+    monkeypatch.setattr(optimize, "nelder_mead", minimize)
     res = multistart_maximize(lambda x: -(x[0] - 0.3) ** 2, [(-1.0, 1.0)],
                               n_starts=2, seed=0, x0=(0.3,))
     assert len(starts) == 2 and starts[1].success
@@ -78,6 +127,21 @@ def test_bisect_threshold_root():
     x, fx = bisect_threshold(lambda v: v - 0.3, 0.0, 1.0, xtol=1e-6)
     assert x == pytest.approx(0.3, abs=1e-5)
     assert fx > 0.0
+
+
+def test_bisect_threshold_reuses_recorded_value():
+    # f drifts with every call, so a repeated evaluation would return a
+    # value f never gave at the reported x on its first call there
+    calls = []
+
+    def f(v):
+        calls.append((v, v - 0.3 + 1e-9 * len(calls)))
+        return calls[-1][1]
+
+    x, fx = bisect_threshold(f, 0.0, 1.0, xtol=1e-3)
+    # two bracket ends plus ten halvings of [0, 1] down to 1e-3
+    assert len(calls) == 12
+    assert fx == next(value for v, value in calls if v == x)
 
 
 def test_bisect_threshold_requires_sign_change():
