@@ -12,25 +12,24 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .detection import (
     CoincidenceEfficiencies,
+    analyzer_coefficients,
     arm_click_probs,
-    block_readout,
     joint_click_pattern_probs,
     reduced_branches,
+    trig_basis,
 )
 from .fock import DensityOperator, PureState
-from .optics import SourceParams
 from .optimize import bisect_threshold, multistart_maximize, prescan_monotone
 from .protocols import (
     OUTPUT_REGISTER,
     ExperimentParams,
     HeraldedEnsemble,
-    filtered_ensemble,
     heralded_ensemble,
     heralding_filter,
 )
@@ -78,6 +77,14 @@ class Strategy:
              + self.both * p_first * p_second + self.neither * q_first * q_second)
         o.setflags(write=False)
         return o
+
+    @functools.lru_cache(maxsize=256)
+    def coefficients(self, eta_first: float, eta_second: float, n: int):
+        """Trig-polynomial coefficients C[t, N, a, a'] of the party's analyzer
+        operator (``detection.analyzer_coefficients``); cached and read-only."""
+        c = analyzer_coefficients(self.mean(eta_first, eta_second, n))
+        c.setflags(write=False)
+        return c
 
     def negated(self) -> "Strategy":
         return Strategy(-self.only_first, -self.only_second, -self.both, -self.neither)
@@ -171,16 +178,88 @@ def heralded_state_with_dark(rho_sfg: DensityOperator, psi_in: PureState,
     return rho.scaled(1.0 / total)
 
 
-def _correlators(ensemble: HeraldedEnsemble, thetas_a, thetas_b, strategy_a: Strategy,
-                 strategy_b: Strategy, effs: CoincidenceEfficiencies, gain: float):
-    """Normalized correlators E[p, q] at every pair of analyzer angles."""
-    total = ensemble.trace(gain)
-    if total <= 0.0:
-        raise ValueError("zero total herald probability")
-    rho = gain * ensemble.rho_sfg + ensemble.rho_dark
-    n = rho.shape[0] - 1
-    return block_readout(rho, thetas_a, [strategy_a.mean(effs.d_H, effs.d_V, n)], thetas_b,
-                         [strategy_b.mean(effs.e_H, effs.e_V, n)])[:, :, 0, 0] / total
+@dataclass(frozen=True)
+class HeraldedEntries:
+    """The nonzero entries of a heralded block density (``detection.block_density``
+    with at most ``n`` photons per party), diagonal ones (a = a', b = b') first.
+
+    Entry e of the state of sources with amplitude ratios gamma = sqrt(mu / (1 + mu))
+    is (gain * sfg[e] + dark[e]) * prod_m gamma_m ** powers[m, e] over the modes
+    m = (1H, 1V, 2H, 2V), up to a factor common to all entries; with ``powers``
+    None the source amplitudes are already in ``sfg`` and ``dark``.
+    """
+
+    index: tuple  # (N_d, a, a', N_e, b, b') per entry
+    n_diagonal: int
+    sfg: np.ndarray
+    dark: np.ndarray
+    n: int
+    powers: np.ndarray = None
+
+    @classmethod
+    def of_ensemble(cls, ensemble: HeraldedEnsemble) -> "HeraldedEntries":
+        return cls._gather(ensemble.rho_sfg, ensemble.rho_dark)
+
+    @classmethod
+    def of_filter(cls, filt: np.ndarray, params: ExperimentParams) -> "HeraldedEntries":
+        """Entries of ``protocols.filtered_ensemble(filt, params, ...)`` at any sources:
+        each entry of the outer product of ``source_amplitudes`` is one monomial."""
+        N, a, a2, M, b, b2 = np.indices(filt.shape, sparse=True)
+        dark = params.dark * ((a == a2) & (b == b2) & (a <= N) & (b <= M)
+                              & (N + M < filt.shape[0]))
+        entries = cls._gather(((1.0 - params.dark) * params.window_acceptance) * filt, dark)
+        N, a, a2, M, b, b2 = entries.index
+        return replace(
+            entries, powers=np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2]))
+
+    @classmethod
+    def _gather(cls, sfg, dark) -> "HeraldedEntries":
+        index = np.nonzero((sfg != 0.0) | (dark != 0.0))
+        diagonal = (index[1] == index[2]) & (index[4] == index[5])
+        order = np.argsort(~diagonal, kind="stable")
+        index = tuple(i[order] for i in index)
+        return cls(index=index, n_diagonal=int(diagonal.sum()), sfg=sfg[index],
+                   dark=dark[index], n=sfg.shape[0] - 1)
+
+
+class SearchKernel:
+    """Normalized CHSH correlators of one heralded state, precomputed for a search.
+
+    Each party's analyzer operator is a trig polynomial in its angle
+    (``Strategy.coefficients``), gathered at the state's nonzero entries
+    (``HeraldedEntries``), so an evaluation at new angles, and new source
+    strengths when the entries carry ``powers``, is a few small array
+    operations.  Equals ``detection.block_readout`` on the block density
+    divided by its trace.
+    """
+
+    def __init__(self, entries: HeraldedEntries, efficiencies: CoincidenceEfficiencies,
+                 strategy_a: Strategy, strategy_b: Strategy, gain: float = 1.0):
+        N, a, a2, M, b, b2 = entries.index
+        n = entries.n
+        self._ca = strategy_a.coefficients(efficiencies.d_H, efficiencies.d_V, n)[:, N, a, a2]
+        self._cb = strategy_b.coefficients(efficiencies.e_H, efficiencies.e_V, n)[:, M, b, b2]
+        self._weight = gain * entries.sfg + entries.dark
+        self._n_diagonal = entries.n_diagonal
+        self._n = n
+        self._powers = entries.powers
+        self._exponents = np.arange(2 * n + 1)
+        self._modes = np.arange(4)[:, None]
+
+    def correlators(self, thetas_a, thetas_b, mu=None) -> np.ndarray:
+        """E[p, q] at analyzer angles thetas_a[p] and thetas_b[q]; ``mu`` holds
+        the mean photon numbers (1H, 1V, 2H, 2V) when the entries carry powers."""
+        rho = self._weight
+        if mu is not None:
+            mu = np.asarray(mu, dtype=float)
+            gamma = np.sqrt(mu / (1.0 + mu))
+            rho = rho * (gamma[:, None] ** self._exponents)[self._modes, self._powers].prod(axis=0)
+        total = rho[:self._n_diagonal].sum()
+        if not total > 0.0:
+            raise ValueError("zero total herald probability")
+        n_a = len(thetas_a)
+        t = trig_basis(np.concatenate([thetas_a, thetas_b]), self._n)
+        return (t[:n_a] @ self._ca * rho) @ (t[n_a:] @ self._cb).T / total
 
 
 def _chsh(e) -> float:
@@ -199,9 +278,10 @@ def ensemble_chsh(ensemble: HeraldedEnsemble, settings: BellSettings,
                   gain: float = 1.0) -> float:
     """CHSH value of the normalized ensemble state (photon-number blocks)."""
     sb = strategy_a if strategy_b is None else strategy_b
-    return _chsh(_correlators(ensemble, (settings.theta_a1, settings.theta_a2),
-                              (settings.theta_b1, settings.theta_b2),
-                              strategy_a, sb, efficiencies, gain))
+    kernel = SearchKernel(HeraldedEntries.of_ensemble(ensemble), efficiencies, strategy_a, sb,
+                          gain)
+    return _chsh(kernel.correlators((settings.theta_a1, settings.theta_a2),
+                                    (settings.theta_b1, settings.theta_b2)))
 
 
 def qber(rho_herald: DensityOperator, theta_a0: float, theta_b1: float,
@@ -219,8 +299,9 @@ def qber(rho_herald: DensityOperator, theta_a0: float, theta_b1: float,
 def _ensemble_qber(ensemble: HeraldedEnsemble, theta_a0: float, theta_b1: float,
                    strategy_a: Strategy, strategy_b: Strategy,
                    effs: CoincidenceEfficiencies, gain: float) -> float:
-    return _qber(_correlators(ensemble, (theta_a0,), (theta_b1,), strategy_a, strategy_b,
-                              effs, gain)[0, 0])
+    kernel = SearchKernel(HeraldedEntries.of_ensemble(ensemble), effs, strategy_a, strategy_b,
+                          gain)
+    return _qber(kernel.correlators((theta_a0,), (theta_b1,))[0, 0])
 
 
 def binary_entropy(x: float) -> float:
@@ -278,22 +359,26 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
                   efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES,
                   gain: float = 1.0, basis: str = "A", seed: int = 0,
                   n_starts: int = 16, x0=None,
-                  mu_bounds=(1e-6, 0.4), trace=None) -> ChshOptimum:
+                  mu_bounds=(1e-6, 0.4), trace=None,
+                  ensemble: HeraldedEnsemble = None) -> ChshOptimum:
     """Maximize the CHSH value over analyzer angles (and optionally the
     mean photon numbers of the sources).
 
     With ``free_mu`` the two pump strengths are varied per polarization and
     shared between the sources; the heralding filter is built once, and
-    each evaluation only rescales it by the source amplitudes.
+    each evaluation only rescales its nonzero entries by the source
+    amplitudes.  Without it, ``ensemble`` may supply the heralded state of
+    ``params`` in ``basis``, for callers that search one state repeatedly.
     """
     sb = strategy_a if strategy_b is None else strategy_b
 
     if not free_mu:
-        ens = heralded_ensemble(params, basis=basis)
+        ens = heralded_ensemble(params, basis=basis) if ensemble is None else ensemble
+        kernel = SearchKernel(HeraldedEntries.of_ensemble(ens), efficiencies, strategy_a, sb,
+                              gain)
 
         def objective(x):
-            return ensemble_chsh(ens, BellSettings(*x), strategy_a, sb,
-                                 efficiencies, gain)
+            return _chsh(kernel.correlators(x[0:2], x[2:4]))
 
         res = multistart_maximize(objective, _angle_bounds(4), n_starts=n_starts,
                                   seed=seed, x0=x0 if x0 is not None else CANONICAL_X0,
@@ -302,12 +387,13 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
                            mu_h=None, mu_v=None, s=res.value, n_evaluations=res.n_evaluations,
                            converged=res.converged, start_index=res.start_index)
 
-    filt = heralding_filter(params, basis=basis)
+    if ensemble is not None:
+        raise ValueError("a free-mu search varies the sources of a given ensemble")
+    entries = HeraldedEntries.of_filter(heralding_filter(params, basis=basis), params)
+    kernel = SearchKernel(entries, efficiencies, strategy_a, sb, gain)
 
     def objective(x):
-        eps = SourceParams(x[0], x[1])
-        return ensemble_chsh(filtered_ensemble(filt, params, eps, eps), BellSettings(*x[2:6]),
-                             strategy_a, sb, efficiencies, gain)
+        return _chsh(kernel.correlators(x[2:4], x[4:6], mu=x[[0, 1, 0, 1]]))
 
     bounds = [mu_bounds, mu_bounds] + _angle_bounds(4)
     if x0 is None:
@@ -324,19 +410,20 @@ def optimize_key_rate(params: ExperimentParams,
                       strategy_b: Strategy = None,
                       efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES,
                       gain: float = 1.0, basis: str = "A", seed: int = 0,
-                      n_starts: int = 8, x0=None, trace=None) -> ChshOptimum:
+                      n_starts: int = 8, x0=None, trace=None,
+                      ensemble: HeraldedEnsemble = None) -> ChshOptimum:
     """Maximize the Devetak-Winter rate over the five analyzer angles.
 
     The free parameters are the key-generation angle theta_a0 and the four
     CHSH angles; the source strengths stay at their configured values.
+    ``ensemble`` may supply the heralded state of ``params`` in ``basis``.
     """
     sb = strategy_a if strategy_b is None else strategy_b
-    ens = heralded_ensemble(params, basis=basis)
+    ens = heralded_ensemble(params, basis=basis) if ensemble is None else ensemble
+    kernel = SearchKernel(HeraldedEntries.of_ensemble(ens), efficiencies, strategy_a, sb, gain)
 
     def evaluate(x):
-        st = BellSettings(*x[1:5], theta_a0=x[0])
-        e = _correlators(ens, (st.theta_a1, st.theta_a2, st.theta_a0),
-                         (st.theta_b1, st.theta_b2), strategy_a, sb, efficiencies, gain)
+        e = kernel.correlators((x[1], x[2], x[0]), x[3:5])
         return _chsh(e), _qber(e[2, 0])
 
     def objective(x):
@@ -354,6 +441,34 @@ def optimize_key_rate(params: ExperimentParams,
                        start_index=res.start_index)
 
 
+def _seed_objective(eta: float):
+    """CHSH value of the single-pair model of ``_partial_entanglement_seed`` at
+    x = (t, a1, a2, b1, b2), each cosine and sine computed once."""
+    eta = float(eta)
+    eta2 = eta * eta
+
+    def objective(x):
+        # state cos(t)|HV> + sin(t)|VH> in this parametrization; the seed
+        # maps it to the |HH>/|VV> form of the heralded state afterwards
+        t, a1, a2, b1, b2 = x
+        c, s = math.cos(t), math.sin(t)
+        ca1, sa1, ca2, sa2 = math.cos(a1), math.sin(a1), math.cos(a2), math.sin(a2)
+        cb1, sb1, cb2, sb2 = math.cos(b1), math.sin(b1), math.cos(b2), math.sin(b2)
+        p_a1 = eta * ((c * ca1) ** 2 + (s * sa1) ** 2)
+        p_a2 = eta * ((c * ca2) ** 2 + (s * sa2) ** 2)
+        p_b1 = eta * ((s * cb1) ** 2 + (c * sb1) ** 2)
+        p_b2 = eta * ((s * cb2) ** 2 + (c * sb2) ** 2)
+
+        def corr(p_a, p_b, ca, sa, cb, sb):
+            p_ab = eta2 * (c * ca * sb + s * sa * cb) ** 2
+            return 1.0 - 2.0 * p_a - 2.0 * p_b + 4.0 * p_ab
+
+        return (corr(p_a1, p_b1, ca1, sa1, cb1, sb1) + corr(p_a2, p_b1, ca2, sa2, cb1, sb1)
+                + corr(p_a1, p_b2, ca1, sa1, cb2, sb2) - corr(p_a2, p_b2, ca2, sa2, cb2, sb2))
+
+    return objective
+
+
 @functools.lru_cache(maxsize=128)
 def _partial_entanglement_seed(eta: float):
     """Starting point for the CHSH search at symmetric efficiency ``eta``.
@@ -367,22 +482,7 @@ def _partial_entanglement_seed(eta: float):
 
     Returns (amplitude ratio tan(t), four analyzer angles).
     """
-
-    def corr(t, a, b):
-        # state cos(t)|HV> + sin(t)|VH> in this parametrization; the seed
-        # maps it to the |HH>/|VV> form of the heralded state afterwards
-        c, s = math.cos(t), math.sin(t)
-        p_a = eta * ((c * math.cos(a)) ** 2 + (s * math.sin(a)) ** 2)
-        p_b = eta * ((s * math.cos(b)) ** 2 + (c * math.sin(b)) ** 2)
-        amp_ab = c * math.cos(a) * math.sin(b) + s * math.sin(a) * math.cos(b)
-        p_ab = eta * eta * amp_ab ** 2
-        return 1.0 - 2.0 * p_a - 2.0 * p_b + 4.0 * p_ab
-
-    def objective(x):
-        t, a1, a2, b1, b2 = x
-        return (corr(t, a1, b1) + corr(t, a2, b1)
-                + corr(t, a1, b2) - corr(t, a2, b2))
-
+    objective = _seed_objective(eta)
     bounds = [(math.pi / 4, math.pi / 2)] + _angle_bounds(4)
     best = None
     for t0 in (1.2, 1.4, 1.5):
@@ -419,17 +519,17 @@ def efficiency_threshold(params: ExperimentParams,
     efficiency before bisecting.
     """
     sb = strategy_a if strategy_b is None else strategy_b
-    filt = heralding_filter(params, basis=basis)
+    entries = HeraldedEntries.of_filter(heralding_filter(params, basis=basis), params)
     warm = {"x0": None}
 
     def margin(eta):
-        effs = CoincidenceEfficiencies(eta, eta, eta, eta)
+        kernel = SearchKernel(entries, CoincidenceEfficiencies(eta, eta, eta, eta),
+                              strategy_a, sb)
         ratio0, angles0 = _partial_entanglement_seed(eta)
 
         def objective(x):
-            eps = SourceParams(mu_floor, mu_floor * x[0])
-            return ensemble_chsh(filtered_ensemble(filt, params, eps, eps),
-                                 BellSettings(*x[1:5]), strategy_a, sb, effs)
+            mu_v = mu_floor * x[0]
+            return _chsh(kernel.correlators(x[1:3], x[3:5], mu=(mu_floor, mu_v, mu_floor, mu_v)))
 
         bounds = [(1e-4, 1.0)] + _angle_bounds(4)
         starts = [(max(ratio0, 1e-4),) + angles0, (1.0,) + CANONICAL_X0]
@@ -445,9 +545,10 @@ def efficiency_threshold(params: ExperimentParams,
         return best.value - target_s
 
     lo, hi = bracket
-    if not prescan_monotone(margin, lo, hi, n=8, increasing=True):
+    samples = []
+    if not prescan_monotone(margin, lo, hi, n=8, increasing=True, values=samples):
         raise ValueError("optimized CHSH value is not monotone over the bracket")
-    eta, _ = bisect_threshold(margin, lo, hi, xtol=xtol)
+    eta, _ = bisect_threshold(margin, lo, hi, xtol=xtol, f_lo=samples[0], f_hi=samples[-1])
     return eta
 
 
@@ -460,12 +561,13 @@ def sfg_gain_threshold(params: ExperimentParams, objective: str = "rate",
     """Minimal multiplicative factor on the analyzer efficiency achieving
     S > 2 (``objective="s"``) or a positive key rate (``objective="rate"``).
 
-    The heralded branches are computed once; the gain enters as an exact
-    amplitude rescaling of the photon-herald branches, so each bisection
-    step only re-optimizes angles (warm-started).
+    The heralded ensemble is built once; the gain enters as an exact
+    rescaling of its photon-herald part, so each bisection step only
+    re-optimizes angles (warm-started).
     """
     if objective not in ("s", "rate"):
         raise ValueError("objective must be 's' or 'rate'")
+    ens = heralded_ensemble(params)
     warm = {"x0": None}
 
     def margin(log_gain):
@@ -474,21 +576,23 @@ def sfg_gain_threshold(params: ExperimentParams, objective: str = "rate",
         if objective == "s":
             res = optimize_chsh(params, strategy_a=strategy_a, strategy_b=strategy_b,
                                 efficiencies=efficiencies, gain=gain, seed=seed,
-                                n_starts=n, x0=warm["x0"])
+                                n_starts=n, x0=warm["x0"], ensemble=ens)
             warm["x0"] = (res.settings.theta_a1, res.settings.theta_a2,
                           res.settings.theta_b1, res.settings.theta_b2)
             return res.value - 2.0
         res = optimize_key_rate(params, strategy_a=strategy_a, strategy_b=strategy_b,
                                 efficiencies=efficiencies, gain=gain, seed=seed,
-                                n_starts=n, x0=warm["x0"])
+                                n_starts=n, x0=warm["x0"], ensemble=ens)
         warm["x0"] = (res.settings.theta_a0, res.settings.theta_a1,
                       res.settings.theta_a2, res.settings.theta_b1,
                       res.settings.theta_b2)
         return res.value
 
     lo, hi = math.log(bracket[0]), math.log(bracket[1])
-    if not prescan_monotone(margin, lo, hi, n=8, increasing=True):
+    samples = []
+    if not prescan_monotone(margin, lo, hi, n=8, increasing=True, values=samples):
         raise ValueError("objective is not monotone in the gain over the bracket")
     warm["x0"] = None
-    log_gain, _ = bisect_threshold(margin, lo, hi, xtol=rtol / 2.0)
+    log_gain, _ = bisect_threshold(margin, lo, hi, xtol=rtol / 2.0,
+                                   f_lo=samples[0], f_hi=samples[-1])
     return math.exp(log_gain)

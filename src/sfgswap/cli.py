@@ -347,8 +347,11 @@ def _run_sweep(config, fmt, out, jobs):
         raise ConfigError(f"unknown sweep variable {variable!r}")
     values = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
     tasks = [(params_section, variable, v, bsa) for v in values]
-    if jobs and jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+    # A fork-based pool starts all its workers up front, so it gets no more
+    # than there are points.
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(t) for t in tasks]
@@ -408,6 +411,8 @@ def main(argv=None) -> int:
         if args.config:
             config = _merge(config, _load_config_file(args.config))
         config = _apply_sets(config, args.set)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,9 @@ H and V mode of each output arm followed by threshold detection of each arm
 An analyzer rotation keeps each party's photon number N and acts on the
 N-photon (H, V) block as the spin-N/2 representation of SU(2), so every
 pipeline readout is one contraction (``block_readout``) of small blocks of
-the state (``block_density``).  The density-operator route
+the state (``block_density``), and each analyzer operator is a trig
+polynomial in its angle (``analyzer_coefficients``), the form the Bell
+searches evaluate.  The density-operator route
 (``joint_click_pattern_probs``) is the reference the tests compare against.
 """
 
@@ -286,6 +288,38 @@ def rotation_blocks(thetas, n: int) -> np.ndarray:
     wt = np.multiply.outer(np.asarray(thetas, dtype=float), w)
     trig = np.concatenate([np.cos(wt) - 1.0, np.sin(wt)], axis=2)
     return eye + np.einsum("pNk,Nkab->pNab", trig, proj)
+
+
+@functools.lru_cache(maxsize=None)
+def _trig_phases(n: int):
+    """Frequencies and phases of ``trig_basis``: sin x = cos(x - pi/2)."""
+    freq = 2.0 * np.concatenate([np.arange(n + 1), np.arange(1, n + 1)])
+    shift = np.where(np.arange(2 * n + 1) > n, np.pi / 2, 0.0)
+    for arr in (freq, shift):
+        arr.setflags(write=False)
+    return freq, shift
+
+
+def trig_basis(thetas, n: int) -> np.ndarray:
+    """T[p, t] = (1, cos 2 theta_p, ..., cos 2n theta_p, sin 2 theta_p, ..., sin 2n theta_p)."""
+    freq, shift = _trig_phases(n)
+    return np.cos(np.multiply.outer(thetas, freq) - shift)
+
+
+def analyzer_coefficients(weight) -> np.ndarray:
+    """C[t, N, a, a'] with O(theta, weight) of ``block_readout`` equal to
+    sum_t trig_basis(theta)[t] C[t].  On the N-photon block O(theta) is a
+    trig polynomial of degree N in 2 theta, so 2n + 1 equally spaced samples
+    over one period fix every block exactly: a discrete Fourier transform,
+    as the sampled basis is orthogonal with norms 2n + 1 and (2n + 1) / 2."""
+    weight = np.asarray(weight)
+    n = weight.shape[0] - 1
+    thetas = np.pi * np.arange(2 * n + 1) / (2 * n + 1)
+    r = rotation_blocks(-thetas, n)
+    ops = np.einsum("pNca,Nc,pNcb->pNab", r, weight, r)
+    norm = np.where(np.arange(2 * n + 1) == 0, 1.0, 2.0) / (2 * n + 1)
+    coef = norm[:, None] * (trig_basis(thetas, n).T @ ops.reshape(2 * n + 1, -1))
+    return coef.reshape(ops.shape)
 
 
 def arm_click_probs(eta_H: float, eta_V: float, n: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,30 +80,30 @@ def nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int) -> SimplexRe
         nfev += 1
         return func(np.copy(x))
 
-    fsim = np.full((N + 1,), np.inf, dtype=float)
-    for k in range(N + 1):
-        fsim[k] = f(sim[k])
-    # scipy sorts twice before the first iteration; np.argsort is not
-    # stable, so the second sort can reorder tied vertices and is kept.
+    # The bookkeeping runs on Python floats.  scipy sorts twice before the
+    # first iteration; np.argsort is not stable, so the second sort can
+    # reorder tied vertices and is kept, as is np.argsort itself.
+    fsim = [float(f(sim[k])) for k in range(N + 1)]
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = np.array(fsim).argsort()
+        sim = sim.take(ind, 0)
+        fsim = [fsim[i] for i in ind.tolist()]
 
     iterations = 1
     while iterations < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
-                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        f0 = fsim[0]
+        if (np.abs(sim[1:] - sim[0]).max() <= xatol and
+                max(abs(f0 - fk) for fk in fsim[1:]) <= fatol):
             break
 
         xbar = np.add.reduce(sim[:-1], 0) / N
         xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = f(xr)
+        fxr = float(f(xr))
         doshrink = False
 
-        if fxr < fsim[0]:
+        if fxr < f0:
             xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = f(xe)
+            fxe = float(f(xe))
             if fxe < fxr:
                 sim[-1] = xe
                 fsim[-1] = fxe
@@ -114,7 +115,7 @@ def nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int) -> SimplexRe
             fsim[-1] = fxr
         elif fxr < fsim[-1]:
             xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-            fxc = f(xc)
+            fxc = float(f(xc))
             if fxc <= fxr:
                 sim[-1] = xc
                 fsim[-1] = fxc
@@ -122,7 +123,7 @@ def nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int) -> SimplexRe
                 doshrink = True
         else:
             xcc = (1 - psi) * xbar + psi * sim[-1]
-            fxcc = f(xcc)
+            fxcc = float(f(xcc))
             if fxcc < fsim[-1]:
                 sim[-1] = xcc
                 fsim[-1] = fxcc
@@ -132,13 +133,13 @@ def nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int) -> SimplexRe
         if doshrink:
             for j in range(1, N + 1):
                 sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                fsim[j] = f(sim[j])
+                fsim[j] = float(f(sim[j]))
         iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = np.array(fsim).argsort()
+        sim = sim.take(ind, 0)
+        fsim = [fsim[i] for i in ind.tolist()]
 
-    return SimplexResult(x=sim[0], fun=np.min(fsim), nfev=nfev,
+    return SimplexResult(x=sim[0], fun=min(fsim), nfev=nfev,
                          success=iterations < maxiter)
 
 
@@ -190,12 +191,13 @@ def multistart_maximize(objective, bounds, n_starts: int = 16, seed: int = 0,
         it = [0]
 
         def neg(x):
-            v = objective(clip(x))
-            if not np.isfinite(v):
+            xc = clip(x)
+            v = float(objective(xc))
+            if not math.isfinite(v):
                 raise ValueError(f"objective returned non-finite value {v!r}")
             if writer is not None:
                 writer.writerow([s_idx, it[0], f"{v:.12g}"]
-                                + [f"{xi:.12g}" for xi in clip(x)])
+                                + [f"{xi:.12g}" for xi in xc])
             it[0] += 1
             return -v
 
@@ -212,10 +214,14 @@ def multistart_maximize(objective, bounds, n_starts: int = 16, seed: int = 0,
                           n_evaluations=total_evals, converged=best.converged)
 
 
-def prescan_monotone(f, lo: float, hi: float, n: int = 8, increasing: bool = None) -> bool:
-    """Coarse monotonicity check of f on [lo, hi] over n sample points."""
+def prescan_monotone(f, lo: float, hi: float, n: int = 8, increasing: bool = None,
+                     values: list = None) -> bool:
+    """Coarse monotonicity check of f on [lo, hi] over n sample points; the
+    list ``values``, if given, receives f at the points, lo and hi included."""
     xs = np.linspace(lo, hi, n)
     ys = [f(x) for x in xs]
+    if values is not None:
+        values.extend(ys)
     inc = all(ys[i + 1] >= ys[i] - 1e-12 for i in range(n - 1))
     dec = all(ys[i + 1] <= ys[i] + 1e-12 for i in range(n - 1))
     if increasing is True:
@@ -225,12 +231,17 @@ def prescan_monotone(f, lo: float, hi: float, n: int = 8, increasing: bool = Non
     return inc or dec
 
 
-def bisect_threshold(f, lo: float, hi: float, xtol: float, rtol: float = 0.0):
+def bisect_threshold(f, lo: float, hi: float, xtol: float, rtol: float = 0.0,
+                     f_lo: float = None, f_hi: float = None):
     """Smallest x in [lo, hi] with f(x) > 0, assuming f is nondecreasing.
 
-    Requires a sign change: f(lo) <= 0 < f(hi).  Returns (x, f(x)).
+    Requires a sign change: f(lo) <= 0 < f(hi).  ``f_lo`` and ``f_hi`` are
+    those values when the caller already has them.  Returns (x, f(x)).
     """
-    f_lo, f_hi = f(lo), f(hi)
+    if f_lo is None:
+        f_lo = f(lo)
+    if f_hi is None:
+        f_hi = f(hi)
     if f_lo > 0.0:
         raise ValueError("objective already positive at the lower bracket edge")
     if f_hi <= 0.0:

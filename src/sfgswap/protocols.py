@@ -12,8 +12,9 @@ Loss, SFG and the herald act on the a, b and c modes only, and each pair
 source puts as many photons in d as in a (in e as in b), so the heralded
 state is a fixed heralding filter (``heralding_filter``, the pipeline run
 once on pure-state Kraus branches) rescaled by the source amplitudes
-(``source_amplitudes``).  Every analyzer readout is one contraction of its
-photon-number-block density (``detection.block_readout``).  The
+(``source_amplitudes``).  Every visibility readout is one contraction of
+its photon-number-block density (``detection.block_readout``); the Bell
+searches read the same blocks through ``bell.SearchKernel``.  The
 density-operator route (``sfg_heralded_operator``) is the reference the
 tests compare against.
 """

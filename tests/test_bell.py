@@ -9,14 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfgswap import bell
 from sfgswap.bell import (
     CANONICAL_X0,
     DEFAULT_STRATEGY,
     BellSettings,
+    HeraldedEntries,
+    SearchKernel,
     Strategy,
     TSIRELSON,
+    _angle_bounds,
     _ensemble_qber,
     _partial_entanglement_seed,
+    _seed_objective,
     all_strategies,
     binary_entropy,
     chsh_value,
@@ -30,10 +35,21 @@ from sfgswap.bell import (
     optimize_key_rate,
     qber,
 )
-from sfgswap.detection import CoincidenceEfficiencies, block_density, reduced_branches
+from sfgswap.detection import (
+    CoincidenceEfficiencies,
+    block_density,
+    block_readout,
+    reduced_branches,
+)
 from sfgswap.optics import SfgParams, SourceParams
+from sfgswap.optimize import multistart_maximize
 from sfgswap.presets import get_preset, swap_params
-from sfgswap.protocols import ExperimentParams, sfg_heralded_branches, sfg_heralded_operator
+from sfgswap.protocols import (
+    ExperimentParams,
+    heralding_filter,
+    sfg_heralded_branches,
+    sfg_heralded_operator,
+)
 
 
 def make_params(**kwargs):
@@ -222,3 +238,136 @@ def test_optima_report_best_start_diagnostics():
         assert 0 <= opt.start_index < 3
         assert best == pytest.approx(opt.value, abs=1e-9)
         assert opt.converged is True
+
+
+ASYMMETRIC = CoincidenceEfficiencies(0.9, 0.8, 0.85, 0.7)
+
+# (params, analyzer efficiencies, gain)
+KERNEL_CASES = {
+    "ideal-2": (_preset("ideal", pair_cap=2), bell.UNIT_EFFICIENCIES, 1.0),
+    "tableS1-3-dark": (_preset("paper-tableS1", dark=0.1), ASYMMETRIC, 1.0),
+    "tableS1-5": (_preset("paper-tableS1", pair_cap=5),
+                  _preset("paper-tableS1").analyzer_efficiencies(), 1.0),
+    "tableS1-3-gain3": (_preset("paper-tableS1"), ASYMMETRIC, 3.0),
+}
+
+
+def _with_sources(params, mu):
+    return params.replace(eps1=SourceParams(mu[0], mu[1]), eps2=SourceParams(mu[2], mu[3]))
+
+
+def _readout(ens, thetas_a, thetas_b, strategy_a, strategy_b, effs, gain):
+    """Normalized correlators from ``block_readout`` on the dense ensemble."""
+    n = ens.rho_sfg.shape[0] - 1
+    e = block_readout(gain * ens.rho_sfg + ens.rho_dark,
+                      thetas_a, [strategy_a.mean(effs.d_H, effs.d_V, n)],
+                      thetas_b, [strategy_b.mean(effs.e_H, effs.e_V, n)])
+    return e[:, :, 0, 0] / ens.trace(gain)
+
+
+@pytest.mark.parametrize("basis", ["A", "D"])
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_search_kernel_matches_block_readout_and_density_route(case, basis):
+    # The kernel at random angles and pump strengths equals block_readout on
+    # gain * rho_sfg + rho_dark over its trace, and the density route, to
+    # 1e-13; the third angle of party a is the key-rate (QBER) row.
+    params, effs, gain = KERNEL_CASES[case]
+    rng = np.random.default_rng(11)
+    filtered = SearchKernel(HeraldedEntries.of_filter(heralding_filter(params, basis), params),
+                            effs, DEFAULT_STRATEGY, DEFAULT_STRATEGY, gain)
+    for _ in range(3):
+        mu = rng.uniform(0.005, 0.3, size=4)
+        thetas_a = rng.uniform(-math.pi / 2, math.pi / 2, size=3)
+        thetas_b = rng.uniform(-math.pi / 2, math.pi / 2, size=2)
+        local = _with_sources(params, mu)
+        ens = heralded_ensemble(local, basis=basis)
+        fixed = SearchKernel(HeraldedEntries.of_ensemble(ens), effs, DEFAULT_STRATEGY,
+                             DEFAULT_STRATEGY, gain)
+        slow = _readout(ens, thetas_a, thetas_b, DEFAULT_STRATEGY, DEFAULT_STRATEGY, effs, gain)
+        for e in (filtered.correlators(thetas_a, thetas_b, mu=mu),
+                  fixed.correlators(thetas_a, thetas_b)):
+            assert np.abs(e - slow).max() <= 1e-13
+        rho_sfg, psi_in = sfg_heralded_operator(local, basis=basis, gain=gain)
+        rho = heralded_state_with_dark(rho_sfg.scaled(local.window_acceptance), psi_in,
+                                       local.dark)
+        e = filtered.correlators(thetas_a, thetas_b, mu=mu)
+        s = e[0, 0] + e[1, 0] + e[0, 1] - e[1, 1]
+        settings_ = BellSettings(*thetas_a[:2], *thetas_b)
+        assert s == pytest.approx(chsh_value(rho, settings_, efficiencies=effs), abs=1e-13)
+        assert (1.0 - e[2, 0]) / 2.0 == pytest.approx(
+            qber(rho, thetas_a[2], thetas_b[0], efficiencies=effs), abs=1e-13)
+
+
+def test_search_kernel_serves_every_strategy_pair():
+    params, effs, gain = KERNEL_CASES["tableS1-3-dark"]
+    rng = np.random.default_rng(5)
+    mu = rng.uniform(0.005, 0.3, size=4)
+    thetas_a, thetas_b = rng.uniform(-math.pi / 2, math.pi / 2, size=(2, 2))
+    entries = HeraldedEntries.of_filter(heralding_filter(params), params)
+    ens = heralded_ensemble(_with_sources(params, mu))
+    strategies = bell.all_strategies()
+    for sa in strategies:
+        for sb in strategies:
+            e = SearchKernel(entries, effs, sa, sb, gain).correlators(thetas_a, thetas_b, mu=mu)
+            slow = _readout(ens, thetas_a, thetas_b, sa, sb, effs, gain)
+            assert np.abs(e - slow).max() <= 1e-13
+
+
+def _parent_seed_objective(eta):
+    # The single-pair objective as it was before each cosine and sine was
+    # hoisted out of corr: 24 trig calls per evaluation.
+    def corr(t, a, b):
+        c, s = math.cos(t), math.sin(t)
+        p_a = eta * ((c * math.cos(a)) ** 2 + (s * math.sin(a)) ** 2)
+        p_b = eta * ((s * math.cos(b)) ** 2 + (c * math.sin(b)) ** 2)
+        amp_ab = c * math.cos(a) * math.sin(b) + s * math.sin(a) * math.cos(b)
+        p_ab = eta * eta * amp_ab ** 2
+        return 1.0 - 2.0 * p_a - 2.0 * p_b + 4.0 * p_ab
+
+    def objective(x):
+        t, a1, a2, b1, b2 = x
+        return (corr(t, a1, b1) + corr(t, a2, b1)
+                + corr(t, a1, b2) - corr(t, a2, b2))
+
+    return objective
+
+
+@pytest.mark.parametrize("eta", [np.linspace(0.5, 1.0, 8)[3], 0.6669921875, 0.9])
+def test_seed_objective_is_bit_identical(eta):
+    bounds = [(math.pi / 4, math.pi / 2)] + _angle_bounds(4)
+    for t0 in (1.2, 1.4, 1.5):
+        runs = [multistart_maximize(objective, bounds, n_starts=1, seed=0,
+                                    x0=(t0, -0.03, 0.34, 1.54, -1.23), xatol=1e-9)
+                for objective in (_seed_objective(eta), _parent_seed_objective(eta))]
+        assert runs[0] == runs[1]
+
+
+def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
+    # Every evaluation of an efficiency-threshold search reads the search
+    # kernel: no ensemble is rebuilt and no block readout runs.
+    from sfgswap import detection, protocols
+
+    calls = {"filtered_ensemble": 0, "block_readout": 0, "evaluations": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(protocols, "filtered_ensemble")
+    counted(detection, "block_readout")
+    real_maximize = bell.multistart_maximize
+
+    def maximize(*args, **kwargs):
+        res = real_maximize(*args, **kwargs)
+        calls["evaluations"] += res.n_evaluations
+        return res
+    monkeypatch.setattr(bell, "multistart_maximize", maximize)
+    bell._partial_entanglement_seed.cache_clear()
+    eta = efficiency_threshold(_preset("ideal", pair_cap=2), bracket=(0.6, 0.8), xtol=0.05)
+    assert 0.6 < eta <= 0.8
+    assert calls["evaluations"] > 1000
+    assert calls["filtered_ensemble"] == 0 and calls["block_readout"] == 0

@@ -145,6 +145,38 @@ def test_sweep_ordering_and_parallel_determinism(tmp_path):
     assert values == ["0", "0", "0.45", "0.45", "0.9", "0.9"]
 
 
+def test_sweep_jobs_validated_and_capped(tmp_path, monkeypatch, capsys):
+    # The pool is replaced by a recorder that maps in-process, so no worker
+    # process starts however large --jobs is.
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    args = ("sweep", "--preset", "fig-s3", "--set", "sweep.steps=3", "--format", "csv")
+    for bad in ("0", "-3"):
+        assert run(tmp_path, *args, "--jobs", bad)[0] == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    code, text = run(tmp_path, *args, "--jobs", "64")
+    assert code == 0 and len(text.strip().splitlines()) == 7
+    assert pools == [3]
+    assert run(tmp_path, *args, "--jobs", "1")[0] == 0
+    assert pools == [3]
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["swap-sfg", "--preset", "nope"]) == 2
     assert main(["swap-sfg", "--preset", "ideal", "--set", "oops"]) == 2

@@ -10,6 +10,7 @@ from sfgswap.detection import (
     AnalyzerSetting,
     CoincidenceEfficiencies,
     DetectorModel,
+    analyzer_coefficients,
     arm_click_probs,
     block_density,
     block_readout,
@@ -20,6 +21,7 @@ from sfgswap.detection import (
     reduced_branches,
     rotation_blocks,
     threshold_povm,
+    trig_basis,
 )
 from sfgswap.fock import (
     DensityOperator,
@@ -173,3 +175,18 @@ def test_accidental_branches_match_partial_trace():
     assert np.abs(dense_density(mix, dense) - dense_density(ref, dense)).max() < 1e-15
     assert mix.trace() == pytest.approx(1.0)
 
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_analyzer_operator_is_a_trig_polynomial(n):
+    # O(theta) = R(-theta)^T diag(o) R(-theta) from its 2n + 1 fitted
+    # coefficients equals the rotation at angles off the fitting grid and
+    # at the period's edges.
+    rng = np.random.default_rng(n)
+    thetas = np.concatenate([rng.uniform(-math.pi / 2, math.pi / 2, 16),
+                             [math.pi / 2, -math.pi / 2, 0.0, math.pi / 4]])
+    r = rotation_blocks(-thetas, n)
+    for weight in (*arm_click_probs(0.9, 0.6, n), rng.uniform(-1.0, 1.0, (n + 1, n + 1))):
+        exact = np.einsum("pNca,Nc,pNcb->pNab", r, weight, r)
+        poly = np.einsum("pt,tNab->pNab", trig_basis(thetas, n), analyzer_coefficients(weight))
+        assert np.abs(poly - exact).max() <= 1e-13

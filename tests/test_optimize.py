@@ -121,6 +121,9 @@ def test_prescan_monotone():
     assert not prescan_monotone(lambda x: math.sin(5 * x), 0.0, 3.0, increasing=True)
     assert prescan_monotone(lambda x: -x, 0.0, 1.0, increasing=False)
     assert prescan_monotone(lambda x: x, 0.0, 1.0)
+    values = []
+    assert prescan_monotone(lambda x: 2.0 * x, 0.0, 1.0, n=5, values=values)
+    assert values == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
 def test_bisect_threshold_root():
@@ -142,6 +145,24 @@ def test_bisect_threshold_reuses_recorded_value():
     # two bracket ends plus ten halvings of [0, 1] down to 1e-3
     assert len(calls) == 12
     assert fx == next(value for v, value in calls if v == x)
+
+
+def test_bisect_threshold_takes_known_end_values():
+    # End values the caller already has are not evaluated again, and they
+    # are held to the same sign-change requirement.
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return v - 0.3
+
+    x, _ = bisect_threshold(f, 0.0, 1.0, xtol=1e-3, f_lo=-0.3, f_hi=0.7)
+    assert x == pytest.approx(0.3, abs=1e-3)
+    assert len(calls) == 10 and 0.0 not in calls and 1.0 not in calls
+    with pytest.raises(ValueError):
+        bisect_threshold(f, 0.0, 1.0, xtol=1e-3, f_lo=0.1, f_hi=0.7)
+    with pytest.raises(ValueError):
+        bisect_threshold(f, 0.0, 1.0, xtol=1e-3, f_lo=-0.3, f_hi=0.0)
 
 
 def test_bisect_threshold_requires_sign_change():
