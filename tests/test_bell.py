@@ -313,7 +313,7 @@ def test_search_kernel_serves_every_strategy_pair():
             assert np.abs(e - slow).max() <= 1e-13
 
 
-def _parent_seed_objective(eta):
+def _unhoisted_seed_objective(eta):
     # The single-pair objective as it was before each cosine and sine was
     # hoisted out of corr: 24 trig calls per evaluation.
     def corr(t, a, b):
@@ -338,7 +338,7 @@ def test_seed_objective_is_bit_identical(eta):
     for t0 in (1.2, 1.4, 1.5):
         runs = [multistart_maximize(objective, bounds, n_starts=1, seed=0,
                                     x0=(t0, -0.03, 0.34, 1.54, -1.23), xatol=1e-9)
-                for objective in (_seed_objective(eta), _parent_seed_objective(eta))]
+                for objective in (_seed_objective(eta), _unhoisted_seed_objective(eta))]
         assert runs[0] == runs[1]
 
 
