@@ -25,7 +25,7 @@ from .detection import (
     trig_basis,
 )
 from .fock import DensityOperator, PureState
-from .optimize import bisect_threshold, multistart_maximize, prescan_monotone
+from .optimize import bisect_threshold, maximize_starts, multistart_maximize, prescan_monotone
 from .protocols import (
     OUTPUT_REGISTER,
     ExperimentParams,
@@ -242,28 +242,46 @@ class SearchKernel:
         self._weight = gain * entries.sfg + entries.dark
         self._n_diagonal = entries.n_diagonal
         self._n = n
-        self._powers = entries.powers
         self._exponents = np.arange(2 * n + 1)
-        self._modes = np.arange(4)[:, None]
+        if entries.powers is None:
+            self._total = self._trace(self._weight)
+        else:
+            # entry e of mode m's row of the flattened table gamma_m ** k
+            self._powers = np.arange(4)[:, None] * (2 * n + 1) + entries.powers
+
+    def _trace(self, rho):
+        total = rho[..., :self._n_diagonal].sum(axis=-1)
+        if not all(t > 0.0 for t in total.ravel().tolist()):
+            raise ValueError("zero total herald probability")
+        return total
 
     def correlators(self, thetas_a, thetas_b, mu=None) -> np.ndarray:
         """E[p, q] at analyzer angles thetas_a[p] and thetas_b[q]; ``mu`` holds
-        the mean photon numbers (1H, 1V, 2H, 2V) when the entries carry powers."""
-        rho = self._weight
-        if mu is not None:
+        the mean photon numbers (1H, 1V, 2H, 2V), given exactly when the
+        entries carry powers.
+
+        Stacked inputs, angles of shape (m, p) and (m, q) and ``mu`` of shape
+        (m, 4), give E[m, p, q], each point computed as it is alone."""
+        if mu is None:
+            rho, total = self._weight, self._total
+        else:
             mu = np.asarray(mu, dtype=float)
             gamma = np.sqrt(mu / (1.0 + mu))
-            rho = rho * (gamma[:, None] ** self._exponents)[self._modes, self._powers].prod(axis=0)
-        total = rho[:self._n_diagonal].sum()
-        if not total > 0.0:
-            raise ValueError("zero total herald probability")
-        n_a = len(thetas_a)
-        t = trig_basis(np.concatenate([thetas_a, thetas_b]), self._n)
-        return (t[:n_a] @ self._ca * rho) @ (t[n_a:] @ self._cb).T / total
+            table = (gamma[..., None] ** self._exponents).reshape(gamma.shape[:-1] + (-1,))
+            rho = self._weight * table.take(self._powers, axis=-1).prod(axis=-2)
+            total = self._trace(rho)[..., None, None]
+            rho = rho[..., None, :]
+        thetas_a = np.asarray(thetas_a, dtype=float)
+        n_a = thetas_a.shape[-1]
+        t = trig_basis(np.concatenate((thetas_a, thetas_b), axis=-1), self._n)
+        return ((t[..., :n_a, :] @ self._ca * rho)
+                @ (t[..., n_a:, :] @ self._cb).swapaxes(-1, -2) / total)
 
 
 def _chsh(e) -> float:
-    return float(e[0, 0] + e[1, 0] + e[0, 1] - e[1, 1])
+    # on one point's correlators as nested lists: Python floats are faster
+    # to index than NumPy scalars, with the same arithmetic
+    return e[0][0] + e[1][0] + e[0][1] - e[1][1]
 
 
 def _qber(e: float) -> float:
@@ -281,7 +299,7 @@ def ensemble_chsh(ensemble: HeraldedEnsemble, settings: BellSettings,
     kernel = SearchKernel(HeraldedEntries.of_ensemble(ensemble), efficiencies, strategy_a, sb,
                           gain)
     return _chsh(kernel.correlators((settings.theta_a1, settings.theta_a2),
-                                    (settings.theta_b1, settings.theta_b2)))
+                                    (settings.theta_b1, settings.theta_b2)).tolist())
 
 
 def qber(rho_herald: DensityOperator, theta_a0: float, theta_b1: float,
@@ -349,6 +367,13 @@ class ChshOptimum:
     start_index: int = 0
 
 
+# Columns of a search point: the shared pump strengths (mu_H, mu_V) of a
+# free-mu search as (1H, 1V, 2H, 2V), and party a's angles of a key-rate
+# search as (a1, a2, a0).
+_SHARED_MU = np.array([0, 1, 0, 1])
+_KEY_ANGLES_A = np.array([1, 2, 0])
+
+
 def _angle_bounds(n: int):
     return [(-math.pi / 2, math.pi / 2)] * n
 
@@ -378,7 +403,7 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
                               gain)
 
         def objective(x):
-            return _chsh(kernel.correlators(x[0:2], x[2:4]))
+            return [_chsh(e) for e in kernel.correlators(x[:, 0:2], x[:, 2:4]).tolist()]
 
         res = multistart_maximize(objective, _angle_bounds(4), n_starts=n_starts,
                                   seed=seed, x0=x0 if x0 is not None else CANONICAL_X0,
@@ -393,7 +418,8 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
     kernel = SearchKernel(entries, efficiencies, strategy_a, sb, gain)
 
     def objective(x):
-        return _chsh(kernel.correlators(x[2:4], x[4:6], mu=x[[0, 1, 0, 1]]))
+        e = kernel.correlators(x[:, 2:4], x[:, 4:6], mu=x.take(_SHARED_MU, axis=1))
+        return [_chsh(p) for p in e.tolist()]
 
     bounds = [mu_bounds, mu_bounds] + _angle_bounds(4)
     if x0 is None:
@@ -423,18 +449,17 @@ def optimize_key_rate(params: ExperimentParams,
     kernel = SearchKernel(HeraldedEntries.of_ensemble(ens), efficiencies, strategy_a, sb, gain)
 
     def evaluate(x):
-        e = kernel.correlators((x[1], x[2], x[0]), x[3:5])
-        return _chsh(e), _qber(e[2, 0])
+        e = kernel.correlators(x.take(_KEY_ANGLES_A, axis=1), x[:, 3:5])
+        return [(_chsh(p), _qber(p[2][0])) for p in e.tolist()]
 
     def objective(x):
-        s, q = evaluate(x)
-        return dw_key_rate(s, q)
+        return [dw_key_rate(s, q) for s, q in evaluate(x)]
 
     if x0 is None:
         x0 = (0.0,) + CANONICAL_X0
     res = multistart_maximize(objective, _angle_bounds(5), n_starts=n_starts,
                               seed=seed, x0=x0, trace=trace)
-    s, q = evaluate(res.x)
+    (s, q), = evaluate(np.array([res.x]))
     return ChshOptimum(value=res.value,
                        settings=BellSettings(*res.x[1:5], theta_a0=res.x[0]),
                        s=s, q=q, n_evaluations=res.n_evaluations, converged=res.converged,
@@ -469,6 +494,15 @@ def _seed_objective(eta: float):
     return objective
 
 
+def _first_best(runs):
+    """The run of highest value, the first of them on a tie."""
+    best = runs[0]
+    for res in runs[1:]:
+        if res.value > best.value:
+            best = res
+    return best
+
+
 @functools.lru_cache(maxsize=128)
 def _partial_entanglement_seed(eta: float):
     """Starting point for the CHSH search at symmetric efficiency ``eta``.
@@ -484,14 +518,10 @@ def _partial_entanglement_seed(eta: float):
     """
     objective = _seed_objective(eta)
     bounds = [(math.pi / 4, math.pi / 2)] + _angle_bounds(4)
-    best = None
-    for t0 in (1.2, 1.4, 1.5):
-        res = multistart_maximize(objective, bounds, n_starts=1, seed=0,
-                                  x0=(t0, -0.03, 0.34, 1.54, -1.23),
-                                  xatol=1e-9)
-        if best is None or res.value > best.value:
-            best = res
-    t, a1, a2, b1, b2 = best.x
+    runs = maximize_starts(lambda x: [objective(p) for p in x.tolist()], bounds,
+                           [(t0, -0.03, 0.34, 1.54, -1.23) for t0 in (1.2, 1.4, 1.5)],
+                           xatol=1e-9)
+    t, a1, a2, b1, b2 = _first_best(runs).x
 
     def to_model(a):
         return (a + math.pi / 2) % math.pi - math.pi / 2
@@ -516,7 +546,10 @@ def efficiency_threshold(params: ExperimentParams,
     pump strength itself sits at ``mu_floor``, since the margin grows as
     the multi-pair contamination (of order mu) shrinks.  An 8-point
     pre-scan checks that the optimized S is nondecreasing in the
-    efficiency before bisecting.
+    efficiency before bisecting.  Each efficiency's search runs its two or
+    three starts (the seed, the canonical angles, and the previous optimum)
+    in lockstep and keeps the first of the best.  Every start is given, so
+    ``seed`` does not change the result.
     """
     sb = strategy_a if strategy_b is None else strategy_b
     entries = HeraldedEntries.of_filter(heralding_filter(params, basis=basis), params)
@@ -528,19 +561,15 @@ def efficiency_threshold(params: ExperimentParams,
         ratio0, angles0 = _partial_entanglement_seed(eta)
 
         def objective(x):
-            mu_v = mu_floor * x[0]
-            return _chsh(kernel.correlators(x[1:3], x[3:5], mu=(mu_floor, mu_v, mu_floor, mu_v)))
+            mu = np.full((len(x), 4), mu_floor)
+            mu[:, 1::2] = mu_floor * x[:, :1]
+            return [_chsh(p) for p in kernel.correlators(x[:, 1:3], x[:, 3:5], mu=mu).tolist()]
 
         bounds = [(1e-4, 1.0)] + _angle_bounds(4)
         starts = [(max(ratio0, 1e-4),) + angles0, (1.0,) + CANONICAL_X0]
         if warm["x0"] is not None:
             starts.append(warm["x0"])
-        best = None
-        for x0 in starts:
-            res = multistart_maximize(objective, bounds, n_starts=1,
-                                      seed=seed, x0=x0)
-            if best is None or res.value > best.value:
-                best = res
+        best = _first_best(maximize_starts(objective, bounds, starts))
         warm["x0"] = best.x
         return best.value - target_s
 

@@ -112,6 +112,17 @@ def _get_float(section: dict, key: str, default=None) -> float:
         raise ConfigError(f"key {key!r} is not a number: {section[key]!r}")
 
 
+def _get_int(section: dict, key: str, default: int, minimum: int) -> int:
+    value = section.get(key, default)
+    try:
+        number = int(str(value).strip())
+    except ValueError:
+        raise ConfigError(f"key {key!r} is not an integer: {value!r}")
+    if number < minimum:
+        raise ConfigError(f"key {key!r} must be at least {minimum}, got {number}")
+    return number
+
+
 def _fmt(value) -> str:
     if value is None or value == "":
         return ""
@@ -204,13 +215,20 @@ def _run_qfc(config, fmt, out):
     return 0
 
 
-def _run_bell(config, fmt, out, seed, gain_factor):
+def _search_config(config, gain_factor):
+    """Parameters, analyzer gain and number of starts of a Bell-test search."""
     params = _build_params(config)
     section = config.get("bell", {})
     gain = gain_factor if gain_factor is not None else _get_float(
         section, "gain_factor", 1.0)
-    n_starts = int(_get_float(section, "n_starts", 8))
-    free_mu = section.get("free_mu", "false").lower() in ("1", "true", "yes")
+    if not (math.isfinite(gain) and gain > 0.0):
+        raise ConfigError(f"gain factor must be finite and positive, got {gain!r}")
+    return params, gain, _get_int(section, "n_starts", 8, minimum=1)
+
+
+def _run_bell(config, fmt, out, seed, gain_factor):
+    params, gain, n_starts = _search_config(config, gain_factor)
+    free_mu = config.get("bell", {}).get("free_mu", "false").lower() in ("1", "true", "yes")
     res = bell.optimize_chsh(params, free_mu=free_mu, gain=gain, seed=seed,
                              n_starts=n_starts)
     metrics = {"S": res.value,
@@ -231,11 +249,7 @@ def _run_bell(config, fmt, out, seed, gain_factor):
 
 
 def _run_keyrate(config, fmt, out, seed, gain_factor):
-    params = _build_params(config)
-    section = config.get("bell", {})
-    gain = gain_factor if gain_factor is not None else _get_float(
-        section, "gain_factor", 1.0)
-    n_starts = int(_get_float(section, "n_starts", 8))
+    params, gain, n_starts = _search_config(config, gain_factor)
     res = bell.optimize_key_rate(params, gain=gain, seed=seed,
                                  n_starts=n_starts)
     metrics = {"r": res.value, "S": res.s, "Q": res.q}
@@ -413,6 +427,8 @@ def main(argv=None) -> int:
         config = _apply_sets(config, args.set)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

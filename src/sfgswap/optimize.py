@@ -6,10 +6,13 @@ each search runs Nelder-Mead from a fixed number of seeded starting points
 and keeps the best result.  Given the same seed the outcome is reproducible;
 ties are broken by the lowest start index.
 
-The simplex search itself (``nelder_mead``) is a NumPy port of scipy's
+The simplex search itself (``simplex_steps``) is a port of scipy's
 ``scipy.optimize.minimize(method="Nelder-Mead")`` for the one configuration
-used here, with the same arithmetic, so the package needs no scipy at run
-time and its optima match scipy's to the last bit.
+used here, with the same arithmetic on Python floats, so the package needs
+no scipy at run time and its optima match scipy's to the last bit.  It is a
+coroutine that asks for the points it needs, so ``maximize_starts`` can step
+all starts of a search together and evaluate their points in one objective
+call.
 """
 
 from __future__ import annotations
@@ -17,15 +20,17 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Best point found over all starts: ``converged`` is that start's flag,
-    ``n_evaluations`` counts the evaluations of every start."""
+    """Best point found from one start (``maximize_starts``) or over all starts
+    (``multistart_maximize``): ``converged`` is that start's flag,
+    ``n_evaluations`` counts the evaluations of every start it covers."""
 
     x: tuple
     value: float
@@ -46,17 +51,21 @@ class SimplexResult:
     success: bool
 
 
-def nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int) -> SimplexResult:
-    """Minimize ``func`` by the Nelder-Mead downhill simplex from ``x0``.
+def simplex_steps(x0, xatol: float, fatol: float, maxiter: int):
+    """Nelder-Mead downhill simplex from ``x0``, minimizing, as a coroutine.
+
+    Each step yields a list of the k points it needs, each a list of n
+    floats: the initial simplex, one trial point, or the n new vertices of a
+    shrink.  It is then sent the k objective values as a list of floats.
+    When the search ends it returns a ``SimplexResult``.
 
     Ported from ``_minimize_neldermead`` in scipy 1.17.1
     (scipy/optimize/_optimize.py; BSD-3-Clause, Copyright (c) 2001-2002
     Enthought, Inc. and 2003-2024 SciPy Developers), restricted to
     ``adaptive=False``, no bounds, the default initial simplex and no limit
-    on evaluations.  The operations and their order are scipy's, so the
-    result equals that of ``scipy.optimize.minimize(func, x0,
-    method="Nelder-Mead", options={"xatol": xatol, "fatol": fatol,
-    "maxiter": maxiter})`` bit for bit.
+    on evaluations.  The operations and their order are scipy's; a shrink
+    asks for its vertices together, which for an objective without side
+    effects is the same as scipy's one at a time.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
@@ -73,37 +82,43 @@ def nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int) -> SimplexRe
             y[k] = zdelt
         sim[k + 1] = y
 
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        nfev += 1
-        return func(np.copy(x))
-
-    # The bookkeeping runs on Python floats.  scipy sorts twice before the
+    # The bookkeeping runs on Python floats: each vertex is a list, and each
+    # vector operation is scipy's elementwise one, in the same order, so the
+    # results are the same to the last bit.  scipy sorts twice before the
     # first iteration; np.argsort is not stable, so the second sort can
     # reorder tied vertices and is kept, as is np.argsort itself.
-    fsim = [float(f(sim[k])) for k in range(N + 1)]
+    sim = sim.tolist()
+    fsim = yield sim
+    nfev = N + 1
     for _ in range(2):
-        ind = np.array(fsim).argsort()
-        sim = sim.take(ind, 0)
-        fsim = [fsim[i] for i in ind.tolist()]
+        ind = np.array(fsim).argsort().tolist()
+        sim = [sim[i] for i in ind]
+        fsim = [fsim[i] for i in ind]
 
     iterations = 1
     while iterations < maxiter:
         f0 = fsim[0]
-        if (np.abs(sim[1:] - sim[0]).max() <= xatol and
-                max(abs(f0 - fk) for fk in fsim[1:]) <= fatol):
+        best = sim[0]
+        # scipy's two maxima within tolerance, the cheaper one tested first
+        if (all(abs(f0 - fk) <= fatol for fk in fsim[1:])
+                and all(abs(v - b) <= xatol for vertex in sim[1:] for v, b in zip(vertex, best))):
             break
 
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = float(f(xr))
+        # np.add.reduce(sim[:-1], 0) adds the vertices one after another
+        total = best
+        for vertex in sim[1:-1]:
+            total = [t + v for t, v in zip(total, vertex)]
+        xbar = [t / N for t in total]
+        worst = sim[-1]
+        xr = [(1 + rho) * b - rho * w for b, w in zip(xbar, worst)]
+        fxr, = yield [xr]
+        nfev += 1
         doshrink = False
 
         if fxr < f0:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = float(f(xe))
+            xe = [(1 + rho * chi) * b - rho * chi * w for b, w in zip(xbar, worst)]
+            fxe, = yield [xe]
+            nfev += 1
             if fxe < fxr:
                 sim[-1] = xe
                 fsim[-1] = fxe
@@ -114,16 +129,18 @@ def nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int) -> SimplexRe
             sim[-1] = xr
             fsim[-1] = fxr
         elif fxr < fsim[-1]:
-            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-            fxc = float(f(xc))
+            xc = [(1 + psi * rho) * b - psi * rho * w for b, w in zip(xbar, worst)]
+            fxc, = yield [xc]
+            nfev += 1
             if fxc <= fxr:
                 sim[-1] = xc
                 fsim[-1] = fxc
             else:
                 doshrink = True
         else:
-            xcc = (1 - psi) * xbar + psi * sim[-1]
-            fxcc = float(f(xcc))
+            xcc = [(1 - psi) * b + psi * w for b, w in zip(xbar, worst)]
+            fxcc, = yield [xcc]
+            nfev += 1
             if fxcc < fsim[-1]:
                 sim[-1] = xcc
                 fsim[-1] = fxcc
@@ -131,16 +148,106 @@ def nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int) -> SimplexRe
                 doshrink = True
 
         if doshrink:
-            for j in range(1, N + 1):
-                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                fsim[j] = float(f(sim[j]))
+            sim[1:] = [[b + sigma * (v - b) for b, v in zip(best, vertex)]
+                       for vertex in sim[1:]]
+            fsim[1:] = yield sim[1:]
+            nfev += N
         iterations += 1
-        ind = np.array(fsim).argsort()
-        sim = sim.take(ind, 0)
-        fsim = [fsim[i] for i in ind.tolist()]
+        ind = np.array(fsim).argsort().tolist()
+        sim = [sim[i] for i in ind]
+        fsim = [fsim[i] for i in ind]
 
-    return SimplexResult(x=sim[0], fun=min(fsim), nfev=nfev,
+    return SimplexResult(x=np.array(sim[0]), fun=min(fsim), nfev=nfev,
                          success=iterations < maxiter)
+
+
+def nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int) -> SimplexResult:
+    """Minimize ``func`` by the Nelder-Mead downhill simplex from ``x0``.
+
+    Drives ``simplex_steps`` one point at a time, so the result equals that
+    of ``scipy.optimize.minimize(func, x0, method="Nelder-Mead",
+    options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})`` bit for
+    bit.
+    """
+    search = simplex_steps(x0, xatol, fatol, maxiter)
+    points = next(search)
+    while True:
+        try:
+            points = search.send([float(func(np.array(x))) for x in points])
+        except StopIteration as stop:
+            return stop.value
+
+
+def maximize_starts(objective, bounds, starts, xatol: float = 1e-6, fatol: float = 1e-12,
+                    trace: io.TextIOBase = None) -> list:
+    """Maximize ``objective`` over box ``bounds`` by Nelder-Mead from each start.
+
+    The starts run in lockstep: at each step the points that every unfinished
+    search needs are clipped into the box and passed to the objective as one
+    (m, n) array, so a vectorized objective serves them in one call.  Each
+    search is the same as it would be alone.
+
+    Args:
+        objective: callable on an (m, n) array of points, returns their m
+            values, each a finite float.
+        bounds: sequence of (low, high) pairs, one per parameter.
+        starts: the starting points.
+        xatol, fatol: simplex size and value convergence tolerances.
+        trace: optional text stream receiving a CSV trace (start, iteration,
+            objective, parameters), with rows grouped by start in start order.
+
+    Returns:
+        One OptimizeResult per start, in order, each with that start's own
+        evaluation count.
+    """
+    # (1, n), so that clipping a lone point broadcasts nothing
+    lows = np.array([[float(lo) for lo, _ in bounds]])
+    highs = np.array([[float(hi) for _, hi in bounds]])
+    ndim = len(bounds)
+    searches = [simplex_steps(x0, xatol, fatol, 2000 * ndim) for x0 in starts]
+    pending = [next(search) for search in searches]
+    active = list(range(len(starts)))
+    rows = [[] for _ in starts]
+    results = [None] * len(starts)
+    while active:
+        x = np.array(pending[active[0]] if len(active) == 1
+                     else [p for i in active for p in pending[i]])
+        x = np.minimum(np.maximum(x, lows), highs)
+        values = list(map(float, objective(x)))
+        if len(values) != len(x):
+            raise ValueError(f"objective returned {len(values)} values for {len(x)} points")
+        if not all(map(math.isfinite, values)):
+            bad = next(v for v in values if not math.isfinite(v))
+            raise ValueError(f"objective returned non-finite value {bad!r}")
+        if trace is not None:
+            points = x.tolist()
+        k = 0
+        finished = False
+        for i in active:
+            n = len(pending[i])
+            if trace is not None:
+                rows[i].extend(zip(values[k:k + n], points[k:k + n]))
+            try:
+                pending[i] = searches[i].send(list(map(operator.neg, values[k:k + n])))
+            except StopIteration as stop:
+                res = stop.value
+                finished = True
+                pending[i] = None
+                results[i] = OptimizeResult(
+                    x=tuple(np.minimum(np.maximum(res.x, lows[0]), highs[0]).tolist()),
+                    value=-res.fun, start_index=i, n_evaluations=res.nfev,
+                    converged=res.success)
+            k += n
+        if finished:
+            active = [i for i in active if pending[i] is not None]
+    if trace is not None:
+        writer = csv.writer(trace)
+        writer.writerow(["start", "iteration", "objective"]
+                        + [f"x{i}" for i in range(ndim)])
+        for i, start_rows in enumerate(rows):
+            for it, (v, xc) in enumerate(start_rows):
+                writer.writerow([i, it, f"{v:.12g}"] + [f"{xi:.12g}" for xi in xc])
+    return results
 
 
 def multistart_maximize(objective, bounds, n_starts: int = 16, seed: int = 0,
@@ -149,10 +256,12 @@ def multistart_maximize(objective, bounds, n_starts: int = 16, seed: int = 0,
     """Maximize ``objective`` over box ``bounds`` with multi-start Nelder-Mead.
 
     Args:
-        objective: callable on a parameter vector, returns a finite float.
+        objective: callable on an (m, n) array of points, returns their m
+            values (see ``maximize_starts``).
         bounds: sequence of (low, high) pairs, one per parameter.
-        n_starts: number of simplex restarts; start points are drawn from a
-            seeded RNG, except the first which is the box center (or ``x0``).
+        n_starts: number of simplex starts, at least 1; start points are
+            drawn from a seeded RNG, except the first which is the box center
+            (or ``x0``).  The RNG is created only when a start is drawn.
         seed: RNG seed for the start points.
         x0: optional explicit first start.
         xatol: simplex size convergence tolerance.
@@ -162,56 +271,20 @@ def multistart_maximize(objective, bounds, n_starts: int = 16, seed: int = 0,
     Returns:
         OptimizeResult with the best point found.
     """
-    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-    ndim = len(bounds)
-    rng = np.random.default_rng(seed)
-    lows = np.array([b[0] for b in bounds])
-    highs = np.array([b[1] for b in bounds])
-
-    starts = []
-    if x0 is not None:
-        starts.append(np.asarray(x0, dtype=float))
-    else:
-        starts.append(0.5 * (lows + highs))
-    while len(starts) < n_starts:
-        starts.append(lows + rng.random(ndim) * (highs - lows))
-
-    writer = None
-    if trace is not None:
-        writer = csv.writer(trace)
-        writer.writerow(["start", "iteration", "objective"]
-                        + [f"x{i}" for i in range(ndim)])
-
-    def clip(x):
-        return np.minimum(np.maximum(x, lows), highs)
-
-    best = None
-    total_evals = 0
-    for s_idx, x_start in enumerate(starts):
-        it = [0]
-
-        def neg(x):
-            xc = clip(x)
-            v = float(objective(xc))
-            if not math.isfinite(v):
-                raise ValueError(f"objective returned non-finite value {v!r}")
-            if writer is not None:
-                writer.writerow([s_idx, it[0], f"{v:.12g}"]
-                                + [f"{xi:.12g}" for xi in xc])
-            it[0] += 1
-            return -v
-
-        res = nelder_mead(neg, x_start, xatol=xatol, fatol=fatol,
-                          maxiter=2000 * ndim)
-        total_evals += res.nfev
-        x_best = clip(res.x)
-        value = -res.fun
-        if best is None or value > best.value + 1e-15:
-            best = OptimizeResult(x=tuple(float(v) for v in x_best), value=float(value),
-                                  start_index=s_idx, n_evaluations=total_evals,
-                                  converged=bool(res.success))
-    return OptimizeResult(x=best.x, value=best.value, start_index=best.start_index,
-                          n_evaluations=total_evals, converged=best.converged)
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
+    lows = np.array([float(lo) for lo, _ in bounds])
+    highs = np.array([float(hi) for _, hi in bounds])
+    starts = [0.5 * (lows + highs) if x0 is None else np.asarray(x0, dtype=float)]
+    if n_starts > 1:
+        rng = np.random.default_rng(seed)
+        starts += [lows + rng.random(len(lows)) * (highs - lows) for _ in range(1, n_starts)]
+    runs = maximize_starts(objective, bounds, starts, xatol=xatol, fatol=fatol, trace=trace)
+    best = runs[0]
+    for res in runs[1:]:
+        if res.value > best.value + 1e-15:
+            best = res
+    return replace(best, n_evaluations=sum(res.n_evaluations for res in runs))
 
 
 def prescan_monotone(f, lo: float, hi: float, n: int = 8, increasing: bool = None,

@@ -42,7 +42,8 @@ from sfgswap.detection import (
     reduced_branches,
 )
 from sfgswap.optics import SfgParams, SourceParams
-from sfgswap.optimize import multistart_maximize
+from sfgswap import optimize
+from sfgswap.optimize import maximize_starts, nelder_mead
 from sfgswap.presets import get_preset, swap_params
 from sfgswap.protocols import (
     ExperimentParams,
@@ -334,12 +335,14 @@ def _unhoisted_seed_objective(eta):
 
 @pytest.mark.parametrize("eta", [np.linspace(0.5, 1.0, 8)[3], 0.6669921875, 0.9])
 def test_seed_objective_is_bit_identical(eta):
+    # The seed's three starts, stepped together and evaluated per point on
+    # Python floats as _partial_entanglement_seed does.
     bounds = [(math.pi / 4, math.pi / 2)] + _angle_bounds(4)
-    for t0 in (1.2, 1.4, 1.5):
-        runs = [multistart_maximize(objective, bounds, n_starts=1, seed=0,
-                                    x0=(t0, -0.03, 0.34, 1.54, -1.23), xatol=1e-9)
-                for objective in (_seed_objective(eta), _unhoisted_seed_objective(eta))]
-        assert runs[0] == runs[1]
+    starts = [(t0, -0.03, 0.34, 1.54, -1.23) for t0 in (1.2, 1.4, 1.5)]
+    runs = [maximize_starts(lambda x, f=objective: [f(p) for p in x.tolist()], bounds, starts,
+                            xatol=1e-9)
+            for objective in (_seed_objective(eta), _unhoisted_seed_objective(eta))]
+    assert runs[0] == runs[1]
 
 
 def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
@@ -359,15 +362,65 @@ def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
 
     counted(protocols, "filtered_ensemble")
     counted(detection, "block_readout")
-    real_maximize = bell.multistart_maximize
+    real_maximize = bell.maximize_starts
 
     def maximize(*args, **kwargs):
-        res = real_maximize(*args, **kwargs)
-        calls["evaluations"] += res.n_evaluations
-        return res
-    monkeypatch.setattr(bell, "multistart_maximize", maximize)
+        runs = real_maximize(*args, **kwargs)
+        calls["evaluations"] += sum(res.n_evaluations for res in runs)
+        return runs
+    monkeypatch.setattr(bell, "maximize_starts", maximize)
     bell._partial_entanglement_seed.cache_clear()
     eta = efficiency_threshold(_preset("ideal", pair_cap=2), bracket=(0.6, 0.8), xtol=0.05)
     assert 0.6 < eta <= 0.8
     assert calls["evaluations"] > 1000
     assert calls["filtered_ensemble"] == 0 and calls["block_readout"] == 0
+
+
+@pytest.mark.parametrize("case", ["ideal-2", "tableS1-3-dark", "tableS1-5"])
+def test_search_kernel_stacked_points_match_lone_points(case):
+    # A stack of points gives, bit for bit, what each point gives alone.
+    params, effs, gain = KERNEL_CASES[case]
+    rng = np.random.default_rng(2)
+    entries = (HeraldedEntries.of_filter(heralding_filter(params), params),
+               HeraldedEntries.of_ensemble(heralded_ensemble(params)))
+    thetas_a = rng.uniform(-math.pi / 2, math.pi / 2, size=(6, 3))
+    thetas_b = rng.uniform(-math.pi / 2, math.pi / 2, size=(6, 2))
+    mu = rng.uniform(1e-4, 0.4, size=(6, 4))
+    for kernel, point_mu in zip(
+            (SearchKernel(e, effs, DEFAULT_STRATEGY, DEFAULT_STRATEGY, gain) for e in entries),
+            (mu, [None] * 6)):
+        stacked = kernel.correlators(thetas_a, thetas_b, mu=None if point_mu[0] is None else mu)
+        for i in range(6):
+            assert np.array_equal(stacked[i], kernel.correlators(thetas_a[i], thetas_b[i],
+                                                                 mu=point_mu[i]))
+
+
+@pytest.mark.parametrize("search, n_starts", [
+    (lambda **kw: optimize_chsh(_preset("ideal"), free_mu=True, seed=0, **kw), 8),
+    (lambda **kw: optimize_key_rate(_preset("paper-tableS1", pair_cap=2), gain=3.0, seed=5,
+                                    **kw), 3),
+], ids=["chsh-free-mu", "key-rate"])
+def test_lockstep_search_matches_each_start_alone(monkeypatch, search, n_starts):
+    # Each start of a lockstep search ends where the scalar Nelder-Mead ends
+    # on that start alone, with the search's own objective at one point.
+    real_maximize = optimize.maximize_starts
+    captured = {}
+
+    def maximize(objective, bounds, starts, **kwargs):
+        captured.update(objective=objective, bounds=bounds, starts=starts,
+                        runs=real_maximize(objective, bounds, starts, **kwargs))
+        return captured["runs"]
+
+    monkeypatch.setattr(optimize, "maximize_starts", maximize)
+    opt = search(n_starts=n_starts)
+    objective, runs = captured["objective"], captured["runs"]
+    lows, highs = np.array(captured["bounds"]).T
+    assert len(runs) == n_starts
+    assert opt.n_evaluations == sum(run.n_evaluations for run in runs)
+    assert opt.value == runs[opt.start_index].value
+    for start, run in zip(captured["starts"], runs):
+        alone = nelder_mead(lambda x: -objective(np.clip(x, lows, highs)[None])[0], start,
+                            xatol=1e-6, fatol=1e-12, maxiter=2000 * len(lows))
+        assert np.array_equal(np.clip(alone.x, lows, highs), run.x)
+        assert (-alone.fun, alone.nfev, alone.success) == (run.value, run.n_evaluations,
+                                                           run.converged)

@@ -117,10 +117,13 @@ def test_runtime_needs_no_scipy(tmp_path):
         loaded = [m for m, mod in sys.modules.items()
                   if m.split(".")[0] == "scipy" and mod is not None]
         assert not loaded, loaded
-        sys.exit(sfgswap.cli.main(["bell", "--preset", "ideal",
-                                   "--set", "bell.free_mu=true",
-                                   "--set", "bell.n_starts=1",
-                                   "--out", {str(out)!r}]))
+        code = sfgswap.cli.main(["bell", "--preset", "ideal",
+                                 "--set", "bell.free_mu=true",
+                                 "--set", "bell.n_starts=1",
+                                 "--out", {str(out)!r}])
+        # a one-start search draws no start, so it needs no RNG
+        assert "numpy.random" not in sys.modules
+        sys.exit(code)
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(sfgswap.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
@@ -187,6 +190,27 @@ def test_config_errors_exit_2(tmp_path, capsys):
     for bad in ("mu_1h=nan", "t_1h=1.5", "eta_1h=-0.1", "window_acceptance=2"):
         assert main(["swap-sfg", "--preset", "ideal", "--set", bad]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("experiment", ["bell", "keyrate"])
+@pytest.mark.parametrize("argv, message", [
+    (("--set", "bell.n_starts=0"), "'n_starts' must be at least 1"),
+    (("--set", "bell.n_starts=-3"), "'n_starts' must be at least 1"),
+    (("--set", "bell.n_starts=1.5"), "'n_starts' is not an integer"),
+    (("--seed", "-1"), "--seed must be non-negative"),
+    (("--gain-factor", "0"), "gain factor must be finite and positive"),
+    (("--gain-factor", "-2"), "gain factor must be finite and positive"),
+    (("--gain-factor", "nan"), "gain factor must be finite and positive"),
+    (("--set", "bell.gain_factor=inf"), "gain factor must be finite and positive"),
+], ids=["n_starts=0", "n_starts=-3", "n_starts=1.5", "seed=-1", "gain=0", "gain=-2",
+        "gain=nan", "bell.gain_factor=inf"])
+def test_bad_search_inputs_exit_2(tmp_path, capsys, experiment, argv, message):
+    # Rejected before any search runs, instead of running one start or
+    # failing deep in the model.
+    code, text = run(tmp_path, experiment, "--preset", "ideal",
+                     "--set", "bell.n_starts=1", *argv)
+    assert code == 2 and text == ""
+    assert message in capsys.readouterr().err
 
 
 def test_model_errors_exit_3(capsys):

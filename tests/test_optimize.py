@@ -10,10 +10,16 @@ from scipy.optimize import minimize
 from sfgswap import optimize
 from sfgswap.optimize import (
     bisect_threshold,
+    maximize_starts,
     multistart_maximize,
     nelder_mead,
     prescan_monotone,
 )
+
+
+def _rows(f):
+    """A batched objective evaluating the scalar ``f`` on each point."""
+    return lambda x: [f(p) for p in x]
 
 
 def _quadratic(x):
@@ -58,8 +64,60 @@ def test_nelder_mead_matches_scipy_bit_for_bit(func, x0, maxiter):
     assert res.success == ref.success
 
 
+@pytest.mark.parametrize("func", [_wiggly, _staircase, _quadratic])
+def test_lockstep_starts_match_lone_searches(func):
+    # Starts stepped together, shrinks included, give what each gives alone
+    # under the scalar driver: the same vertex, value, count and flag.
+    bounds = [(-1.0, 1.0), (-1.0, 1.0)]
+    starts = [(0.9, 0.4), (-0.7, 0.2), (0.0, 0.5), (0.3, -0.8)]
+    runs = maximize_starts(_rows(lambda x: -func(x)), bounds, starts)
+    for i, (x0, run) in enumerate(zip(starts, runs)):
+        alone = nelder_mead(lambda x: func(np.clip(x, -1.0, 1.0)), x0,
+                            xatol=1e-6, fatol=1e-12, maxiter=4000)
+        assert np.array_equal(np.clip(alone.x, -1.0, 1.0), run.x)
+        assert -alone.fun == run.value
+        assert (alone.nfev, alone.success, i) == (run.n_evaluations, run.converged,
+                                                  run.start_index)
+
+
+def test_lockstep_trace_groups_rows_by_start():
+    # The CSV trace lists each start's evaluations together, in start order,
+    # numbered per start, as each start alone would write them; start 1 is
+    # the seeded draw, as before the starts ran in lockstep.
+    bounds = [(-1.0, 1.0), (-2.0, 2.0)]
+
+    def objective(x):
+        return [-(p[0] - 0.3) ** 2 - math.sin(3.0 * p[1]) for p in x]
+
+    def rows(stream):
+        return [line.split(",") for line in stream.getvalue().splitlines()[1:]]
+
+    stream = io.StringIO()
+    res = multistart_maximize(objective, bounds, n_starts=3, seed=4, trace=stream)
+    table = rows(stream)
+    assert stream.getvalue().splitlines()[0] == "start,iteration,objective,x0,x1"
+    assert len(table) == res.n_evaluations
+    assert [int(r[0]) for r in table] == sorted(int(r[0]) for r in table)
+    lows, highs = np.array([-1.0, -2.0]), np.array([1.0, 2.0])
+    rng = np.random.default_rng(4)
+    starts = [np.zeros(2)] + [lows + rng.random(2) * (highs - lows) for _ in range(2)]
+    for s, start in enumerate(starts):
+        own = [r for r in table if int(r[0]) == s]
+        assert [int(r[1]) for r in own] == list(range(len(own)))
+        assert own[0][3:] == [f"{v:.12g}" for v in start]
+        alone = io.StringIO()
+        maximize_starts(objective, bounds, [start], trace=alone)
+        assert [r[1:] for r in rows(alone)] == [r[1:] for r in own]
+
+
+@pytest.mark.parametrize("n_starts", [0, -3])
+def test_multistart_rejects_fewer_than_one_start(n_starts):
+    with pytest.raises(ValueError, match="n_starts"):
+        multistart_maximize(_rows(lambda x: x[0]), [(0.0, 1.0)], n_starts=n_starts)
+
+
 def test_multistart_finds_quadratic_maximum():
-    res = multistart_maximize(lambda x: -(x[0] - 0.3) ** 2 - (x[1] + 0.1) ** 2,
+    res = multistart_maximize(_rows(lambda x: -(x[0] - 0.3) ** 2 - (x[1] + 0.1) ** 2),
                               [(-1.0, 1.0), (-1.0, 1.0)], n_starts=4, seed=0)
     assert res.x[0] == pytest.approx(0.3, abs=1e-4)
     assert res.x[1] == pytest.approx(-0.1, abs=1e-4)
@@ -69,17 +127,20 @@ def test_multistart_finds_quadratic_maximum():
 
 def test_multistart_reports_best_start_convergence(monkeypatch):
     # Start 0 sits on the maximum and stays best; only start 1 converges.
-    real_minimize = optimize.nelder_mead
+    # The searches are created in start order but may finish in any order.
+    real_steps = optimize.simplex_steps
     starts = []
 
-    def minimize(*args, **kwargs):
-        res = real_minimize(*args, **kwargs)
-        res.success = len(starts) == 1
-        starts.append(res)
+    def steps(*args, **kwargs):
+        index = len(starts)
+        starts.append(None)
+        res = yield from real_steps(*args, **kwargs)
+        res.success = index == 1
+        starts[index] = res
         return res
 
-    monkeypatch.setattr(optimize, "nelder_mead", minimize)
-    res = multistart_maximize(lambda x: -(x[0] - 0.3) ** 2, [(-1.0, 1.0)],
+    monkeypatch.setattr(optimize, "simplex_steps", steps)
+    res = multistart_maximize(_rows(lambda x: -(x[0] - 0.3) ** 2), [(-1.0, 1.0)],
                               n_starts=2, seed=0, x0=(0.3,))
     assert len(starts) == 2 and starts[1].success
     assert res.start_index == 0
@@ -90,26 +151,26 @@ def test_multistart_is_deterministic():
     def rastrigin_like(x):
         return -(x[0] ** 2) + 0.3 * math.cos(8 * x[0])
 
-    a = multistart_maximize(rastrigin_like, [(-2.0, 2.0)], n_starts=8, seed=5)
-    b = multistart_maximize(rastrigin_like, [(-2.0, 2.0)], n_starts=8, seed=5)
+    a = multistart_maximize(_rows(rastrigin_like), [(-2.0, 2.0)], n_starts=8, seed=5)
+    b = multistart_maximize(_rows(rastrigin_like), [(-2.0, 2.0)], n_starts=8, seed=5)
     assert a.x == b.x
     assert a.value == b.value
 
 
 def test_multistart_respects_bounds():
-    res = multistart_maximize(lambda x: x[0], [(0.0, 0.5)], n_starts=4, seed=1)
+    res = multistart_maximize(_rows(lambda x: x[0]), [(0.0, 0.5)], n_starts=4, seed=1)
     assert res.x[0] <= 0.5
     assert res.value == pytest.approx(0.5, abs=1e-6)
 
 
 def test_multistart_rejects_non_finite_objective():
     with pytest.raises(ValueError):
-        multistart_maximize(lambda x: float("nan"), [(0.0, 1.0)], n_starts=1)
+        multistart_maximize(_rows(lambda x: float("nan")), [(0.0, 1.0)], n_starts=1)
 
 
 def test_multistart_trace_stream():
     stream = io.StringIO()
-    multistart_maximize(lambda x: -x[0] ** 2, [(-1.0, 1.0)], n_starts=2, seed=0,
+    multistart_maximize(_rows(lambda x: -x[0] ** 2), [(-1.0, 1.0)], n_starts=2, seed=0,
                         trace=stream)
     lines = stream.getvalue().splitlines()
     assert lines[0] == "start,iteration,objective,x0"
