@@ -67,7 +67,7 @@ def test_nelder_mead_matches_scipy_bit_for_bit(func, x0, maxiter):
 @pytest.mark.parametrize("func", [_wiggly, _staircase, _quadratic])
 def test_lockstep_starts_match_lone_searches(func):
     # Starts stepped together, shrinks included, give what each gives alone
-    # under the scalar driver: the same vertex, value, count and flag.
+    # under `nelder_mead`: the same vertex, value, count and flag.
     bounds = [(-1.0, 1.0), (-1.0, 1.0)]
     starts = [(0.9, 0.4), (-0.7, 0.2), (0.0, 0.5), (0.3, -0.8)]
     runs = maximize_starts(_rows(lambda x: -func(x)), bounds, starts)
