@@ -7,28 +7,20 @@ from .bell import (
     HeraldedEnsemble,
     Strategy,
     binary_entropy,
-    chsh_value,
     dw_key_rate,
     efficiency_threshold,
     ensemble_chsh,
     heralded_ensemble,
-    heralded_state_with_dark,
     holevo_chsh,
     optimize_chsh,
     optimize_key_rate,
-    qber,
     sfg_gain_threshold,
 )
 from .detection import (
-    AnalyzerSetting,
     CoincidenceEfficiencies,
     DetectorModel,
-    click_patterns,
     click_prob,
     herald_amplitude_branches,
-    herald_projection,
-    joint_click_pattern_probs,
-    threshold_povm,
 )
 from .efficiency import (
     CrystalParams,
@@ -44,25 +36,18 @@ from .efficiency import (
 )
 from .fock import (
     DEFAULT_NMAX,
-    DensityOperator,
     ModeError,
     PureState,
     apply_annihilation,
     apply_creation,
-    expectation,
-    partial_trace,
     tensor,
-    tensor_density,
     two_mode_rotation,
 )
 from .optics import (
     LossMap,
     SfgParams,
     SourceParams,
-    apply_loss,
-    apply_sfg_first_order,
     build_swapping_input,
-    kraus_parity_check,
     loss_branches,
     qfc_mode_transform,
     sfg_branches,
@@ -79,7 +64,6 @@ from .protocols import (
     lo_swap,
     qfc_teleport_strong_pump,
     sfg_heralded_branches,
-    sfg_heralded_operator,
     sfg_swap,
     teleport,
 )

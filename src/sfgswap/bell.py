@@ -16,23 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detection import (
-    CoincidenceEfficiencies,
-    analyzer_coefficients,
-    arm_click_probs,
-    joint_click_pattern_probs,
-    reduced_branches,
-    trig_basis,
-)
-from .fock import DensityOperator, PureState
+from .detection import CoincidenceEfficiencies, analyzer_coefficients, arm_click_probs, trig_basis
 from .optimize import bisect_threshold, maximize_starts, multistart_maximize, prescan_monotone
-from .protocols import (
-    OUTPUT_REGISTER,
-    ExperimentParams,
-    HeraldedEnsemble,
-    heralded_ensemble,
-    heralding_filter,
-)
+from .protocols import ExperimentParams, HeraldedEnsemble, heralded_ensemble, heralding_filter
 
 RT2 = math.sqrt(2.0)
 TSIRELSON = 2.0 * RT2
@@ -124,58 +110,6 @@ class BellSettings:
         object.__setattr__(self, "theta_b2", _wrap_angle(self.theta_b2))
         if self.theta_a0 is not None:
             object.__setattr__(self, "theta_a0", _wrap_angle(self.theta_a0))
-
-
-def correlator(pattern_probs: dict, strategy_a: Strategy, strategy_b: Strategy) -> float:
-    """Expectation of the +/-1 outcome product over joint click patterns."""
-    return sum(p * strategy_a.outcome(*d) * strategy_b.outcome(*e)
-               for (d, e), p in pattern_probs.items())
-
-
-def _disagreement(pattern_probs: dict, strategy_a: Strategy, strategy_b: Strategy) -> float:
-    """Probability that the two parties' +/-1 outcomes differ."""
-    return sum(p for (d, e), p in pattern_probs.items()
-               if strategy_a.outcome(*d) != strategy_b.outcome(*e))
-
-
-def chsh_value(rho_herald: DensityOperator, settings: BellSettings,
-               strategy: Strategy = DEFAULT_STRATEGY,
-               efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES,
-               strategy_b: Strategy = None) -> float:
-    """S = <A1 B1> + <A2 B1> + <A1 B2> - <A2 B2> on a normalized state."""
-    if abs(rho_herald.trace() - 1.0) > 1e-6:
-        raise ValueError("chsh_value requires a normalized density operator")
-    sb = strategy if strategy_b is None else strategy_b
-
-    def e(ta, tb):
-        probs = joint_click_pattern_probs(rho_herald, ta, tb, efficiencies)
-        return correlator(probs, strategy, sb)
-
-    a1, a2 = settings.theta_a1, settings.theta_a2
-    b1, b2 = settings.theta_b1, settings.theta_b2
-    return e(a1, b1) + e(a2, b1) + e(a1, b2) - e(a2, b2)
-
-
-def heralded_state_with_dark(rho_sfg: DensityOperator, psi_in: PureState,
-                             dark: float) -> DensityOperator:
-    """Normalized heralded state mixing the photon and dark-count heralds.
-
-    rho_sfg is the event-weighted analyzer-heralded operator, kept when no
-    dark count fires (probability 1 - dark); a dark count heralds the
-    unheralded reduced input state.
-    """
-    if not 0.0 <= dark < 1.0:
-        raise ValueError("dark probability must be in [0, 1)")
-    rho = rho_sfg.reorder(OUTPUT_REGISTER) if rho_sfg.register != OUTPUT_REGISTER else rho_sfg
-    if dark > 0.0:
-        acd = DensityOperator.from_branches(reduced_branches(psi_in),
-                                            register=OUTPUT_REGISTER,
-                                            n_max=rho.n_max).scaled(dark)
-        rho = rho.scaled(1.0 - dark).add(acd)
-    total = rho.trace()
-    if total <= 0.0:
-        raise ValueError("zero total herald probability")
-    return rho.scaled(1.0 / total)
 
 
 @dataclass(frozen=True)
@@ -300,18 +234,6 @@ def ensemble_chsh(ensemble: HeraldedEnsemble, settings: BellSettings,
                           gain)
     return _chsh(kernel.correlators((settings.theta_a1, settings.theta_a2),
                                     (settings.theta_b1, settings.theta_b2)).tolist())
-
-
-def qber(rho_herald: DensityOperator, theta_a0: float, theta_b1: float,
-         strategy: Strategy = DEFAULT_STRATEGY,
-         efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES,
-         strategy_b: Strategy = None) -> float:
-    """Key-basis error rate Q = P(+1,-1) + P(-1,+1)."""
-    if abs(rho_herald.trace() - 1.0) > 1e-6:
-        raise ValueError("qber requires a normalized density operator")
-    sb = strategy if strategy_b is None else strategy_b
-    probs = joint_click_pattern_probs(rho_herald, theta_a0, theta_b1, efficiencies)
-    return _disagreement(probs, strategy, sb)
 
 
 def _ensemble_qber(ensemble: HeraldedEnsemble, theta_a0: float, theta_b1: float,

@@ -8,6 +8,7 @@ Exit codes: 0 on success, 2 on configuration errors, 3 on model errors.
 from __future__ import annotations
 
 import argparse
+import cmath
 import concurrent.futures
 import configparser
 import json
@@ -15,7 +16,7 @@ import math
 import sys
 
 from . import bell
-from .detection import CoincidenceEfficiencies
+from .detection import HERALD_SIGNS
 from .efficiency import (
     CrystalParams,
     SfgBenchInputs,
@@ -112,7 +113,9 @@ def _get_float(section: dict, key: str, default=None) -> float:
         raise ConfigError(f"key {key!r} is not a number: {section[key]!r}")
 
 
-def _get_int(section: dict, key: str, default: int, minimum: int) -> int:
+def _get_int(section: dict, key: str, default, minimum: int) -> int:
+    if key not in section and default is None:
+        raise ConfigError(f"missing required key {key!r}")
     value = section.get(key, default)
     try:
         number = int(str(value).strip())
@@ -121,6 +124,27 @@ def _get_int(section: dict, key: str, default: int, minimum: int) -> int:
     if number < minimum:
         raise ConfigError(f"key {key!r} must be at least {minimum}, got {number}")
     return number
+
+
+def _get_bool(section: dict, key: str, default: bool) -> bool:
+    if key not in section:
+        return default
+    value = str(section[key]).strip().lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ConfigError(f"key {key!r} is not a boolean: {section[key]!r}")
+
+
+def _get_complex(section: dict, key: str, default: complex) -> complex:
+    try:
+        value = complex(str(section.get(key, default)))
+    except ValueError:
+        value = None
+    if value is None or not cmath.isfinite(value):
+        raise ConfigError(f"key {key!r} is not a finite complex number: {section[key]!r}")
+    return value
 
 
 def _fmt(value) -> str:
@@ -185,7 +209,11 @@ def _run_teleport(config, fmt, out):
         except (ValueError, IndexError):
             raise ConfigError(f"unknown polarization {pol_name!r}")
     mean_photons = _get_float(section, "mean_photons", 0.95)
+    if not (math.isfinite(mean_photons) and mean_photons > 0.0):
+        raise ConfigError(f"mean_photons must be finite and positive, got {mean_photons!r}")
     basis = section.get("herald_basis", "D")
+    if basis not in HERALD_SIGNS:
+        raise ConfigError(f"herald basis must be 'D' or 'A', got {basis!r}")
     params = _build_params(config)
     rep = teleport(params, pol, mean_photons, herald_basis=basis)
     metrics = {"fidelity": rep.fidelity, "herald_prob": rep.herald_prob,
@@ -200,9 +228,13 @@ def _run_teleport(config, fmt, out):
 
 def _run_qfc(config, fmt, out):
     section = config.get("qfc", {})
-    alpha = complex(section.get("alpha", 1 / math.sqrt(2)))
-    beta = complex(section.get("beta", 1 / math.sqrt(2)))
+    alpha = _get_complex(section, "alpha", 1 / math.sqrt(2))
+    beta = _get_complex(section, "beta", 1 / math.sqrt(2))
+    if alpha == 0 and beta == 0:
+        raise ConfigError("alpha and beta must not both be zero")
     chi_tau = _get_float(section, "chi_tau", 0.1)
+    if not (math.isfinite(chi_tau) and chi_tau >= 0.0):
+        raise ConfigError(f"chi_tau must be finite and nonnegative, got {chi_tau!r}")
     rep = qfc_teleport_strong_pump(alpha, beta, chi_tau)
     metrics = {"fidelity": rep.fidelity, "herald_prob": rep.herald_prob,
                "conversion_angle_H": rep.conversion_angle_H,
@@ -228,7 +260,7 @@ def _search_config(config, gain_factor):
 
 def _run_bell(config, fmt, out, seed, gain_factor):
     params, gain, n_starts = _search_config(config, gain_factor)
-    free_mu = config.get("bell", {}).get("free_mu", "false").lower() in ("1", "true", "yes")
+    free_mu = _get_bool(config.get("bell", {}), "free_mu", False)
     res = bell.optimize_chsh(params, free_mu=free_mu, gain=gain, seed=seed,
                              n_starts=n_starts)
     metrics = {"S": res.value,
@@ -345,9 +377,7 @@ def _run_sweep(config, fmt, out, jobs):
     variable = section.get("variable")
     if not variable:
         raise ConfigError("sweep needs a variable")
-    steps = int(_get_float(section, "steps"))
-    if steps < 2:
-        raise ConfigError("sweep needs steps >= 2")
+    steps = _get_int(section, "steps", None, minimum=2)
     start = _get_float(section, "start")
     stop = _get_float(section, "stop")
     bsa = section.get("bsa", "sfg")

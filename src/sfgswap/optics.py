@@ -6,9 +6,13 @@ Conventions:
     of a (signal, idler) mode pair; the squeezing parameter is
     gamma = sqrt(mu / (1 + mu)) for mean photon number mu per mode.
   * Loss on a mode with transmittance t is an ancilla beamsplitter of
-    transmittance t followed by a partial trace over the ancilla.
+    transmittance t followed by a partial trace over the ancilla, applied
+    as its Kraus decomposition into pure branches.
   * The sum-frequency interaction is kept to first order in the coupling;
     the converted branch creates exactly one photon in the c modes.
+
+Every channel acts on pure branches; the density-operator channels in
+``tests/density_route.py`` are the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -17,17 +21,12 @@ import math
 from dataclasses import dataclass
 
 from .fock import (
-    DensityOperator,
-    ModeError,
     PureState,
     apply_annihilation,
     apply_creation,
     mode_index,
-    partial_trace,
-    sandwich,
     tensor,
     two_mode_rotation,
-    unitary_column_map,
 )
 
 
@@ -120,37 +119,12 @@ def build_swapping_input(eps1: SourceParams, eps2: SourceParams, pair_cap: int =
     return state.reorder(SWAP_REGISTER).normalized()
 
 
-def _loss_ancilla(mode: str) -> str:
-    return mode + "'"
-
-
-def apply_loss(rho: DensityOperator, losses: LossMap) -> DensityOperator:
-    """Attenuation channel on each mapped mode (ancilla beamsplitter followed
-    by a partial trace over the ancilla).  Trace preserving."""
-    for mode, t in losses.items():
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"transmittance outside [0, 1]: {t}")
-        if t == 1.0:
-            continue
-        anc = _loss_ancilla(mode)
-        reg = rho.register + (anc,)
-        entries = {(k + (0,), b + (0,)): v for (k, b), v in rho.entries.items()}
-        extended = DensityOperator(reg, entries, trace_meaning=rho.trace_meaning, n_max=rho.n_max)
-        theta = math.acos(math.sqrt(t))
-        col = unitary_column_map(
-            reg, rho.n_max, lambda s, m=mode, a=anc, th=theta: two_mode_rotation(s, m, a, th)
-        )
-        rotated = sandwich(extended, col)
-        rho = partial_trace(rotated, [anc])
-    return rho
-
-
 def loss_branches(psi: PureState, losses: LossMap):
     """Pure-state Kraus decomposition of the loss channel.
 
-    Yields unnormalized pure states whose outer-product sum equals
-    ``apply_loss(|psi><psi|, losses)``.  Used as a fast path by the
-    protocol pipelines; equivalence with ``apply_loss`` is covered by tests.
+    Yields unnormalized pure states, one per number of photons lost on each
+    mode, whose outer-product sum is the attenuated state: the ancilla
+    beamsplitter of transmittance t followed by a trace over the ancilla.
     """
     branches = [psi]
     for mode, t in losses.items():
@@ -176,7 +150,6 @@ def loss_branches(psi: PureState, losses: LossMap):
     return branches
 
 
-SFG_INPUT_MODES = ("aH", "aV", "bH", "bV")
 SFG_OUTPUT_MODES = ("cH", "cV")
 
 
@@ -191,56 +164,15 @@ def _sfg_operator(state: PureState, sfg: SfgParams) -> PureState:
     return out
 
 
-def _extend_with_vacuum(register, entries_or_amps, modes, is_density: bool):
-    pad = (0,) * len(modes)
-    if is_density:
-        return {(k + pad, b + pad): v for (k, b), v in entries_or_amps.items()}
-    return {occ + pad: a for occ, a in entries_or_amps.items()}
-
-
 def extend_state(psi: PureState, modes) -> PureState:
     """Append fresh vacuum modes to a pure state's register."""
-    reg = psi.register + tuple(modes)
-    return PureState(reg, _extend_with_vacuum(psi.register, psi.amps, modes, False), n_max=psi.n_max)
-
-
-def extend_density(rho: DensityOperator, modes) -> DensityOperator:
-    reg = rho.register + tuple(modes)
-    return DensityOperator(reg, _extend_with_vacuum(rho.register, rho.entries, modes, True),
-                           trace_meaning=rho.trace_meaning, n_max=rho.n_max)
-
-
-def apply_sfg_first_order(rho: DensityOperator, sfg: SfgParams) -> DensityOperator:
-    """First-order converted branch of the sum-frequency interaction.
-
-    The register must contain aH, aV, bH, bV; fresh vacuum modes cH, cV are
-    appended if absent (an error is raised if they exist but are occupied).
-    Returns the event-weighted operator O rho O+ whose trace is the
-    SFG-emission probability.
-    """
-    reg = rho.register
-    if all(m in reg for m in SFG_OUTPUT_MODES):
-        for (k, b) in rho.entries:
-            for m in SFG_OUTPUT_MODES:
-                i = mode_index(reg, m)
-                if k[i] != 0 or b[i] != 0:
-                    raise ValueError("SFG output modes must start in vacuum")
-    else:
-        rho = extend_density(rho, SFG_OUTPUT_MODES)
-        reg = rho.register
-
-    n_max = rho.n_max
-
-    def column(occ):
-        out = _sfg_operator(PureState.basis(reg, occ, n_max=n_max), sfg)
-        return dict(out.amps)
-
-    out = sandwich(rho, column)
-    return DensityOperator(out.register, out.entries, trace_meaning="event-probability", n_max=n_max)
+    pad = (0,) * len(modes)
+    return PureState(psi.register + tuple(modes), {occ + pad: a for occ, a in psi.amps.items()},
+                     n_max=psi.n_max)
 
 
 def sfg_branches(branches, sfg: SfgParams):
-    """Converted-branch SFG on an iterable of pure branches (fast path)."""
+    """Converted-branch SFG on an iterable of pure branches."""
     out = []
     for phi in branches:
         if not all(m in phi.register for m in SFG_OUTPUT_MODES):
@@ -249,49 +181,6 @@ def sfg_branches(branches, sfg: SfgParams):
         if conv.amps:
             out.append(conv)
     return out
-
-
-def kraus_parity_check(state: PureState, sfg: SfgParams) -> PureState:
-    """Ideal parity-check Kraus operator for at most two photons in a, b.
-
-    K = sqrt(eta_H)|H>_c<HH|_ab + sqrt(eta_V)|V>_c<VV|_ab.  The a and b
-    modes are replaced by the c modes in the output register; the squared
-    norm of the result is the success probability.
-    """
-    reg = state.register
-    idx = {m: mode_index(reg, m) for m in SFG_INPUT_MODES}
-    keep = [i for i in range(len(reg)) if reg[i] not in SFG_INPUT_MODES]
-    out_reg = tuple(reg[i] for i in keep) + SFG_OUTPUT_MODES
-    amps = {}
-    for occ, a in state.amps.items():
-        ab = (occ[idx["aH"]], occ[idx["aV"]], occ[idx["bH"]], occ[idx["bV"]])
-        if sum(ab) > 2:
-            raise ValueError("kraus_parity_check requires at most two photons in modes a, b")
-        if ab == (1, 0, 1, 0):
-            c, w = (1, 0), math.sqrt(sfg.eta_H)
-        elif ab == (0, 1, 0, 1):
-            c, w = (0, 1), math.sqrt(sfg.eta_V)
-        else:
-            continue
-        new = tuple(occ[i] for i in keep) + c
-        amps[new] = amps.get(new, 0.0) + a * w
-    return PureState(out_reg, amps, n_max=state.n_max)
-
-
-def pbs_mix(rho: DensityOperator) -> DensityOperator:
-    """Polarizing-beamsplitter mixing of modes a and b: H components pass,
-    V components swap between a and b (a mode relabeling)."""
-    reg = rho.register
-    i = mode_index(reg, "aV")
-    j = mode_index(reg, "bV")
-
-    def swap(occ):
-        lst = list(occ)
-        lst[i], lst[j] = lst[j], lst[i]
-        return tuple(lst)
-
-    entries = {(swap(k), swap(b)): v for (k, b), v in rho.entries.items()}
-    return DensityOperator(reg, entries, trace_meaning=rho.trace_meaning, n_max=rho.n_max)
 
 
 def qfc_mode_transform(state: PureState, alpha: complex, beta: complex, chi_tau: float,

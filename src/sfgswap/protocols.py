@@ -14,9 +14,10 @@ state is a fixed heralding filter (``heralding_filter``, the pipeline run
 once on pure-state Kraus branches) rescaled by the source amplitudes
 (``source_amplitudes``).  Every visibility readout is one contraction of
 its photon-number-block density (``detection.block_readout``); the Bell
-searches read the same blocks through ``bell.SearchKernel``.  The
-density-operator route (``sfg_heralded_operator``) is the reference the
-tests compare against.
+searches read the same blocks through ``bell.SearchKernel``.  Teleportation
+and frequency-conversion teleportation read their fidelity straight off the
+heralded pure branches.  The density-operator route of
+``tests/density_route.py`` is the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .detection import (
     herald_amplitude_branches,
     reduced_branches,
 )
-from .fock import DensityOperator, PureState, apply_creation, tensor, two_mode_rotation
+from .fock import PureState, apply_creation, tensor, two_mode_rotation
 from .optics import (
     LossMap,
     OUTPUT_REGISTER,
@@ -135,18 +136,18 @@ class VisibilityReport:
         return "\n".join(lines) + "\n"
 
 
-def _herald(psi: PureState, params: ExperimentParams, basis: str, gain: float = 1.0):
+def _herald(psi: PureState, params: ExperimentParams, basis: str, gain: float = 1.0,
+            register=OUTPUT_REGISTER):
     """Channel loss, first-order SFG, loss on c and the herald applied to
-    ``psi``: pure branches on (dH, dV, eH, eV) whose outer-product sum is the
-    event-weighted heralded operator."""
+    ``psi``: pure branches on the output modes ``register`` whose
+    outer-product sum is the event-weighted heralded operator."""
     branches = loss_branches(psi, params.channel_losses())
     branches = sfg_branches(branches, params.sfg.scaled(gain))
     out = []
     for phi in branches:
         out.extend(loss_branches(phi, params.c_losses()))
     heralded = herald_amplitude_branches(out, basis, DetectorModel(params.eta_d))
-    return [phi if phi.register == OUTPUT_REGISTER else phi.reorder(OUTPUT_REGISTER)
-            for phi in heralded]
+    return [phi if phi.register == register else phi.reorder(register) for phi in heralded]
 
 
 def sfg_heralded_branches(params: ExperimentParams, basis: str = "A", gain: float = 1.0):
@@ -228,19 +229,6 @@ def filtered_ensemble(filt: np.ndarray, params: ExperimentParams, eps1: SourcePa
 def heralded_ensemble(params: ExperimentParams, basis: str = "A") -> HeraldedEnsemble:
     """Heralded ensemble of the sources of ``params``."""
     return filtered_ensemble(heralding_filter(params, basis), params, params.eps1, params.eps2)
-
-
-def sfg_heralded_operator(params: ExperimentParams, basis: str = "A",
-                          gain: float = 1.0) -> tuple:
-    """Event-weighted heralded density operator and the input pure state."""
-    branches, psi_in = sfg_heralded_branches(params, basis=basis, gain=gain)
-    if branches:
-        rho = DensityOperator.from_branches(branches, register=OUTPUT_REGISTER,
-                                            n_max=2 * params.pair_cap)
-    else:
-        rho = DensityOperator(OUTPUT_REGISTER, {}, trace_meaning="event-probability",
-                              n_max=2 * params.pair_cap)
-    return rho, psi_in
 
 
 def _coincidence_tables(rho, effs: CoincidenceEfficiencies) -> dict:
@@ -366,11 +354,9 @@ def error_event_probs_simulated(gamma: float, t: float) -> tuple:
     """Brute-force counterpart of ``error_event_probs``.
 
     Builds the (2, 1)-pair sector state explicitly, runs it through the
-    ancilla-beamsplitter loss channels, and reads the two loss patterns off
-    the reduced photon-number distribution of the analyzer modes.
+    loss channels as pure Kraus branches, and reads the two loss patterns
+    off the photon-number distribution of the analyzer modes.
     """
-    from .optics import apply_loss
-
     two = _bell_pair_power(("aH", "aV"), ("dH", "dV"), 2)
     one = _bell_pair_power(("bH", "bV"), ("eH", "eV"), 1)
     # Lift the photon caps before the product: the joint sector carries six
@@ -378,22 +364,18 @@ def error_event_probs_simulated(gamma: float, t: float) -> tuple:
     two = PureState(two.register, two.amps, n_max=6)
     one = PureState(one.register, one.amps, n_max=6)
     psi = tensor(two, one)
-    rho = apply_loss(DensityOperator.from_pure(psi),
-                     LossMap({"aH": t, "aV": t, "bH": t, "bV": t}))
-    reg = rho.register
-    ia = [reg.index(m) for m in ("aH", "aV")]
-    ib = [reg.index(m) for m in ("bH", "bV")]
+    ia = [psi.register.index(m) for m in ("aH", "aV")]
+    ib = [psi.register.index(m) for m in ("bH", "bV")]
     p_one_lost_a = 0.0
     p_b_lost = 0.0
-    for (k, b), v in rho.entries.items():
-        if k != b:
-            continue
-        na = sum(k[i] for i in ia)
-        nb = sum(k[i] for i in ib)
-        if na == 1 and nb == 1:
-            p_one_lost_a += v.real
-        elif na == 2 and nb == 0:
-            p_b_lost += v.real
+    for phi in loss_branches(psi, LossMap({"aH": t, "aV": t, "bH": t, "bV": t})):
+        for occ, a in phi.amps.items():
+            na = sum(occ[i] for i in ia)
+            nb = sum(occ[i] for i in ib)
+            if na == 1 and nb == 1:
+                p_one_lost_a += abs(a) ** 2
+            elif na == 2 and nb == 0:
+                p_b_lost += abs(a) ** 2
     sector_weight = gamma ** 6
     return sector_weight * p_one_lost_a, sector_weight * p_b_lost
 
@@ -436,20 +418,19 @@ class TeleportReport:
     truncation_dropped: float
 
 
-def _one_photon_fidelity(rho_d: DensityOperator, alpha: complex, beta: complex) -> tuple:
-    """Fidelity to alpha|H> + beta|V> on the one-photon subspace of mode d."""
-    target = {(1, 0): complex(alpha), (0, 1): complex(beta)}
-    total = rho_d.trace()
-    one = 0.0
-    fid_num = 0.0 + 0.0j
-    for (k, b), v in rho_d.entries.items():
-        if sum(k) == 1 and sum(b) == 1:
-            if k == b:
-                one += v.real
-            fid_num += target[k].conjugate() * v * target[b]
+def _one_photon_readout(branches, alpha: complex, beta: complex) -> tuple:
+    """Herald probability, one-photon weight and fidelity to alpha|H> + beta|V>
+    on the one-photon subspace of mode d, of heralded pure branches on
+    (dH, dV)."""
+    total = one = overlap = 0.0
+    for phi in branches:
+        h, v = phi.amps.get((1, 0), 0.0), phi.amps.get((0, 1), 0.0)
+        total += phi.norm_sq()
+        one += abs(h) ** 2 + abs(v) ** 2
+        overlap += abs(alpha.conjugate() * h + beta.conjugate() * v) ** 2
     if one <= 0.0:
         raise ValueError("no one-photon component in the output state")
-    return float(fid_num.real) / one, one / total if total > 0 else 0.0
+    return total, one / total, overlap / one
 
 
 def teleport(params: ExperimentParams, input_polarization, input_mean_photons: float,
@@ -466,31 +447,19 @@ def teleport(params: ExperimentParams, input_polarization, input_mean_photons: f
     nrm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError("input polarization must be normalized")
-    n_max = 2 * params.pair_cap
     pair = tmsv_pair(params.eps1, ("aH", "aV"), ("dH", "dV"), params.pair_cap)
     z = math.sqrt(input_mean_photons)
-    coh = _coherent_state(("bH", "bV"), (z * alpha, z * beta), n_max)
+    coh = _coherent_state(("bH", "bV"), (z * alpha, z * beta), 2 * params.pair_cap)
     psi = tensor(pair, coh).reorder(("aH", "aV", "bH", "bV", "dH", "dV"))
-    dropped = psi.dropped_weight
-
-    losses = LossMap({"aH": params.t1H, "aV": params.t1V,
-                      "bH": params.t2H, "bV": params.t2V})
-    branches = loss_branches(psi, losses)
-    branches = sfg_branches(branches, params.sfg)
-    after_c = []
-    for phi in branches:
-        after_c.extend(loss_branches(phi, params.c_losses()))
-    heralded = herald_amplitude_branches(after_c, herald_basis, DetectorModel(params.eta_d))
+    heralded = _herald(psi, params, herald_basis, register=("dH", "dV"))
     if not heralded:
         raise ValueError("herald probability is zero")
-    rho_d = DensityOperator.from_branches(heralded, register=("dH", "dV"), n_max=n_max)
-    herald_prob = rho_d.trace()
     # Heralding on D transfers (alpha, beta); heralding on A flips the sign
     # of the V component.
     tb = beta if herald_basis == "D" else -beta
-    fidelity, one_weight = _one_photon_fidelity(rho_d, alpha, tb)
+    herald_prob, one_weight, fidelity = _one_photon_readout(heralded, alpha, tb)
     return TeleportReport(fidelity=fidelity, herald_prob=herald_prob,
-                          one_photon_weight=one_weight, truncation_dropped=dropped)
+                          one_photon_weight=one_weight, truncation_dropped=psi.dropped_weight)
 
 
 @dataclass(frozen=True)
@@ -518,15 +487,14 @@ def qfc_teleport_strong_pump(alpha: complex, beta: complex, chi_tau: float,
                          n_max=2)
     state = extend_state(pair, ("cH", "cV"))
     state = qfc_mode_transform(state, alpha, beta, chi_tau)
-    heralded = herald_amplitude_branches([state], "D", DetectorModel(eta_d))
+    heralded = [phi if phi.register == ("dH", "dV") else phi.reorder(("dH", "dV"))
+                for phi in herald_amplitude_branches([state], "D", DetectorModel(eta_d))]
     if not heralded:
         return QfcReport(fidelity=0.0, herald_prob=0.0,
                          conversion_angle_H=abs(alpha) * chi_tau,
                          conversion_angle_V=abs(beta) * chi_tau)
-    rho_d = DensityOperator.from_branches(heralded, register=("dH", "dV"), n_max=pair.n_max)
-    herald_prob = rho_d.trace()
     nrm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    fidelity, _ = _one_photon_fidelity(rho_d, alpha / nrm, beta / nrm)
+    herald_prob, _, fidelity = _one_photon_readout(heralded, alpha / nrm, beta / nrm)
     return QfcReport(fidelity=fidelity, herald_prob=herald_prob,
                      conversion_angle_H=abs(alpha) * chi_tau,
                      conversion_angle_V=abs(beta) * chi_tau)

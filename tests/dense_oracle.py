@@ -16,18 +16,8 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from sfgswap.fock import (
-    DensityOperator,
-    PureState,
-    apply_annihilation,
-    apply_creation,
-    expectation,
-    partial_trace,
-    sandwich,
-    tensor,
-    two_mode_rotation,
-    unitary_column_map,
-)
+from density_route import DensityOperator, expectation, partial_trace, sandwich, unitary_column_map
+from sfgswap.fock import PureState, apply_annihilation, apply_creation, tensor, two_mode_rotation
 
 
 def product_basis(n_modes: int, n_max: int):

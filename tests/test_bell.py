@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from density_route import chsh_value, heralded_state_with_dark, qber, sfg_heralded_operator
 from sfgswap import bell
 from sfgswap.bell import (
     CANONICAL_X0,
@@ -24,16 +25,13 @@ from sfgswap.bell import (
     _seed_objective,
     all_strategies,
     binary_entropy,
-    chsh_value,
     dw_key_rate,
     efficiency_threshold,
     ensemble_chsh,
     heralded_ensemble,
-    heralded_state_with_dark,
     holevo_chsh,
     optimize_chsh,
     optimize_key_rate,
-    qber,
 )
 from sfgswap.detection import (
     CoincidenceEfficiencies,
@@ -45,12 +43,7 @@ from sfgswap.optics import SfgParams, SourceParams
 from sfgswap import optimize
 from sfgswap.optimize import maximize_starts, nelder_mead
 from sfgswap.presets import get_preset, swap_params
-from sfgswap.protocols import (
-    ExperimentParams,
-    heralding_filter,
-    sfg_heralded_branches,
-    sfg_heralded_operator,
-)
+from sfgswap.protocols import ExperimentParams, heralding_filter, sfg_heralded_branches
 
 
 def make_params(**kwargs):

@@ -189,7 +189,30 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["swap-sfg", "--preset", "ideal", "--set", "pair_cap=1"]) == 2
     for bad in ("mu_1h=nan", "t_1h=1.5", "eta_1h=-0.1", "window_acceptance=2"):
         assert main(["swap-sfg", "--preset", "ideal", "--set", bad]) == 2
+    for bad in ("teleport.herald_basis=X", "teleport.mean_photons=-1",
+                "teleport.mean_photons=nan", "teleport.mean_photons=0"):
+        assert main(["teleport", "--preset", "ideal", "--set", bad]) == 2
+    for bad in (("qfc.chi_tau=nan",), ("qfc.chi_tau=-1",), ("qfc.chi_tau=inf",),
+                ("qfc.alpha=abc",), ("qfc.beta=nan",), ("qfc.alpha=0", "qfc.beta=0")):
+        assert main(["qfc", *(arg for value in bad for arg in ("--set", value))]) == 2
+    # No silent coercion: a fractional step count is not truncated, and a
+    # misspelled flag is not read as false.
+    assert main(["sweep", "--preset", "fig-s3", "--set", "sweep.steps=2.9"]) == 2
+    assert main(["bell", "--preset", "ideal", "--set", "bell.free_mu=treu",
+                 "--set", "bell.n_starts=1"]) == 2
     capsys.readouterr()
+
+
+def test_boolean_keys_accept_only_yes_and_no_words():
+    from sfgswap.cli import ConfigError, _get_bool
+    for word in ("1", "true", "YES", "True", "yes"):
+        assert _get_bool({"free_mu": word}, "free_mu", False) is True
+    for word in ("0", "false", "No", "FALSE", "no"):
+        assert _get_bool({"free_mu": word}, "free_mu", True) is False
+    assert _get_bool({}, "free_mu", True) is True
+    for word in ("treu", "", "2", "on"):
+        with pytest.raises(ConfigError, match="'free_mu' is not a boolean"):
+            _get_bool({"free_mu": word}, "free_mu", False)
 
 
 @pytest.mark.parametrize("experiment", ["bell", "keyrate"])

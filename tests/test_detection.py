@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 from dense_oracle import dense_density, product_basis
-from sfgswap.detection import (
+from density_route import (
     AnalyzerSetting,
+    DensityOperator,
+    expectation,
+    herald_projection,
+    joint_click_pattern_probs,
+    partial_trace,
+    threshold_povm,
+)
+from sfgswap.detection import (
     CoincidenceEfficiencies,
     DetectorModel,
     analyzer_coefficients,
@@ -16,20 +24,11 @@ from sfgswap.detection import (
     block_readout,
     click_prob,
     herald_amplitude_branches,
-    herald_projection,
-    joint_click_pattern_probs,
     reduced_branches,
     rotation_blocks,
-    threshold_povm,
     trig_basis,
 )
-from sfgswap.fock import (
-    DensityOperator,
-    PureState,
-    expectation,
-    partial_trace,
-    two_mode_rotation,
-)
+from sfgswap.fock import PureState, two_mode_rotation
 from sfgswap.optics import OUTPUT_REGISTER
 
 
@@ -102,8 +101,10 @@ def test_herald_rejects_two_converted_photons():
 
 def test_herald_basis_validation():
     psi = PureState(("cH", "cV", "dH"), {(1, 0, 0): 1.0}, n_max=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="herald basis must be 'D' or 'A'"):
         herald_projection(DensityOperator.from_pure(psi), "X", DetectorModel(1.0))
+    with pytest.raises(ValueError, match="herald basis must be 'D' or 'A'"):
+        herald_amplitude_branches([psi], "X", DetectorModel(1.0))
 
 
 def test_herald_on_diagonal_photon():

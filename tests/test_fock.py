@@ -8,16 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import run_oracle_suite
-from sfgswap.fock import (
-    DensityOperator,
-    ModeError,
-    PureState,
-    apply_creation,
-    partial_trace,
-    tensor,
-    tensor_density,
-    two_mode_rotation,
-)
+from density_route import DensityOperator, partial_trace, tensor_density
+from sfgswap.fock import ModeError, PureState, apply_creation, tensor, two_mode_rotation
 
 
 def test_dense_oracle_property_suite():
@@ -55,13 +47,6 @@ def test_reorder_roundtrip():
     assert back.amps == psi.amps
     with pytest.raises(ModeError):
         psi.reorder(("a", "b", "x"))
-
-
-def test_text_roundtrip():
-    psi = PureState(("a", "b"), {(1, 0): 0.6 + 0.1j, (0, 2): -0.79j}, n_max=2)
-    again = PureState.from_text(("a", "b"), psi.to_text(), n_max=2)
-    for occ, a in psi.amps.items():
-        assert abs(again.amps[occ] - a) < 1e-15
 
 
 def test_creation_truncation_tracks_dropped_weight():

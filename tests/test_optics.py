@@ -1,5 +1,6 @@
 """Sources, loss channels, and the SFG interaction, including the
-dual-route equivalences between density-operator and pure-branch paths."""
+dual-route equivalences between the pure-branch channels and the
+density-operator reference route."""
 
 import math
 
@@ -7,22 +8,21 @@ import numpy as np
 import pytest
 
 from dense_oracle import dense_density, product_basis, random_state
-from sfgswap.fock import DensityOperator, PureState
+from density_route import DensityOperator, apply_loss, apply_sfg_first_order, kraus_parity_check
+from sfgswap.fock import PureState
 from sfgswap.optics import (
     LossMap,
     SWAP_REGISTER,
     SfgParams,
     SourceParams,
-    apply_loss,
-    apply_sfg_first_order,
     build_swapping_input,
-    kraus_parity_check,
+    extend_state,
     loss_branches,
-    pbs_mix,
     qfc_mode_transform,
     sfg_branches,
     tmsv_pair,
 )
+from sfgswap.protocols import _pbs_mix_branch
 
 
 def test_source_params_gamma():
@@ -152,16 +152,14 @@ def test_kraus_parity_check_rejects_three_photons():
 def test_pbs_mix_is_an_involution():
     rng = np.random.default_rng(11)
     psi = random_state(rng, ("aH", "aV", "bH", "bV"), n_max=2)
-    rho = DensityOperator.from_pure(psi)
-    assert pbs_mix(pbs_mix(rho)).entries == rho.entries
-    assert pbs_mix(rho).trace() == pytest.approx(rho.trace())
+    assert _pbs_mix_branch(_pbs_mix_branch(psi)).amps == psi.amps
+    assert _pbs_mix_branch(psi).norm_sq() == pytest.approx(psi.norm_sq())
 
 
 def test_qfc_mode_transform_unitary_and_weak_pump():
     pair = PureState(("aH", "aV", "dH", "dV"),
                      {(1, 0, 1, 0): 1 / math.sqrt(2), (0, 1, 0, 1): 1 / math.sqrt(2)},
                      n_max=2)
-    from sfgswap.optics import extend_state
     state = extend_state(pair, ("cH", "cV"))
     out = qfc_mode_transform(state, 0.6, 0.8j, 0.7)
     assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)

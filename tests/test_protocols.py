@@ -6,14 +6,27 @@ import numpy as np
 import pytest
 
 from dense_oracle import dense_density, product_basis
-from sfgswap.bell import heralded_state_with_dark
-from sfgswap.detection import DetectorModel, herald_amplitude_branches, joint_click_pattern_probs
-from sfgswap.fock import DensityOperator
-from sfgswap.optics import SfgParams, SourceParams, kraus_parity_check
+from density_route import (
+    DensityOperator,
+    apply_loss,
+    apply_sfg_first_order,
+    herald_projection,
+    heralded_state_with_dark,
+    joint_click_pattern_probs,
+    kraus_parity_check,
+    one_photon_fidelity,
+    sandwich,
+    sfg_heralded_operator,
+    unitary_column_map,
+)
+from sfgswap.detection import DetectorModel, herald_amplitude_branches
+from sfgswap.fock import PureState, tensor
+from sfgswap.optics import SfgParams, SourceParams, extend_state, qfc_mode_transform, tmsv_pair
 from sfgswap.presets import get_preset, swap_params
 from sfgswap.protocols import (
     OUTPUT_REGISTER,
     ExperimentParams,
+    _coherent_state,
     _coincidence_tables,
     _visibility_x,
     _visibility_z,
@@ -22,7 +35,6 @@ from sfgswap.protocols import (
     heralded_ensemble,
     lo_swap,
     qfc_teleport_strong_pump,
-    sfg_heralded_operator,
     sfg_swap,
     teleport,
 )
@@ -197,3 +209,51 @@ def test_qfc_strong_pump_degrades_transfer():
     assert strong.fidelity < weak.fidelity
     assert strong.conversion_angle_H == pytest.approx(0.6 * 2.0)
     assert strong.conversion_angle_V == pytest.approx(0.8 * 2.0)
+
+
+R2 = 1 / math.sqrt(2)
+READOUT_POLARIZATIONS = [(1.0, 0.0), (R2, R2), (R2, 1j * R2)]
+
+
+def _teleport_density_route(params, pol, mean_photons, basis):
+    """(fidelity, herald probability, one-photon weight) of ``teleport`` with
+    every channel, the herald and the readout on density operators."""
+    alpha, beta = (complex(x) for x in pol)
+    pair = tmsv_pair(params.eps1, ("aH", "aV"), ("dH", "dV"), params.pair_cap)
+    z = math.sqrt(mean_photons)
+    coh = _coherent_state(("bH", "bV"), (z * alpha, z * beta), 2 * params.pair_cap)
+    psi = tensor(pair, coh).reorder(("aH", "aV", "bH", "bV", "dH", "dV"))
+    rho = apply_loss(DensityOperator.from_pure(psi), params.channel_losses())
+    rho = apply_loss(apply_sfg_first_order(rho, params.sfg), params.c_losses())
+    rho = herald_projection(rho, basis, DetectorModel(params.eta_d)).reorder(("dH", "dV"))
+    fidelity, weight = one_photon_fidelity(rho, alpha, beta if basis == "D" else -beta)
+    return fidelity, rho.trace(), weight
+
+
+@pytest.mark.parametrize("basis", ["D", "A"])
+@pytest.mark.parametrize("preset", ["ideal", "paper-tableS1", "fig-s3"])
+def test_teleport_readout_matches_density_route(preset, basis):
+    # Herald probability, one-photon weight and fidelity read off the pure
+    # branches equal the density-operator pipeline and readout.
+    params = swap_params(get_preset(preset)["params"])
+    for pol in READOUT_POLARIZATIONS:
+        fidelity, herald_prob, weight = _teleport_density_route(params, pol, 0.95, basis)
+        rep = teleport(params, pol, 0.95, herald_basis=basis)
+        assert rep.fidelity == pytest.approx(fidelity, abs=1e-12)
+        assert rep.one_photon_weight == pytest.approx(weight, abs=1e-12)
+        assert rep.herald_prob == pytest.approx(herald_prob, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("chi_tau", [0.01, 2.0], ids=["weak", "strong"])
+def test_qfc_readout_matches_density_route(chi_tau):
+    pair = PureState(("aH", "aV", "dH", "dV"), {(1, 0, 1, 0): R2, (0, 1, 0, 1): R2}, n_max=2)
+    state = extend_state(pair, ("cH", "cV"))
+    for alpha, beta in READOUT_POLARIZATIONS + [(0.6, 0.8)]:
+        col = unitary_column_map(state.register, state.n_max,
+                                 lambda s, a=alpha, b=beta: qfc_mode_transform(s, a, b, chi_tau))
+        rho = sandwich(DensityOperator.from_pure(state), col)
+        rho = herald_projection(rho, "D", DetectorModel(0.85)).reorder(("dH", "dV"))
+        fidelity, _ = one_photon_fidelity(rho, alpha, beta)
+        rep = qfc_teleport_strong_pump(alpha, beta, chi_tau, eta_d=0.85)
+        assert rep.fidelity == pytest.approx(fidelity, abs=1e-12)
+        assert rep.herald_prob == pytest.approx(rho.trace(), rel=1e-12, abs=1e-12)
