@@ -63,7 +63,6 @@ from .protocols import (
     error_event_probs_simulated,
     lo_swap,
     qfc_teleport_strong_pump,
-    sfg_heralded_branches,
     sfg_swap,
     teleport,
 )

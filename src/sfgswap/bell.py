@@ -92,7 +92,7 @@ def _wrap_angle(theta: float) -> float:
 
 @dataclass(frozen=True)
 class BellSettings:
-    """Analyzer angles of the CHSH test, wrapped into [0, pi).
+    """Analyzer angles of the CHSH test, wrapped into [-pi/2, pi/2).
 
     theta_a0 is the optional key-generation basis of the first party.
     """
@@ -114,7 +114,7 @@ class BellSettings:
 
 @dataclass(frozen=True)
 class HeraldedEntries:
-    """The nonzero entries of a heralded block density (``detection.block_density``
+    """The nonzero entries of a heralded block density (``detection.block_readout``
     with at most ``n`` photons per party), diagonal ones (a = a', b = b') first.
 
     Entry e of the state of sources with amplitude ratios gamma = sqrt(mu / (1 + mu))

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import concurrent.futures
-import configparser
-import json
 import math
 import sys
 
@@ -60,6 +57,8 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}")
     stripped = text.lstrip()
     if path.endswith(".json") or stripped.startswith("{"):
+        import json
+
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -68,6 +67,8 @@ def _load_config_file(path: str) -> dict:
                 isinstance(v, dict) for v in data.values()):
             raise ConfigError("JSON config must map section names to objects")
         return {s: dict(kv) for s, kv in data.items()}
+    import configparser
+
     parser = configparser.ConfigParser()
     parser.optionxform = str
     try:
@@ -204,10 +205,14 @@ def _run_teleport(config, fmt, out):
         pol = POLARIZATIONS[pol_name]
     else:
         try:
-            parts = [complex(p) for p in pol_name.split(",")]
-            pol = (parts[0], parts[1])
-        except (ValueError, IndexError):
+            pol = tuple(complex(p) for p in pol_name.split(","))
+        except ValueError:
             raise ConfigError(f"unknown polarization {pol_name!r}")
+        if len(pol) != 2:
+            raise ConfigError(f"polarization needs two amplitudes, got {pol_name!r}")
+        # The tolerance ``protocols.teleport`` accepts.
+        if not abs(math.sqrt(abs(pol[0]) ** 2 + abs(pol[1]) ** 2) - 1.0) <= 1e-9:
+            raise ConfigError(f"polarization must be normalized, got {pol_name!r}")
     mean_photons = _get_float(section, "mean_photons", 0.95)
     if not (math.isfinite(mean_photons) and mean_photons > 0.0):
         raise ConfigError(f"mean_photons must be finite and positive, got {mean_photons!r}")
@@ -395,6 +400,8 @@ def _run_sweep(config, fmt, out, jobs):
     # than there are points.
     workers = min(jobs, len(tasks))
     if workers > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_sweep_point, tasks))
     else:

@@ -10,11 +10,10 @@ H and V mode of each output arm followed by threshold detection of each arm
 An analyzer rotation keeps each party's photon number N and acts on the
 N-photon (H, V) block as the spin-N/2 representation of SU(2), so every
 pipeline readout is one contraction (``block_readout``) of small blocks of
-the state (``block_density``), and each analyzer operator is a trig
-polynomial in its angle (``analyzer_coefficients``), the form the Bell
-searches evaluate.  The density-operator POVMs, herald projection and
-click patterns of ``tests/density_route.py`` are the reference the tests
-compare against.
+the state, and each analyzer operator is a trig polynomial in its angle
+(``analyzer_coefficients``), the form the Bell searches evaluate.  The
+density-operator POVMs, herald projection and click patterns of
+``tests/density_route.py`` are the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -51,16 +50,21 @@ def click_prob(eta: float, n: int) -> float:
 HERALD_SIGNS = {"D": +1.0, "A": -1.0}
 
 
+def herald_sign(basis: str) -> float:
+    """Relative sign of the V term of the |D> or |A> herald projection."""
+    try:
+        return HERALD_SIGNS[basis]
+    except KeyError:
+        raise ValueError(f"herald basis must be 'D' or 'A', got {basis!r}") from None
+
+
 def herald_amplitude_branches(branches, basis: str, det: DetectorModel):
     """Pure-branch herald: <D/A| on the c modes of each branch.
 
     Returns pure states over the non-a/b/c modes whose outer products sum
     to the unnormalized heralded state; its trace is the herald probability.
     """
-    try:
-        sign = HERALD_SIGNS[basis]
-    except KeyError:
-        raise ValueError(f"herald basis must be 'D' or 'A', got {basis!r}") from None
+    sign = herald_sign(basis)
     scale = math.sqrt(det.efficiency)
     out = []
     for phi in branches:
@@ -88,23 +92,6 @@ class CoincidenceEfficiencies:
     d_V: float
     e_H: float
     e_V: float
-
-
-def block_density(pieces, n: int) -> np.ndarray:
-    """Photon-number-block density of the mixture of pure ``pieces`` on
-    (dH, dV, eH, eV), each party holding at most n photons: entry
-    [N_d, a, a', N_e, b, b'] is Re <a, N_d - a; b, N_e - b| rho |a', N_d - a'; b', N_e - b'>
-    (a, b count H photons).  Readouts conserve N_d and N_e and their
-    operators are real symmetric, so nothing else is kept."""
-    k = n + 1
-    rho = np.zeros((k * k, k * k, k * k))  # [(N_d, N_e), (a, b), (a', b')]
-    for chunk in (pieces[i:i + 32] for i in range(0, len(pieces), 32)):  # bounded scratch
-        psi = np.zeros((k * k, k * k, len(chunk)), dtype=complex)
-        for i, phi in enumerate(chunk):
-            for (dH, dV, eH, eV), amp in phi.amps.items():
-                psi[(dH + dV) * k + eH + eV, dH * k + eH, i] = amp
-        rho += (psi @ psi.conj().transpose(0, 2, 1)).real
-    return np.ascontiguousarray(rho.reshape((k,) * 6).transpose(0, 2, 4, 1, 3, 5))
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,17 +160,27 @@ def arm_click_probs(eta_H: float, eta_V: float, n: int) -> np.ndarray:
     return np.stack([1.0 - (1.0 - eta_H) ** a, 1.0 - (1.0 - eta_V) ** np.maximum(N - a, 0)])
 
 
+def analyzer_operators(r: np.ndarray, weights) -> np.ndarray:
+    """O[p, i, N, a, a'] = R_p^T diag(weights[i][N]) R_p on each N-photon block,
+    for rotation blocks R = ``rotation_blocks(-thetas, n)``: the analyzer at
+    angle thetas[p] with weight o[N, a] per photon-number state after it."""
+    return np.einsum("pNca,iNc,pNcb->piNab", r, np.asarray(weights), r)
+
+
 def block_readout(rho: np.ndarray, thetas_d, weights_d, thetas_e, weights_e) -> np.ndarray:
     """E[p, q, i, j] = Tr[rho (O(thetas_d[p], weights_d[i]) x O(thetas_e[q], weights_e[j]))]
-    for a ``block_density`` rho, with O(theta, o) = R(-theta)^T diag(o) R(-theta) for a
-    weight o[N, a] per photon-number state after the analyzer."""
+    for a block density rho, with O(theta, o) = R(-theta)^T diag(o) R(-theta) for a
+    weight o[N, a] per photon-number state after the analyzer.
+
+    The block density of a state on (dH, dV, eH, eV) with at most n photons
+    per party has entries [N_d, a, a', N_e, b, b'] =
+    Re <a, N_d - a; b, N_e - b| rho |a', N_d - a'; b', N_e - b'> (a, b count
+    H photons).  Readouts conserve N_d and N_e and their operators are real
+    symmetric, so nothing else is kept."""
     k, n_d = rho.shape[0], len(thetas_d)
     r = rotation_blocks(-np.concatenate([thetas_d, thetas_e]), k - 1)
-
-    def operators(r, weights):
-        return np.einsum("pNca,iNc,pNcb->piNab", r, np.asarray(weights), r).reshape(-1, k ** 3)
-
-    e = operators(r[:n_d], weights_d) @ rho.reshape(k ** 3, -1) @ operators(r[n_d:], weights_e).T
+    e = (analyzer_operators(r[:n_d], weights_d).reshape(-1, k ** 3) @ rho.reshape(k ** 3, -1)
+         @ analyzer_operators(r[n_d:], weights_e).reshape(-1, k ** 3).T)
     return e.reshape(n_d, -1, len(thetas_e), len(weights_e)).transpose(0, 2, 1, 3)
 
 

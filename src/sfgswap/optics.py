@@ -11,8 +11,12 @@ Conventions:
   * The sum-frequency interaction is kept to first order in the coupling;
     the converted branch creates exactly one photon in the c modes.
 
-Every channel acts on pure branches; the density-operator channels in
-``tests/density_route.py`` are the reference the tests compare against.
+The channels here act on pure branches, the route of teleportation,
+frequency-conversion teleportation and the error-event analysis; the swap
+pipelines apply the same loss amplitudes to arrays of pair numbers
+(``protocols.heralding_filter``, ``protocols.lo_swap``).  The
+density-operator channels in ``tests/density_route.py`` are the reference
+the tests compare against.
 """
 
 from __future__ import annotations

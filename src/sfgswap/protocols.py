@@ -10,19 +10,24 @@ The heralding pipeline is
 
 Loss, SFG and the herald act on the a, b and c modes only, and each pair
 source puts as many photons in d as in a (in e as in b), so the heralded
-state is a fixed heralding filter (``heralding_filter``, the pipeline run
-once on pure-state Kraus branches) rescaled by the source amplitudes
-(``source_amplitudes``).  Every visibility readout is one contraction of
-its photon-number-block density (``detection.block_readout``); the Bell
-searches read the same blocks through ``bell.SearchKernel``.  Teleportation
-and frequency-conversion teleportation read their fidelity straight off the
-heralded pure branches.  The density-operator route of
-``tests/density_route.py`` is the reference the tests compare against.
+state is a fixed heralding filter (``heralding_filter``) rescaled by the
+source amplitudes (``source_amplitudes``).  The filter and the
+linear-optical swap (``lo_swap``) are one array contraction over pair
+numbers: the heralded block density is
+rho(n, n') = sum_l w(n, l) w(n', l) O(n - l, n' - l), with w the loss
+amplitude of losing l of the n photons on each analyzer mode and O what the
+herald does to the photons kept.  Every visibility readout is one
+contraction of the photon-number-block density (``detection.block_readout``);
+the Bell searches read the same blocks through ``bell.SearchKernel``.
+Teleportation and frequency-conversion teleportation run the pipeline on
+pure-state Kraus branches and read their fidelity straight off the heralded
+branches.  The pure-branch swap pipelines and the density-operator route of
+``tests/density_route.py`` are the references the tests compare against.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,21 +36,19 @@ import numpy as np
 from .detection import (
     CoincidenceEfficiencies,
     DetectorModel,
+    analyzer_operators,
     arm_click_probs,
-    block_density,
     block_readout,
-    click_prob,
     herald_amplitude_branches,
-    reduced_branches,
+    herald_sign,
+    rotation_blocks,
 )
-from .fock import PureState, apply_creation, tensor, two_mode_rotation
+from .fock import PureState, apply_creation, tensor
 from .optics import (
     LossMap,
     OUTPUT_REGISTER,
-    SWAP_REGISTER,
     SfgParams,
     SourceParams,
-    build_swapping_input,
     extend_state,
     loss_branches,
     qfc_mode_transform,
@@ -150,30 +153,126 @@ def _herald(psi: PureState, params: ExperimentParams, basis: str, gain: float = 
     return [phi if phi.register == register else phi.reorder(register) for phi in heralded]
 
 
-def sfg_heralded_branches(params: ExperimentParams, basis: str = "A", gain: float = 1.0):
-    """Pure branches of the unnormalized heralded state on (dH, dV, eH, eV).
+def _bounded_rows(width: int, cap: int) -> np.ndarray:
+    """Every row of ``width`` nonnegative integers summing to at most ``cap``,
+    in lexicographic order."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(width):
+        room = cap + 1 - rows.sum(axis=1)
+        start = np.repeat(np.cumsum(room) - room, room)
+        rows = np.column_stack([np.repeat(rows, room, axis=0), np.arange(start.size) - start])
+    return rows
 
-    Returns (branches, psi_in).  The outer-product sum of the branches is
-    the event-weighted heralded operator; its trace is the herald
-    probability.
+
+@dataclass(frozen=True)
+class _SwapLayout:
+    """Index layout of the heralded swap state at one ``pair_cap``.
+
+    A row is a term of the swapping input with n = (n1H, n1V, n2H, n2V) pairs
+    of which l of the photons on (aH, aV, bH, bV) are lost in the channel and
+    m = n - l kept.  The rows of a pair (i, j) share l, and
+    m_j = m_i + d (1, -1, 1, -1): the kept photons that the linear-optical
+    analyzer, which conserves aH + bV and bH + aV, connects within one
+    photon-number block of (d, e).  The SFG herald connects the rows of the
+    d = -1 pairs, ``sfg_h`` to ``sfg_v``: converting an H pair of the first
+    leaves the same photons as converting a V pair of the second.  The bins
+    are flat indices of the block density (``detection.block_readout``).
     """
-    psi_in = build_swapping_input(params.eps1, params.eps2, pair_cap=params.pair_cap)
-    return _herald(psi_in, params, basis, gain), psi_in
+
+    n: np.ndarray
+    lost: np.ndarray
+    root_kept: np.ndarray
+    root_comb: np.ndarray  # [n, l] = sqrt(C(n, l))
+    source: np.ndarray  # flat index of each row's term in source_amplitudes
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    pair_bins: np.ndarray
+    pair_ops: tuple  # flat indices of (N, m_aH, m_aH') and (N, m_bH, m_bH'), N conserved
+    sfg_h: np.ndarray
+    sfg_v: np.ndarray
+    sfg_bins: np.ndarray  # of (h, h), (v, v), (h, v), (v, h)
+
+
+@functools.lru_cache(maxsize=None)
+def _swap_layout(cap: int) -> _SwapLayout:
+    k = cap + 1
+    rows = _bounded_rows(8, cap)
+    kept, lost = rows[:, :4], rows[:, 4:]
+    n = kept + lost
+    low = -np.minimum(kept[:, 0], kept[:, 2])
+    count = np.minimum(kept[:, 1], kept[:, 3]) - low + 1
+    i = np.repeat(np.arange(len(rows)), count)
+    d = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count) + low[i]
+    partners = rows[i] + np.multiply.outer(d, [1, -1, 1, -1, 0, 0, 0, 0])
+    codes = np.ravel_multi_index(rows.T, (k,) * 8)  # sorted, as the rows are
+    j = np.searchsorted(codes, np.ravel_multi_index(partners.T, (k,) * 8))
+
+    def bins(i, j):
+        return np.ravel_multi_index((n[i, 0] + n[i, 1], n[i, 0], n[j, 0],
+                                     n[i, 2] + n[i, 3], n[i, 2], n[j, 2]), (k,) * 6)
+
+    h, v = i[d == -1], j[d == -1]
+    layout = _SwapLayout(
+        n=n, lost=lost, root_kept=np.sqrt(kept),
+        root_comb=np.sqrt([[math.comb(x, y) for y in range(k)] for x in range(k)]),
+        source=np.ravel_multi_index((n[:, 0] + n[:, 1], n[:, 0], n[:, 2] + n[:, 3], n[:, 2]),
+                                    (k,) * 4),
+        pair_i=i, pair_j=j, pair_bins=bins(i, j),
+        pair_ops=(
+            np.ravel_multi_index((kept[i, 0] + kept[i, 3], kept[i, 0], kept[j, 0]), (k,) * 3),
+            np.ravel_multi_index((kept[i, 2] + kept[i, 1], kept[i, 2], kept[j, 2]), (k,) * 3)),
+        sfg_h=h, sfg_v=v,
+        sfg_bins=np.concatenate([bins(h, h), bins(v, v), bins(h, v), bins(v, h)]))
+    for value in vars(layout).values():
+        for arr in value if isinstance(value, tuple) else (value,):
+            arr.setflags(write=False)  # shared by every caller
+    return layout
+
+
+def _loss_amplitudes(layout: _SwapLayout, params: ExperimentParams, amp) -> np.ndarray:
+    """``amp`` times each row's channel-loss amplitude, the product over
+    (aH, aV, bH, bV) of sqrt(C(n, l)) t^((n - l) / 2) (1 - t)^(l / 2)."""
+    k = layout.root_comb.shape[0]
+    for col, t in enumerate((params.t1H, params.t1V, params.t2H, params.t2V)):
+        n, l = layout.n[:, col], layout.lost[:, col]
+        kept = np.array([t ** (x / 2.0) for x in range(k)])
+        gone = np.array([(1.0 - t) ** (x / 2.0) for x in range(k)])
+        amp = amp * layout.root_comb[n, l] * kept[n - l] * gone[l]
+    return amp
+
+
+def _binned_blocks(bins: np.ndarray, weights: np.ndarray, cap: int) -> np.ndarray:
+    """Block density with the sum of the weights of each bin."""
+    k = cap + 1
+    return np.bincount(bins, weights, minlength=k ** 6).reshape((k,) * 6)
 
 
 def heralding_filter(params: ExperimentParams, basis: str = "A") -> np.ndarray:
-    """Block density R (``detection.block_density``) of the heralded state of
+    """Block density R (``detection.block_readout``) of the heralded state of
     the unit-amplitude input: amplitude 1 on every term of
     ``build_swapping_input`` with at most ``pair_cap`` pairs.
 
     It does not depend on the source strengths: the heralded state of any
     sources is R times the outer product of their ``source_amplitudes``.
+    Each row's amplitude is its loss amplitude times that of
+    K = sqrt(eta_d / 2) (sqrt(sfg_H eta_tH) aH bH +- sqrt(sfg_V eta_tV) aV bV)
+    on its kept photons.
     """
-    cap = params.pair_cap
-    unit = {pairs + pairs: 1.0 for pairs in itertools.product(range(cap + 1), repeat=4)
-            if sum(pairs) <= cap}
-    return block_density(_herald(PureState(SWAP_REGISTER, unit, n_max=2 * cap), params, basis),
-                         cap)
+    sign = herald_sign(basis)
+    layout = _swap_layout(params.pair_cap)
+    w = _loss_amplitudes(layout, params, 1.0)
+    amps = []
+    for rows, (ca, cb), eta, eta_t, s in (
+            (layout.sfg_h, (0, 2), params.sfg.eta_H, params.eta_tH, 1.0),
+            (layout.sfg_v, (1, 3), params.sfg.eta_V, params.eta_tV, sign)):
+        root = layout.root_kept[rows]
+        # The factors in the order the pure-branch pipeline applies them, so
+        # that the lossless filter is the same to the last bit.
+        amps.append(w[rows] * root[:, ca] * root[:, cb] * math.sqrt(eta) * eta_t ** 0.5
+                    * s / math.sqrt(2.0) * math.sqrt(params.eta_d))
+    h, v = amps
+    return _binned_blocks(layout.sfg_bins, np.concatenate([h * h, v * v, h * v, v * h]),
+                          params.pair_cap)
 
 
 def source_amplitudes(eps1: SourceParams, eps2: SourceParams, pair_cap: int) -> np.ndarray:
@@ -194,7 +293,7 @@ def source_amplitudes(eps1: SourceParams, eps2: SourceParams, pair_cap: int) -> 
 @dataclass(frozen=True)
 class HeraldedEnsemble:
     """Heralded state split by origin, as photon-number-block densities
-    (``detection.block_density``) weighted by their event probabilities:
+    (``detection.block_readout``) weighted by their event probabilities:
     ``rho_sfg`` for a photon herald within the coincidence window and no
     dark count, ``rho_dark`` for a dark-count herald, which leaves the
     whole reduced input state.
@@ -275,18 +374,6 @@ def sfg_swap(params: ExperimentParams, basis: str = "A") -> VisibilityReport:
     )
 
 
-def _pbs_mix_branch(phi: PureState) -> PureState:
-    reg = phi.register
-    i = reg.index("aV")
-    j = reg.index("bV")
-    amps = {}
-    for occ, a in phi.amps.items():
-        lst = list(occ)
-        lst[i], lst[j] = lst[j], lst[i]
-        amps[tuple(lst)] = a
-    return PureState(reg, amps, n_max=phi.n_max)
-
-
 def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
     """Linear-optical Bell-state-analyzer counterpart of ``sfg_swap``.
 
@@ -295,27 +382,30 @@ def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
     (efficiency ``eta_bsa``) plus one analyzer arm on each of d and e.
     The BSA is assumed dark-count free; ``herald_prob`` is the probability
     of its two-fold click.
+
+    The PBS sends aH and bV to one output and bH and aV to the other, each
+    read in the diagonal basis with a threshold click on one arm, so the
+    herald acts on the kept photons as the product of two analyzer operators
+    (``detection.analyzer_operators``) at angle pi/4: on (aH, bV) clicking
+    on the V arm and on (bH, aV) clicking on the H arm.
     """
-    psi_in = build_swapping_input(params.eps1, params.eps2, pair_cap=params.pair_cap)
-    i_aV, i_bH = SWAP_REGISTER.index("aV"), SWAP_REGISTER.index("bH")
-    pieces = []
-    for phi in loss_branches(psi_in, params.channel_losses()):
-        phi = two_mode_rotation(_pbs_mix_branch(phi), "aH", "aV", -math.pi / 4)
-        phi = two_mode_rotation(phi, "bH", "bV", -math.pi / 4)
-        # Weight each amplitude by the square root of the BSA's two-fold
-        # click probability, then split by the a, b occupations: one piece
-        # on the output modes per BSA photon-number outcome.
-        amps = {occ: a * math.sqrt(click_prob(eta_bsa, occ[i_bH]) * click_prob(eta_bsa, occ[i_aV]))
-                for occ, a in phi.amps.items()}
-        pieces.extend(reduced_branches(PureState(phi.register, amps, n_max=phi.n_max)))
-    tables = _coincidence_tables(block_density(pieces, params.pair_cap),
-                                 params.analyzer_efficiencies())
+    cap = params.pair_cap
+    layout = _swap_layout(cap)
+    c = source_amplitudes(params.eps1, params.eps2, cap).ravel()[layout.source]
+    w = _loss_amplitudes(layout, params, c)
+    clicks = arm_click_probs(eta_bsa, eta_bsa, cap)
+    ops = analyzer_operators(rotation_blocks([-math.pi / 4], cap), clicks[::-1])[0]
+    i, j = layout.pair_i, layout.pair_j
+    op_a, op_b = layout.pair_ops
+    rho = _binned_blocks(layout.pair_bins,
+                         w[i] * w[j] * ops[0].ravel()[op_a] * ops[1].ravel()[op_b], cap)
+    tables = _coincidence_tables(rho, params.analyzer_efficiencies())
     v_z = _visibility_z(tables["z"])
     v_x = _visibility_x(tables["x"])
     return VisibilityReport(
         v_z=v_z, v_x=v_x,
         fidelity_lower_bound=(v_z + v_x) / 2.0,
-        herald_prob=sum(p.norm_sq() for p in pieces),
+        herald_prob=float(np.einsum("NaaMbb->", rho)),
         p_z=tables["z"], p_x=tables["x"],
         p_sfg_z=tables["z"], p_sfg_x=tables["x"],
     )

@@ -1,12 +1,14 @@
 """Density-operator reference route of the swapping model.
 
-The package computes every pipeline on pure Kraus branches and
-photon-number blocks.  This module is the independent route the tests
-compare it against: sparse density operators over occupation pairs, the
-loss and first-order SFG channels as conjugations of those operators, the
-herald as a projection, threshold-detector POVMs, and the sixteen joint
-click patterns read off the rotated photon-number diagonal, with CHSH and
-QBER on top.  It shares no readout code with the package.
+The package computes every pipeline on pure Kraus branches, arrays over
+pair numbers and photon-number blocks.  This module is the independent
+route the tests compare it against: sparse density operators over
+occupation pairs, the loss and first-order SFG channels as conjugations of
+those operators, the herald as a projection, threshold-detector POVMs, and
+the sixteen joint click patterns read off the rotated photon-number
+diagonal, with CHSH and QBER on top.  It shares no readout code with the package.  Next to it sit
+the pure-branch swap pipelines, the reference for the array kernel of
+``protocols.heralding_filter`` and ``protocols.lo_swap``.
 
 Entries are pruned relative to the operator's largest entry, so the route
 stays exact on operators of tiny trace such as the ``paper-tableS1``
@@ -15,6 +17,7 @@ heralded state (trace about 7.5e-12).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,11 +45,21 @@ from sfgswap.optics import (
     ANALYZER_MODES,
     OUTPUT_REGISTER,
     SFG_OUTPUT_MODES,
+    SWAP_REGISTER,
     LossMap,
     SfgParams,
     _sfg_operator,
+    build_swapping_input,
+    loss_branches,
 )
-from sfgswap.protocols import ExperimentParams, sfg_heralded_branches
+from sfgswap.protocols import (
+    ExperimentParams,
+    VisibilityReport,
+    _coincidence_tables,
+    _herald,
+    _visibility_x,
+    _visibility_z,
+)
 
 # Validity-check tolerances.
 EPS_HERM = 1e-10
@@ -571,6 +584,84 @@ def heralded_state_with_dark(rho_sfg: DensityOperator, psi_in: PureState,
     if total <= 0.0:
         raise ValueError("zero total herald probability")
     return rho.scaled(1.0 / total)
+
+
+# Pure-branch swap pipelines: the states the array kernel of
+# ``protocols.heralding_filter`` and ``protocols.lo_swap`` computes, built
+# from the Kraus branches of the input state.
+
+def block_density(pieces, n: int) -> np.ndarray:
+    """Block density (``detection.block_readout``) of the mixture of pure
+    ``pieces`` on (dH, dV, eH, eV), each party holding at most n photons."""
+    k = n + 1
+    rho = np.zeros((k * k, k * k, k * k))  # [(N_d, N_e), (a, b), (a', b')]
+    for chunk in (pieces[i:i + 32] for i in range(0, len(pieces), 32)):  # bounded scratch
+        psi = np.zeros((k * k, k * k, len(chunk)), dtype=complex)
+        for i, phi in enumerate(chunk):
+            for (dH, dV, eH, eV), amp in phi.amps.items():
+                psi[(dH + dV) * k + eH + eV, dH * k + eH, i] = amp
+        rho += (psi @ psi.conj().transpose(0, 2, 1)).real
+    return np.ascontiguousarray(rho.reshape((k,) * 6).transpose(0, 2, 4, 1, 3, 5))
+
+
+def sfg_heralded_branches(params: ExperimentParams, basis: str = "A", gain: float = 1.0):
+    """Pure branches of the unnormalized heralded state on (dH, dV, eH, eV).
+
+    Returns (branches, psi_in).  The outer-product sum of the branches is
+    the event-weighted heralded operator; its trace is the herald
+    probability.
+    """
+    psi_in = build_swapping_input(params.eps1, params.eps2, pair_cap=params.pair_cap)
+    return _herald(psi_in, params, basis, gain), psi_in
+
+
+def branch_heralding_filter(params: ExperimentParams, basis: str = "A") -> np.ndarray:
+    """``protocols.heralding_filter`` from the branches of the unit-amplitude
+    input: amplitude 1 on every term with at most ``pair_cap`` pairs."""
+    cap = params.pair_cap
+    unit = {pairs + pairs: 1.0 for pairs in itertools.product(range(cap + 1), repeat=4)
+            if sum(pairs) <= cap}
+    return block_density(_herald(PureState(SWAP_REGISTER, unit, n_max=2 * cap), params, basis),
+                         cap)
+
+
+def _pbs_mix_branch(phi: PureState) -> PureState:
+    """Polarizing beamsplitter on a and b: swaps the aV and bV occupations."""
+    reg = phi.register
+    i = reg.index("aV")
+    j = reg.index("bV")
+    amps = {}
+    for occ, a in phi.amps.items():
+        lst = list(occ)
+        lst[i], lst[j] = lst[j], lst[i]
+        amps[tuple(lst)] = a
+    return PureState(reg, amps, n_max=phi.n_max)
+
+
+def branch_lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
+    """``protocols.lo_swap`` on pure branches: channel loss, the PBS, the
+    -pi/4 rotations of a and b, and the square root of the BSA's two-fold
+    click probability on each amplitude, split by the a, b occupations."""
+    psi_in = build_swapping_input(params.eps1, params.eps2, pair_cap=params.pair_cap)
+    i_aV, i_bH = SWAP_REGISTER.index("aV"), SWAP_REGISTER.index("bH")
+    pieces = []
+    for phi in loss_branches(psi_in, params.channel_losses()):
+        phi = two_mode_rotation(_pbs_mix_branch(phi), "aH", "aV", -math.pi / 4)
+        phi = two_mode_rotation(phi, "bH", "bV", -math.pi / 4)
+        amps = {occ: a * math.sqrt(click_prob(eta_bsa, occ[i_bH]) * click_prob(eta_bsa, occ[i_aV]))
+                for occ, a in phi.amps.items()}
+        pieces.extend(reduced_branches(PureState(phi.register, amps, n_max=phi.n_max)))
+    tables = _coincidence_tables(block_density(pieces, params.pair_cap),
+                                 params.analyzer_efficiencies())
+    v_z = _visibility_z(tables["z"])
+    v_x = _visibility_x(tables["x"])
+    return VisibilityReport(
+        v_z=v_z, v_x=v_x,
+        fidelity_lower_bound=(v_z + v_x) / 2.0,
+        herald_prob=sum(p.norm_sq() for p in pieces),
+        p_z=tables["z"], p_x=tables["x"],
+        p_sfg_z=tables["z"], p_sfg_x=tables["x"],
+    )
 
 
 # Pipelines.

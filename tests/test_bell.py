@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from density_route import chsh_value, heralded_state_with_dark, qber, sfg_heralded_operator
+from density_route import (
+    block_density,
+    chsh_value,
+    heralded_state_with_dark,
+    qber,
+    sfg_heralded_branches,
+    sfg_heralded_operator,
+)
 from sfgswap import bell
 from sfgswap.bell import (
     CANONICAL_X0,
@@ -35,7 +42,6 @@ from sfgswap.bell import (
 )
 from sfgswap.detection import (
     CoincidenceEfficiencies,
-    block_density,
     block_readout,
     reduced_branches,
 )
@@ -43,7 +49,7 @@ from sfgswap.optics import SfgParams, SourceParams
 from sfgswap import optimize
 from sfgswap.optimize import maximize_starts, nelder_mead
 from sfgswap.presets import get_preset, swap_params
-from sfgswap.protocols import ExperimentParams, heralding_filter, sfg_heralded_branches
+from sfgswap.protocols import ExperimentParams, heralding_filter
 
 
 def make_params(**kwargs):

@@ -133,6 +133,21 @@ def test_runtime_needs_no_scipy(tmp_path):
     assert abs(float(values["S"]) - 2.0 * math.sqrt(2.0)) <= 1e-4
 
 
+def test_cli_import_leaves_pool_and_ini_modules_unloaded():
+    # The process pool (and the logging it loads) and the config parsers
+    # serve only parallel sweeps and config files; other requests skip them.
+    script = textwrap.dedent("""
+        import sys
+        import sfgswap.cli
+        loaded = [m for m in ("concurrent.futures", "configparser") if m in sys.modules]
+        assert not loaded, loaded
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(sfgswap.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_sweep_ordering_and_parallel_determinism(tmp_path):
     args = ("sweep", "--preset", "fig-s3", "--set", "sweep.steps=3",
             "--format", "csv")
@@ -190,7 +205,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     for bad in ("mu_1h=nan", "t_1h=1.5", "eta_1h=-0.1", "window_acceptance=2"):
         assert main(["swap-sfg", "--preset", "ideal", "--set", bad]) == 2
     for bad in ("teleport.herald_basis=X", "teleport.mean_photons=-1",
-                "teleport.mean_photons=nan", "teleport.mean_photons=0"):
+                "teleport.mean_photons=nan", "teleport.mean_photons=0",
+                "teleport.polarization=1,0,5", "teleport.polarization=1,1"):
         assert main(["teleport", "--preset", "ideal", "--set", bad]) == 2
     for bad in (("qfc.chi_tau=nan",), ("qfc.chi_tau=-1",), ("qfc.chi_tau=inf",),
                 ("qfc.alpha=abc",), ("qfc.beta=nan",), ("qfc.alpha=0", "qfc.beta=0")):

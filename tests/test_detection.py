@@ -9,6 +9,7 @@ from dense_oracle import dense_density, product_basis
 from density_route import (
     AnalyzerSetting,
     DensityOperator,
+    block_density,
     expectation,
     herald_projection,
     joint_click_pattern_probs,
@@ -20,7 +21,6 @@ from sfgswap.detection import (
     DetectorModel,
     analyzer_coefficients,
     arm_click_probs,
-    block_density,
     block_readout,
     click_prob,
     herald_amplitude_branches,

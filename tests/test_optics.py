@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from dense_oracle import dense_density, product_basis, random_state
-from density_route import DensityOperator, apply_loss, apply_sfg_first_order, kraus_parity_check
+from density_route import (
+    DensityOperator,
+    _pbs_mix_branch,
+    apply_loss,
+    apply_sfg_first_order,
+    kraus_parity_check,
+)
 from sfgswap.fock import PureState
 from sfgswap.optics import (
     LossMap,
@@ -22,7 +28,6 @@ from sfgswap.optics import (
     sfg_branches,
     tmsv_pair,
 )
-from sfgswap.protocols import _pbs_mix_branch
 
 
 def test_source_params_gamma():

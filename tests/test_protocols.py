@@ -9,6 +9,8 @@ from dense_oracle import dense_density, product_basis
 from density_route import (
     DensityOperator,
     apply_loss,
+    branch_heralding_filter,
+    branch_lo_swap,
     apply_sfg_first_order,
     herald_projection,
     heralded_state_with_dark,
@@ -33,6 +35,7 @@ from sfgswap.protocols import (
     error_event_probs,
     error_event_probs_simulated,
     heralded_ensemble,
+    heralding_filter,
     lo_swap,
     qfc_teleport_strong_pump,
     sfg_swap,
@@ -141,6 +144,52 @@ def test_lo_swap_degrades_with_loss():
     assert lossy.v_z < clean.v_z
     assert lossy.herald_prob > 0.0
     assert lossy.herald_prob < clean.herald_prob
+
+
+# Each preset at its own channel transmittances (fig-s3 at the middle of its
+# loss sweep) and at asymmetric ones, at every pair cap the model runs.
+ASYMMETRIC_CHANNEL = {"t1H": 0.6, "t1V": 0.5, "t2H": 0.7, "t2V": 0.65}
+SWAP_CASES = {
+    f"{preset}-{cap}-{channel}": swap_params(get_preset(preset)["params"]).replace(
+        pair_cap=cap, **(ASYMMETRIC_CHANNEL if channel == "asym" else own))
+    for preset, own in (("ideal", {}), ("paper-tableS1", {}),
+                        ("fig-s3", dict.fromkeys(ASYMMETRIC_CHANNEL, 0.55)))
+    for cap in (2, 3, 4, 5) for channel in ("own", "asym")
+}
+
+
+@pytest.mark.parametrize("eta_bsa", [1.0, 0.8])
+@pytest.mark.parametrize("case", list(SWAP_CASES))
+def test_lo_swap_matches_branch_route(case, eta_bsa):
+    params = SWAP_CASES[case]
+    fast, slow = lo_swap(params, eta_bsa), branch_lo_swap(params, eta_bsa)
+    assert fast.v_z == pytest.approx(slow.v_z, abs=1e-12)
+    assert fast.v_x == pytest.approx(slow.v_x, abs=1e-12)
+    assert fast.herald_prob == pytest.approx(slow.herald_prob, rel=1e-12)
+    for name in ("p_z", "p_x"):
+        table, ref = getattr(fast, name), getattr(slow, name)
+        assert table.keys() == ref.keys()
+        for ij, p in ref.items():
+            assert table[ij] == pytest.approx(p, abs=1e-12 * slow.herald_prob)
+
+
+@pytest.mark.parametrize("basis", ["A", "D"])
+@pytest.mark.parametrize("case", list(SWAP_CASES))
+def test_heralding_filter_matches_branch_route(case, basis):
+    params = SWAP_CASES[case]
+    fast, slow = heralding_filter(params, basis), branch_heralding_filter(params, basis)
+    assert fast.shape == slow.shape
+    assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
+    # The same nonzero entries, which the Bell searches gather.
+    assert np.array_equal(fast != 0.0, slow != 0.0)
+
+
+@pytest.mark.parametrize("basis", ["A", "D"])
+def test_lossless_heralding_filter_is_bit_exact(basis):
+    # The ideal filter at pair_cap 2 feeds the efficiency-threshold search,
+    # whose path turns on its last bits: 1/2 and 0.5000000000000001 differ.
+    params = SWAP_CASES["ideal-2-own"]
+    assert np.array_equal(heralding_filter(params, basis), branch_heralding_filter(params, basis))
 
 
 def test_sfg_swap_visibilities_invariant_under_sfg_gain():
