@@ -187,7 +187,8 @@ class _SwapLayout:
     pair_i: np.ndarray
     pair_j: np.ndarray
     pair_bins: np.ndarray
-    pair_ops: tuple  # flat indices of (N, m_aH, m_aH') and (N, m_bH, m_bH'), N conserved
+    pair_ahbv: np.ndarray  # flat index of (m_aH + m_bV, m_aH, m_aH') of each pair
+    pair_bhav: np.ndarray  # flat index of (m_bH + m_aV, m_bH, m_bH')
     sfg_h: np.ndarray
     sfg_v: np.ndarray
     sfg_bins: np.ndarray  # of (h, h), (v, v), (h, v), (v, h)
@@ -218,14 +219,12 @@ def _swap_layout(cap: int) -> _SwapLayout:
         source=np.ravel_multi_index((n[:, 0] + n[:, 1], n[:, 0], n[:, 2] + n[:, 3], n[:, 2]),
                                     (k,) * 4),
         pair_i=i, pair_j=j, pair_bins=bins(i, j),
-        pair_ops=(
-            np.ravel_multi_index((kept[i, 0] + kept[i, 3], kept[i, 0], kept[j, 0]), (k,) * 3),
-            np.ravel_multi_index((kept[i, 2] + kept[i, 1], kept[i, 2], kept[j, 2]), (k,) * 3)),
+        pair_ahbv=np.ravel_multi_index((kept[i, 0] + kept[i, 3], kept[i, 0], kept[j, 0]), (k,) * 3),
+        pair_bhav=np.ravel_multi_index((kept[i, 2] + kept[i, 1], kept[i, 2], kept[j, 2]), (k,) * 3),
         sfg_h=h, sfg_v=v,
         sfg_bins=np.concatenate([bins(h, h), bins(v, v), bins(h, v), bins(v, h)]))
-    for value in vars(layout).values():
-        for arr in value if isinstance(value, tuple) else (value,):
-            arr.setflags(write=False)  # shared by every caller
+    for arr in vars(layout).values():
+        arr.setflags(write=False)  # shared by every caller
     return layout
 
 
@@ -396,9 +395,8 @@ def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
     clicks = arm_click_probs(eta_bsa, eta_bsa, cap)
     ops = analyzer_operators(rotation_blocks([-math.pi / 4], cap), clicks[::-1])[0]
     i, j = layout.pair_i, layout.pair_j
-    op_a, op_b = layout.pair_ops
-    rho = _binned_blocks(layout.pair_bins,
-                         w[i] * w[j] * ops[0].ravel()[op_a] * ops[1].ravel()[op_b], cap)
+    rho = _binned_blocks(layout.pair_bins, w[i] * w[j] * ops[0].ravel()[layout.pair_ahbv]
+                         * ops[1].ravel()[layout.pair_bhav], cap)
     tables = _coincidence_tables(rho, params.analyzer_efficiencies())
     v_z = _visibility_z(tables["z"])
     v_x = _visibility_x(tables["x"])
