@@ -16,8 +16,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detection import CoincidenceEfficiencies, analyzer_coefficients, arm_click_probs, trig_basis
-from .optimize import bisect_threshold, maximize_starts, multistart_maximize, prescan_monotone
+from .detection import (
+    CoincidenceEfficiencies,
+    analyzer_coefficients,
+    arm_click_probs,
+    trig_basis,
+    trig_basis_and_derivative,
+)
+from .optimize import (
+    bisect_threshold,
+    maximize_starts_bfgs,
+    multistart_maximize,
+    prescan_monotone,
+)
 from .protocols import ExperimentParams, HeraldedEnsemble, heralded_ensemble, heralding_filter
 
 RT2 = math.sqrt(2.0)
@@ -180,6 +191,8 @@ class SearchKernel:
         if entries.powers is None:
             self._total = self._trace(self._weight)
         else:
+            self._mode_powers = entries.powers.astype(float)
+            self._diagonal_powers = self._mode_powers[:, :entries.n_diagonal]
             # entry e of mode m's row of the flattened table gamma_m ** k
             self._powers = np.arange(4)[:, None] * (2 * n + 1) + entries.powers
 
@@ -189,6 +202,15 @@ class SearchKernel:
             raise ValueError("zero total herald probability")
         return total
 
+    def _state(self, mu):
+        """Entry weights rho[..., e] and trace at mean photon numbers ``mu``."""
+        if mu is None:
+            return self._weight, self._total
+        gamma = np.sqrt(mu / (1.0 + mu))
+        table = (gamma[..., None] ** self._exponents).reshape(gamma.shape[:-1] + (-1,))
+        rho = self._weight * table.take(self._powers, axis=-1).prod(axis=-2)
+        return rho, self._trace(rho)
+
     def correlators(self, thetas_a, thetas_b, mu=None) -> np.ndarray:
         """E[p, q] at analyzer angles thetas_a[p] and thetas_b[q]; ``mu`` holds
         the mean photon numbers (1H, 1V, 2H, 2V), given exactly when the
@@ -196,20 +218,60 @@ class SearchKernel:
 
         Stacked inputs, angles of shape (m, p) and (m, q) and ``mu`` of shape
         (m, 4), give E[m, p, q], each point computed as it is alone."""
-        if mu is None:
-            rho, total = self._weight, self._total
-        else:
+        if mu is not None:
             mu = np.asarray(mu, dtype=float)
-            gamma = np.sqrt(mu / (1.0 + mu))
-            table = (gamma[..., None] ** self._exponents).reshape(gamma.shape[:-1] + (-1,))
-            rho = self._weight * table.take(self._powers, axis=-1).prod(axis=-2)
-            total = self._trace(rho)[..., None, None]
+        rho, total = self._state(mu)
+        if mu is not None:
+            total = total[..., None, None]
             rho = rho[..., None, :]
         thetas_a = np.asarray(thetas_a, dtype=float)
         n_a = thetas_a.shape[-1]
         t = trig_basis(np.concatenate((thetas_a, thetas_b), axis=-1), self._n)
         return ((t[..., :n_a, :] @ self._ca * rho)
                 @ (t[..., n_a:, :] @ self._cb).swapaxes(-1, -2) / total)
+
+    def correlator_gradients(self, thetas_a, thetas_b, mu=None):
+        """E[p, q] of ``correlators`` with its exact derivatives.
+
+        Returns (E, dE_a, dE_b, dE_mu): dE_a[p, q] is the derivative of
+        E[p, q] in thetas_a[p] and dE_b[p, q] in thetas_b[q] (E[p, q] does not
+        depend on the other angles), and dE_mu[k, p, q] in mu[k], or None
+        without ``mu``.  An angle derivative is the same trig polynomial in
+        the derivative basis (``trig_basis_and_derivative``).  A source
+        strength scales entry e by gamma ** powers, so d rho_e / d mu_k =
+        rho_e powers[k, e] / (2 mu_k (1 + mu_k)), and the trace follows by
+        the quotient rule.  One product serves every numerator: party a's
+        rows (each angle's operator and its derivative, then the operators
+        times each mode's powers) against party b's (operator, derivative).
+        Stacked inputs stack every output, each point as it is alone."""
+        if mu is not None:
+            mu = np.asarray(mu, dtype=float)
+        rho, total = self._state(mu)
+        thetas_a = np.asarray(thetas_a, dtype=float)
+        rows = trig_basis_and_derivative(np.concatenate((thetas_a, thetas_b), axis=-1), self._n)
+        rows = rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1]))
+        n_a = 2 * thetas_a.shape[-1]
+        ops_a = rows[..., :n_a, :] @ self._ca
+        ops_b = rows[..., n_a:, :] @ self._cb
+        if mu is not None:
+            by_mode = ops_a[..., None, ::2, :] * self._mode_powers[:, None, :]
+            ops_a = np.concatenate(
+                (ops_a, by_mode.reshape(by_mode.shape[:-3] + (-1, by_mode.shape[-1]))), axis=-2)
+        scale = total if mu is None else total[..., None, None]
+        m = (ops_a * rho[..., None, :]) @ ops_b.swapaxes(-1, -2) / scale
+        e = m[..., :n_a:2, ::2]
+        de_a = m[..., 1:n_a:2, ::2]
+        de_b = m[..., :n_a:2, 1::2]
+        if mu is None:
+            return e, de_a, de_b, None
+        rate = 0.5 / (mu * (1.0 + mu))
+        # summed along the entries as in ``_trace``, so a stack sums each
+        # point in the same order as that point alone
+        dtotal = rate * (rho[..., None, :self._n_diagonal] * self._diagonal_powers).sum(
+            axis=-1) / total[..., None]
+        num = m[..., n_a:, ::2].reshape(m.shape[:-2] + (4, n_a // 2, -1))
+        de_mu = num * rate[..., None, None] - e[..., None, :, :] * dtotal[..., None, None]
+        return e, de_a, de_b, de_mu
 
 
 def _chsh(e) -> float:
@@ -298,6 +360,12 @@ _KEY_ANGLES_A = np.array([1, 2, 0])
 
 def _angle_bounds(n: int):
     return [(-math.pi / 2, math.pi / 2)] * n
+
+
+# A gradient search leaves the analyzer angles unbounded: every CHSH value
+# has period pi in each angle, and a box edge at +/-pi/2 would only add
+# corners where a search stops short of an optimum across the edge.
+_FREE_ANGLES = [(-math.inf, math.inf)] * 4
 
 
 def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
@@ -416,6 +484,43 @@ def _seed_objective(eta: float):
     return objective
 
 
+def _seed_gradient(eta: float):
+    """Gradient of ``_seed_objective(eta)`` in x = (t, a1, a2, b1, b2), closed form.
+
+    With the weights (1, 1, 1, -1) of the four correlators the value is
+    2 - 4 p_a1 - 4 p_b1 + 4 eta^2 sum_ab w_ab amp_ab^2, where amp_ab =
+    c cos a sin b + s sin a cos b is the amplitude of a double click."""
+    eta = float(eta)
+    k = 8.0 * eta * eta
+
+    def gradient(x):
+        t, a1, a2, b1, b2 = x
+        c, s = math.cos(t), math.sin(t)
+        c2t, s2t = c * c - s * s, 2.0 * s * c
+        ca1, sa1, ca2, sa2 = math.cos(a1), math.sin(a1), math.cos(a2), math.sin(a2)
+        cb1, sb1, cb2, sb2 = math.cos(b1), math.sin(b1), math.cos(b2), math.sin(b2)
+
+        def amp(ca, sa, cb, sb):
+            # amp_ab and its derivatives in t, a and b
+            return (c * ca * sb + s * sa * cb, c * sa * cb - s * ca * sb,
+                    s * ca * cb - c * sa * sb, c * ca * cb - s * sa * sb)
+
+        m11, t11, a11, b11 = amp(ca1, sa1, cb1, sb1)
+        m21, t21, a21, b21 = amp(ca2, sa2, cb1, sb1)
+        m12, t12, a12, b12 = amp(ca1, sa1, cb2, sb2)
+        m22, t22, a22, b22 = amp(ca2, sa2, cb2, sb2)
+        # d p_a1 / dt = -eta sin 2t cos 2a1 and d p_b1 / dt = eta sin 2t cos 2b1
+        c2a1, c2b1 = ca1 * ca1 - sa1 * sa1, cb1 * cb1 - sb1 * sb1
+        return (4.0 * eta * s2t * (c2a1 - c2b1)
+                + k * (m11 * t11 + m21 * t21 + m12 * t12 - m22 * t22),
+                8.0 * eta * sa1 * ca1 * c2t + k * (m11 * a11 + m12 * a12),
+                k * (m21 * a21 - m22 * a22),
+                -8.0 * eta * sb1 * cb1 * c2t + k * (m11 * b11 + m21 * b21),
+                k * (m12 * b12 - m22 * b22))
+
+    return gradient
+
+
 def _first_best(runs):
     """The run of highest value, the first of them on a tie."""
     best = runs[0]
@@ -434,15 +539,20 @@ def _partial_entanglement_seed(eta: float):
     -1 only when the H-arm detector clicks and +1 otherwise (no-click
     events are kept).  Near the critical efficiency the optimum is a
     weakly entangled state with near-axis angles, a basin the maximally
-    entangled starting point never reaches.
+    entangled starting point never reaches.  The three starts run a
+    projected BFGS search on the closed-form gradient.
 
     Returns (amplitude ratio tan(t), four analyzer angles).
     """
-    objective = _seed_objective(eta)
-    bounds = [(math.pi / 4, math.pi / 2)] + _angle_bounds(4)
-    runs = maximize_starts(lambda x: [objective(p) for p in x.tolist()], bounds,
-                           [(t0, -0.03, 0.34, 1.54, -1.23) for t0 in (1.2, 1.4, 1.5)],
-                           xatol=1e-9)
+    objective, gradient = _seed_objective(eta), _seed_gradient(eta)
+
+    def value_and_gradient(x):
+        points = x.tolist()
+        return [objective(p) for p in points], [gradient(p) for p in points]
+
+    bounds = [(math.pi / 4, math.pi / 2)] + _FREE_ANGLES
+    runs = maximize_starts_bfgs(value_and_gradient, bounds,
+                                [(t0, -0.03, 0.34, 1.54, -1.23) for t0 in (1.2, 1.4, 1.5)])
     t, a1, a2, b1, b2 = _first_best(runs).x
 
     def to_model(a):
@@ -451,6 +561,10 @@ def _partial_entanglement_seed(eta: float):
     ratio = abs(math.cos(t) / math.sin(t))
     return ratio, (to_model(a1 + math.pi / 2), to_model(a2 + math.pi / 2),
                    to_model(b1), to_model(b2))
+
+
+# The signs of E[p, q] in the CHSH value E11 + E21 + E12 - E22.
+_CHSH_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 def efficiency_threshold(params: ExperimentParams,
@@ -470,9 +584,22 @@ def efficiency_threshold(params: ExperimentParams,
     pre-scan checks that the optimized S is nondecreasing in the
     efficiency before bisecting.  Each efficiency's search runs its two or
     three starts (the seed, the canonical angles, and the previous optimum)
-    in lockstep and keeps the first of the best.  Every start is given, so
+    in lockstep and keeps the first of the best.  Both the seed and this
+    search are projected BFGS (``optimize.maximize_starts_bfgs``) on exact
+    gradients: the seed's in closed form, this one from
+    ``SearchKernel.correlator_gradients``.  Every start is given, so
     ``seed`` does not change the result.
+
+    The bracket must satisfy 0 < lo < hi <= 1, ``xtol`` must be finite and
+    positive, and ``mu_floor`` finite and positive.
     """
+    lo, hi = bracket
+    if not 0.0 < lo < hi <= 1.0:
+        raise ValueError(f"bracket must satisfy 0 < lo < hi <= 1, got {tuple(bracket)!r}")
+    if not (math.isfinite(xtol) and xtol > 0.0):
+        raise ValueError(f"xtol must be finite and positive, got {xtol!r}")
+    if not (math.isfinite(mu_floor) and mu_floor > 0.0):
+        raise ValueError(f"mu_floor must be finite and positive, got {mu_floor!r}")
     sb = strategy_a if strategy_b is None else strategy_b
     entries = HeraldedEntries.of_filter(heralding_filter(params, basis=basis), params)
     warm = {"x0": None}
@@ -483,19 +610,25 @@ def efficiency_threshold(params: ExperimentParams,
         ratio0, angles0 = _partial_entanglement_seed(eta)
 
         def objective(x):
+            # x = (ratio, a1, a2, b1, b2) with mu = mu_floor (1, ratio, 1, ratio)
             mu = np.full((len(x), 4), mu_floor)
             mu[:, 1::2] = mu_floor * x[:, :1]
-            return [_chsh(p) for p in kernel.correlators(x[:, 1:3], x[:, 3:5], mu=mu).tolist()]
+            e, de_a, de_b, de_mu = kernel.correlator_gradients(x[:, 1:3], x[:, 3:5], mu=mu)
+            s = e[:, 0, 0] + e[:, 1, 0] + e[:, 0, 1] - e[:, 1, 1]
+            grad = np.empty_like(x)
+            grad[:, 0] = mu_floor * ((de_mu[:, 1] + de_mu[:, 3]) * _CHSH_SIGNS).sum(axis=(1, 2))
+            grad[:, 1:3] = (de_a * _CHSH_SIGNS).sum(axis=2)
+            grad[:, 3:5] = (de_b * _CHSH_SIGNS).sum(axis=1)
+            return s, grad
 
-        bounds = [(1e-4, 1.0)] + _angle_bounds(4)
+        bounds = [(1e-4, 1.0)] + _FREE_ANGLES
         starts = [(max(ratio0, 1e-4),) + angles0, (1.0,) + CANONICAL_X0]
         if warm["x0"] is not None:
             starts.append(warm["x0"])
-        best = _first_best(maximize_starts(objective, bounds, starts))
+        best = _first_best(maximize_starts_bfgs(objective, bounds, starts))
         warm["x0"] = best.x
         return best.value - target_s
 
-    lo, hi = bracket
     samples = []
     if not prescan_monotone(margin, lo, hi, n=8, increasing=True, values=samples):
         raise ValueError("optimized CHSH value is not monotone over the bracket")

@@ -137,6 +137,25 @@ def trig_basis(thetas, n: int) -> np.ndarray:
     return np.cos(np.multiply.outer(thetas, freq) - shift)
 
 
+@functools.lru_cache(maxsize=None)
+def _derivative_phases(n: int):
+    """Phases and factors of ``trig_basis_and_derivative``: d/dx cos(f x - s)
+    = f cos(f x - s + pi/2)."""
+    freq, shift = _trig_phases(n)
+    out = np.stack((shift, shift - np.pi / 2)), np.stack((np.ones_like(freq), freq))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def trig_basis_and_derivative(thetas, n: int) -> np.ndarray:
+    """T[p, 0, t] = ``trig_basis(thetas, n)[p, t]`` and T[p, 1, t] = its
+    derivative in theta_p, freq cos(freq theta_p - shift + pi/2)."""
+    freq, _ = _trig_phases(n)
+    phase, factor = _derivative_phases(n)
+    return factor * np.cos(np.multiply.outer(thetas, freq)[..., None, :] - phase)
+
+
 def analyzer_coefficients(weight) -> np.ndarray:
     """C[t, N, a, a'] with O(theta, weight) of ``block_readout`` equal to
     sum_t trig_basis(theta)[t] C[t].  On the N-photon block O(theta) is a

@@ -1,18 +1,26 @@
-"""Deterministic multi-start downhill-simplex maximization.
+"""Deterministic multi-start maximization: downhill simplex and projected BFGS.
 
 The objectives in this package (CHSH value, key rate) are smooth and low
 dimensional but can have several local optima in the measurement angles, so
-each search runs Nelder-Mead from a fixed number of seeded starting points
-and keeps the best result.  Given the same seed the outcome is reproducible;
-ties are broken by the lowest start index.
+each search runs from a fixed number of starting points and keeps the best
+result.  Given the same seed the outcome is reproducible; ties are broken by
+the lowest start index.
 
-The simplex search itself (``simplex_steps``) is a port of scipy's
-``scipy.optimize.minimize(method="Nelder-Mead")`` for the one configuration
-used here, with the same arithmetic on Python floats, so the package needs
-no scipy at run time and its optima match scipy's to the last bit.  It is a
-coroutine that asks for the points it needs, so ``maximize_starts`` can step
-all starts of a search together and evaluate their points in one objective
-call.
+Two engines step their starts in lockstep (``_lockstep``), each a coroutine
+that asks for the points it needs, so all starts of a search share one
+objective call per step and each ends where it would end alone:
+
+* ``simplex_steps`` (``maximize_starts``, ``multistart_maximize``) is a port
+  of scipy's ``scipy.optimize.minimize(method="Nelder-Mead")`` for the one
+  configuration used here, with the same arithmetic on Python floats, so
+  its optima match scipy's to the last bit.  It needs only values; the
+  CHSH, key-rate and gain searches run on it.
+* ``bfgs_steps`` (``maximize_starts_bfgs``) is a projected BFGS search with
+  a backtracking line search for objectives that also return their exact
+  gradient; the efficiency-threshold searches run on it.  Its tolerances
+  are the module constants ``QN_*``.
+
+Both are numpy only, so the package needs no scipy at run time.
 """
 
 from __future__ import annotations
@@ -40,10 +48,10 @@ class OptimizeResult:
 
 
 @dataclass
-class SimplexResult:
-    """One simplex run: the best vertex ``x``, its value ``fun``, the number
-    of objective calls ``nfev``, and ``success``, whether the tolerances
-    were met within ``maxiter`` iterations."""
+class SearchResult:
+    """One minimization run: the best point ``x``, its value ``fun``, the
+    number of objective calls ``nfev``, and ``success``, whether the search
+    met its convergence test."""
 
     x: np.ndarray
     fun: float
@@ -57,7 +65,7 @@ def simplex_steps(x0, xatol: float, fatol: float, maxiter: int):
     Each step yields a list of the k points it needs, each a list of n
     floats: the initial simplex, one trial point, or the n new vertices of a
     shrink.  It is then sent the k objective values as a list of floats.
-    When the search ends it returns a ``SimplexResult``.
+    When the search ends it returns a ``SearchResult``.
 
     Ported from ``_minimize_neldermead`` in scipy 1.17.1
     (scipy/optimize/_optimize.py; BSD-3-Clause, Copyright (c) 2001-2002
@@ -157,35 +165,73 @@ def simplex_steps(x0, xatol: float, fatol: float, maxiter: int):
         sim = [sim[i] for i in ind]
         fsim = [fsim[i] for i in ind]
 
-    return SimplexResult(x=np.array(sim[0]), fun=min(fsim), nfev=nfev,
+    return SearchResult(x=np.array(sim[0]), fun=min(fsim), nfev=nfev,
                          success=iterations < maxiter)
 
 
-def nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int) -> SimplexResult:
-    """Minimize ``func`` by the Nelder-Mead downhill simplex from ``x0``.
+def _lockstep(searches, evaluate) -> list:
+    """Step coroutine searches together until each returns.
 
-    Drives ``simplex_steps`` one point at a time, so the result equals that
-    of ``scipy.optimize.minimize(func, x0, method="Nelder-Mead",
-    options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})`` bit for
-    bit.
+    Each search yields the list of points it needs and is then sent the
+    list of replies to them.  At each step the points of every unfinished
+    search go to ``evaluate(x, owners)`` as one (m, n) array, with
+    ``owners[j]`` the index of the search that asked for point j, and it
+    returns one reply per point.  A search's own arithmetic never sees the
+    others, so each ends where it would end alone.  Returns what each
+    search returns, in order.
     """
-    search = simplex_steps(x0, xatol, fatol, maxiter)
-    points = next(search)
-    while True:
-        try:
-            points = search.send([float(func(np.array(x))) for x in points])
-        except StopIteration as stop:
-            return stop.value
+    pending = [next(search) for search in searches]
+    active = list(range(len(searches)))
+    results = [None] * len(searches)
+    while active:
+        if len(active) == 1:
+            x = np.array(pending[active[0]])
+            owners = active * len(x)
+        else:
+            x = np.array([p for i in active for p in pending[i]])
+            owners = [i for i in active for _ in pending[i]]
+        replies = evaluate(x, owners)
+        k = 0
+        finished = False
+        for i in active:
+            n = len(pending[i])
+            try:
+                pending[i] = searches[i].send(replies[k:k + n])
+            except StopIteration as stop:
+                results[i] = stop.value
+                finished = True
+                pending[i] = None
+            k += n
+        if finished:
+            active = [i for i in active if pending[i] is not None]
+    return results
+
+
+def _finite_values(values, m: int) -> list:
+    """The objective's m values as Python floats, each checked finite."""
+    values = list(map(float, values))
+    if len(values) != m:
+        raise ValueError(f"objective returned {len(values)} values for {m} points")
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValueError(f"objective returned non-finite value {bad!r}")
+    return values
+
+
+def _box(bounds):
+    """Lower and upper edges of box ``bounds`` as float arrays."""
+    return (np.array([float(lo) for lo, _ in bounds]),
+            np.array([float(hi) for _, hi in bounds]))
 
 
 def maximize_starts(objective, bounds, starts, xatol: float = 1e-6, fatol: float = 1e-12,
                     trace: io.TextIOBase = None) -> list:
     """Maximize ``objective`` over box ``bounds`` by Nelder-Mead from each start.
 
-    The starts run in lockstep: at each step the points that every unfinished
-    search needs are clipped into the box and passed to the objective as one
-    (m, n) array, so a vectorized objective serves them in one call.  Each
-    search is the same as it would be alone.
+    The starts run in lockstep (``_lockstep``): at each step the points that
+    every unfinished search needs are clipped into the box and passed to the
+    objective as one (m, n) array, so a vectorized objective serves them in
+    one call.  Each search is the same as it would be alone.
 
     Args:
         objective: callable on an (m, n) array of points, returns their m
@@ -200,46 +246,19 @@ def maximize_starts(objective, bounds, starts, xatol: float = 1e-6, fatol: float
         One OptimizeResult per start, in order, each with that start's own
         evaluation count.
     """
-    # (1, n), so that clipping a lone point broadcasts nothing
-    lows = np.array([[float(lo) for lo, _ in bounds]])
-    highs = np.array([[float(hi) for _, hi in bounds]])
+    lows, highs = _box(bounds)
     ndim = len(bounds)
-    searches = [simplex_steps(x0, xatol, fatol, 2000 * ndim) for x0 in starts]
-    pending = [next(search) for search in searches]
-    active = list(range(len(starts)))
     rows = [[] for _ in starts]
-    results = [None] * len(starts)
-    while active:
-        x = np.array(pending[active[0]] if len(active) == 1
-                     else [p for i in active for p in pending[i]])
+
+    def evaluate(x, owners):
         x = np.minimum(np.maximum(x, lows), highs)
-        values = list(map(float, objective(x)))
-        if len(values) != len(x):
-            raise ValueError(f"objective returned {len(values)} values for {len(x)} points")
-        if not all(map(math.isfinite, values)):
-            bad = next(v for v in values if not math.isfinite(v))
-            raise ValueError(f"objective returned non-finite value {bad!r}")
+        values = _finite_values(objective(x), len(x))
         if trace is not None:
-            points = x.tolist()
-        k = 0
-        finished = False
-        for i in active:
-            n = len(pending[i])
-            if trace is not None:
-                rows[i].extend(zip(values[k:k + n], points[k:k + n]))
-            try:
-                pending[i] = searches[i].send(list(map(operator.neg, values[k:k + n])))
-            except StopIteration as stop:
-                res = stop.value
-                finished = True
-                pending[i] = None
-                results[i] = OptimizeResult(
-                    x=tuple(np.minimum(np.maximum(res.x, lows[0]), highs[0]).tolist()),
-                    value=-res.fun, start_index=i, n_evaluations=res.nfev,
-                    converged=res.success)
-            k += n
-        if finished:
-            active = [i for i in active if pending[i] is not None]
+            for i, v, p in zip(owners, values, x.tolist()):
+                rows[i].append((v, p))
+        return list(map(operator.neg, values))
+
+    runs = _lockstep([simplex_steps(x0, xatol, fatol, 2000 * ndim) for x0 in starts], evaluate)
     if trace is not None:
         writer = csv.writer(trace)
         writer.writerow(["start", "iteration", "objective"]
@@ -247,7 +266,122 @@ def maximize_starts(objective, bounds, starts, xatol: float = 1e-6, fatol: float
         for i, start_rows in enumerate(rows):
             for it, (v, xc) in enumerate(start_rows):
                 writer.writerow([i, it, f"{v:.12g}"] + [f"{xi:.12g}" for xi in xc])
-    return results
+    return [OptimizeResult(x=tuple(np.minimum(np.maximum(res.x, lows), highs).tolist()),
+                           value=-res.fun, start_index=i, n_evaluations=res.nfev,
+                           converged=res.success)
+            for i, res in enumerate(runs)]
+
+
+# Projected BFGS (``bfgs_steps``).  A search has converged when no component
+# of its projected gradient exceeds QN_GTOL.  A trial step is accepted by the
+# Armijo test with constant QN_ARMIJO when it changes the objective by more
+# than QN_FNOISE * max(1, |f|); a smaller change is rounding noise (the CHSH
+# value sits near 2 while its structure below the threshold is of order
+# 1e-8), and the step is then judged by the slope at the trial point, the
+# approximate Wolfe test of Hager and Zhang (SIAM J. Optim. 16, 170 (2005)),
+# which is the Armijo test for a quadratic.  A search gives up when
+# QN_MAX_BACKTRACKS halvings of a steepest-descent step find no acceptable
+# point, or after QN_MAXITER iterations.  A steepest-descent step first
+# moves no parameter by more than QN_FIRST_STEP.
+QN_GTOL = 1e-10
+QN_ARMIJO = 1e-4
+QN_FNOISE = 1e-13
+QN_MAX_BACKTRACKS = 40
+QN_MAXITER = 1000
+QN_FIRST_STEP = 0.1
+
+
+def bfgs_steps(x0, lows, highs):
+    """Projected BFGS with a backtracking line search, minimizing over the
+    box [lows, highs], as a coroutine.
+
+    Each step yields a one-point list and is sent [(f, g)], the objective
+    and its gradient there.  A parameter at a bound whose descent direction
+    points out of the box is held; the quasi-Newton direction moves the
+    others, and each trial point is projected into the box.  When a
+    quasi-Newton direction goes uphill or its line search fails, the search
+    restarts from the steepest descent.  Returns a ``SearchResult``.
+    """
+    x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lows), highs)
+    (f, g), = yield [x]
+    nfev = 1
+    h = None  # inverse Hessian estimate; None until the first curvature pair
+    converged = False
+    for _ in range(QN_MAXITER):
+        held = np.where(g > 0.0, x <= lows, x >= highs)
+        pg = np.where(held, 0.0, g)
+        if abs(pg).max() <= QN_GTOL:
+            converged = True
+            break
+        d = None if h is None else np.where(held, 0.0, h @ -pg)
+        if d is None or g @ d >= 0.0:
+            h, d = None, -pg
+        while True:
+            step = 1.0 if h is not None else min(1.0, QN_FIRST_STEP / abs(d).max())
+            band = QN_FNOISE * max(1.0, abs(f))
+            for _ in range(QN_MAX_BACKTRACKS):
+                xn = np.minimum(np.maximum(x + step * d, lows), highs)
+                (fn, gn), = yield [xn]
+                nfev += 1
+                s = xn - x
+                slope = g @ s
+                if slope < 0.0 and (fn <= f + QN_ARMIJO * slope if abs(fn - f) > band
+                                    else gn @ s <= (2.0 * QN_ARMIJO - 1.0) * slope):
+                    break
+                step *= 0.5
+            else:
+                if h is None:
+                    return SearchResult(x=x, fun=f, nfev=nfev, success=False)
+                h, d = None, -pg  # retry along the steepest descent
+                continue
+            break
+        # held parameters did not move: their gradient change says nothing
+        # about the curvature the free ones see
+        y = np.where(held, 0.0, gn - g)
+        sy, yy = s @ y, y @ y
+        if sy > 1e-12 * yy:
+            if h is None:
+                h = np.eye(len(x)) * (sy / yy)
+            # BFGS: h + (1 + y.hy / sy) s s' / sy - (hy s' + s hy') / sy, as
+            # the symmetric rank-two update a b' + b a'
+            hy = h @ y
+            a = s / sy
+            b = (0.5 * (1.0 + (y @ hy) / sy)) * s - hy
+            ab = np.multiply.outer(a, b)
+            h = h + ab + ab.T
+        x, f, g = xn, fn, gn
+    return SearchResult(x=x, fun=f, nfev=nfev, success=converged)
+
+
+def maximize_starts_bfgs(objective, bounds, starts) -> list:
+    """Maximize ``objective`` over box ``bounds`` by projected BFGS
+    (``bfgs_steps``) from each start, the starts in lockstep as in
+    ``maximize_starts``.
+
+    Args:
+        objective: callable on an (m, n) array of points, returns their m
+            values and their (m, n) gradients, all finite.
+        bounds: sequence of (low, high) pairs, one per parameter.
+        starts: the starting points.
+
+    Returns:
+        One OptimizeResult per start, in order, each with that start's own
+        evaluation count (one value with its gradient per evaluation).
+    """
+    lows, highs = _box(bounds)
+
+    def evaluate(x, owners):
+        values, grads = objective(x)
+        values = _finite_values(values, len(x))
+        grads = np.asarray(grads, dtype=float)
+        if grads.shape != x.shape or not np.isfinite(grads).all():
+            raise ValueError("objective returned a gradient of the wrong shape or non-finite")
+        return list(zip(map(operator.neg, values), -grads))
+
+    runs = _lockstep([bfgs_steps(x0, lows, highs) for x0 in starts], evaluate)
+    return [OptimizeResult(x=tuple(res.x.tolist()), value=-res.fun, start_index=i,
+                           n_evaluations=res.nfev, converged=res.success)
+            for i, res in enumerate(runs)]
 
 
 def multistart_maximize(objective, bounds, n_starts: int = 16, seed: int = 0,
@@ -273,8 +407,7 @@ def multistart_maximize(objective, bounds, n_starts: int = 16, seed: int = 0,
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
-    lows = np.array([float(lo) for lo, _ in bounds])
-    highs = np.array([float(hi) for _, hi in bounds])
+    lows, highs = _box(bounds)
     starts = [0.5 * (lows + highs) if x0 is None else np.asarray(x0, dtype=float)]
     if n_starts > 1:
         rng = np.random.default_rng(seed)
@@ -310,7 +443,17 @@ def bisect_threshold(f, lo: float, hi: float, xtol: float, rtol: float = 0.0,
 
     Requires a sign change: f(lo) <= 0 < f(hi).  ``f_lo`` and ``f_hi`` are
     those values when the caller already has them.  Returns (x, f(x)).
+    The bracket must be finite with lo < hi; ``xtol`` and ``rtol`` must be
+    finite and non-negative, and one of them positive, or the halving
+    would never stop.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"bracket must be finite with lo < hi, got ({lo!r}, {hi!r})")
+    for name, tol in (("xtol", xtol), ("rtol", rtol)):
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"{name} must be finite and non-negative, got {tol!r}")
+    if xtol == 0.0 and rtol == 0.0:
+        raise ValueError("xtol and rtol cannot both be zero")
     if f_lo is None:
         f_lo = f(lo)
     if f_hi is None:

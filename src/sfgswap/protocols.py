@@ -530,11 +530,18 @@ def teleport(params: ExperimentParams, input_polarization, input_mean_photons: f
     ``input_mean_photons`` split over H/V as |alpha|^2 : |beta|^2.  The
     reported fidelity is evaluated on the one-photon subspace of mode d,
     mirroring the tomographic conditioning of a detected output photon.
+    The amplitudes must be finite and normalized, and
+    ``input_mean_photons`` finite and positive.
     """
     alpha, beta = (complex(x) for x in input_polarization)
+    if not all(map(math.isfinite, (alpha.real, alpha.imag, beta.real, beta.imag))):
+        raise ValueError(f"input_polarization must be finite, got {input_polarization!r}")
     nrm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     if abs(nrm - 1.0) > 1e-9:
-        raise ValueError("input polarization must be normalized")
+        raise ValueError(f"input_polarization must be normalized, got {input_polarization!r}")
+    if not (math.isfinite(input_mean_photons) and input_mean_photons > 0.0):
+        raise ValueError(
+            f"input_mean_photons must be finite and positive, got {input_mean_photons!r}")
     pair = tmsv_pair(params.eps1, ("aH", "aV"), ("dH", "dV"), params.pair_cap)
     z = math.sqrt(input_mean_photons)
     coh = _coherent_state(("bH", "bV"), (z * alpha, z * beta), 2 * params.pair_cap)

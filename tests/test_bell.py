@@ -47,9 +47,10 @@ from sfgswap.detection import (
 )
 from sfgswap.optics import SfgParams, SourceParams
 from sfgswap import optimize
-from sfgswap.optimize import maximize_starts, nelder_mead
+from sfgswap.optimize import maximize_starts
 from sfgswap.presets import get_preset, swap_params
 from sfgswap.protocols import ExperimentParams, heralding_filter
+from simplex_reference import nelder_mead
 
 
 def make_params(**kwargs):
@@ -226,6 +227,32 @@ def test_efficiency_threshold_eberhard_limit():
     assert 2.0 / 3.0 - xtol <= eta <= 2.0 / 3.0 + 0.005
 
 
+@pytest.mark.parametrize("kwargs, argument", [
+    ({"bracket": (0.5, 1.5)}, "bracket"),
+    ({"bracket": (0.8, 0.6)}, "bracket"),
+    ({"bracket": (0.0, 0.8)}, "bracket"),
+    ({"bracket": (float("nan"), 0.8)}, "bracket"),
+    ({"bracket": (0.6, 0.8), "xtol": float("nan")}, "xtol"),
+    ({"xtol": 0.0}, "xtol"),
+    ({"xtol": -1e-3}, "xtol"),
+    ({"xtol": float("inf")}, "xtol"),
+    ({"mu_floor": 0.0}, "mu_floor"),
+    ({"mu_floor": float("nan")}, "mu_floor"),
+    ({"mu_floor": -2e-3}, "mu_floor"),
+    ({"mu_floor": float("inf")}, "mu_floor"),
+], ids=["hi-above-1", "reversed", "lo-zero", "lo-nan", "xtol-nan", "xtol-zero",
+        "xtol-negative", "xtol-inf", "mu-zero", "mu-nan", "mu-negative", "mu-inf"])
+def test_efficiency_threshold_rejects_bad_arguments(monkeypatch, kwargs, argument):
+    # Rejected by name before any search (each search starts from the
+    # heralding filter, so none may run).  Unchecked, xtol = nan ends the
+    # bisection at once with the upper bracket edge as the threshold, and
+    # mu_floor = 0 or nan fails in the kernel with "zero total herald
+    # probability".
+    monkeypatch.setattr(bell, "heralding_filter", None)
+    with pytest.raises(ValueError, match=argument):
+        efficiency_threshold(_preset("ideal", pair_cap=2), **kwargs)
+
+
 def test_optima_report_best_start_diagnostics():
     # converged and start_index come from the start that gave the optimum:
     # the optimizer trace of that start must reach the reported value.
@@ -361,13 +388,13 @@ def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
 
     counted(protocols, "filtered_ensemble")
     counted(detection, "block_readout")
-    real_maximize = bell.maximize_starts
+    real_maximize = bell.maximize_starts_bfgs
 
     def maximize(*args, **kwargs):
         runs = real_maximize(*args, **kwargs)
         calls["evaluations"] += sum(res.n_evaluations for res in runs)
         return runs
-    monkeypatch.setattr(bell, "maximize_starts", maximize)
+    monkeypatch.setattr(bell, "maximize_starts_bfgs", maximize)
     bell._partial_entanglement_seed.cache_clear()
     eta = efficiency_threshold(_preset("ideal", pair_cap=2), bracket=(0.6, 0.8), xtol=0.05)
     assert 0.6 < eta <= 0.8
@@ -392,6 +419,13 @@ def test_search_kernel_stacked_points_match_lone_points(case):
         for i in range(6):
             assert np.array_equal(stacked[i], kernel.correlators(thetas_a[i], thetas_b[i],
                                                                  mu=point_mu[i]))
+        # the gradient path: each of (E, dE_a, dE_b, dE_mu)
+        stacked = kernel.correlator_gradients(thetas_a, thetas_b,
+                                              mu=None if point_mu[0] is None else mu)
+        for i in range(6):
+            alone = kernel.correlator_gradients(thetas_a[i], thetas_b[i], mu=point_mu[i])
+            for many, one in zip(stacked, alone):
+                assert (many is None and one is None) or np.array_equal(many[i], one)
 
 
 @pytest.mark.parametrize("search, n_starts", [
@@ -423,3 +457,102 @@ def test_lockstep_search_matches_each_start_alone(monkeypatch, search, n_starts)
         assert np.array_equal(np.clip(alone.x, lows, highs), run.x)
         assert (-alone.fun, alone.nfev, alone.success) == (run.value, run.n_evaluations,
                                                            run.converged)
+
+
+GRADIENT_CASES = {
+    "ideal-2": (_preset("ideal", pair_cap=2), bell.UNIT_EFFICIENCIES),
+    "tableS1-3-dark": (_preset("paper-tableS1", dark=0.1), ASYMMETRIC),
+    "fig-s3-asymmetric": (_preset("fig-s3", t1H=0.6, t1V=0.5, t2H=0.7, t2V=0.65,
+                                  eta_tH=0.8, eta_tV=0.9), ASYMMETRIC),
+}
+
+
+def _central_difference(f, x, i, h):
+    up, down = np.array(x, dtype=float), np.array(x, dtype=float)
+    up[i] += h
+    down[i] -= h
+    return (f(up) - f(down)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("basis", ["A", "D"])
+@pytest.mark.parametrize("case", list(GRADIENT_CASES))
+def test_correlator_gradients_match_central_differences(case, basis):
+    # Every derivative of every correlator, in the angles and the four
+    # source strengths, against a central difference of ``correlators``.
+    params, effs = GRADIENT_CASES[case]
+    rng = np.random.default_rng(13)
+    entries = HeraldedEntries.of_filter(heralding_filter(params, basis), params)
+    kernel = SearchKernel(entries, effs, DEFAULT_STRATEGY, DEFAULT_STRATEGY)
+    for _ in range(3):
+        thetas_a = rng.uniform(-math.pi / 2, math.pi / 2, size=3)
+        thetas_b = rng.uniform(-math.pi / 2, math.pi / 2, size=2)
+        mu = rng.uniform(0.005, 0.3, size=4)
+        e, de_a, de_b, de_mu = kernel.correlator_gradients(thetas_a, thetas_b, mu=mu)
+        assert np.abs(e - kernel.correlators(thetas_a, thetas_b, mu=mu)).max() <= 1e-14
+        for p in range(3):
+            fd = _central_difference(lambda t: kernel.correlators(t, thetas_b, mu=mu),
+                                     thetas_a, p, 1e-6)
+            assert np.abs(fd[p] - de_a[p]).max() <= 1e-8
+            assert np.abs(np.delete(fd, p, axis=0)).max() <= 1e-8
+        for q in range(2):
+            fd = _central_difference(lambda t: kernel.correlators(thetas_a, t, mu=mu),
+                                     thetas_b, q, 1e-6)
+            assert np.abs(fd[:, q] - de_b[:, q]).max() <= 1e-8
+            assert np.abs(np.delete(fd, q, axis=1)).max() <= 1e-8
+        for k in range(4):
+            # a relative step: rounding of E over the step stays near 1e-10
+            fd = _central_difference(lambda m: kernel.correlators(thetas_a, thetas_b, mu=m),
+                                     mu, k, 1e-5 * mu[k])
+            assert np.abs(fd - de_mu[k]).max() <= 1e-8
+        # A kernel of the state at these sources has the same angle derivatives.
+        ens = heralded_ensemble(_with_sources(params, mu), basis=basis)
+        fixed = SearchKernel(HeraldedEntries.of_ensemble(ens), effs, DEFAULT_STRATEGY,
+                             DEFAULT_STRATEGY).correlator_gradients(thetas_a, thetas_b)
+        assert fixed[3] is None
+        for a, b in zip(fixed[:3], (e, de_a, de_b)):
+            assert np.abs(a - b).max() <= 1e-13
+
+
+@pytest.mark.parametrize("eta", [0.5, 0.6669921875, 0.9, 1.0])
+def test_seed_gradient_matches_central_differences(eta):
+    objective, gradient = _seed_objective(eta), bell._seed_gradient(eta)
+    rng = np.random.default_rng(17)
+    points = [(1.2, -0.03, 0.34, 1.54, -1.23)] + list(
+        rng.uniform(-math.pi / 2, math.pi / 2, size=(10, 5)))
+    for x in points:
+        g = gradient(list(x))
+        for i in range(5):
+            fd = _central_difference(lambda y: objective(list(y)), x, i, 1e-6)
+            assert abs(fd - g[i]) <= 1e-8
+
+
+def test_threshold_searches_match_or_beat_the_simplex_margins(monkeypatch):
+    # The gradient searches reach the simplex searches' optima: at every
+    # efficiency the bisection visits, the margin is no lower than a
+    # Nelder-Mead search from the same starts (less 1e-11), and the seed's
+    # single-pair S no lower than Nelder-Mead's on the seed (less 1e-12).
+    params = _preset("ideal", pair_cap=2)
+    visited = []
+    real_maximize = bell.maximize_starts_bfgs
+
+    def maximize(objective, bounds, starts):
+        runs = real_maximize(objective, bounds, starts)
+        visited.append((objective, bounds, starts, bell._first_best(runs).value))
+        return runs
+
+    monkeypatch.setattr(bell, "maximize_starts_bfgs", maximize)
+    bell._partial_entanglement_seed.cache_clear()
+    eta = efficiency_threshold(params, bracket=(0.6, 0.8), xtol=0.05)
+    bell._partial_entanglement_seed.cache_clear()
+    assert eta == 0.6749999999999999
+    assert len(visited) == 22  # 11 efficiencies, each a seed and a margin search
+    for objective, bounds, starts, value in visited:
+        # Nelder-Mead in the simplex searches' own box; the angles there are
+        # the same up to their period
+        box = [bounds[0]] + _angle_bounds(4)
+        wrapped = [(x[0],) + tuple((a + math.pi / 2) % math.pi - math.pi / 2 for a in x[1:])
+                   for x in starts]
+        seed = bounds[0][0] > 0.5
+        simplex = max(run.value for run in maximize_starts(
+            lambda x: objective(x)[0], box, wrapped, xatol=1e-9 if seed else 1e-6))
+        assert value >= simplex - (1e-12 if seed else 1e-11)

@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from sfgswap import optimize
 from sfgswap.optimize import (
     bisect_threshold,
     maximize_starts,
+    maximize_starts_bfgs,
     multistart_maximize,
-    nelder_mead,
     prescan_monotone,
 )
+from simplex_reference import nelder_mead
 
 
 def _rows(f):
@@ -231,3 +233,91 @@ def test_bisect_threshold_requires_sign_change():
         bisect_threshold(lambda v: v + 1.0, 0.0, 1.0, xtol=1e-3)
     with pytest.raises(ValueError):
         bisect_threshold(lambda v: v - 5.0, 0.0, 1.0, xtol=1e-3)
+
+
+@pytest.mark.parametrize("lo, hi, xtol, rtol", [
+    (0.0, 1.0, float("nan"), 0.0),
+    (0.0, 1.0, 1e-3, float("nan")),
+    (0.0, 1.0, float("inf"), 0.0),
+    (0.0, 1.0, -1e-3, 0.0),
+    (0.0, 1.0, 1e-3, -0.1),
+    (0.0, 1.0, 0.0, 0.0),
+    (1.0, 0.0, 1e-3, 0.0),
+    (0.5, 0.5, 1e-3, 0.0),
+    (float("nan"), 1.0, 1e-3, 0.0),
+    (0.0, float("inf"), 1e-3, 0.0),
+], ids=["xtol-nan", "rtol-nan", "xtol-inf", "xtol-negative", "rtol-negative", "both-zero",
+        "reversed", "empty", "lo-nan", "hi-inf"])
+def test_bisect_threshold_rejects_bad_arguments(lo, hi, xtol, rtol):
+    # Rejected before any evaluation: a NaN tolerance would end the halving
+    # at once and return hi, and zero tolerances would never end it.
+    calls = []
+    with pytest.raises(ValueError, match="bracket|xtol|rtol"):
+        bisect_threshold(lambda v: calls.append(v) or v - 0.3, lo, hi, xtol=xtol, rtol=rtol)
+    assert calls == []
+
+
+def _quadratic_with_gradient(center, weights):
+    center, weights = np.asarray(center), np.asarray(weights)
+
+    def objective(x):
+        return -(weights * (x - center) ** 2).sum(axis=1), -2.0 * weights * (x - center)
+    return objective
+
+
+def test_bfgs_maximum_inside_and_on_the_box():
+    # The maximum of the second coordinate lies beyond its upper bound, so
+    # the search ends on that bound with the first coordinate at its optimum.
+    objective = _quadratic_with_gradient((0.3, 2.0), (1.0, 50.0))
+    run, = maximize_starts_bfgs(objective, [(-1.0, 1.0), (-1.0, 1.0)], [(-0.8, 0.1)])
+    assert run.converged
+    assert run.x[0] == pytest.approx(0.3, abs=1e-10)
+    assert run.x[1] == 1.0
+    assert run.value == pytest.approx(-50.0, abs=1e-12)
+
+
+def test_bfgs_converges_on_rosenbrock():
+    def objective(x):
+        a, b = x[:, 0], x[:, 1]
+        value = -(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2)
+        grad = np.stack([400.0 * a * (b - a * a) + 2.0 * (1.0 - a), -200.0 * (b - a * a)],
+                        axis=1)
+        return value, grad
+
+    run, = maximize_starts_bfgs(objective, [(-math.inf, math.inf)] * 2, [(-1.2, 1.0)])
+    assert run.converged
+    assert run.x == pytest.approx((1.0, 1.0), abs=1e-8)
+    assert run.n_evaluations < 200
+
+
+def test_bfgs_lockstep_starts_match_lone_searches():
+    # Each start stepped with the others ends where it ends alone: the
+    # same point, value, count and flag, bit for bit.
+    def objective(x):
+        value = -(x[:, 0] - 0.3) ** 2 - np.sin(3.0 * x[:, 1]) - 0.1 * x[:, 0] * x[:, 1]
+        grad = np.stack([-2.0 * (x[:, 0] - 0.3) - 0.1 * x[:, 1],
+                         -3.0 * np.cos(3.0 * x[:, 1]) - 0.1 * x[:, 0]], axis=1)
+        return value, grad
+
+    bounds = [(-1.0, 1.0), (-2.0, 2.0)]
+    starts = [(0.9, 0.4), (-0.7, 0.2), (0.0, 1.9), (0.3, -0.8)]
+    runs = maximize_starts_bfgs(objective, bounds, starts)
+    for i, (start, run) in enumerate(zip(starts, runs)):
+        alone, = maximize_starts_bfgs(objective, bounds, [start])
+        assert run == replace(alone, start_index=i)
+
+
+@pytest.mark.parametrize("bad", ["value", "gradient", "shape"])
+def test_bfgs_rejects_bad_objective_output(bad):
+    def objective(x):
+        values, grads = -(x ** 2).sum(axis=1), -2.0 * x
+        if bad == "value":
+            values[:] = float("nan")
+        elif bad == "gradient":
+            grads[:, 0] = float("inf")
+        else:
+            grads = grads[:, :1]
+        return values, grads
+
+    with pytest.raises(ValueError):
+        maximize_starts_bfgs(objective, [(-1.0, 1.0)] * 2, [(0.5, 0.5)])

@@ -246,6 +246,23 @@ def test_teleport_requires_normalized_polarization():
         teleport(ideal_params(), (1.0, 1.0), 0.95)
 
 
+@pytest.mark.parametrize("pol, mean_photons, argument", [
+    ((float("nan"), 0.0), 0.95, "input_polarization"),
+    ((1.0, complex(0.0, float("inf"))), 0.95, "input_polarization"),
+    ((1.0, 1.0), 0.95, "input_polarization"),
+    ((1.0, 0.0), float("nan"), "input_mean_photons"),
+    ((1.0, 0.0), float("inf"), "input_mean_photons"),
+    ((1.0, 0.0), -1.0, "input_mean_photons"),
+    ((1.0, 0.0), 0.0, "input_mean_photons"),
+], ids=["nan-amplitude", "inf-amplitude", "unnormalized", "nan-photons", "inf-photons",
+        "negative-photons", "zero-photons"])
+def test_teleport_rejects_bad_input_by_name(pol, mean_photons, argument):
+    # Each is refused at the edge with the argument's name, not later as
+    # "herald probability is zero" or a math domain error.
+    with pytest.raises(ValueError, match=argument):
+        teleport(ideal_params(), pol, mean_photons)
+
+
 def test_qfc_weak_pump_transfers_polarization():
     rep = qfc_teleport_strong_pump(0.6, 0.8, 0.01)
     assert rep.fidelity > 0.9999
