@@ -24,6 +24,7 @@ from .detection import (
     trig_basis_and_derivative,
 )
 from .optimize import (
+    best_run,
     bisect_threshold,
     maximize_starts_bfgs,
     multistart_maximize,
@@ -333,6 +334,25 @@ def dw_key_rate(s: float, q: float) -> float:
     return 1.0 - binary_entropy(q) - holevo_chsh(s)
 
 
+def dw_key_rate_slopes(s: float, q: float) -> tuple:
+    """Derivatives (dr/dS, dr/dQ) of ``dw_key_rate``, each finite.
+
+    dr/dS = -chi'(S) = S atanh(root) / (4 ln 2 root), with root =
+    sqrt((S/2)^2 - 1), and dr/dQ = -h'(Q) = log2(Q / (1 - Q)).  Where a
+    clamp holds the rate flat, the slope is that of the flat side: zero for
+    S < 2 (chi = 1), for a root clamped at 1 (at and above 2 sqrt 2), and
+    for Q = 0 (or 1, where h is pinned to 0).  At S = 2 it is the limit
+    from above, S / (4 ln 2).
+    """
+    dr_ds = 0.0
+    if s >= 2.0:
+        root = math.sqrt(min((s / 2.0) ** 2 - 1.0, 1.0))
+        if root < 1.0:
+            dr_ds = s / (4.0 * math.log(2.0)) * (math.atanh(root) / root if root > 0.0 else 1.0)
+    dr_dq = math.log2(q / (1.0 - q)) if 0.0 < q < 1.0 else 0.0
+    return dr_ds, dr_dq
+
+
 CANONICAL_X0 = (0.0, math.pi / 4, -math.pi / 8, math.pi / 8)
 
 
@@ -358,14 +378,38 @@ _SHARED_MU = np.array([0, 1, 0, 1])
 _KEY_ANGLES_A = np.array([1, 2, 0])
 
 
-def _angle_bounds(n: int):
-    return [(-math.pi / 2, math.pi / 2)] * n
-
-
-# A gradient search leaves the analyzer angles unbounded: every CHSH value
-# has period pi in each angle, and a box edge at +/-pi/2 would only add
-# corners where a search stops short of an optimum across the edge.
+# A search leaves the analyzer angles unbounded: every CHSH value has
+# period pi in each angle, and a box edge at +/-pi/2 would only add corners
+# where a search stops short of an optimum across the edge.
 _FREE_ANGLES = [(-math.inf, math.inf)] * 4
+
+
+def _angle_start(r):
+    """Analyzer angles uniform in [-pi/2, pi/2) from a point r of the unit
+    cube, the random starts of a search (``optimize.multistart_maximize``)."""
+    return -math.pi / 2 + r * math.pi
+
+
+# The signs of E[p, q] in the CHSH value E11 + E21 + E12 - E22.
+_CHSH_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def _chsh_gradient(e, de_a, de_b, de_mu=None):
+    """S = E11 + E21 + E12 - E22 at stacked points and its derivatives, from
+    ``SearchKernel.correlator_gradients``; rows of party a past the first
+    two are not part of S.
+
+    Returns (S, dS_a, dS_b, dS_mu): dS_a[m, p] in thetas_a[p] (p < 2),
+    dS_b[m, q] in thetas_b[q], and, given dE_mu, dS_mu[m, k] in the pump
+    strengths mu_H (k = 0) and mu_V (k = 1) that both sources share, so
+    mu = (mu_H, mu_V, mu_H, mu_V); else None.
+    """
+    s = e[:, 0, 0] + e[:, 1, 0] + e[:, 0, 1] - e[:, 1, 1]
+    ds_a = (de_a[:, :2] * _CHSH_SIGNS).sum(axis=2)
+    ds_b = (de_b[:, :2] * _CHSH_SIGNS).sum(axis=1)
+    if de_mu is None:
+        return s, ds_a, ds_b, None
+    return s, ds_a, ds_b, ((de_mu[:, :2] + de_mu[:, 2:]) * _CHSH_SIGNS).sum(axis=(2, 3))
 
 
 def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
@@ -379,11 +423,18 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
     """Maximize the CHSH value over analyzer angles (and optionally the
     mean photon numbers of the sources).
 
-    With ``free_mu`` the two pump strengths are varied per polarization and
-    shared between the sources; the heralding filter is built once, and
-    each evaluation only rescales its nonzero entries by the source
-    amplitudes.  Without it, ``ensemble`` may supply the heralded state of
-    ``params`` in ``basis``, for callers that search one state repeatedly.
+    With ``free_mu`` the two pump strengths are varied per polarization
+    within ``mu_bounds``, which must be finite with 0 < lo < hi, and shared
+    between the sources; the heralding filter is built once, and each
+    evaluation only rescales its nonzero entries by the source amplitudes.
+    Without it, ``ensemble`` may supply the heralded state of ``params`` in
+    ``basis``, for callers that search one state repeatedly.  The search is
+    ``optimize.multistart_maximize`` on the exact gradient
+    (``_chsh_gradient``); the angles run unbounded, and random starts are
+    drawn within one period.  A free-mu search runs over ln mu, so that a
+    step changes a pump strength in proportion to it, which keeps a search
+    from being drawn at once to the weak-pump edge of the box; its random
+    starts are still uniform in mu, and its trace lists (ln mu_H, ln mu_V).
     """
     sb = strategy_a if strategy_b is None else strategy_b
 
@@ -393,31 +444,42 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
                               gain)
 
         def objective(x):
-            return [_chsh(e) for e in kernel.correlators(x[:, 0:2], x[:, 2:4]).tolist()]
+            s, ds_a, ds_b, _ = _chsh_gradient(*kernel.correlator_gradients(x[:, 0:2], x[:, 2:4]))
+            return s, np.concatenate((ds_a, ds_b), axis=1)
 
-        res = multistart_maximize(objective, _angle_bounds(4), n_starts=n_starts,
+        res = multistart_maximize(objective, _FREE_ANGLES, n_starts=n_starts,
                                   seed=seed, x0=x0 if x0 is not None else CANONICAL_X0,
-                                  trace=trace)
+                                  trace=trace, start_at=_angle_start)
         return ChshOptimum(value=res.value, settings=BellSettings(*res.x),
                            mu_h=None, mu_v=None, s=res.value, n_evaluations=res.n_evaluations,
                            converged=res.converged, start_index=res.start_index)
 
     if ensemble is not None:
         raise ValueError("a free-mu search varies the sources of a given ensemble")
+    lo, hi = mu_bounds
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"mu_bounds must satisfy 0 < lo < hi < inf, got {tuple(mu_bounds)!r}")
     entries = HeraldedEntries.of_filter(heralding_filter(params, basis=basis), params)
     kernel = SearchKernel(entries, efficiencies, strategy_a, sb, gain)
 
     def objective(x):
-        e = kernel.correlators(x[:, 2:4], x[:, 4:6], mu=x.take(_SHARED_MU, axis=1))
-        return [_chsh(p) for p in e.tolist()]
+        # x = (ln mu_H, ln mu_V, a1, a2, b1, b2)
+        mu = np.exp(x[:, :2])
+        s, ds_a, ds_b, ds_mu = _chsh_gradient(*kernel.correlator_gradients(
+            x[:, 2:4], x[:, 4:6], mu=mu.take(_SHARED_MU, axis=1)))
+        return s, np.concatenate((ds_mu * mu, ds_a, ds_b), axis=1)
 
-    bounds = [mu_bounds, mu_bounds] + _angle_bounds(4)
+    def start_at(r):
+        return np.concatenate((np.log(lo + r[:2] * (hi - lo)), _angle_start(r[2:])))
+
     if x0 is None:
         x0 = (0.05, 0.05) + CANONICAL_X0
-    res = multistart_maximize(objective, bounds, n_starts=n_starts, seed=seed,
-                              x0=x0, trace=trace)
+    res = multistart_maximize(objective, [(math.log(lo), math.log(hi))] * 2 + _FREE_ANGLES,
+                              n_starts=n_starts, seed=seed, trace=trace, start_at=start_at,
+                              x0=np.concatenate((np.log(x0[:2]), x0[2:])))
+    mu_h, mu_v = np.clip(np.exp(res.x[:2]), lo, hi).tolist()
     return ChshOptimum(value=res.value, settings=BellSettings(*res.x[2:6]),
-                       mu_h=res.x[0], mu_v=res.x[1], s=res.value, n_evaluations=res.n_evaluations,
+                       mu_h=mu_h, mu_v=mu_v, s=res.value, n_evaluations=res.n_evaluations,
                        converged=res.converged, start_index=res.start_index)
 
 
@@ -433,23 +495,34 @@ def optimize_key_rate(params: ExperimentParams,
     The free parameters are the key-generation angle theta_a0 and the four
     CHSH angles; the source strengths stay at their configured values.
     ``ensemble`` may supply the heralded state of ``params`` in ``basis``.
+    The search is ``optimize.multistart_maximize`` on the exact gradient
+    dr = dr/dS dS + dr/dQ dQ (``dw_key_rate_slopes``); the angles run
+    unbounded, and random starts are drawn within one period.
     """
     sb = strategy_a if strategy_b is None else strategy_b
     ens = heralded_ensemble(params, basis=basis) if ensemble is None else ensemble
     kernel = SearchKernel(HeraldedEntries.of_ensemble(ens), efficiencies, strategy_a, sb, gain)
 
-    def evaluate(x):
-        e = kernel.correlators(x.take(_KEY_ANGLES_A, axis=1), x[:, 3:5])
-        return [(_chsh(p), _qber(p[2][0])) for p in e.tolist()]
-
     def objective(x):
-        return [dw_key_rate(s, q) for s, q in evaluate(x)]
+        e, de_a, de_b, _ = kernel.correlator_gradients(x.take(_KEY_ANGLES_A, axis=1), x[:, 3:5])
+        s, ds_a, ds_b, _ = _chsh_gradient(e, de_a, de_b)
+        s, qs = s.tolist(), [_qber(v) for v in e[:, 2, 0].tolist()]
+        slopes = np.array([dw_key_rate_slopes(*p) for p in zip(s, qs)])
+        # Q = (1 - E[a0, b1]) / 2; where it is clamped at 0, dr/dQ is zero
+        dr_de = -0.5 * slopes[:, 1]
+        grad = np.empty_like(x)
+        grad[:, 0] = dr_de * de_a[:, 2, 0]
+        grad[:, 1:3] = slopes[:, :1] * ds_a
+        grad[:, 3:5] = slopes[:, :1] * ds_b
+        grad[:, 3] += dr_de * de_b[:, 2, 0]
+        return [dw_key_rate(*p) for p in zip(s, qs)], grad
 
     if x0 is None:
         x0 = (0.0,) + CANONICAL_X0
-    res = multistart_maximize(objective, _angle_bounds(5), n_starts=n_starts,
-                              seed=seed, x0=x0, trace=trace)
-    (s, q), = evaluate(np.array([res.x]))
+    res = multistart_maximize(objective, _FREE_ANGLES + _FREE_ANGLES[:1], n_starts=n_starts,
+                              seed=seed, x0=x0, trace=trace, start_at=_angle_start)
+    e = kernel.correlators(np.take(res.x, _KEY_ANGLES_A), res.x[3:5]).tolist()
+    s, q = _chsh(e), _qber(e[2][0])
     return ChshOptimum(value=res.value,
                        settings=BellSettings(*res.x[1:5], theta_a0=res.x[0]),
                        s=s, q=q, n_evaluations=res.n_evaluations, converged=res.converged,
@@ -521,15 +594,6 @@ def _seed_gradient(eta: float):
     return gradient
 
 
-def _first_best(runs):
-    """The run of highest value, the first of them on a tie."""
-    best = runs[0]
-    for res in runs[1:]:
-        if res.value > best.value:
-            best = res
-    return best
-
-
 @functools.lru_cache(maxsize=128)
 def _partial_entanglement_seed(eta: float):
     """Starting point for the CHSH search at symmetric efficiency ``eta``.
@@ -553,7 +617,7 @@ def _partial_entanglement_seed(eta: float):
     bounds = [(math.pi / 4, math.pi / 2)] + _FREE_ANGLES
     runs = maximize_starts_bfgs(value_and_gradient, bounds,
                                 [(t0, -0.03, 0.34, 1.54, -1.23) for t0 in (1.2, 1.4, 1.5)])
-    t, a1, a2, b1, b2 = _first_best(runs).x
+    t, a1, a2, b1, b2 = best_run(runs).x
 
     def to_model(a):
         return (a + math.pi / 2) % math.pi - math.pi / 2
@@ -561,10 +625,6 @@ def _partial_entanglement_seed(eta: float):
     ratio = abs(math.cos(t) / math.sin(t))
     return ratio, (to_model(a1 + math.pi / 2), to_model(a2 + math.pi / 2),
                    to_model(b1), to_model(b2))
-
-
-# The signs of E[p, q] in the CHSH value E11 + E21 + E12 - E22.
-_CHSH_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 def efficiency_threshold(params: ExperimentParams,
@@ -587,8 +647,8 @@ def efficiency_threshold(params: ExperimentParams,
     in lockstep and keeps the first of the best.  Both the seed and this
     search are projected BFGS (``optimize.maximize_starts_bfgs``) on exact
     gradients: the seed's in closed form, this one from
-    ``SearchKernel.correlator_gradients``.  Every start is given, so
-    ``seed`` does not change the result.
+    ``_chsh_gradient``.  Every start is given, so ``seed`` does not change
+    the result.
 
     The bracket must satisfy 0 < lo < hi <= 1, ``xtol`` must be finite and
     positive, and ``mu_floor`` finite and positive.
@@ -613,19 +673,19 @@ def efficiency_threshold(params: ExperimentParams,
             # x = (ratio, a1, a2, b1, b2) with mu = mu_floor (1, ratio, 1, ratio)
             mu = np.full((len(x), 4), mu_floor)
             mu[:, 1::2] = mu_floor * x[:, :1]
-            e, de_a, de_b, de_mu = kernel.correlator_gradients(x[:, 1:3], x[:, 3:5], mu=mu)
-            s = e[:, 0, 0] + e[:, 1, 0] + e[:, 0, 1] - e[:, 1, 1]
+            s, ds_a, ds_b, ds_mu = _chsh_gradient(
+                *kernel.correlator_gradients(x[:, 1:3], x[:, 3:5], mu=mu))
             grad = np.empty_like(x)
-            grad[:, 0] = mu_floor * ((de_mu[:, 1] + de_mu[:, 3]) * _CHSH_SIGNS).sum(axis=(1, 2))
-            grad[:, 1:3] = (de_a * _CHSH_SIGNS).sum(axis=2)
-            grad[:, 3:5] = (de_b * _CHSH_SIGNS).sum(axis=1)
+            grad[:, 0] = mu_floor * ds_mu[:, 1]
+            grad[:, 1:3] = ds_a
+            grad[:, 3:5] = ds_b
             return s, grad
 
         bounds = [(1e-4, 1.0)] + _FREE_ANGLES
         starts = [(max(ratio0, 1e-4),) + angles0, (1.0,) + CANONICAL_X0]
         if warm["x0"] is not None:
             starts.append(warm["x0"])
-        best = _first_best(maximize_starts_bfgs(objective, bounds, starts))
+        best = best_run(maximize_starts_bfgs(objective, bounds, starts))
         warm["x0"] = best.x
         return best.value - target_s
 
@@ -648,9 +708,17 @@ def sfg_gain_threshold(params: ExperimentParams, objective: str = "rate",
     The heralded ensemble is built once; the gain enters as an exact
     rescaling of its photon-herald part, so each bisection step only
     re-optimizes angles (warm-started).
+
+    The bracket must satisfy 0 < lo < hi < inf, and ``rtol`` must be
+    finite and positive.
     """
     if objective not in ("s", "rate"):
         raise ValueError("objective must be 's' or 'rate'")
+    lo, hi = bracket
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {tuple(bracket)!r}")
+    if not (math.isfinite(rtol) and rtol > 0.0):
+        raise ValueError(f"rtol must be finite and positive, got {rtol!r}")
     ens = heralded_ensemble(params)
     warm = {"x0": None}
 
@@ -672,7 +740,7 @@ def sfg_gain_threshold(params: ExperimentParams, objective: str = "rate",
                       res.settings.theta_b2)
         return res.value
 
-    lo, hi = math.log(bracket[0]), math.log(bracket[1])
+    lo, hi = math.log(lo), math.log(hi)
     samples = []
     if not prescan_monotone(margin, lo, hi, n=8, increasing=True, values=samples):
         raise ValueError("objective is not monotone in the gain over the bracket")

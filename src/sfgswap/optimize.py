@@ -1,26 +1,20 @@
-"""Deterministic multi-start maximization: downhill simplex and projected BFGS.
+"""Deterministic multi-start maximization by projected BFGS.
 
 The objectives in this package (CHSH value, key rate) are smooth and low
 dimensional but can have several local optima in the measurement angles, so
 each search runs from a fixed number of starting points and keeps the best
-result.  Given the same seed the outcome is reproducible; ties are broken by
-the lowest start index.
+result (``best_run``: the highest value, the lowest start index on a tie).
+Given the same seed the outcome is reproducible.
 
-Two engines step their starts in lockstep (``_lockstep``), each a coroutine
-that asks for the points it needs, so all starts of a search share one
-objective call per step and each ends where it would end alone:
+Each objective returns its values with their exact gradients, and every
+search is a projected BFGS search with a backtracking line search
+(``bfgs_steps``); its tolerances are the module constants ``QN_*``.  The
+starts of a search step in lockstep (``_lockstep``), each a coroutine that
+asks for the points it needs, so all of them share one objective call per
+step and each ends where it would end alone.  ``maximize_starts_bfgs`` runs
+given starts; ``multistart_maximize`` draws seeded ones and keeps the best.
 
-* ``simplex_steps`` (``maximize_starts``, ``multistart_maximize``) is a port
-  of scipy's ``scipy.optimize.minimize(method="Nelder-Mead")`` for the one
-  configuration used here, with the same arithmetic on Python floats, so
-  its optima match scipy's to the last bit.  It needs only values; the
-  CHSH, key-rate and gain searches run on it.
-* ``bfgs_steps`` (``maximize_starts_bfgs``) is a projected BFGS search with
-  a backtracking line search for objectives that also return their exact
-  gradient; the efficiency-threshold searches run on it.  Its tolerances
-  are the module constants ``QN_*``.
-
-Both are numpy only, so the package needs no scipy at run time.
+The package needs only numpy at run time.
 """
 
 from __future__ import annotations
@@ -36,8 +30,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Best point found from one start (``maximize_starts``) or over all starts
-    (``multistart_maximize``): ``converged`` is that start's flag,
+    """Best point found from one start (``maximize_starts_bfgs``) or over all
+    starts (``multistart_maximize``): ``converged`` is that start's flag,
     ``n_evaluations`` counts the evaluations of every start it covers."""
 
     x: tuple
@@ -57,116 +51,6 @@ class SearchResult:
     fun: float
     nfev: int
     success: bool
-
-
-def simplex_steps(x0, xatol: float, fatol: float, maxiter: int):
-    """Nelder-Mead downhill simplex from ``x0``, minimizing, as a coroutine.
-
-    Each step yields a list of the k points it needs, each a list of n
-    floats: the initial simplex, one trial point, or the n new vertices of a
-    shrink.  It is then sent the k objective values as a list of floats.
-    When the search ends it returns a ``SearchResult``.
-
-    Ported from ``_minimize_neldermead`` in scipy 1.17.1
-    (scipy/optimize/_optimize.py; BSD-3-Clause, Copyright (c) 2001-2002
-    Enthought, Inc. and 2003-2024 SciPy Developers), restricted to
-    ``adaptive=False``, no bounds, the default initial simplex and no limit
-    on evaluations.  The operations and their order are scipy's; a shrink
-    asks for its vertices together, which for an objective without side
-    effects is the same as scipy's one at a time.
-    """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    nonzdelt, zdelt = 0.05, 0.00025
-
-    x0 = np.asarray(x0, dtype=float).ravel()
-    N = len(x0)
-    sim = np.empty((N + 1, N))
-    sim[0] = x0
-    for k in range(N):
-        y = x0.copy()
-        if y[k] != 0:
-            y[k] = (1 + nonzdelt) * y[k]
-        else:
-            y[k] = zdelt
-        sim[k + 1] = y
-
-    # The bookkeeping runs on Python floats: each vertex is a list, and each
-    # vector operation is scipy's elementwise one, in the same order, so the
-    # results are the same to the last bit.  scipy sorts twice before the
-    # first iteration; np.argsort is not stable, so the second sort can
-    # reorder tied vertices and is kept, as is np.argsort itself.
-    sim = sim.tolist()
-    fsim = yield sim
-    nfev = N + 1
-    for _ in range(2):
-        ind = np.array(fsim).argsort().tolist()
-        sim = [sim[i] for i in ind]
-        fsim = [fsim[i] for i in ind]
-
-    iterations = 1
-    while iterations < maxiter:
-        f0 = fsim[0]
-        best = sim[0]
-        # scipy's two maxima within tolerance, the cheaper one tested first
-        if (all(abs(f0 - fk) <= fatol for fk in fsim[1:])
-                and all(abs(v - b) <= xatol for vertex in sim[1:] for v, b in zip(vertex, best))):
-            break
-
-        # np.add.reduce(sim[:-1], 0) adds the vertices one after another
-        total = best
-        for vertex in sim[1:-1]:
-            total = [t + v for t, v in zip(total, vertex)]
-        xbar = [t / N for t in total]
-        worst = sim[-1]
-        xr = [(1 + rho) * b - rho * w for b, w in zip(xbar, worst)]
-        fxr, = yield [xr]
-        nfev += 1
-        doshrink = False
-
-        if fxr < f0:
-            xe = [(1 + rho * chi) * b - rho * chi * w for b, w in zip(xbar, worst)]
-            fxe, = yield [xe]
-            nfev += 1
-            if fxe < fxr:
-                sim[-1] = xe
-                fsim[-1] = fxe
-            else:
-                sim[-1] = xr
-                fsim[-1] = fxr
-        elif fxr < fsim[-2]:
-            sim[-1] = xr
-            fsim[-1] = fxr
-        elif fxr < fsim[-1]:
-            xc = [(1 + psi * rho) * b - psi * rho * w for b, w in zip(xbar, worst)]
-            fxc, = yield [xc]
-            nfev += 1
-            if fxc <= fxr:
-                sim[-1] = xc
-                fsim[-1] = fxc
-            else:
-                doshrink = True
-        else:
-            xcc = [(1 - psi) * b + psi * w for b, w in zip(xbar, worst)]
-            fxcc, = yield [xcc]
-            nfev += 1
-            if fxcc < fsim[-1]:
-                sim[-1] = xcc
-                fsim[-1] = fxcc
-            else:
-                doshrink = True
-
-        if doshrink:
-            sim[1:] = [[b + sigma * (v - b) for b, v in zip(best, vertex)]
-                       for vertex in sim[1:]]
-            fsim[1:] = yield sim[1:]
-            nfev += N
-        iterations += 1
-        ind = np.array(fsim).argsort().tolist()
-        sim = [sim[i] for i in ind]
-        fsim = [fsim[i] for i in ind]
-
-    return SearchResult(x=np.array(sim[0]), fun=min(fsim), nfev=nfev,
-                         success=iterations < maxiter)
 
 
 def _lockstep(searches, evaluate) -> list:
@@ -222,54 +106,6 @@ def _box(bounds):
     """Lower and upper edges of box ``bounds`` as float arrays."""
     return (np.array([float(lo) for lo, _ in bounds]),
             np.array([float(hi) for _, hi in bounds]))
-
-
-def maximize_starts(objective, bounds, starts, xatol: float = 1e-6, fatol: float = 1e-12,
-                    trace: io.TextIOBase = None) -> list:
-    """Maximize ``objective`` over box ``bounds`` by Nelder-Mead from each start.
-
-    The starts run in lockstep (``_lockstep``): at each step the points that
-    every unfinished search needs are clipped into the box and passed to the
-    objective as one (m, n) array, so a vectorized objective serves them in
-    one call.  Each search is the same as it would be alone.
-
-    Args:
-        objective: callable on an (m, n) array of points, returns their m
-            values, each a finite float.
-        bounds: sequence of (low, high) pairs, one per parameter.
-        starts: the starting points.
-        xatol, fatol: simplex size and value convergence tolerances.
-        trace: optional text stream receiving a CSV trace (start, iteration,
-            objective, parameters), with rows grouped by start in start order.
-
-    Returns:
-        One OptimizeResult per start, in order, each with that start's own
-        evaluation count.
-    """
-    lows, highs = _box(bounds)
-    ndim = len(bounds)
-    rows = [[] for _ in starts]
-
-    def evaluate(x, owners):
-        x = np.minimum(np.maximum(x, lows), highs)
-        values = _finite_values(objective(x), len(x))
-        if trace is not None:
-            for i, v, p in zip(owners, values, x.tolist()):
-                rows[i].append((v, p))
-        return list(map(operator.neg, values))
-
-    runs = _lockstep([simplex_steps(x0, xatol, fatol, 2000 * ndim) for x0 in starts], evaluate)
-    if trace is not None:
-        writer = csv.writer(trace)
-        writer.writerow(["start", "iteration", "objective"]
-                        + [f"x{i}" for i in range(ndim)])
-        for i, start_rows in enumerate(rows):
-            for it, (v, xc) in enumerate(start_rows):
-                writer.writerow([i, it, f"{v:.12g}"] + [f"{xi:.12g}" for xi in xc])
-    return [OptimizeResult(x=tuple(np.minimum(np.maximum(res.x, lows), highs).tolist()),
-                           value=-res.fun, start_index=i, n_evaluations=res.nfev,
-                           converged=res.success)
-            for i, res in enumerate(runs)]
 
 
 # Projected BFGS (``bfgs_steps``).  A search has converged when no component
@@ -353,22 +189,30 @@ def bfgs_steps(x0, lows, highs):
     return SearchResult(x=x, fun=f, nfev=nfev, success=converged)
 
 
-def maximize_starts_bfgs(objective, bounds, starts) -> list:
+def maximize_starts_bfgs(objective, bounds, starts, trace: io.TextIOBase = None) -> list:
     """Maximize ``objective`` over box ``bounds`` by projected BFGS
-    (``bfgs_steps``) from each start, the starts in lockstep as in
-    ``maximize_starts``.
+    (``bfgs_steps``) from each start.
+
+    The starts run in lockstep (``_lockstep``): at each step the points that
+    every unfinished search needs are passed to the objective as one (m, n)
+    array, so a vectorized objective serves them in one call.  Each search
+    is the same as it would be alone.
 
     Args:
         objective: callable on an (m, n) array of points, returns their m
             values and their (m, n) gradients, all finite.
-        bounds: sequence of (low, high) pairs, one per parameter.
+        bounds: sequence of (low, high) pairs, one per parameter; a pair
+            may be infinite.
         starts: the starting points.
+        trace: optional text stream receiving a CSV trace (start, iteration,
+            objective, parameters), with rows grouped by start in start order.
 
     Returns:
         One OptimizeResult per start, in order, each with that start's own
         evaluation count (one value with its gradient per evaluation).
     """
     lows, highs = _box(bounds)
+    rows = [[] for _ in starts]
 
     def evaluate(x, owners):
         values, grads = objective(x)
@@ -376,48 +220,77 @@ def maximize_starts_bfgs(objective, bounds, starts) -> list:
         grads = np.asarray(grads, dtype=float)
         if grads.shape != x.shape or not np.isfinite(grads).all():
             raise ValueError("objective returned a gradient of the wrong shape or non-finite")
+        if trace is not None:
+            for i, v, p in zip(owners, values, x.tolist()):
+                rows[i].append((v, p))
         return list(zip(map(operator.neg, values), -grads))
 
     runs = _lockstep([bfgs_steps(x0, lows, highs) for x0 in starts], evaluate)
+    if trace is not None:
+        writer = csv.writer(trace)
+        writer.writerow(["start", "iteration", "objective"]
+                        + [f"x{i}" for i in range(len(bounds))])
+        for i, start_rows in enumerate(rows):
+            for it, (v, xc) in enumerate(start_rows):
+                writer.writerow([i, it, f"{v:.12g}"] + [f"{xi:.12g}" for xi in xc])
     return [OptimizeResult(x=tuple(res.x.tolist()), value=-res.fun, start_index=i,
                            n_evaluations=res.nfev, converged=res.success)
             for i, res in enumerate(runs)]
 
 
+def best_run(runs) -> OptimizeResult:
+    """The run of highest value, the first of them on a tie."""
+    best = runs[0]
+    for res in runs[1:]:
+        if res.value > best.value:
+            best = res
+    return best
+
+
 def multistart_maximize(objective, bounds, n_starts: int = 16, seed: int = 0,
-                        x0=None, xatol: float = 1e-6, fatol: float = 1e-12,
-                        trace: io.TextIOBase = None) -> OptimizeResult:
-    """Maximize ``objective`` over box ``bounds`` with multi-start Nelder-Mead.
+                        x0=None, trace: io.TextIOBase = None,
+                        start_at=None) -> OptimizeResult:
+    """Maximize ``objective`` over box ``bounds`` with multi-start projected BFGS.
 
     Args:
         objective: callable on an (m, n) array of points, returns their m
-            values (see ``maximize_starts``).
-        bounds: sequence of (low, high) pairs, one per parameter.
-        n_starts: number of simplex starts, at least 1; start points are
-            drawn from a seeded RNG, except the first which is the box center
-            (or ``x0``).  The RNG is created only when a start is drawn.
+            values and (m, n) gradients (see ``maximize_starts_bfgs``).
+        bounds: sequence of (low, high) pairs, one per parameter, the box
+            the search is held in; a pair may be infinite.
+        n_starts: number of starts, at least 1.  Start k > 0 is
+            ``start_at(r)`` at a point r of the unit cube [0, 1)^n drawn
+            from a seeded RNG; start 0 is ``x0``, or ``start_at`` at the
+            cube's center.  The RNG is created only when a start is drawn.
         seed: RNG seed for the start points.
         x0: optional explicit first start.
-        xatol: simplex size convergence tolerance.
         trace: optional text stream receiving a CSV trace
             (start, iteration, objective, parameters).
+        start_at: map from the unit cube to starts; by default the affine
+            map onto ``bounds``, which then must be finite.  A search that
+            leaves periodic parameters unbounded draws them within one
+            period through it.
 
     Returns:
-        OptimizeResult with the best point found.
+        OptimizeResult of the best start (``best_run``), with the evaluations
+        of every start.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
-    lows, highs = _box(bounds)
-    starts = [0.5 * (lows + highs) if x0 is None else np.asarray(x0, dtype=float)]
+    if start_at is None:
+        lows, highs = _box(bounds)
+
+        def start_at(r):
+            return lows + r * (highs - lows)
+
+    n = len(bounds)
+    starts = [start_at(np.full(n, 0.5)) if x0 is None else np.asarray(x0, dtype=float)]
     if n_starts > 1:
         rng = np.random.default_rng(seed)
-        starts += [lows + rng.random(len(lows)) * (highs - lows) for _ in range(1, n_starts)]
-    runs = maximize_starts(objective, bounds, starts, xatol=xatol, fatol=fatol, trace=trace)
-    best = runs[0]
-    for res in runs[1:]:
-        if res.value > best.value + 1e-15:
-            best = res
-    return replace(best, n_evaluations=sum(res.n_evaluations for res in runs))
+        starts += [start_at(rng.random(n)) for _ in range(1, n_starts)]
+    if not np.isfinite(starts).all():
+        raise ValueError("every start must be finite")
+    runs = maximize_starts_bfgs(objective, bounds, starts, trace=trace)
+    return replace(best_run(runs), n_evaluations=sum(res.n_evaluations for res in runs))
 
 
 def prescan_monotone(f, lo: float, hi: float, n: int = 8, increasing: bool = None,

@@ -26,19 +26,20 @@ from sfgswap.bell import (
     SearchKernel,
     Strategy,
     TSIRELSON,
-    _angle_bounds,
     _ensemble_qber,
     _partial_entanglement_seed,
     _seed_objective,
     all_strategies,
     binary_entropy,
     dw_key_rate,
+    dw_key_rate_slopes,
     efficiency_threshold,
     ensemble_chsh,
     heralded_ensemble,
     holevo_chsh,
     optimize_chsh,
     optimize_key_rate,
+    sfg_gain_threshold,
 )
 from sfgswap.detection import (
     CoincidenceEfficiencies,
@@ -47,10 +48,14 @@ from sfgswap.detection import (
 )
 from sfgswap.optics import SfgParams, SourceParams
 from sfgswap import optimize
-from sfgswap.optimize import maximize_starts
 from sfgswap.presets import get_preset, swap_params
 from sfgswap.protocols import ExperimentParams, heralding_filter
-from simplex_reference import nelder_mead
+from simplex_reference import drive, maximize_starts
+
+
+def _angle_bounds(n):
+    """One period of each of n analyzer angles, the box the simplex searches ran in."""
+    return [(-math.pi / 2, math.pi / 2)] * n
 
 
 def make_params(**kwargs):
@@ -253,6 +258,42 @@ def test_efficiency_threshold_rejects_bad_arguments(monkeypatch, kwargs, argumen
         efficiency_threshold(_preset("ideal", pair_cap=2), **kwargs)
 
 
+@pytest.mark.parametrize("kwargs, argument", [
+    ({"bracket": (0.0, 80.0)}, "bracket"),
+    ({"bracket": (-1.0, 80.0)}, "bracket"),
+    ({"bracket": (80.0, 3.0)}, "bracket"),
+    ({"bracket": (3.0, float("inf"))}, "bracket"),
+    ({"bracket": (float("nan"), 80.0)}, "bracket"),
+    ({"rtol": float("nan")}, "rtol"),
+    ({"rtol": 0.0}, "rtol"),
+    ({"rtol": -0.01}, "rtol"),
+    ({"rtol": float("inf")}, "rtol"),
+], ids=["lo-zero", "lo-negative", "reversed", "hi-inf", "lo-nan", "rtol-nan", "rtol-zero",
+        "rtol-negative", "rtol-inf"])
+def test_sfg_gain_threshold_rejects_bad_arguments(monkeypatch, kwargs, argument):
+    # Rejected by name before any search (each search starts from the
+    # heralded ensemble, so none may run).  Unchecked, lo = 0 or -1 fails
+    # with "math domain error", a reversed bracket is reported by its
+    # logarithms, hi = inf fails after the searches with "zero total herald
+    # probability", and rtol = nan is reported as xtol.
+    monkeypatch.setattr(bell, "heralded_ensemble", None)
+    with pytest.raises(ValueError, match=argument):
+        sfg_gain_threshold(_preset("ideal", pair_cap=2), **kwargs)
+
+
+@pytest.mark.parametrize("mu_bounds", [
+    (0.1, 0.05), (0.1, 0.1), (0.0, 0.4), (-0.1, 0.4), (float("nan"), 0.4), (1e-6, float("inf")),
+], ids=["reversed", "empty", "lo-zero", "lo-negative", "lo-nan", "hi-inf"])
+def test_free_mu_search_rejects_bad_mu_bounds(monkeypatch, mu_bounds):
+    # Rejected before the heralding filter is built.  Unchecked, (0.1, 0.05)
+    # returned mu = 0.05, outside the box, and lo = 0 makes the gradient in
+    # mu, which goes as 1 / (2 mu (1 + mu)), infinite.
+    monkeypatch.setattr(bell, "heralding_filter", None)
+    with pytest.raises(ValueError, match="mu_bounds"):
+        optimize_chsh(_preset("ideal", pair_cap=2), free_mu=True, mu_bounds=mu_bounds,
+                      n_starts=1)
+
+
 def test_optima_report_best_start_diagnostics():
     # converged and start_index come from the start that gave the optimum:
     # the optimizer trace of that start must reach the reported value.
@@ -434,9 +475,9 @@ def test_search_kernel_stacked_points_match_lone_points(case):
                                     **kw), 3),
 ], ids=["chsh-free-mu", "key-rate"])
 def test_lockstep_search_matches_each_start_alone(monkeypatch, search, n_starts):
-    # Each start of a lockstep search ends where the scalar Nelder-Mead ends
+    # Each start of a lockstep search ends where `optimize.bfgs_steps` ends
     # on that start alone, with the search's own objective at one point.
-    real_maximize = optimize.maximize_starts
+    real_maximize = optimize.maximize_starts_bfgs
     captured = {}
 
     def maximize(objective, bounds, starts, **kwargs):
@@ -444,16 +485,19 @@ def test_lockstep_search_matches_each_start_alone(monkeypatch, search, n_starts)
                         runs=real_maximize(objective, bounds, starts, **kwargs))
         return captured["runs"]
 
-    monkeypatch.setattr(optimize, "maximize_starts", maximize)
+    def minimand(x):
+        values, grads = captured["objective"](x[None])
+        return -float(values[0]), -np.asarray(grads, dtype=float)[0]
+
+    monkeypatch.setattr(optimize, "maximize_starts_bfgs", maximize)
     opt = search(n_starts=n_starts)
-    objective, runs = captured["objective"], captured["runs"]
+    runs = captured["runs"]
     lows, highs = np.array(captured["bounds"]).T
     assert len(runs) == n_starts
     assert opt.n_evaluations == sum(run.n_evaluations for run in runs)
     assert opt.value == runs[opt.start_index].value
     for start, run in zip(captured["starts"], runs):
-        alone = nelder_mead(lambda x: -objective(np.clip(x, lows, highs)[None])[0], start,
-                            xatol=1e-6, fatol=1e-12, maxiter=2000 * len(lows))
+        alone = drive(optimize.bfgs_steps(start, lows, highs), minimand)
         assert np.array_equal(np.clip(alone.x, lows, highs), run.x)
         assert (-alone.fun, alone.nfev, alone.success) == (run.value, run.n_evaluations,
                                                            run.converged)
@@ -537,7 +581,7 @@ def test_threshold_searches_match_or_beat_the_simplex_margins(monkeypatch):
 
     def maximize(objective, bounds, starts):
         runs = real_maximize(objective, bounds, starts)
-        visited.append((objective, bounds, starts, bell._first_best(runs).value))
+        visited.append((objective, bounds, starts, optimize.best_run(runs).value))
         return runs
 
     monkeypatch.setattr(bell, "maximize_starts_bfgs", maximize)
@@ -556,3 +600,115 @@ def test_threshold_searches_match_or_beat_the_simplex_margins(monkeypatch):
         simplex = max(run.value for run in maximize_starts(
             lambda x: objective(x)[0], box, wrapped, xatol=1e-9 if seed else 1e-6))
         assert value >= simplex - (1e-12 if seed else 1e-11)
+
+
+def _ideal_analyzer(**kwargs):
+    """Measured sources with an ideal analyzer chain."""
+    return _preset("paper-tableS1", eta_tH=1.0, eta_tV=1.0, eta_d=1.0, eta_1H=1.0, eta_1V=1.0,
+                   eta_2H=1.0, eta_2V=1.0, window_acceptance=1.0, **kwargs)
+
+
+MU_BOUNDS = (1e-6, 0.4)
+
+SIMPLEX_CASES = {
+    "ideal": (_preset("ideal"), 1.0),
+    "tableS1-gain3": (_preset("paper-tableS1"), 3.0),
+    "ideal-analyzer-gain10": (_ideal_analyzer(), 10.0),
+    "ideal-analyzer-gain300": (_ideal_analyzer(), 300.0),
+    "fig-s3": (_preset("fig-s3"), 1.0),
+}
+
+
+@pytest.mark.parametrize("search", ["chsh", "chsh-free-mu", "key-rate"])
+@pytest.mark.parametrize("case", list(SIMPLEX_CASES))
+def test_searches_match_or_beat_the_simplex(monkeypatch, case, search):
+    # From the same starts, the best projected-BFGS optimum is no lower than
+    # the best Nelder-Mead optimum (less 1e-12), the simplex run as these
+    # searches ran it before: over the angles in one period and over mu (not
+    # ln mu) in mu_bounds, each vertex clipped into that box, to xatol 1e-6
+    # and fatol 1e-12.
+    params, gain = SIMPLEX_CASES[case]
+    captured = {}
+    real_maximize = optimize.maximize_starts_bfgs
+
+    def maximize(objective, bounds, starts, **kwargs):
+        captured.update(objective=objective, starts=starts)
+        return real_maximize(objective, bounds, starts, **kwargs)
+
+    monkeypatch.setattr(optimize, "maximize_starts_bfgs", maximize)
+    if search == "key-rate":
+        opt = optimize_key_rate(params, gain=gain, n_starts=3, seed=5)
+    else:
+        opt = optimize_chsh(params, free_mu=search == "chsh-free-mu", gain=gain, n_starts=3,
+                            seed=5, mu_bounds=MU_BOUNDS)
+    starts, objective = captured["starts"], captured["objective"]
+    box = _angle_bounds(len(starts[0]))
+    if search == "chsh-free-mu":
+        box[:2] = [MU_BOUNDS] * 2
+        starts = [np.concatenate((np.exp(x[:2]), x[2:])) for x in starts]
+        simplex = maximize_starts(
+            lambda x: objective(np.concatenate((np.log(x[:, :2]), x[:, 2:]), axis=1))[0],
+            box, starts)
+    else:
+        simplex = maximize_starts(lambda x: objective(x)[0], box, starts)
+    assert opt.value >= max(run.value for run in simplex) - 1e-12
+
+
+def _key_rate_search(monkeypatch, params, gain):
+    """The objective of a one-start key-rate search on ``params`` and the
+    point the search ends at."""
+    captured = {}
+    real_maximize = optimize.maximize_starts_bfgs
+
+    def maximize(objective, bounds, starts, **kwargs):
+        captured["objective"] = objective
+        return real_maximize(objective, bounds, starts, **kwargs)
+
+    monkeypatch.setattr(optimize, "maximize_starts_bfgs", maximize)
+    opt = optimize_key_rate(params, gain=gain, n_starts=1)
+    s = opt.settings
+    return captured["objective"], np.array(
+        [s.theta_a0, s.theta_a1, s.theta_a2, s.theta_b1, s.theta_b2])
+
+
+def test_key_rate_gradient_matches_central_differences(monkeypatch):
+    # The key-rate search's gradient, dr/dS dS + dr/dQ dQ, against a central
+    # difference of its values, at angles near the search's optimum and at
+    # random, on either side of S = 2 but away from it, from S = 2 sqrt 2
+    # and from Q = 0 (and Q = 1), where the slopes are clamped.
+    rng = np.random.default_rng(23)
+    violating = 0
+    for params, gain in ((_preset("ideal", pair_cap=2), 1.0), (_ideal_analyzer(), 30.0),
+                         (_preset("paper-tableS1", dark=0.1), 3.0)):
+        objective, optimum = _key_rate_search(monkeypatch, params, gain)
+        points = np.concatenate((optimum + rng.normal(scale=0.2, size=(30, 5)),
+                                 rng.uniform(-math.pi / 2, math.pi / 2, size=(30, 5))))
+        kernel = SearchKernel(HeraldedEntries.of_ensemble(heralded_ensemble(params)),
+                              bell.UNIT_EFFICIENCIES, DEFAULT_STRATEGY, DEFAULT_STRATEGY, gain)
+        e = kernel.correlators(points[:, [1, 2, 0]], points[:, 3:5])
+        s = e[:, 0, 0] + e[:, 1, 0] + e[:, 0, 1] - e[:, 1, 1]
+        q = (1.0 - e[:, 2, 0]) / 2.0
+        away = ((abs(s - 2.0) > 0.02) & (s < TSIRELSON - 0.02)
+                & (abs(q - 0.5) < 0.5 - 0.01))
+        assert away.sum() >= 20
+        violating += (s[away] > 2.0).sum()
+        _, grads = objective(points[away])
+        for x, grad in zip(points[away], grads):
+            for i in range(5):
+                fd = _central_difference(lambda y: objective(y[None])[0][0], x, i, 1e-6)
+                assert abs(fd - grad[i]) <= 1e-8
+    assert violating >= 10
+
+
+def test_dw_key_rate_slopes_at_the_clamps():
+    # Finite one-sided slopes where dw_key_rate is clamped: zero on the flat
+    # side of S = 2, of S = 2 sqrt 2 and of Q = 0 (and Q = 1); at S = 2 the
+    # limit from above.
+    ln2 = math.log(2.0)
+    assert dw_key_rate_slopes(1.9, 0.0) == (0.0, 0.0)
+    assert dw_key_rate_slopes(2.0, 1.0) == (pytest.approx(1.0 / (2.0 * ln2), rel=1e-15), 0.0)
+    assert dw_key_rate_slopes(TSIRELSON, 0.25)[0] == 0.0
+    assert dw_key_rate_slopes(3.0, 0.25) == (0.0, math.log2(1.0 / 3.0))
+    for s in (2.0 + 1e-15, np.nextafter(TSIRELSON, 0.0), TSIRELSON - 1e-12):
+        for q in (1e-300, 0.5, 1.0 - 1e-16):
+            assert all(map(math.isfinite, dw_key_rate_slopes(s, q)))

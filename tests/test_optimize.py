@@ -1,4 +1,4 @@
-"""Multi-start simplex wrapper, monotone pre-scan, and bisection."""
+"""Multi-start projected BFGS, its simplex reference, monotone pre-scan, and bisection."""
 
 import io
 import math
@@ -11,17 +11,23 @@ from scipy.optimize import minimize
 from sfgswap import optimize
 from sfgswap.optimize import (
     bisect_threshold,
-    maximize_starts,
     maximize_starts_bfgs,
     multistart_maximize,
     prescan_monotone,
 )
-from simplex_reference import nelder_mead
+from simplex_reference import drive, nelder_mead
+
+
+def _gradient(f, x, h=1e-7):
+    """Central-difference gradient of the scalar ``f`` at the point ``x``."""
+    steps = h * np.eye(len(x))
+    return np.array([(f(x + e) - f(x - e)) / (2.0 * h) for e in steps])
 
 
 def _rows(f):
-    """A batched objective evaluating the scalar ``f`` on each point."""
-    return lambda x: [f(p) for p in x]
+    """A batched objective giving the scalar ``f`` and its central-difference
+    gradient at each point."""
+    return lambda x: ([f(p) for p in x], [_gradient(f, p) for p in x])
 
 
 def _quadratic(x):
@@ -46,6 +52,16 @@ def _wiggly(x):
     return x[0] ** 2 + x[1] ** 2 + 0.05 * math.cos(200 * x[0]) * math.cos(200 * x[1])
 
 
+# Gradients of the 2-D objectives above (the staircase's away from its edges).
+GRADIENTS = {
+    _quadratic: lambda x: np.array([2.0 * (x[0] - 0.3), 4.0 * (x[1] + 0.1)]),
+    _staircase: lambda x: np.array([0.01 * math.copysign(1.0, x[0]), 0.0]),
+    _wiggly: lambda x: np.array(
+        [2.0 * x[0] - 10.0 * math.sin(200 * x[0]) * math.cos(200 * x[1]),
+         2.0 * x[1] - 10.0 * math.cos(200 * x[0]) * math.sin(200 * x[1])]),
+}
+
+
 @pytest.mark.parametrize("func, x0, maxiter", [
     (_quadratic, (0.9, -0.7), 4000),
     (_rosenbrock, (1.3, 0.7, 0.8, 1.9, 1.2), 10000),
@@ -68,14 +84,17 @@ def test_nelder_mead_matches_scipy_bit_for_bit(func, x0, maxiter):
 
 @pytest.mark.parametrize("func", [_wiggly, _staircase, _quadratic])
 def test_lockstep_starts_match_lone_searches(func):
-    # Starts stepped together, shrinks included, give what each gives alone
-    # under `nelder_mead`: the same vertex, value, count and flag.
+    # Starts stepped together, line searches and restarts included, give
+    # what each gives alone under `optimize.bfgs_steps` driven one point at
+    # a time: the same point, value, count and flag.
     bounds = [(-1.0, 1.0), (-1.0, 1.0)]
     starts = [(0.9, 0.4), (-0.7, 0.2), (0.0, 0.5), (0.3, -0.8)]
-    runs = maximize_starts(_rows(lambda x: -func(x)), bounds, starts)
+    gradient = GRADIENTS[func]
+    runs = maximize_starts_bfgs(
+        lambda x: ([-func(p) for p in x], [-gradient(p) for p in x]), bounds, starts)
+    lows, highs = np.array(bounds).T
     for i, (x0, run) in enumerate(zip(starts, runs)):
-        alone = nelder_mead(lambda x: func(np.clip(x, -1.0, 1.0)), x0,
-                            xatol=1e-6, fatol=1e-12, maxiter=4000)
+        alone = drive(optimize.bfgs_steps(x0, lows, highs), lambda x: (func(x), gradient(x)))
         assert np.array_equal(np.clip(alone.x, -1.0, 1.0), run.x)
         assert -alone.fun == run.value
         assert (alone.nfev, alone.success, i) == (run.n_evaluations, run.converged,
@@ -88,8 +107,7 @@ def test_lockstep_trace_groups_rows_by_start():
     # the seeded draw, as before the starts ran in lockstep.
     bounds = [(-1.0, 1.0), (-2.0, 2.0)]
 
-    def objective(x):
-        return [-(p[0] - 0.3) ** 2 - math.sin(3.0 * p[1]) for p in x]
+    objective = _rows(lambda p: -(p[0] - 0.3) ** 2 - math.sin(3.0 * p[1]))
 
     def rows(stream):
         return [line.split(",") for line in stream.getvalue().splitlines()[1:]]
@@ -108,7 +126,7 @@ def test_lockstep_trace_groups_rows_by_start():
         assert [int(r[1]) for r in own] == list(range(len(own)))
         assert own[0][3:] == [f"{v:.12g}" for v in start]
         alone = io.StringIO()
-        maximize_starts(objective, bounds, [start], trace=alone)
+        maximize_starts_bfgs(objective, bounds, [start], trace=alone)
         assert [r[1:] for r in rows(alone)] == [r[1:] for r in own]
 
 
@@ -130,7 +148,7 @@ def test_multistart_finds_quadratic_maximum():
 def test_multistart_reports_best_start_convergence(monkeypatch):
     # Start 0 sits on the maximum and stays best; only start 1 converges.
     # The searches are created in start order but may finish in any order.
-    real_steps = optimize.simplex_steps
+    real_steps = optimize.bfgs_steps
     starts = []
 
     def steps(*args, **kwargs):
@@ -141,7 +159,7 @@ def test_multistart_reports_best_start_convergence(monkeypatch):
         starts[index] = res
         return res
 
-    monkeypatch.setattr(optimize, "simplex_steps", steps)
+    monkeypatch.setattr(optimize, "bfgs_steps", steps)
     res = multistart_maximize(_rows(lambda x: -(x[0] - 0.3) ** 2), [(-1.0, 1.0)],
                               n_starts=2, seed=0, x0=(0.3,))
     assert len(starts) == 2 and starts[1].success
