@@ -9,7 +9,9 @@ applied; every heralded trial contributes to the correlators.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -434,7 +436,13 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
     drawn within one period.  A free-mu search runs over ln mu, so that a
     step changes a pump strength in proportion to it, which keeps a search
     from being drawn at once to the weak-pump edge of the box; its random
-    starts are still uniform in mu, and its trace lists (ln mu_H, ln mu_V).
+    starts are still uniform in mu.  Its landscape has a pair of optima
+    that an exchange of H and V nearly maps onto each other (one with the
+    H pump strong, one with the V pump strong), and a local search reaches
+    only one of them, so the search goes on from the mirror image of its
+    best point (``_mirror``) as start ``n_starts`` and keeps the better.
+    Its trace lists both searches, with (mu_H, mu_V) as x0 and x1, mapped
+    from the 12 printed digits of ln mu, so to about 10 digits.
     """
     sb = strategy_a if strategy_b is None else strategy_b
 
@@ -447,9 +455,9 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
             s, ds_a, ds_b, _ = _chsh_gradient(*kernel.correlator_gradients(x[:, 0:2], x[:, 2:4]))
             return s, np.concatenate((ds_a, ds_b), axis=1)
 
-        res = multistart_maximize(objective, _FREE_ANGLES, n_starts=n_starts,
+        res = multistart_maximize(objective, _FREE_ANGLES, _angle_start, n_starts=n_starts,
                                   seed=seed, x0=x0 if x0 is not None else CANONICAL_X0,
-                                  trace=trace, start_at=_angle_start)
+                                  trace=trace)
         return ChshOptimum(value=res.value, settings=BellSettings(*res.x),
                            mu_h=None, mu_v=None, s=res.value, n_evaluations=res.n_evaluations,
                            converged=res.converged, start_index=res.start_index)
@@ -474,13 +482,41 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
 
     if x0 is None:
         x0 = (0.05, 0.05) + CANONICAL_X0
-    res = multistart_maximize(objective, [(math.log(lo), math.log(hi))] * 2 + _FREE_ANGLES,
-                              n_starts=n_starts, seed=seed, trace=trace, start_at=start_at,
-                              x0=np.concatenate((np.log(x0[:2]), x0[2:])))
+    bounds = [(math.log(lo), math.log(hi))] * 2 + _FREE_ANGLES
+    traces = [io.StringIO(), io.StringIO()] if trace is not None else [None, None]
+    seeded = multistart_maximize(objective, bounds, start_at, n_starts=n_starts, seed=seed,
+                                 x0=np.concatenate((np.log(x0[:2]), x0[2:])), trace=traces[0])
+    mirrored = multistart_maximize(objective, bounds, start_at, n_starts=1,
+                                   x0=_mirror(seeded.x), trace=traces[1])
+    res = best_run([seeded, replace(mirrored, start_index=n_starts)])
+    if trace is not None:
+        _write_free_mu_trace(trace, traces, n_starts)
     mu_h, mu_v = np.clip(np.exp(res.x[:2]), lo, hi).tolist()
     return ChshOptimum(value=res.value, settings=BellSettings(*res.x[2:6]),
-                       mu_h=mu_h, mu_v=mu_v, s=res.value, n_evaluations=res.n_evaluations,
+                       mu_h=mu_h, mu_v=mu_v, s=res.value,
+                       n_evaluations=seeded.n_evaluations + mirrored.n_evaluations,
                        converged=res.converged, start_index=res.start_index)
+
+
+def _mirror(x):
+    """The H <-> V mirror image of a free-mu search point (ln mu_H, ln mu_V,
+    a1, a2, b1, b2): the pump strengths exchanged and every analyzer turned
+    by pi/2."""
+    return np.concatenate((x[1::-1], np.add(x[2:], math.pi / 2)))
+
+
+def _write_free_mu_trace(trace, blocks, n_starts: int):
+    """Write the CSV traces ``blocks`` of a free-mu search, its seeded starts
+    and then its mirror search, to ``trace`` as one: one header, the mirror
+    search as start ``n_starts``, and each ln mu mapped back to mu."""
+    writer = csv.writer(trace)
+    for k, block in enumerate(blocks):
+        header, *rows = csv.reader(io.StringIO(block.getvalue()))
+        if k == 0:
+            writer.writerow(header)
+        for start, iteration, value, *x in rows:
+            writer.writerow([int(start) + k * n_starts, iteration, value]
+                            + [f"{math.exp(float(v)):.12g}" for v in x[:2]] + x[2:])
 
 
 def optimize_key_rate(params: ExperimentParams,
@@ -519,8 +555,8 @@ def optimize_key_rate(params: ExperimentParams,
 
     if x0 is None:
         x0 = (0.0,) + CANONICAL_X0
-    res = multistart_maximize(objective, _FREE_ANGLES + _FREE_ANGLES[:1], n_starts=n_starts,
-                              seed=seed, x0=x0, trace=trace, start_at=_angle_start)
+    res = multistart_maximize(objective, _FREE_ANGLES + _FREE_ANGLES[:1], _angle_start,
+                              n_starts=n_starts, seed=seed, x0=x0, trace=trace)
     e = kernel.correlators(np.take(res.x, _KEY_ANGLES_A), res.x[3:5]).tolist()
     s, q = _chsh(e), _qber(e[2][0])
     return ChshOptimum(value=res.value,

@@ -247,9 +247,8 @@ def best_run(runs) -> OptimizeResult:
     return best
 
 
-def multistart_maximize(objective, bounds, n_starts: int = 16, seed: int = 0,
-                        x0=None, trace: io.TextIOBase = None,
-                        start_at=None) -> OptimizeResult:
+def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: int = 0,
+                        x0=None, trace: io.TextIOBase = None) -> OptimizeResult:
     """Maximize ``objective`` over box ``bounds`` with multi-start projected BFGS.
 
     Args:
@@ -257,18 +256,18 @@ def multistart_maximize(objective, bounds, n_starts: int = 16, seed: int = 0,
             values and (m, n) gradients (see ``maximize_starts_bfgs``).
         bounds: sequence of (low, high) pairs, one per parameter, the box
             the search is held in; a pair may be infinite.
+        start_at: map from the unit cube [0, 1)^n to starting points, which
+            sets how the starts are spread: over a finite box, the affine
+            map onto it; over periodic parameters left unbounded, one
+            period of each.
         n_starts: number of starts, at least 1.  Start k > 0 is
-            ``start_at(r)`` at a point r of the unit cube [0, 1)^n drawn
-            from a seeded RNG; start 0 is ``x0``, or ``start_at`` at the
-            cube's center.  The RNG is created only when a start is drawn.
+            ``start_at(r)`` at a point r of the unit cube drawn from a
+            seeded RNG; start 0 is ``x0``, or ``start_at`` at the cube's
+            center.  The RNG is created only when a start is drawn.
         seed: RNG seed for the start points.
         x0: optional explicit first start.
         trace: optional text stream receiving a CSV trace
             (start, iteration, objective, parameters).
-        start_at: map from the unit cube to starts; by default the affine
-            map onto ``bounds``, which then must be finite.  A search that
-            leaves periodic parameters unbounded draws them within one
-            period through it.
 
     Returns:
         OptimizeResult of the best start (``best_run``), with the evaluations
@@ -276,12 +275,6 @@ def multistart_maximize(objective, bounds, n_starts: int = 16, seed: int = 0,
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
-    if start_at is None:
-        lows, highs = _box(bounds)
-
-        def start_at(r):
-            return lows + r * (highs - lows)
-
     n = len(bounds)
     starts = [start_at(np.full(n, 0.5)) if x0 is None else np.asarray(x0, dtype=float)]
     if n_starts > 1:

@@ -476,31 +476,78 @@ def test_search_kernel_stacked_points_match_lone_points(case):
 ], ids=["chsh-free-mu", "key-rate"])
 def test_lockstep_search_matches_each_start_alone(monkeypatch, search, n_starts):
     # Each start of a lockstep search ends where `optimize.bfgs_steps` ends
-    # on that start alone, with the search's own objective at one point.
+    # on that start alone, with the search's own objective at one point.  A
+    # free-mu search goes on from the mirror image of its best point: one
+    # more start, in a search of its own.
     real_maximize = optimize.maximize_starts_bfgs
-    captured = {}
+    calls = []
 
     def maximize(objective, bounds, starts, **kwargs):
-        captured.update(objective=objective, bounds=bounds, starts=starts,
-                        runs=real_maximize(objective, bounds, starts, **kwargs))
-        return captured["runs"]
-
-    def minimand(x):
-        values, grads = captured["objective"](x[None])
-        return -float(values[0]), -np.asarray(grads, dtype=float)[0]
+        calls.append(dict(objective=objective, bounds=bounds, starts=starts,
+                          runs=real_maximize(objective, bounds, starts, **kwargs)))
+        return calls[-1]["runs"]
 
     monkeypatch.setattr(optimize, "maximize_starts_bfgs", maximize)
     opt = search(n_starts=n_starts)
-    runs = captured["runs"]
-    lows, highs = np.array(captured["bounds"]).T
-    assert len(runs) == n_starts
+    runs = [run for call in calls for run in call["runs"]]
+    assert len(calls[0]["runs"]) == n_starts
+    assert len(runs) == n_starts + (len(calls) - 1)
     assert opt.n_evaluations == sum(run.n_evaluations for run in runs)
     assert opt.value == runs[opt.start_index].value
-    for start, run in zip(captured["starts"], runs):
-        alone = drive(optimize.bfgs_steps(start, lows, highs), minimand)
-        assert np.array_equal(np.clip(alone.x, lows, highs), run.x)
-        assert (-alone.fun, alone.nfev, alone.success) == (run.value, run.n_evaluations,
-                                                           run.converged)
+    for call in calls:
+        lows, highs = np.array(call["bounds"]).T
+
+        def minimand(x):
+            values, grads = call["objective"](x[None])
+            return -float(values[0]), -np.asarray(grads, dtype=float)[0]
+
+        for start, run in zip(call["starts"], call["runs"]):
+            alone = drive(optimize.bfgs_steps(start, lows, highs), minimand)
+            assert np.array_equal(np.clip(alone.x, lows, highs), run.x)
+            assert (-alone.fun, alone.nfev, alone.success) == (run.value, run.n_evaluations,
+                                                               run.converged)
+
+
+def test_free_mu_search_goes_on_from_the_mirror_image(monkeypatch):
+    # The second search starts at the H <-> V mirror image of the seeded
+    # searches' best point; on the measured sources at gain 3 every seeded
+    # start ends at the optimum with the H pump strong, and only the mirror
+    # search reaches the higher one with the V pump strong.
+    real_maximize = optimize.maximize_starts_bfgs
+    calls = []
+
+    def maximize(objective, bounds, starts, **kwargs):
+        calls.append((starts, real_maximize(objective, bounds, starts, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(optimize, "maximize_starts_bfgs", maximize)
+    opt = optimize_chsh(_preset("paper-tableS1"), free_mu=True, gain=3.0, n_starts=8, seed=0)
+    (_, seeded), (mirror_starts, (mirrored,)) = calls
+    best = optimize.best_run(seeded).x
+    assert np.array_equal(mirror_starts[0], [best[1], best[0]] + [a + math.pi / 2
+                                                                  for a in best[2:]])
+    assert max(run.value for run in seeded) < mirrored.value == opt.value
+    assert opt.start_index == 8
+    assert opt.mu_h < opt.mu_v == pytest.approx(MU_BOUNDS[1])
+
+
+def test_free_mu_trace_lists_mu():
+    # One header; the seeded starts, then the mirror search as start
+    # n_starts; x0 and x1 hold the pump strengths, not their logarithms
+    # (mapped from the 12 digits of ln mu, so to about 10 digits), and the
+    # optimum's row gives the reported value and pump strengths.
+    stream = io.StringIO()
+    opt = optimize_chsh(_preset("ideal"), free_mu=True, n_starts=3, seed=1, trace=stream)
+    header, *rows = csv.reader(io.StringIO(stream.getvalue()))
+    assert header == ["start", "iteration", "objective", "x0", "x1", "x2", "x3", "x4", "x5"]
+    assert len(rows) == opt.n_evaluations
+    assert sorted({int(r[0]) for r in rows}) == [0, 1, 2, 3]
+    mu = np.array([[float(v) for v in r[3:5]] for r in rows])
+    assert (MU_BOUNDS[0] * (1 - 1e-9) <= mu).all() and (mu <= MU_BOUNDS[1] * (1 + 1e-9)).all()
+    assert [float(v) for v in rows[0][3:5]] == pytest.approx([0.05, 0.05], rel=1e-10)
+    best = max((r for r in rows if int(r[0]) == opt.start_index), key=lambda r: float(r[2]))
+    assert float(best[2]) == pytest.approx(opt.value, abs=1e-11)
+    assert [float(v) for v in best[3:5]] == pytest.approx([opt.mu_h, opt.mu_v], rel=1e-9)
 
 
 GRADIENT_CASES = {
@@ -610,12 +657,16 @@ def _ideal_analyzer(**kwargs):
 
 MU_BOUNDS = (1e-6, 0.4)
 
+# (parameters, gain, seed, number of starts)
 SIMPLEX_CASES = {
-    "ideal": (_preset("ideal"), 1.0),
-    "tableS1-gain3": (_preset("paper-tableS1"), 3.0),
-    "ideal-analyzer-gain10": (_ideal_analyzer(), 10.0),
-    "ideal-analyzer-gain300": (_ideal_analyzer(), 300.0),
-    "fig-s3": (_preset("fig-s3"), 1.0),
+    "ideal": (_preset("ideal"), 1.0, 5, 3),
+    "tableS1-gain3": (_preset("paper-tableS1"), 3.0, 5, 3),
+    # the CLI's defaults: the seeded starts of a free-mu search all end at
+    # the lower of the two mirror optima, and the simplex reaches the higher
+    "tableS1-gain3-seed0": (_preset("paper-tableS1"), 3.0, 0, 8),
+    "ideal-analyzer-gain10": (_ideal_analyzer(), 10.0, 5, 3),
+    "ideal-analyzer-gain300": (_ideal_analyzer(), 300.0, 5, 3),
+    "fig-s3": (_preset("fig-s3"), 1.0, 5, 3),
 }
 
 
@@ -627,20 +678,22 @@ def test_searches_match_or_beat_the_simplex(monkeypatch, case, search):
     # searches ran it before: over the angles in one period and over mu (not
     # ln mu) in mu_bounds, each vertex clipped into that box, to xatol 1e-6
     # and fatol 1e-12.
-    params, gain = SIMPLEX_CASES[case]
+    params, gain, seed, n_starts = SIMPLEX_CASES[case]
     captured = {}
     real_maximize = optimize.maximize_starts_bfgs
 
     def maximize(objective, bounds, starts, **kwargs):
-        captured.update(objective=objective, starts=starts)
+        # the seeded starts; a free-mu search's mirror search comes after
+        captured.setdefault("objective", objective)
+        captured.setdefault("starts", starts)
         return real_maximize(objective, bounds, starts, **kwargs)
 
     monkeypatch.setattr(optimize, "maximize_starts_bfgs", maximize)
     if search == "key-rate":
-        opt = optimize_key_rate(params, gain=gain, n_starts=3, seed=5)
+        opt = optimize_key_rate(params, gain=gain, n_starts=n_starts, seed=seed)
     else:
-        opt = optimize_chsh(params, free_mu=search == "chsh-free-mu", gain=gain, n_starts=3,
-                            seed=5, mu_bounds=MU_BOUNDS)
+        opt = optimize_chsh(params, free_mu=search == "chsh-free-mu", gain=gain,
+                            n_starts=n_starts, seed=seed, mu_bounds=MU_BOUNDS)
     starts, objective = captured["starts"], captured["objective"]
     box = _angle_bounds(len(starts[0]))
     if search == "chsh-free-mu":

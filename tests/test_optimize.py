@@ -30,6 +30,13 @@ def _rows(f):
     return lambda x: ([f(p) for p in x], [_gradient(f, p) for p in x])
 
 
+def _onto(bounds):
+    """The affine map from the unit cube onto the box ``bounds``, which
+    spreads a search's random starts over it."""
+    lows, highs = np.array(bounds, dtype=float).T
+    return lambda r: lows + r * (highs - lows)
+
+
 def _quadratic(x):
     return (x[0] - 0.3) ** 2 + 2.0 * (x[1] + 0.1) ** 2
 
@@ -113,7 +120,7 @@ def test_lockstep_trace_groups_rows_by_start():
         return [line.split(",") for line in stream.getvalue().splitlines()[1:]]
 
     stream = io.StringIO()
-    res = multistart_maximize(objective, bounds, n_starts=3, seed=4, trace=stream)
+    res = multistart_maximize(objective, bounds, _onto(bounds), n_starts=3, seed=4, trace=stream)
     table = rows(stream)
     assert stream.getvalue().splitlines()[0] == "start,iteration,objective,x0,x1"
     assert len(table) == res.n_evaluations
@@ -133,12 +140,14 @@ def test_lockstep_trace_groups_rows_by_start():
 @pytest.mark.parametrize("n_starts", [0, -3])
 def test_multistart_rejects_fewer_than_one_start(n_starts):
     with pytest.raises(ValueError, match="n_starts"):
-        multistart_maximize(_rows(lambda x: x[0]), [(0.0, 1.0)], n_starts=n_starts)
+        multistart_maximize(_rows(lambda x: x[0]), [(0.0, 1.0)], _onto([(0.0, 1.0)]),
+                            n_starts=n_starts)
 
 
 def test_multistart_finds_quadratic_maximum():
+    bounds = [(-1.0, 1.0), (-1.0, 1.0)]
     res = multistart_maximize(_rows(lambda x: -(x[0] - 0.3) ** 2 - (x[1] + 0.1) ** 2),
-                              [(-1.0, 1.0), (-1.0, 1.0)], n_starts=4, seed=0)
+                              bounds, _onto(bounds), n_starts=4, seed=0)
     assert res.x[0] == pytest.approx(0.3, abs=1e-4)
     assert res.x[1] == pytest.approx(-0.1, abs=1e-4)
     assert res.value == pytest.approx(0.0, abs=1e-8)
@@ -161,7 +170,7 @@ def test_multistart_reports_best_start_convergence(monkeypatch):
 
     monkeypatch.setattr(optimize, "bfgs_steps", steps)
     res = multistart_maximize(_rows(lambda x: -(x[0] - 0.3) ** 2), [(-1.0, 1.0)],
-                              n_starts=2, seed=0, x0=(0.3,))
+                              _onto([(-1.0, 1.0)]), n_starts=2, seed=0, x0=(0.3,))
     assert len(starts) == 2 and starts[1].success
     assert res.start_index == 0
     assert not res.converged
@@ -171,27 +180,30 @@ def test_multistart_is_deterministic():
     def rastrigin_like(x):
         return -(x[0] ** 2) + 0.3 * math.cos(8 * x[0])
 
-    a = multistart_maximize(_rows(rastrigin_like), [(-2.0, 2.0)], n_starts=8, seed=5)
-    b = multistart_maximize(_rows(rastrigin_like), [(-2.0, 2.0)], n_starts=8, seed=5)
+    bounds = [(-2.0, 2.0)]
+    a = multistart_maximize(_rows(rastrigin_like), bounds, _onto(bounds), n_starts=8, seed=5)
+    b = multistart_maximize(_rows(rastrigin_like), bounds, _onto(bounds), n_starts=8, seed=5)
     assert a.x == b.x
     assert a.value == b.value
 
 
 def test_multistart_respects_bounds():
-    res = multistart_maximize(_rows(lambda x: x[0]), [(0.0, 0.5)], n_starts=4, seed=1)
+    res = multistart_maximize(_rows(lambda x: x[0]), [(0.0, 0.5)], _onto([(0.0, 0.5)]),
+                              n_starts=4, seed=1)
     assert res.x[0] <= 0.5
     assert res.value == pytest.approx(0.5, abs=1e-6)
 
 
 def test_multistart_rejects_non_finite_objective():
     with pytest.raises(ValueError):
-        multistart_maximize(_rows(lambda x: float("nan")), [(0.0, 1.0)], n_starts=1)
+        multistart_maximize(_rows(lambda x: float("nan")), [(0.0, 1.0)], _onto([(0.0, 1.0)]),
+                            n_starts=1)
 
 
 def test_multistart_trace_stream():
     stream = io.StringIO()
-    multistart_maximize(_rows(lambda x: -x[0] ** 2), [(-1.0, 1.0)], n_starts=2, seed=0,
-                        trace=stream)
+    multistart_maximize(_rows(lambda x: -x[0] ** 2), [(-1.0, 1.0)], _onto([(-1.0, 1.0)]),
+                        n_starts=2, seed=0, trace=stream)
     lines = stream.getvalue().splitlines()
     assert lines[0] == "start,iteration,objective,x0"
     assert len(lines) > 2
