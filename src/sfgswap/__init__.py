@@ -16,12 +16,7 @@ from .bell import (
     optimize_key_rate,
     sfg_gain_threshold,
 )
-from .detection import (
-    CoincidenceEfficiencies,
-    DetectorModel,
-    click_prob,
-    herald_amplitude_branches,
-)
+from .detection import CoincidenceEfficiencies
 from .efficiency import (
     CrystalParams,
     SfgBenchInputs,
@@ -34,25 +29,7 @@ from .efficiency import (
     spectral_overlap,
     spectral_overlap_gaussian,
 )
-from .fock import (
-    DEFAULT_NMAX,
-    ModeError,
-    PureState,
-    apply_annihilation,
-    apply_creation,
-    tensor,
-    two_mode_rotation,
-)
-from .optics import (
-    LossMap,
-    SfgParams,
-    SourceParams,
-    build_swapping_input,
-    loss_branches,
-    qfc_mode_transform,
-    sfg_branches,
-    tmsv_pair,
-)
+from .optics import SfgParams, SourceParams
 from .presets import get_preset, presets, swap_params
 from .protocols import (
     ExperimentParams,
@@ -60,7 +37,6 @@ from .protocols import (
     TeleportReport,
     VisibilityReport,
     error_event_probs,
-    error_event_probs_simulated,
     lo_swap,
     qfc_teleport_strong_pump,
     sfg_swap,

@@ -362,11 +362,7 @@ def _sweep_assignments(variable: str, value: float) -> dict:
 
 
 def _sweep_point(args):
-    base_section, variable, value, bsa = args
-    section = dict(base_section)
-    for key, v in _sweep_assignments(variable, value).items():
-        section[key] = v
-    params = swap_params(section)
+    params, bsa = args
     out = []
     if bsa in ("sfg", "both"):
         rep = sfg_swap(params)
@@ -395,7 +391,9 @@ def _run_sweep(config, fmt, out, jobs):
     if not known <= valid:
         raise ConfigError(f"unknown sweep variable {variable!r}")
     values = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
-    tasks = [(params_section, variable, v, bsa) for v in values]
+    # Every point's parameters are checked before any point runs.
+    tasks = [(_build_params({"params": {**params_section, **_sweep_assignments(variable, v)}}),
+              bsa) for v in values]
     # A fork-based pool starts all its workers up front, so it gets no more
     # than there are points.
     workers = min(jobs, len(tasks))

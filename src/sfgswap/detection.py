@@ -1,51 +1,29 @@
-"""Threshold detection, SFG-photon heralding, and the analyzer-readout
-kernel.
+"""Threshold detection, the sign of the SFG-photon herald, and the
+analyzer-readout kernel.
 
 A threshold detector with efficiency eta clicks on an n-photon mode with
 probability 1 - (1 - eta)^n and cannot resolve photon number.  Polarization
 analyzers are modeled as a beamsplitter rotation of angle theta between the
 H and V mode of each output arm followed by threshold detection of each arm
-(theta = 0 is the Z basis, theta = pi/4 the X basis).
+(theta = 0 is the Z basis, theta = pi/4 the X basis): H+ -> cos(theta) H+
++ sin(theta) V+ and V+ -> -sin(theta) H+ + cos(theta) V+.
 
 An analyzer rotation keeps each party's photon number N and acts on the
 N-photon (H, V) block as the spin-N/2 representation of SU(2), so every
 pipeline readout is one contraction (``block_readout``) of small blocks of
 the state, and each analyzer operator is a trig polynomial in its angle
 (``analyzer_coefficients``), the form the Bell searches evaluate.  The
-density-operator POVMs, herald projection and click patterns of
-``tests/density_route.py`` are the reference the tests compare against.
+pure-branch herald of ``tests/branch_route.py`` and the density-operator
+POVMs, herald projection and click patterns of ``tests/density_route.py``
+are the references the tests compare against.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fock import PureState, mode_index
-from .optics import ANALYZER_MODES, OUTPUT_REGISTER
-
-
-@dataclass(frozen=True)
-class DetectorModel:
-    """Efficiency and dark-count probability per coincidence window."""
-
-    efficiency: float
-    dark_prob_per_window: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("detector efficiency must be in [0, 1]")
-        if not 0.0 <= self.dark_prob_per_window < 1.0:
-            raise ValueError("dark probability per window must be in [0, 1)")
-
-
-def click_prob(eta: float, n: int) -> float:
-    """Threshold-click probability for n incident photons."""
-    return 1.0 - (1.0 - eta) ** n
-
 
 HERALD_SIGNS = {"D": +1.0, "A": -1.0}
 
@@ -56,32 +34,6 @@ def herald_sign(basis: str) -> float:
         return HERALD_SIGNS[basis]
     except KeyError:
         raise ValueError(f"herald basis must be 'D' or 'A', got {basis!r}") from None
-
-
-def herald_amplitude_branches(branches, basis: str, det: DetectorModel):
-    """Pure-branch herald: <D/A| on the c modes of each branch.
-
-    Returns pure states over the non-a/b/c modes whose outer products sum
-    to the unnormalized heralded state; its trace is the herald probability.
-    """
-    sign = herald_sign(basis)
-    scale = math.sqrt(det.efficiency)
-    out = []
-    for phi in branches:
-        iH, iV = mode_index(phi.register, "cH"), mode_index(phi.register, "cV")
-        rest_reg = tuple(m for j, m in enumerate(phi.register) if j not in (iH, iV))
-        amps = {}
-        for occ, a in phi.amps.items():
-            nH, nV = occ[iH], occ[iV]
-            if nH + nV > 1:
-                raise ValueError("herald requires at most one c photon")
-            if nH + nV == 1:
-                rest = tuple(n for j, n in enumerate(occ) if j not in (iH, iV))
-                amp = a * (1.0 if nH == 1 else sign) / math.sqrt(2.0) * scale
-                amps[rest] = amps.get(rest, 0.0) + amp
-        out.extend(reduced_branches(PureState(rest_reg, amps, n_max=phi.n_max),
-                                    [m for m in rest_reg if m not in ANALYZER_MODES]))
-    return out
 
 
 @dataclass(frozen=True)
@@ -97,7 +49,7 @@ class CoincidenceEfficiencies:
 @functools.lru_cache(maxsize=None)
 def _rotation_eig(n: int):
     """Eigenvalues w of i K_N, where K_N[a-1, a] = -K_N[a, a-1] = sqrt(a (N - a + 1))
-    generates ``two_mode_rotation`` on the N-photon block, the real and imaginary
+    generates the analyzer rotation on the N-photon block, the real and imaginary
     parts of its eigenprojectors, and the identity, for N <= n, zero-padded."""
     w, v = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1, n + 1), dtype=complex)
     for N in range(n + 1):
@@ -113,8 +65,8 @@ def _rotation_eig(n: int):
 
 
 def rotation_blocks(thetas, n: int) -> np.ndarray:
-    """R[p, N, a, a'] = <a, N - a| two_mode_rotation(theta_p) |a', N - a'>
-    for N <= n, zero-padded: I + V (exp(-i theta w) - 1) V+, exact at 0."""
+    """R[p, N, a, a'] = <a, N - a| U(theta_p) |a', N - a'> for the analyzer
+    rotation U and N <= n, zero-padded: I + V (exp(-i theta w) - 1) V+, exact at 0."""
     w, proj, eye = _rotation_eig(n)
     wt = np.multiply.outer(np.asarray(thetas, dtype=float), w)
     trig = np.concatenate([np.cos(wt) - 1.0, np.sin(wt)], axis=2)
@@ -201,19 +153,3 @@ def block_readout(rho: np.ndarray, thetas_d, weights_d, thetas_e, weights_e) -> 
     e = (analyzer_operators(r[:n_d], weights_d).reshape(-1, k ** 3) @ rho.reshape(k ** 3, -1)
          @ analyzer_operators(r[n_d:], weights_e).reshape(-1, k ** 3).T)
     return e.reshape(n_d, -1, len(thetas_e), len(weights_e)).transpose(0, 2, 1, 3)
-
-
-def reduced_branches(psi: PureState, modes=OUTPUT_REGISTER):
-    """Orthogonal pure pieces of the reduced state of ``psi`` on ``modes``
-    (by default the output modes, the state a dark-count herald leaves):
-    one piece per occupation of the traced-out modes."""
-    keep = [mode_index(psi.register, m) for m in modes]
-    drop = [i for i in range(len(psi.register)) if i not in keep]
-    grouped = {}
-    for occ, a in psi.amps.items():
-        d = grouped.setdefault(tuple(occ[i] for i in drop), {})
-        rest = tuple(occ[i] for i in keep)
-        d[rest] = d.get(rest, 0.0) + a
-    pieces = ({k: v for k, v in amps.items() if abs(v) > 1e-16} for amps in grouped.values())
-    return [PureState(tuple(modes), amps, n_max=psi.n_max) for amps in pieces if amps]
-

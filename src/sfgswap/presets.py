@@ -8,6 +8,7 @@ config file and ``--set`` overrides before building typed parameters.
 from __future__ import annotations
 
 import copy
+import math
 
 from .optics import SfgParams, SourceParams
 from .protocols import ExperimentParams
@@ -117,6 +118,18 @@ def get_preset(name: str) -> dict:
     return copy.deepcopy(_PRESETS[name])
 
 
+def _pair_cap(value) -> int:
+    """``pair_cap`` as an int, from any number or numeric string without a
+    fractional part: a fractional cap is refused, not truncated."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not number.is_integer():
+        raise ValueError(f"pair_cap must be an integer, got {value!r}")
+    return int(number)
+
+
 def swap_params(section: dict) -> ExperimentParams:
     """Build ExperimentParams from a flat [params] section."""
     known = set(_PARAM_FIELDS) | {"mu_1h", "mu_1v", "mu_2h", "mu_2v",
@@ -128,7 +141,7 @@ def swap_params(section: dict) -> ExperimentParams:
     for key, fname in _PARAM_FIELDS.items():
         if key in section:
             value = section[key]
-            kwargs[fname] = int(value) if fname == "pair_cap" else float(value)
+            kwargs[fname] = _pair_cap(value) if fname == "pair_cap" else float(value)
     return ExperimentParams(
         eps1=SourceParams(float(section.get("mu_1h", 0.0)),
                           float(section.get("mu_1v", 0.0))),

@@ -19,42 +19,34 @@ amplitude of losing l of the n photons on each analyzer mode and O what the
 herald does to the photons kept.  Every visibility readout is one
 contraction of the photon-number-block density (``detection.block_readout``);
 the Bell searches read the same blocks through ``bell.SearchKernel``.
-Teleportation and frequency-conversion teleportation run the pipeline on
-pure-state Kraus branches and read their fidelity straight off the heralded
-branches.  The pure-branch swap pipelines and the density-operator route of
+Teleportation runs the same herald on arrays: one row per term of the pair
+and the coherent input, its loss amplitude times that of the SFG herald,
+with the fidelity read off the rows that leave one photon in d.
+Frequency-conversion teleportation is closed form: one pair, one exact
+rotation per polarization.  The pure-branch route of
+``tests/branch_route.py`` and the density-operator route of
 ``tests/density_route.py`` are the references the tests compare against.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .detection import (
     CoincidenceEfficiencies,
-    DetectorModel,
     analyzer_operators,
     arm_click_probs,
     block_readout,
-    herald_amplitude_branches,
     herald_sign,
     rotation_blocks,
 )
-from .fock import PureState, apply_creation, tensor
-from .optics import (
-    LossMap,
-    OUTPUT_REGISTER,
-    SfgParams,
-    SourceParams,
-    extend_state,
-    loss_branches,
-    qfc_mode_transform,
-    sfg_branches,
-    tmsv_pair,
-)
+from .optics import SfgParams, SourceParams
 
 HERALD_TARGET = {"A": "phi_minus", "D": "phi_plus"}
 # Analyzer angle of both parties in the Z and X visibility measurements.
@@ -90,15 +82,11 @@ class ExperimentParams:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
         if not 0.0 <= self.dark < 1.0:
             raise ValueError(f"dark must be in [0, 1), got {self.dark!r}")
+        if not isinstance(self.pair_cap, numbers.Integral):
+            raise ValueError(f"pair_cap must be an integer, got {self.pair_cap!r}")
         if self.pair_cap < 2:
             raise ValueError("pair_cap must be at least 2: the SFG herald "
                              "needs one photon from each of two pairs")
-
-    def channel_losses(self) -> LossMap:
-        return LossMap({"aH": self.t1H, "aV": self.t1V, "bH": self.t2H, "bV": self.t2V})
-
-    def c_losses(self) -> LossMap:
-        return LossMap({"cH": self.eta_tH, "cV": self.eta_tV})
 
     def analyzer_efficiencies(self) -> CoincidenceEfficiencies:
         return CoincidenceEfficiencies(d_H=self.eta_1H, d_V=self.eta_1V,
@@ -137,20 +125,6 @@ class VisibilityReport:
                 if ij in table:
                     lines.append(f"{name}_{ij} = {table[ij]:.12g}")
         return "\n".join(lines) + "\n"
-
-
-def _herald(psi: PureState, params: ExperimentParams, basis: str, gain: float = 1.0,
-            register=OUTPUT_REGISTER):
-    """Channel loss, first-order SFG, loss on c and the herald applied to
-    ``psi``: pure branches on the output modes ``register`` whose
-    outer-product sum is the event-weighted heralded operator."""
-    branches = loss_branches(psi, params.channel_losses())
-    branches = sfg_branches(branches, params.sfg.scaled(gain))
-    out = []
-    for phi in branches:
-        out.extend(loss_branches(phi, params.c_losses()))
-    heralded = herald_amplitude_branches(out, basis, DetectorModel(params.eta_d))
-    return [phi if phi.register == register else phi.reorder(register) for phi in heralded]
 
 
 def _bounded_rows(width: int, cap: int) -> np.ndarray:
@@ -248,8 +222,8 @@ def _binned_blocks(bins: np.ndarray, weights: np.ndarray, cap: int) -> np.ndarra
 
 def heralding_filter(params: ExperimentParams, basis: str = "A") -> np.ndarray:
     """Block density R (``detection.block_readout``) of the heralded state of
-    the unit-amplitude input: amplitude 1 on every term of
-    ``build_swapping_input`` with at most ``pair_cap`` pairs.
+    the unit-amplitude input: amplitude 1 on every term of the swapping
+    input with at most ``pair_cap`` pairs.
 
     It does not depend on the source strengths: the heralded state of any
     sources is R times the outer product of their ``source_amplitudes``.
@@ -265,7 +239,7 @@ def heralding_filter(params: ExperimentParams, basis: str = "A") -> np.ndarray:
             (layout.sfg_h, (0, 2), params.sfg.eta_H, params.eta_tH, 1.0),
             (layout.sfg_v, (1, 3), params.sfg.eta_V, params.eta_tV, sign)):
         root = layout.root_kept[rows]
-        # The factors in the order the pure-branch pipeline applies them, so
+        # The factors in the order the pure-branch route applies them, so
         # that the lossless filter is the same to the last bit.
         amps.append(w[rows] * root[:, ca] * root[:, cb] * math.sqrt(eta) * eta_t ** 0.5
                     * s / math.sqrt(2.0) * math.sqrt(params.eta_d))
@@ -275,9 +249,10 @@ def heralding_filter(params: ExperimentParams, basis: str = "A") -> np.ndarray:
 
 
 def source_amplitudes(eps1: SourceParams, eps2: SourceParams, pair_cap: int) -> np.ndarray:
-    """c[N_d, a, N_e, b]: amplitude of ``build_swapping_input`` on the term
-    with a H and N_d - a V pairs from source 1 and b H and N_e - b V pairs
-    from source 2, zero past the cap."""
+    """c[N_d, a, N_e, b]: amplitude of the swapping input on the term with
+    a H and N_d - a V pairs from source 1 (on a, d) and b H and N_e - b V
+    pairs from source 2 (on b, e), at most ``pair_cap`` pairs in all and
+    renormalized, zero past the cap."""
     n = np.arange(pair_cap + 1)
     down = n[:, None] - n
 
@@ -354,6 +329,8 @@ def _visibility_x(p: dict) -> float:
 def sfg_swap(params: ExperimentParams, basis: str = "A") -> VisibilityReport:
     """Full SFG-swapping pipeline: visibilities, fidelity bound, herald rate."""
     ens = heralded_ensemble(params, basis=basis)
+    if ens.trace() <= 0.0:
+        raise ValueError("herald probability is zero")
     effs = params.analyzer_efficiencies()
     p_sfg = _coincidence_tables(ens.rho_sfg, effs)
     p_acd = _coincidence_tables(ens.rho_dark, effs)
@@ -388,6 +365,8 @@ def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
     (``detection.analyzer_operators``) at angle pi/4: on (aH, bV) clicking
     on the V arm and on (bH, aV) clicking on the H arm.
     """
+    if not 0.0 <= eta_bsa <= 1.0:
+        raise ValueError(f"eta_bsa must be in [0, 1], got {eta_bsa!r}")
     cap = params.pair_cap
     layout = _swap_layout(cap)
     c = source_amplitudes(params.eps1, params.eps2, cap).ravel()[layout.source]
@@ -397,13 +376,16 @@ def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
     i, j = layout.pair_i, layout.pair_j
     rho = _binned_blocks(layout.pair_bins, w[i] * w[j] * ops[0].ravel()[layout.pair_ahbv]
                          * ops[1].ravel()[layout.pair_bhav], cap)
+    herald_prob = float(np.einsum("NaaMbb->", rho))
+    if herald_prob <= 0.0:
+        raise ValueError("herald probability is zero")
     tables = _coincidence_tables(rho, params.analyzer_efficiencies())
     v_z = _visibility_z(tables["z"])
     v_x = _visibility_x(tables["x"])
     return VisibilityReport(
         v_z=v_z, v_x=v_x,
         fidelity_lower_bound=(v_z + v_x) / 2.0,
-        herald_prob=float(np.einsum("NaaMbb->", rho)),
+        herald_prob=herald_prob,
         p_z=tables["z"], p_x=tables["x"],
         p_sfg_z=tables["z"], p_sfg_x=tables["x"],
     )
@@ -427,75 +409,6 @@ def error_event_probs(gamma: float, t: float) -> tuple:
     return 2.0 * base, base
 
 
-def _bell_pair_power(modes_sig, modes_idl, n_pairs: int) -> PureState:
-    """Normalized n-pair state (pair creator = (sH+iH+ + sV+iV+)/sqrt(2))."""
-    reg = (modes_sig[0], modes_sig[1], modes_idl[0], modes_idl[1])
-    state = PureState.vacuum(reg, n_max=2 * n_pairs)
-    for _ in range(n_pairs):
-        h = apply_creation(apply_creation(state, modes_sig[0]), modes_idl[0])
-        v = apply_creation(apply_creation(state, modes_sig[1]), modes_idl[1])
-        state = h.add(v).scaled(1.0 / math.sqrt(2.0))
-    return state.normalized()
-
-
-def error_event_probs_simulated(gamma: float, t: float) -> tuple:
-    """Brute-force counterpart of ``error_event_probs``.
-
-    Builds the (2, 1)-pair sector state explicitly, runs it through the
-    loss channels as pure Kraus branches, and reads the two loss patterns
-    off the photon-number distribution of the analyzer modes.
-    """
-    two = _bell_pair_power(("aH", "aV"), ("dH", "dV"), 2)
-    one = _bell_pair_power(("bH", "bV"), ("eH", "eV"), 1)
-    # Lift the photon caps before the product: the joint sector carries six
-    # photons, more than either factor's own cap.
-    two = PureState(two.register, two.amps, n_max=6)
-    one = PureState(one.register, one.amps, n_max=6)
-    psi = tensor(two, one)
-    ia = [psi.register.index(m) for m in ("aH", "aV")]
-    ib = [psi.register.index(m) for m in ("bH", "bV")]
-    p_one_lost_a = 0.0
-    p_b_lost = 0.0
-    for phi in loss_branches(psi, LossMap({"aH": t, "aV": t, "bH": t, "bV": t})):
-        for occ, a in phi.amps.items():
-            na = sum(occ[i] for i in ia)
-            nb = sum(occ[i] for i in ib)
-            if na == 1 and nb == 1:
-                p_one_lost_a += abs(a) ** 2
-            elif na == 2 and nb == 0:
-                p_b_lost += abs(a) ** 2
-    sector_weight = gamma ** 6
-    return sector_weight * p_one_lost_a, sector_weight * p_b_lost
-
-
-def _coherent_state(modes, amplitudes, n_max: int) -> PureState:
-    """Truncated coherent product state over the given modes."""
-    reg = tuple(modes)
-    norm = math.exp(-sum(abs(complex(z)) ** 2 for z in amplitudes) / 2.0)
-    per_mode = []
-    for z in amplitudes:
-        z = complex(z)
-        per_mode.append([(z ** n) / math.sqrt(math.factorial(n)) for n in range(n_max + 1)])
-    amps = {}
-    kept = 0.0
-
-    def fill(prefix, weight):
-        nonlocal kept
-        i = len(prefix)
-        if i == len(reg):
-            amps[tuple(prefix)] = weight
-            kept += abs(weight) ** 2
-            return
-        used = sum(prefix)
-        for n in range(n_max - used + 1):
-            fill(prefix + [n], weight * per_mode[i][n])
-
-    fill([], norm)
-    dropped = max(0.0, 1.0 - kept)
-    return PureState(reg, {k: v for k, v in amps.items() if abs(v) > 1e-16},
-                     n_max=n_max, dropped_weight=dropped)
-
-
 @dataclass(frozen=True)
 class TeleportReport:
     """Outcome of a heralded polarization-transfer run."""
@@ -506,19 +419,57 @@ class TeleportReport:
     truncation_dropped: float
 
 
-def _one_photon_readout(branches, alpha: complex, beta: complex) -> tuple:
-    """Herald probability, one-photon weight and fidelity to alpha|H> + beta|V>
-    on the one-photon subspace of mode d, of heralded pure branches on
-    (dH, dV)."""
-    total = one = overlap = 0.0
-    for phi in branches:
-        h, v = phi.amps.get((1, 0), 0.0), phi.amps.get((0, 1), 0.0)
-        total += phi.norm_sq()
-        one += abs(h) ** 2 + abs(v) ** 2
-        overlap += abs(alpha.conjugate() * h + beta.conjugate() * v) ** 2
+@dataclass(frozen=True)
+class _TeleportLayout:
+    """Index layout of the heralded teleport state at one ``pair_cap``.
+
+    A row is a term of the teleport input, k H and l V pairs on (a, d) and
+    mH, mV coherent photons on b, so n = (k, l, mH, mV) on (aH, aV, bH, bV),
+    with at most 2 ``pair_cap`` photons in all, of which ``lost`` are lost
+    in the channel.  The herald leaves d with one photon only from the H
+    term of a row (1, 0, mH, mV) and the V term of (0, 1, mH - 1, mV + 1)
+    with no a photon lost and the same b photons lost: both leave
+    (0, 0, mH - 1 - lH, mV - lV) on (a, b), so each pair ``one_h``,
+    ``one_v`` is one pure state of d.  Every other term leaves a photon
+    behind in a or d and adds to the herald probability alone.
+    """
+
+    n: np.ndarray
+    lost: np.ndarray
+    root_kept: np.ndarray
+    root_comb: np.ndarray  # [n, l] = sqrt(C(n, l))
+    one_h: np.ndarray
+    one_v: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _teleport_layout(cap: int) -> _TeleportLayout:
+    k = 2 * cap + 1
+    rows = _bounded_rows(8, 2 * cap)
+    n = rows[:, :4] + rows[:, 4:]
+    rows = rows[2 * (n[:, 0] + n[:, 1]) + n[:, 2] + n[:, 3] <= 2 * cap]
+    kept, lost = rows[:, :4], rows[:, 4:]
+    one = (kept[:, 0] == 1) & (kept[:, 1] == 0) & (kept[:, 2] > 0) & ~lost[:, :2].any(axis=1)
+    codes = np.ravel_multi_index(rows.T, (k,) * 8)  # sorted, as the rows are
+    partners = rows[one] + [-1, 1, -1, 1, 0, 0, 0, 0]
+    layout = _TeleportLayout(
+        n=kept + lost, lost=lost, root_kept=np.sqrt(kept),
+        root_comb=np.sqrt([[math.comb(x, y) for y in range(k)] for x in range(k)]),
+        one_h=np.flatnonzero(one),
+        one_v=np.searchsorted(codes, np.ravel_multi_index(partners.T, (k,) * 8)))
+    for arr in vars(layout).values():
+        arr.setflags(write=False)  # shared by every caller
+    return layout
+
+
+def _one_photon_readout(h, v, alpha: complex, beta: complex) -> tuple:
+    """One-photon weight and fidelity to alpha|H> + beta|V> of the pure states
+    of d with amplitude h on |H> and v on |V>."""
+    one = float(np.vdot(h, h).real + np.vdot(v, v).real)
     if one <= 0.0:
         raise ValueError("no one-photon component in the output state")
-    return total, one / total, overlap / one
+    overlap = alpha.conjugate() * h + beta.conjugate() * v
+    return one, float(np.vdot(overlap, overlap).real) / one
 
 
 def teleport(params: ExperimentParams, input_polarization, input_mean_photons: float,
@@ -532,6 +483,12 @@ def teleport(params: ExperimentParams, input_polarization, input_mean_photons: f
     mirroring the tomographic conditioning of a detected output photon.
     The amplitudes must be finite and normalized, and
     ``input_mean_photons`` finite and positive.
+
+    The pair is cut at ``pair_cap`` pairs and renormalized, the coherent
+    input at 2 ``pair_cap`` photons, and so is their product; the weight
+    the cuts drop is ``truncation_dropped``.  Each term's herald amplitude
+    is its loss amplitude times that of the SFG herald K of
+    ``heralding_filter``, which leaves its d photons as they are.
     """
     alpha, beta = (complex(x) for x in input_polarization)
     if not all(map(math.isfinite, (alpha.real, alpha.imag, beta.real, beta.imag))):
@@ -542,19 +499,34 @@ def teleport(params: ExperimentParams, input_polarization, input_mean_photons: f
     if not (math.isfinite(input_mean_photons) and input_mean_photons > 0.0):
         raise ValueError(
             f"input_mean_photons must be finite and positive, got {input_mean_photons!r}")
-    pair = tmsv_pair(params.eps1, ("aH", "aV"), ("dH", "dV"), params.pair_cap)
+    sign = herald_sign(herald_basis)
+    cap = params.pair_cap
+    layout = _teleport_layout(cap)
+    k, l, m_h, m_v = layout.n.T
+    g_h, g_v = params.eps1.gamma_H, params.eps1.gamma_V
+    kk, ll = np.indices((cap + 1, cap + 1))
+    pair_norm = math.sqrt(np.sum(np.where(kk + ll <= cap, g_h ** (2 * kk) * g_v ** (2 * ll), 0.0)))
     z = math.sqrt(input_mean_photons)
-    coh = _coherent_state(("bH", "bV"), (z * alpha, z * beta), 2 * params.pair_cap)
-    psi = tensor(pair, coh).reorder(("aH", "aV", "bH", "bV", "dH", "dV"))
-    heralded = _herald(psi, params, herald_basis, register=("dH", "dV"))
-    if not heralded:
+    root_fact = np.sqrt([float(math.factorial(m)) for m in range(2 * cap + 1)])
+    m = np.arange(2 * cap + 1)
+    coh_h, coh_v = ((z * x) ** m / root_fact for x in (alpha, beta))
+    norm = math.exp(-(abs(z * alpha) ** 2 + abs(z * beta) ** 2) / 2.0)
+    amp = g_h ** k * g_v ** l / pair_norm * norm * coh_h[m_h] * coh_v[m_v]
+    intact = ~layout.lost.any(axis=1)
+    dropped = max(0.0, 1.0 - float(np.vdot(amp[intact], amp[intact]).real))
+    w = _loss_amplitudes(layout, params, amp)
+    root = layout.root_kept
+    scale = math.sqrt(params.eta_d / 2.0)
+    h = w * root[:, 0] * root[:, 2] * (scale * math.sqrt(params.sfg.eta_H * params.eta_tH))
+    v = w * root[:, 1] * root[:, 3] * (sign * scale * math.sqrt(params.sfg.eta_V * params.eta_tV))
+    herald_prob = float(np.vdot(h, h).real + np.vdot(v, v).real)
+    if herald_prob <= 0.0:
         raise ValueError("herald probability is zero")
     # Heralding on D transfers (alpha, beta); heralding on A flips the sign
     # of the V component.
-    tb = beta if herald_basis == "D" else -beta
-    herald_prob, one_weight, fidelity = _one_photon_readout(heralded, alpha, tb)
+    one, fidelity = _one_photon_readout(h[layout.one_h], v[layout.one_v], alpha, sign * beta)
     return TeleportReport(fidelity=fidelity, herald_prob=herald_prob,
-                          one_photon_weight=one_weight, truncation_dropped=psi.dropped_weight)
+                          one_photon_weight=one / herald_prob, truncation_dropped=dropped)
 
 
 @dataclass(frozen=True)
@@ -566,30 +538,36 @@ class QfcReport:
 
 
 def qfc_teleport_strong_pump(alpha: complex, beta: complex, chi_tau: float,
-                             pair: PureState = None, eta_d: float = 1.0) -> QfcReport:
+                             eta_d: float = 1.0) -> QfcReport:
     """Polarization transfer by frequency conversion with a classical pump.
 
     The input light acts as the pump with polarization amplitudes
     (alpha, beta); the exact conversion rotation is applied to the a modes
-    of the entangled pair and the converted photon is heralded on |D>.  In
-    the weak-pump regime the d photon inherits (alpha, beta); for strong
-    pumps the transfer degrades toward polarization-insensitive conversion.
+    of the Bell pair (|HH> + |VV>) / sqrt(2) on (a, d) and the converted
+    photon is heralded on |D>.  Each polarization rotates its a photon into
+    c by the angle |alpha| chi_tau (H) or |beta| chi_tau (V) with the
+    pump's phase, so the herald leaves d with the amplitudes
+    sqrt(eta_d) / 2 (e^{i arg alpha} sin(|alpha| chi_tau),
+    e^{i arg beta} sin(|beta| chi_tau)).  In the weak-pump regime the d
+    photon inherits (alpha, beta); for strong pumps the transfer degrades
+    toward polarization-insensitive conversion.
     """
     alpha, beta = complex(alpha), complex(beta)
-    if pair is None:
-        pair = PureState(("aH", "aV", "dH", "dV"),
-                         {(1, 0, 1, 0): 1 / math.sqrt(2), (0, 1, 0, 1): 1 / math.sqrt(2)},
-                         n_max=2)
-    state = extend_state(pair, ("cH", "cV"))
-    state = qfc_mode_transform(state, alpha, beta, chi_tau)
-    heralded = [phi if phi.register == ("dH", "dV") else phi.reorder(("dH", "dV"))
-                for phi in herald_amplitude_branches([state], "D", DetectorModel(eta_d))]
-    if not heralded:
-        return QfcReport(fidelity=0.0, herald_prob=0.0,
-                         conversion_angle_H=abs(alpha) * chi_tau,
-                         conversion_angle_V=abs(beta) * chi_tau)
-    nrm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    herald_prob, _, fidelity = _one_photon_readout(heralded, alpha / nrm, beta / nrm)
+    if not all(map(math.isfinite, (alpha.real, alpha.imag, beta.real, beta.imag))):
+        raise ValueError(f"alpha and beta must be finite, got {alpha!r} and {beta!r}")
+    if alpha == 0 and beta == 0:
+        raise ValueError("alpha and beta must not both be zero")
+    if not (math.isfinite(chi_tau) and chi_tau >= 0.0):
+        raise ValueError(f"chi_tau must be finite and nonnegative, got {chi_tau!r}")
+    if not 0.0 <= eta_d <= 1.0:
+        raise ValueError(f"eta_d must be in [0, 1], got {eta_d!r}")
+    angles = abs(alpha) * chi_tau, abs(beta) * chi_tau
+    h, v = (math.sqrt(eta_d) / 2.0 * cmath.rect(math.sin(theta), cmath.phase(x))
+            for theta, x in zip(angles, (alpha, beta)))
+    herald_prob = abs(h) ** 2 + abs(v) ** 2
+    fidelity = 0.0
+    if herald_prob > 0.0:
+        nrm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+        fidelity = _one_photon_readout(h, v, alpha / nrm, beta / nrm)[1]
     return QfcReport(fidelity=fidelity, herald_prob=herald_prob,
-                     conversion_angle_H=abs(alpha) * chi_tau,
-                     conversion_angle_V=abs(beta) * chi_tau)
+                     conversion_angle_H=angles[0], conversion_angle_V=angles[1])

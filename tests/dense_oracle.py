@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from density_route import DensityOperator, expectation, partial_trace, sandwich, unitary_column_map
-from sfgswap.fock import PureState, apply_annihilation, apply_creation, tensor, two_mode_rotation
+from branch_route import PureState, apply_annihilation, apply_creation, tensor, two_mode_rotation
 
 
 def product_basis(n_modes: int, n_max: int):

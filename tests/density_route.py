@@ -1,13 +1,14 @@
 """Density-operator reference route of the swapping model.
 
-The package computes every pipeline on pure Kraus branches, arrays over
-pair numbers and photon-number blocks.  This module is the independent
+The package computes every pipeline on arrays over pair numbers and
+photon-number blocks, or in closed form.  This module is the independent
 route the tests compare it against: sparse density operators over
 occupation pairs, the loss and first-order SFG channels as conjugations of
 those operators, the herald as a projection, threshold-detector POVMs, and
 the sixteen joint click patterns read off the rotated photon-number
-diagonal, with CHSH and QBER on top.  It shares no readout code with the package.  Next to it sit
-the pure-branch swap pipelines, the reference for the array kernel of
+diagonal, with CHSH and QBER on top.  It shares no readout code with the
+package.  Next to it sit the pure-branch swap pipelines, built from the
+channels of ``branch_route.py``: the reference for the array kernel of
 ``protocols.heralding_filter`` and ``protocols.lo_swap``.
 
 Entries are pruned relative to the operator's largest entry, so the route
@@ -23,40 +24,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sfgswap.bell import DEFAULT_STRATEGY, UNIT_EFFICIENCIES, BellSettings, Strategy
-from sfgswap.detection import (
-    HERALD_SIGNS,
-    CoincidenceEfficiencies,
-    DetectorModel,
-    click_prob,
-    reduced_branches,
-)
-from sfgswap.fock import (
+from branch_route import (
+    ANALYZER_MODES,
     DEFAULT_NMAX,
     EPS_AMP,
-    ModeError,
-    PureState,
-    _check_register,
-    _prune,
-    mode_index,
-    two_mode_rotation,
-)
-from sfgswap.optics import (
-    ANALYZER_MODES,
     OUTPUT_REGISTER,
     SFG_OUTPUT_MODES,
     SWAP_REGISTER,
+    DetectorModel,
     LossMap,
-    SfgParams,
+    ModeError,
+    PureState,
+    _check_register,
+    _herald,
+    _prune,
     _sfg_operator,
     build_swapping_input,
+    channel_losses,
+    click_prob,
     loss_branches,
+    mode_index,
+    reduced_branches,
+    two_mode_rotation,
 )
+from sfgswap.bell import DEFAULT_STRATEGY, UNIT_EFFICIENCIES, BellSettings, Strategy
+from sfgswap.detection import HERALD_SIGNS, CoincidenceEfficiencies
+from sfgswap.optics import SfgParams
 from sfgswap.protocols import (
     ExperimentParams,
     VisibilityReport,
     _coincidence_tables,
-    _herald,
     _visibility_x,
     _visibility_z,
 )
@@ -645,7 +642,7 @@ def branch_lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> Visibility
     psi_in = build_swapping_input(params.eps1, params.eps2, pair_cap=params.pair_cap)
     i_aV, i_bH = SWAP_REGISTER.index("aV"), SWAP_REGISTER.index("bH")
     pieces = []
-    for phi in loss_branches(psi_in, params.channel_losses()):
+    for phi in loss_branches(psi_in, channel_losses(params)):
         phi = two_mode_rotation(_pbs_mix_branch(phi), "aH", "aV", -math.pi / 4)
         phi = two_mode_rotation(phi, "bH", "bV", -math.pi / 4)
         amps = {occ: a * math.sqrt(click_prob(eta_bsa, occ[i_bH]) * click_prob(eta_bsa, occ[i_aV]))

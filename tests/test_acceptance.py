@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from branch_route import error_event_probs_simulated
 from dense_oracle import run_oracle_suite
 from sfgswap.bell import efficiency_threshold, optimize_chsh, sfg_gain_threshold
 from sfgswap.efficiency import (
@@ -24,7 +25,7 @@ from sfgswap.efficiency import (
     sfg_eff_theoretical,
 )
 from sfgswap.presets import get_preset, swap_params
-from sfgswap.protocols import error_event_probs, error_event_probs_simulated, lo_swap, sfg_swap
+from sfgswap.protocols import error_event_probs, lo_swap, sfg_swap
 
 
 def report(criterion, ok, detail):

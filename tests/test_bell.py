@@ -41,11 +41,8 @@ from sfgswap.bell import (
     optimize_key_rate,
     sfg_gain_threshold,
 )
-from sfgswap.detection import (
-    CoincidenceEfficiencies,
-    block_readout,
-    reduced_branches,
-)
+from branch_route import reduced_branches
+from sfgswap.detection import CoincidenceEfficiencies, block_readout
 from sfgswap.optics import SfgParams, SourceParams
 from sfgswap import optimize
 from sfgswap.presets import get_preset, swap_params

@@ -195,6 +195,35 @@ def test_sweep_jobs_validated_and_capped(tmp_path, monkeypatch, capsys):
     assert pools == [3]
 
 
+PAIR_CAP_SWEEP = ("sweep", "--preset", "ideal", "--set", "sweep.variable=pair_cap",
+                  "--set", "sweep.start=3", "--set", "sweep.steps=3")
+
+
+def test_fractional_pair_cap_sweep_exits_2_before_any_point(monkeypatch, capsys):
+    # The middle point, 3.5, is refused by name before the first point runs.
+    import sfgswap.cli
+
+    ran = []
+    monkeypatch.setattr(sfgswap.cli, "sfg_swap", ran.append)
+    assert main([*PAIR_CAP_SWEEP, "--set", "sweep.stop=4"]) == 2
+    assert ran == []
+    assert "pair_cap must be an integer, got 3.5" in capsys.readouterr().err
+
+
+def test_integral_pair_cap_sweep_runs_each_cap(tmp_path):
+    code, text = run(tmp_path, *PAIR_CAP_SWEEP, "--set", "sweep.stop=5")
+    assert code == 0
+    rows = [row.split(",") for row in text.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["3", "4", "5"]
+    # Each row holds its own cap's result.
+    assert len({row[2] for row in rows}) == 3
+
+
+def test_zero_herald_probability_is_a_model_error(capsys):
+    assert main(["swap-sfg", "--preset", "ideal", "--set", "params.eta_d=0"]) == 3
+    assert "herald probability is zero" in capsys.readouterr().err
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["swap-sfg", "--preset", "nope"]) == 2
     assert main(["swap-sfg", "--preset", "ideal", "--set", "oops"]) == 2

@@ -16,20 +16,23 @@ from density_route import (
     partial_trace,
     threshold_povm,
 )
-from sfgswap.detection import (
-    CoincidenceEfficiencies,
+from branch_route import (
+    OUTPUT_REGISTER,
     DetectorModel,
-    analyzer_coefficients,
-    arm_click_probs,
-    block_readout,
+    PureState,
     click_prob,
     herald_amplitude_branches,
     reduced_branches,
+    two_mode_rotation,
+)
+from sfgswap.detection import (
+    CoincidenceEfficiencies,
+    analyzer_coefficients,
+    arm_click_probs,
+    block_readout,
     rotation_blocks,
     trig_basis,
 )
-from sfgswap.fock import PureState, two_mode_rotation
-from sfgswap.optics import OUTPUT_REGISTER
 
 
 def test_click_prob_values():

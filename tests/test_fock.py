@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dense_oracle import run_oracle_suite
 from density_route import DensityOperator, partial_trace, tensor_density
-from sfgswap.fock import ModeError, PureState, apply_creation, tensor, two_mode_rotation
+from branch_route import ModeError, PureState, apply_creation, tensor, two_mode_rotation
 
 
 def test_dense_oracle_property_suite():

@@ -15,12 +15,10 @@ from density_route import (
     apply_sfg_first_order,
     kraus_parity_check,
 )
-from sfgswap.fock import PureState
-from sfgswap.optics import (
-    LossMap,
+from branch_route import (
     SWAP_REGISTER,
-    SfgParams,
-    SourceParams,
+    LossMap,
+    PureState,
     build_swapping_input,
     extend_state,
     loss_branches,
@@ -28,6 +26,7 @@ from sfgswap.optics import (
     sfg_branches,
     tmsv_pair,
 )
+from sfgswap.optics import SfgParams, SourceParams
 
 
 def test_source_params_gamma():

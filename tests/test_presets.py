@@ -51,3 +51,16 @@ def test_swap_params_accepts_string_values():
 def test_swap_params_rejects_unknown_keys():
     with pytest.raises(KeyError):
         swap_params({"mu_1h": 0.05, "bogus": 1.0})
+
+
+@pytest.mark.parametrize("value", [3, 3.0, "3", "3.0"])
+def test_swap_params_accepts_integral_pair_cap(value):
+    p = swap_params({"pair_cap": value})
+    assert p.pair_cap == 3 and type(p.pair_cap) is int
+
+
+@pytest.mark.parametrize("value", [2.5, "2.5", "three", float("nan"), float("inf"), None])
+def test_swap_params_rejects_non_integer_pair_cap_by_name(value):
+    # A fractional cap is refused, not truncated to the cap below it.
+    with pytest.raises(ValueError, match="pair_cap must be an integer"):
+        swap_params({"pair_cap": value})

@@ -21,19 +21,30 @@ from density_route import (
     sfg_heralded_operator,
     unitary_column_map,
 )
-from sfgswap.detection import DetectorModel, herald_amplitude_branches
-from sfgswap.fock import PureState, tensor
-from sfgswap.optics import SfgParams, SourceParams, extend_state, qfc_mode_transform, tmsv_pair
+from branch_route import (
+    OUTPUT_REGISTER,
+    DetectorModel,
+    PureState,
+    _coherent_state,
+    branch_qfc_teleport,
+    branch_teleport,
+    c_losses,
+    channel_losses,
+    error_event_probs_simulated,
+    extend_state,
+    herald_amplitude_branches,
+    qfc_mode_transform,
+    tensor,
+    tmsv_pair,
+)
+from sfgswap.optics import SfgParams, SourceParams
 from sfgswap.presets import get_preset, swap_params
 from sfgswap.protocols import (
-    OUTPUT_REGISTER,
     ExperimentParams,
-    _coherent_state,
     _coincidence_tables,
     _visibility_x,
     _visibility_z,
     error_event_probs,
-    error_event_probs_simulated,
     heralded_ensemble,
     heralding_filter,
     lo_swap,
@@ -47,6 +58,12 @@ def ideal_params(mu_h=0.05, mu_v=0.05, **kwargs):
     return ExperimentParams(eps1=SourceParams(mu_h, mu_v),
                             eps2=SourceParams(mu_h, mu_v),
                             sfg=SfgParams(1.0, 1.0), **kwargs)
+
+
+@pytest.mark.parametrize("pair_cap", [2.5, 3.0, "3"])
+def test_experiment_params_rejects_non_integer_pair_cap_by_name(pair_cap):
+    with pytest.raises(ValueError, match="pair_cap must be an integer"):
+        ideal_params(pair_cap=pair_cap)
 
 
 def test_heralded_operator_matches_kraus_route_at_two_pairs():
@@ -184,6 +201,21 @@ def test_heralding_filter_matches_branch_route(case, basis):
     assert np.array_equal(fast != 0.0, slow != 0.0)
 
 
+@pytest.mark.parametrize("eta_bsa", [1.5, -0.5, float("nan"), float("inf")])
+def test_lo_swap_rejects_bad_eta_bsa_by_name(eta_bsa):
+    with pytest.raises(ValueError, match="eta_bsa"):
+        lo_swap(SWAP_CASES["ideal-3-own"], eta_bsa)
+
+
+def test_zero_herald_probability_is_named():
+    # Neither analyzer can herald: a blind SFG detector, a blind BSA.
+    params = SWAP_CASES["ideal-3-own"]
+    with pytest.raises(ValueError, match="herald probability is zero"):
+        sfg_swap(params.replace(eta_d=0.0))
+    with pytest.raises(ValueError, match="herald probability is zero"):
+        lo_swap(params, eta_bsa=0.0)
+
+
 @pytest.mark.parametrize("basis", ["A", "D"])
 def test_lossless_heralding_filter_is_bit_exact(basis):
     # The ideal filter at pair_cap 2 feeds the efficiency-threshold search,
@@ -263,6 +295,24 @@ def test_teleport_rejects_bad_input_by_name(pol, mean_photons, argument):
         teleport(ideal_params(), pol, mean_photons)
 
 
+@pytest.mark.parametrize("alpha, beta, chi_tau, eta_d, argument", [
+    (0.6, 0.8, float("nan"), 1.0, "chi_tau"),
+    (0.6, 0.8, float("inf"), 1.0, "chi_tau"),
+    (0.6, 0.8, -1.0, 1.0, "chi_tau"),
+    (float("inf"), 0.8, 0.1, 1.0, "alpha"),
+    (0.6, complex(0.0, float("nan")), 0.1, 1.0, "beta"),
+    (0.0, 0.0, 0.1, 1.0, "alpha and beta must not both be zero"),
+    (0.6, 0.8, 0.1, 1.5, "eta_d"),
+    (0.6, 0.8, 0.1, float("nan"), "eta_d"),
+], ids=["nan-chi_tau", "inf-chi_tau", "negative-chi_tau", "inf-alpha", "nan-beta",
+        "zero-pump", "eta_d-above-1", "nan-eta_d"])
+def test_qfc_rejects_bad_input_by_name(alpha, beta, chi_tau, eta_d, argument):
+    # Refused by name, not answered with NaN or negative angles or a math
+    # domain error.
+    with pytest.raises(ValueError, match=argument):
+        qfc_teleport_strong_pump(alpha, beta, chi_tau, eta_d=eta_d)
+
+
 def test_qfc_weak_pump_transfers_polarization():
     rep = qfc_teleport_strong_pump(0.6, 0.8, 0.01)
     assert rep.fidelity > 0.9999
@@ -279,6 +329,38 @@ def test_qfc_strong_pump_degrades_transfer():
 
 R2 = 1 / math.sqrt(2)
 READOUT_POLARIZATIONS = [(1.0, 0.0), (R2, R2), (R2, 1j * R2)]
+BRANCH_POLARIZATIONS = READOUT_POLARIZATIONS + [(0.6, -0.8j)]
+
+
+@pytest.mark.parametrize("mean_photons", [0.05, 0.95])
+@pytest.mark.parametrize("basis", ["D", "A"])
+@pytest.mark.parametrize("pair_cap", [2, 3, 4])
+def test_teleport_matches_branch_route(pair_cap, basis, mean_photons):
+    # The rows of the array route and the sparse branches truncate alike: the
+    # pair at pair_cap pairs, renormalized; the coherent input and the
+    # product at 2 pair_cap photons, with the weight dropped reported.
+    params = swap_params(get_preset("paper-tableS1")["params"]).replace(pair_cap=pair_cap)
+    for pol in BRANCH_POLARIZATIONS:
+        fast = teleport(params, pol, mean_photons, herald_basis=basis)
+        slow = branch_teleport(params, pol, mean_photons, herald_basis=basis)
+        assert fast.fidelity == pytest.approx(slow.fidelity, abs=1e-12)
+        assert fast.herald_prob == pytest.approx(slow.herald_prob, rel=1e-12)
+        assert fast.one_photon_weight == pytest.approx(slow.one_photon_weight, abs=1e-12)
+        assert fast.truncation_dropped == pytest.approx(slow.truncation_dropped, abs=1e-12)
+
+
+@pytest.mark.parametrize("eta_d", [1.0, 0.85])
+@pytest.mark.parametrize("chi_tau", [0.0, 0.01, 0.7, 2.0, 5.0])
+def test_qfc_matches_branch_route(chi_tau, eta_d):
+    # Closed form against the exact rotation on sparse states, past the
+    # first maximum of the conversion (chi_tau |alpha| > pi / 2) too.
+    for alpha, beta in BRANCH_POLARIZATIONS + [(0.6, 0.8), (2.0, -0.3 + 0.4j)]:
+        fast = qfc_teleport_strong_pump(alpha, beta, chi_tau, eta_d=eta_d)
+        slow = branch_qfc_teleport(alpha, beta, chi_tau, eta_d=eta_d)
+        assert fast.fidelity == pytest.approx(slow.fidelity, abs=1e-12)
+        assert fast.herald_prob == pytest.approx(slow.herald_prob, rel=1e-12, abs=1e-12)
+        assert (fast.conversion_angle_H, fast.conversion_angle_V) == (
+            slow.conversion_angle_H, slow.conversion_angle_V)
 
 
 def _teleport_density_route(params, pol, mean_photons, basis):
@@ -289,19 +371,28 @@ def _teleport_density_route(params, pol, mean_photons, basis):
     z = math.sqrt(mean_photons)
     coh = _coherent_state(("bH", "bV"), (z * alpha, z * beta), 2 * params.pair_cap)
     psi = tensor(pair, coh).reorder(("aH", "aV", "bH", "bV", "dH", "dV"))
-    rho = apply_loss(DensityOperator.from_pure(psi), params.channel_losses())
-    rho = apply_loss(apply_sfg_first_order(rho, params.sfg), params.c_losses())
+    rho = apply_loss(DensityOperator.from_pure(psi), channel_losses(params))
+    rho = apply_loss(apply_sfg_first_order(rho, params.sfg), c_losses(params))
     rho = herald_projection(rho, basis, DetectorModel(params.eta_d)).reorder(("dH", "dV"))
     fidelity, weight = one_photon_fidelity(rho, alpha, beta if basis == "D" else -beta)
     return fidelity, rho.trace(), weight
 
 
+# Each preset at its own pair_cap (3) and at 2; the density route takes
+# seconds per case at 4.
+TELEPORT_CASES = {
+    f"{preset}{suffix}": swap_params(get_preset(preset)["params"]).replace(**cap)
+    for suffix, cap in (("", {}), ("-cap2", {"pair_cap": 2}))
+    for preset in ("ideal", "paper-tableS1", "fig-s3")
+}
+
+
 @pytest.mark.parametrize("basis", ["D", "A"])
-@pytest.mark.parametrize("preset", ["ideal", "paper-tableS1", "fig-s3"])
-def test_teleport_readout_matches_density_route(preset, basis):
-    # Herald probability, one-photon weight and fidelity read off the pure
-    # branches equal the density-operator pipeline and readout.
-    params = swap_params(get_preset(preset)["params"])
+@pytest.mark.parametrize("case", list(TELEPORT_CASES))
+def test_teleport_readout_matches_density_route(case, basis):
+    # Herald probability, one-photon weight and fidelity of the array route
+    # equal the density-operator pipeline and readout.
+    params = TELEPORT_CASES[case]
     for pol in READOUT_POLARIZATIONS:
         fidelity, herald_prob, weight = _teleport_density_route(params, pol, 0.95, basis)
         rep = teleport(params, pol, 0.95, herald_basis=basis)
