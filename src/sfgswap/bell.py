@@ -301,14 +301,6 @@ def ensemble_chsh(ensemble: HeraldedEnsemble, settings: BellSettings,
                                     (settings.theta_b1, settings.theta_b2)).tolist())
 
 
-def _ensemble_qber(ensemble: HeraldedEnsemble, theta_a0: float, theta_b1: float,
-                   strategy_a: Strategy, strategy_b: Strategy,
-                   effs: CoincidenceEfficiencies, gain: float) -> float:
-    kernel = SearchKernel(HeraldedEntries.of_ensemble(ensemble), effs, strategy_a, strategy_b,
-                          gain)
-    return _qber(kernel.correlators((theta_a0,), (theta_b1,))[0, 0])
-
-
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0."""
     if not 0.0 <= x <= 1.0:

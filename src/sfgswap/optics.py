@@ -54,6 +54,3 @@ class SfgParams:
         for eta in (self.eta_H, self.eta_V):
             if not 0.0 <= eta <= 1.0:
                 raise ValueError("SFG efficiency must be in [0, 1]")
-
-    def scaled(self, gain: float) -> "SfgParams":
-        return SfgParams(self.eta_H * gain, self.eta_V * gain)

@@ -51,6 +51,12 @@ from .optics import SfgParams, SourceParams
 HERALD_TARGET = {"A": "phi_minus", "D": "phi_plus"}
 # Analyzer angle of both parties in the Z and X visibility measurements.
 VISIBILITY_BASES = (("z", 0.0), ("x", math.pi / 4))
+# Largest pair_cap accepted.  The layouts grow as C(pair_cap + 8, 8) rows
+# for a swap and C(2 pair_cap + 8, 8) for a teleport: a teleport on
+# paper-tableS1 takes about 0.8 s and 0.5 GB at 10, and 60 would ask for
+# 7.4e9 rows.  The truncation has converged well before: no visibility
+# moves by 1e-4 from pair_cap 7 to 8.
+PAIR_CAP_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,8 @@ class ExperimentParams:
         if self.pair_cap < 2:
             raise ValueError("pair_cap must be at least 2: the SFG herald "
                              "needs one photon from each of two pairs")
+        if self.pair_cap > PAIR_CAP_MAX:
+            raise ValueError(f"pair_cap must be at most {PAIR_CAP_MAX}, got {self.pair_cap!r}")
 
     def analyzer_efficiencies(self) -> CoincidenceEfficiencies:
         return CoincidenceEfficiencies(d_H=self.eta_1H, d_V=self.eta_1V,
@@ -316,14 +324,21 @@ def _coincidence_tables(rho, effs: CoincidenceEfficiencies) -> dict:
             for k, (name, _) in enumerate(VISIBILITY_BASES)}
 
 
-def _visibility_z(p: dict) -> float:
+def _coincidence_sum(p: dict, basis: str) -> float:
+    """Sum of a coincidence table, refused when it is zero (a blind
+    analyzer): no visibility can be read from it."""
     s = p["HH"] + p["VV"] + p["HV"] + p["VH"]
-    return (p["HH"] + p["VV"] - p["HV"] - p["VH"]) / s
+    if s <= 0.0:
+        raise ValueError(f"coincidence probability in the {basis} basis is zero")
+    return s
+
+
+def _visibility_z(p: dict) -> float:
+    return (p["HH"] + p["VV"] - p["HV"] - p["VH"]) / _coincidence_sum(p, "Z")
 
 
 def _visibility_x(p: dict) -> float:
-    s = p["HH"] + p["VV"] + p["HV"] + p["VH"]
-    return (p["HV"] + p["VH"] - p["HH"] - p["VV"]) / s
+    return (p["HV"] + p["VH"] - p["HH"] - p["VV"]) / _coincidence_sum(p, "X")
 
 
 def sfg_swap(params: ExperimentParams, basis: str = "A") -> VisibilityReport:

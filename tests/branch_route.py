@@ -455,13 +455,18 @@ def c_losses(params: ExperimentParams) -> LossMap:
     return LossMap({"cH": params.eta_tH, "cV": params.eta_tV})
 
 
+def scaled_sfg(sfg: SfgParams, gain: float) -> SfgParams:
+    """Both SFG efficiencies multiplied by ``gain``."""
+    return SfgParams(sfg.eta_H * gain, sfg.eta_V * gain)
+
+
 def _herald(psi: PureState, params: ExperimentParams, basis: str, gain: float = 1.0,
             register=OUTPUT_REGISTER):
     """Channel loss, first-order SFG, loss on c and the herald applied to
     ``psi``: pure branches on the output modes ``register`` whose
     outer-product sum is the event-weighted heralded operator."""
     branches = loss_branches(psi, channel_losses(params))
-    branches = sfg_branches(branches, params.sfg.scaled(gain))
+    branches = sfg_branches(branches, scaled_sfg(params.sfg, gain))
     out = []
     for phi in branches:
         out.extend(loss_branches(phi, c_losses(params)))

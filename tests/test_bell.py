@@ -26,8 +26,8 @@ from sfgswap.bell import (
     SearchKernel,
     Strategy,
     TSIRELSON,
-    _ensemble_qber,
     _partial_entanglement_seed,
+    _qber,
     _seed_objective,
     all_strategies,
     binary_entropy,
@@ -48,6 +48,13 @@ from sfgswap import optimize
 from sfgswap.presets import get_preset, swap_params
 from sfgswap.protocols import ExperimentParams, heralding_filter
 from simplex_reference import drive, maximize_starts
+
+
+def _ensemble_qber(ensemble, theta_a0, theta_b1, strategy_a, strategy_b, effs, gain):
+    """QBER of the normalized ensemble state through the search kernel."""
+    kernel = SearchKernel(HeraldedEntries.of_ensemble(ensemble), effs, strategy_a, strategy_b,
+                          gain)
+    return _qber(kernel.correlators((theta_a0,), (theta_b1,))[0, 0])
 
 
 def _angle_bounds(n):

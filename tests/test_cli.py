@@ -121,7 +121,7 @@ def test_runtime_needs_no_scipy(tmp_path):
                                  "--set", "bell.free_mu=true",
                                  "--set", "bell.n_starts=1",
                                  "--out", {str(out)!r}])
-        # a one-start search draws no start, so it needs no RNG
+        # seeded starts come from optimize._Pcg64: no request loads numpy.random
         assert "numpy.random" not in sys.modules
         sys.exit(code)
     """)
@@ -131,6 +131,32 @@ def test_runtime_needs_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     values = dict(line.split(" = ") for line in out.read_text().splitlines())
     assert abs(float(values["S"]) - 2.0 * math.sqrt(2.0)) <= 1e-4
+
+
+def test_drawn_start_needs_no_numpy_random(tmp_path, monkeypatch):
+    # With numpy.random unimportable, a search with a drawn start runs and
+    # gives the S of the same search drawing from np.random.default_rng.
+    import numpy as np
+
+    from sfgswap import optimize
+
+    argv = ["bell", "--preset", "paper-tableS1", "--gain-factor", "3",
+            "--set", "bell.n_starts=2"]
+    out = tmp_path / "blocked.txt"
+    script = textwrap.dedent(f"""
+        import sys
+        sys.modules["numpy.random"] = None
+        import sfgswap.cli
+        sys.exit(sfgswap.cli.main({argv!r} + ["--out", {str(out)!r}]))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(sfgswap.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setattr(optimize, "_Pcg64", np.random.default_rng)
+    code, text = run(tmp_path, *argv, name="numpy.txt")
+    assert code == 0 and "S = " in text
+    assert out.read_text() == text
 
 
 def test_cli_import_leaves_pool_and_ini_modules_unloaded():
@@ -222,6 +248,28 @@ def test_integral_pair_cap_sweep_runs_each_cap(tmp_path):
 def test_zero_herald_probability_is_a_model_error(capsys):
     assert main(["swap-sfg", "--preset", "ideal", "--set", "params.eta_d=0"]) == 3
     assert "herald probability is zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["swap-sfg", "swap-lo"])
+def test_blind_analyzer_arms_are_a_model_error(command, capsys):
+    assert main([command, "--preset", "ideal", "--set", "eta_1h=0", "--set", "eta_1v=0"]) == 3
+    assert ("model error: coincidence probability in the Z basis is zero"
+            in capsys.readouterr().err)
+
+
+def test_pair_cap_above_the_maximum_is_a_config_error(capsys):
+    assert main(["swap-sfg", "--preset", "ideal", "--set", "pair_cap=60"]) == 2
+    assert "pair_cap must be at most 10, got 60" in capsys.readouterr().err
+
+
+def test_pair_cap_sweep_past_the_maximum_exits_2_before_any_point(monkeypatch, capsys):
+    import sfgswap.cli
+
+    ran = []
+    monkeypatch.setattr(sfgswap.cli, "sfg_swap", ran.append)
+    assert main([*PAIR_CAP_SWEEP, "--set", "sweep.stop=11"]) == 2
+    assert ran == []
+    assert "pair_cap must be at most 10, got 11" in capsys.readouterr().err
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

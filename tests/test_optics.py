@@ -23,6 +23,7 @@ from branch_route import (
     extend_state,
     loss_branches,
     qfc_mode_transform,
+    scaled_sfg,
     sfg_branches,
     tmsv_pair,
 )
@@ -41,7 +42,7 @@ def test_sfg_params_validation_and_scaling():
     with pytest.raises(ValueError):
         SfgParams(1.5, 0.0)
     sfg = SfgParams(0.1, 0.2)
-    scaled = sfg.scaled(3.0)
+    scaled = scaled_sfg(sfg, 3.0)
     assert (scaled.eta_H, scaled.eta_V) == (pytest.approx(0.3), pytest.approx(0.6))
 
 

@@ -137,6 +137,51 @@ def test_lockstep_trace_groups_rows_by_start():
         assert [r[1:] for r in rows(alone)] == [r[1:] for r in own]
 
 
+# Seeds of one to seven 32-bit words, with the edges of one and two words,
+# the seeds the CLI's bell requests are checked at, and numpy integers.
+PCG_SEEDS = [*range(300), 1000, 6011, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 10**30,
+             2**200 + 5, np.uint64(2**63 + 1), np.int32(7)]
+
+
+def test_seeded_draws_match_numpy_bit_for_bit():
+    # Draws of lengths 1..8 and back, one stream each, so every draw
+    # continues where the last one stopped.
+    for seed in PCG_SEEDS:
+        ours, numpys = optimize._Pcg64(seed), np.random.default_rng(seed)
+        for n in [*range(1, 9), *range(8, 0, -1)]:
+            got, want = ours.random(n), numpys.random(n)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (seed, n)
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (-(2**40), ValueError),
+                                         (1.5, TypeError), (2.0, TypeError),
+                                         (None, TypeError), ("3", TypeError)])
+def test_multistart_rejects_bad_seed_by_name(seed, error):
+    with pytest.raises(error, match="seed must be a non-negative integer"):
+        multistart_maximize(_rows(lambda x: x[0]), [(0.0, 1.0)], _onto([(0.0, 1.0)]),
+                            n_starts=2, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1000, 6011])
+def test_multistart_starts_are_numpys_draws(monkeypatch, seed):
+    # Start k > 0 is start_at of the k-th draw of np.random.default_rng(seed).
+    seen = []
+
+    def record(objective, bounds, starts, trace=None):
+        seen.extend(starts)
+        return real(objective, bounds, starts, trace=trace)
+
+    real = optimize.maximize_starts_bfgs
+    monkeypatch.setattr(optimize, "maximize_starts_bfgs", record)
+    bounds = [(-1.0, 1.0), (-2.0, 2.0), (0.0, 3.0)]
+    multistart_maximize(_rows(lambda x: -x @ x), bounds, _onto(bounds), n_starts=8, seed=seed)
+    rng = np.random.default_rng(seed)
+    want = [_onto(bounds)(np.full(3, 0.5))] + [_onto(bounds)(rng.random(3)) for _ in range(7)]
+    assert len(seen) == 8
+    for got, expected in zip(seen, want):
+        assert got.dtype == np.float64 and np.array_equal(got, expected)
+
+
 @pytest.mark.parametrize("n_starts", [0, -3])
 def test_multistart_rejects_fewer_than_one_start(n_starts):
     with pytest.raises(ValueError, match="n_starts"):

@@ -34,6 +34,7 @@ from branch_route import (
     extend_state,
     herald_amplitude_branches,
     qfc_mode_transform,
+    scaled_sfg,
     tensor,
     tmsv_pair,
 )
@@ -64,6 +65,17 @@ def ideal_params(mu_h=0.05, mu_v=0.05, **kwargs):
 def test_experiment_params_rejects_non_integer_pair_cap_by_name(pair_cap):
     with pytest.raises(ValueError, match="pair_cap must be an integer"):
         ideal_params(pair_cap=pair_cap)
+
+
+@pytest.mark.parametrize("pair_cap", [11, 60])
+def test_experiment_params_rejects_pair_cap_above_the_maximum_by_name(pair_cap):
+    # The layouts grow as C(2 pair_cap + 8, 8): refused before any allocation.
+    with pytest.raises(ValueError, match=f"pair_cap must be at most 10, got {pair_cap}"):
+        ideal_params(pair_cap=pair_cap)
+
+
+def test_experiment_params_accepts_pair_cap_up_to_the_maximum():
+    assert ideal_params(pair_cap=10).pair_cap == 10
 
 
 def test_heralded_operator_matches_kraus_route_at_two_pairs():
@@ -216,6 +228,17 @@ def test_zero_herald_probability_is_named():
         lo_swap(params, eta_bsa=0.0)
 
 
+@pytest.mark.parametrize("arms", [("eta_1H", "eta_1V"), ("eta_2H", "eta_2V")])
+def test_zero_coincidence_probability_is_named(arms):
+    # Blind analyzer arms on d or e: the swap heralds, but no coincidence
+    # is ever counted, so no visibility exists.
+    params = SWAP_CASES["ideal-3-own"].replace(**{arm: 0.0 for arm in arms})
+    with pytest.raises(ValueError, match="coincidence probability in the Z basis is zero"):
+        sfg_swap(params)
+    with pytest.raises(ValueError, match="coincidence probability in the Z basis is zero"):
+        lo_swap(params)
+
+
 @pytest.mark.parametrize("basis", ["A", "D"])
 def test_lossless_heralding_filter_is_bit_exact(basis):
     # The ideal filter at pair_cap 2 feeds the efficiency-threshold search,
@@ -230,7 +253,7 @@ def test_sfg_swap_visibilities_invariant_under_sfg_gain():
     # by 1e4; the measured preset's herald trace is of order 1e-11.
     params = swap_params(get_preset("paper-tableS1")["params"]).replace(
         dark=0.0, window_acceptance=1.0)
-    gained = params.replace(sfg=params.sfg.scaled(1e4))
+    gained = params.replace(sfg=scaled_sfg(params.sfg, 1e4))
     r0, r1 = sfg_swap(params), sfg_swap(gained)
     assert r1.v_z == pytest.approx(r0.v_z, abs=1e-10)
     assert r1.v_x == pytest.approx(r0.v_x, abs=1e-10)
