@@ -4,13 +4,9 @@ entanglement swapping, and device-independent QKD figures of merit."""
 from .bell import (
     BellSettings,
     ChshOptimum,
-    HeraldedEnsemble,
-    Strategy,
     binary_entropy,
     dw_key_rate,
     efficiency_threshold,
-    ensemble_chsh,
-    heralded_ensemble,
     holevo_chsh,
     optimize_chsh,
     optimize_key_rate,
@@ -26,17 +22,18 @@ from .efficiency import (
     sfg_eff_effective,
     sfg_eff_from_counts,
     sfg_eff_theoretical,
-    spectral_overlap,
     spectral_overlap_gaussian,
 )
 from .optics import SfgParams, SourceParams
 from .presets import get_preset, presets, swap_params
 from .protocols import (
     ExperimentParams,
+    HeraldedEnsemble,
     QfcReport,
     TeleportReport,
     VisibilityReport,
     error_event_probs,
+    heralded_ensemble,
     lo_swap,
     qfc_teleport_strong_pump,
     sfg_swap,

@@ -1,10 +1,12 @@
-"""CHSH correlations on heralded states, outcome strategies, and
-Devetak-Winter key rates with threshold searches.
+"""CHSH correlations on heralded states and Devetak-Winter key rates with
+threshold searches.
 
 Measurements are threshold analyzers: each party sees one of four click
 patterns per trial (only the first detector, only the second, both,
-neither) and maps it to +/-1 through a Strategy.  No postselection is
-applied; every heralded trial contributes to the correlators.
+neither).  The outcome is -1 when only the first (H-arm) detector clicks
+and +1 otherwise, the assignment of Eberhard's 2/3 efficiency limit (PRA
+47, R747 (1993)).  No postselection is applied; every heralded trial
+contributes to the correlators.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -32,7 +33,7 @@ from .optimize import (
     multistart_maximize,
     prescan_monotone,
 )
-from .protocols import ExperimentParams, HeraldedEnsemble, heralded_ensemble, heralding_filter
+from .protocols import ExperimentParams, heralding_filter
 
 RT2 = math.sqrt(2.0)
 TSIRELSON = 2.0 * RT2
@@ -40,63 +41,19 @@ TSIRELSON = 2.0 * RT2
 UNIT_EFFICIENCIES = CoincidenceEfficiencies(1.0, 1.0, 1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class Strategy:
-    """Assignment of the four local click patterns to +/-1 outcomes.
-
-    The default assigns -1 to "only the first (H-arm) detector clicked"
-    and +1 to the other three patterns.
-    """
-
-    only_first: int = -1
-    only_second: int = +1
-    both: int = +1
-    neither: int = +1
-
-    def __post_init__(self):
-        for v in (self.only_first, self.only_second, self.both, self.neither):
-            if v not in (-1, +1):
-                raise ValueError("strategy outcomes must be +1 or -1")
-
-    def outcome(self, click_first: bool, click_second: bool) -> int:
-        if click_first and click_second:
-            return self.both
-        if click_first:
-            return self.only_first
-        if click_second:
-            return self.only_second
-        return self.neither
-
-    @functools.lru_cache(maxsize=256)
-    def mean(self, eta_first: float, eta_second: float, n: int):
-        """Mean +/-1 outcome [N, a] of a party holding N photons, a in the
-        first arm; cached and read-only, as optimizers reuse a few."""
-        p_first, p_second = arm_click_probs(eta_first, eta_second, n)
-        q_first, q_second = 1.0 - p_first, 1.0 - p_second
-        o = (self.only_first * p_first * q_second + self.only_second * q_first * p_second
-             + self.both * p_first * p_second + self.neither * q_first * q_second)
-        o.setflags(write=False)
-        return o
-
-    @functools.lru_cache(maxsize=256)
-    def coefficients(self, eta_first: float, eta_second: float, n: int):
-        """Trig-polynomial coefficients C[t, N, a, a'] of the party's analyzer
-        operator (``detection.analyzer_coefficients``); cached and read-only."""
-        c = analyzer_coefficients(self.mean(eta_first, eta_second, n))
-        c.setflags(write=False)
-        return c
-
-    def negated(self) -> "Strategy":
-        return Strategy(-self.only_first, -self.only_second, -self.both, -self.neither)
-
-
-DEFAULT_STRATEGY = Strategy()
-
-
-def all_strategies():
-    """All 16 click-pattern-to-outcome assignments of one party."""
-    return [Strategy(a, b, c, d)
-            for a, b, c, d in itertools.product((-1, +1), repeat=4)]
+@functools.lru_cache(maxsize=256)
+def _outcome_coefficients(eta_first: float, eta_second: float, n: int):
+    """Trig-polynomial coefficients C[t, N, a, a'] (``detection.analyzer_coefficients``)
+    of a party's +/-1 analyzer operator, from its mean outcome o[N, a] with N
+    photons, a in the first arm: -1 when only the first detector clicks, +1
+    on the other three patterns.  Cached and read-only, as searches reuse a few."""
+    p_first, p_second = arm_click_probs(eta_first, eta_second, n)
+    q_first, q_second = 1.0 - p_first, 1.0 - p_second
+    o = (-p_first * q_second + q_first * p_second
+         + p_first * p_second + q_first * q_second)
+    c = analyzer_coefficients(o)
+    c.setflags(write=False)
+    return c
 
 
 def _wrap_angle(theta: float) -> float:
@@ -133,8 +90,7 @@ class HeraldedEntries:
 
     Entry e of the state of sources with amplitude ratios gamma = sqrt(mu / (1 + mu))
     is (gain * sfg[e] + dark[e]) * prod_m gamma_m ** powers[m, e] over the modes
-    m = (1H, 1V, 2H, 2V), up to a factor common to all entries; with ``powers``
-    None the source amplitudes are already in ``sfg`` and ``dark``.
+    m = (1H, 1V, 2H, 2V), up to a factor common to all entries.
     """
 
     index: tuple  # (N_d, a, a', N_e, b, b') per entry
@@ -142,11 +98,7 @@ class HeraldedEntries:
     sfg: np.ndarray
     dark: np.ndarray
     n: int
-    powers: np.ndarray = None
-
-    @classmethod
-    def of_ensemble(cls, ensemble: HeraldedEnsemble) -> "HeraldedEntries":
-        return cls._gather(ensemble.rho_sfg, ensemble.rho_dark)
+    powers: np.ndarray
 
     @classmethod
     def of_filter(cls, filt: np.ndarray, params: ExperimentParams) -> "HeraldedEntries":
@@ -155,100 +107,91 @@ class HeraldedEntries:
         N, a, a2, M, b, b2 = np.indices(filt.shape, sparse=True)
         dark = params.dark * ((a == a2) & (b == b2) & (a <= N) & (b <= M)
                               & (N + M < filt.shape[0]))
-        entries = cls._gather(((1.0 - params.dark) * params.window_acceptance) * filt, dark)
-        N, a, a2, M, b, b2 = entries.index
-        return replace(
-            entries, powers=np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2]))
-
-    @classmethod
-    def _gather(cls, sfg, dark) -> "HeraldedEntries":
+        sfg = ((1.0 - params.dark) * params.window_acceptance) * filt
         index = np.nonzero((sfg != 0.0) | (dark != 0.0))
         diagonal = (index[1] == index[2]) & (index[4] == index[5])
         order = np.argsort(~diagonal, kind="stable")
         index = tuple(i[order] for i in index)
+        N, a, a2, M, b, b2 = index
         return cls(index=index, n_diagonal=int(diagonal.sum()), sfg=sfg[index],
-                   dark=dark[index], n=sfg.shape[0] - 1)
+                   dark=dark[index], n=filt.shape[0] - 1,
+                   powers=np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2]))
+
+
+def _heralded_entries(params: ExperimentParams, basis: str) -> HeraldedEntries:
+    return HeraldedEntries.of_filter(heralding_filter(params, basis=basis), params)
+
+
+def _source_mu(params: ExperimentParams) -> np.ndarray:
+    """The mean photon numbers (1H, 1V, 2H, 2V) of the sources of ``params``."""
+    return np.array([params.eps1.mu_H, params.eps1.mu_V, params.eps2.mu_H, params.eps2.mu_V])
 
 
 class SearchKernel:
     """Normalized CHSH correlators of one heralded state, precomputed for a search.
 
     Each party's analyzer operator is a trig polynomial in its angle
-    (``Strategy.coefficients``), gathered at the state's nonzero entries
-    (``HeraldedEntries``), so an evaluation at new angles, and new source
-    strengths when the entries carry ``powers``, is a few small array
-    operations.  Equals ``detection.block_readout`` on the block density
-    divided by its trace.
+    (``_outcome_coefficients``), gathered at the state's nonzero entries
+    (``HeraldedEntries``), so an evaluation at new angles and source
+    strengths is a few small array operations.  Equals
+    ``detection.block_readout`` on the block density divided by its trace.
     """
 
     def __init__(self, entries: HeraldedEntries, efficiencies: CoincidenceEfficiencies,
-                 strategy_a: Strategy, strategy_b: Strategy, gain: float = 1.0):
+                 gain: float = 1.0):
         N, a, a2, M, b, b2 = entries.index
         n = entries.n
-        self._ca = strategy_a.coefficients(efficiencies.d_H, efficiencies.d_V, n)[:, N, a, a2]
-        self._cb = strategy_b.coefficients(efficiencies.e_H, efficiencies.e_V, n)[:, M, b, b2]
+        self._ca = _outcome_coefficients(efficiencies.d_H, efficiencies.d_V, n)[:, N, a, a2]
+        self._cb = _outcome_coefficients(efficiencies.e_H, efficiencies.e_V, n)[:, M, b, b2]
         self._weight = gain * entries.sfg + entries.dark
         self._n_diagonal = entries.n_diagonal
         self._n = n
         self._exponents = np.arange(2 * n + 1)
-        if entries.powers is None:
-            self._total = self._trace(self._weight)
-        else:
-            self._mode_powers = entries.powers.astype(float)
-            self._diagonal_powers = self._mode_powers[:, :entries.n_diagonal]
-            # entry e of mode m's row of the flattened table gamma_m ** k
-            self._powers = np.arange(4)[:, None] * (2 * n + 1) + entries.powers
-
-    def _trace(self, rho):
-        total = rho[..., :self._n_diagonal].sum(axis=-1)
-        if not all(t > 0.0 for t in total.ravel().tolist()):
-            raise ValueError("zero total herald probability")
-        return total
+        self._mode_powers = entries.powers.astype(float)
+        self._diagonal_powers = self._mode_powers[:, :entries.n_diagonal]
+        # entry e of mode m's row of the flattened table gamma_m ** k
+        self._powers = np.arange(4)[:, None] * (2 * n + 1) + entries.powers
 
     def _state(self, mu):
         """Entry weights rho[..., e] and trace at mean photon numbers ``mu``."""
-        if mu is None:
-            return self._weight, self._total
         gamma = np.sqrt(mu / (1.0 + mu))
         table = (gamma[..., None] ** self._exponents).reshape(gamma.shape[:-1] + (-1,))
         rho = self._weight * table.take(self._powers, axis=-1).prod(axis=-2)
-        return rho, self._trace(rho)
+        total = rho[..., :self._n_diagonal].sum(axis=-1)
+        if not all(t > 0.0 for t in np.ravel(total).tolist()):
+            raise ValueError("zero total herald probability")
+        return rho, total
 
-    def correlators(self, thetas_a, thetas_b, mu=None) -> np.ndarray:
-        """E[p, q] at analyzer angles thetas_a[p] and thetas_b[q]; ``mu`` holds
-        the mean photon numbers (1H, 1V, 2H, 2V), given exactly when the
-        entries carry powers.
+    def correlators(self, thetas_a, thetas_b, mu) -> np.ndarray:
+        """E[p, q] at analyzer angles thetas_a[p] and thetas_b[q] and the mean
+        photon numbers ``mu`` of the modes (1H, 1V, 2H, 2V).
 
         Stacked inputs, angles of shape (m, p) and (m, q) and ``mu`` of shape
-        (m, 4), give E[m, p, q], each point computed as it is alone."""
-        if mu is not None:
-            mu = np.asarray(mu, dtype=float)
-        rho, total = self._state(mu)
-        if mu is not None:
-            total = total[..., None, None]
-            rho = rho[..., None, :]
+        (m, 4), give E[m, p, q], each point computed as it is alone; one
+        ``mu`` of shape (4,) serves every stacked pair of angles."""
+        rho, total = self._state(np.asarray(mu, dtype=float))
         thetas_a = np.asarray(thetas_a, dtype=float)
         n_a = thetas_a.shape[-1]
         t = trig_basis(np.concatenate((thetas_a, thetas_b), axis=-1), self._n)
-        return ((t[..., :n_a, :] @ self._ca * rho)
-                @ (t[..., n_a:, :] @ self._cb).swapaxes(-1, -2) / total)
+        return ((t[..., :n_a, :] @ self._ca * rho[..., None, :])
+                @ (t[..., n_a:, :] @ self._cb).swapaxes(-1, -2) / total[..., None, None])
 
-    def correlator_gradients(self, thetas_a, thetas_b, mu=None):
+    def correlator_gradients(self, thetas_a, thetas_b, mu):
         """E[p, q] of ``correlators`` with its exact derivatives.
 
         Returns (E, dE_a, dE_b, dE_mu): dE_a[p, q] is the derivative of
         E[p, q] in thetas_a[p] and dE_b[p, q] in thetas_b[q] (E[p, q] does not
-        depend on the other angles), and dE_mu[k, p, q] in mu[k], or None
-        without ``mu``.  An angle derivative is the same trig polynomial in
-        the derivative basis (``trig_basis_and_derivative``).  A source
-        strength scales entry e by gamma ** powers, so d rho_e / d mu_k =
-        rho_e powers[k, e] / (2 mu_k (1 + mu_k)), and the trace follows by
-        the quotient rule.  One product serves every numerator: party a's
-        rows (each angle's operator and its derivative, then the operators
-        times each mode's powers) against party b's (operator, derivative).
-        Stacked inputs stack every output, each point as it is alone."""
-        if mu is not None:
-            mu = np.asarray(mu, dtype=float)
+        depend on the other angles), and dE_mu[k, p, q] in mu[k].  An angle
+        derivative is the same trig polynomial in the derivative basis
+        (``trig_basis_and_derivative``).  A source strength scales entry e by
+        gamma ** powers, so d rho_e / d mu_k = rho_e powers[k, e] /
+        (2 mu_k (1 + mu_k)), and the trace follows by the quotient rule; at
+        mu_k = 0 that derivative is not finite and reads inf or nan.  One product
+        serves every numerator: party a's rows (each angle's operator and its
+        derivative, then the operators times each mode's powers) against party
+        b's (operator, derivative).  Stacked inputs stack every output, each
+        point as it is alone."""
+        mu = np.asarray(mu, dtype=float)
         rho, total = self._state(mu)
         thetas_a = np.asarray(thetas_a, dtype=float)
         rows = trig_basis_and_derivative(np.concatenate((thetas_a, thetas_b), axis=-1), self._n)
@@ -256,24 +199,21 @@ class SearchKernel:
         n_a = 2 * thetas_a.shape[-1]
         ops_a = rows[..., :n_a, :] @ self._ca
         ops_b = rows[..., n_a:, :] @ self._cb
-        if mu is not None:
-            by_mode = ops_a[..., None, ::2, :] * self._mode_powers[:, None, :]
-            ops_a = np.concatenate(
-                (ops_a, by_mode.reshape(by_mode.shape[:-3] + (-1, by_mode.shape[-1]))), axis=-2)
-        scale = total if mu is None else total[..., None, None]
-        m = (ops_a * rho[..., None, :]) @ ops_b.swapaxes(-1, -2) / scale
+        by_mode = ops_a[..., None, ::2, :] * self._mode_powers[:, None, :]
+        ops_a = np.concatenate(
+            (ops_a, by_mode.reshape(by_mode.shape[:-3] + (-1, by_mode.shape[-1]))), axis=-2)
+        m = (ops_a * rho[..., None, :]) @ ops_b.swapaxes(-1, -2) / total[..., None, None]
         e = m[..., :n_a:2, ::2]
         de_a = m[..., 1:n_a:2, ::2]
         de_b = m[..., :n_a:2, 1::2]
-        if mu is None:
-            return e, de_a, de_b, None
-        rate = 0.5 / (mu * (1.0 + mu))
-        # summed along the entries as in ``_trace``, so a stack sums each
-        # point in the same order as that point alone
-        dtotal = rate * (rho[..., None, :self._n_diagonal] * self._diagonal_powers).sum(
-            axis=-1) / total[..., None]
-        num = m[..., n_a:, ::2].reshape(m.shape[:-2] + (4, n_a // 2, -1))
-        de_mu = num * rate[..., None, None] - e[..., None, :, :] * dtotal[..., None, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = 0.5 / (mu * (1.0 + mu))
+            # summed along the entries as in ``_state``, so a stack sums each
+            # point in the same order as that point alone
+            dtotal = rate * (rho[..., None, :self._n_diagonal] * self._diagonal_powers).sum(
+                axis=-1) / total[..., None]
+            num = m[..., n_a:, ::2].reshape(m.shape[:-2] + (4, n_a // 2, -1))
+            de_mu = num * rate[..., None, None] - e[..., None, :, :] * dtotal[..., None, None]
         return e, de_a, de_b, de_mu
 
 
@@ -286,19 +226,6 @@ def _chsh(e) -> float:
 def _qber(e: float) -> float:
     # +/-1 outcomes, no postselection; rounding can leave E an ulp above 1.
     return max(0.0, (1.0 - float(e)) / 2.0)
-
-
-def ensemble_chsh(ensemble: HeraldedEnsemble, settings: BellSettings,
-                  strategy_a: Strategy = DEFAULT_STRATEGY,
-                  strategy_b: Strategy = None,
-                  efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES,
-                  gain: float = 1.0) -> float:
-    """CHSH value of the normalized ensemble state (photon-number blocks)."""
-    sb = strategy_a if strategy_b is None else strategy_b
-    kernel = SearchKernel(HeraldedEntries.of_ensemble(ensemble), efficiencies, strategy_a, sb,
-                          gain)
-    return _chsh(kernel.correlators((settings.theta_a1, settings.theta_a2),
-                                    (settings.theta_b1, settings.theta_b2)).tolist())
 
 
 def binary_entropy(x: float) -> float:
@@ -407,66 +334,45 @@ def _chsh_gradient(e, de_a, de_b, de_mu=None):
 
 
 def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
-                  strategy_a: Strategy = DEFAULT_STRATEGY,
-                  strategy_b: Strategy = None,
                   efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES,
                   gain: float = 1.0, basis: str = "A", seed: int = 0,
                   n_starts: int = 16, x0=None,
-                  mu_bounds=(1e-6, 0.4), trace=None,
-                  ensemble: HeraldedEnsemble = None) -> ChshOptimum:
+                  mu_bounds=(1e-6, 0.4), trace=None) -> ChshOptimum:
     """Maximize the CHSH value over analyzer angles (and optionally the
     mean photon numbers of the sources).
 
-    With ``free_mu`` the two pump strengths are varied per polarization
-    within ``mu_bounds``, which must be finite with 0 < lo < hi, and shared
-    between the sources; the heralding filter is built once, and each
-    evaluation only rescales its nonzero entries by the source amplitudes.
-    Without it, ``ensemble`` may supply the heralded state of ``params`` in
-    ``basis``, for callers that search one state repeatedly.  The search is
-    ``optimize.multistart_maximize`` on the exact gradient
-    (``_chsh_gradient``); the angles run unbounded, and random starts are
-    drawn within one period.  A free-mu search runs over ln mu, so that a
-    step changes a pump strength in proportion to it, which keeps a search
-    from being drawn at once to the weak-pump edge of the box; its random
-    starts are still uniform in mu.  Its landscape has a pair of optima
-    that an exchange of H and V nearly maps onto each other (one with the
-    H pump strong, one with the V pump strong), and a local search reaches
-    only one of them, so the search goes on from the mirror image of its
-    best point (``_mirror``) as start ``n_starts`` and keeps the better.
-    Its trace lists both searches, with (mu_H, mu_V) as x0 and x1, mapped
-    from the 12 printed digits of ln mu, so to about 10 digits.
+    The heralding filter is built once, and each evaluation rescales its
+    nonzero entries by the source amplitudes: those of ``params``, or with
+    ``free_mu`` two pump strengths varied per polarization within
+    ``mu_bounds``, which must be finite with 0 < lo < hi, and shared
+    between the sources.  The search is ``optimize.multistart_maximize`` on
+    the exact gradient (``_chsh_gradient``); the angles run unbounded, and
+    random starts are drawn within one period.  A free-mu search runs over
+    ln mu, so that a step changes a pump strength in proportion to it,
+    which keeps a search from being drawn at once to the weak-pump edge of
+    the box; its random starts are still uniform in mu.  Its landscape has
+    a pair of optima that an exchange of H and V nearly maps onto each
+    other (one with the H pump strong, one with the V pump strong), and a
+    local search reaches only one of them, so the search goes on from the
+    mirror image of its best point (``_mirror``) as start ``n_starts`` and
+    keeps the better.  Its trace lists both searches, with (mu_H, mu_V) as
+    x0 and x1, mapped from the 12 printed digits of ln mu, so to about 10
+    digits.
     """
-    sb = strategy_a if strategy_b is None else strategy_b
-
     if not free_mu:
-        ens = heralded_ensemble(params, basis=basis) if ensemble is None else ensemble
-        kernel = SearchKernel(HeraldedEntries.of_ensemble(ens), efficiencies, strategy_a, sb,
-                              gain)
+        kernel = SearchKernel(_heralded_entries(params, basis), efficiencies, gain)
+        return _chsh_search(kernel, _source_mu(params), seed, n_starts, x0, trace)
 
-        def objective(x):
-            s, ds_a, ds_b, _ = _chsh_gradient(*kernel.correlator_gradients(x[:, 0:2], x[:, 2:4]))
-            return s, np.concatenate((ds_a, ds_b), axis=1)
-
-        res = multistart_maximize(objective, _FREE_ANGLES, _angle_start, n_starts=n_starts,
-                                  seed=seed, x0=x0 if x0 is not None else CANONICAL_X0,
-                                  trace=trace)
-        return ChshOptimum(value=res.value, settings=BellSettings(*res.x),
-                           mu_h=None, mu_v=None, s=res.value, n_evaluations=res.n_evaluations,
-                           converged=res.converged, start_index=res.start_index)
-
-    if ensemble is not None:
-        raise ValueError("a free-mu search varies the sources of a given ensemble")
     lo, hi = mu_bounds
     if not 0.0 < lo < hi < math.inf:
         raise ValueError(f"mu_bounds must satisfy 0 < lo < hi < inf, got {tuple(mu_bounds)!r}")
-    entries = HeraldedEntries.of_filter(heralding_filter(params, basis=basis), params)
-    kernel = SearchKernel(entries, efficiencies, strategy_a, sb, gain)
+    kernel = SearchKernel(_heralded_entries(params, basis), efficiencies, gain)
 
     def objective(x):
         # x = (ln mu_H, ln mu_V, a1, a2, b1, b2)
         mu = np.exp(x[:, :2])
         s, ds_a, ds_b, ds_mu = _chsh_gradient(*kernel.correlator_gradients(
-            x[:, 2:4], x[:, 4:6], mu=mu.take(_SHARED_MU, axis=1)))
+            x[:, 2:4], x[:, 4:6], mu.take(_SHARED_MU, axis=1)))
         return s, np.concatenate((ds_mu * mu, ds_a, ds_b), axis=1)
 
     def start_at(r):
@@ -487,6 +393,22 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
     return ChshOptimum(value=res.value, settings=BellSettings(*res.x[2:6]),
                        mu_h=mu_h, mu_v=mu_v, s=res.value,
                        n_evaluations=seeded.n_evaluations + mirrored.n_evaluations,
+                       converged=res.converged, start_index=res.start_index)
+
+
+def _chsh_search(kernel: SearchKernel, mu, seed, n_starts, x0, trace) -> ChshOptimum:
+    """The CHSH search of ``optimize_chsh`` over the four angles, at the
+    source strengths ``mu``."""
+    def objective(x):
+        e, de_a, de_b, _ = kernel.correlator_gradients(x[:, 0:2], x[:, 2:4], mu)
+        s, ds_a, ds_b, _ = _chsh_gradient(e, de_a, de_b)
+        return s, np.concatenate((ds_a, ds_b), axis=1)
+
+    res = multistart_maximize(objective, _FREE_ANGLES, _angle_start, n_starts=n_starts,
+                              seed=seed, x0=x0 if x0 is not None else CANONICAL_X0,
+                              trace=trace)
+    return ChshOptimum(value=res.value, settings=BellSettings(*res.x),
+                       mu_h=None, mu_v=None, s=res.value, n_evaluations=res.n_evaluations,
                        converged=res.converged, start_index=res.start_index)
 
 
@@ -512,27 +434,26 @@ def _write_free_mu_trace(trace, blocks, n_starts: int):
 
 
 def optimize_key_rate(params: ExperimentParams,
-                      strategy_a: Strategy = DEFAULT_STRATEGY,
-                      strategy_b: Strategy = None,
                       efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES,
                       gain: float = 1.0, basis: str = "A", seed: int = 0,
-                      n_starts: int = 8, x0=None, trace=None,
-                      ensemble: HeraldedEnsemble = None) -> ChshOptimum:
+                      n_starts: int = 8, x0=None, trace=None) -> ChshOptimum:
     """Maximize the Devetak-Winter rate over the five analyzer angles.
 
     The free parameters are the key-generation angle theta_a0 and the four
     CHSH angles; the source strengths stay at their configured values.
-    ``ensemble`` may supply the heralded state of ``params`` in ``basis``.
     The search is ``optimize.multistart_maximize`` on the exact gradient
     dr = dr/dS dS + dr/dQ dQ (``dw_key_rate_slopes``); the angles run
     unbounded, and random starts are drawn within one period.
     """
-    sb = strategy_a if strategy_b is None else strategy_b
-    ens = heralded_ensemble(params, basis=basis) if ensemble is None else ensemble
-    kernel = SearchKernel(HeraldedEntries.of_ensemble(ens), efficiencies, strategy_a, sb, gain)
+    kernel = SearchKernel(_heralded_entries(params, basis), efficiencies, gain)
+    return _key_rate_search(kernel, _source_mu(params), seed, n_starts, x0, trace)
 
+
+def _key_rate_search(kernel: SearchKernel, mu, seed, n_starts, x0, trace) -> ChshOptimum:
+    """The search of ``optimize_key_rate`` at the source strengths ``mu``."""
     def objective(x):
-        e, de_a, de_b, _ = kernel.correlator_gradients(x.take(_KEY_ANGLES_A, axis=1), x[:, 3:5])
+        e, de_a, de_b, _ = kernel.correlator_gradients(x.take(_KEY_ANGLES_A, axis=1), x[:, 3:5],
+                                                       mu)
         s, ds_a, ds_b, _ = _chsh_gradient(e, de_a, de_b)
         s, qs = s.tolist(), [_qber(v) for v in e[:, 2, 0].tolist()]
         slopes = np.array([dw_key_rate_slopes(*p) for p in zip(s, qs)])
@@ -549,7 +470,7 @@ def optimize_key_rate(params: ExperimentParams,
         x0 = (0.0,) + CANONICAL_X0
     res = multistart_maximize(objective, _FREE_ANGLES + _FREE_ANGLES[:1], _angle_start,
                               n_starts=n_starts, seed=seed, x0=x0, trace=trace)
-    e = kernel.correlators(np.take(res.x, _KEY_ANGLES_A), res.x[3:5]).tolist()
+    e = kernel.correlators(np.take(res.x, _KEY_ANGLES_A), res.x[3:5], mu).tolist()
     s, q = _chsh(e), _qber(e[2][0])
     return ChshOptimum(value=res.value,
                        settings=BellSettings(*res.x[1:5], theta_a0=res.x[0]),
@@ -655,9 +576,7 @@ def _partial_entanglement_seed(eta: float):
                    to_model(b1), to_model(b2))
 
 
-def efficiency_threshold(params: ExperimentParams,
-                         strategy_a: Strategy = DEFAULT_STRATEGY,
-                         strategy_b: Strategy = None, target_s: float = 2.0,
+def efficiency_threshold(params: ExperimentParams, target_s: float = 2.0,
                          bracket=(0.5, 1.0), seed: int = 0,
                          xtol: float = 1e-3, mu_floor: float = 2e-3,
                          basis: str = "A") -> float:
@@ -688,13 +607,11 @@ def efficiency_threshold(params: ExperimentParams,
         raise ValueError(f"xtol must be finite and positive, got {xtol!r}")
     if not (math.isfinite(mu_floor) and mu_floor > 0.0):
         raise ValueError(f"mu_floor must be finite and positive, got {mu_floor!r}")
-    sb = strategy_a if strategy_b is None else strategy_b
-    entries = HeraldedEntries.of_filter(heralding_filter(params, basis=basis), params)
+    entries = _heralded_entries(params, basis)
     warm = {"x0": None}
 
     def margin(eta):
-        kernel = SearchKernel(entries, CoincidenceEfficiencies(eta, eta, eta, eta),
-                              strategy_a, sb)
+        kernel = SearchKernel(entries, CoincidenceEfficiencies(eta, eta, eta, eta))
         ratio0, angles0 = _partial_entanglement_seed(eta)
 
         def objective(x):
@@ -702,7 +619,7 @@ def efficiency_threshold(params: ExperimentParams,
             mu = np.full((len(x), 4), mu_floor)
             mu[:, 1::2] = mu_floor * x[:, :1]
             s, ds_a, ds_b, ds_mu = _chsh_gradient(
-                *kernel.correlator_gradients(x[:, 1:3], x[:, 3:5], mu=mu))
+                *kernel.correlator_gradients(x[:, 1:3], x[:, 3:5], mu))
             grad = np.empty_like(x)
             grad[:, 0] = mu_floor * ds_mu[:, 1]
             grad[:, 1:3] = ds_a
@@ -718,23 +635,21 @@ def efficiency_threshold(params: ExperimentParams,
         return best.value - target_s
 
     samples = []
-    if not prescan_monotone(margin, lo, hi, n=8, increasing=True, values=samples):
+    if not prescan_monotone(margin, lo, hi, n=8, values=samples):
         raise ValueError("optimized CHSH value is not monotone over the bracket")
     eta, _ = bisect_threshold(margin, lo, hi, xtol=xtol, f_lo=samples[0], f_hi=samples[-1])
     return eta
 
 
 def sfg_gain_threshold(params: ExperimentParams, objective: str = "rate",
-                       strategy_a: Strategy = DEFAULT_STRATEGY,
-                       strategy_b: Strategy = None,
                        efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES,
                        bracket=(1.0, 1e4), seed: int = 0,
                        rtol: float = 0.01) -> float:
     """Minimal multiplicative factor on the analyzer efficiency achieving
     S > 2 (``objective="s"``) or a positive key rate (``objective="rate"``).
 
-    The heralded ensemble is built once; the gain enters as an exact
-    rescaling of its photon-herald part, so each bisection step only
+    The heralded entries are built once; the gain enters as an exact
+    rescaling of their photon-herald part, so each bisection step only
     re-optimizes angles (warm-started).
 
     The bracket must satisfy 0 < lo < hi < inf, and ``rtol`` must be
@@ -747,22 +662,18 @@ def sfg_gain_threshold(params: ExperimentParams, objective: str = "rate",
         raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {tuple(bracket)!r}")
     if not (math.isfinite(rtol) and rtol > 0.0):
         raise ValueError(f"rtol must be finite and positive, got {rtol!r}")
-    ens = heralded_ensemble(params)
+    entries, mu = _heralded_entries(params, "A"), _source_mu(params)
     warm = {"x0": None}
 
     def margin(log_gain):
-        gain = math.exp(log_gain)
+        kernel = SearchKernel(entries, efficiencies, math.exp(log_gain))
         n = 8 if warm["x0"] is None else 4
         if objective == "s":
-            res = optimize_chsh(params, strategy_a=strategy_a, strategy_b=strategy_b,
-                                efficiencies=efficiencies, gain=gain, seed=seed,
-                                n_starts=n, x0=warm["x0"], ensemble=ens)
+            res = _chsh_search(kernel, mu, seed, n, warm["x0"], None)
             warm["x0"] = (res.settings.theta_a1, res.settings.theta_a2,
                           res.settings.theta_b1, res.settings.theta_b2)
             return res.value - 2.0
-        res = optimize_key_rate(params, strategy_a=strategy_a, strategy_b=strategy_b,
-                                efficiencies=efficiencies, gain=gain, seed=seed,
-                                n_starts=n, x0=warm["x0"], ensemble=ens)
+        res = _key_rate_search(kernel, mu, seed, n, warm["x0"], None)
         warm["x0"] = (res.settings.theta_a0, res.settings.theta_a1,
                       res.settings.theta_a2, res.settings.theta_b1,
                       res.settings.theta_b2)
@@ -770,7 +681,7 @@ def sfg_gain_threshold(params: ExperimentParams, objective: str = "rate",
 
     lo, hi = math.log(lo), math.log(hi)
     samples = []
-    if not prescan_monotone(margin, lo, hi, n=8, increasing=True, values=samples):
+    if not prescan_monotone(margin, lo, hi, n=8, values=samples):
         raise ValueError("objective is not monotone in the gain over the bracket")
     warm["x0"] = None
     log_gain, _ = bisect_threshold(margin, lo, hi, xtol=rtol / 2.0,

@@ -21,7 +21,7 @@ from .efficiency import (
     sfg_eff_effective,
     sfg_eff_from_counts,
     sfg_eff_theoretical,
-    spectral_overlap,
+    spectral_overlap_gaussian,
 )
 from .presets import get_preset, presets, swap_params
 from .protocols import lo_swap, qfc_teleport_strong_pump, sfg_swap, teleport
@@ -66,6 +66,11 @@ def _load_config_file(path: str) -> dict:
         if not isinstance(data, dict) or not all(
                 isinstance(v, dict) for v in data.values()):
             raise ConfigError("JSON config must map section names to objects")
+        for section, kv in data.items():
+            for key, value in kv.items():
+                if value is None or isinstance(value, (list, dict)):
+                    raise ConfigError(f"key {section}.{key} must be a number, string or "
+                                      f"boolean, got {json.dumps(value)}")
         return {s: dict(kv) for s, kv in data.items()}
     import configparser
 
@@ -138,6 +143,11 @@ def _get_bool(section: dict, key: str, default: bool) -> bool:
     raise ConfigError(f"key {key!r} is not a boolean: {section[key]!r}")
 
 
+def _get_str(section: dict, key: str, default: str) -> str:
+    # a JSON config may give a number where a name is due
+    return str(section.get(key, default))
+
+
 def _get_complex(section: dict, key: str, default: complex) -> complex:
     try:
         value = complex(str(section.get(key, default)))
@@ -200,7 +210,7 @@ def _run_swap(config, fmt, out, lo=False):
 
 def _run_teleport(config, fmt, out):
     section = config.get("teleport", {})
-    pol_name = section.get("polarization", "D")
+    pol_name = _get_str(section, "polarization", "D")
     if pol_name in POLARIZATIONS:
         pol = POLARIZATIONS[pol_name]
     else:
@@ -216,7 +226,7 @@ def _run_teleport(config, fmt, out):
     mean_photons = _get_float(section, "mean_photons", 0.95)
     if not (math.isfinite(mean_photons) and mean_photons > 0.0):
         raise ConfigError(f"mean_photons must be finite and positive, got {mean_photons!r}")
-    basis = section.get("herald_basis", "D")
+    basis = _get_str(section, "herald_basis", "D")
     if basis not in HERALD_SIGNS:
         raise ConfigError(f"herald basis must be 'D' or 'A', got {basis!r}")
     params = _build_params(config)
@@ -335,7 +345,7 @@ def _run_efficiency(config, fmt, out):
         center_pm = 1.0 / (1.0 / prof_a.center_nm + 1.0 / prof_b.center_nm)
         prof_pm = SpectralProfile(center_pm,
                                   _get_float(section, "profile_pm.fwhm_nm"))
-        results["spectral_overlap"] = spectral_overlap(prof_a, prof_b, prof_pm)
+        results["spectral_overlap"] = spectral_overlap_gaussian(prof_a, prof_b, prof_pm)
         results["eta_sfg_effective"] = sfg_eff_effective(
             eta_th, prof_a, prof_b, prof_pm)
     if not results:
@@ -375,13 +385,13 @@ def _sweep_point(args):
 
 def _run_sweep(config, fmt, out, jobs):
     section = config.get("sweep", {})
-    variable = section.get("variable")
+    variable = _get_str(section, "variable", "")
     if not variable:
         raise ConfigError("sweep needs a variable")
     steps = _get_int(section, "steps", None, minimum=2)
     start = _get_float(section, "start")
     stop = _get_float(section, "stop")
-    bsa = section.get("bsa", "sfg")
+    bsa = _get_str(section, "bsa", "sfg")
     if bsa not in ("sfg", "lo", "both"):
         raise ConfigError(f"sweep bsa must be sfg, lo or both, not {bsa!r}")
     params_section = config.get("params", {})

@@ -2,16 +2,16 @@
 
 Three routes to the internal SFG efficiency: extraction from measured count
 rates, the theoretical crystal formula from the SHG benchmark, and the
-effective efficiency found by integrating the phase-matching acceptance
-over the photon spectra.
+effective efficiency, the theoretical one times the overlap of the
+phase-matching acceptance with the photon spectra, a Gaussian integral in
+closed form.  The quadrature of ``tests/test_efficiency.py`` is the
+reference it is checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 PLANCK_H = 6.62607015e-34  # J s
 SPEED_OF_LIGHT = 299792458.0  # m / s
@@ -79,13 +79,10 @@ class SpectralProfile:
 
     center_nm: float
     fwhm_nm: float
-    shape: str = "gaussian"
 
     def __post_init__(self):
         if self.fwhm_nm <= 0.0:
             raise ValueError("FWHM must be positive")
-        if self.shape != "gaussian":
-            raise ValueError(f"unsupported spectral shape {self.shape!r}")
 
     @property
     def sigma_nm(self) -> float:
@@ -120,68 +117,30 @@ def sfg_eff_theoretical(cp: CrystalParams) -> float:
     return (cp.eta_shg / 2.0) * photon_energy * (cp.delta_nu_hat * cp.length_cm / cp.tbp)
 
 
-def _overlap_integrand(a: SpectralProfile, b: SpectralProfile, pm: SpectralProfile):
-    """Integrand of the spectral-overlap integral in centered coordinates.
+def spectral_overlap_gaussian(a: SpectralProfile, b: SpectralProfile,
+                              pm: SpectralProfile) -> float:
+    """Overlap of the photon spectra with the phase-matching acceptance.
 
-    The phase-matching acceptance is a peak-normalized Gaussian in the
-    sum-frequency wavelength detuning; first-order detunings of the input
-    wavelengths map to the output as lambda_c^2 (x / lambda_a^2 +
-    y / lambda_b^2).
+    The acceptance is a peak-normalized Gaussian in the sum-frequency
+    wavelength detuning; first-order detunings x, y of the input wavelengths
+    map to the output as lambda_c^2 (x / lambda_a^2 + y / lambda_b^2).  Its
+    integral against the normalized spectra of ``a`` and ``b`` is
+    sigma_pm / sqrt(sigma_pm^2 + c_a^2 sigma_a^2 + c_b^2 sigma_b^2).
     """
     lam_c = 1.0 / (1.0 / a.center_nm + 1.0 / b.center_nm)
     ca = lam_c ** 2 / a.center_nm ** 2
     cb = lam_c ** 2 / b.center_nm ** 2
     sa, sb, sp = a.sigma_nm, b.sigma_nm, pm.sigma_nm
-    na = 1.0 / (sa * math.sqrt(2.0 * math.pi))
-    nb = 1.0 / (sb * math.sqrt(2.0 * math.pi))
-
-    def f(x, y):
-        detune = ca * x + cb * y
-        return (na * np.exp(-x * x / (2 * sa * sa))
-                * nb * np.exp(-y * y / (2 * sb * sb))
-                * np.exp(-detune * detune / (2 * sp * sp)))
-
-    return f, (ca, cb, sa, sb, sp)
-
-
-def spectral_overlap(a: SpectralProfile, b: SpectralProfile, pm: SpectralProfile,
-                     rel_tol: float = 1e-6, max_order: int = 256) -> float:
-    """Overlap of the photon spectra with the phase-matching acceptance.
-
-    Tensor-product Gauss-Legendre quadrature over +/- 5 sigma, doubling the
-    order until the result is stable to ``rel_tol``.
-    """
-    f, (ca, cb, sa, sb, sp) = _overlap_integrand(a, b, pm)
-    half_a, half_b = 5.0 * sa, 5.0 * sb
-    prev = None
-    order = 16
-    while order <= max_order:
-        xs, wx = np.polynomial.legendre.leggauss(order)
-        x = xs * half_a
-        y = xs * half_b
-        grid = f(x[:, None], y[None, :])
-        val = float((wx[:, None] * wx[None, :] * grid).sum() * half_a * half_b)
-        if prev is not None and abs(val - prev) <= rel_tol * abs(val):
-            return val
-        prev = val
-        order *= 2
-    raise RuntimeError("spectral-overlap quadrature did not converge")
-
-
-def spectral_overlap_gaussian(a: SpectralProfile, b: SpectralProfile,
-                              pm: SpectralProfile) -> float:
-    """Closed form of ``spectral_overlap`` for Gaussian profiles."""
-    _, (ca, cb, sa, sb, sp) = _overlap_integrand(a, b, pm)
     return sp / math.sqrt(sp * sp + ca * ca * sa * sa + cb * cb * sb * sb)
 
 
 def sfg_eff_effective(eta_th: float, a: SpectralProfile, b: SpectralProfile,
-                      pm: SpectralProfile, rel_tol: float = 1e-6) -> float:
+                      pm: SpectralProfile) -> float:
     """Effective efficiency: the theoretical value reduced by the overlap
     of the photon spectra with the phase-matching acceptance."""
     if eta_th < 0.0:
         raise ValueError("eta_th must be nonnegative")
-    return eta_th * spectral_overlap(a, b, pm, rel_tol=rel_tol)
+    return eta_th * spectral_overlap_gaussian(a, b, pm)
 
 
 def fidelity_lower_bound(v_z: float, v_x: float) -> float:

@@ -357,40 +357,28 @@ def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: i
     return replace(best_run(runs), n_evaluations=sum(res.n_evaluations for res in runs))
 
 
-def prescan_monotone(f, lo: float, hi: float, n: int = 8, increasing: bool = None,
-                     values: list = None) -> bool:
-    """Coarse monotonicity check of f on [lo, hi] over n sample points; the
-    list ``values``, if given, receives f at the points, lo and hi included."""
-    xs = np.linspace(lo, hi, n)
-    ys = [f(x) for x in xs]
+def prescan_monotone(f, lo: float, hi: float, n: int = 8, values: list = None) -> bool:
+    """Coarse check that f is nondecreasing on [lo, hi] over n sample points;
+    the list ``values``, if given, receives f at the points, lo and hi included."""
+    ys = [f(x) for x in np.linspace(lo, hi, n)]
     if values is not None:
         values.extend(ys)
-    inc = all(ys[i + 1] >= ys[i] - 1e-12 for i in range(n - 1))
-    dec = all(ys[i + 1] <= ys[i] + 1e-12 for i in range(n - 1))
-    if increasing is True:
-        return inc
-    if increasing is False:
-        return dec
-    return inc or dec
+    return all(ys[i + 1] >= ys[i] - 1e-12 for i in range(n - 1))
 
 
-def bisect_threshold(f, lo: float, hi: float, xtol: float, rtol: float = 0.0,
+def bisect_threshold(f, lo: float, hi: float, xtol: float,
                      f_lo: float = None, f_hi: float = None):
     """Smallest x in [lo, hi] with f(x) > 0, assuming f is nondecreasing.
 
     Requires a sign change: f(lo) <= 0 < f(hi).  ``f_lo`` and ``f_hi`` are
     those values when the caller already has them.  Returns (x, f(x)).
-    The bracket must be finite with lo < hi; ``xtol`` and ``rtol`` must be
-    finite and non-negative, and one of them positive, or the halving
-    would never stop.
+    The bracket must be finite with lo < hi, and ``xtol`` finite and
+    positive, or the halving would never stop.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bracket must be finite with lo < hi, got ({lo!r}, {hi!r})")
-    for name, tol in (("xtol", xtol), ("rtol", rtol)):
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise ValueError(f"{name} must be finite and non-negative, got {tol!r}")
-    if xtol == 0.0 and rtol == 0.0:
-        raise ValueError("xtol and rtol cannot both be zero")
+    if not (math.isfinite(xtol) and xtol > 0.0):
+        raise ValueError(f"xtol must be finite and positive, got {xtol!r}")
     if f_lo is None:
         f_lo = f(lo)
     if f_hi is None:
@@ -399,7 +387,7 @@ def bisect_threshold(f, lo: float, hi: float, xtol: float, rtol: float = 0.0,
         raise ValueError("objective already positive at the lower bracket edge")
     if f_hi <= 0.0:
         raise ValueError("no sign change in bracket")
-    while (hi - lo) > xtol + rtol * hi:
+    while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if f_mid > 0.0:

@@ -47,7 +47,7 @@ from branch_route import (
     reduced_branches,
     two_mode_rotation,
 )
-from sfgswap.bell import DEFAULT_STRATEGY, UNIT_EFFICIENCIES, BellSettings, Strategy
+from sfgswap.bell import UNIT_EFFICIENCIES, BellSettings
 from sfgswap.detection import HERALD_SIGNS, CoincidenceEfficiencies
 from sfgswap.optics import SfgParams
 from sfgswap.protocols import (
@@ -519,30 +519,30 @@ def joint_click_pattern_probs(rho: DensityOperator, theta1: float, theta2: float
 
 # Bell readouts: correlators, CHSH and QBER from the click patterns.
 
-def correlator(pattern_probs: dict, strategy_a: Strategy, strategy_b: Strategy) -> float:
+def outcome(click_first: bool, click_second: bool) -> int:
+    """A party's +/-1 outcome: -1 when only the first (H-arm) detector
+    clicks, +1 on the other three click patterns."""
+    return -1 if click_first and not click_second else +1
+
+
+def correlator(pattern_probs: dict) -> float:
     """Expectation of the +/-1 outcome product over joint click patterns."""
-    return sum(p * strategy_a.outcome(*d) * strategy_b.outcome(*e)
-               for (d, e), p in pattern_probs.items())
+    return sum(p * outcome(*d) * outcome(*e) for (d, e), p in pattern_probs.items())
 
 
-def _disagreement(pattern_probs: dict, strategy_a: Strategy, strategy_b: Strategy) -> float:
+def _disagreement(pattern_probs: dict) -> float:
     """Probability that the two parties' +/-1 outcomes differ."""
-    return sum(p for (d, e), p in pattern_probs.items()
-               if strategy_a.outcome(*d) != strategy_b.outcome(*e))
+    return sum(p for (d, e), p in pattern_probs.items() if outcome(*d) != outcome(*e))
 
 
 def chsh_value(rho_herald: DensityOperator, settings: BellSettings,
-               strategy: Strategy = DEFAULT_STRATEGY,
-               efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES,
-               strategy_b: Strategy = None) -> float:
+               efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES) -> float:
     """S = <A1 B1> + <A2 B1> + <A1 B2> - <A2 B2> on a normalized state."""
     if abs(rho_herald.trace() - 1.0) > 1e-6:
         raise ValueError("chsh_value requires a normalized density operator")
-    sb = strategy if strategy_b is None else strategy_b
 
     def e(ta, tb):
-        probs = joint_click_pattern_probs(rho_herald, ta, tb, efficiencies)
-        return correlator(probs, strategy, sb)
+        return correlator(joint_click_pattern_probs(rho_herald, ta, tb, efficiencies))
 
     a1, a2 = settings.theta_a1, settings.theta_a2
     b1, b2 = settings.theta_b1, settings.theta_b2
@@ -550,15 +550,11 @@ def chsh_value(rho_herald: DensityOperator, settings: BellSettings,
 
 
 def qber(rho_herald: DensityOperator, theta_a0: float, theta_b1: float,
-         strategy: Strategy = DEFAULT_STRATEGY,
-         efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES,
-         strategy_b: Strategy = None) -> float:
+         efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES) -> float:
     """Key-basis error rate Q = P(+1,-1) + P(-1,+1)."""
     if abs(rho_herald.trace() - 1.0) > 1e-6:
         raise ValueError("qber requires a normalized density operator")
-    sb = strategy if strategy_b is None else strategy_b
-    probs = joint_click_pattern_probs(rho_herald, theta_a0, theta_b1, efficiencies)
-    return _disagreement(probs, strategy, sb)
+    return _disagreement(joint_click_pattern_probs(rho_herald, theta_a0, theta_b1, efficiencies))
 
 
 def heralded_state_with_dark(rho_sfg: DensityOperator, psi_in: PureState,

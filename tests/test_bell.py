@@ -1,4 +1,4 @@
-"""CHSH correlators, outcome strategies, key rates, and their dual routes."""
+"""CHSH correlators, key rates, threshold searches, and their dual routes."""
 
 import csv
 import io
@@ -20,41 +20,43 @@ from density_route import (
 from sfgswap import bell
 from sfgswap.bell import (
     CANONICAL_X0,
-    DEFAULT_STRATEGY,
     BellSettings,
     HeraldedEntries,
     SearchKernel,
-    Strategy,
     TSIRELSON,
     _partial_entanglement_seed,
     _qber,
     _seed_objective,
-    all_strategies,
+    _source_mu,
     binary_entropy,
     dw_key_rate,
     dw_key_rate_slopes,
     efficiency_threshold,
-    ensemble_chsh,
-    heralded_ensemble,
     holevo_chsh,
     optimize_chsh,
     optimize_key_rate,
     sfg_gain_threshold,
 )
 from branch_route import reduced_branches
-from sfgswap.detection import CoincidenceEfficiencies, block_readout
+from sfgswap.detection import CoincidenceEfficiencies, arm_click_probs, block_readout
 from sfgswap.optics import SfgParams, SourceParams
 from sfgswap import optimize
 from sfgswap.presets import get_preset, swap_params
-from sfgswap.protocols import ExperimentParams, heralding_filter
+from sfgswap.protocols import ExperimentParams, heralded_ensemble, heralding_filter
 from simplex_reference import drive, maximize_starts
 
 
-def _ensemble_qber(ensemble, theta_a0, theta_b1, strategy_a, strategy_b, effs, gain):
-    """QBER of the normalized ensemble state through the search kernel."""
-    kernel = SearchKernel(HeraldedEntries.of_ensemble(ensemble), effs, strategy_a, strategy_b,
-                          gain)
-    return _qber(kernel.correlators((theta_a0,), (theta_b1,))[0, 0])
+def _kernel(params, effs=bell.UNIT_EFFICIENCIES, gain=1.0, basis="A"):
+    """The search kernel of the heralded state of ``params``."""
+    return SearchKernel(HeraldedEntries.of_filter(heralding_filter(params, basis), params),
+                        effs, gain)
+
+
+def _chsh_at(kernel, params, settings_):
+    """CHSH value through ``kernel`` at the sources of ``params``."""
+    e = kernel.correlators((settings_.theta_a1, settings_.theta_a2),
+                           (settings_.theta_b1, settings_.theta_b2), _source_mu(params))
+    return e[0, 0] + e[1, 0] + e[0, 1] - e[1, 1]
 
 
 def _angle_bounds(n):
@@ -98,19 +100,6 @@ def test_dw_key_rate_anchors():
     assert dw_key_rate(2.5, 0.5) < 0.0
 
 
-def test_strategy_contract():
-    s = Strategy()
-    assert s.outcome(True, False) == -1
-    assert s.outcome(False, True) == +1
-    assert s.outcome(True, True) == +1
-    assert s.outcome(False, False) == +1
-    n = s.negated()
-    assert n.outcome(True, False) == +1
-    assert len(all_strategies()) == 16
-    with pytest.raises(ValueError):
-        Strategy(only_first=0)
-
-
 def test_bell_settings_wrap():
     s = BellSettings(1.9, -1.9, math.pi, 0.25, theta_a0=math.pi / 2)
     for theta in (s.theta_a1, s.theta_a2, s.theta_b1, s.theta_b2, s.theta_a0):
@@ -121,11 +110,12 @@ def test_bell_settings_wrap():
 
 
 def test_chsh_has_pi_period_in_analyzer_angles():
-    ens = heralded_ensemble(make_params())
+    params = make_params()
+    kernel = _kernel(params)
     base = BellSettings(*CANONICAL_X0)
     shifted = BellSettings(CANONICAL_X0[0] + math.pi, *CANONICAL_X0[1:])
-    assert ensemble_chsh(ens, shifted) == pytest.approx(ensemble_chsh(ens, base),
-                                                        abs=1e-10)
+    assert _chsh_at(kernel, params, shifted) == pytest.approx(_chsh_at(kernel, params, base),
+                                                              abs=1e-10)
 
 
 @pytest.mark.parametrize("params", [
@@ -138,14 +128,14 @@ def test_chsh_dual_route_equivalence(params):
     rho_sfg, psi_in = sfg_heralded_operator(params, basis="A")
     rho = heralded_state_with_dark(rho_sfg.scaled(params.window_acceptance), psi_in,
                                    params.dark)
-    ens = heralded_ensemble(params)
     effs = CoincidenceEfficiencies(0.9, 0.85, 0.8, 0.75)
+    kernel = _kernel(params, effs)
     settings_ = BellSettings(0.1, 0.7, -0.2, 0.5)
     slow = chsh_value(rho, settings_, efficiencies=effs)
-    fast = ensemble_chsh(ens, settings_, efficiencies=effs)
+    fast = _chsh_at(kernel, params, settings_)
     assert fast == pytest.approx(slow, abs=1e-10)
     slow_q = qber(rho, 0.3, -0.2, efficiencies=effs)
-    fast_q = _ensemble_qber(ens, 0.3, -0.2, DEFAULT_STRATEGY, DEFAULT_STRATEGY, effs, 1.0)
+    fast_q = _qber(kernel.correlators((0.3,), (-0.2,), _source_mu(params))[0, 0])
     assert fast_q == pytest.approx(slow_q, abs=1e-10)
 
 
@@ -202,11 +192,12 @@ def test_dark_herald_fraction_of_measured_pipeline():
 
 
 def test_tsirelson_bound_respected():
-    ens = heralded_ensemble(make_params())
+    params = make_params()
+    kernel = _kernel(params)
     rng = np.random.default_rng(3)
     for _ in range(25):
         settings_ = BellSettings(*rng.uniform(-math.pi / 2, math.pi / 2, size=4))
-        assert abs(ensemble_chsh(ens, settings_)) <= TSIRELSON + 1e-9
+        assert abs(_chsh_at(kernel, params, settings_)) <= TSIRELSON + 1e-9
 
 
 def test_qber_small_for_aligned_ideal_state():
@@ -276,11 +267,11 @@ def test_efficiency_threshold_rejects_bad_arguments(monkeypatch, kwargs, argumen
         "rtol-negative", "rtol-inf"])
 def test_sfg_gain_threshold_rejects_bad_arguments(monkeypatch, kwargs, argument):
     # Rejected by name before any search (each search starts from the
-    # heralded ensemble, so none may run).  Unchecked, lo = 0 or -1 fails
+    # heralding filter, so none may run).  Unchecked, lo = 0 or -1 fails
     # with "math domain error", a reversed bracket is reported by its
     # logarithms, hi = inf fails after the searches with "zero total herald
     # probability", and rtol = nan is reported as xtol.
-    monkeypatch.setattr(bell, "heralded_ensemble", None)
+    monkeypatch.setattr(bell, "heralding_filter", None)
     with pytest.raises(ValueError, match=argument):
         sfg_gain_threshold(_preset("ideal", pair_cap=2), **kwargs)
 
@@ -328,12 +319,19 @@ def _with_sources(params, mu):
     return params.replace(eps1=SourceParams(mu[0], mu[1]), eps2=SourceParams(mu[2], mu[3]))
 
 
-def _readout(ens, thetas_a, thetas_b, strategy_a, strategy_b, effs, gain):
+def _outcome_mean(eta_first, eta_second, n):
+    """Mean +/-1 outcome o[N, a] of a party: -1 exactly when only the first
+    detector clicks."""
+    p_first, p_second = arm_click_probs(eta_first, eta_second, n)
+    return 1.0 - 2.0 * p_first * (1.0 - p_second)
+
+
+def _readout(ens, thetas_a, thetas_b, effs, gain):
     """Normalized correlators from ``block_readout`` on the dense ensemble."""
     n = ens.rho_sfg.shape[0] - 1
     e = block_readout(gain * ens.rho_sfg + ens.rho_dark,
-                      thetas_a, [strategy_a.mean(effs.d_H, effs.d_V, n)],
-                      thetas_b, [strategy_b.mean(effs.e_H, effs.e_V, n)])
+                      thetas_a, [_outcome_mean(effs.d_H, effs.d_V, n)],
+                      thetas_b, [_outcome_mean(effs.e_H, effs.e_V, n)])
     return e[:, :, 0, 0] / ens.trace(gain)
 
 
@@ -345,44 +343,23 @@ def test_search_kernel_matches_block_readout_and_density_route(case, basis):
     # 1e-13; the third angle of party a is the key-rate (QBER) row.
     params, effs, gain = KERNEL_CASES[case]
     rng = np.random.default_rng(11)
-    filtered = SearchKernel(HeraldedEntries.of_filter(heralding_filter(params, basis), params),
-                            effs, DEFAULT_STRATEGY, DEFAULT_STRATEGY, gain)
+    kernel = _kernel(params, effs, gain, basis)
     for _ in range(3):
         mu = rng.uniform(0.005, 0.3, size=4)
         thetas_a = rng.uniform(-math.pi / 2, math.pi / 2, size=3)
         thetas_b = rng.uniform(-math.pi / 2, math.pi / 2, size=2)
         local = _with_sources(params, mu)
-        ens = heralded_ensemble(local, basis=basis)
-        fixed = SearchKernel(HeraldedEntries.of_ensemble(ens), effs, DEFAULT_STRATEGY,
-                             DEFAULT_STRATEGY, gain)
-        slow = _readout(ens, thetas_a, thetas_b, DEFAULT_STRATEGY, DEFAULT_STRATEGY, effs, gain)
-        for e in (filtered.correlators(thetas_a, thetas_b, mu=mu),
-                  fixed.correlators(thetas_a, thetas_b)):
-            assert np.abs(e - slow).max() <= 1e-13
+        e = kernel.correlators(thetas_a, thetas_b, mu)
+        slow = _readout(heralded_ensemble(local, basis=basis), thetas_a, thetas_b, effs, gain)
+        assert np.abs(e - slow).max() <= 1e-13
         rho_sfg, psi_in = sfg_heralded_operator(local, basis=basis, gain=gain)
         rho = heralded_state_with_dark(rho_sfg.scaled(local.window_acceptance), psi_in,
                                        local.dark)
-        e = filtered.correlators(thetas_a, thetas_b, mu=mu)
         s = e[0, 0] + e[1, 0] + e[0, 1] - e[1, 1]
         settings_ = BellSettings(*thetas_a[:2], *thetas_b)
         assert s == pytest.approx(chsh_value(rho, settings_, efficiencies=effs), abs=1e-13)
         assert (1.0 - e[2, 0]) / 2.0 == pytest.approx(
             qber(rho, thetas_a[2], thetas_b[0], efficiencies=effs), abs=1e-13)
-
-
-def test_search_kernel_serves_every_strategy_pair():
-    params, effs, gain = KERNEL_CASES["tableS1-3-dark"]
-    rng = np.random.default_rng(5)
-    mu = rng.uniform(0.005, 0.3, size=4)
-    thetas_a, thetas_b = rng.uniform(-math.pi / 2, math.pi / 2, size=(2, 2))
-    entries = HeraldedEntries.of_filter(heralding_filter(params), params)
-    ens = heralded_ensemble(_with_sources(params, mu))
-    strategies = bell.all_strategies()
-    for sa in strategies:
-        for sb in strategies:
-            e = SearchKernel(entries, effs, sa, sb, gain).correlators(thetas_a, thetas_b, mu=mu)
-            slow = _readout(ens, thetas_a, thetas_b, sa, sb, effs, gain)
-            assert np.abs(e - slow).max() <= 1e-13
 
 
 def _unhoisted_seed_objective(eta):
@@ -452,25 +429,19 @@ def test_search_kernel_stacked_points_match_lone_points(case):
     # A stack of points gives, bit for bit, what each point gives alone.
     params, effs, gain = KERNEL_CASES[case]
     rng = np.random.default_rng(2)
-    entries = (HeraldedEntries.of_filter(heralding_filter(params), params),
-               HeraldedEntries.of_ensemble(heralded_ensemble(params)))
+    kernel = _kernel(params, effs, gain)
     thetas_a = rng.uniform(-math.pi / 2, math.pi / 2, size=(6, 3))
     thetas_b = rng.uniform(-math.pi / 2, math.pi / 2, size=(6, 2))
     mu = rng.uniform(1e-4, 0.4, size=(6, 4))
-    for kernel, point_mu in zip(
-            (SearchKernel(e, effs, DEFAULT_STRATEGY, DEFAULT_STRATEGY, gain) for e in entries),
-            (mu, [None] * 6)):
-        stacked = kernel.correlators(thetas_a, thetas_b, mu=None if point_mu[0] is None else mu)
-        for i in range(6):
-            assert np.array_equal(stacked[i], kernel.correlators(thetas_a[i], thetas_b[i],
-                                                                 mu=point_mu[i]))
-        # the gradient path: each of (E, dE_a, dE_b, dE_mu)
-        stacked = kernel.correlator_gradients(thetas_a, thetas_b,
-                                              mu=None if point_mu[0] is None else mu)
-        for i in range(6):
-            alone = kernel.correlator_gradients(thetas_a[i], thetas_b[i], mu=point_mu[i])
-            for many, one in zip(stacked, alone):
-                assert (many is None and one is None) or np.array_equal(many[i], one)
+    stacked = kernel.correlators(thetas_a, thetas_b, mu)
+    for i in range(6):
+        assert np.array_equal(stacked[i], kernel.correlators(thetas_a[i], thetas_b[i], mu[i]))
+    # the gradient path: each of (E, dE_a, dE_b, dE_mu)
+    stacked = kernel.correlator_gradients(thetas_a, thetas_b, mu)
+    for i in range(6):
+        alone = kernel.correlator_gradients(thetas_a[i], thetas_b[i], mu[i])
+        for many, one in zip(stacked, alone):
+            assert np.array_equal(many[i], one)
 
 
 @pytest.mark.parametrize("search, n_starts", [
@@ -576,14 +547,13 @@ def test_correlator_gradients_match_central_differences(case, basis):
     # source strengths, against a central difference of ``correlators``.
     params, effs = GRADIENT_CASES[case]
     rng = np.random.default_rng(13)
-    entries = HeraldedEntries.of_filter(heralding_filter(params, basis), params)
-    kernel = SearchKernel(entries, effs, DEFAULT_STRATEGY, DEFAULT_STRATEGY)
+    kernel = _kernel(params, effs, basis=basis)
     for _ in range(3):
         thetas_a = rng.uniform(-math.pi / 2, math.pi / 2, size=3)
         thetas_b = rng.uniform(-math.pi / 2, math.pi / 2, size=2)
         mu = rng.uniform(0.005, 0.3, size=4)
-        e, de_a, de_b, de_mu = kernel.correlator_gradients(thetas_a, thetas_b, mu=mu)
-        assert np.abs(e - kernel.correlators(thetas_a, thetas_b, mu=mu)).max() <= 1e-14
+        e, de_a, de_b, de_mu = kernel.correlator_gradients(thetas_a, thetas_b, mu)
+        assert np.abs(e - kernel.correlators(thetas_a, thetas_b, mu)).max() <= 1e-14
         for p in range(3):
             fd = _central_difference(lambda t: kernel.correlators(t, thetas_b, mu=mu),
                                      thetas_a, p, 1e-6)
@@ -599,13 +569,10 @@ def test_correlator_gradients_match_central_differences(case, basis):
             fd = _central_difference(lambda m: kernel.correlators(thetas_a, thetas_b, mu=m),
                                      mu, k, 1e-5 * mu[k])
             assert np.abs(fd - de_mu[k]).max() <= 1e-8
-        # A kernel of the state at these sources has the same angle derivatives.
+        # The correlators of the gradient path are those of block_readout on
+        # the state at these sources.
         ens = heralded_ensemble(_with_sources(params, mu), basis=basis)
-        fixed = SearchKernel(HeraldedEntries.of_ensemble(ens), effs, DEFAULT_STRATEGY,
-                             DEFAULT_STRATEGY).correlator_gradients(thetas_a, thetas_b)
-        assert fixed[3] is None
-        for a, b in zip(fixed[:3], (e, de_a, de_b)):
-            assert np.abs(a - b).max() <= 1e-13
+        assert np.abs(e - _readout(ens, thetas_a, thetas_b, effs, 1.0)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("eta", [0.5, 0.6669921875, 0.9, 1.0])
@@ -740,9 +707,8 @@ def test_key_rate_gradient_matches_central_differences(monkeypatch):
         objective, optimum = _key_rate_search(monkeypatch, params, gain)
         points = np.concatenate((optimum + rng.normal(scale=0.2, size=(30, 5)),
                                  rng.uniform(-math.pi / 2, math.pi / 2, size=(30, 5))))
-        kernel = SearchKernel(HeraldedEntries.of_ensemble(heralded_ensemble(params)),
-                              bell.UNIT_EFFICIENCIES, DEFAULT_STRATEGY, DEFAULT_STRATEGY, gain)
-        e = kernel.correlators(points[:, [1, 2, 0]], points[:, 3:5])
+        e = _kernel(params, gain=gain).correlators(points[:, [1, 2, 0]], points[:, 3:5],
+                                                   _source_mu(params))
         s = e[:, 0, 0] + e[:, 1, 0] + e[:, 0, 1] - e[:, 1, 1]
         q = (1.0 - e[:, 2, 0]) / 2.0
         away = ((abs(s - 2.0) > 0.02) & (s < TSIRELSON - 0.02)

@@ -296,6 +296,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("experiment, config, message", [
+    ("teleport", {"teleport": {"polarization": 1}},
+     "polarization needs two amplitudes, got '1'"),
+    ("sweep", {"sweep": {"variable": ["mu"], "start": 0.01, "stop": 0.1, "steps": 2}},
+     'key sweep.variable must be a number, string or boolean, got ["mu"]'),
+    ("teleport", {"teleport": {"herald_basis": ["D"]}},
+     'key teleport.herald_basis must be a number, string or boolean, got ["D"]'),
+    ("sweep", {"sweep": {"variable": None, "start": 0.01, "stop": 0.1, "steps": 2}},
+     "key sweep.variable must be a number, string or boolean, got null"),
+], ids=["polarization-number", "sweep-variable-list", "herald-basis-list", "sweep-variable-null"])
+def test_json_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, experiment, config,
+                                                         message):
+    # A JSON list, object or null is refused when the file is read, and a
+    # number where a name is due is read as its text; each used to end in a
+    # traceback with exit 1.
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    code, text = run(tmp_path, experiment, "--preset", "ideal", "--config", str(cfg))
+    assert code == 2 and text == ""
+    assert message in capsys.readouterr().err
+
+
 def test_boolean_keys_accept_only_yes_and_no_words():
     from sfgswap.cli import ConfigError, _get_bool
     for word in ("1", "true", "YES", "True", "yes"):
