@@ -102,8 +102,9 @@ class HeraldedEntries:
 
     @classmethod
     def of_filter(cls, filt: np.ndarray, params: ExperimentParams) -> "HeraldedEntries":
-        """Entries of ``protocols.filtered_ensemble(filt, params, ...)`` at any sources:
-        each entry of the outer product of ``source_amplitudes`` is one monomial."""
+        """Entries of the heralded ensemble (``protocols.heralded_ensemble``) of
+        the filter ``filt`` at any sources: each entry of the outer product of
+        ``source_amplitudes`` is one monomial."""
         N, a, a2, M, b, b2 = np.indices(filt.shape, sparse=True)
         dark = params.dark * ((a == a2) & (b == b2) & (a <= N) & (b <= M)
                               & (N + M < filt.shape[0]))
@@ -224,8 +225,8 @@ def _chsh(e) -> float:
 
 
 def _qber(e: float) -> float:
-    # +/-1 outcomes, no postselection; rounding can leave E an ulp above 1.
-    return max(0.0, (1.0 - float(e)) / 2.0)
+    # +/-1 outcomes, no postselection; rounding can leave E an ulp outside [-1, 1].
+    return min(1.0, max(0.0, (1.0 - float(e)) / 2.0))
 
 
 def binary_entropy(x: float) -> float:
@@ -444,6 +445,10 @@ def optimize_key_rate(params: ExperimentParams,
     The search is ``optimize.multistart_maximize`` on the exact gradient
     dr = dr/dS dS + dr/dQ dQ (``dw_key_rate_slopes``); the angles run
     unbounded, and random starts are drawn within one period.
+
+    The reported QBER is min(Q, 1 - Q), the error rate after Bob flips his
+    key bit where Q > 1/2.  The rate is symmetric in Q, so a search may end
+    at either; r is the same for both.
     """
     kernel = SearchKernel(_heralded_entries(params, basis), efficiencies, gain)
     return _key_rate_search(kernel, _source_mu(params), seed, n_starts, x0, trace)
@@ -457,7 +462,7 @@ def _key_rate_search(kernel: SearchKernel, mu, seed, n_starts, x0, trace) -> Chs
         s, ds_a, ds_b, _ = _chsh_gradient(e, de_a, de_b)
         s, qs = s.tolist(), [_qber(v) for v in e[:, 2, 0].tolist()]
         slopes = np.array([dw_key_rate_slopes(*p) for p in zip(s, qs)])
-        # Q = (1 - E[a0, b1]) / 2; where it is clamped at 0, dr/dQ is zero
+        # Q = (1 - E[a0, b1]) / 2; where it is clamped at 0 or 1, dr/dQ is zero
         dr_de = -0.5 * slopes[:, 1]
         grad = np.empty_like(x)
         grad[:, 0] = dr_de * de_a[:, 2, 0]
@@ -472,6 +477,7 @@ def _key_rate_search(kernel: SearchKernel, mu, seed, n_starts, x0, trace) -> Chs
                               n_starts=n_starts, seed=seed, x0=x0, trace=trace)
     e = kernel.correlators(np.take(res.x, _KEY_ANGLES_A), res.x[3:5], mu).tolist()
     s, q = _chsh(e), _qber(e[2][0])
+    q = min(q, 1.0 - q)  # Bob's key bit flipped where Q > 1/2
     return ChshOptimum(value=res.value,
                        settings=BellSettings(*res.x[1:5], theta_a0=res.x[0]),
                        s=s, q=q, n_evaluations=res.n_evaluations, converged=res.converged,

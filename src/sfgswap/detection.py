@@ -13,6 +13,8 @@ N-photon (H, V) block as the spin-N/2 representation of SU(2), so every
 pipeline readout is one contraction (``block_readout``) of small blocks of
 the state, and each analyzer operator is a trig polynomial in its angle
 (``analyzer_coefficients``), the form the Bell searches evaluate.  The
+rotation of each block comes from its generator's eigensystem, which is
+closed form (``_rotation_eig``): the package makes no LAPACK call.  The
 pure-branch herald of ``tests/branch_route.py`` and the density-operator
 POVMs, herald projection and click patterns of ``tests/density_route.py``
 are the references the tests compare against.
@@ -21,6 +23,8 @@ are the references the tests compare against.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,15 +54,27 @@ class CoincidenceEfficiencies:
 def _rotation_eig(n: int):
     """Eigenvalues w of i K_N, where K_N[a-1, a] = -K_N[a, a-1] = sqrt(a (N - a + 1))
     generates the analyzer rotation on the N-photon block, the real and imaginary
-    parts of its eigenprojectors, and the identity, for N <= n, zero-padded."""
-    w, v = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1, n + 1), dtype=complex)
+    parts of its eigenprojectors, and the identity, for N <= n, zero-padded.
+
+    The system is closed form.  The eigenvalue w[N, k] = 2k - N belongs to the
+    circular-polarization state with k photons in (H + iV)/sqrt 2 and N - k in
+    (H - iV)/sqrt 2, whose amplitude on |a, N - a> is i^(N - a) u[N, a, k] with
+    u[N, a, k] = 2^(-N/2) sqrt(C(N, k) / C(N, a))
+    sum_p (-1)^(N - k - a + p) C(k, p) C(N - k, a - p),
+    a Wigner small-d matrix at pi/2; so the projector's entry [a, b] is
+    u[N, a, k] u[N, b, k] i^(b - a).  Each sum is an exact integer."""
+    w, u = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1, n + 1))
     for N in range(n + 1):
-        off = np.sqrt(np.arange(1, N + 1) * np.arange(N, 0, -1.0))
-        gen = np.diag(off, 1) - np.diag(off, -1)
-        w[N, :N + 1], v[N, :N + 1, :N + 1] = np.linalg.eigh(1j * gen)
-    proj = np.einsum("Nak,Nbk->Nkab", v, v.conj())
+        w[N, :N + 1] = 2 * np.arange(N + 1) - N
+        for a, k in itertools.product(range(N + 1), repeat=2):
+            s = sum((-1) ** (N - k - a + p) * math.comb(k, p) * math.comb(N - k, a - p)
+                    for p in range(a + 1))
+            u[N, a, k] = s * math.sqrt(math.comb(N, k) / math.comb(N, a)) / 2.0 ** (N / 2)
+    proj = np.einsum("Nak,Nbk->Nkab", u, u)
+    phase = np.subtract.outer(np.arange(n + 1), np.arange(n + 1)) % 4  # (a - b) mod 4
+    parts = (np.array([1.0, 0.0, -1.0, 0.0])[phase], np.array([0.0, -1.0, 0.0, 1.0])[phase])
     eye = np.eye(n + 1) * np.tri(n + 1)[:, :, None]
-    out = w, np.concatenate([proj.real, proj.imag], axis=1), eye
+    out = w, np.concatenate([proj * part for part in parts], axis=1), eye
     for arr in out:
         arr.setflags(write=False)  # shared by every caller
     return out

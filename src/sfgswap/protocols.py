@@ -293,23 +293,22 @@ class HeraldedEnsemble:
         return gain * self.sfg_trace + self.dark_trace
 
 
-def filtered_ensemble(filt: np.ndarray, params: ExperimentParams, eps1: SourceParams,
-                      eps2: SourceParams) -> HeraldedEnsemble:
-    """Heralded ensemble of the sources ``eps1``, ``eps2`` from the
-    ``heralding_filter`` of ``params`` (whose own sources are ignored)."""
-    c = source_amplitudes(eps1, eps2, filt.shape[0] - 1)
-    rho_sfg = ((1.0 - params.dark) * params.window_acceptance) * filt \
-        * np.einsum("NaMb,NcMd->NacMbd", c, c)
-    eye = np.eye(c.shape[1])
-    rho_dark = params.dark * np.einsum("NaMb,ac,bd->NacMbd", c * c, eye, eye)
+def heralded_ensemble(params: ExperimentParams, basis: str = "A") -> HeraldedEnsemble:
+    """Heralded ensemble of the sources of ``params``: the ``heralding_filter``
+    times the outer product of the ``source_amplitudes``, scaled in place one
+    photon-number slice at a time so that no full-size temporary is made."""
+    rho_sfg = heralding_filter(params, basis)
+    c = source_amplitudes(params.eps1, params.eps2, params.pair_cap)
+    rho_sfg *= (1.0 - params.dark) * params.window_acceptance
+    for N, c_n in enumerate(c):
+        rho_sfg[N] *= np.einsum("aMb,cMd->acMbd", c_n, c_n)
+    # The dark-count herald leaves the reduced input, diagonal in (a, b):
+    # filled through a writable view of that diagonal.
+    rho_dark = np.zeros_like(rho_sfg)
+    np.einsum("NaaMbb->NaMb", rho_dark)[...] = params.dark * (c * c)
     return HeraldedEnsemble(rho_sfg=rho_sfg, rho_dark=rho_dark,
                             sfg_trace=float(np.einsum("NaaMbb->", rho_sfg)),
                             dark_trace=float(np.einsum("NaaMbb->", rho_dark)))
-
-
-def heralded_ensemble(params: ExperimentParams, basis: str = "A") -> HeraldedEnsemble:
-    """Heralded ensemble of the sources of ``params``."""
-    return filtered_ensemble(heralding_filter(params, basis), params, params.eps1, params.eps2)
 
 
 def _coincidence_tables(rho, effs: CoincidenceEfficiencies) -> dict:

@@ -398,7 +398,7 @@ def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
     # kernel: no ensemble is rebuilt and no block readout runs.
     from sfgswap import detection, protocols
 
-    calls = {"filtered_ensemble": 0, "block_readout": 0, "evaluations": 0}
+    calls = {"heralded_ensemble": 0, "block_readout": 0, "evaluations": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -408,7 +408,7 @@ def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(protocols, "filtered_ensemble")
+    counted(protocols, "heralded_ensemble")
     counted(detection, "block_readout")
     real_maximize = bell.maximize_starts_bfgs
 
@@ -421,7 +421,7 @@ def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
     eta = efficiency_threshold(_preset("ideal", pair_cap=2), bracket=(0.6, 0.8), xtol=0.05)
     assert 0.6 < eta <= 0.8
     assert calls["evaluations"] > 1000
-    assert calls["filtered_ensemble"] == 0 and calls["block_readout"] == 0
+    assert calls["heralded_ensemble"] == 0 and calls["block_readout"] == 0
 
 
 @pytest.mark.parametrize("case", ["ideal-2", "tableS1-3-dark", "tableS1-5"])
@@ -721,6 +721,36 @@ def test_key_rate_gradient_matches_central_differences(monkeypatch):
                 fd = _central_difference(lambda y: objective(y[None])[0][0], x, i, 1e-6)
                 assert abs(fd - grad[i]) <= 1e-8
     assert violating >= 10
+
+
+@pytest.mark.parametrize("e,q", [(1.0 + 1e-15, 0.0), (-1.0 - 1e-15, 1.0), (-1.0, 1.0), (0.5, 0.25)])
+def test_qber_is_clamped_to_the_unit_interval(e, q):
+    # Rounding can leave a correlator an ulp outside [-1, 1]; the QBER stays
+    # in [0, 1], where binary_entropy and the rate are defined.
+    assert _qber(e) == q
+    assert dw_key_rate(2.5, _qber(e)) == pytest.approx(1.0 - binary_entropy(q) - holevo_chsh(2.5))
+    assert dw_key_rate_slopes(2.5, _qber(e))[1] == (0.0 if q in (0.0, 1.0) else math.log2(1 / 3))
+
+
+def test_key_rate_reports_the_qber_after_the_key_bit_flip():
+    # The first start is the mirror image of the canonical one (Alice's key
+    # analyzer turned by pi/2), where Q > 1/2.  The reported QBER is
+    # min(Q, 1 - Q) and the rate is that of the raw Q, which h leaves alone.
+    params = _preset("ideal")
+    kernel = _kernel(params)
+    flipped = 0
+    for seed in range(6):
+        opt = optimize_key_rate(params, seed=seed, n_starts=3,
+                                x0=(math.pi / 2,) + CANONICAL_X0)
+        settings_ = opt.settings
+        e = kernel.correlators((settings_.theta_a1, settings_.theta_a2, settings_.theta_a0),
+                               (settings_.theta_b1, settings_.theta_b2), _source_mu(params))
+        raw = _qber(e[2, 0])
+        flipped += raw > 0.5
+        assert opt.q <= 0.5
+        assert opt.q == pytest.approx(min(raw, 1.0 - raw), abs=1e-14)
+        assert opt.value == pytest.approx(dw_key_rate(opt.s, raw), abs=1e-12)
+    assert 0 < flipped < 6
 
 
 def test_dw_key_rate_slopes_at_the_clamps():

@@ -133,6 +133,35 @@ def test_runtime_needs_no_scipy(tmp_path):
     assert abs(float(values["S"]) - 2.0 * math.sqrt(2.0)) <= 1e-4
 
 
+def test_sweep_and_bell_make_no_lapack_call(tmp_path):
+    # Every numpy.linalg entry point raises in a fresh interpreter (no cached
+    # rotation table): the analyzer rotations are closed form, so the
+    # pair_cap sweep of both analyzers and the free-mu Bell search run.
+    script = textwrap.dedent(f"""
+        import sys
+        import numpy.linalg as la
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("numpy.linalg called")
+
+        for name in la.__all__:
+            if callable(getattr(la, name)) and not isinstance(getattr(la, name), type):
+                setattr(la, name, refuse)
+        import sfgswap.cli
+        for argv in (["sweep", "--preset", "paper-tableS1", "--set", "sweep.variable=pair_cap",
+                      "--set", "sweep.start=3", "--set", "sweep.stop=5", "--set", "sweep.steps=3",
+                      "--set", "sweep.bsa=both"],
+                     ["bell", "--preset", "ideal", "--set", "bell.free_mu=true",
+                      "--set", "bell.n_starts=1"]):
+            code = sfgswap.cli.main(argv + ["--out", {str(tmp_path / "out.txt")!r}])
+            assert code == 0, argv
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(sfgswap.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_drawn_start_needs_no_numpy_random(tmp_path, monkeypatch):
     # With numpy.random unimportable, a search with a drawn start runs and
     # gives the S of the same search drawing from np.random.default_rng.

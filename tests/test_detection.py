@@ -27,6 +27,7 @@ from branch_route import (
 )
 from sfgswap.detection import (
     CoincidenceEfficiencies,
+    _rotation_eig,
     analyzer_coefficients,
     arm_click_probs,
     block_readout,
@@ -165,6 +166,51 @@ def test_rotation_blocks_match_two_mode_rotation(theta):
                 assert abs(amp.imag) < 1e-15
                 column[h] = amp.real
             assert np.abs(blocks[n, :, a] - column).max() < 1e-13
+
+
+def _rotation_eig_by_eigh(N: int):
+    """Eigenvalues and eigenprojectors of i K_N from LAPACK's Hermitian
+    eigensolver, in ascending order: the oracle of the closed form."""
+    off = np.sqrt(np.arange(1, N + 1) * np.arange(N, 0, -1.0))
+    w, v = np.linalg.eigh(1j * (np.diag(off, 1) - np.diag(off, -1)))
+    return w, np.einsum("ak,bk->kab", v, v.conj())
+
+
+def test_rotation_eigenvalues_are_exact():
+    # The eigenvalues of i K_N are the integers N - 2k, with no rounding.
+    w, _, _ = _rotation_eig(20)
+    for N in range(21):
+        assert w[N, :N + 1].tolist() == [float(2 * k - N) for k in range(N + 1)]
+        assert not w[N, N + 1:].any()
+
+
+def test_rotation_projectors_match_eigh():
+    n = 20
+    w, proj, _ = _rotation_eig(n)
+    for N in range(n + 1):
+        w_ref, p_ref = _rotation_eig_by_eigh(N)
+        assert np.abs(w[N, :N + 1] - w_ref).max() <= 1e-13 * max(N, 1)
+        closed = proj[N, :N + 1] + 1j * proj[N, n + 1:n + 2 + N]
+        assert np.abs(closed[:, :N + 1, :N + 1] - p_ref).max() <= 1e-13
+        assert not proj[N, :, N + 1:].any() and not proj[N, :, :, N + 1:].any()
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5, 10])
+def test_rotation_blocks_at_zero_are_the_identity(n):
+    blocks = rotation_blocks([0.0], n)[0]
+    for N in range(n + 1):
+        expected = np.zeros((n + 1, n + 1))
+        expected[:N + 1, :N + 1] = np.eye(N + 1)
+        assert np.array_equal(blocks[N], expected)
+
+
+def test_rotation_blocks_are_orthogonal():
+    n = 10
+    thetas = np.random.default_rng(17).uniform(-math.pi, math.pi, 12)
+    for block in rotation_blocks(thetas, n):
+        for N in range(n + 1):
+            r = block[N, :N + 1, :N + 1]
+            assert np.abs(r @ r.T - np.eye(N + 1)).max() <= 1e-13
 
 
 def test_accidental_branches_match_partial_trace():

@@ -1,6 +1,7 @@
 """End-to-end swapping, teleportation, and error-event pipelines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ from sfgswap.protocols import (
     lo_swap,
     qfc_teleport_strong_pump,
     sfg_swap,
+    source_amplitudes,
     teleport,
 )
 
@@ -159,6 +161,39 @@ def test_sfg_swap_matches_ensemble_with_dark_counts():
                   for i, d in enumerate("HV") for j, e in enumerate("HV")}
         assert v == pytest.approx(visibility(blocks[basis]), abs=1e-12)
         assert v == pytest.approx(visibility(oracle), abs=1e-10)
+
+
+@pytest.mark.parametrize("preset,dark", [("paper-tableS1", None), ("ideal", 0.1)])
+def test_heralded_ensemble_is_the_scaled_filter_to_the_last_bit(preset, dark):
+    # Scaling in place keeps the order of the factors: (s filter) (c c'),
+    # and the dark block is dark c^2 on the (a, b) diagonal.
+    params = swap_params(get_preset(preset)["params"])
+    if dark is not None:
+        params = params.replace(dark=dark)
+    ens = heralded_ensemble(params)
+    c = source_amplitudes(params.eps1, params.eps2, params.pair_cap)
+    eye = np.eye(c.shape[1])
+    s = (1.0 - params.dark) * params.window_acceptance
+    assert np.array_equal(ens.rho_sfg, s * heralding_filter(params)
+                          * np.einsum("NaMb,NcMd->NacMbd", c, c))
+    assert np.array_equal(ens.rho_dark,
+                          params.dark * np.einsum("NaMb,ac,bd->NacMbd", c * c, eye, eye))
+
+
+def test_sfg_swap_makes_no_spare_full_size_block():
+    # At pair_cap 5 a block density is 6^6 doubles.  sfg_swap keeps the two
+    # it returns in its ensemble (photon and dark-count herald); every other
+    # allocation must stay well below one more block.
+    params = swap_params(get_preset("paper-tableS1")["params"]).replace(pair_cap=5)
+    block = 6 ** 6 * np.dtype(float).itemsize
+    sfg_swap(params)  # build the cached layout and rotation tables first
+    tracemalloc.start()
+    try:
+        sfg_swap(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * block + block // 2
 
 
 def test_lo_swap_low_pump_limit():
