@@ -28,12 +28,10 @@ from .optics import SfgParams, SourceParams
 from .presets import get_preset, presets, swap_params
 from .protocols import (
     ExperimentParams,
-    HeraldedEnsemble,
     QfcReport,
     TeleportReport,
     VisibilityReport,
     error_event_probs,
-    heralded_ensemble,
     lo_swap,
     qfc_teleport_strong_pump,
     sfg_swap,

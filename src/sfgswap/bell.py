@@ -38,8 +38,6 @@ from .protocols import ExperimentParams, heralding_filter
 RT2 = math.sqrt(2.0)
 TSIRELSON = 2.0 * RT2
 
-UNIT_EFFICIENCIES = CoincidenceEfficiencies(1.0, 1.0, 1.0, 1.0)
-
 
 @functools.lru_cache(maxsize=256)
 def _outcome_coefficients(eta_first: float, eta_second: float, n: int):
@@ -102,8 +100,8 @@ class HeraldedEntries:
 
     @classmethod
     def of_filter(cls, filt: np.ndarray, params: ExperimentParams) -> "HeraldedEntries":
-        """Entries of the heralded ensemble (``protocols.heralded_ensemble``) of
-        the filter ``filt`` at any sources: each entry of the outer product of
+        """Entries of the heralded state (``protocols.sfg_swap``) of the filter
+        ``filt`` at any sources: each entry of the outer product of
         ``source_amplitudes`` is one monomial."""
         N, a, a2, M, b, b2 = np.indices(filt.shape, sparse=True)
         dark = params.dark * ((a == a2) & (b == b2) & (a <= N) & (b <= M)
@@ -334,13 +332,12 @@ def _chsh_gradient(e, de_a, de_b, de_mu=None):
     return s, ds_a, ds_b, ((de_mu[:, :2] + de_mu[:, 2:]) * _CHSH_SIGNS).sum(axis=(2, 3))
 
 
-def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
-                  efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES,
-                  gain: float = 1.0, basis: str = "A", seed: int = 0,
-                  n_starts: int = 16, x0=None,
+def optimize_chsh(params: ExperimentParams, free_mu: bool = False, gain: float = 1.0,
+                  basis: str = "A", seed: int = 0, n_starts: int = 16, x0=None,
                   mu_bounds=(1e-6, 0.4), trace=None) -> ChshOptimum:
     """Maximize the CHSH value over analyzer angles (and optionally the
-    mean photon numbers of the sources).
+    mean photon numbers of the sources), read through the analyzer
+    efficiencies of ``params``.
 
     The heralding filter is built once, and each evaluation rescales its
     nonzero entries by the source amplitudes: those of ``params``, or with
@@ -360,14 +357,12 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False,
     x0 and x1, mapped from the 12 printed digits of ln mu, so to about 10
     digits.
     """
-    if not free_mu:
-        kernel = SearchKernel(_heralded_entries(params, basis), efficiencies, gain)
-        return _chsh_search(kernel, _source_mu(params), seed, n_starts, x0, trace)
-
     lo, hi = mu_bounds
-    if not 0.0 < lo < hi < math.inf:
+    if free_mu and not 0.0 < lo < hi < math.inf:
         raise ValueError(f"mu_bounds must satisfy 0 < lo < hi < inf, got {tuple(mu_bounds)!r}")
-    kernel = SearchKernel(_heralded_entries(params, basis), efficiencies, gain)
+    kernel = SearchKernel(_heralded_entries(params, basis), params.analyzer_efficiencies(), gain)
+    if not free_mu:
+        return _chsh_search(kernel, _source_mu(params), seed, n_starts, x0, trace)
 
     def objective(x):
         # x = (ln mu_H, ln mu_V, a1, a2, b1, b2)
@@ -434,10 +429,8 @@ def _write_free_mu_trace(trace, blocks, n_starts: int):
                             + [f"{math.exp(float(v)):.12g}" for v in x[:2]] + x[2:])
 
 
-def optimize_key_rate(params: ExperimentParams,
-                      efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES,
-                      gain: float = 1.0, basis: str = "A", seed: int = 0,
-                      n_starts: int = 8, x0=None, trace=None) -> ChshOptimum:
+def optimize_key_rate(params: ExperimentParams, gain: float = 1.0, basis: str = "A",
+                      seed: int = 0, n_starts: int = 8, x0=None, trace=None) -> ChshOptimum:
     """Maximize the Devetak-Winter rate over the five analyzer angles.
 
     The free parameters are the key-generation angle theta_a0 and the four
@@ -450,7 +443,7 @@ def optimize_key_rate(params: ExperimentParams,
     key bit where Q > 1/2.  The rate is symmetric in Q, so a search may end
     at either; r is the same for both.
     """
-    kernel = SearchKernel(_heralded_entries(params, basis), efficiencies, gain)
+    kernel = SearchKernel(_heralded_entries(params, basis), params.analyzer_efficiencies(), gain)
     return _key_rate_search(kernel, _source_mu(params), seed, n_starts, x0, trace)
 
 
@@ -648,9 +641,7 @@ def efficiency_threshold(params: ExperimentParams, target_s: float = 2.0,
 
 
 def sfg_gain_threshold(params: ExperimentParams, objective: str = "rate",
-                       efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES,
-                       bracket=(1.0, 1e4), seed: int = 0,
-                       rtol: float = 0.01) -> float:
+                       bracket=(1.0, 1e4), seed: int = 0, rtol: float = 0.01) -> float:
     """Minimal multiplicative factor on the analyzer efficiency achieving
     S > 2 (``objective="s"``) or a positive key rate (``objective="rate"``).
 
@@ -672,7 +663,7 @@ def sfg_gain_threshold(params: ExperimentParams, objective: str = "rate",
     warm = {"x0": None}
 
     def margin(log_gain):
-        kernel = SearchKernel(entries, efficiencies, math.exp(log_gain))
+        kernel = SearchKernel(entries, params.analyzer_efficiencies(), math.exp(log_gain))
         n = 8 if warm["x0"] is None else 4
         if objective == "s":
             res = _chsh_search(kernel, mu, seed, n, warm["x0"], None)

@@ -183,6 +183,15 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _section(config: dict, name: str, keys) -> dict:
+    """The [name] section of ``config``, refused if it has a key outside ``keys``."""
+    section = config.get(name, {})
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in [{name}]: {', '.join(unknown)}")
+    return section
+
+
 def _build_params(config: dict):
     try:
         return swap_params(config.get("params", {}))
@@ -201,15 +210,17 @@ def _run_swap(config, fmt, out, lo=False):
     metrics = {"V_Z": rep.v_z, "V_X": rep.v_x,
                "F_low": rep.fidelity_lower_bound,
                "herald_prob": rep.herald_prob}
+    for name, table in (("P_Z", rep.p_z), ("P_X", rep.p_x)):
+        metrics.update({f"{name}_{ij}": p for ij, p in table.items()})
     if fmt == "csv":
         _emit(_csv_lines([((), metrics)]), out)
     else:
-        _emit(rep.to_text(), out)
+        _emit(_report_metrics(metrics), out)
     return 0
 
 
 def _run_teleport(config, fmt, out):
-    section = config.get("teleport", {})
+    section = _section(config, "teleport", ("polarization", "mean_photons", "herald_basis"))
     pol_name = _get_str(section, "polarization", "D")
     if pol_name in POLARIZATIONS:
         pol = POLARIZATIONS[pol_name]
@@ -242,7 +253,7 @@ def _run_teleport(config, fmt, out):
 
 
 def _run_qfc(config, fmt, out):
-    section = config.get("qfc", {})
+    section = _section(config, "qfc", ("alpha", "beta", "chi_tau"))
     alpha = _get_complex(section, "alpha", 1 / math.sqrt(2))
     beta = _get_complex(section, "beta", 1 / math.sqrt(2))
     if alpha == 0 and beta == 0:
@@ -262,20 +273,21 @@ def _run_qfc(config, fmt, out):
     return 0
 
 
-def _search_config(config, gain_factor):
-    """Parameters, analyzer gain and number of starts of a Bell-test search."""
+def _search_config(config, gain_factor, *keys):
+    """Parameters, [bell] section, analyzer gain and number of starts of a
+    Bell-test search; ``keys`` are the other [bell] keys the search reads."""
     params = _build_params(config)
-    section = config.get("bell", {})
+    section = _section(config, "bell", ("gain_factor", "n_starts") + keys)
     gain = gain_factor if gain_factor is not None else _get_float(
         section, "gain_factor", 1.0)
     if not (math.isfinite(gain) and gain > 0.0):
         raise ConfigError(f"gain factor must be finite and positive, got {gain!r}")
-    return params, gain, _get_int(section, "n_starts", 8, minimum=1)
+    return params, section, gain, _get_int(section, "n_starts", 8, minimum=1)
 
 
 def _run_bell(config, fmt, out, seed, gain_factor):
-    params, gain, n_starts = _search_config(config, gain_factor)
-    free_mu = _get_bool(config.get("bell", {}), "free_mu", False)
+    params, section, gain, n_starts = _search_config(config, gain_factor, "free_mu")
+    free_mu = _get_bool(section, "free_mu", False)
     res = bell.optimize_chsh(params, free_mu=free_mu, gain=gain, seed=seed,
                              n_starts=n_starts)
     metrics = {"S": res.value,
@@ -296,7 +308,7 @@ def _run_bell(config, fmt, out, seed, gain_factor):
 
 
 def _run_keyrate(config, fmt, out, seed, gain_factor):
-    params, gain, n_starts = _search_config(config, gain_factor)
+    params, _, gain, n_starts = _search_config(config, gain_factor)
     res = bell.optimize_key_rate(params, gain=gain, seed=seed,
                                  n_starts=n_starts)
     metrics = {"r": res.value, "S": res.s, "Q": res.q}
@@ -384,7 +396,7 @@ def _sweep_point(args):
 
 
 def _run_sweep(config, fmt, out, jobs):
-    section = config.get("sweep", {})
+    section = _section(config, "sweep", ("variable", "steps", "start", "stop", "bsa"))
     variable = _get_str(section, "variable", "")
     if not variable:
         raise ConfigError("sweep needs a variable")

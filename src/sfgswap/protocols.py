@@ -34,7 +34,7 @@ import cmath
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,26 +113,8 @@ class VisibilityReport:
     v_x: float
     fidelity_lower_bound: float
     herald_prob: float
-    p_z: dict = field(default_factory=dict)  # ij -> mixed coincidence prob, Z basis
-    p_x: dict = field(default_factory=dict)
-    # The photon-herald and dark-count parts of p_z and p_x, which are their sums.
-    p_sfg_z: dict = field(default_factory=dict)
-    p_sfg_x: dict = field(default_factory=dict)
-    p_acd_z: dict = field(default_factory=dict)
-    p_acd_x: dict = field(default_factory=dict)
-
-    def to_text(self) -> str:
-        lines = [
-            f"V_Z = {self.v_z:.12g}",
-            f"V_X = {self.v_x:.12g}",
-            f"F_low = {self.fidelity_lower_bound:.12g}",
-            f"herald_prob = {self.herald_prob:.12g}",
-        ]
-        for name, table in (("P_Z", self.p_z), ("P_X", self.p_x)):
-            for ij in ("HH", "HV", "VH", "VV"):
-                if ij in table:
-                    lines.append(f"{name}_{ij} = {table[ij]:.12g}")
-        return "\n".join(lines) + "\n"
+    p_z: dict  # ij -> coincidence prob of the heralded state, Z basis
+    p_x: dict
 
 
 def _bounded_rows(width: int, cap: int) -> np.ndarray:
@@ -272,45 +254,6 @@ def source_amplitudes(eps1: SourceParams, eps2: SourceParams, pair_cap: int) -> 
     return c / math.sqrt(np.vdot(c, c))
 
 
-@dataclass(frozen=True)
-class HeraldedEnsemble:
-    """Heralded state split by origin, as photon-number-block densities
-    (``detection.block_readout``) weighted by their event probabilities:
-    ``rho_sfg`` for a photon herald within the coincidence window and no
-    dark count, ``rho_dark`` for a dark-count herald, which leaves the
-    whole reduced input state.
-
-    The photon-herald part scales linearly when the analyzer efficiency is
-    multiplied by ``gain``, so one ensemble serves every gain factor.
-    """
-
-    rho_sfg: np.ndarray
-    rho_dark: np.ndarray
-    sfg_trace: float
-    dark_trace: float
-
-    def trace(self, gain: float = 1.0) -> float:
-        return gain * self.sfg_trace + self.dark_trace
-
-
-def heralded_ensemble(params: ExperimentParams, basis: str = "A") -> HeraldedEnsemble:
-    """Heralded ensemble of the sources of ``params``: the ``heralding_filter``
-    times the outer product of the ``source_amplitudes``, scaled in place one
-    photon-number slice at a time so that no full-size temporary is made."""
-    rho_sfg = heralding_filter(params, basis)
-    c = source_amplitudes(params.eps1, params.eps2, params.pair_cap)
-    rho_sfg *= (1.0 - params.dark) * params.window_acceptance
-    for N, c_n in enumerate(c):
-        rho_sfg[N] *= np.einsum("aMb,cMd->acMbd", c_n, c_n)
-    # The dark-count herald leaves the reduced input, diagonal in (a, b):
-    # filled through a writable view of that diagonal.
-    rho_dark = np.zeros_like(rho_sfg)
-    np.einsum("NaaMbb->NaMb", rho_dark)[...] = params.dark * (c * c)
-    return HeraldedEnsemble(rho_sfg=rho_sfg, rho_dark=rho_dark,
-                            sfg_trace=float(np.einsum("NaaMbb->", rho_sfg)),
-                            dark_trace=float(np.einsum("NaaMbb->", rho_dark)))
-
-
 def _coincidence_tables(rho, effs: CoincidenceEfficiencies) -> dict:
     """Coincidence probability of each (d arm, e arm) pair in each visibility
     basis of a block density, 'HV' meaning the H arm of d and the V arm of e."""
@@ -340,28 +283,38 @@ def _visibility_x(p: dict) -> float:
     return (p["HV"] + p["VH"] - p["HH"] - p["VV"]) / _coincidence_sum(p, "X")
 
 
-def sfg_swap(params: ExperimentParams, basis: str = "A") -> VisibilityReport:
-    """Full SFG-swapping pipeline: visibilities, fidelity bound, herald rate."""
-    ens = heralded_ensemble(params, basis=basis)
-    if ens.trace() <= 0.0:
+def _visibility_report(rho, herald_prob: float, params: ExperimentParams) -> VisibilityReport:
+    """Visibilities and fidelity bound of the heralded block density ``rho``,
+    read through the analyzers of ``params``."""
+    if np.einsum("NaaMbb->", rho) <= 0.0:
         raise ValueError("herald probability is zero")
-    effs = params.analyzer_efficiencies()
-    p_sfg = _coincidence_tables(ens.rho_sfg, effs)
-    p_acd = _coincidence_tables(ens.rho_dark, effs)
-    p_mix = {name: {ij: p + p_acd[name][ij] for ij, p in table.items()}
-             for name, table in p_sfg.items()}
-    v_z = _visibility_z(p_mix["z"])
-    v_x = _visibility_x(p_mix["x"])
-    return VisibilityReport(
-        v_z=v_z,
-        v_x=v_x,
-        fidelity_lower_bound=(v_z + v_x) / 2.0,
-        # The photon herald within the window, before dark-count mixing.
-        herald_prob=ens.sfg_trace / (1.0 - params.dark),
-        p_z=p_mix["z"], p_x=p_mix["x"],
-        p_sfg_z=p_sfg["z"], p_sfg_x=p_sfg["x"],
-        p_acd_z=p_acd["z"], p_acd_x=p_acd["x"],
-    )
+    tables = _coincidence_tables(rho, params.analyzer_efficiencies())
+    v_z = _visibility_z(tables["z"])
+    v_x = _visibility_x(tables["x"])
+    return VisibilityReport(v_z=v_z, v_x=v_x, fidelity_lower_bound=(v_z + v_x) / 2.0,
+                            herald_prob=herald_prob, p_z=tables["z"], p_x=tables["x"])
+
+
+def sfg_swap(params: ExperimentParams, basis: str = "A") -> VisibilityReport:
+    """Full SFG-swapping pipeline: visibilities, fidelity bound, herald rate.
+
+    The heralded state is one block density: the ``heralding_filter`` times
+    the outer product of the ``source_amplitudes``, weighted by a photon
+    herald within the window and no dark count, scaled in place one
+    photon-number slice at a time so that no full-size temporary is made;
+    plus a dark-count herald, which leaves the whole reduced input, on the
+    (a, b) diagonal.  ``herald_prob`` is the photon herald within the
+    window, before dark-count mixing.
+    """
+    rho = heralding_filter(params, basis)
+    c = source_amplitudes(params.eps1, params.eps2, params.pair_cap)
+    rho *= (1.0 - params.dark) * params.window_acceptance
+    for N, c_n in enumerate(c):
+        rho[N] *= np.einsum("aMb,cMd->acMbd", c_n, c_n)
+    herald_prob = float(np.einsum("NaaMbb->", rho)) / (1.0 - params.dark)
+    # the dark-count herald, through a writable view of the (a, b) diagonal
+    np.einsum("NaaMbb->NaMb", rho)[...] += params.dark * (c * c)
+    return _visibility_report(rho, herald_prob, params)
 
 
 def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
@@ -390,19 +343,7 @@ def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
     i, j = layout.pair_i, layout.pair_j
     rho = _binned_blocks(layout.pair_bins, w[i] * w[j] * ops[0].ravel()[layout.pair_ahbv]
                          * ops[1].ravel()[layout.pair_bhav], cap)
-    herald_prob = float(np.einsum("NaaMbb->", rho))
-    if herald_prob <= 0.0:
-        raise ValueError("herald probability is zero")
-    tables = _coincidence_tables(rho, params.analyzer_efficiencies())
-    v_z = _visibility_z(tables["z"])
-    v_x = _visibility_x(tables["x"])
-    return VisibilityReport(
-        v_z=v_z, v_x=v_x,
-        fidelity_lower_bound=(v_z + v_x) / 2.0,
-        herald_prob=herald_prob,
-        p_z=tables["z"], p_x=tables["x"],
-        p_sfg_z=tables["z"], p_sfg_x=tables["x"],
-    )
+    return _visibility_report(rho, float(np.einsum("NaaMbb->", rho)), params)
 
 
 def error_event_probs(gamma: float, t: float) -> tuple:

@@ -9,7 +9,9 @@ the sixteen joint click patterns read off the rotated photon-number
 diagonal, with CHSH and QBER on top.  It shares no readout code with the
 package.  Next to it sit the pure-branch swap pipelines, built from the
 channels of ``branch_route.py``: the reference for the array kernel of
-``protocols.heralding_filter`` and ``protocols.lo_swap``.
+``protocols.heralding_filter`` and ``protocols.lo_swap``.  ``scaled_filter_blocks``
+builds the state ``protocols.sfg_swap`` reads by explicit products of that
+filter and the source amplitudes.
 
 Entries are pruned relative to the operator's largest entry, so the route
 stays exact on operators of tiny trace such as the ``paper-tableS1``
@@ -47,7 +49,7 @@ from branch_route import (
     reduced_branches,
     two_mode_rotation,
 )
-from sfgswap.bell import UNIT_EFFICIENCIES, BellSettings
+from sfgswap.bell import BellSettings
 from sfgswap.detection import HERALD_SIGNS, CoincidenceEfficiencies
 from sfgswap.optics import SfgParams
 from sfgswap.protocols import (
@@ -56,7 +58,11 @@ from sfgswap.protocols import (
     _coincidence_tables,
     _visibility_x,
     _visibility_z,
+    heralding_filter,
+    source_amplitudes,
 )
+
+UNIT_EFFICIENCIES = CoincidenceEfficiencies(1.0, 1.0, 1.0, 1.0)
 
 # Validity-check tolerances.
 EPS_HERM = 1e-10
@@ -579,6 +585,19 @@ def heralded_state_with_dark(rho_sfg: DensityOperator, psi_in: PureState,
     return rho.scaled(1.0 / total)
 
 
+def scaled_filter_blocks(params: ExperimentParams, basis: str = "A") -> tuple:
+    """The heralded state of ``params`` as block densities split by origin,
+    (photon herald, dark-count herald), by explicit products: the
+    ``protocols.heralding_filter`` times s c c' with s = (1 - dark)
+    window_acceptance, and dark c^2 on the (a, b) diagonal, c the
+    ``protocols.source_amplitudes``."""
+    c = source_amplitudes(params.eps1, params.eps2, params.pair_cap)
+    eye = np.eye(c.shape[1])
+    s = (1.0 - params.dark) * params.window_acceptance
+    return (s * heralding_filter(params, basis) * np.einsum("NaMb,NcMd->NacMbd", c, c),
+            params.dark * np.einsum("NaMb,ac,bd->NacMbd", c * c, eye, eye))
+
+
 # Pure-branch swap pipelines: the states the array kernel of
 # ``protocols.heralding_filter`` and ``protocols.lo_swap`` computes, built
 # from the Kraus branches of the input state.
@@ -653,7 +672,6 @@ def branch_lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> Visibility
         fidelity_lower_bound=(v_z + v_x) / 2.0,
         herald_prob=sum(p.norm_sq() for p in pieces),
         p_z=tables["z"], p_x=tables["x"],
-        p_sfg_z=tables["z"], p_sfg_x=tables["x"],
     )
 
 

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from density_route import (
+    UNIT_EFFICIENCIES,
     block_density,
     chsh_value,
     heralded_state_with_dark,
     qber,
+    scaled_filter_blocks,
     sfg_heralded_branches,
     sfg_heralded_operator,
 )
@@ -42,11 +44,11 @@ from sfgswap.detection import CoincidenceEfficiencies, arm_click_probs, block_re
 from sfgswap.optics import SfgParams, SourceParams
 from sfgswap import optimize
 from sfgswap.presets import get_preset, swap_params
-from sfgswap.protocols import ExperimentParams, heralded_ensemble, heralding_filter
+from sfgswap.protocols import ExperimentParams, heralding_filter, sfg_swap
 from simplex_reference import drive, maximize_starts
 
 
-def _kernel(params, effs=bell.UNIT_EFFICIENCIES, gain=1.0, basis="A"):
+def _kernel(params, effs=UNIT_EFFICIENCIES, gain=1.0, basis="A"):
     """The search kernel of the heralded state of ``params``."""
     return SearchKernel(HeraldedEntries.of_filter(heralding_filter(params, basis), params),
                         effs, gain)
@@ -143,6 +145,11 @@ def _preset(name, **kwargs):
     return swap_params(get_preset(name)["params"]).replace(**kwargs)
 
 
+# Bell-test analyzers of unit efficiency: the search cases on the measured
+# sources below are set on this analyzer.
+UNIT_ANALYZER = dict(eta_1H=1.0, eta_1V=1.0, eta_2H=1.0, eta_2V=1.0)
+
+
 @pytest.mark.parametrize("basis", ["A", "D"])
 @pytest.mark.parametrize("params", [
     _preset("ideal", pair_cap=2),
@@ -153,21 +160,23 @@ def _preset(name, **kwargs):
             eta_d=0.85, dark=1e-3, window_acceptance=0.9, pair_cap=4),
 ], ids=["ideal-2", "ideal-3", "paper-tableS1-3", "paper-tableS1-5", "lossy-dark-windowed"])
 def test_ensemble_matches_heralded_branches(params, basis):
-    # The ensemble rescales one heralding filter by the source amplitudes;
-    # the full pipeline on the sources' own input state must give the same
-    # blocks, with independent pump strengths per source and polarization.
+    # The heralded state rescales one heralding filter by the source
+    # amplitudes; the full pipeline on the sources' own input state must
+    # give the same blocks, with independent pump strengths per source and
+    # polarization, and sfg_swap the same photon-herald probability.
     rng = np.random.default_rng(7)
     mu = rng.uniform(0.01, 0.3, size=4)
     params = params.replace(eps1=SourceParams(mu[0], mu[1]), eps2=SourceParams(mu[2], mu[3]))
-    ens = heralded_ensemble(params, basis=basis)
+    fast_sfg, fast_dark = scaled_filter_blocks(params, basis=basis)
     branches, psi_in = sfg_heralded_branches(params, basis=basis)
     rho_sfg = ((1.0 - params.dark) * params.window_acceptance
                * block_density(branches, params.pair_cap))
     rho_dark = params.dark * block_density(reduced_branches(psi_in), params.pair_cap)
-    for fast, slow in ((ens.rho_sfg, rho_sfg), (ens.rho_dark, rho_dark)):
+    for fast, slow in ((fast_sfg, rho_sfg), (fast_dark, rho_dark)):
         assert np.abs(fast - slow).max() <= 1e-13 * np.abs(slow).max()
-    assert ens.sfg_trace == pytest.approx(np.einsum("NaaMbb->", rho_sfg), rel=1e-13)
-    assert ens.dark_trace == pytest.approx(params.dark, rel=1e-13)
+    assert sfg_swap(params, basis=basis).herald_prob * (1.0 - params.dark) == pytest.approx(
+        np.einsum("NaaMbb->", rho_sfg), rel=1e-13)
+    assert np.einsum("NaaMbb->", fast_dark) == pytest.approx(params.dark, rel=1e-13)
 
 
 def test_chsh_value_requires_normalized_state():
@@ -176,18 +185,12 @@ def test_chsh_value_requires_normalized_state():
         chsh_value(rho_sfg, BellSettings(*CANONICAL_X0))
 
 
-def test_ensemble_gain_scaling():
-    ens = heralded_ensemble(make_params(dark=1e-4))
-    assert ens.trace(3.0) == pytest.approx(3.0 * ens.sfg_trace + ens.dark_trace)
-    # The trace of the gain-scaled block density matches the branch norms.
-    rho = 4.0 * ens.rho_sfg + ens.rho_dark
-    assert np.einsum("NaaMbb->", rho) == pytest.approx(ens.trace(4.0))
-
-
 def test_dark_herald_fraction_of_measured_pipeline():
+    # The source amplitudes are normalized, so a dark count heralds with
+    # probability dark, and a photon with herald_prob (1 - dark).
     params = swap_params(get_preset("paper-tableS1")["params"])
-    ens = heralded_ensemble(params)
-    fraction = ens.dark_trace / ens.trace()
+    rep = sfg_swap(params)
+    fraction = params.dark / (rep.herald_prob * (1.0 - params.dark) + params.dark)
     assert fraction == pytest.approx(0.899, abs=0.005)
 
 
@@ -307,7 +310,7 @@ ASYMMETRIC = CoincidenceEfficiencies(0.9, 0.8, 0.85, 0.7)
 
 # (params, analyzer efficiencies, gain)
 KERNEL_CASES = {
-    "ideal-2": (_preset("ideal", pair_cap=2), bell.UNIT_EFFICIENCIES, 1.0),
+    "ideal-2": (_preset("ideal", pair_cap=2), UNIT_EFFICIENCIES, 1.0),
     "tableS1-3-dark": (_preset("paper-tableS1", dark=0.1), ASYMMETRIC, 1.0),
     "tableS1-5": (_preset("paper-tableS1", pair_cap=5),
                   _preset("paper-tableS1").analyzer_efficiencies(), 1.0),
@@ -326,13 +329,15 @@ def _outcome_mean(eta_first, eta_second, n):
     return 1.0 - 2.0 * p_first * (1.0 - p_second)
 
 
-def _readout(ens, thetas_a, thetas_b, effs, gain):
-    """Normalized correlators from ``block_readout`` on the dense ensemble."""
-    n = ens.rho_sfg.shape[0] - 1
-    e = block_readout(gain * ens.rho_sfg + ens.rho_dark,
-                      thetas_a, [_outcome_mean(effs.d_H, effs.d_V, n)],
+def _readout(params, basis, thetas_a, thetas_b, effs, gain):
+    """Normalized correlators from ``block_readout`` on the dense heralded
+    state of ``params``, its photon-herald part scaled by ``gain``."""
+    rho_sfg, rho_dark = scaled_filter_blocks(params, basis)
+    rho = gain * rho_sfg + rho_dark
+    n = rho.shape[0] - 1
+    e = block_readout(rho, thetas_a, [_outcome_mean(effs.d_H, effs.d_V, n)],
                       thetas_b, [_outcome_mean(effs.e_H, effs.e_V, n)])
-    return e[:, :, 0, 0] / ens.trace(gain)
+    return e[:, :, 0, 0] / np.einsum("NaaMbb->", rho)
 
 
 @pytest.mark.parametrize("basis", ["A", "D"])
@@ -350,7 +355,7 @@ def test_search_kernel_matches_block_readout_and_density_route(case, basis):
         thetas_b = rng.uniform(-math.pi / 2, math.pi / 2, size=2)
         local = _with_sources(params, mu)
         e = kernel.correlators(thetas_a, thetas_b, mu)
-        slow = _readout(heralded_ensemble(local, basis=basis), thetas_a, thetas_b, effs, gain)
+        slow = _readout(local, basis, thetas_a, thetas_b, effs, gain)
         assert np.abs(e - slow).max() <= 1e-13
         rho_sfg, psi_in = sfg_heralded_operator(local, basis=basis, gain=gain)
         rho = heralded_state_with_dark(rho_sfg.scaled(local.window_acceptance), psi_in,
@@ -395,10 +400,10 @@ def test_seed_objective_is_bit_identical(eta):
 
 def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
     # Every evaluation of an efficiency-threshold search reads the search
-    # kernel: no ensemble is rebuilt and no block readout runs.
-    from sfgswap import detection, protocols
+    # kernel: the heralding filter is built once and no block readout runs.
+    from sfgswap import detection
 
-    calls = {"heralded_ensemble": 0, "block_readout": 0, "evaluations": 0}
+    calls = {"heralding_filter": 0, "block_readout": 0, "evaluations": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -408,7 +413,7 @@ def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(protocols, "heralded_ensemble")
+    counted(bell, "heralding_filter")
     counted(detection, "block_readout")
     real_maximize = bell.maximize_starts_bfgs
 
@@ -421,7 +426,7 @@ def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
     eta = efficiency_threshold(_preset("ideal", pair_cap=2), bracket=(0.6, 0.8), xtol=0.05)
     assert 0.6 < eta <= 0.8
     assert calls["evaluations"] > 1000
-    assert calls["heralded_ensemble"] == 0 and calls["block_readout"] == 0
+    assert calls["heralding_filter"] == 1 and calls["block_readout"] == 0
 
 
 @pytest.mark.parametrize("case", ["ideal-2", "tableS1-3-dark", "tableS1-5"])
@@ -446,8 +451,8 @@ def test_search_kernel_stacked_points_match_lone_points(case):
 
 @pytest.mark.parametrize("search, n_starts", [
     (lambda **kw: optimize_chsh(_preset("ideal"), free_mu=True, seed=0, **kw), 8),
-    (lambda **kw: optimize_key_rate(_preset("paper-tableS1", pair_cap=2), gain=3.0, seed=5,
-                                    **kw), 3),
+    (lambda **kw: optimize_key_rate(_preset("paper-tableS1", pair_cap=2, **UNIT_ANALYZER),
+                                    gain=3.0, seed=5, **kw), 3),
 ], ids=["chsh-free-mu", "key-rate"])
 def test_lockstep_search_matches_each_start_alone(monkeypatch, search, n_starts):
     # Each start of a lockstep search ends where `optimize.bfgs_steps` ends
@@ -496,7 +501,8 @@ def test_free_mu_search_goes_on_from_the_mirror_image(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(optimize, "maximize_starts_bfgs", maximize)
-    opt = optimize_chsh(_preset("paper-tableS1"), free_mu=True, gain=3.0, n_starts=8, seed=0)
+    opt = optimize_chsh(_preset("paper-tableS1", **UNIT_ANALYZER), free_mu=True, gain=3.0,
+                        n_starts=8, seed=0)
     (_, seeded), (mirror_starts, (mirrored,)) = calls
     best = optimize.best_run(seeded).x
     assert np.array_equal(mirror_starts[0], [best[1], best[0]] + [a + math.pi / 2
@@ -526,7 +532,7 @@ def test_free_mu_trace_lists_mu():
 
 
 GRADIENT_CASES = {
-    "ideal-2": (_preset("ideal", pair_cap=2), bell.UNIT_EFFICIENCIES),
+    "ideal-2": (_preset("ideal", pair_cap=2), UNIT_EFFICIENCIES),
     "tableS1-3-dark": (_preset("paper-tableS1", dark=0.1), ASYMMETRIC),
     "fig-s3-asymmetric": (_preset("fig-s3", t1H=0.6, t1V=0.5, t2H=0.7, t2V=0.65,
                                   eta_tH=0.8, eta_tV=0.9), ASYMMETRIC),
@@ -571,8 +577,8 @@ def test_correlator_gradients_match_central_differences(case, basis):
             assert np.abs(fd - de_mu[k]).max() <= 1e-8
         # The correlators of the gradient path are those of block_readout on
         # the state at these sources.
-        ens = heralded_ensemble(_with_sources(params, mu), basis=basis)
-        assert np.abs(e - _readout(ens, thetas_a, thetas_b, effs, 1.0)).max() <= 1e-13
+        slow = _readout(_with_sources(params, mu), basis, thetas_a, thetas_b, effs, 1.0)
+        assert np.abs(e - slow).max() <= 1e-13
 
 
 @pytest.mark.parametrize("eta", [0.5, 0.6669921875, 0.9, 1.0])
@@ -631,10 +637,11 @@ MU_BOUNDS = (1e-6, 0.4)
 # (parameters, gain, seed, number of starts)
 SIMPLEX_CASES = {
     "ideal": (_preset("ideal"), 1.0, 5, 3),
-    "tableS1-gain3": (_preset("paper-tableS1"), 3.0, 5, 3),
-    # the CLI's defaults: the seeded starts of a free-mu search all end at
-    # the lower of the two mirror optima, and the simplex reaches the higher
-    "tableS1-gain3-seed0": (_preset("paper-tableS1"), 3.0, 0, 8),
+    "tableS1-gain3": (_preset("paper-tableS1", **UNIT_ANALYZER), 3.0, 5, 3),
+    # the CLI's defaults on a unit analyzer: the seeded starts of a free-mu
+    # search all end at the lower of the two mirror optima, and the simplex
+    # reaches the higher
+    "tableS1-gain3-seed0": (_preset("paper-tableS1", **UNIT_ANALYZER), 3.0, 0, 8),
     "ideal-analyzer-gain10": (_ideal_analyzer(), 10.0, 5, 3),
     "ideal-analyzer-gain300": (_ideal_analyzer(), 300.0, 5, 3),
     "fig-s3": (_preset("fig-s3"), 1.0, 5, 3),

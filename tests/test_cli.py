@@ -32,7 +32,7 @@ def test_presets_listing(tmp_path):
 def test_swap_sfg_report(tmp_path):
     code, text = run(tmp_path, "swap-sfg", "--preset", "ideal")
     assert code == 0
-    assert "V_Z = " in text and "herald_prob = " in text
+    assert "V_Z = " in text and "herald_prob = " in text and "P_Z_HH = " in text
 
 
 def test_swap_sfg_csv_units_header(tmp_path):
@@ -104,6 +104,20 @@ def test_bell_report(tmp_path):
                      "--set", "bell.n_starts=1")
     assert code == 0
     assert "S = " in text and "bell_violation = 1" in text
+
+
+def test_bell_reads_the_analyzer_efficiencies(tmp_path):
+    # The search reads the Bell-test analyzers of [params].
+    _, base = run(tmp_path, "bell", "--preset", "ideal", "--set", "bell.n_starts=1",
+                  name="a.txt")
+    code, lossy = run(tmp_path, "bell", "--preset", "ideal", "--set", "bell.n_starts=1",
+                      "--set", "eta_1h=0.5", name="b.txt")
+    assert code == 0
+
+    def s(text):
+        return float(dict(line.split(" = ") for line in text.splitlines())["S"])
+
+    assert s(lossy) < s(base) - 0.1
 
 
 def test_runtime_needs_no_scipy(tmp_path):
@@ -323,6 +337,23 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["bell", "--preset", "ideal", "--set", "bell.free_mu=treu",
                  "--set", "bell.n_starts=1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("bell", "--set", "bell.n_start=1"), "[bell]: n_start"),
+    (("bell", "--set", "bell.n_starts=1", "--set", "bell.fre_mu=true"), "[bell]: fre_mu"),
+    (("keyrate", "--set", "bell.n_starts=1", "--set", "bell.free_mu=true"), "[bell]: free_mu"),
+    (("teleport", "--set", "teleport.mean_photon=5"), "[teleport]: mean_photon"),
+    (("qfc", "--set", "qfc.chitau=5"), "[qfc]: chitau"),
+    (("sweep", "--set", "sweep.variable=mu", "--set", "sweep.start=0.01", "--set",
+      "sweep.stop=0.02", "--set", "sweep.steps=2", "--set", "sweep.step=3"), "[sweep]: step"),
+], ids=["bell-n_start", "bell-fre_mu", "keyrate-free_mu", "teleport-mean_photon", "qfc-chitau",
+        "sweep-step"])
+def test_unknown_experiment_keys_are_config_errors(tmp_path, capsys, argv, message):
+    # A key the experiment does not read is refused by name, not ignored.
+    code, text = run(tmp_path, argv[0], "--preset", "ideal", *argv[1:])
+    assert code == 2 and text == ""
+    assert f"unknown key(s) in {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("experiment, config, message", [
