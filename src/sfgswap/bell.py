@@ -28,10 +28,9 @@ from .detection import (
 )
 from .optimize import (
     best_run,
-    bisect_threshold,
     maximize_starts_bfgs,
+    monotone_threshold,
     multistart_maximize,
-    prescan_monotone,
 )
 from .protocols import ExperimentParams, heralding_filter
 
@@ -477,69 +476,51 @@ def _key_rate_search(kernel: SearchKernel, mu, seed, n_starts, x0, trace) -> Chs
                        start_index=res.start_index)
 
 
-def _seed_objective(eta: float):
-    """CHSH value of the single-pair model of ``_partial_entanglement_seed`` at
-    x = (t, a1, a2, b1, b2), each cosine and sine computed once."""
-    eta = float(eta)
-    eta2 = eta * eta
-
-    def objective(x):
-        # state cos(t)|HV> + sin(t)|VH> in this parametrization; the seed
-        # maps it to the |HH>/|VV> form of the heralded state afterwards
-        t, a1, a2, b1, b2 = x
-        c, s = math.cos(t), math.sin(t)
-        ca1, sa1, ca2, sa2 = math.cos(a1), math.sin(a1), math.cos(a2), math.sin(a2)
-        cb1, sb1, cb2, sb2 = math.cos(b1), math.sin(b1), math.cos(b2), math.sin(b2)
-        p_a1 = eta * ((c * ca1) ** 2 + (s * sa1) ** 2)
-        p_a2 = eta * ((c * ca2) ** 2 + (s * sa2) ** 2)
-        p_b1 = eta * ((s * cb1) ** 2 + (c * sb1) ** 2)
-        p_b2 = eta * ((s * cb2) ** 2 + (c * sb2) ** 2)
-
-        def corr(p_a, p_b, ca, sa, cb, sb):
-            p_ab = eta2 * (c * ca * sb + s * sa * cb) ** 2
-            return 1.0 - 2.0 * p_a - 2.0 * p_b + 4.0 * p_ab
-
-        return (corr(p_a1, p_b1, ca1, sa1, cb1, sb1) + corr(p_a2, p_b1, ca2, sa2, cb1, sb1)
-                + corr(p_a1, p_b2, ca1, sa1, cb2, sb2) - corr(p_a2, p_b2, ca2, sa2, cb2, sb2))
-
-    return objective
-
-
-def _seed_gradient(eta: float):
-    """Gradient of ``_seed_objective(eta)`` in x = (t, a1, a2, b1, b2), closed form.
+def _seed_chsh(eta: float, x) -> tuple:
+    """CHSH value of the single-pair model of ``_partial_entanglement_seed``
+    at x = (t, a1, a2, b1, b2), and its gradient in x, both in closed form
+    from one set of cosines and sines.
 
     With the weights (1, 1, 1, -1) of the four correlators the value is
     2 - 4 p_a1 - 4 p_b1 + 4 eta^2 sum_ab w_ab amp_ab^2, where amp_ab =
     c cos a sin b + s sin a cos b is the amplitude of a double click."""
-    eta = float(eta)
+    # state cos(t)|HV> + sin(t)|VH> in this parametrization; the seed maps
+    # it to the |HH>/|VV> form of the heralded state afterwards
+    t, a1, a2, b1, b2 = x
+    c, s = math.cos(t), math.sin(t)
+    ca1, sa1, ca2, sa2 = math.cos(a1), math.sin(a1), math.cos(a2), math.sin(a2)
+    cb1, sb1, cb2, sb2 = math.cos(b1), math.sin(b1), math.cos(b2), math.sin(b2)
+
+    def amp(ca, sa, cb, sb):
+        # amp_ab and its derivatives in t, a and b
+        return (c * ca * sb + s * sa * cb, c * sa * cb - s * ca * sb,
+                s * ca * cb - c * sa * sb, c * ca * cb - s * sa * sb)
+
+    m11, t11, a11, b11 = amp(ca1, sa1, cb1, sb1)
+    m21, t21, a21, b21 = amp(ca2, sa2, cb1, sb1)
+    m12, t12, a12, b12 = amp(ca1, sa1, cb2, sb2)
+    m22, t22, a22, b22 = amp(ca2, sa2, cb2, sb2)
+    p_a1 = eta * ((c * ca1) ** 2 + (s * sa1) ** 2)
+    p_a2 = eta * ((c * ca2) ** 2 + (s * sa2) ** 2)
+    p_b1 = eta * ((s * cb1) ** 2 + (c * sb1) ** 2)
+    p_b2 = eta * ((s * cb2) ** 2 + (c * sb2) ** 2)
+    eta2 = eta * eta
+
+    def corr(p_a, p_b, m):
+        return 1.0 - 2.0 * p_a - 2.0 * p_b + 4.0 * (eta2 * m ** 2)
+
+    value = (corr(p_a1, p_b1, m11) + corr(p_a2, p_b1, m21)
+             + corr(p_a1, p_b2, m12) - corr(p_a2, p_b2, m22))
     k = 8.0 * eta * eta
-
-    def gradient(x):
-        t, a1, a2, b1, b2 = x
-        c, s = math.cos(t), math.sin(t)
-        c2t, s2t = c * c - s * s, 2.0 * s * c
-        ca1, sa1, ca2, sa2 = math.cos(a1), math.sin(a1), math.cos(a2), math.sin(a2)
-        cb1, sb1, cb2, sb2 = math.cos(b1), math.sin(b1), math.cos(b2), math.sin(b2)
-
-        def amp(ca, sa, cb, sb):
-            # amp_ab and its derivatives in t, a and b
-            return (c * ca * sb + s * sa * cb, c * sa * cb - s * ca * sb,
-                    s * ca * cb - c * sa * sb, c * ca * cb - s * sa * sb)
-
-        m11, t11, a11, b11 = amp(ca1, sa1, cb1, sb1)
-        m21, t21, a21, b21 = amp(ca2, sa2, cb1, sb1)
-        m12, t12, a12, b12 = amp(ca1, sa1, cb2, sb2)
-        m22, t22, a22, b22 = amp(ca2, sa2, cb2, sb2)
-        # d p_a1 / dt = -eta sin 2t cos 2a1 and d p_b1 / dt = eta sin 2t cos 2b1
-        c2a1, c2b1 = ca1 * ca1 - sa1 * sa1, cb1 * cb1 - sb1 * sb1
-        return (4.0 * eta * s2t * (c2a1 - c2b1)
-                + k * (m11 * t11 + m21 * t21 + m12 * t12 - m22 * t22),
-                8.0 * eta * sa1 * ca1 * c2t + k * (m11 * a11 + m12 * a12),
-                k * (m21 * a21 - m22 * a22),
-                -8.0 * eta * sb1 * cb1 * c2t + k * (m11 * b11 + m21 * b21),
-                k * (m12 * b12 - m22 * b22))
-
-    return gradient
+    c2t, s2t = c * c - s * s, 2.0 * s * c
+    # d p_a1 / dt = -eta sin 2t cos 2a1 and d p_b1 / dt = eta sin 2t cos 2b1
+    c2a1, c2b1 = ca1 * ca1 - sa1 * sa1, cb1 * cb1 - sb1 * sb1
+    return value, (4.0 * eta * s2t * (c2a1 - c2b1)
+                   + k * (m11 * t11 + m21 * t21 + m12 * t12 - m22 * t22),
+                   8.0 * eta * sa1 * ca1 * c2t + k * (m11 * a11 + m12 * a12),
+                   k * (m21 * a21 - m22 * a22),
+                   -8.0 * eta * sb1 * cb1 * c2t + k * (m11 * b11 + m21 * b21),
+                   k * (m12 * b12 - m22 * b22))
 
 
 @functools.lru_cache(maxsize=128)
@@ -552,18 +533,19 @@ def _partial_entanglement_seed(eta: float):
     events are kept).  Near the critical efficiency the optimum is a
     weakly entangled state with near-axis angles, a basin the maximally
     entangled starting point never reaches.  The three starts run a
-    projected BFGS search on the closed-form gradient.
+    projected BFGS search on the closed-form value and gradient
+    (``_seed_chsh``).
 
     Returns (amplitude ratio tan(t), four analyzer angles).
     """
-    objective, gradient = _seed_objective(eta), _seed_gradient(eta)
+    eta = float(eta)
 
-    def value_and_gradient(x):
-        points = x.tolist()
-        return [objective(p) for p in points], [gradient(p) for p in points]
+    def objective(x):
+        values, grads = zip(*[_seed_chsh(eta, p) for p in x.tolist()])
+        return values, grads
 
     bounds = [(math.pi / 4, math.pi / 2)] + _FREE_ANGLES
-    runs = maximize_starts_bfgs(value_and_gradient, bounds,
+    runs = maximize_starts_bfgs(objective, bounds,
                                 [(t0, -0.03, 0.34, 1.54, -1.23) for t0 in (1.2, 1.4, 1.5)])
     t, a1, a2, b1, b2 = best_run(runs).x
 
@@ -586,11 +568,13 @@ def efficiency_threshold(params: ExperimentParams, target_s: float = 2.0,
     single-pair optimum, which pins the weakly entangled basin where the
     violation margin near the critical efficiency is of order 1e-4; the
     pump strength itself sits at ``mu_floor``, since the margin grows as
-    the multi-pair contamination (of order mu) shrinks.  An 8-point
-    pre-scan checks that the optimized S is nondecreasing in the
-    efficiency before bisecting.  Each efficiency's search runs its two or
-    three starts (the seed, the canonical angles, and the previous optimum)
-    in lockstep and keeps the first of the best.  Both the seed and this
+    the multi-pair contamination (of order mu) shrinks.  The threshold is
+    found by ``optimize.monotone_threshold``: a pre-scan that checks the
+    optimized S is nondecreasing in the efficiency, then a bisection that
+    searches only the efficiencies whose sign the scan leaves open.  Each
+    efficiency's search runs its two or three starts (the seed, the
+    canonical angles, and the optimum of the last efficiency searched) in
+    lockstep and keeps the first of the best.  Both the seed and this
     search are projected BFGS (``optimize.maximize_starts_bfgs``) on exact
     gradients: the seed's in closed form, this one from
     ``_chsh_gradient``.  Every start is given, so ``seed`` does not change
@@ -633,11 +617,7 @@ def efficiency_threshold(params: ExperimentParams, target_s: float = 2.0,
         warm["x0"] = best.x
         return best.value - target_s
 
-    samples = []
-    if not prescan_monotone(margin, lo, hi, n=8, values=samples):
-        raise ValueError("optimized CHSH value is not monotone over the bracket")
-    eta, _ = bisect_threshold(margin, lo, hi, xtol=xtol, f_lo=samples[0], f_hi=samples[-1])
-    return eta
+    return monotone_threshold(margin, lo, hi, xtol)
 
 
 def sfg_gain_threshold(params: ExperimentParams, objective: str = "rate",
@@ -646,8 +626,11 @@ def sfg_gain_threshold(params: ExperimentParams, objective: str = "rate",
     S > 2 (``objective="s"``) or a positive key rate (``objective="rate"``).
 
     The heralded entries are built once; the gain enters as an exact
-    rescaling of their photon-herald part, so each bisection step only
-    re-optimizes angles (warm-started).
+    rescaling of their photon-herald part, so each gain only re-optimizes
+    angles.  The first search runs 8 starts; each later one runs 4, the
+    first of them the optimum of the last gain searched.  The threshold is
+    found over ln(gain) by ``optimize.monotone_threshold``, to within
+    ``rtol / 2`` there.
 
     The bracket must satisfy 0 < lo < hi < inf, and ``rtol`` must be
     finite and positive.
@@ -676,11 +659,4 @@ def sfg_gain_threshold(params: ExperimentParams, objective: str = "rate",
                       res.settings.theta_b2)
         return res.value
 
-    lo, hi = math.log(lo), math.log(hi)
-    samples = []
-    if not prescan_monotone(margin, lo, hi, n=8, values=samples):
-        raise ValueError("objective is not monotone in the gain over the bracket")
-    warm["x0"] = None
-    log_gain, _ = bisect_threshold(margin, lo, hi, xtol=rtol / 2.0,
-                                   f_lo=samples[0], f_hi=samples[-1])
-    return math.exp(log_gain)
+    return math.exp(monotone_threshold(margin, math.log(lo), math.log(hi), rtol / 2.0))

@@ -49,6 +49,12 @@ class ConfigError(Exception):
     pass
 
 
+# The experiment is named on the command line, and nothing reads a section
+# that names it.
+_NO_EXPERIMENT_SECTION = ("[experiment] is not a config section; name the experiment "
+                         "on the command line")
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -98,10 +104,11 @@ def _apply_sets(config: dict, sets) -> dict:
         key = key.strip()
         if "." in key:
             first, rest = key.split(".", 1)
+            if first == "experiment":
+                raise ConfigError(_NO_EXPERIMENT_SECTION)
             # section.key, except dotted keys inside [efficiency]
             section, key = (first, rest) if first in (
-                "experiment", "params", "sweep", "teleport", "qfc",
-                "bell") else ("efficiency", key)
+                "params", "sweep", "teleport", "qfc", "bell") else ("efficiency", key)
         else:
             section = "params"
         config.setdefault(section, {})[key.strip()] = value.strip()
@@ -261,7 +268,7 @@ def _run_qfc(config, fmt, out):
     chi_tau = _get_float(section, "chi_tau", 0.1)
     if not (math.isfinite(chi_tau) and chi_tau >= 0.0):
         raise ConfigError(f"chi_tau must be finite and nonnegative, got {chi_tau!r}")
-    rep = qfc_teleport_strong_pump(alpha, beta, chi_tau)
+    rep = qfc_teleport_strong_pump(alpha, beta, chi_tau, _build_params(config).eta_d)
     metrics = {"fidelity": rep.fidelity, "herald_prob": rep.herald_prob,
                "conversion_angle_H": rep.conversion_angle_H,
                "conversion_angle_V": rep.conversion_angle_V}
@@ -481,6 +488,8 @@ def main(argv=None) -> int:
                 raise ConfigError(str(exc))
         if args.config:
             config = _merge(config, _load_config_file(args.config))
+            if "experiment" in config:
+                raise ConfigError(_NO_EXPERIMENT_SECTION)
         config = _apply_sets(config, args.set)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")

@@ -16,6 +16,10 @@ given starts; ``multistart_maximize`` draws seeded ones and keeps the best.
 The draws are those of ``np.random.default_rng(seed)``, made by a port of
 its PCG64 generator in Python integers (``_Pcg64``).
 
+``monotone_threshold`` finds where a nondecreasing function turns positive:
+a fixed pre-scan that checks monotonicity and the sign change, then a
+bisection that evaluates only the midpoints whose sign the scan leaves open.
+
 The package needs only numpy at run time, and no request loads numpy.random.
 """
 
@@ -357,41 +361,43 @@ def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: i
     return replace(best_run(runs), n_evaluations=sum(res.n_evaluations for res in runs))
 
 
-def prescan_monotone(f, lo: float, hi: float, n: int = 8, values: list = None) -> bool:
-    """Coarse check that f is nondecreasing on [lo, hi] over n sample points;
-    the list ``values``, if given, receives f at the points, lo and hi included."""
-    ys = [f(x) for x in np.linspace(lo, hi, n)]
-    if values is not None:
-        values.extend(ys)
-    return all(ys[i + 1] >= ys[i] - 1e-12 for i in range(n - 1))
+# Samples of the monotone pre-scan of ``monotone_threshold``, lo and hi included.
+PRESCAN_POINTS = 8
 
 
-def bisect_threshold(f, lo: float, hi: float, xtol: float,
-                     f_lo: float = None, f_hi: float = None):
-    """Smallest x in [lo, hi] with f(x) > 0, assuming f is nondecreasing.
+def monotone_threshold(f, lo: float, hi: float, xtol: float) -> float:
+    """Smallest x in [lo, hi] with f(x) > 0, to within ``xtol``, for f
+    nondecreasing with f(lo) <= 0 < f(hi).
 
-    Requires a sign change: f(lo) <= 0 < f(hi).  ``f_lo`` and ``f_hi`` are
-    those values when the caller already has them.  Returns (x, f(x)).
-    The bracket must be finite with lo < hi, and ``xtol`` finite and
-    positive, or the halving would never stop.
+    f is first sampled, in order, at the PRESCAN_POINTS points of
+    ``np.linspace(lo, hi, PRESCAN_POINTS)``; a scan that falls anywhere by
+    more than 1e-12, or whose ends show no sign change, is refused.  Then
+    [lo, hi] is halved down to ``xtol``.  A midpoint at or above the first
+    positive sample after the last non-positive one is positive, and one at
+    or below that non-positive sample is not; f is evaluated only at the
+    midpoints between the two, so no point is evaluated twice.  Returns the
+    upper end of the final bracket.  The bracket must be finite with lo <
+    hi, and ``xtol`` finite and positive, or the halving would never stop;
+    both are checked before f is called.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bracket must be finite with lo < hi, got ({lo!r}, {hi!r})")
     if not (math.isfinite(xtol) and xtol > 0.0):
         raise ValueError(f"xtol must be finite and positive, got {xtol!r}")
-    if f_lo is None:
-        f_lo = f(lo)
-    if f_hi is None:
-        f_hi = f(hi)
-    if f_lo > 0.0:
+    xs = np.linspace(lo, hi, PRESCAN_POINTS)
+    ys = [f(x) for x in xs]
+    if not all(ys[i + 1] >= ys[i] - 1e-12 for i in range(PRESCAN_POINTS - 1)):
+        raise ValueError("objective is not monotone over the bracket")
+    if ys[0] > 0.0:
         raise ValueError("objective already positive at the lower bracket edge")
-    if f_hi <= 0.0:
+    if ys[-1] <= 0.0:
         raise ValueError("no sign change in bracket")
+    k = max(i for i, y in enumerate(ys) if y <= 0.0)
+    below, above = xs[k], xs[k + 1]
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid > 0.0:
-            hi, f_hi = mid, f_mid
+        if mid >= above or (mid > below and f(mid) > 0.0):
+            hi = mid
         else:
             lo = mid
-    return hi, f_hi
+    return hi

@@ -28,7 +28,6 @@ _PRESETS = {
     # crystal constants and spectral profiles for the theoretical and
     # effective efficiency routes.
     "paper-table1": {
-        "experiment": {"name": "efficiency"},
         "efficiency": {
             "bench_h.c_sfg": 2.54e6, "bench_h.eta_t": 0.43,
             "bench_h.eta_d": 0.85, "bench_h.p_a": 80e-9,
@@ -48,7 +47,6 @@ _PRESETS = {
     # Source parameters alone, with an ideal (lossless, dark-free,
     # unit-efficiency) analyzer.
     "paper-table2": {
-        "experiment": {"name": "swap-sfg"},
         "params": dict(_EPS_PARAMS, **{
             "sfg_h": 1.0, "sfg_v": 1.0,
             "eta_th": 1.0, "eta_tv": 1.0, "eta_d": 1.0,
@@ -59,7 +57,6 @@ _PRESETS = {
     # efficiencies, collection/detection losses, dark counts, and the
     # 96 % coincidence-window acceptance.
     "paper-tableS1": {
-        "experiment": {"name": "swap-sfg"},
         "params": dict(_EPS_PARAMS, **{
             "sfg_h": 2.31e-8, "sfg_v": 2.35e-8,
             "eta_th": 0.43, "eta_tv": 0.40, "eta_d": 0.85,
@@ -68,7 +65,6 @@ _PRESETS = {
     },
     # Loss-free reference point.
     "ideal": {
-        "experiment": {"name": "swap-sfg"},
         "params": {
             "mu_1h": 0.05, "mu_1v": 0.05, "mu_2h": 0.05, "mu_2v": 0.05,
             "eta_1h": 1.0, "eta_1v": 1.0, "eta_2h": 1.0, "eta_2v": 1.0,
@@ -82,7 +78,6 @@ _PRESETS = {
     # sources, ideal collection and detection, loss swept on all four
     # channel modes at once.
     "fig-s3": {
-        "experiment": {"name": "sweep"},
         "params": {
             "mu_1h": 0.05, "mu_1v": 0.05, "mu_2h": 0.05, "mu_2v": 0.05,
             "eta_1h": 1.0, "eta_1v": 1.0, "eta_2h": 1.0, "eta_2v": 1.0,

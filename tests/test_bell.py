@@ -28,7 +28,7 @@ from sfgswap.bell import (
     TSIRELSON,
     _partial_entanglement_seed,
     _qber,
-    _seed_objective,
+    _seed_chsh,
     _source_mu,
     binary_entropy,
     dw_key_rate,
@@ -228,6 +228,7 @@ def test_efficiency_threshold_eberhard_limit():
     xtol = 1e-3
     eta = efficiency_threshold(params, xtol=xtol)
     assert 2.0 / 3.0 - xtol <= eta <= 2.0 / 3.0 + 0.005
+    assert eta == 0.6669921875
 
 
 @pytest.mark.parametrize("kwargs, argument", [
@@ -394,7 +395,8 @@ def test_seed_objective_is_bit_identical(eta):
     starts = [(t0, -0.03, 0.34, 1.54, -1.23) for t0 in (1.2, 1.4, 1.5)]
     runs = [maximize_starts(lambda x, f=objective: [f(p) for p in x.tolist()], bounds, starts,
                             xatol=1e-9)
-            for objective in (_seed_objective(eta), _unhoisted_seed_objective(eta))]
+            for objective in (lambda p: _seed_chsh(float(eta), p)[0],
+                              _unhoisted_seed_objective(eta))]
     assert runs[0] == runs[1]
 
 
@@ -583,20 +585,19 @@ def test_correlator_gradients_match_central_differences(case, basis):
 
 @pytest.mark.parametrize("eta", [0.5, 0.6669921875, 0.9, 1.0])
 def test_seed_gradient_matches_central_differences(eta):
-    objective, gradient = _seed_objective(eta), bell._seed_gradient(eta)
     rng = np.random.default_rng(17)
     points = [(1.2, -0.03, 0.34, 1.54, -1.23)] + list(
         rng.uniform(-math.pi / 2, math.pi / 2, size=(10, 5)))
     for x in points:
-        g = gradient(list(x))
+        _, g = _seed_chsh(eta, list(x))
         for i in range(5):
-            fd = _central_difference(lambda y: objective(list(y)), x, i, 1e-6)
+            fd = _central_difference(lambda y: _seed_chsh(eta, list(y))[0], x, i, 1e-6)
             assert abs(fd - g[i]) <= 1e-8
 
 
 def test_threshold_searches_match_or_beat_the_simplex_margins(monkeypatch):
     # The gradient searches reach the simplex searches' optima: at every
-    # efficiency the bisection visits, the margin is no lower than a
+    # efficiency the threshold search evaluates, the margin is no lower than a
     # Nelder-Mead search from the same starts (less 1e-11), and the seed's
     # single-pair S no lower than Nelder-Mead's on the seed (less 1e-12).
     params = _preset("ideal", pair_cap=2)
@@ -613,7 +614,7 @@ def test_threshold_searches_match_or_beat_the_simplex_margins(monkeypatch):
     eta = efficiency_threshold(params, bracket=(0.6, 0.8), xtol=0.05)
     bell._partial_entanglement_seed.cache_clear()
     assert eta == 0.6749999999999999
-    assert len(visited) == 22  # 11 efficiencies, each a seed and a margin search
+    assert len(visited) == 18  # 9 efficiencies, each a seed and a margin search
     for objective, bounds, starts, value in visited:
         # Nelder-Mead in the simplex searches' own box; the angles there are
         # the same up to their period

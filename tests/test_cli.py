@@ -315,6 +315,30 @@ def test_pair_cap_sweep_past_the_maximum_exits_2_before_any_point(monkeypatch, c
     assert "pair_cap must be at most 10, got 11" in capsys.readouterr().err
 
 
+def test_qfc_reads_the_herald_efficiency_of_params(tmp_path):
+    # The converted photon is detected with eta_d of [params]; unset, it is 1.
+    code, text = run(tmp_path, "qfc", name="a.txt")
+    assert code == 0 and "herald_prob = 0.00249583611012\n" in text
+    code, text = run(tmp_path, "qfc", "--set", "eta_d=0.5", name="b.txt")
+    assert code == 0 and "herald_prob = 0.00124791805506\n" in text
+
+
+@pytest.mark.parametrize("route", ["set", "ini", "json"])
+def test_experiment_section_is_a_config_error(tmp_path, capsys, route):
+    # The experiment is the first argument; an [experiment] section is
+    # refused by name, not read as a dotted [efficiency] key or ignored.
+    args = ["--set", "experiment.name=bell"]
+    if route == "ini":
+        (tmp_path / "cfg.ini").write_text("[experiment]\nname = bell\n")
+        args = ["--config", str(tmp_path / "cfg.ini")]
+    elif route == "json":
+        (tmp_path / "cfg.json").write_text(json.dumps({"experiment": {"name": "bell"}}))
+        args = ["--config", str(tmp_path / "cfg.json")]
+    code, text = run(tmp_path, "swap-sfg", "--preset", "ideal", *args)
+    assert code == 2 and text == ""
+    assert "[experiment] is not a config section" in capsys.readouterr().err
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["swap-sfg", "--preset", "nope"]) == 2
     assert main(["swap-sfg", "--preset", "ideal", "--set", "oops"]) == 2

@@ -1,4 +1,5 @@
-"""Multi-start projected BFGS, its simplex reference, monotone pre-scan, and bisection."""
+"""Multi-start projected BFGS, its simplex reference, and the threshold driver
+(monotone pre-scan, then bisection)."""
 
 import io
 import math
@@ -10,10 +11,9 @@ from scipy.optimize import minimize
 
 from sfgswap import optimize
 from sfgswap.optimize import (
-    bisect_threshold,
     maximize_starts_bfgs,
+    monotone_threshold,
     multistart_maximize,
-    prescan_monotone,
 )
 from simplex_reference import drive, nelder_mead
 
@@ -254,61 +254,79 @@ def test_multistart_trace_stream():
     assert len(lines) > 2
 
 
+def _recorded(f):
+    """f with a list of the points it is called at, in order."""
+    calls = []
+
+    def g(v):
+        calls.append(v)
+        return f(v)
+    return g, calls
+
+
 def test_prescan_monotone():
-    # true only for a nondecreasing function
-    assert prescan_monotone(lambda x: x ** 3, -1.0, 1.0)
-    assert not prescan_monotone(lambda x: math.sin(5 * x), 0.0, 3.0)
-    assert not prescan_monotone(lambda x: -x, 0.0, 1.0)
-    assert prescan_monotone(lambda x: x, 0.0, 1.0)
-    values = []
-    assert prescan_monotone(lambda x: 2.0 * x, 0.0, 1.0, n=5, values=values)
-    assert values == [0.0, 0.5, 1.0, 1.5, 2.0]
+    # The pre-scan of monotone_threshold: the first calls are the eight
+    # points of linspace(lo, hi), in order, and a scan that falls anywhere
+    # by more than 1e-12 is refused after them.
+    f, calls = _recorded(lambda x: x ** 3)
+    monotone_threshold(f, -1.0, 1.0, xtol=0.5)
+    assert calls[:optimize.PRESCAN_POINTS] == np.linspace(-1.0, 1.0, 8).tolist()
+    for fall, hi in ((lambda x: math.sin(5 * x) - 0.5, 3.0), (lambda x: -x, 1.0),
+                     (lambda x: x - 0.5 if x > 0.5 else -0.1 - (1e-11 if x > 0.2 else 0.0), 1.0)):
+        f, calls = _recorded(fall)
+        with pytest.raises(ValueError, match="monotone"):
+            monotone_threshold(f, 0.0, hi, xtol=1e-3)
+        assert len(calls) == optimize.PRESCAN_POINTS
+    # a fall within the slack is no fall
+    x = monotone_threshold(lambda x: x - 0.5 if x > 0.5 else -0.1 - (1e-13 if x > 0.2 else 0.0),
+                           0.0, 1.0, xtol=1e-3)
+    assert 0.5 < x <= 0.5 + 1e-3
 
 
 def test_bisect_threshold_root():
-    x, fx = bisect_threshold(lambda v: v - 0.3, 0.0, 1.0, xtol=1e-6)
-    assert x == pytest.approx(0.3, abs=1e-5)
-    assert fx > 0.0
+    x = monotone_threshold(lambda v: v - 0.3, 0.0, 1.0, xtol=1e-6)
+    assert 0.3 < x <= 0.3 + 1e-6
 
 
 def test_bisect_threshold_reuses_recorded_value():
-    # f drifts with every call, so a repeated evaluation would return a
-    # value f never gave at the reported x on its first call there
-    calls = []
-
-    def f(v):
-        calls.append((v, v - 0.3 + 1e-9 * len(calls)))
-        return calls[-1][1]
-
-    x, fx = bisect_threshold(f, 0.0, 1.0, xtol=1e-3)
-    # two bracket ends plus ten halvings of [0, 1] down to 1e-3
-    assert len(calls) == 12
-    assert fx == next(value for v, value in calls if v == x)
+    # No point is evaluated twice, pre-scan samples included.
+    f, calls = _recorded(lambda v: v - 0.3)
+    monotone_threshold(f, 0.0, 1.0, xtol=1e-6)
+    assert len(calls) == len(set(calls))
 
 
 def test_bisect_threshold_takes_known_end_values():
-    # End values the caller already has are not evaluated again, and they
-    # are held to the same sign-change requirement.
-    calls = []
-
-    def f(v):
-        calls.append(v)
-        return v - 0.3
-
-    x, _ = bisect_threshold(f, 0.0, 1.0, xtol=1e-3, f_lo=-0.3, f_hi=0.7)
-    assert x == pytest.approx(0.3, abs=1e-3)
-    assert len(calls) == 10 and 0.0 not in calls and 1.0 not in calls
-    with pytest.raises(ValueError):
-        bisect_threshold(f, 0.0, 1.0, xtol=1e-3, f_lo=0.1, f_hi=0.7)
-    with pytest.raises(ValueError):
-        bisect_threshold(f, 0.0, 1.0, xtol=1e-3, f_lo=-0.3, f_hi=0.0)
+    # The bisection reads the bracket ends' values from the pre-scan.
+    f, calls = _recorded(lambda v: v - 0.3)
+    monotone_threshold(f, 0.0, 1.0, xtol=1e-3)
+    assert calls.count(0.0) == 1 and calls.count(1.0) == 1
 
 
 def test_bisect_threshold_requires_sign_change():
-    with pytest.raises(ValueError):
-        bisect_threshold(lambda v: v + 1.0, 0.0, 1.0, xtol=1e-3)
-    with pytest.raises(ValueError):
-        bisect_threshold(lambda v: v - 5.0, 0.0, 1.0, xtol=1e-3)
+    with pytest.raises(ValueError, match="lower bracket edge"):
+        monotone_threshold(lambda v: v + 1.0, 0.0, 1.0, xtol=1e-3)
+    with pytest.raises(ValueError, match="no sign change"):
+        monotone_threshold(lambda v: v - 5.0, 0.0, 1.0, xtol=1e-3)
+    with pytest.raises(ValueError, match="no sign change"):
+        monotone_threshold(lambda v: v - 1.0, 0.0, 1.0, xtol=1e-3)
+
+
+def test_monotone_threshold_evaluates_only_open_midpoints():
+    # After the eight samples, f is called only at the midpoints the
+    # samples leave open: those strictly between the last non-positive
+    # sample (2/7) and the first positive one (3/7).
+    f, calls = _recorded(lambda v: v - 0.3)
+    x = monotone_threshold(f, 0.0, 1.0, xtol=1e-3)
+    samples = np.linspace(0.0, 1.0, 8).tolist()
+    lo, hi, midpoints = 0.0, 1.0, []
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        midpoints.append(mid)
+        lo, hi = (lo, mid) if mid > 0.3 else (mid, hi)
+    assert len(midpoints) == 10 and x == hi
+    open_midpoints = [m for m in midpoints if samples[2] < m < samples[3]]
+    assert len(open_midpoints) == 7
+    assert calls == samples + open_midpoints
 
 
 @pytest.mark.parametrize("lo, hi, xtol", [
@@ -325,9 +343,9 @@ def test_bisect_threshold_requires_sign_change():
 def test_bisect_threshold_rejects_bad_arguments(lo, hi, xtol):
     # Rejected before any evaluation: a NaN tolerance would end the halving
     # at once and return hi, and a zero one would never end it.
-    calls = []
+    f, calls = _recorded(lambda v: v - 0.3)
     with pytest.raises(ValueError, match="bracket|xtol"):
-        bisect_threshold(lambda v: calls.append(v) or v - 0.3, lo, hi, xtol=xtol)
+        monotone_threshold(f, lo, hi, xtol=xtol)
     assert calls == []
 
 
