@@ -23,11 +23,8 @@ from .efficiency import (
     sfg_eff_theoretical,
     spectral_overlap_gaussian,
 )
-from .presets import get_preset, presets, swap_params
+from .presets import PARAM_KEYS, get_preset, presets, swap_params
 from .protocols import lo_swap, qfc_teleport_strong_pump, sfg_swap, teleport
-
-EXPERIMENTS = ("swap-sfg", "swap-lo", "teleport", "qfc", "bell", "keyrate",
-               "efficiency", "sweep")
 
 CSV_METRICS = ("V_Z", "V_X", "F_low", "S", "Q", "r", "herald_prob")
 CSV_UNITS = {
@@ -49,10 +46,159 @@ class ConfigError(Exception):
     pass
 
 
-# The experiment is named on the command line, and nothing reads a section
-# that names it.
-_NO_EXPERIMENT_SECTION = ("[experiment] is not a config section; name the experiment "
-                         "on the command line")
+class _Values(dict):
+    """A section's resolved keys; looking up a required key that is absent
+    refuses it."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing required key {key!r}")
+
+
+def _given(key, raw):
+    return raw
+
+
+def _number(key, raw) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"key {key!r} is not a number: {raw!r}")
+
+
+def _integer(key, raw) -> int:
+    try:
+        return int(str(raw).strip())
+    except ValueError:
+        raise ConfigError(f"key {key!r} is not an integer: {raw!r}")
+
+
+def _boolean(key, raw) -> bool:
+    word = str(raw).strip().lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ConfigError(f"key {key!r} is not a boolean: {raw!r}")
+
+
+def _text(key, raw) -> str:
+    # a JSON config may give a number where a name is due
+    return str(raw)
+
+
+def _complex(key, raw) -> complex:
+    try:
+        value = complex(str(raw))
+    except ValueError:
+        value = None
+    if value is None or not cmath.isfinite(value):
+        raise ConfigError(f"key {key!r} is not a finite complex number: {raw!r}")
+    return value
+
+
+def _polarization(key, raw) -> tuple:
+    name = str(raw)
+    if name in POLARIZATIONS:
+        return POLARIZATIONS[name]
+    try:
+        pol = tuple(complex(p) for p in name.split(","))
+    except ValueError:
+        raise ConfigError(f"unknown polarization {name!r}")
+    if len(pol) != 2:
+        raise ConfigError(f"polarization needs two amplitudes, got {name!r}")
+    # The tolerance ``protocols.teleport`` accepts.
+    if not abs(math.sqrt(abs(pol[0]) ** 2 + abs(pol[1]) ** 2) - 1.0) <= 1e-9:
+        raise ConfigError(f"polarization must be normalized, got {name!r}")
+    return pol
+
+
+def _positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0.0
+
+
+_NEEDS_PARAMS = ("swap-sfg", "swap-lo", "teleport", "bell", "keyrate", "sweep")
+_EFFICIENCY_KEYS = ("lambda_a", "lambda_b", "rep_rate",
+                    *(f"bench_{row}.{field}" for row in "hv"
+                      for field in ("c_sfg", "eta_t", "eta_d", "p_a", "p_b")),
+                    *(f"crystal.{field}" for field in
+                      ("eta_shg", "length_cm", "delta_nu_hat", "tbp", "lam")),
+                    "profile_a.center_nm", "profile_a.fwhm_nm",
+                    "profile_b.center_nm", "profile_b.fwhm_nm", "profile_pm.fwhm_nm")
+
+# Every config section: the experiments that read it (True where one needs
+# it), and for each key its parser, its default (None: required) and its
+# range check (a test of the value and the message if it fails).  A fourth
+# item names the experiments that read a key, where fewer read it than read
+# its section.  presets.swap_params parses and checks the [params] keys.
+SECTIONS = {
+    "params": ({**dict.fromkeys(_NEEDS_PARAMS, True), "qfc": False},
+               dict.fromkeys(PARAM_KEYS, (_given, None, None))),
+    "teleport": ({"teleport": False}, {
+        "polarization": (_polarization, POLARIZATIONS["D"], None),
+        "mean_photons": (_number, 0.95, (
+            _positive, "mean_photons must be finite and positive, got {!r}")),
+        "herald_basis": (_text, "D", (
+            HERALD_SIGNS.__contains__, "herald basis must be 'D' or 'A', got {!r}")),
+    }),
+    "qfc": ({"qfc": False}, {
+        "alpha": (_complex, complex(1 / math.sqrt(2)), None),
+        "beta": (_complex, complex(1 / math.sqrt(2)), None),
+        "chi_tau": (_number, 0.1, (lambda x: math.isfinite(x) and x >= 0.0,
+                                   "chi_tau must be finite and nonnegative, got {!r}")),
+    }),
+    "bell": ({"bell": False, "keyrate": False}, {
+        "gain_factor": (_number, 1.0, (
+            _positive, "gain factor must be finite and positive, got {!r}")),
+        "n_starts": (_integer, 8, (lambda n: n >= 1, "key 'n_starts' must be at least 1, got {!r}")),
+        "free_mu": (_boolean, False, None, ("bell",)),
+    }),
+    "sweep": ({"sweep": False}, {
+        "variable": (_text, "", (bool, "sweep needs a variable")),
+        "steps": (_integer, None, (lambda n: n >= 2, "key 'steps' must be at least 2, got {!r}")),
+        "start": (_number, None, None),
+        "stop": (_number, None, None),
+        "bsa": (_text, "sfg", (("sfg", "lo", "both").__contains__,
+                               "sweep bsa must be sfg, lo or both, not {!r}")),
+    }),
+    "efficiency": ({"efficiency": True},
+                   dict.fromkeys(_EFFICIENCY_KEYS, (_number, None, None))),
+}
+
+
+def _check_names(config: dict, experiment: str) -> None:
+    """Refuse a section that is not in SECTIONS, and a key that is not in its
+    section or, in a section the experiment reads, one that it does not read."""
+    for name, section in config.items():
+        if name not in SECTIONS:
+            hint = "; name the experiment on the command line" if name == "experiment" else ""
+            raise ConfigError(f"[{name}] is not a config section{hint}")
+        readers, keys = SECTIONS[name]
+        read = {key for key, (_, _, _, *only) in keys.items()
+                if not only or experiment in only[0]}
+        unknown = sorted(set(section) - (read if experiment in readers else set(keys)))
+        if unknown:
+            raise ConfigError(f"unknown key(s) in [{name}]: {', '.join(unknown)}")
+
+
+def _read(config: dict, experiment: str, name: str) -> _Values:
+    """The [name] section of ``config`` as ``experiment`` reads it, each key
+    parsed, checked and defaulted as SECTIONS says."""
+    readers, keys = SECTIONS[name]
+    section = config.get(name, {})
+    if readers[experiment] and not section:
+        article = "an" if name[0] in "aeiou" else "a"
+        raise ConfigError(f"{experiment} experiment needs {article} [{name}] section")
+    values = _Values()
+    for key, (parse, default, check, *_) in keys.items():
+        if key in section:
+            values[key] = parse(key, section[key])
+        elif default is None:
+            continue
+        else:
+            values[key] = default
+        if check and not check[0](values[key]):
+            raise ConfigError(check[1].format(values[key]))
+    return values
 
 
 def _load_config_file(path: str) -> dict:
@@ -102,67 +248,14 @@ def _apply_sets(config: dict, sets) -> dict:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         key = key.strip()
-        if "." in key:
-            first, rest = key.split(".", 1)
-            if first == "experiment":
-                raise ConfigError(_NO_EXPERIMENT_SECTION)
-            # section.key, except dotted keys inside [efficiency]
-            section, key = (first, rest) if first in (
-                "params", "sweep", "teleport", "qfc", "bell") else ("efficiency", key)
-        else:
-            section = "params"
-        config.setdefault(section, {})[key.strip()] = value.strip()
+        section, dot, rest = key.partition(".")
+        if not dot:
+            section, rest = "params", key
+        elif any(name.startswith(section + ".") for name in _EFFICIENCY_KEYS):
+            # a dotted key of [efficiency], such as crystal.lam
+            section, rest = "efficiency", key
+        config.setdefault(section, {})[rest.strip()] = value.strip()
     return config
-
-
-def _get_float(section: dict, key: str, default=None) -> float:
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(section[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"key {key!r} is not a number: {section[key]!r}")
-
-
-def _get_int(section: dict, key: str, default, minimum: int) -> int:
-    if key not in section and default is None:
-        raise ConfigError(f"missing required key {key!r}")
-    value = section.get(key, default)
-    try:
-        number = int(str(value).strip())
-    except ValueError:
-        raise ConfigError(f"key {key!r} is not an integer: {value!r}")
-    if number < minimum:
-        raise ConfigError(f"key {key!r} must be at least {minimum}, got {number}")
-    return number
-
-
-def _get_bool(section: dict, key: str, default: bool) -> bool:
-    if key not in section:
-        return default
-    value = str(section[key]).strip().lower()
-    if value in ("1", "true", "yes"):
-        return True
-    if value in ("0", "false", "no"):
-        return False
-    raise ConfigError(f"key {key!r} is not a boolean: {section[key]!r}")
-
-
-def _get_str(section: dict, key: str, default: str) -> str:
-    # a JSON config may give a number where a name is due
-    return str(section.get(key, default))
-
-
-def _get_complex(section: dict, key: str, default: complex) -> complex:
-    try:
-        value = complex(str(section.get(key, default)))
-    except ValueError:
-        value = None
-    if value is None or not cmath.isfinite(value):
-        raise ConfigError(f"key {key!r} is not a finite complex number: {section[key]!r}")
-    return value
 
 
 def _fmt(value) -> str:
@@ -190,19 +283,11 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _section(config: dict, name: str, keys) -> dict:
-    """The [name] section of ``config``, refused if it has a key outside ``keys``."""
-    section = config.get(name, {})
-    unknown = sorted(set(section) - set(keys))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in [{name}]: {', '.join(unknown)}")
-    return section
-
-
-def _build_params(config: dict):
+def _build_params(config: dict, experiment: str, **assignments):
+    section = {**_read(config, experiment, "params"), **assignments}
     try:
-        return swap_params(config.get("params", {}))
-    except (KeyError, ValueError, TypeError) as exc:
+        return swap_params(section)
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
 
 
@@ -211,171 +296,103 @@ def _report_metrics(metrics: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_swap(config, fmt, out, lo=False):
-    params = _build_params(config)
-    rep = lo_swap(params) if lo else sfg_swap(params)
-    metrics = {"V_Z": rep.v_z, "V_X": rep.v_x,
-               "F_low": rep.fidelity_lower_bound,
-               "herald_prob": rep.herald_prob}
+def _swap_metrics(rep) -> dict:
+    return {"V_Z": rep.v_z, "V_X": rep.v_x, "F_low": rep.fidelity_lower_bound,
+            "herald_prob": rep.herald_prob}
+
+
+# Each _run_* function returns the metrics of its report and its CSV table.
+
+def _run_swap(config, args):
+    params = _build_params(config, args.experiment)
+    rep = lo_swap(params) if args.experiment == "swap-lo" else sfg_swap(params)
+    metrics = _swap_metrics(rep)
     for name, table in (("P_Z", rep.p_z), ("P_X", rep.p_x)):
         metrics.update({f"{name}_{ij}": p for ij, p in table.items()})
-    if fmt == "csv":
-        _emit(_csv_lines([((), metrics)]), out)
-    else:
-        _emit(_report_metrics(metrics), out)
-    return 0
+    return metrics, _csv_lines([((), metrics)])
 
 
-def _run_teleport(config, fmt, out):
-    section = _section(config, "teleport", ("polarization", "mean_photons", "herald_basis"))
-    pol_name = _get_str(section, "polarization", "D")
-    if pol_name in POLARIZATIONS:
-        pol = POLARIZATIONS[pol_name]
-    else:
-        try:
-            pol = tuple(complex(p) for p in pol_name.split(","))
-        except ValueError:
-            raise ConfigError(f"unknown polarization {pol_name!r}")
-        if len(pol) != 2:
-            raise ConfigError(f"polarization needs two amplitudes, got {pol_name!r}")
-        # The tolerance ``protocols.teleport`` accepts.
-        if not abs(math.sqrt(abs(pol[0]) ** 2 + abs(pol[1]) ** 2) - 1.0) <= 1e-9:
-            raise ConfigError(f"polarization must be normalized, got {pol_name!r}")
-    mean_photons = _get_float(section, "mean_photons", 0.95)
-    if not (math.isfinite(mean_photons) and mean_photons > 0.0):
-        raise ConfigError(f"mean_photons must be finite and positive, got {mean_photons!r}")
-    basis = _get_str(section, "herald_basis", "D")
-    if basis not in HERALD_SIGNS:
-        raise ConfigError(f"herald basis must be 'D' or 'A', got {basis!r}")
-    params = _build_params(config)
-    rep = teleport(params, pol, mean_photons, herald_basis=basis)
-    metrics = {"fidelity": rep.fidelity, "herald_prob": rep.herald_prob,
-               "one_photon_weight": rep.one_photon_weight}
-    if fmt == "csv":
-        _emit(_csv_lines([((), {"F_low": rep.fidelity,
-                                "herald_prob": rep.herald_prob})]), out)
-    else:
-        _emit(_report_metrics(metrics), out)
-    return 0
+def _run_teleport(config, args):
+    opts = _read(config, "teleport", "teleport")
+    params = _build_params(config, "teleport")
+    rep = teleport(params, opts["polarization"], opts["mean_photons"],
+                   herald_basis=opts["herald_basis"])
+    return ({"fidelity": rep.fidelity, "herald_prob": rep.herald_prob,
+             "one_photon_weight": rep.one_photon_weight},
+            _csv_lines([((), {"F_low": rep.fidelity, "herald_prob": rep.herald_prob})]))
 
 
-def _run_qfc(config, fmt, out):
-    section = _section(config, "qfc", ("alpha", "beta", "chi_tau"))
-    alpha = _get_complex(section, "alpha", 1 / math.sqrt(2))
-    beta = _get_complex(section, "beta", 1 / math.sqrt(2))
-    if alpha == 0 and beta == 0:
+def _run_qfc(config, args):
+    opts = _read(config, "qfc", "qfc")
+    if opts["alpha"] == 0 and opts["beta"] == 0:
         raise ConfigError("alpha and beta must not both be zero")
-    chi_tau = _get_float(section, "chi_tau", 0.1)
-    if not (math.isfinite(chi_tau) and chi_tau >= 0.0):
-        raise ConfigError(f"chi_tau must be finite and nonnegative, got {chi_tau!r}")
-    rep = qfc_teleport_strong_pump(alpha, beta, chi_tau, _build_params(config).eta_d)
-    metrics = {"fidelity": rep.fidelity, "herald_prob": rep.herald_prob,
-               "conversion_angle_H": rep.conversion_angle_H,
-               "conversion_angle_V": rep.conversion_angle_V}
-    if fmt == "csv":
-        _emit(_csv_lines([((), {"F_low": rep.fidelity,
-                                "herald_prob": rep.herald_prob})]), out)
-    else:
-        _emit(_report_metrics(metrics), out)
-    return 0
+    rep = qfc_teleport_strong_pump(opts["alpha"], opts["beta"], opts["chi_tau"],
+                                   _build_params(config, "qfc").eta_d)
+    return ({"fidelity": rep.fidelity, "herald_prob": rep.herald_prob,
+             "conversion_angle_H": rep.conversion_angle_H,
+             "conversion_angle_V": rep.conversion_angle_V},
+            _csv_lines([((), {"F_low": rep.fidelity, "herald_prob": rep.herald_prob})]))
 
 
-def _search_config(config, gain_factor, *keys):
-    """Parameters, [bell] section, analyzer gain and number of starts of a
-    Bell-test search; ``keys`` are the other [bell] keys the search reads."""
-    params = _build_params(config)
-    section = _section(config, "bell", ("gain_factor", "n_starts") + keys)
-    gain = gain_factor if gain_factor is not None else _get_float(
-        section, "gain_factor", 1.0)
-    if not (math.isfinite(gain) and gain > 0.0):
-        raise ConfigError(f"gain factor must be finite and positive, got {gain!r}")
-    return params, section, gain, _get_int(section, "n_starts", 8, minimum=1)
-
-
-def _run_bell(config, fmt, out, seed, gain_factor):
-    params, section, gain, n_starts = _search_config(config, gain_factor, "free_mu")
-    free_mu = _get_bool(section, "free_mu", False)
-    res = bell.optimize_chsh(params, free_mu=free_mu, gain=gain, seed=seed,
-                             n_starts=n_starts)
+def _run_bell(config, args):
+    params = _build_params(config, "bell")
+    opts = _read(config, "bell", "bell")
+    res = bell.optimize_chsh(params, free_mu=opts["free_mu"], gain=opts["gain_factor"],
+                             seed=args.seed, n_starts=opts["n_starts"])
     metrics = {"S": res.value,
                "theta_a1": res.settings.theta_a1,
                "theta_a2": res.settings.theta_a2,
                "theta_b1": res.settings.theta_b1,
                "theta_b2": res.settings.theta_b2}
-    if free_mu:
+    if opts["free_mu"]:
         metrics["mu_h"] = res.mu_h
         metrics["mu_v"] = res.mu_v
-    if fmt == "csv":
-        _emit(_csv_lines([((gain,), {"S": res.value})],
-                         ("gain_factor",), ("dimensionless",)), out)
-    else:
-        metrics["bell_violation"] = 1.0 if res.value > 2.0 else 0.0
-        _emit(_report_metrics(metrics), out)
-    return 0
+    metrics["bell_violation"] = 1.0 if res.value > 2.0 else 0.0
+    return metrics, _csv_lines([((opts["gain_factor"],), {"S": res.value})],
+                               ("gain_factor",), ("dimensionless",))
 
 
-def _run_keyrate(config, fmt, out, seed, gain_factor):
-    params, _, gain, n_starts = _search_config(config, gain_factor)
-    res = bell.optimize_key_rate(params, gain=gain, seed=seed,
-                                 n_starts=n_starts)
+def _run_keyrate(config, args):
+    params = _build_params(config, "keyrate")
+    opts = _read(config, "keyrate", "bell")
+    res = bell.optimize_key_rate(params, gain=opts["gain_factor"], seed=args.seed,
+                                 n_starts=opts["n_starts"])
     metrics = {"r": res.value, "S": res.s, "Q": res.q}
-    if fmt == "csv":
-        _emit(_csv_lines([((gain,), metrics)],
-                         ("gain_factor",), ("dimensionless",)), out)
-    else:
-        _emit(_report_metrics(metrics), out)
-    return 0
+    return metrics, _csv_lines([((opts["gain_factor"],), metrics)],
+                               ("gain_factor",), ("dimensionless",))
 
 
-def _run_efficiency(config, fmt, out):
-    section = config.get("efficiency", {})
-    if not section:
-        raise ConfigError("efficiency experiment needs an [efficiency] section")
-    lam_a = _get_float(section, "lambda_a")
-    lam_b = _get_float(section, "lambda_b")
-    rep_rate = _get_float(section, "rep_rate")
+def _run_efficiency(config, args):
+    values = _read(config, "efficiency", "efficiency")
+
+    def group(prefix):
+        # the keys under ``prefix`` by field name, each one required
+        return {key[len(prefix):]: values[key] for key in _EFFICIENCY_KEYS
+                if key.startswith(prefix)}
+
+    lam_a, lam_b, rep_rate = values["lambda_a"], values["lambda_b"], values["rep_rate"]
     results = {}
     for row in ("h", "v"):
-        prefix = f"bench_{row}."
-        if prefix + "c_sfg" in section:
-            bench = SfgBenchInputs(
-                c_sfg=_get_float(section, prefix + "c_sfg"),
-                eta_t=_get_float(section, prefix + "eta_t"),
-                eta_d=_get_float(section, prefix + "eta_d"),
-                p_a=_get_float(section, prefix + "p_a"),
-                p_b=_get_float(section, prefix + "p_b"),
-                lambda_a=lam_a, lambda_b=lam_b, f=rep_rate)
+        if f"bench_{row}.c_sfg" in values:
+            bench = SfgBenchInputs(**group(f"bench_{row}."),
+                                   lambda_a=lam_a, lambda_b=lam_b, f=rep_rate)
             results[f"eta_sfg_{row}_from_counts"] = sfg_eff_from_counts(bench)
     eta_th = None
-    if "crystal.eta_shg" in section:
-        crystal = CrystalParams(
-            eta_shg=_get_float(section, "crystal.eta_shg"),
-            length_cm=_get_float(section, "crystal.length_cm"),
-            delta_nu_hat=_get_float(section, "crystal.delta_nu_hat"),
-            tbp=_get_float(section, "crystal.tbp"),
-            lam=_get_float(section, "crystal.lam"))
-        eta_th = sfg_eff_theoretical(crystal)
+    if "crystal.eta_shg" in values:
+        eta_th = sfg_eff_theoretical(CrystalParams(**group("crystal.")))
         results["eta_sfg_theoretical"] = eta_th
-    if "profile_a.fwhm_nm" in section and eta_th is not None:
-        prof_a = SpectralProfile(_get_float(section, "profile_a.center_nm"),
-                                 _get_float(section, "profile_a.fwhm_nm"))
-        prof_b = SpectralProfile(_get_float(section, "profile_b.center_nm"),
-                                 _get_float(section, "profile_b.fwhm_nm"))
+    if "profile_a.fwhm_nm" in values and eta_th is not None:
+        prof_a = SpectralProfile(**group("profile_a."))
+        prof_b = SpectralProfile(**group("profile_b."))
         center_pm = 1.0 / (1.0 / prof_a.center_nm + 1.0 / prof_b.center_nm)
-        prof_pm = SpectralProfile(center_pm,
-                                  _get_float(section, "profile_pm.fwhm_nm"))
+        prof_pm = SpectralProfile(center_pm, **group("profile_pm."))
         results["spectral_overlap"] = spectral_overlap_gaussian(prof_a, prof_b, prof_pm)
         results["eta_sfg_effective"] = sfg_eff_effective(
             eta_th, prof_a, prof_b, prof_pm)
     if not results:
         raise ConfigError("efficiency section provided no computable inputs")
-    if fmt == "csv":
-        header = ",".join(f"{k} (dimensionless)" for k in results)
-        row = ",".join(_fmt(v) for v in results.values())
-        _emit(header + "\n" + row + "\n", out)
-    else:
-        _emit(_report_metrics(results), out)
-    return 0
+    header = ",".join(f"{k} (dimensionless)" for k in results)
+    return results, header + "\n" + ",".join(_fmt(v) for v in results.values()) + "\n"
 
 
 def _sweep_assignments(variable: str, value: float) -> dict:
@@ -402,30 +419,18 @@ def _sweep_point(args):
     return out
 
 
-def _run_sweep(config, fmt, out, jobs):
-    section = _section(config, "sweep", ("variable", "steps", "start", "stop", "bsa"))
-    variable = _get_str(section, "variable", "")
-    if not variable:
-        raise ConfigError("sweep needs a variable")
-    steps = _get_int(section, "steps", None, minimum=2)
-    start = _get_float(section, "start")
-    stop = _get_float(section, "stop")
-    bsa = _get_str(section, "bsa", "sfg")
-    if bsa not in ("sfg", "lo", "both"):
-        raise ConfigError(f"sweep bsa must be sfg, lo or both, not {bsa!r}")
-    params_section = config.get("params", {})
-    known = set(_sweep_assignments(variable, 0.0))
-    valid = set(params_section) | {"t_1h", "t_1v", "t_2h", "t_2v",
-                                   "mu_1h", "mu_1v", "mu_2h", "mu_2v"}
-    if not known <= valid:
+def _run_sweep(config, args):
+    opts = _read(config, "sweep", "sweep")
+    variable, steps, start, stop = (opts[key] for key in ("variable", "steps", "start", "stop"))
+    if not set(_sweep_assignments(variable, 0.0)) <= SECTIONS["params"][1].keys():
         raise ConfigError(f"unknown sweep variable {variable!r}")
     values = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
     # Every point's parameters are checked before any point runs.
-    tasks = [(_build_params({"params": {**params_section, **_sweep_assignments(variable, v)}}),
-              bsa) for v in values]
+    tasks = [(_build_params(config, "sweep", **_sweep_assignments(variable, v)), opts["bsa"])
+             for v in values]
     # A fork-based pool starts all its workers up front, so it gets no more
     # than there are points.
-    workers = min(jobs, len(tasks))
+    workers = min(args.jobs, len(tasks))
     if workers > 1:
         import concurrent.futures
 
@@ -433,17 +438,15 @@ def _run_sweep(config, fmt, out, jobs):
             results = list(ex.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(t) for t in tasks]
-    rows = []
-    for value, point in zip(values, results):
-        for which, rep in point:
-            rows.append(((value, which),
-                         {"V_Z": rep.v_z, "V_X": rep.v_x,
-                          "F_low": rep.fidelity_lower_bound,
-                          "herald_prob": rep.herald_prob}))
+    rows = [((value, which), _swap_metrics(rep))
+            for value, point in zip(values, results) for which, rep in point]
     # sweeps are tabular in either output format
-    text = _csv_lines(rows, (variable, "bsa"), ("dimensionless", "label"))
-    _emit(text, out)
-    return 0
+    return None, _csv_lines(rows, (variable, "bsa"), ("dimensionless", "label"))
+
+
+RUNNERS = {"swap-sfg": _run_swap, "swap-lo": _run_swap, "teleport": _run_teleport,
+           "qfc": _run_qfc, "bell": _run_bell, "keyrate": _run_keyrate,
+           "efficiency": _run_efficiency, "sweep": _run_sweep}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulations of entanglement swapping with a "
                     "sum-frequency-generation Bell-state analyzer.")
     parser.add_argument("experiment",
-                        choices=EXPERIMENTS + ("presets",),
+                        choices=(*RUNNERS, "presets"),
                         help="experiment to run, or 'presets' to list bundles")
     parser.add_argument("--config", help="INI or JSON configuration file")
     parser.add_argument("--preset", help="named parameter bundle")
@@ -488,36 +491,18 @@ def main(argv=None) -> int:
                 raise ConfigError(str(exc))
         if args.config:
             config = _merge(config, _load_config_file(args.config))
-            if "experiment" in config:
-                raise ConfigError(_NO_EXPERIMENT_SECTION)
         config = _apply_sets(config, args.set)
+        if args.gain_factor is not None:
+            config.setdefault("bell", {})["gain_factor"] = args.gain_factor
+        _check_names(config, args.experiment)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         if args.seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if args.experiment == "swap-sfg":
-            return _run_swap(config, args.fmt, args.out)
-        if args.experiment == "swap-lo":
-            return _run_swap(config, args.fmt, args.out, lo=True)
-        if args.experiment == "teleport":
-            return _run_teleport(config, args.fmt, args.out)
-        if args.experiment == "qfc":
-            return _run_qfc(config, args.fmt, args.out)
-        if args.experiment == "bell":
-            return _run_bell(config, args.fmt, args.out, args.seed,
-                             args.gain_factor)
-        if args.experiment == "keyrate":
-            return _run_keyrate(config, args.fmt, args.out, args.seed,
-                                args.gain_factor)
-        if args.experiment == "efficiency":
-            return _run_efficiency(config, args.fmt, args.out)
-        if args.experiment == "sweep":
-            return _run_sweep(config, args.fmt, args.out, args.jobs)
+        report, table = RUNNERS[args.experiment](config, args)
+        _emit(table if args.fmt == "csv" or report is None else _report_metrics(report),
+              args.out)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -527,7 +512,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -99,6 +99,9 @@ _PARAM_FIELDS = {
     "eta_d": "eta_d", "dark": "dark",
     "window_acceptance": "window_acceptance", "pair_cap": "pair_cap",
 }
+# Every [params] key: the mu_* keys set the pair sources, the sfg_* keys the
+# SFG efficiencies, and the others the ExperimentParams field they map to.
+PARAM_KEYS = ("mu_1h", "mu_1v", "mu_2h", "mu_2v", "sfg_h", "sfg_v", *_PARAM_FIELDS)
 
 
 def presets() -> list:
@@ -127,9 +130,7 @@ def _pair_cap(value) -> int:
 
 def swap_params(section: dict) -> ExperimentParams:
     """Build ExperimentParams from a flat [params] section."""
-    known = set(_PARAM_FIELDS) | {"mu_1h", "mu_1v", "mu_2h", "mu_2v",
-                                  "sfg_h", "sfg_v"}
-    unknown = set(section) - known
+    unknown = set(section).difference(PARAM_KEYS)
     if unknown:
         raise KeyError(f"unknown parameter keys: {', '.join(sorted(unknown))}")
     kwargs = {}

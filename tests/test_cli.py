@@ -316,9 +316,11 @@ def test_pair_cap_sweep_past_the_maximum_exits_2_before_any_point(monkeypatch, c
 
 
 def test_qfc_reads_the_herald_efficiency_of_params(tmp_path):
-    # The converted photon is detected with eta_d of [params]; unset, it is 1.
-    code, text = run(tmp_path, "qfc", name="a.txt")
-    assert code == 0 and "herald_prob = 0.00249583611012\n" in text
+    # The converted photon is detected with eta_d of [params]; unset, it is 1,
+    # so qfc needs no [params] section.
+    for preset in ((), ("--preset", "paper-table1")):
+        code, text = run(tmp_path, "qfc", *preset, name="a.txt")
+        assert code == 0 and "herald_prob = 0.00249583611012\n" in text
     code, text = run(tmp_path, "qfc", "--set", "eta_d=0.5", name="b.txt")
     assert code == 0 and "herald_prob = 0.00124791805506\n" in text
 
@@ -371,8 +373,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
     (("qfc", "--set", "qfc.chitau=5"), "[qfc]: chitau"),
     (("sweep", "--set", "sweep.variable=mu", "--set", "sweep.start=0.01", "--set",
       "sweep.stop=0.02", "--set", "sweep.steps=2", "--set", "sweep.step=3"), "[sweep]: step"),
+    (("efficiency", "--set", "crystal.bogus=1"), "[efficiency]: crystal.bogus"),
 ], ids=["bell-n_start", "bell-fre_mu", "keyrate-free_mu", "teleport-mean_photon", "qfc-chitau",
-        "sweep-step"])
+        "sweep-step", "efficiency-crystal.bogus"])
 def test_unknown_experiment_keys_are_config_errors(tmp_path, capsys, argv, message):
     # A key the experiment does not read is refused by name, not ignored.
     code, text = run(tmp_path, argv[0], "--preset", "ideal", *argv[1:])
@@ -403,15 +406,62 @@ def test_json_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, exper
 
 
 def test_boolean_keys_accept_only_yes_and_no_words():
-    from sfgswap.cli import ConfigError, _get_bool
+    from sfgswap.cli import SECTIONS, ConfigError, _read
+    parse = SECTIONS["bell"][1]["free_mu"][0]
     for word in ("1", "true", "YES", "True", "yes"):
-        assert _get_bool({"free_mu": word}, "free_mu", False) is True
+        assert parse("free_mu", word) is True
     for word in ("0", "false", "No", "FALSE", "no"):
-        assert _get_bool({"free_mu": word}, "free_mu", True) is False
-    assert _get_bool({}, "free_mu", True) is True
+        assert parse("free_mu", word) is False
+    # An absent key takes the table's default.
+    assert _read({"bell": {}}, "bell", "bell")["free_mu"] is False
     for word in ("treu", "", "2", "on"):
         with pytest.raises(ConfigError, match="'free_mu' is not a boolean"):
-            _get_bool({"free_mu": word}, "free_mu", False)
+            parse("free_mu", word)
+
+
+@pytest.mark.parametrize("route", ["set", "ini", "json"])
+def test_misspelled_section_is_a_config_error(tmp_path, capsys, route):
+    # A section name with a typo is refused by name, not read as a dotted
+    # [efficiency] key and ignored.
+    args = ["--set", "bel.free_mu=true"]
+    if route == "ini":
+        (tmp_path / "cfg.ini").write_text("[bel]\nfree_mu = true\n")
+        args = ["--config", str(tmp_path / "cfg.ini")]
+    elif route == "json":
+        (tmp_path / "cfg.json").write_text(json.dumps({"bel": {"free_mu": True}}))
+        args = ["--config", str(tmp_path / "cfg.json")]
+    code, text = run(tmp_path, "bell", "--preset", "ideal", "--set", "bell.n_starts=1", *args)
+    assert code == 2 and text == ""
+    assert "[bel] is not a config section" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["swap-sfg", "keyrate"])
+def test_missing_params_section_is_a_config_error(tmp_path, capsys, experiment):
+    # paper-table1 has only [efficiency]: the run stops at the edge instead
+    # of failing in the model with a zero herald probability.
+    code, text = run(tmp_path, experiment, "--preset", "paper-table1")
+    assert code == 2 and text == ""
+    assert f"{experiment} experiment needs a [params] section" in capsys.readouterr().err
+
+
+def test_sections_the_experiment_does_not_read_are_ignored(tmp_path):
+    # Presets and shared config files carry several sections; a known
+    # section the experiment does not read is ignored, but its keys must
+    # still be known.
+    _, base = run(tmp_path, "swap-sfg", "--preset", "ideal", name="a.txt")
+    code, text = run(tmp_path, "swap-sfg", "--preset", "fig-s3", "--set", "bell.n_starts=1",
+                     "--set", "qfc.chi_tau=0.2", name="b.txt")
+    assert code == 0 and text == base
+    assert run(tmp_path, "swap-sfg", "--preset", "ideal", "--set", "bell.n_start=1")[0] == 2
+
+
+def test_every_preset_key_is_in_the_table():
+    from sfgswap.cli import SECTIONS
+    from sfgswap.presets import get_preset, presets
+    for name in presets():
+        for section, keys in get_preset(name).items():
+            assert section in SECTIONS, (name, section)
+            assert set(keys) <= set(SECTIONS[section][1]), (name, section)
 
 
 @pytest.mark.parametrize("experiment", ["bell", "keyrate"])
