@@ -116,6 +116,10 @@ def _positive(x: float) -> bool:
     return math.isfinite(x) and x > 0.0
 
 
+_POSITIVE = (_positive, "key {key!r} must be finite and positive, got {!r}")
+_FRACTION = (lambda x: 0.0 < x <= 1.0, "key {key!r} must be in (0, 1], got {!r}")
+
+
 _NEEDS_PARAMS = ("swap-sfg", "swap-lo", "teleport", "bell", "keyrate", "sweep")
 _EFFICIENCY_KEYS = ("lambda_a", "lambda_b", "rep_rate",
                     *(f"bench_{row}.{field}" for row in "hv"
@@ -130,6 +134,7 @@ _EFFICIENCY_KEYS = ("lambda_a", "lambda_b", "rep_rate",
 # range check (a test of the value and the message if it fails).  A fourth
 # item names the experiments that read a key, where fewer read it than read
 # its section.  presets.swap_params parses and checks the [params] keys.
+# --gain-factor and --seed spell keys of [bell].
 SECTIONS = {
     "params": ({**dict.fromkeys(_NEEDS_PARAMS, True), "qfc": False},
                dict.fromkeys(PARAM_KEYS, (_given, None, None))),
@@ -150,6 +155,7 @@ SECTIONS = {
         "gain_factor": (_number, 1.0, (
             _positive, "gain factor must be finite and positive, got {!r}")),
         "n_starts": (_integer, 8, (lambda n: n >= 1, "key 'n_starts' must be at least 1, got {!r}")),
+        "seed": (_integer, 0, (lambda n: n >= 0, "--seed must be non-negative, got {!r}")),
         "free_mu": (_boolean, False, None, ("bell",)),
     }),
     "sweep": ({"sweep": False}, {
@@ -160,8 +166,9 @@ SECTIONS = {
         "bsa": (_text, "sfg", (("sfg", "lo", "both").__contains__,
                                "sweep bsa must be sfg, lo or both, not {!r}")),
     }),
-    "efficiency": ({"efficiency": True},
-                   dict.fromkeys(_EFFICIENCY_KEYS, (_number, None, None))),
+    "efficiency": ({"efficiency": True}, {
+        key: (_number, None, _FRACTION if key.endswith((".eta_t", ".eta_d")) else _POSITIVE)
+        for key in _EFFICIENCY_KEYS}),
 }
 
 
@@ -197,7 +204,7 @@ def _read(config: dict, experiment: str, name: str) -> _Values:
         else:
             values[key] = default
         if check and not check[0](values[key]):
-            raise ConfigError(check[1].format(values[key]))
+            raise ConfigError(check[1].format(values[key], key=key))
     return values
 
 
@@ -303,18 +310,18 @@ def _swap_metrics(rep) -> dict:
 
 # Each _run_* function returns the metrics of its report and its CSV table.
 
-def _run_swap(config, args):
-    params = _build_params(config, args.experiment)
-    rep = lo_swap(params) if args.experiment == "swap-lo" else sfg_swap(params)
+def _run_swap(config, experiment):
+    params = _build_params(config, experiment)
+    rep = lo_swap(params) if experiment == "swap-lo" else sfg_swap(params)
     metrics = _swap_metrics(rep)
     for name, table in (("P_Z", rep.p_z), ("P_X", rep.p_x)):
         metrics.update({f"{name}_{ij}": p for ij, p in table.items()})
     return metrics, _csv_lines([((), metrics)])
 
 
-def _run_teleport(config, args):
-    opts = _read(config, "teleport", "teleport")
-    params = _build_params(config, "teleport")
+def _run_teleport(config, experiment):
+    opts = _read(config, experiment, "teleport")
+    params = _build_params(config, experiment)
     rep = teleport(params, opts["polarization"], opts["mean_photons"],
                    herald_basis=opts["herald_basis"])
     return ({"fidelity": rep.fidelity, "herald_prob": rep.herald_prob,
@@ -322,23 +329,23 @@ def _run_teleport(config, args):
             _csv_lines([((), {"F_low": rep.fidelity, "herald_prob": rep.herald_prob})]))
 
 
-def _run_qfc(config, args):
-    opts = _read(config, "qfc", "qfc")
+def _run_qfc(config, experiment):
+    opts = _read(config, experiment, "qfc")
     if opts["alpha"] == 0 and opts["beta"] == 0:
         raise ConfigError("alpha and beta must not both be zero")
     rep = qfc_teleport_strong_pump(opts["alpha"], opts["beta"], opts["chi_tau"],
-                                   _build_params(config, "qfc").eta_d)
+                                   _build_params(config, experiment).eta_d)
     return ({"fidelity": rep.fidelity, "herald_prob": rep.herald_prob,
              "conversion_angle_H": rep.conversion_angle_H,
              "conversion_angle_V": rep.conversion_angle_V},
             _csv_lines([((), {"F_low": rep.fidelity, "herald_prob": rep.herald_prob})]))
 
 
-def _run_bell(config, args):
-    params = _build_params(config, "bell")
-    opts = _read(config, "bell", "bell")
+def _run_bell(config, experiment):
+    params = _build_params(config, experiment)
+    opts = _read(config, experiment, "bell")
     res = bell.optimize_chsh(params, free_mu=opts["free_mu"], gain=opts["gain_factor"],
-                             seed=args.seed, n_starts=opts["n_starts"])
+                             seed=opts["seed"], n_starts=opts["n_starts"])
     metrics = {"S": res.value,
                "theta_a1": res.settings.theta_a1,
                "theta_a2": res.settings.theta_a2,
@@ -352,18 +359,18 @@ def _run_bell(config, args):
                                ("gain_factor",), ("dimensionless",))
 
 
-def _run_keyrate(config, args):
-    params = _build_params(config, "keyrate")
-    opts = _read(config, "keyrate", "bell")
-    res = bell.optimize_key_rate(params, gain=opts["gain_factor"], seed=args.seed,
+def _run_keyrate(config, experiment):
+    params = _build_params(config, experiment)
+    opts = _read(config, experiment, "bell")
+    res = bell.optimize_key_rate(params, gain=opts["gain_factor"], seed=opts["seed"],
                                  n_starts=opts["n_starts"])
     metrics = {"r": res.value, "S": res.s, "Q": res.q}
     return metrics, _csv_lines([((opts["gain_factor"],), metrics)],
                                ("gain_factor",), ("dimensionless",))
 
 
-def _run_efficiency(config, args):
-    values = _read(config, "efficiency", "efficiency")
+def _run_efficiency(config, experiment):
+    values = _read(config, experiment, "efficiency")
 
     def group(prefix):
         # the keys under ``prefix`` by field name, each one required
@@ -407,39 +414,18 @@ def _sweep_assignments(variable: str, value: float) -> dict:
     return {variable: value}
 
 
-def _sweep_point(args):
-    params, bsa = args
-    out = []
-    if bsa in ("sfg", "both"):
-        rep = sfg_swap(params)
-        out.append(("sfg", rep))
-    if bsa in ("lo", "both"):
-        rep = lo_swap(params)
-        out.append(("lo", rep))
-    return out
-
-
-def _run_sweep(config, args):
-    opts = _read(config, "sweep", "sweep")
+def _run_sweep(config, experiment):
+    opts = _read(config, experiment, "sweep")
     variable, steps, start, stop = (opts[key] for key in ("variable", "steps", "start", "stop"))
     if not set(_sweep_assignments(variable, 0.0)) <= SECTIONS["params"][1].keys():
         raise ConfigError(f"unknown sweep variable {variable!r}")
     values = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
     # Every point's parameters are checked before any point runs.
-    tasks = [(_build_params(config, "sweep", **_sweep_assignments(variable, v)), opts["bsa"])
-             for v in values]
-    # A fork-based pool starts all its workers up front, so it gets no more
-    # than there are points.
-    workers = min(args.jobs, len(tasks))
-    if workers > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_sweep_point, tasks))
-    else:
-        results = [_sweep_point(t) for t in tasks]
-    rows = [((value, which), _swap_metrics(rep))
-            for value, point in zip(values, results) for which, rep in point]
+    points = [_build_params(config, experiment, **_sweep_assignments(variable, v)) for v in values]
+    analyzers = [(name, swap) for name, swap in (("sfg", sfg_swap), ("lo", lo_swap))
+                 if opts["bsa"] in (name, "both")]
+    rows = [((value, name), _swap_metrics(swap(params)))
+            for value, params in zip(values, points) for name, swap in analyzers]
     # sweeps are tabular in either output format
     return None, _csv_lines(rows, (variable, "bsa"), ("dimensionless", "label"))
 
@@ -463,14 +449,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override a single configuration key "
                              "(section.key=value; bare keys go to [params])")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="concurrent sweep evaluations")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for optimizer restarts")
+    parser.add_argument("--seed", type=int,
+                        help="seed for optimizer restarts (bell.seed)")
     parser.add_argument("--format", choices=("csv", "report"),
                         default="report", dest="fmt")
     parser.add_argument("--gain-factor", type=float, default=None,
-                        help="multiplier on the analyzer conversion efficiency")
+                        help="multiplier on the analyzer conversion efficiency "
+                             "(bell.gain_factor)")
     return parser
 
 
@@ -492,14 +477,16 @@ def main(argv=None) -> int:
         if args.config:
             config = _merge(config, _load_config_file(args.config))
         config = _apply_sets(config, args.set)
-        if args.gain_factor is not None:
-            config.setdefault("bell", {})["gain_factor"] = args.gain_factor
+        readers = SECTIONS["bell"][0]
+        for key in ("gain_factor", "seed"):
+            if getattr(args, key) is None:
+                continue
+            if args.experiment not in readers:
+                raise ConfigError(f"--{key.replace('_', '-')} applies only to "
+                                  f"{' and '.join(readers)}, not {args.experiment}")
+            config.setdefault("bell", {})[key] = getattr(args, key)
         _check_names(config, args.experiment)
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-        report, table = RUNNERS[args.experiment](config, args)
+        report, table = RUNNERS[args.experiment](config, args.experiment)
         _emit(table if args.fmt == "csv" or report is None else _report_metrics(report),
               args.out)
         return 0

@@ -203,8 +203,8 @@ def test_drawn_start_needs_no_numpy_random(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_pool_and_ini_modules_unloaded():
-    # The process pool (and the logging it loads) and the config parsers
-    # serve only parallel sweeps and config files; other requests skip them.
+    # No request needs a process pool (every sweep runs in-process), and the
+    # INI parser serves only config files; a bare import loads neither.
     script = textwrap.dedent("""
         import sys
         import sfgswap.cli
@@ -217,51 +217,23 @@ def test_cli_import_leaves_pool_and_ini_modules_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_sweep_ordering_and_parallel_determinism(tmp_path):
-    args = ("sweep", "--preset", "fig-s3", "--set", "sweep.steps=3",
-            "--format", "csv")
-    code, serial = run(tmp_path, *args, "--jobs", "1", name="s1.csv")
+def test_sweep_rows_follow_input_order(tmp_path):
+    code, text = run(tmp_path, "sweep", "--preset", "fig-s3", "--set", "sweep.steps=3",
+                     "--format", "csv")
     assert code == 0
-    code, parallel = run(tmp_path, *args, "--jobs", "2", name="s2.csv")
-    assert code == 0
-    assert serial == parallel
-    rows = serial.strip().splitlines()
+    rows = text.strip().splitlines()
     assert rows[0].startswith("loss (dimensionless),bsa (label)")
     # Three sweep points, two analyzers each, in input order.
     values = [row.split(",")[0] for row in rows[1:]]
     assert values == ["0", "0", "0.45", "0.45", "0.9", "0.9"]
 
 
-def test_sweep_jobs_validated_and_capped(tmp_path, monkeypatch, capsys):
-    # The pool is replaced by a recorder that maps in-process, so no worker
-    # process starts however large --jobs is.
-    import concurrent.futures
-
-    pools = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    args = ("sweep", "--preset", "fig-s3", "--set", "sweep.steps=3", "--format", "csv")
-    for bad in ("0", "-3"):
-        assert run(tmp_path, *args, "--jobs", bad)[0] == 2
-    assert "--jobs must be at least 1" in capsys.readouterr().err
-    code, text = run(tmp_path, *args, "--jobs", "64")
-    assert code == 0 and len(text.strip().splitlines()) == 7
-    assert pools == [3]
-    assert run(tmp_path, *args, "--jobs", "1")[0] == 0
-    assert pools == [3]
+def test_sweep_has_no_jobs_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--preset", "fig-s3", "--jobs", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --jobs" in captured.err
 
 
 PAIR_CAP_SWEEP = ("sweep", "--preset", "ideal", "--set", "sweep.variable=pair_cap",
@@ -462,6 +434,47 @@ def test_every_preset_key_is_in_the_table():
         for section, keys in get_preset(name).items():
             assert section in SECTIONS, (name, section)
             assert set(keys) <= set(SECTIONS[section][1]), (name, section)
+
+
+@pytest.mark.parametrize("experiment",
+                         ["swap-sfg", "swap-lo", "teleport", "qfc", "efficiency", "sweep"])
+@pytest.mark.parametrize("flag", [("--gain-factor", "2"), ("--seed", "1")],
+                         ids=["gain-factor", "seed"])
+def test_search_flags_are_refused_where_no_search_runs(capsys, experiment, flag):
+    # --gain-factor and --seed spell keys of [bell]; an experiment that does
+    # not read [bell] refuses them instead of ignoring them.
+    preset = "paper-table1" if experiment == "efficiency" else "fig-s3"
+    assert main([experiment, "--preset", preset, *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag[0]} applies only to bell and keyrate" in captured.err
+
+
+def test_seed_flag_spells_the_bell_seed_key(tmp_path):
+    # On this search the drawn second start decides the result, so the seed
+    # shows in the output.
+    base = ("bell", "--preset", "paper-tableS1", "--gain-factor", "30",
+            "--set", "bell.n_starts=2")
+    code, flag = run(tmp_path, *base, "--seed", "2", name="flag.txt")
+    assert code == 0 and flag != run(tmp_path, *base, name="default.txt")[1]
+    assert run(tmp_path, *base, "--set", "bell.seed=2", name="key.txt") == (0, flag)
+
+
+@pytest.mark.parametrize("assignment, message", [
+    ("efficiency.rep_rate=nan", "'rep_rate' must be finite and positive"),
+    ("profile_a.center_nm=-1", "'profile_a.center_nm' must be finite and positive"),
+    ("profile_pm.fwhm_nm=0", "'profile_pm.fwhm_nm' must be finite and positive"),
+    ("crystal.length_cm=-1", "'crystal.length_cm' must be finite and positive"),
+    ("bench_h.p_a=0", "'bench_h.p_a' must be finite and positive"),
+    ("bench_h.eta_t=1.5", "'bench_h.eta_t' must be in (0, 1]"),
+], ids=["rep_rate=nan", "center=-1", "pm_fwhm=0", "length=-1", "p_a=0", "eta_t=1.5"])
+def test_bad_efficiency_values_exit_2(capsys, assignment, message):
+    # Checked at the edge, not passed through to the calculators (nan) or
+    # refused deep inside them as a model error.
+    assert main(["efficiency", "--preset", "paper-table1", "--set", assignment]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error:" in captured.err and message in captured.err
 
 
 @pytest.mark.parametrize("experiment", ["bell", "keyrate"])
