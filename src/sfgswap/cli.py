@@ -118,6 +118,7 @@ def _positive(x: float) -> bool:
 
 _POSITIVE = (_positive, "key {key!r} must be finite and positive, got {!r}")
 _FRACTION = (lambda x: 0.0 < x <= 1.0, "key {key!r} must be in (0, 1], got {!r}")
+_FINITE = (math.isfinite, "key {key!r} must be finite, got {!r}")
 
 
 _NEEDS_PARAMS = ("swap-sfg", "swap-lo", "teleport", "bell", "keyrate", "sweep")
@@ -161,8 +162,8 @@ SECTIONS = {
     "sweep": ({"sweep": False}, {
         "variable": (_text, "", (bool, "sweep needs a variable")),
         "steps": (_integer, None, (lambda n: n >= 2, "key 'steps' must be at least 2, got {!r}")),
-        "start": (_number, None, None),
-        "stop": (_number, None, None),
+        "start": (_number, None, _FINITE),
+        "stop": (_number, None, _FINITE),
         "bsa": (_text, "sfg", (("sfg", "lo", "both").__contains__,
                                "sweep bsa must be sfg, lo or both, not {!r}")),
     }),

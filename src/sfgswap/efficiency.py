@@ -19,6 +19,14 @@ SPEED_OF_LIGHT = 299792458.0  # m / s
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
+def _require_positive(obj, names) -> None:
+    """Refuse a field of ``obj`` that is not finite and positive, by name."""
+    for name in names:
+        v = getattr(obj, name)
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
+
 @dataclass(frozen=True)
 class SfgBenchInputs:
     """Measured quantities of a classical-input conversion benchmark.
@@ -40,13 +48,11 @@ class SfgBenchInputs:
     f: float
 
     def __post_init__(self):
-        for name in ("c_sfg", "p_a", "p_b", "lambda_a", "lambda_b", "f"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        _require_positive(self, ("c_sfg", "p_a", "p_b", "lambda_a", "lambda_b", "f"))
         for name in ("eta_t", "eta_d"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1]")
+                raise ValueError(f"{name} must be in (0, 1], got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -68,9 +74,7 @@ class CrystalParams:
     lam: float
 
     def __post_init__(self):
-        for name in ("eta_shg", "length_cm", "delta_nu_hat", "tbp", "lam"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        _require_positive(self, ("eta_shg", "length_cm", "delta_nu_hat", "tbp", "lam"))
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,7 @@ class SpectralProfile:
     fwhm_nm: float
 
     def __post_init__(self):
-        if self.fwhm_nm <= 0.0:
-            raise ValueError("FWHM must be positive")
+        _require_positive(self, ("center_nm", "fwhm_nm"))
 
     @property
     def sigma_nm(self) -> float:

@@ -10,7 +10,7 @@ Each objective returns its values with their exact gradients, and every
 search is a projected BFGS search with a backtracking line search
 (``bfgs_steps``); its tolerances are the module constants ``QN_*``.  The
 starts of a search step in lockstep (``_lockstep``), each a coroutine that
-asks for the points it needs, so all of them share one objective call per
+asks for one point at a time, so all of them share one objective call per
 step and each ends where it would end alone.  ``maximize_starts_bfgs`` runs
 given starts; ``multistart_maximize`` draws seeded ones and keeps the best.
 The draws are those of ``np.random.default_rng(seed)``, made by a port of
@@ -47,53 +47,27 @@ class OptimizeResult:
     converged: bool
 
 
-@dataclass
-class SearchResult:
-    """One minimization run: the best point ``x``, its value ``fun``, the
-    number of objective calls ``nfev``, and ``success``, whether the search
-    met its convergence test."""
-
-    x: np.ndarray
-    fun: float
-    nfev: int
-    success: bool
-
-
 def _lockstep(searches, evaluate) -> list:
     """Step coroutine searches together until each returns.
 
-    Each search yields the list of points it needs and is then sent the
-    list of replies to them.  At each step the points of every unfinished
-    search go to ``evaluate(x, owners)`` as one (m, n) array, with
-    ``owners[j]`` the index of the search that asked for point j, and it
-    returns one reply per point.  A search's own arithmetic never sees the
-    others, so each ends where it would end alone.  Returns what each
-    search returns, in order.
+    Each search yields the one point it needs next and is then sent the
+    reply to it.  At each step the pending points of the unfinished searches
+    go to ``evaluate(x, owners)`` as the rows of one (m, n) array, with
+    ``owners[j]`` the index of the search that asked for row j, and it
+    returns one reply per row.  A search's own arithmetic never sees the
+    others, so each ends where it would end alone.  Returns what each search
+    returns, in order.
     """
-    pending = [next(search) for search in searches]
-    active = list(range(len(searches)))
+    pending = {i: next(search) for i, search in enumerate(searches)}
     results = [None] * len(searches)
-    while active:
-        if len(active) == 1:
-            x = np.array(pending[active[0]])
-            owners = active * len(x)
-        else:
-            x = np.array([p for i in active for p in pending[i]])
-            owners = [i for i in active for _ in pending[i]]
-        replies = evaluate(x, owners)
-        k = 0
-        finished = False
-        for i in active:
-            n = len(pending[i])
+    while pending:
+        owners = list(pending)
+        for i, reply in zip(owners, evaluate(np.array(list(pending.values())), owners)):
             try:
-                pending[i] = searches[i].send(replies[k:k + n])
+                pending[i] = searches[i].send(reply)
             except StopIteration as stop:
                 results[i] = stop.value
-                finished = True
-                pending[i] = None
-            k += n
-        if finished:
-            active = [i for i in active if pending[i] is not None]
+                del pending[i]
     return results
 
 
@@ -137,15 +111,17 @@ def bfgs_steps(x0, lows, highs):
     """Projected BFGS with a backtracking line search, minimizing over the
     box [lows, highs], as a coroutine.
 
-    Each step yields a one-point list and is sent [(f, g)], the objective
-    and its gradient there.  A parameter at a bound whose descent direction
-    points out of the box is held; the quasi-Newton direction moves the
+    Each step yields one point and is sent (f, g), the objective and its
+    gradient there.  A parameter at a bound whose descent direction points
+    out of the box is held; the quasi-Newton direction moves the
     others, and each trial point is projected into the box.  When a
     quasi-Newton direction goes uphill or its line search fails, the search
-    restarts from the steepest descent.  Returns a ``SearchResult``.
+    restarts from the steepest descent.  Returns (x, f, evaluations,
+    converged): the last accepted point, its objective, the number of points
+    evaluated, and whether the projected gradient fell to QN_GTOL.
     """
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lows), highs)
-    (f, g), = yield [x]
+    f, g = yield x
     nfev = 1
     h = None  # inverse Hessian estimate; None until the first curvature pair
     converged = False
@@ -163,7 +139,7 @@ def bfgs_steps(x0, lows, highs):
             band = QN_FNOISE * max(1.0, abs(f))
             for _ in range(QN_MAX_BACKTRACKS):
                 xn = np.minimum(np.maximum(x + step * d, lows), highs)
-                (fn, gn), = yield [xn]
+                fn, gn = yield xn
                 nfev += 1
                 s = xn - x
                 slope = g @ s
@@ -173,7 +149,7 @@ def bfgs_steps(x0, lows, highs):
                 step *= 0.5
             else:
                 if h is None:
-                    return SearchResult(x=x, fun=f, nfev=nfev, success=False)
+                    return x, f, nfev, False
                 h, d = None, -pg  # retry along the steepest descent
                 continue
             break
@@ -192,17 +168,17 @@ def bfgs_steps(x0, lows, highs):
             ab = np.multiply.outer(a, b)
             h = h + ab + ab.T
         x, f, g = xn, fn, gn
-    return SearchResult(x=x, fun=f, nfev=nfev, success=converged)
+    return x, f, nfev, converged
 
 
 def maximize_starts_bfgs(objective, bounds, starts, trace: io.TextIOBase = None) -> list:
     """Maximize ``objective`` over box ``bounds`` by projected BFGS
     (``bfgs_steps``) from each start.
 
-    The starts run in lockstep (``_lockstep``): at each step the points that
-    every unfinished search needs are passed to the objective as one (m, n)
-    array, so a vectorized objective serves them in one call.  Each search
-    is the same as it would be alone.
+    The starts run in lockstep (``_lockstep``): at each step the next point
+    of every unfinished search is passed to the objective as one row of an
+    (m, n) array, so a vectorized objective serves them in one call.  Each
+    search is the same as it would be alone.
 
     Args:
         objective: callable on an (m, n) array of points, returns their m
@@ -239,9 +215,9 @@ def maximize_starts_bfgs(objective, bounds, starts, trace: io.TextIOBase = None)
         for i, start_rows in enumerate(rows):
             for it, (v, xc) in enumerate(start_rows):
                 writer.writerow([i, it, f"{v:.12g}"] + [f"{xi:.12g}" for xi in xc])
-    return [OptimizeResult(x=tuple(res.x.tolist()), value=-res.fun, start_index=i,
-                           n_evaluations=res.nfev, converged=res.success)
-            for i, res in enumerate(runs)]
+    return [OptimizeResult(x=tuple(x.tolist()), value=-f, start_index=i,
+                           n_evaluations=nfev, converged=converged)
+            for i, (x, f, nfev, converged) in enumerate(runs)]
 
 
 def best_run(runs) -> OptimizeResult:

@@ -10,11 +10,11 @@ total-photon truncation explicitly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from density_route import DensityOperator, expectation, partial_trace, sandwich, unitary_column_map
 from branch_route import PureState, apply_annihilation, apply_creation, tensor, two_mode_rotation
@@ -68,21 +68,39 @@ def annihilation_matrix(basis, mode_idx: int) -> np.ndarray:
     return m
 
 
-def rotation_matrix(basis, i: int, j: int, theta: float, phase: float) -> np.ndarray:
-    """exp(theta K) with K = e^{i phase} aj+ ai - e^{-i phase} ai+ aj.
-
-    The adjoint action sends ai+ -> cos ai+ + e^{i phase} sin aj+, matching
-    the sparse two_mode_rotation convention.  K conserves the total photon
-    number, so the exponential is exact on the total-capped subspace.
-    """
+def rotation_generator(basis, i: int, j: int, phase: float) -> np.ndarray:
+    """K = e^{i phase} aj+ ai - e^{-i phase} ai+ aj, anti-Hermitian."""
     n_max = max(sum(occ) for occ in basis)
     ai = annihilation_matrix(basis, i)
     aj = annihilation_matrix(basis, j)
     adi = creation_matrix(basis, i, n_max, truncate=False)
     adj = creation_matrix(basis, j, n_max, truncate=False)
     ph = complex(math.cos(phase), math.sin(phase))
-    k = ph * (adj @ ai) - ph.conjugate() * (adi @ aj)
-    return expm(theta * k)
+    return ph * (adj @ ai) - ph.conjugate() * (adi @ aj)
+
+
+@functools.lru_cache(maxsize=None)
+def _generator_eigh(basis: tuple, i: int, j: int):
+    """(w, V) = eigh of the Hermitian i K at phase 0."""
+    return np.linalg.eigh(1j * rotation_generator(basis, i, j, 0.0))
+
+
+def rotation_matrix(basis, i: int, j: int, theta: float, phase: float) -> np.ndarray:
+    """exp(theta K) with K = e^{i phase} aj+ ai - e^{-i phase} ai+ aj.
+
+    The adjoint action sends ai+ -> cos ai+ + e^{i phase} sin aj+, matching
+    the sparse two_mode_rotation convention.  K conserves the total photon
+    number, so the exponential is exact on the total-capped subspace.
+
+    With D = diag(e^{i phase n_j}), K = D K0 D+ for K0 the generator at
+    phase 0, so exp(theta K) = D V exp(-i theta w) V+ D+, where (w, V) is
+    the eigendecomposition of the Hermitian i K0, computed once per
+    (basis, i, j).
+    """
+    w, v = _generator_eigh(tuple(basis), i, j)
+    d = np.exp(1j * phase * np.array([occ[j] for occ in basis]))
+    u = (v * np.exp(-1j * theta * w)) @ v.conj().T
+    return d[:, None] * u * d.conj()
 
 
 def dense_partial_trace(mat: np.ndarray, n_modes: int, n_max: int, traced) -> np.ndarray:

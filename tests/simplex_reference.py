@@ -6,13 +6,28 @@ of ``sfgswap.optimize`` are tested against.
 floats, so its optima match scipy's to the last bit; ``nelder_mead`` drives
 it one point at a time, and ``maximize_starts`` runs it from several starts
 in a box, as the package's CHSH, key-rate and gain searches once did.
+``drive_one`` runs a search that asks for one point at a time, such as
+``sfgswap.optimize.bfgs_steps``, on its own.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from sfgswap import optimize
+
+
+@dataclass
+class SimplexResult:
+    """One Nelder-Mead run, in scipy's terms: the best vertex ``x``, its
+    value ``fun``, the number of objective calls ``nfev``, and ``success``,
+    whether the run converged before ``maxiter``."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    success: bool
 
 
 def simplex_steps(x0, xatol: float, fatol: float, maxiter: int):
@@ -21,7 +36,7 @@ def simplex_steps(x0, xatol: float, fatol: float, maxiter: int):
     Each step yields a list of the k points it needs, each a list of n
     floats: the initial simplex, one trial point, or the n new vertices of a
     shrink.  It is then sent the k objective values as a list of floats.
-    When the search ends it returns a ``SearchResult``.
+    When the search ends it returns a ``SimplexResult``.
 
     Ported from ``_minimize_neldermead`` in scipy 1.17.1
     (scipy/optimize/_optimize.py; BSD-3-Clause, Copyright (c) 2001-2002
@@ -121,14 +136,14 @@ def simplex_steps(x0, xatol: float, fatol: float, maxiter: int):
         sim = [sim[i] for i in ind]
         fsim = [fsim[i] for i in ind]
 
-    return optimize.SearchResult(x=np.array(sim[0]), fun=min(fsim), nfev=nfev,
+    return SimplexResult(x=np.array(sim[0]), fun=min(fsim), nfev=nfev,
                          success=iterations < maxiter)
 
 
 def drive(search, reply):
-    """Run coroutine search ``search`` (``simplex_steps``, ``optimize.bfgs_steps``)
-    one point at a time: each point it asks for is answered by ``reply`` on
-    that point alone.  Returns what the search returns."""
+    """Run coroutine search ``search`` (``simplex_steps``), which yields lists
+    of points, one point at a time: each point it asks for is answered by
+    ``reply`` on that point alone.  Returns what the search returns."""
     points = next(search)
     while True:
         try:
@@ -137,7 +152,19 @@ def drive(search, reply):
             return stop.value
 
 
-def nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int) -> optimize.SearchResult:
+def drive_one(search, reply):
+    """Run coroutine search ``search`` (``optimize.bfgs_steps``), which yields
+    one point at a time, alone: each point is answered by ``reply`` on it.
+    Returns what the search returns."""
+    x = next(search)
+    while True:
+        try:
+            x = search.send(reply(x))
+        except StopIteration as stop:
+            return stop.value
+
+
+def nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int) -> SimplexResult:
     """Minimize ``func`` by the Nelder-Mead downhill simplex from ``x0``.
 
     The result equals that of ``scipy.optimize.minimize(func, x0,

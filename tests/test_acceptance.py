@@ -62,6 +62,24 @@ def test_criterion_1_visibility_reproduction():
     assert elapsed < 60.0
 
 
+def test_criterion_1_visibilities_fall_with_the_truncation():
+    # Criterion 1 passes only at the presets' pair_cap 3.  Each added pair
+    # lowers both visibilities, by less each time, towards V_Z = 0.7301 and
+    # V_X = 0.7095; from pair_cap 4 on V_Z lies below the window.
+    reps = [sfg_swap(table_s1_params().replace(pair_cap=cap)) for cap in range(3, 8)]
+    v_z, v_x = [rep.v_z for rep in reps], [rep.v_x for rep in reps]
+    steps = [np.diff(v_z), np.diff(v_x)]
+    ok = all((s < 0.0).all() and (np.diff(np.abs(s)) < 0.0).all() for s in steps)
+    report("1 (truncation)", ok,
+           "at pair_cap 3..7 V_Z = " + ", ".join(f"{v:.6f}" for v in v_z)
+           + " and V_X = " + ", ".join(f"{v:.6f}" for v in v_x)
+           + " fall by shrinking steps; V_Z misses [0.775, 0.785] from pair_cap 4")
+    assert v_z == pytest.approx([0.778402, 0.742081, 0.732455, 0.730457, 0.730116], abs=5e-7)
+    assert v_x == pytest.approx([0.758999, 0.721884, 0.711963, 0.709881, 0.709520], abs=5e-7)
+    assert ok
+    assert not 0.775 <= v_z[1] <= 0.785
+
+
 def test_criterion_2_fidelity_bound():
     f = fidelity_lower_bound(0.833, 0.706)
     ok = abs(f - 0.7695) <= 1e-12

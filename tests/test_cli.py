@@ -260,6 +260,21 @@ def test_integral_pair_cap_sweep_runs_each_cap(tmp_path):
     assert len({row[2] for row in rows}) == 3
 
 
+@pytest.mark.parametrize("key, value", [("start", "nan"), ("stop", "inf"), ("stop", "-inf")])
+@pytest.mark.parametrize("sweep", [("sweep", "--preset", "fig-s3"),
+                                   (*PAIR_CAP_SWEEP, "--set", "sweep.stop=5")],
+                         ids=["loss", "pair_cap"])
+def test_non_finite_sweep_end_is_refused_by_its_key(monkeypatch, capsys, sweep, key, value):
+    # The key the user set is named, not a parameter it would have reached.
+    import sfgswap.cli
+
+    ran = []
+    monkeypatch.setattr(sfgswap.cli, "sfg_swap", ran.append)
+    assert main([*sweep, "--set", f"sweep.{key}={value}"]) == 2
+    assert ran == []
+    assert f"config error: key {key!r} must be finite, got {value}" in capsys.readouterr().err
+
+
 def test_zero_herald_probability_is_a_model_error(capsys):
     assert main(["swap-sfg", "--preset", "ideal", "--set", "params.eta_d=0"]) == 3
     assert "herald probability is zero" in capsys.readouterr().err

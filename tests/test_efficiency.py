@@ -1,6 +1,7 @@
 """Conversion-efficiency calculators and the spectral-overlap integral."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,41 @@ def test_spectral_profile_validation():
     # Gaussian is the only profile: no shape can be asked for.
     with pytest.raises(TypeError):
         SpectralProfile(1550.0, 0.3, shape="lorentzian")
+
+
+def crystal(**kwargs):
+    base = dict(eta_shg=0.28, length_cm=6.3, delta_nu_hat=2.48e11, tbp=0.67, lam=1560e-9)
+    base.update(kwargs)
+    return CrystalParams(**base)
+
+
+def profile(**kwargs):
+    base = dict(center_nm=1550.0, fwhm_nm=0.3)
+    base.update(kwargs)
+    return SpectralProfile(**base)
+
+
+BAD_FIELDS = (
+    [(bench, name, v, "must be finite and positive")
+     for name in ("c_sfg", "p_a", "p_b", "lambda_a", "lambda_b", "f")
+     for v in (math.nan, math.inf, -1.0)]
+    + [(bench, name, v, "must be in (0, 1]")
+       for name in ("eta_t", "eta_d") for v in (math.nan, math.inf, 1.5)]
+    + [(crystal, name, v, "must be finite and positive")
+       for name in ("eta_shg", "length_cm", "delta_nu_hat", "tbp", "lam")
+       for v in (math.nan, math.inf, -1.0)]
+    + [(profile, name, v, "must be finite and positive")
+       for name in ("center_nm", "fwhm_nm") for v in (math.nan, math.inf, -1550.0)])
+
+
+@pytest.mark.parametrize("make, name, value, rule", BAD_FIELDS,
+                         ids=[f"{make.__name__}-{name}-{value}"
+                              for make, name, value, _ in BAD_FIELDS])
+def test_efficiency_inputs_refuse_non_finite_and_out_of_range(make, name, value, rule):
+    # NaN slips through a `<= 0` test, so each field is checked finite, and
+    # the message names the field and its value.
+    with pytest.raises(ValueError, match=re.escape(f"{name} {rule}, got {value!r}")):
+        make(**{name: value})
 
 
 def test_overlap_quadrature_matches_closed_form():

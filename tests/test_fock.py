@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from dense_oracle import run_oracle_suite
+from dense_oracle import product_basis, rotation_generator, rotation_matrix, run_oracle_suite
 from density_route import DensityOperator, partial_trace, tensor_density
 from branch_route import ModeError, PureState, apply_creation, tensor, two_mode_rotation
 
@@ -16,6 +17,24 @@ def test_dense_oracle_property_suite():
     n_cases, max_err = run_oracle_suite(n_cases=1000, seed=20260823)
     assert n_cases >= 1000
     assert max_err < 1e-10
+
+
+def test_oracle_rotation_eigh_form_matches_expm():
+    # The oracle's rotation, D V exp(-i theta w) V+ D+, is scipy's matrix
+    # exponential of its generator on every register the suite draws.
+    rng = np.random.default_rng(7)
+    for n_modes in (2, 3):
+        for n_max in (1, 2, 3):
+            basis = product_basis(n_modes, n_max)
+            for i in range(n_modes):
+                for j in range(n_modes):
+                    if i == j:
+                        continue
+                    for _ in range(3):
+                        theta, phase = rng.uniform(-math.pi, math.pi, size=2)
+                        want = expm(theta * rotation_generator(basis, i, j, phase))
+                        got = rotation_matrix(basis, i, j, theta, phase)
+                        assert np.abs(got - want).max() < 1e-12, (n_modes, n_max, i, j)
 
 
 def test_vacuum_and_basis_states():

@@ -15,7 +15,7 @@ from sfgswap.optimize import (
     monotone_threshold,
     multistart_maximize,
 )
-from simplex_reference import drive, nelder_mead
+from simplex_reference import drive_one, nelder_mead
 
 
 def _gradient(f, x, h=1e-7):
@@ -101,11 +101,11 @@ def test_lockstep_starts_match_lone_searches(func):
         lambda x: ([-func(p) for p in x], [-gradient(p) for p in x]), bounds, starts)
     lows, highs = np.array(bounds).T
     for i, (x0, run) in enumerate(zip(starts, runs)):
-        alone = drive(optimize.bfgs_steps(x0, lows, highs), lambda x: (func(x), gradient(x)))
-        assert np.array_equal(np.clip(alone.x, -1.0, 1.0), run.x)
-        assert -alone.fun == run.value
-        assert (alone.nfev, alone.success, i) == (run.n_evaluations, run.converged,
-                                                  run.start_index)
+        x, f, nfev, converged = drive_one(optimize.bfgs_steps(x0, lows, highs),
+                                          lambda x: (func(x), gradient(x)))
+        assert np.array_equal(np.clip(x, -1.0, 1.0), run.x)
+        assert -f == run.value
+        assert (nfev, converged, i) == (run.n_evaluations, run.converged, run.start_index)
 
 
 def test_lockstep_trace_groups_rows_by_start():
@@ -208,15 +208,14 @@ def test_multistart_reports_best_start_convergence(monkeypatch):
     def steps(*args, **kwargs):
         index = len(starts)
         starts.append(None)
-        res = yield from real_steps(*args, **kwargs)
-        res.success = index == 1
-        starts[index] = res
-        return res
+        x, f, nfev, _ = yield from real_steps(*args, **kwargs)
+        starts[index] = x, f, nfev, index == 1
+        return starts[index]
 
     monkeypatch.setattr(optimize, "bfgs_steps", steps)
     res = multistart_maximize(_rows(lambda x: -(x[0] - 0.3) ** 2), [(-1.0, 1.0)],
                               _onto([(-1.0, 1.0)]), n_starts=2, seed=0, x0=(0.3,))
-    assert len(starts) == 2 and starts[1].success
+    assert len(starts) == 2 and starts[1][3]
     assert res.start_index == 0
     assert not res.converged
 
