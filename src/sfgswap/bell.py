@@ -23,7 +23,6 @@ from .detection import (
     CoincidenceEfficiencies,
     analyzer_coefficients,
     arm_click_probs,
-    trig_basis,
     trig_basis_and_derivative,
 )
 from .optimize import (
@@ -116,8 +115,9 @@ class HeraldedEntries:
                    powers=np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2]))
 
 
-def _heralded_entries(params: ExperimentParams, basis: str) -> HeraldedEntries:
-    return HeraldedEntries.of_filter(heralding_filter(params, basis=basis), params)
+def _heralded_entries(params: ExperimentParams) -> HeraldedEntries:
+    """Entries of the |A>-heralded state of ``params``, the state every search reads."""
+    return HeraldedEntries.of_filter(heralding_filter(params, basis="A"), params)
 
 
 def _source_mu(params: ExperimentParams) -> np.ndarray:
@@ -160,22 +160,10 @@ class SearchKernel:
             raise ValueError("zero total herald probability")
         return rho, total
 
-    def correlators(self, thetas_a, thetas_b, mu) -> np.ndarray:
-        """E[p, q] at analyzer angles thetas_a[p] and thetas_b[q] and the mean
-        photon numbers ``mu`` of the modes (1H, 1V, 2H, 2V).
-
-        Stacked inputs, angles of shape (m, p) and (m, q) and ``mu`` of shape
-        (m, 4), give E[m, p, q], each point computed as it is alone; one
-        ``mu`` of shape (4,) serves every stacked pair of angles."""
-        rho, total = self._state(np.asarray(mu, dtype=float))
-        thetas_a = np.asarray(thetas_a, dtype=float)
-        n_a = thetas_a.shape[-1]
-        t = trig_basis(np.concatenate((thetas_a, thetas_b), axis=-1), self._n)
-        return ((t[..., :n_a, :] @ self._ca * rho[..., None, :])
-                @ (t[..., n_a:, :] @ self._cb).swapaxes(-1, -2) / total[..., None, None])
-
     def correlator_gradients(self, thetas_a, thetas_b, mu):
-        """E[p, q] of ``correlators`` with its exact derivatives.
+        """E[p, q] at analyzer angles thetas_a[p] and thetas_b[q] and the mean
+        photon numbers ``mu`` of the modes (1H, 1V, 2H, 2V), with its exact
+        derivatives.
 
         Returns (E, dE_a, dE_b, dE_mu): dE_a[p, q] is the derivative of
         E[p, q] in thetas_a[p] and dE_b[p, q] in thetas_b[q] (E[p, q] does not
@@ -187,8 +175,9 @@ class SearchKernel:
         mu_k = 0 that derivative is not finite and reads inf or nan.  One product
         serves every numerator: party a's rows (each angle's operator and its
         derivative, then the operators times each mode's powers) against party
-        b's (operator, derivative).  Stacked inputs stack every output, each
-        point as it is alone."""
+        b's (operator, derivative).  Stacked angles, of shape (m, p) and (m, q),
+        with ``mu`` of shape (m, 4) or (4,) stack every output, each point as
+        it is alone."""
         mu = np.asarray(mu, dtype=float)
         rho, total = self._state(mu)
         thetas_a = np.asarray(thetas_a, dtype=float)
@@ -213,12 +202,6 @@ class SearchKernel:
             num = m[..., n_a:, ::2].reshape(m.shape[:-2] + (4, n_a // 2, -1))
             de_mu = num * rate[..., None, None] - e[..., None, :, :] * dtotal[..., None, None]
         return e, de_a, de_b, de_mu
-
-
-def _chsh(e) -> float:
-    # on one point's correlators as nested lists: Python floats are faster
-    # to index than NumPy scalars, with the same arithmetic
-    return e[0][0] + e[1][0] + e[0][1] - e[1][1]
 
 
 def _qber(e: float) -> float:
@@ -332,11 +315,11 @@ def _chsh_gradient(e, de_a, de_b, de_mu=None):
 
 
 def optimize_chsh(params: ExperimentParams, free_mu: bool = False, gain: float = 1.0,
-                  basis: str = "A", seed: int = 0, n_starts: int = 16, x0=None,
+                  seed: int = 0, n_starts: int = 16, x0=None,
                   mu_bounds=(1e-6, 0.4), trace=None) -> ChshOptimum:
     """Maximize the CHSH value over analyzer angles (and optionally the
-    mean photon numbers of the sources), read through the analyzer
-    efficiencies of ``params``.
+    mean photon numbers of the sources) on the |A>-heralded state, read
+    through the analyzer efficiencies of ``params``.
 
     The heralding filter is built once, and each evaluation rescales its
     nonzero entries by the source amplitudes: those of ``params``, or with
@@ -359,9 +342,21 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False, gain: float =
     lo, hi = mu_bounds
     if free_mu and not 0.0 < lo < hi < math.inf:
         raise ValueError(f"mu_bounds must satisfy 0 < lo < hi < inf, got {tuple(mu_bounds)!r}")
-    kernel = SearchKernel(_heralded_entries(params, basis), params.analyzer_efficiencies(), gain)
+    kernel = SearchKernel(_heralded_entries(params), params.analyzer_efficiencies(), gain)
     if not free_mu:
-        return _chsh_search(kernel, _source_mu(params), seed, n_starts, x0, trace)
+        mu = _source_mu(params)
+
+        def fixed(x):
+            e, de_a, de_b, _ = kernel.correlator_gradients(x[:, 0:2], x[:, 2:4], mu)
+            s, ds_a, ds_b, _ = _chsh_gradient(e, de_a, de_b)
+            return s, np.concatenate((ds_a, ds_b), axis=1)
+
+        res = multistart_maximize(fixed, _FREE_ANGLES, _angle_start, n_starts=n_starts,
+                                  seed=seed, x0=x0 if x0 is not None else CANONICAL_X0,
+                                  trace=trace)
+        return ChshOptimum(value=res.value, settings=BellSettings(*res.x), s=res.value,
+                           n_evaluations=res.n_evaluations, converged=res.converged,
+                           start_index=res.start_index)
 
     def objective(x):
         # x = (ln mu_H, ln mu_V, a1, a2, b1, b2)
@@ -391,22 +386,6 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False, gain: float =
                        converged=res.converged, start_index=res.start_index)
 
 
-def _chsh_search(kernel: SearchKernel, mu, seed, n_starts, x0, trace) -> ChshOptimum:
-    """The CHSH search of ``optimize_chsh`` over the four angles, at the
-    source strengths ``mu``."""
-    def objective(x):
-        e, de_a, de_b, _ = kernel.correlator_gradients(x[:, 0:2], x[:, 2:4], mu)
-        s, ds_a, ds_b, _ = _chsh_gradient(e, de_a, de_b)
-        return s, np.concatenate((ds_a, ds_b), axis=1)
-
-    res = multistart_maximize(objective, _FREE_ANGLES, _angle_start, n_starts=n_starts,
-                              seed=seed, x0=x0 if x0 is not None else CANONICAL_X0,
-                              trace=trace)
-    return ChshOptimum(value=res.value, settings=BellSettings(*res.x),
-                       mu_h=None, mu_v=None, s=res.value, n_evaluations=res.n_evaluations,
-                       converged=res.converged, start_index=res.start_index)
-
-
 def _mirror(x):
     """The H <-> V mirror image of a free-mu search point (ln mu_H, ln mu_V,
     a1, a2, b1, b2): the pump strengths exchanged and every analyzer turned
@@ -428,9 +407,10 @@ def _write_free_mu_trace(trace, blocks, n_starts: int):
                             + [f"{math.exp(float(v)):.12g}" for v in x[:2]] + x[2:])
 
 
-def optimize_key_rate(params: ExperimentParams, gain: float = 1.0, basis: str = "A",
-                      seed: int = 0, n_starts: int = 8, x0=None, trace=None) -> ChshOptimum:
-    """Maximize the Devetak-Winter rate over the five analyzer angles.
+def optimize_key_rate(params: ExperimentParams, gain: float = 1.0, seed: int = 0,
+                      n_starts: int = 8, x0=None, trace=None) -> ChshOptimum:
+    """Maximize the Devetak-Winter rate over the five analyzer angles on the
+    |A>-heralded state.
 
     The free parameters are the key-generation angle theta_a0 and the four
     CHSH angles; the source strengths stay at their configured values.
@@ -440,21 +420,27 @@ def optimize_key_rate(params: ExperimentParams, gain: float = 1.0, basis: str = 
 
     The reported QBER is min(Q, 1 - Q), the error rate after Bob flips his
     key bit where Q > 1/2.  The rate is symmetric in Q, so a search may end
-    at either; r is the same for both.
+    at either; r is the same for both.  The reported S and Q are read at
+    the optimum through the search's own path, so r = ``dw_key_rate(S, Q)``
+    holds exactly.
     """
-    kernel = SearchKernel(_heralded_entries(params, basis), params.analyzer_efficiencies(), gain)
+    kernel = SearchKernel(_heralded_entries(params), params.analyzer_efficiencies(), gain)
     return _key_rate_search(kernel, _source_mu(params), seed, n_starts, x0, trace)
 
 
 def _key_rate_search(kernel: SearchKernel, mu, seed, n_starts, x0, trace) -> ChshOptimum:
     """The search of ``optimize_key_rate`` at the source strengths ``mu``."""
-    def objective(x):
+    def readout(x):
+        # S and the raw QBER Q = (1 - E[a0, b1]) / 2 at points x, with derivatives
         e, de_a, de_b, _ = kernel.correlator_gradients(x.take(_KEY_ANGLES_A, axis=1), x[:, 3:5],
                                                        mu)
         s, ds_a, ds_b, _ = _chsh_gradient(e, de_a, de_b)
-        s, qs = s.tolist(), [_qber(v) for v in e[:, 2, 0].tolist()]
+        return s.tolist(), [_qber(v) for v in e[:, 2, 0].tolist()], de_a, de_b, ds_a, ds_b
+
+    def objective(x):
+        s, qs, de_a, de_b, ds_a, ds_b = readout(x)
         slopes = np.array([dw_key_rate_slopes(*p) for p in zip(s, qs)])
-        # Q = (1 - E[a0, b1]) / 2; where it is clamped at 0 or 1, dr/dQ is zero
+        # where Q is clamped at 0 or 1, dr/dQ is zero
         dr_de = -0.5 * slopes[:, 1]
         grad = np.empty_like(x)
         grad[:, 0] = dr_de * de_a[:, 2, 0]
@@ -467,8 +453,8 @@ def _key_rate_search(kernel: SearchKernel, mu, seed, n_starts, x0, trace) -> Chs
         x0 = (0.0,) + CANONICAL_X0
     res = multistart_maximize(objective, _FREE_ANGLES + _FREE_ANGLES[:1], _angle_start,
                               n_starts=n_starts, seed=seed, x0=x0, trace=trace)
-    e = kernel.correlators(np.take(res.x, _KEY_ANGLES_A), res.x[3:5], mu).tolist()
-    s, q = _chsh(e), _qber(e[2][0])
+    # a one-row stack gives the point bit for bit as the search saw it
+    (s,), (q,), *_ = readout(np.array([res.x]))
     q = min(q, 1.0 - q)  # Bob's key bit flipped where Q > 1/2
     return ChshOptimum(value=res.value,
                        settings=BellSettings(*res.x[1:5], theta_a0=res.x[0]),
@@ -548,27 +534,22 @@ def _partial_entanglement_seed(eta: float):
     runs = maximize_starts_bfgs(objective, bounds,
                                 [(t0, -0.03, 0.34, 1.54, -1.23) for t0 in (1.2, 1.4, 1.5)])
     t, a1, a2, b1, b2 = best_run(runs).x
-
-    def to_model(a):
-        return (a + math.pi / 2) % math.pi - math.pi / 2
-
     ratio = abs(math.cos(t) / math.sin(t))
-    return ratio, (to_model(a1 + math.pi / 2), to_model(a2 + math.pi / 2),
-                   to_model(b1), to_model(b2))
+    return ratio, (_wrap_angle(a1 + math.pi / 2), _wrap_angle(a2 + math.pi / 2),
+                   _wrap_angle(b1), _wrap_angle(b2))
 
 
-def efficiency_threshold(params: ExperimentParams, target_s: float = 2.0,
-                         bracket=(0.5, 1.0), seed: int = 0,
-                         xtol: float = 1e-3, mu_floor: float = 2e-3,
-                         basis: str = "A") -> float:
-    """Minimal symmetric detection efficiency with optimized S > target_s.
+def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int = 0,
+                         xtol: float = 1e-3, mu_floor: float = 2e-3) -> float:
+    """Minimal symmetric detection efficiency with optimized S > 2 on the
+    |A>-heralded state.
 
     At each efficiency the polarization asymmetry of the pump and the four
-    analyzer angles are re-optimized.  The search is seeded from the exact
-    single-pair optimum, which pins the weakly entangled basin where the
-    violation margin near the critical efficiency is of order 1e-4; the
-    pump strength itself sits at ``mu_floor``, since the margin grows as
-    the multi-pair contamination (of order mu) shrinks.  The threshold is
+    analyzer angles are re-optimized, and the margin is S - 2.  The search
+    is seeded from the exact single-pair optimum, which pins the weakly
+    entangled basin where the margin near the critical efficiency is of
+    order 1e-4; the pump strength itself sits at ``mu_floor``, since the
+    margin grows as the multi-pair contamination (of order mu) shrinks.  The threshold is
     found by ``optimize.monotone_threshold``: a pre-scan that checks the
     optimized S is nondecreasing in the efficiency, then a bisection that
     searches only the efficiencies whose sign the scan leaves open.  Each
@@ -590,7 +571,7 @@ def efficiency_threshold(params: ExperimentParams, target_s: float = 2.0,
         raise ValueError(f"xtol must be finite and positive, got {xtol!r}")
     if not (math.isfinite(mu_floor) and mu_floor > 0.0):
         raise ValueError(f"mu_floor must be finite and positive, got {mu_floor!r}")
-    entries = _heralded_entries(params, basis)
+    entries = _heralded_entries(params)
     warm = {"x0": None}
 
     def margin(eta):
@@ -615,15 +596,15 @@ def efficiency_threshold(params: ExperimentParams, target_s: float = 2.0,
             starts.append(warm["x0"])
         best = best_run(maximize_starts_bfgs(objective, bounds, starts))
         warm["x0"] = best.x
-        return best.value - target_s
+        return best.value - 2.0
 
     return monotone_threshold(margin, lo, hi, xtol)
 
 
-def sfg_gain_threshold(params: ExperimentParams, objective: str = "rate",
-                       bracket=(1.0, 1e4), seed: int = 0, rtol: float = 0.01) -> float:
-    """Minimal multiplicative factor on the analyzer efficiency achieving
-    S > 2 (``objective="s"``) or a positive key rate (``objective="rate"``).
+def sfg_gain_threshold(params: ExperimentParams, bracket=(1.0, 1e4), seed: int = 0,
+                       rtol: float = 0.01) -> float:
+    """Minimal multiplicative factor on the analyzer efficiency achieving a
+    positive key rate (``optimize_key_rate``).
 
     The heralded entries are built once; the gain enters as an exact
     rescaling of their photon-herald part, so each gain only re-optimizes
@@ -635,28 +616,19 @@ def sfg_gain_threshold(params: ExperimentParams, objective: str = "rate",
     The bracket must satisfy 0 < lo < hi < inf, and ``rtol`` must be
     finite and positive.
     """
-    if objective not in ("s", "rate"):
-        raise ValueError("objective must be 's' or 'rate'")
     lo, hi = bracket
     if not 0.0 < lo < hi < math.inf:
         raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {tuple(bracket)!r}")
     if not (math.isfinite(rtol) and rtol > 0.0):
         raise ValueError(f"rtol must be finite and positive, got {rtol!r}")
-    entries, mu = _heralded_entries(params, "A"), _source_mu(params)
+    entries, mu = _heralded_entries(params), _source_mu(params)
     warm = {"x0": None}
 
     def margin(log_gain):
         kernel = SearchKernel(entries, params.analyzer_efficiencies(), math.exp(log_gain))
-        n = 8 if warm["x0"] is None else 4
-        if objective == "s":
-            res = _chsh_search(kernel, mu, seed, n, warm["x0"], None)
-            warm["x0"] = (res.settings.theta_a1, res.settings.theta_a2,
-                          res.settings.theta_b1, res.settings.theta_b2)
-            return res.value - 2.0
-        res = _key_rate_search(kernel, mu, seed, n, warm["x0"], None)
-        warm["x0"] = (res.settings.theta_a0, res.settings.theta_a1,
-                      res.settings.theta_a2, res.settings.theta_b1,
-                      res.settings.theta_b2)
+        res = _key_rate_search(kernel, mu, seed, 8 if warm["x0"] is None else 4, warm["x0"], None)
+        a = res.settings
+        warm["x0"] = (a.theta_a0, a.theta_a1, a.theta_a2, a.theta_b1, a.theta_b2)
         return res.value
 
     return math.exp(monotone_threshold(margin, math.log(lo), math.log(hi), rtol / 2.0))

@@ -91,52 +91,38 @@ def rotation_blocks(thetas, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _trig_phases(n: int):
-    """Frequencies and phases of ``trig_basis``: sin x = cos(x - pi/2)."""
+    """Frequencies, phases and factors of ``trig_basis_and_derivative``:
+    sin x = cos(x - pi/2) and d/dx cos(f x - s) = f cos(f x - s + pi/2)."""
     freq = 2.0 * np.concatenate([np.arange(n + 1), np.arange(1, n + 1)])
     shift = np.where(np.arange(2 * n + 1) > n, np.pi / 2, 0.0)
-    for arr in (freq, shift):
-        arr.setflags(write=False)
-    return freq, shift
-
-
-def trig_basis(thetas, n: int) -> np.ndarray:
-    """T[p, t] = (1, cos 2 theta_p, ..., cos 2n theta_p, sin 2 theta_p, ..., sin 2n theta_p)."""
-    freq, shift = _trig_phases(n)
-    return np.cos(np.multiply.outer(thetas, freq) - shift)
-
-
-@functools.lru_cache(maxsize=None)
-def _derivative_phases(n: int):
-    """Phases and factors of ``trig_basis_and_derivative``: d/dx cos(f x - s)
-    = f cos(f x - s + pi/2)."""
-    freq, shift = _trig_phases(n)
-    out = np.stack((shift, shift - np.pi / 2)), np.stack((np.ones_like(freq), freq))
+    out = freq, np.stack((shift, shift - np.pi / 2)), np.stack((np.ones_like(freq), freq))
     for arr in out:
         arr.setflags(write=False)
     return out
 
 
 def trig_basis_and_derivative(thetas, n: int) -> np.ndarray:
-    """T[p, 0, t] = ``trig_basis(thetas, n)[p, t]`` and T[p, 1, t] = its
-    derivative in theta_p, freq cos(freq theta_p - shift + pi/2)."""
-    freq, _ = _trig_phases(n)
-    phase, factor = _derivative_phases(n)
+    """T[p, 0, t] = (1, cos 2 theta_p, ..., cos 2n theta_p, sin 2 theta_p, ...,
+    sin 2n theta_p), the trig basis, and T[p, 1, t] its derivative in theta_p."""
+    freq, phase, factor = _trig_phases(n)
     return factor * np.cos(np.multiply.outer(thetas, freq)[..., None, :] - phase)
 
 
 def analyzer_coefficients(weight) -> np.ndarray:
     """C[t, N, a, a'] with O(theta, weight) of ``block_readout`` equal to
-    sum_t trig_basis(theta)[t] C[t].  On the N-photon block O(theta) is a
-    trig polynomial of degree N in 2 theta, so 2n + 1 equally spaced samples
-    over one period fix every block exactly: a discrete Fourier transform,
-    as the sampled basis is orthogonal with norms 2n + 1 and (2n + 1) / 2."""
+    sum_t T[t] C[t] over the trig basis T = ``trig_basis_and_derivative(theta)[0]``.
+    On the N-photon block O(theta) is a trig polynomial of degree N in
+    2 theta, so 2n + 1 equally spaced samples over one period fix every block
+    exactly: a discrete Fourier transform, as the sampled basis is orthogonal
+    with norms 2n + 1 and (2n + 1) / 2."""
     weight = np.asarray(weight)
     n = weight.shape[0] - 1
     thetas = np.pi * np.arange(2 * n + 1) / (2 * n + 1)
     r = rotation_blocks(-thetas, n)
     ops = np.einsum("pNca,Nc,pNcb->pNab", r, weight, r)
     norm = np.where(np.arange(2 * n + 1) == 0, 1.0, 2.0) / (2 * n + 1)
-    coef = norm[:, None] * (trig_basis(thetas, n).T @ ops.reshape(2 * n + 1, -1))
+    basis = trig_basis_and_derivative(thetas, n)[:, 0]
+    coef = norm[:, None] * (basis.T @ ops.reshape(2 * n + 1, -1))
     return coef.reshape(ops.shape)
 
 

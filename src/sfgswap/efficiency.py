@@ -141,8 +141,8 @@ def sfg_eff_effective(eta_th: float, a: SpectralProfile, b: SpectralProfile,
                       pm: SpectralProfile) -> float:
     """Effective efficiency: the theoretical value reduced by the overlap
     of the photon spectra with the phase-matching acceptance."""
-    if eta_th < 0.0:
-        raise ValueError("eta_th must be nonnegative")
+    if not (math.isfinite(eta_th) and eta_th >= 0.0):
+        raise ValueError(f"eta_th must be finite and nonnegative, got {eta_th!r}")
     return eta_th * spectral_overlap_gaussian(a, b, pm)
 
 

@@ -165,8 +165,7 @@ def test_criterion_6_gain_three_violates(current_experiment_chsh):
                           "but the implied QBER does not (see ledger)")
 def test_criterion_7_gain_threshold_ideal_collection():
     params = ideal_analyzer_params()
-    gain = sfg_gain_threshold(params, objective="rate", bracket=(3.0, 80.0),
-                              rtol=0.02)
+    gain = sfg_gain_threshold(params, bracket=(3.0, 80.0), rtol=0.02)
     ok = abs(gain - 50.0) <= 0.2 * 50.0
     report(7, ok, f"gain threshold (ideal collection) = {gain:.2f}, "
                   f"target 50 +/- 20%")
@@ -181,8 +180,7 @@ def test_criterion_7_gain_threshold_measured_collection():
     params = table_s1_params().replace(
         eta_1H=1.0, eta_1V=1.0, eta_2H=1.0, eta_2V=1.0,
         window_acceptance=1.0)
-    gain = sfg_gain_threshold(params, objective="rate", bracket=(8.0, 220.0),
-                              rtol=0.02)
+    gain = sfg_gain_threshold(params, bracket=(8.0, 220.0), rtol=0.02)
     ok = abs(gain - 140.0) <= 0.2 * 140.0
     report(7, ok, f"gain threshold (measured collection) = {gain:.2f}, "
                   f"target 140 +/- 20%")

@@ -56,8 +56,9 @@ def _kernel(params, effs=UNIT_EFFICIENCIES, gain=1.0, basis="A"):
 
 def _chsh_at(kernel, params, settings_):
     """CHSH value through ``kernel`` at the sources of ``params``."""
-    e = kernel.correlators((settings_.theta_a1, settings_.theta_a2),
-                           (settings_.theta_b1, settings_.theta_b2), _source_mu(params))
+    e = kernel.correlator_gradients((settings_.theta_a1, settings_.theta_a2),
+                                    (settings_.theta_b1, settings_.theta_b2),
+                                    _source_mu(params))[0]
     return e[0, 0] + e[1, 0] + e[0, 1] - e[1, 1]
 
 
@@ -137,7 +138,7 @@ def test_chsh_dual_route_equivalence(params):
     fast = _chsh_at(kernel, params, settings_)
     assert fast == pytest.approx(slow, abs=1e-10)
     slow_q = qber(rho, 0.3, -0.2, efficiencies=effs)
-    fast_q = _qber(kernel.correlators((0.3,), (-0.2,), _source_mu(params))[0, 0])
+    fast_q = _qber(kernel.correlator_gradients((0.3,), (-0.2,), _source_mu(params))[0][0, 0])
     assert fast_q == pytest.approx(slow_q, abs=1e-10)
 
 
@@ -355,7 +356,7 @@ def test_search_kernel_matches_block_readout_and_density_route(case, basis):
         thetas_a = rng.uniform(-math.pi / 2, math.pi / 2, size=3)
         thetas_b = rng.uniform(-math.pi / 2, math.pi / 2, size=2)
         local = _with_sources(params, mu)
-        e = kernel.correlators(thetas_a, thetas_b, mu)
+        e = kernel.correlator_gradients(thetas_a, thetas_b, mu)[0]
         slow = _readout(local, basis, thetas_a, thetas_b, effs, gain)
         assert np.abs(e - slow).max() <= 1e-13
         rho_sfg, psi_in = sfg_heralded_operator(local, basis=basis, gain=gain)
@@ -440,10 +441,7 @@ def test_search_kernel_stacked_points_match_lone_points(case):
     thetas_a = rng.uniform(-math.pi / 2, math.pi / 2, size=(6, 3))
     thetas_b = rng.uniform(-math.pi / 2, math.pi / 2, size=(6, 2))
     mu = rng.uniform(1e-4, 0.4, size=(6, 4))
-    stacked = kernel.correlators(thetas_a, thetas_b, mu)
-    for i in range(6):
-        assert np.array_equal(stacked[i], kernel.correlators(thetas_a[i], thetas_b[i], mu[i]))
-    # the gradient path: each of (E, dE_a, dE_b, dE_mu)
+    # each of (E, dE_a, dE_b, dE_mu)
     stacked = kernel.correlator_gradients(thetas_a, thetas_b, mu)
     for i in range(6):
         alone = kernel.correlator_gradients(thetas_a[i], thetas_b[i], mu[i])
@@ -551,7 +549,7 @@ def _central_difference(f, x, i, h):
 @pytest.mark.parametrize("case", list(GRADIENT_CASES))
 def test_correlator_gradients_match_central_differences(case, basis):
     # Every derivative of every correlator, in the angles and the four
-    # source strengths, against a central difference of ``correlators``.
+    # source strengths, against a central difference of the correlators.
     params, effs = GRADIENT_CASES[case]
     rng = np.random.default_rng(13)
     kernel = _kernel(params, effs, basis=basis)
@@ -560,24 +558,24 @@ def test_correlator_gradients_match_central_differences(case, basis):
         thetas_b = rng.uniform(-math.pi / 2, math.pi / 2, size=2)
         mu = rng.uniform(0.005, 0.3, size=4)
         e, de_a, de_b, de_mu = kernel.correlator_gradients(thetas_a, thetas_b, mu)
-        assert np.abs(e - kernel.correlators(thetas_a, thetas_b, mu)).max() <= 1e-14
         for p in range(3):
-            fd = _central_difference(lambda t: kernel.correlators(t, thetas_b, mu=mu),
+            fd = _central_difference(lambda t: kernel.correlator_gradients(t, thetas_b, mu)[0],
                                      thetas_a, p, 1e-6)
             assert np.abs(fd[p] - de_a[p]).max() <= 1e-8
             assert np.abs(np.delete(fd, p, axis=0)).max() <= 1e-8
         for q in range(2):
-            fd = _central_difference(lambda t: kernel.correlators(thetas_a, t, mu=mu),
+            fd = _central_difference(lambda t: kernel.correlator_gradients(thetas_a, t, mu)[0],
                                      thetas_b, q, 1e-6)
             assert np.abs(fd[:, q] - de_b[:, q]).max() <= 1e-8
             assert np.abs(np.delete(fd, q, axis=1)).max() <= 1e-8
         for k in range(4):
             # a relative step: rounding of E over the step stays near 1e-10
-            fd = _central_difference(lambda m: kernel.correlators(thetas_a, thetas_b, mu=m),
-                                     mu, k, 1e-5 * mu[k])
+            fd = _central_difference(
+                lambda m: kernel.correlator_gradients(thetas_a, thetas_b, m)[0],
+                mu, k, 1e-5 * mu[k])
             assert np.abs(fd - de_mu[k]).max() <= 1e-8
-        # The correlators of the gradient path are those of block_readout on
-        # the state at these sources.
+        # The correlators are those of block_readout on the state at these
+        # sources.
         slow = _readout(_with_sources(params, mu), basis, thetas_a, thetas_b, effs, 1.0)
         assert np.abs(e - slow).max() <= 1e-13
 
@@ -714,8 +712,8 @@ def test_key_rate_gradient_matches_central_differences(monkeypatch):
         objective, optimum = _key_rate_search(monkeypatch, params, gain)
         points = np.concatenate((optimum + rng.normal(scale=0.2, size=(30, 5)),
                                  rng.uniform(-math.pi / 2, math.pi / 2, size=(30, 5))))
-        e = _kernel(params, gain=gain).correlators(points[:, [1, 2, 0]], points[:, 3:5],
-                                                   _source_mu(params))
+        e = _kernel(params, gain=gain).correlator_gradients(points[:, [1, 2, 0]], points[:, 3:5],
+                                                            _source_mu(params))[0]
         s = e[:, 0, 0] + e[:, 1, 0] + e[:, 0, 1] - e[:, 1, 1]
         q = (1.0 - e[:, 2, 0]) / 2.0
         away = ((abs(s - 2.0) > 0.02) & (s < TSIRELSON - 0.02)
@@ -750,14 +748,25 @@ def test_key_rate_reports_the_qber_after_the_key_bit_flip():
         opt = optimize_key_rate(params, seed=seed, n_starts=3,
                                 x0=(math.pi / 2,) + CANONICAL_X0)
         settings_ = opt.settings
-        e = kernel.correlators((settings_.theta_a1, settings_.theta_a2, settings_.theta_a0),
-                               (settings_.theta_b1, settings_.theta_b2), _source_mu(params))
+        e = kernel.correlator_gradients(
+            (settings_.theta_a1, settings_.theta_a2, settings_.theta_a0),
+            (settings_.theta_b1, settings_.theta_b2), _source_mu(params))[0]
         raw = _qber(e[2, 0])
         flipped += raw > 0.5
         assert opt.q <= 0.5
         assert opt.q == pytest.approx(min(raw, 1.0 - raw), abs=1e-14)
         assert opt.value == pytest.approx(dw_key_rate(opt.s, raw), abs=1e-12)
     assert 0 < flipped < 6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("gain", [3.0, 30.0, 50.0])
+def test_key_rate_optimum_is_the_rate_of_its_own_s_and_q(gain, seed):
+    # The reported S and Q are read at the optimum through the search's own
+    # path, so the rate is exactly that of the reported pair.
+    opt = optimize_key_rate(_preset("paper-tableS1", **UNIT_ANALYZER), gain=gain, seed=seed,
+                            n_starts=2)
+    assert opt.value == dw_key_rate(opt.s, opt.q)
 
 
 def test_dw_key_rate_slopes_at_the_clamps():

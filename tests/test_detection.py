@@ -32,7 +32,7 @@ from sfgswap.detection import (
     arm_click_probs,
     block_readout,
     rotation_blocks,
-    trig_basis,
+    trig_basis_and_derivative,
 )
 
 
@@ -238,5 +238,6 @@ def test_analyzer_operator_is_a_trig_polynomial(n):
     r = rotation_blocks(-thetas, n)
     for weight in (*arm_click_probs(0.9, 0.6, n), rng.uniform(-1.0, 1.0, (n + 1, n + 1))):
         exact = np.einsum("pNca,Nc,pNcb->pNab", r, weight, r)
-        poly = np.einsum("pt,tNab->pNab", trig_basis(thetas, n), analyzer_coefficients(weight))
+        poly = np.einsum("pt,tNab->pNab", trig_basis_and_derivative(thetas, n)[:, 0],
+                         analyzer_coefficients(weight))
         assert np.abs(poly - exact).max() <= 1e-13

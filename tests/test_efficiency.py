@@ -193,6 +193,14 @@ def test_effective_efficiency_reduces_theoretical():
         sfg_eff_effective(-1.0, a, b, pm)
 
 
+@pytest.mark.parametrize("eta_th", [math.nan, math.inf, -1.0])
+def test_effective_efficiency_refuses_non_finite_and_negative(eta_th):
+    # NaN and inf slip through a `< 0` test; the message names the value.
+    with pytest.raises(ValueError, match=re.escape(
+            f"eta_th must be finite and nonnegative, got {eta_th!r}")):
+        sfg_eff_effective(eta_th, *profiles())
+
+
 def test_fidelity_lower_bound():
     assert fidelity_lower_bound(0.8, 0.7) == pytest.approx(0.75)
     with pytest.raises(ValueError):
