@@ -33,8 +33,7 @@ from .optimize import (
 )
 from .protocols import ExperimentParams, heralding_filter
 
-RT2 = math.sqrt(2.0)
-TSIRELSON = 2.0 * RT2
+TSIRELSON = 2.0 * math.sqrt(2.0)
 
 
 @functools.lru_cache(maxsize=256)
@@ -285,6 +284,12 @@ _KEY_ANGLES_A = np.array([1, 2, 0])
 # where a search stops short of an optimum across the edge.
 _FREE_ANGLES = [(-math.inf, math.inf)] * 4
 
+# The pump-strength box (lo, hi) of a free-mu CHSH search, the pump strength
+# of the efficiency-threshold margin, and the seed of the gain-threshold ones.
+MU_BOUNDS = (1e-6, 0.4)
+MU_FLOOR = 2e-3
+GAIN_SEED = 0
+
 
 def _angle_start(r):
     """Analyzer angles uniform in [-pi/2, pi/2) from a point r of the unit
@@ -315,8 +320,7 @@ def _chsh_gradient(e, de_a, de_b, de_mu=None):
 
 
 def optimize_chsh(params: ExperimentParams, free_mu: bool = False, gain: float = 1.0,
-                  seed: int = 0, n_starts: int = 16, x0=None,
-                  mu_bounds=(1e-6, 0.4), trace=None) -> ChshOptimum:
+                  seed: int = 0, n_starts: int = 16, x0=None, trace=None) -> ChshOptimum:
     """Maximize the CHSH value over analyzer angles (and optionally the
     mean photon numbers of the sources) on the |A>-heralded state, read
     through the analyzer efficiencies of ``params``.
@@ -324,24 +328,21 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False, gain: float =
     The heralding filter is built once, and each evaluation rescales its
     nonzero entries by the source amplitudes: those of ``params``, or with
     ``free_mu`` two pump strengths varied per polarization within
-    ``mu_bounds``, which must be finite with 0 < lo < hi, and shared
-    between the sources.  The search is ``optimize.multistart_maximize`` on
-    the exact gradient (``_chsh_gradient``); the angles run unbounded, and
-    random starts are drawn within one period.  A free-mu search runs over
-    ln mu, so that a step changes a pump strength in proportion to it,
-    which keeps a search from being drawn at once to the weak-pump edge of
-    the box; its random starts are still uniform in mu.  Its landscape has
-    a pair of optima that an exchange of H and V nearly maps onto each
-    other (one with the H pump strong, one with the V pump strong), and a
-    local search reaches only one of them, so the search goes on from the
-    mirror image of its best point (``_mirror``) as start ``n_starts`` and
-    keeps the better.  Its trace lists both searches, with (mu_H, mu_V) as
-    x0 and x1, mapped from the 12 printed digits of ln mu, so to about 10
-    digits.
+    ``MU_BOUNDS`` and shared between the sources.  The search is
+    ``optimize.multistart_maximize`` on the exact gradient
+    (``_chsh_gradient``); the angles run unbounded, and random starts are
+    drawn within one period.  A free-mu search runs over ln mu, so that a
+    step changes a pump strength in proportion to it, which keeps a search
+    from being drawn at once to the weak-pump edge of the box; its random
+    starts are still uniform in mu.  Its landscape has a pair of optima that
+    an exchange of H and V nearly maps onto each other (one with the H pump
+    strong, one with the V pump strong), and a local search reaches only one
+    of them, so the search goes on from the mirror image of its best point
+    (``_mirror``) as start ``n_starts`` and keeps the better.  Its trace
+    lists both searches, with (mu_H, mu_V) as x0 and x1, mapped from the 12
+    printed digits of ln mu, so to about 10 digits.
     """
-    lo, hi = mu_bounds
-    if free_mu and not 0.0 < lo < hi < math.inf:
-        raise ValueError(f"mu_bounds must satisfy 0 < lo < hi < inf, got {tuple(mu_bounds)!r}")
+    lo, hi = MU_BOUNDS
     kernel = SearchKernel(_heralded_entries(params), params.analyzer_efficiencies(), gain)
     if not free_mu:
         mu = _source_mu(params)
@@ -540,7 +541,7 @@ def _partial_entanglement_seed(eta: float):
 
 
 def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int = 0,
-                         xtol: float = 1e-3, mu_floor: float = 2e-3) -> float:
+                         xtol: float = 1e-3) -> float:
     """Minimal symmetric detection efficiency with optimized S > 2 on the
     |A>-heralded state.
 
@@ -548,29 +549,26 @@ def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int
     analyzer angles are re-optimized, and the margin is S - 2.  The search
     is seeded from the exact single-pair optimum, which pins the weakly
     entangled basin where the margin near the critical efficiency is of
-    order 1e-4; the pump strength itself sits at ``mu_floor``, since the
-    margin grows as the multi-pair contamination (of order mu) shrinks.  The threshold is
-    found by ``optimize.monotone_threshold``: a pre-scan that checks the
-    optimized S is nondecreasing in the efficiency, then a bisection that
-    searches only the efficiencies whose sign the scan leaves open.  Each
-    efficiency's search runs its two or three starts (the seed, the
-    canonical angles, and the optimum of the last efficiency searched) in
-    lockstep and keeps the first of the best.  Both the seed and this
+    order 1e-4; the pump strength sits at ``MU_FLOOR``, since the margin
+    grows as the multi-pair contamination (of order mu) shrinks.  The
+    threshold is found by ``optimize.monotone_threshold``: a pre-scan that
+    checks the optimized S is nondecreasing in the efficiency, then a
+    bisection that searches only the efficiencies whose sign the scan leaves
+    open.  Each efficiency's search runs its two or three starts (the seed,
+    the canonical angles, and the optimum of the last efficiency searched)
+    in lockstep and keeps the first of the best.  Both the seed and this
     search are projected BFGS (``optimize.maximize_starts_bfgs``) on exact
-    gradients: the seed's in closed form, this one from
-    ``_chsh_gradient``.  Every start is given, so ``seed`` does not change
-    the result.
+    gradients: the seed's in closed form, this one from ``_chsh_gradient``.
+    Every start is given, so ``seed`` does not change the result.
 
-    The bracket must satisfy 0 < lo < hi <= 1, ``xtol`` must be finite and
-    positive, and ``mu_floor`` finite and positive.
+    The bracket must satisfy 0 < lo < hi <= 1, and ``xtol`` must be finite
+    and positive.
     """
     lo, hi = bracket
     if not 0.0 < lo < hi <= 1.0:
         raise ValueError(f"bracket must satisfy 0 < lo < hi <= 1, got {tuple(bracket)!r}")
     if not (math.isfinite(xtol) and xtol > 0.0):
         raise ValueError(f"xtol must be finite and positive, got {xtol!r}")
-    if not (math.isfinite(mu_floor) and mu_floor > 0.0):
-        raise ValueError(f"mu_floor must be finite and positive, got {mu_floor!r}")
     entries = _heralded_entries(params)
     warm = {"x0": None}
 
@@ -579,13 +577,13 @@ def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int
         ratio0, angles0 = _partial_entanglement_seed(eta)
 
         def objective(x):
-            # x = (ratio, a1, a2, b1, b2) with mu = mu_floor (1, ratio, 1, ratio)
-            mu = np.full((len(x), 4), mu_floor)
-            mu[:, 1::2] = mu_floor * x[:, :1]
+            # x = (ratio, a1, a2, b1, b2) with mu = MU_FLOOR (1, ratio, 1, ratio)
+            mu = np.full((len(x), 4), MU_FLOOR)
+            mu[:, 1::2] = MU_FLOOR * x[:, :1]
             s, ds_a, ds_b, ds_mu = _chsh_gradient(
                 *kernel.correlator_gradients(x[:, 1:3], x[:, 3:5], mu))
             grad = np.empty_like(x)
-            grad[:, 0] = mu_floor * ds_mu[:, 1]
+            grad[:, 0] = MU_FLOOR * ds_mu[:, 1]
             grad[:, 1:3] = ds_a
             grad[:, 3:5] = ds_b
             return s, grad
@@ -601,17 +599,16 @@ def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int
     return monotone_threshold(margin, lo, hi, xtol)
 
 
-def sfg_gain_threshold(params: ExperimentParams, bracket=(1.0, 1e4), seed: int = 0,
-                       rtol: float = 0.01) -> float:
+def sfg_gain_threshold(params: ExperimentParams, bracket=(1.0, 1e4), rtol: float = 0.01) -> float:
     """Minimal multiplicative factor on the analyzer efficiency achieving a
     positive key rate (``optimize_key_rate``).
 
     The heralded entries are built once; the gain enters as an exact
     rescaling of their photon-herald part, so each gain only re-optimizes
     angles.  The first search runs 8 starts; each later one runs 4, the
-    first of them the optimum of the last gain searched.  The threshold is
-    found over ln(gain) by ``optimize.monotone_threshold``, to within
-    ``rtol / 2`` there.
+    first of them the optimum of the last gain searched, and the others
+    drawn with the seed ``GAIN_SEED``.  The threshold is found over ln(gain)
+    by ``optimize.monotone_threshold``, to within ``rtol / 2`` there.
 
     The bracket must satisfy 0 < lo < hi < inf, and ``rtol`` must be
     finite and positive.
@@ -626,7 +623,8 @@ def sfg_gain_threshold(params: ExperimentParams, bracket=(1.0, 1e4), seed: int =
 
     def margin(log_gain):
         kernel = SearchKernel(entries, params.analyzer_efficiencies(), math.exp(log_gain))
-        res = _key_rate_search(kernel, mu, seed, 8 if warm["x0"] is None else 4, warm["x0"], None)
+        n_starts = 8 if warm["x0"] is None else 4
+        res = _key_rate_search(kernel, mu, GAIN_SEED, n_starts, warm["x0"], None)
         a = res.settings
         warm["x0"] = (a.theta_a0, a.theta_a1, a.theta_a2, a.theta_b1, a.theta_b2)
         return res.value

@@ -82,12 +82,6 @@ def _finite_values(values, m: int) -> list:
     return values
 
 
-def _box(bounds):
-    """Lower and upper edges of box ``bounds`` as float arrays."""
-    return (np.array([float(lo) for lo, _ in bounds]),
-            np.array([float(hi) for _, hi in bounds]))
-
-
 # Projected BFGS (``bfgs_steps``).  A search has converged when no component
 # of its projected gradient exceeds QN_GTOL.  A trial step is accepted by the
 # Armijo test with constant QN_ARMIJO when it changes the objective by more
@@ -193,7 +187,7 @@ def maximize_starts_bfgs(objective, bounds, starts, trace: io.TextIOBase = None)
         One OptimizeResult per start, in order, each with that start's own
         evaluation count (one value with its gradient per evaluation).
     """
-    lows, highs = _box(bounds)
+    lows, highs = np.array(bounds, dtype=float).T
     rows = [[] for _ in starts]
 
     def evaluate(x, owners):
@@ -347,14 +341,15 @@ def monotone_threshold(f, lo: float, hi: float, xtol: float) -> float:
 
     f is first sampled, in order, at the PRESCAN_POINTS points of
     ``np.linspace(lo, hi, PRESCAN_POINTS)``; a scan that falls anywhere by
-    more than 1e-12, or whose ends show no sign change, is refused.  Then
-    [lo, hi] is halved down to ``xtol``.  A midpoint at or above the first
-    positive sample after the last non-positive one is positive, and one at
-    or below that non-positive sample is not; f is evaluated only at the
-    midpoints between the two, so no point is evaluated twice.  Returns the
-    upper end of the final bracket.  The bracket must be finite with lo <
-    hi, and ``xtol`` finite and positive, or the halving would never stop;
-    both are checked before f is called.
+    more than 1e-12 (reported with its largest fall and sample), or whose
+    ends show no sign change, is refused.  Then [lo, hi] is halved down to
+    ``xtol``.  A midpoint at or above the first positive sample after the
+    last non-positive one is positive, and one at or below that non-positive
+    sample is not; f is evaluated only at the midpoints between the two, so
+    no point is evaluated twice.  Returns the upper end of the final
+    bracket.  The bracket must be finite with lo < hi, and ``xtol`` finite
+    and positive, or the halving would never stop; both are checked before f
+    is called.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bracket must be finite with lo < hi, got ({lo!r}, {hi!r})")
@@ -363,7 +358,10 @@ def monotone_threshold(f, lo: float, hi: float, xtol: float) -> float:
     xs = np.linspace(lo, hi, PRESCAN_POINTS)
     ys = [f(x) for x in xs]
     if not all(ys[i + 1] >= ys[i] - 1e-12 for i in range(PRESCAN_POINTS - 1)):
-        raise ValueError("objective is not monotone over the bracket")
+        i = max(range(PRESCAN_POINTS - 1), key=lambda k: ys[k] - ys[k + 1])
+        raise ValueError(f"objective is not monotone over the bracket: it falls most, by "
+                         f"{ys[i] - ys[i + 1]:.3g}, from x = {xs[i]:.6g} to {xs[i + 1]:.6g}, "
+                         f"and its largest sample is {max(ys):.3g}")
     if ys[0] > 0.0:
         raise ValueError("objective already positive at the lower bracket edge")
     if ys[-1] <= 0.0:

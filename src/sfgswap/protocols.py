@@ -48,7 +48,6 @@ from .detection import (
 )
 from .optics import SfgParams, SourceParams
 
-HERALD_TARGET = {"A": "phi_minus", "D": "phi_plus"}
 # Analyzer angle of both parties in the Z and X visibility measurements.
 VISIBILITY_BASES = (("z", 0.0), ("x", math.pi / 4))
 # Largest pair_cap accepted.  The layouts grow as C(pair_cap + 8, 8) rows

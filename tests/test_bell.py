@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -241,21 +242,30 @@ def test_efficiency_threshold_eberhard_limit():
     ({"xtol": 0.0}, "xtol"),
     ({"xtol": -1e-3}, "xtol"),
     ({"xtol": float("inf")}, "xtol"),
-    ({"mu_floor": 0.0}, "mu_floor"),
-    ({"mu_floor": float("nan")}, "mu_floor"),
-    ({"mu_floor": -2e-3}, "mu_floor"),
-    ({"mu_floor": float("inf")}, "mu_floor"),
 ], ids=["hi-above-1", "reversed", "lo-zero", "lo-nan", "xtol-nan", "xtol-zero",
-        "xtol-negative", "xtol-inf", "mu-zero", "mu-nan", "mu-negative", "mu-inf"])
+        "xtol-negative", "xtol-inf"])
 def test_efficiency_threshold_rejects_bad_arguments(monkeypatch, kwargs, argument):
     # Rejected by name before any search (each search starts from the
     # heralding filter, so none may run).  Unchecked, xtol = nan ends the
-    # bisection at once with the upper bracket edge as the threshold, and
-    # mu_floor = 0 or nan fails in the kernel with "zero total herald
-    # probability".
+    # bisection at once with the upper bracket edge as the threshold.
     monkeypatch.setattr(bell, "heralding_filter", None)
     with pytest.raises(ValueError, match=argument):
         efficiency_threshold(_preset("ideal", pair_cap=2), **kwargs)
+
+
+def test_efficiency_threshold_refusal_shows_the_scan():
+    # On paper-tableS1 dark counts (6.7e-11 per pulse) outweigh the photon
+    # herald (7.5e-12), so no efficiency violates CHSH: every margin of the
+    # scan is negative and falls with the efficiency, from about -8.0e-7 at
+    # 0.5 to -1.6e-6 at 1.  The refusal names its largest fall and sample.
+    with pytest.raises(ValueError, match="objective is not monotone over the bracket") as err:
+        efficiency_threshold(_preset("paper-tableS1", pair_cap=2))
+    found = re.search(r"falls most, by (\S+), from x = (\S+) to (\S+), and its largest sample "
+                      r"is (\S+)$", str(err.value))
+    fall, x_from, x_to, largest = map(float, found.groups())
+    assert fall == pytest.approx(1.14e-7, abs=0.01e-7)
+    assert x_to - x_from == pytest.approx(1.0 / 14.0, abs=1e-6)
+    assert largest == pytest.approx(-7.99e-7, abs=0.01e-7)
 
 
 @pytest.mark.parametrize("kwargs, argument", [
@@ -279,19 +289,6 @@ def test_sfg_gain_threshold_rejects_bad_arguments(monkeypatch, kwargs, argument)
     monkeypatch.setattr(bell, "heralding_filter", None)
     with pytest.raises(ValueError, match=argument):
         sfg_gain_threshold(_preset("ideal", pair_cap=2), **kwargs)
-
-
-@pytest.mark.parametrize("mu_bounds", [
-    (0.1, 0.05), (0.1, 0.1), (0.0, 0.4), (-0.1, 0.4), (float("nan"), 0.4), (1e-6, float("inf")),
-], ids=["reversed", "empty", "lo-zero", "lo-negative", "lo-nan", "hi-inf"])
-def test_free_mu_search_rejects_bad_mu_bounds(monkeypatch, mu_bounds):
-    # Rejected before the heralding filter is built.  Unchecked, (0.1, 0.05)
-    # returned mu = 0.05, outside the box, and lo = 0 makes the gradient in
-    # mu, which goes as 1 / (2 mu (1 + mu)), infinite.
-    monkeypatch.setattr(bell, "heralding_filter", None)
-    with pytest.raises(ValueError, match="mu_bounds"):
-        optimize_chsh(_preset("ideal", pair_cap=2), free_mu=True, mu_bounds=mu_bounds,
-                      n_starts=1)
 
 
 def test_optima_report_best_start_diagnostics():
@@ -508,7 +505,7 @@ def test_free_mu_search_goes_on_from_the_mirror_image(monkeypatch):
                                                                   for a in best[2:]])
     assert max(run.value for run in seeded) < mirrored.value == opt.value
     assert opt.start_index == 8
-    assert opt.mu_h < opt.mu_v == pytest.approx(MU_BOUNDS[1])
+    assert opt.mu_h < opt.mu_v == pytest.approx(bell.MU_BOUNDS[1])
 
 
 def test_free_mu_trace_lists_mu():
@@ -523,7 +520,8 @@ def test_free_mu_trace_lists_mu():
     assert len(rows) == opt.n_evaluations
     assert sorted({int(r[0]) for r in rows}) == [0, 1, 2, 3]
     mu = np.array([[float(v) for v in r[3:5]] for r in rows])
-    assert (MU_BOUNDS[0] * (1 - 1e-9) <= mu).all() and (mu <= MU_BOUNDS[1] * (1 + 1e-9)).all()
+    lo, hi = bell.MU_BOUNDS
+    assert (lo * (1 - 1e-9) <= mu).all() and (mu <= hi * (1 + 1e-9)).all()
     assert [float(v) for v in rows[0][3:5]] == pytest.approx([0.05, 0.05], rel=1e-10)
     best = max((r for r in rows if int(r[0]) == opt.start_index), key=lambda r: float(r[2]))
     assert float(best[2]) == pytest.approx(opt.value, abs=1e-11)
@@ -630,8 +628,6 @@ def _ideal_analyzer(**kwargs):
                    eta_2H=1.0, eta_2V=1.0, window_acceptance=1.0, **kwargs)
 
 
-MU_BOUNDS = (1e-6, 0.4)
-
 # (parameters, gain, seed, number of starts)
 SIMPLEX_CASES = {
     "ideal": (_preset("ideal"), 1.0, 5, 3),
@@ -652,7 +648,7 @@ def test_searches_match_or_beat_the_simplex(monkeypatch, case, search):
     # From the same starts, the best projected-BFGS optimum is no lower than
     # the best Nelder-Mead optimum (less 1e-12), the simplex run as these
     # searches ran it before: over the angles in one period and over mu (not
-    # ln mu) in mu_bounds, each vertex clipped into that box, to xatol 1e-6
+    # ln mu) in bell.MU_BOUNDS, each vertex clipped into that box, to xatol 1e-6
     # and fatol 1e-12.
     params, gain, seed, n_starts = SIMPLEX_CASES[case]
     captured = {}
@@ -669,11 +665,11 @@ def test_searches_match_or_beat_the_simplex(monkeypatch, case, search):
         opt = optimize_key_rate(params, gain=gain, n_starts=n_starts, seed=seed)
     else:
         opt = optimize_chsh(params, free_mu=search == "chsh-free-mu", gain=gain,
-                            n_starts=n_starts, seed=seed, mu_bounds=MU_BOUNDS)
+                            n_starts=n_starts, seed=seed)
     starts, objective = captured["starts"], captured["objective"]
     box = _angle_bounds(len(starts[0]))
     if search == "chsh-free-mu":
-        box[:2] = [MU_BOUNDS] * 2
+        box[:2] = [bell.MU_BOUNDS] * 2
         starts = [np.concatenate((np.exp(x[:2]), x[2:])) for x in starts]
         simplex = maximize_starts(
             lambda x: objective(np.concatenate((np.log(x[:, :2]), x[:, 2:]), axis=1))[0],

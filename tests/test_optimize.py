@@ -244,6 +244,24 @@ def test_multistart_rejects_non_finite_objective():
                             n_starts=1)
 
 
+@pytest.mark.parametrize("x0", [(float("nan"),), (float("inf"),)], ids=["nan", "inf"])
+def test_multistart_rejects_non_finite_start(x0):
+    # Refused before the objective is called.
+    def objective(x):
+        raise AssertionError("objective called")
+
+    with pytest.raises(ValueError, match="every start must be finite"):
+        multistart_maximize(objective, [(-1.0, 1.0)], _onto([(-1.0, 1.0)]), n_starts=1, x0=x0)
+
+
+def test_maximize_rejects_a_wrong_number_of_values():
+    def objective(x):
+        return [0.0] * (len(x) + 1), np.zeros_like(x)
+
+    with pytest.raises(ValueError, match="objective returned 3 values for 2 points"):
+        maximize_starts_bfgs(objective, [(-1.0, 1.0)], [(0.0,), (0.5,)])
+
+
 def test_multistart_trace_stream():
     stream = io.StringIO()
     multistart_maximize(_rows(lambda x: -x[0] ** 2), [(-1.0, 1.0)], _onto([(-1.0, 1.0)]),
@@ -280,6 +298,15 @@ def test_prescan_monotone():
     x = monotone_threshold(lambda x: x - 0.5 if x > 0.5 else -0.1 - (1e-13 if x > 0.2 else 0.0),
                            0.0, 1.0, xtol=1e-3)
     assert 0.5 < x <= 0.5 + 1e-3
+
+
+def test_prescan_refusal_shows_the_largest_fall_and_sample():
+    # The samples are k/7 below 1/2 and k/7 - 1 above it: the one fall is
+    # 6/7, from 3/7 to 4/7, and the largest sample is 3/7.
+    with pytest.raises(ValueError, match=r"^objective is not monotone over the bracket: it "
+                       r"falls most, by 0\.857, from x = 0\.428571 to 0\.571429, and its "
+                       r"largest sample is 0\.429$"):
+        monotone_threshold(lambda x: x if x < 0.5 else x - 1.0, 0.0, 1.0, xtol=1e-3)
 
 
 def test_bisect_threshold_root():

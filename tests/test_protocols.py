@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_oracle import dense_density, product_basis
 from density_route import (
@@ -77,6 +79,44 @@ def test_experiment_params_rejects_pair_cap_above_the_maximum_by_name(pair_cap):
 
 def test_experiment_params_accepts_pair_cap_up_to_the_maximum():
     assert ideal_params(pair_cap=10).pair_cap == 10
+
+
+@pytest.mark.parametrize("dark", [-0.1, 1.0, float("nan")])
+def test_experiment_params_rejects_bad_dark_by_name(dark):
+    # A dark-count probability of 1 would leave no photon herald to weigh.
+    with pytest.raises(ValueError, match=r"dark must be in \[0, 1\)"):
+        ideal_params(dark=dark)
+
+
+_EFFICIENCY = st.floats(0.05, 1.0)
+
+
+@st.composite
+def _experiments(draw):
+    """Lossless-channel experiments with every other efficiency drawn."""
+    mu = [draw(st.floats(1e-3, 0.3)) for _ in range(4)]
+    names = ("eta_tH", "eta_tV", "eta_1H", "eta_1V", "eta_2H", "eta_2V", "eta_d",
+             "window_acceptance")
+    return ExperimentParams(eps1=SourceParams(*mu[:2]), eps2=SourceParams(*mu[2:]),
+                            sfg=SfgParams(draw(_EFFICIENCY), draw(_EFFICIENCY)),
+                            dark=draw(st.floats(0.0, 1e-3)),
+                            pair_cap=draw(st.integers(2, 3)),
+                            **{name: draw(_EFFICIENCY) for name in names})
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_experiments(), s=_EFFICIENCY)
+def test_swap_reports_are_physical_and_the_herald_scales_with_the_channels(params, s):
+    # Visibilities are correlators of +/-1 outcomes and the herald is a
+    # probability, for both analyzers; the photon herald of the SFG swap
+    # needs one photon through each channel, so a uniform channel
+    # transmittance s scales it by s^2.
+    lossy = params.replace(**dict.fromkeys(("t1H", "t1V", "t2H", "t2V"), s))
+    sfg, sfg_lossy = sfg_swap(params), sfg_swap(lossy)
+    for report in (sfg, sfg_lossy, lo_swap(params), lo_swap(lossy)):
+        assert abs(report.v_z) <= 1.0 and abs(report.v_x) <= 1.0
+        assert 0.0 < report.herald_prob <= 1.0
+    assert sfg_lossy.herald_prob == pytest.approx(s * s * sfg.herald_prob, rel=1e-12, abs=0.0)
 
 
 def test_heralded_operator_matches_kraus_route_at_two_pairs():
