@@ -12,7 +12,6 @@ from .bell import (
     optimize_key_rate,
     sfg_gain_threshold,
 )
-from .detection import CoincidenceEfficiencies
 from .efficiency import (
     CrystalParams,
     SfgBenchInputs,
@@ -24,7 +23,6 @@ from .efficiency import (
     sfg_eff_theoretical,
     spectral_overlap_gaussian,
 )
-from .optics import SfgParams, SourceParams
 from .presets import get_preset, presets, swap_params
 from .protocols import (
     ExperimentParams,

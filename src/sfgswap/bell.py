@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detection import (
-    CoincidenceEfficiencies,
     analyzer_coefficients,
     arm_click_probs,
     trig_basis_and_derivative,
@@ -121,7 +120,7 @@ def _heralded_entries(params: ExperimentParams) -> HeraldedEntries:
 
 def _source_mu(params: ExperimentParams) -> np.ndarray:
     """The mean photon numbers (1H, 1V, 2H, 2V) of the sources of ``params``."""
-    return np.array([params.eps1.mu_H, params.eps1.mu_V, params.eps2.mu_H, params.eps2.mu_V])
+    return np.array([params.mu_1h, params.mu_1v, params.mu_2h, params.mu_2v])
 
 
 class SearchKernel:
@@ -131,15 +130,16 @@ class SearchKernel:
     (``_outcome_coefficients``), gathered at the state's nonzero entries
     (``HeraldedEntries``), so an evaluation at new angles and source
     strengths is a few small array operations.  Equals
-    ``detection.block_readout`` on the block density divided by its trace.
+    ``detection.block_readout`` on the block density divided by its trace,
+    read through the analyzer efficiencies (``eta_1h`` to ``eta_2v``) of
+    ``analyzer``.
     """
 
-    def __init__(self, entries: HeraldedEntries, efficiencies: CoincidenceEfficiencies,
-                 gain: float = 1.0):
+    def __init__(self, entries: HeraldedEntries, analyzer: ExperimentParams, gain: float = 1.0):
         N, a, a2, M, b, b2 = entries.index
         n = entries.n
-        self._ca = _outcome_coefficients(efficiencies.d_H, efficiencies.d_V, n)[:, N, a, a2]
-        self._cb = _outcome_coefficients(efficiencies.e_H, efficiencies.e_V, n)[:, M, b, b2]
+        self._ca = _outcome_coefficients(analyzer.eta_1h, analyzer.eta_1v, n)[:, N, a, a2]
+        self._cb = _outcome_coefficients(analyzer.eta_2h, analyzer.eta_2v, n)[:, M, b, b2]
         self._weight = gain * entries.sfg + entries.dark
         self._n_diagonal = entries.n_diagonal
         self._n = n
@@ -343,7 +343,7 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False, gain: float =
     printed digits of ln mu, so to about 10 digits.
     """
     lo, hi = MU_BOUNDS
-    kernel = SearchKernel(_heralded_entries(params), params.analyzer_efficiencies(), gain)
+    kernel = SearchKernel(_heralded_entries(params), params, gain)
     if not free_mu:
         mu = _source_mu(params)
 
@@ -425,7 +425,7 @@ def optimize_key_rate(params: ExperimentParams, gain: float = 1.0, seed: int = 0
     the optimum through the search's own path, so r = ``dw_key_rate(S, Q)``
     holds exactly.
     """
-    kernel = SearchKernel(_heralded_entries(params), params.analyzer_efficiencies(), gain)
+    kernel = SearchKernel(_heralded_entries(params), params, gain)
     return _key_rate_search(kernel, _source_mu(params), seed, n_starts, x0, trace)
 
 
@@ -573,7 +573,8 @@ def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int
     warm = {"x0": None}
 
     def margin(eta):
-        kernel = SearchKernel(entries, CoincidenceEfficiencies(eta, eta, eta, eta))
+        analyzer = params.replace(eta_1h=eta, eta_1v=eta, eta_2h=eta, eta_2v=eta)
+        kernel = SearchKernel(entries, analyzer)
         ratio0, angles0 = _partial_entanglement_seed(eta)
 
         def objective(x):
@@ -622,7 +623,7 @@ def sfg_gain_threshold(params: ExperimentParams, bracket=(1.0, 1e4), rtol: float
     warm = {"x0": None}
 
     def margin(log_gain):
-        kernel = SearchKernel(entries, params.analyzer_efficiencies(), math.exp(log_gain))
+        kernel = SearchKernel(entries, params, math.exp(log_gain))
         n_starts = 8 if warm["x0"] is None else 4
         res = _key_rate_search(kernel, mu, GAIN_SEED, n_starts, warm["x0"], None)
         a = res.settings

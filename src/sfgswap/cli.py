@@ -326,7 +326,8 @@ def _run_teleport(config, experiment):
     rep = teleport(params, opts["polarization"], opts["mean_photons"],
                    herald_basis=opts["herald_basis"])
     return ({"fidelity": rep.fidelity, "herald_prob": rep.herald_prob,
-             "one_photon_weight": rep.one_photon_weight},
+             "one_photon_weight": rep.one_photon_weight,
+             "truncation_dropped": rep.truncation_dropped},
             _csv_lines([((), {"F_low": rep.fidelity, "herald_prob": rep.herald_prob})]))
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,16 +37,6 @@ def herald_sign(basis: str) -> float:
         return HERALD_SIGNS[basis]
     except KeyError:
         raise ValueError(f"herald basis must be 'D' or 'A', got {basis!r}") from None
-
-
-@dataclass(frozen=True)
-class CoincidenceEfficiencies:
-    """Detection efficiencies of the four polarization-analyzer arms."""
-
-    d_H: float
-    d_V: float
-    e_H: float
-    e_V: float
 
 
 @functools.lru_cache(maxsize=None)

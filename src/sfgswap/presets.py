@@ -8,9 +8,9 @@ config file and ``--set`` overrides before building typed parameters.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 
-from .optics import SfgParams, SourceParams
 from .protocols import ExperimentParams
 
 # Measured entangled-photon-source parameters: mean photon numbers per
@@ -91,17 +91,8 @@ _PRESETS = {
     },
 }
 
-_PARAM_FIELDS = {
-    "t_1h": "t1H", "t_1v": "t1V", "t_2h": "t2H", "t_2v": "t2V",
-    "eta_th": "eta_tH", "eta_tv": "eta_tV",
-    "eta_1h": "eta_1H", "eta_1v": "eta_1V",
-    "eta_2h": "eta_2H", "eta_2v": "eta_2V",
-    "eta_d": "eta_d", "dark": "dark",
-    "window_acceptance": "window_acceptance", "pair_cap": "pair_cap",
-}
-# Every [params] key: the mu_* keys set the pair sources, the sfg_* keys the
-# SFG efficiencies, and the others the ExperimentParams field they map to.
-PARAM_KEYS = ("mu_1h", "mu_1v", "mu_2h", "mu_2v", "sfg_h", "sfg_v", *_PARAM_FIELDS)
+# Every [params] key: the fields of ExperimentParams.
+PARAM_KEYS = tuple(field.name for field in dataclasses.fields(ExperimentParams))
 
 
 def presets() -> list:
@@ -128,21 +119,18 @@ def _pair_cap(value) -> int:
     return int(number)
 
 
+def _number(key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
 def swap_params(section: dict) -> ExperimentParams:
-    """Build ExperimentParams from a flat [params] section."""
+    """ExperimentParams from a flat [params] section; an absent key takes
+    the field's default."""
     unknown = set(section).difference(PARAM_KEYS)
     if unknown:
         raise KeyError(f"unknown parameter keys: {', '.join(sorted(unknown))}")
-    kwargs = {}
-    for key, fname in _PARAM_FIELDS.items():
-        if key in section:
-            value = section[key]
-            kwargs[fname] = _pair_cap(value) if fname == "pair_cap" else float(value)
-    return ExperimentParams(
-        eps1=SourceParams(float(section.get("mu_1h", 0.0)),
-                          float(section.get("mu_1v", 0.0))),
-        eps2=SourceParams(float(section.get("mu_2h", 0.0)),
-                          float(section.get("mu_2v", 0.0))),
-        sfg=SfgParams(float(section.get("sfg_h", 1.0)),
-                      float(section.get("sfg_v", 1.0))),
-        **kwargs)
+    return ExperimentParams(**{key: _pair_cap(value) if key == "pair_cap" else _number(key, value)
+                               for key, value in section.items()})

@@ -26,6 +26,17 @@ Frequency-conversion teleportation is closed form: one pair, one exact
 rotation per polarization.  The pure-branch route of
 ``tests/branch_route.py`` and the density-operator route of
 ``tests/density_route.py`` are the references the tests compare against.
+
+Conventions:
+  * Each source emits two-mode-squeezed vacua in the H and V polarizations
+    of a (signal, idler) mode pair; the squeezing parameter is
+    gamma = sqrt(mu / (1 + mu)) for mean photon number mu per mode.
+  * Loss on a mode with transmittance t is an ancilla beamsplitter of
+    transmittance t followed by a partial trace over the ancilla: losing l
+    of n photons has amplitude sqrt(C(n, l)) t^((n - l) / 2) (1 - t)^(l / 2).
+  * The sum-frequency interaction is kept to first order in the coupling,
+    with efficiency (chi tau)^2 per polarization; the converted branch
+    creates exactly one photon in the c modes.
 """
 
 from __future__ import annotations
@@ -34,19 +45,17 @@ import cmath
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .detection import (
-    CoincidenceEfficiencies,
     analyzer_operators,
     arm_click_probs,
     block_readout,
     herald_sign,
     rotation_blocks,
 )
-from .optics import SfgParams, SourceParams
 
 # Analyzer angle of both parties in the Z and X visibility measurements.
 VISIBILITY_BASES = (("z", 0.0), ("x", math.pi / 4))
@@ -60,48 +69,60 @@ PAIR_CAP_MAX = 10
 
 @dataclass(frozen=True)
 class ExperimentParams:
-    """All physical parameters of the swapping experiment."""
+    """All physical parameters of the swapping experiment, one field per
+    [params] key: the mean photon numbers of the H and V modes of sources 1
+    (on a, d) and 2 (on b, e), the SFG efficiencies (chi tau)^2, the channel
+    transmittances of a and b, the transmittances of c, the analyzer-arm
+    efficiencies of d and e, the herald detector's efficiency, its
+    dark-count probability per window, the coincidence-window acceptance,
+    and the cap on the number of pairs."""
 
-    eps1: SourceParams
-    eps2: SourceParams
-    sfg: SfgParams
-    t1H: float = 1.0
-    t1V: float = 1.0
-    t2H: float = 1.0
-    t2V: float = 1.0
-    eta_tH: float = 1.0
-    eta_tV: float = 1.0
-    eta_1H: float = 1.0
-    eta_1V: float = 1.0
-    eta_2H: float = 1.0
-    eta_2V: float = 1.0
+    mu_1h: float = 0.0
+    mu_1v: float = 0.0
+    mu_2h: float = 0.0
+    mu_2v: float = 0.0
+    sfg_h: float = 1.0
+    sfg_v: float = 1.0
+    t_1h: float = 1.0
+    t_1v: float = 1.0
+    t_2h: float = 1.0
+    t_2v: float = 1.0
+    eta_th: float = 1.0
+    eta_tv: float = 1.0
+    eta_1h: float = 1.0
+    eta_1v: float = 1.0
+    eta_2h: float = 1.0
+    eta_2v: float = 1.0
     eta_d: float = 1.0
     dark: float = 0.0
     window_acceptance: float = 1.0
     pair_cap: int = 3
 
     def __post_init__(self):
-        for name in ("t1H", "t1V", "t2H", "t2V", "eta_tH", "eta_tV", "eta_1H", "eta_1V",
-                     "eta_2H", "eta_2V", "eta_d", "window_acceptance"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
-        if not 0.0 <= self.dark < 1.0:
-            raise ValueError(f"dark must be in [0, 1), got {self.dark!r}")
+        for name, value in vars(self).items():
+            if name.startswith("mu_"):
+                if not 0.0 <= value < math.inf:
+                    raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+            elif name == "dark":
+                if not 0.0 <= value < 1.0:
+                    raise ValueError(f"dark must be in [0, 1), got {value!r}")
+            elif name != "pair_cap" and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         if not isinstance(self.pair_cap, numbers.Integral):
             raise ValueError(f"pair_cap must be an integer, got {self.pair_cap!r}")
         if self.pair_cap < 2:
-            raise ValueError("pair_cap must be at least 2: the SFG herald "
-                             "needs one photon from each of two pairs")
+            raise ValueError(f"pair_cap must be at least 2, got {self.pair_cap!r}: the SFG "
+                             "herald needs one photon from each of two pairs")
         if self.pair_cap > PAIR_CAP_MAX:
             raise ValueError(f"pair_cap must be at most {PAIR_CAP_MAX}, got {self.pair_cap!r}")
 
-    def analyzer_efficiencies(self) -> CoincidenceEfficiencies:
-        return CoincidenceEfficiencies(d_H=self.eta_1H, d_V=self.eta_1V,
-                                       e_H=self.eta_2H, e_V=self.eta_2V)
-
     def replace(self, **kwargs) -> "ExperimentParams":
-        from dataclasses import replace as _replace
-        return _replace(self, **kwargs)
+        return replace(self, **kwargs)
+
+
+def _gamma(mu: float) -> float:
+    """Squeezing parameter of a source mode with mean photon number mu."""
+    return math.sqrt(mu / (1.0 + mu))
 
 
 @dataclass(frozen=True)
@@ -195,7 +216,7 @@ def _loss_amplitudes(layout: _SwapLayout, params: ExperimentParams, amp) -> np.n
     """``amp`` times each row's channel-loss amplitude, the product over
     (aH, aV, bH, bV) of sqrt(C(n, l)) t^((n - l) / 2) (1 - t)^(l / 2)."""
     k = layout.root_comb.shape[0]
-    for col, t in enumerate((params.t1H, params.t1V, params.t2H, params.t2V)):
+    for col, t in enumerate((params.t_1h, params.t_1v, params.t_2h, params.t_2v)):
         n, l = layout.n[:, col], layout.lost[:, col]
         kept = np.array([t ** (x / 2.0) for x in range(k)])
         gone = np.array([(1.0 - t) ** (x / 2.0) for x in range(k)])
@@ -217,7 +238,7 @@ def heralding_filter(params: ExperimentParams, basis: str = "A") -> np.ndarray:
     It does not depend on the source strengths: the heralded state of any
     sources is R times the outer product of their ``source_amplitudes``.
     Each row's amplitude is its loss amplitude times that of
-    K = sqrt(eta_d / 2) (sqrt(sfg_H eta_tH) aH bH +- sqrt(sfg_V eta_tV) aV bV)
+    K = sqrt(eta_d / 2) (sqrt(sfg_h eta_th) aH bH +- sqrt(sfg_v eta_tv) aV bV)
     on its kept photons.
     """
     sign = herald_sign(basis)
@@ -225,8 +246,8 @@ def heralding_filter(params: ExperimentParams, basis: str = "A") -> np.ndarray:
     w = _loss_amplitudes(layout, params, 1.0)
     amps = []
     for rows, (ca, cb), eta, eta_t, s in (
-            (layout.sfg_h, (0, 2), params.sfg.eta_H, params.eta_tH, 1.0),
-            (layout.sfg_v, (1, 3), params.sfg.eta_V, params.eta_tV, sign)):
+            (layout.sfg_h, (0, 2), params.sfg_h, params.eta_th, 1.0),
+            (layout.sfg_v, (1, 3), params.sfg_v, params.eta_tv, sign)):
         root = layout.root_kept[rows]
         # The factors in the order the pure-branch route applies them, so
         # that the lossless filter is the same to the last bit.
@@ -237,30 +258,34 @@ def heralding_filter(params: ExperimentParams, basis: str = "A") -> np.ndarray:
                           params.pair_cap)
 
 
-def source_amplitudes(eps1: SourceParams, eps2: SourceParams, pair_cap: int) -> np.ndarray:
+def source_amplitudes(params: ExperimentParams) -> np.ndarray:
     """c[N_d, a, N_e, b]: amplitude of the swapping input on the term with
     a H and N_d - a V pairs from source 1 (on a, d) and b H and N_e - b V
     pairs from source 2 (on b, e), at most ``pair_cap`` pairs in all and
     renormalized, zero past the cap."""
-    n = np.arange(pair_cap + 1)
+    cap = params.pair_cap
+    n = np.arange(cap + 1)
     down = n[:, None] - n
 
-    def party(src):
-        return np.where(down >= 0, src.gamma_H ** n * src.gamma_V ** np.abs(down), 0.0)
+    def party(mu_h, mu_v):
+        return np.where(down >= 0, _gamma(mu_h) ** n * _gamma(mu_v) ** np.abs(down), 0.0)
 
-    c = np.multiply.outer(party(eps1), party(eps2))
-    c *= (np.add.outer(n, n) <= pair_cap)[:, None, :, None]
+    c = np.multiply.outer(party(params.mu_1h, params.mu_1v), party(params.mu_2h, params.mu_2v))
+    c *= (np.add.outer(n, n) <= cap)[:, None, :, None]
     return c / math.sqrt(np.vdot(c, c))
 
 
-def _coincidence_tables(rho, effs: CoincidenceEfficiencies) -> dict:
+def _coincidence_tables(rho, params: ExperimentParams) -> dict:
     """Coincidence probability of each (d arm, e arm) pair in each visibility
-    basis of a block density, 'HV' meaning the H arm of d and the V arm of e."""
+    basis of a block density, read through the analyzers of ``params``, 'HV'
+    meaning the H arm of d and the V arm of e."""
     n = rho.shape[0] - 1
     thetas = [theta for _, theta in VISIBILITY_BASES]
-    c = block_readout(rho, thetas, arm_click_probs(effs.d_H, effs.d_V, n),
-                      thetas, arm_click_probs(effs.e_H, effs.e_V, n))
-    return {name: {d + e: float(c[k, k, i, j])
+    c = block_readout(rho, thetas, arm_click_probs(params.eta_1h, params.eta_1v, n),
+                      thetas, arm_click_probs(params.eta_2h, params.eta_2v, n))
+    # rounding can leave a probability that is zero a little below it, and a
+    # visibility read from it an ulp outside [-1, 1]
+    return {name: {d + e: max(0.0, float(c[k, k, i, j]))
                    for i, d in enumerate("HV") for j, e in enumerate("HV")}
             for k, (name, _) in enumerate(VISIBILITY_BASES)}
 
@@ -287,7 +312,7 @@ def _visibility_report(rho, herald_prob: float, params: ExperimentParams) -> Vis
     read through the analyzers of ``params``."""
     if np.einsum("NaaMbb->", rho) <= 0.0:
         raise ValueError("herald probability is zero")
-    tables = _coincidence_tables(rho, params.analyzer_efficiencies())
+    tables = _coincidence_tables(rho, params)
     v_z = _visibility_z(tables["z"])
     v_x = _visibility_x(tables["x"])
     return VisibilityReport(v_z=v_z, v_x=v_x, fidelity_lower_bound=(v_z + v_x) / 2.0,
@@ -306,7 +331,7 @@ def sfg_swap(params: ExperimentParams, basis: str = "A") -> VisibilityReport:
     window, before dark-count mixing.
     """
     rho = heralding_filter(params, basis)
-    c = source_amplitudes(params.eps1, params.eps2, params.pair_cap)
+    c = source_amplitudes(params)
     rho *= (1.0 - params.dark) * params.window_acceptance
     for N, c_n in enumerate(c):
         rho[N] *= np.einsum("aMb,cMd->acMbd", c_n, c_n)
@@ -335,7 +360,7 @@ def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
         raise ValueError(f"eta_bsa must be in [0, 1], got {eta_bsa!r}")
     cap = params.pair_cap
     layout = _swap_layout(cap)
-    c = source_amplitudes(params.eps1, params.eps2, cap).ravel()[layout.source]
+    c = source_amplitudes(params).ravel()[layout.source]
     w = _loss_amplitudes(layout, params, c)
     clicks = arm_click_probs(eta_bsa, eta_bsa, cap)
     ops = analyzer_operators(rotation_blocks([-math.pi / 4], cap), clicks[::-1])[0]
@@ -457,7 +482,7 @@ def teleport(params: ExperimentParams, input_polarization, input_mean_photons: f
     cap = params.pair_cap
     layout = _teleport_layout(cap)
     k, l, m_h, m_v = layout.n.T
-    g_h, g_v = params.eps1.gamma_H, params.eps1.gamma_V
+    g_h, g_v = _gamma(params.mu_1h), _gamma(params.mu_1v)
     kk, ll = np.indices((cap + 1, cap + 1))
     pair_norm = math.sqrt(np.sum(np.where(kk + ll <= cap, g_h ** (2 * kk) * g_v ** (2 * ll), 0.0)))
     z = math.sqrt(input_mean_photons)
@@ -471,8 +496,8 @@ def teleport(params: ExperimentParams, input_polarization, input_mean_photons: f
     w = _loss_amplitudes(layout, params, amp)
     root = layout.root_kept
     scale = math.sqrt(params.eta_d / 2.0)
-    h = w * root[:, 0] * root[:, 2] * (scale * math.sqrt(params.sfg.eta_H * params.eta_tH))
-    v = w * root[:, 1] * root[:, 3] * (sign * scale * math.sqrt(params.sfg.eta_V * params.eta_tV))
+    h = w * root[:, 0] * root[:, 2] * (scale * math.sqrt(params.sfg_h * params.eta_th))
+    v = w * root[:, 1] * root[:, 3] * (sign * scale * math.sqrt(params.sfg_v * params.eta_tv))
     herald_prob = float(np.vdot(h, h).real + np.vdot(v, v).real)
     if herald_prob <= 0.0:
         raise ValueError("herald probability is zero")

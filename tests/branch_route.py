@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 from sfgswap.detection import herald_sign
-from sfgswap.optics import SfgParams, SourceParams
 from sfgswap.protocols import ExperimentParams, QfcReport, TeleportReport
 
 # Default cap on the *total* photon number across a register (three photon
@@ -258,19 +257,20 @@ class LossMap(dict):
                 raise ValueError(f"transmittance for {mode} outside [0, 1]: {t}")
 
 
-def tmsv_pair(src: SourceParams, signal_modes, idler_modes, pair_cap: int) -> PureState:
-    """Truncated two-mode-squeezed-vacuum pair source.
+def tmsv_pair(mu, signal_modes, idler_modes, pair_cap: int) -> PureState:
+    """Truncated two-mode-squeezed-vacuum pair source with mean photon
+    numbers ``mu`` = (mu_H, mu_V).
 
     ``signal_modes`` and ``idler_modes`` are (H, V) label pairs.  The state
-    sums gamma_H^k gamma_V^l |k,l,k,l> over k + l <= pair_cap and is
-    renormalized after truncation.
+    sums gamma_H^k gamma_V^l |k,l,k,l> over k + l <= pair_cap, with
+    gamma = sqrt(mu / (1 + mu)), and is renormalized after truncation.
     """
     if pair_cap < 0:
         raise ValueError("pair_cap must be nonnegative")
     sH, sV = signal_modes
     iH, iV = idler_modes
     register = (sH, sV, iH, iV)
-    gH, gV = src.gamma_H, src.gamma_V
+    gH, gV = (math.sqrt(m / (1.0 + m)) for m in mu)
     pref = math.sqrt((1.0 - gH * gH) * (1.0 - gV * gV))
     amps = {}
     for k in range(pair_cap + 1):
@@ -288,12 +288,13 @@ OUTPUT_REGISTER = ("dH", "dV", "eH", "eV")
 SWAP_REGISTER = ANALYZER_MODES + OUTPUT_REGISTER
 
 
-def build_swapping_input(eps1: SourceParams, eps2: SourceParams, pair_cap: int = 3) -> PureState:
-    """Input state of the swapping experiment: two pair sources feeding the
-    analyzer modes a, b and the output modes d, e, truncated to at most
-    ``pair_cap`` photon pairs in total."""
-    s1 = tmsv_pair(eps1, ("aH", "aV"), ("dH", "dV"), pair_cap)
-    s2 = tmsv_pair(eps2, ("bH", "bV"), ("eH", "eV"), pair_cap)
+def build_swapping_input(params: ExperimentParams) -> PureState:
+    """Input state of the swapping experiment: the two pair sources of
+    ``params`` feeding the analyzer modes a, b and the output modes d, e,
+    truncated to at most ``pair_cap`` photon pairs in total."""
+    pair_cap = params.pair_cap
+    s1 = tmsv_pair((params.mu_1h, params.mu_1v), ("aH", "aV"), ("dH", "dV"), pair_cap)
+    s2 = tmsv_pair((params.mu_2h, params.mu_2v), ("bH", "bV"), ("eH", "eV"), pair_cap)
     prod = tensor(s1, s2)
     # Enforce the cap on total pairs (each pair is two photons).
     amps = {occ: a for occ, a in prod.amps.items() if sum(occ) <= 2 * pair_cap}
@@ -335,10 +336,11 @@ def loss_branches(psi: PureState, losses: LossMap):
 SFG_OUTPUT_MODES = ("cH", "cV")
 
 
-def _sfg_operator(state: PureState, sfg: SfgParams) -> PureState:
-    """Apply sqrt(eta_H) aH bH cH+ + sqrt(eta_V) aV bV cV+ to a pure state."""
+def _sfg_operator(state: PureState, params: ExperimentParams) -> PureState:
+    """Apply sqrt(sfg_h) aH bH cH+ + sqrt(sfg_v) aV bV cV+ to a pure state."""
     out = None
-    for eta, (ma, mb, mc) in ((sfg.eta_H, ("aH", "bH", "cH")), (sfg.eta_V, ("aV", "bV", "cV"))):
+    for eta, (ma, mb, mc) in ((params.sfg_h, ("aH", "bH", "cH")),
+                              (params.sfg_v, ("aV", "bV", "cV"))):
         term = apply_creation(
             apply_annihilation(apply_annihilation(state, ma), mb), mc, truncate=False
         ).scaled(math.sqrt(eta))
@@ -353,13 +355,14 @@ def extend_state(psi: PureState, modes) -> PureState:
                      n_max=psi.n_max)
 
 
-def sfg_branches(branches, sfg: SfgParams):
-    """Converted-branch SFG on an iterable of pure branches."""
+def sfg_branches(branches, params: ExperimentParams):
+    """Converted-branch SFG, with the efficiencies of ``params``, on an
+    iterable of pure branches."""
     out = []
     for phi in branches:
         if not all(m in phi.register for m in SFG_OUTPUT_MODES):
             phi = extend_state(phi, SFG_OUTPUT_MODES)
-        conv = _sfg_operator(phi, sfg)
+        conv = _sfg_operator(phi, params)
         if conv.amps:
             out.append(conv)
     return out
@@ -448,16 +451,16 @@ def reduced_branches(psi: PureState, modes=OUTPUT_REGISTER):
 # Pipelines.
 
 def channel_losses(params: ExperimentParams) -> LossMap:
-    return LossMap({"aH": params.t1H, "aV": params.t1V, "bH": params.t2H, "bV": params.t2V})
+    return LossMap({"aH": params.t_1h, "aV": params.t_1v, "bH": params.t_2h, "bV": params.t_2v})
 
 
 def c_losses(params: ExperimentParams) -> LossMap:
-    return LossMap({"cH": params.eta_tH, "cV": params.eta_tV})
+    return LossMap({"cH": params.eta_th, "cV": params.eta_tv})
 
 
-def scaled_sfg(sfg: SfgParams, gain: float) -> SfgParams:
-    """Both SFG efficiencies multiplied by ``gain``."""
-    return SfgParams(sfg.eta_H * gain, sfg.eta_V * gain)
+def scaled_sfg(params: ExperimentParams, gain: float) -> ExperimentParams:
+    """``params`` with both SFG efficiencies multiplied by ``gain``."""
+    return params.replace(sfg_h=params.sfg_h * gain, sfg_v=params.sfg_v * gain)
 
 
 def _herald(psi: PureState, params: ExperimentParams, basis: str, gain: float = 1.0,
@@ -466,7 +469,7 @@ def _herald(psi: PureState, params: ExperimentParams, basis: str, gain: float = 
     ``psi``: pure branches on the output modes ``register`` whose
     outer-product sum is the event-weighted heralded operator."""
     branches = loss_branches(psi, channel_losses(params))
-    branches = sfg_branches(branches, scaled_sfg(params.sfg, gain))
+    branches = sfg_branches(branches, scaled_sfg(params, gain))
     out = []
     for phi in branches:
         out.extend(loss_branches(phi, c_losses(params)))
@@ -564,7 +567,7 @@ def branch_teleport(params: ExperimentParams, input_polarization, input_mean_pho
     coherent input as one sparse state, then ``_herald`` and the one-photon
     readout of the heralded branches of d."""
     alpha, beta = (complex(x) for x in input_polarization)
-    pair = tmsv_pair(params.eps1, ("aH", "aV"), ("dH", "dV"), params.pair_cap)
+    pair = tmsv_pair((params.mu_1h, params.mu_1v), ("aH", "aV"), ("dH", "dV"), params.pair_cap)
     z = math.sqrt(input_mean_photons)
     coh = _coherent_state(("bH", "bV"), (z * alpha, z * beta), 2 * params.pair_cap)
     psi = tensor(pair, coh).reorder(("aH", "aV", "bH", "bV", "dH", "dV"))

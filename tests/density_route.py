@@ -50,8 +50,7 @@ from branch_route import (
     two_mode_rotation,
 )
 from sfgswap.bell import BellSettings
-from sfgswap.detection import HERALD_SIGNS, CoincidenceEfficiencies
-from sfgswap.optics import SfgParams
+from sfgswap.detection import HERALD_SIGNS
 from sfgswap.protocols import (
     ExperimentParams,
     VisibilityReport,
@@ -62,7 +61,8 @@ from sfgswap.protocols import (
     source_amplitudes,
 )
 
-UNIT_EFFICIENCIES = CoincidenceEfficiencies(1.0, 1.0, 1.0, 1.0)
+# Analyzer arms of unit efficiency (the ExperimentParams defaults).
+UNIT_EFFICIENCIES = ExperimentParams()
 
 # Validity-check tolerances.
 EPS_HERM = 1e-10
@@ -313,8 +313,9 @@ def extend_density(rho: DensityOperator, modes) -> DensityOperator:
                            trace_meaning=rho.trace_meaning, n_max=rho.n_max)
 
 
-def apply_sfg_first_order(rho: DensityOperator, sfg: SfgParams) -> DensityOperator:
-    """First-order converted branch of the sum-frequency interaction.
+def apply_sfg_first_order(rho: DensityOperator, params: ExperimentParams) -> DensityOperator:
+    """First-order converted branch of the sum-frequency interaction, with
+    the efficiencies of ``params``.
 
     The register must contain aH, aV, bH, bV; fresh vacuum modes cH, cV are
     appended if absent (an error is raised if they exist but are occupied).
@@ -335,17 +336,17 @@ def apply_sfg_first_order(rho: DensityOperator, sfg: SfgParams) -> DensityOperat
     n_max = rho.n_max
 
     def column(occ):
-        out = _sfg_operator(PureState.basis(reg, occ, n_max=n_max), sfg)
+        out = _sfg_operator(PureState.basis(reg, occ, n_max=n_max), params)
         return dict(out.amps)
 
     out = sandwich(rho, column)
     return DensityOperator(out.register, out.entries, trace_meaning=TRACE_EVENT, n_max=n_max)
 
 
-def kraus_parity_check(state: PureState, sfg: SfgParams) -> PureState:
+def kraus_parity_check(state: PureState, params: ExperimentParams) -> PureState:
     """Ideal parity-check Kraus operator for at most two photons in a, b.
 
-    K = sqrt(eta_H)|H>_c<HH|_ab + sqrt(eta_V)|V>_c<VV|_ab.  The a and b
+    K = sqrt(sfg_h)|H>_c<HH|_ab + sqrt(sfg_v)|V>_c<VV|_ab.  The a and b
     modes are replaced by the c modes in the output register; the squared
     norm of the result is the success probability.
     """
@@ -359,9 +360,9 @@ def kraus_parity_check(state: PureState, sfg: SfgParams) -> PureState:
         if sum(ab) > 2:
             raise ValueError("kraus_parity_check requires at most two photons in modes a, b")
         if ab == (1, 0, 1, 0):
-            c, w = (1, 0), math.sqrt(sfg.eta_H)
+            c, w = (1, 0), math.sqrt(params.sfg_h)
         elif ab == (0, 1, 0, 1):
-            c, w = (0, 1), math.sqrt(sfg.eta_V)
+            c, w = (0, 1), math.sqrt(params.sfg_v)
         else:
             continue
         new = tuple(occ[i] for i in keep) + c
@@ -495,14 +496,15 @@ _PATTERN_KEYS = tuple(((bool(c & 1), bool(c & 2)), (bool(c & 4), bool(c & 8)))
                       for c in range(16))
 
 
-def click_patterns(diag: dict, efficiencies: CoincidenceEfficiencies) -> dict:
+def click_patterns(diag: dict, efficiencies: ExperimentParams) -> dict:
     """All sixteen joint click/no-click pattern probabilities of the four
-    analyzer arms, given the photon-number diagonal on (dH, dV, eH, eV).
+    analyzer arms, with the arm efficiencies ``eta_1h`` to ``eta_2v`` of
+    ``efficiencies``, given the photon-number diagonal on (dH, dV, eH, eV).
 
     Keys are ((click_dH, click_dV), (click_eH, click_eV)) with booleans.
     """
-    eta_dH, eta_dV = efficiencies.d_H, efficiencies.d_V
-    eta_eH, eta_eV = efficiencies.e_H, efficiencies.e_V
+    eta_dH, eta_dV = efficiencies.eta_1h, efficiencies.eta_1v
+    eta_eH, eta_eV = efficiencies.eta_2h, efficiencies.eta_2v
     slots = [0.0] * 16
     for (n_dH, n_dV, n_eH, n_eV), w in diag.items():
         p_dH, p_dV = click_prob(eta_dH, n_dH), click_prob(eta_dV, n_dV)
@@ -518,7 +520,7 @@ def click_patterns(diag: dict, efficiencies: CoincidenceEfficiencies) -> dict:
 
 
 def joint_click_pattern_probs(rho: DensityOperator, theta1: float, theta2: float,
-                              efficiencies: CoincidenceEfficiencies) -> dict:
+                              efficiencies: ExperimentParams) -> dict:
     """``click_patterns`` of a density operator for one setting pair."""
     return click_patterns(_rotated_diagonal(rho, theta1, theta2), efficiencies)
 
@@ -542,7 +544,7 @@ def _disagreement(pattern_probs: dict) -> float:
 
 
 def chsh_value(rho_herald: DensityOperator, settings: BellSettings,
-               efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES) -> float:
+               efficiencies: ExperimentParams = UNIT_EFFICIENCIES) -> float:
     """S = <A1 B1> + <A2 B1> + <A1 B2> - <A2 B2> on a normalized state."""
     if abs(rho_herald.trace() - 1.0) > 1e-6:
         raise ValueError("chsh_value requires a normalized density operator")
@@ -556,7 +558,7 @@ def chsh_value(rho_herald: DensityOperator, settings: BellSettings,
 
 
 def qber(rho_herald: DensityOperator, theta_a0: float, theta_b1: float,
-         efficiencies: CoincidenceEfficiencies = UNIT_EFFICIENCIES) -> float:
+         efficiencies: ExperimentParams = UNIT_EFFICIENCIES) -> float:
     """Key-basis error rate Q = P(+1,-1) + P(-1,+1)."""
     if abs(rho_herald.trace() - 1.0) > 1e-6:
         raise ValueError("qber requires a normalized density operator")
@@ -591,7 +593,7 @@ def scaled_filter_blocks(params: ExperimentParams, basis: str = "A") -> tuple:
     ``protocols.heralding_filter`` times s c c' with s = (1 - dark)
     window_acceptance, and dark c^2 on the (a, b) diagonal, c the
     ``protocols.source_amplitudes``."""
-    c = source_amplitudes(params.eps1, params.eps2, params.pair_cap)
+    c = source_amplitudes(params)
     eye = np.eye(c.shape[1])
     s = (1.0 - params.dark) * params.window_acceptance
     return (s * heralding_filter(params, basis) * np.einsum("NaMb,NcMd->NacMbd", c, c),
@@ -623,7 +625,7 @@ def sfg_heralded_branches(params: ExperimentParams, basis: str = "A", gain: floa
     the event-weighted heralded operator; its trace is the herald
     probability.
     """
-    psi_in = build_swapping_input(params.eps1, params.eps2, pair_cap=params.pair_cap)
+    psi_in = build_swapping_input(params)
     return _herald(psi_in, params, basis, gain), psi_in
 
 
@@ -654,7 +656,7 @@ def branch_lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> Visibility
     """``protocols.lo_swap`` on pure branches: channel loss, the PBS, the
     -pi/4 rotations of a and b, and the square root of the BSA's two-fold
     click probability on each amplitude, split by the a, b occupations."""
-    psi_in = build_swapping_input(params.eps1, params.eps2, pair_cap=params.pair_cap)
+    psi_in = build_swapping_input(params)
     i_aV, i_bH = SWAP_REGISTER.index("aV"), SWAP_REGISTER.index("bH")
     pieces = []
     for phi in loss_branches(psi_in, channel_losses(params)):
@@ -663,8 +665,7 @@ def branch_lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> Visibility
         amps = {occ: a * math.sqrt(click_prob(eta_bsa, occ[i_bH]) * click_prob(eta_bsa, occ[i_aV]))
                 for occ, a in phi.amps.items()}
         pieces.extend(reduced_branches(PureState(phi.register, amps, n_max=phi.n_max)))
-    tables = _coincidence_tables(block_density(pieces, params.pair_cap),
-                                 params.analyzer_efficiencies())
+    tables = _coincidence_tables(block_density(pieces, params.pair_cap), params)
     v_z = _visibility_z(tables["z"])
     v_x = _visibility_x(tables["x"])
     return VisibilityReport(

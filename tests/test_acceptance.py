@@ -43,8 +43,8 @@ def ideal_params():
 def ideal_analyzer_params():
     """Measured sources with an ideal analyzer chain and dark counts kept."""
     return table_s1_params().replace(
-        eta_tH=1.0, eta_tV=1.0, eta_d=1.0,
-        eta_1H=1.0, eta_1V=1.0, eta_2H=1.0, eta_2V=1.0,
+        eta_th=1.0, eta_tv=1.0, eta_d=1.0,
+        eta_1h=1.0, eta_1v=1.0, eta_2h=1.0, eta_2v=1.0,
         window_acceptance=1.0)
 
 
@@ -178,7 +178,7 @@ def test_criterion_7_gain_threshold_ideal_collection():
                           "cases matches the published one (see ledger)")
 def test_criterion_7_gain_threshold_measured_collection():
     params = table_s1_params().replace(
-        eta_1H=1.0, eta_1V=1.0, eta_2H=1.0, eta_2V=1.0,
+        eta_1h=1.0, eta_1v=1.0, eta_2h=1.0, eta_2v=1.0,
         window_acceptance=1.0)
     gain = sfg_gain_threshold(params, bracket=(8.0, 220.0), rtol=0.02)
     ok = abs(gain - 140.0) <= 0.2 * 140.0
@@ -209,7 +209,7 @@ def loss_sweep():
     rows = []
     for loss in np.linspace(0.0, 0.9, 10):
         t = 1.0 - float(loss)
-        p = base.replace(t1H=t, t1V=t, t2H=t, t2V=t)
+        p = base.replace(t_1h=t, t_1v=t, t_2h=t, t_2v=t)
         rows.append((float(loss), sfg_swap(p), lo_swap(p)))
     return rows
 

@@ -41,8 +41,7 @@ from sfgswap.bell import (
     sfg_gain_threshold,
 )
 from branch_route import reduced_branches
-from sfgswap.detection import CoincidenceEfficiencies, arm_click_probs, block_readout
-from sfgswap.optics import SfgParams, SourceParams
+from sfgswap.detection import arm_click_probs, block_readout
 from sfgswap import optimize
 from sfgswap.presets import get_preset, swap_params
 from sfgswap.protocols import ExperimentParams, heralding_filter, sfg_swap
@@ -50,7 +49,8 @@ from simplex_reference import drive_one, maximize_starts
 
 
 def _kernel(params, effs=UNIT_EFFICIENCIES, gain=1.0, basis="A"):
-    """The search kernel of the heralded state of ``params``."""
+    """The search kernel of the heralded state of ``params``, read through
+    the analyzer efficiencies of ``effs``."""
     return SearchKernel(HeraldedEntries.of_filter(heralding_filter(params, basis), params),
                         effs, gain)
 
@@ -68,10 +68,18 @@ def _angle_bounds(n):
     return [(-math.pi / 2, math.pi / 2)] * n
 
 
+def _analyzer(d_h, d_v, e_h, e_v):
+    """Analyzer arms of efficiencies (dH, dV, eH, eV)."""
+    return ExperimentParams(eta_1h=d_h, eta_1v=d_v, eta_2h=e_h, eta_2v=e_v)
+
+
+def _with_sources(params, mu):
+    return params.replace(mu_1h=mu[0], mu_1v=mu[1], mu_2h=mu[2], mu_2v=mu[3])
+
+
 def make_params(**kwargs):
-    return ExperimentParams(eps1=SourceParams(0.05, 0.05),
-                            eps2=SourceParams(0.05, 0.05),
-                            sfg=SfgParams(1.0, 1.0), **kwargs)
+    return ExperimentParams(mu_1h=0.05, mu_1v=0.05, mu_2h=0.05, mu_2v=0.05,
+                            sfg_h=1.0, sfg_v=1.0, **kwargs)
 
 
 def test_binary_entropy_anchors():
@@ -123,7 +131,7 @@ def test_chsh_has_pi_period_in_analyzer_angles():
 
 
 @pytest.mark.parametrize("params", [
-    make_params(eta_tH=0.8, eta_tV=0.7, dark=1e-4),
+    make_params(eta_th=0.8, eta_tv=0.7, dark=1e-4),
     # Heralded trace about 7.5e-12: the density route must keep its
     # relative precision on an operator of tiny trace.
     swap_params(get_preset("paper-tableS1")["params"]),
@@ -132,7 +140,7 @@ def test_chsh_dual_route_equivalence(params):
     rho_sfg, psi_in = sfg_heralded_operator(params, basis="A")
     rho = heralded_state_with_dark(rho_sfg.scaled(params.window_acceptance), psi_in,
                                    params.dark)
-    effs = CoincidenceEfficiencies(0.9, 0.85, 0.8, 0.75)
+    effs = _analyzer(0.9, 0.85, 0.8, 0.75)
     kernel = _kernel(params, effs)
     settings_ = BellSettings(0.1, 0.7, -0.2, 0.5)
     slow = chsh_value(rho, settings_, efficiencies=effs)
@@ -149,7 +157,7 @@ def _preset(name, **kwargs):
 
 # Bell-test analyzers of unit efficiency: the search cases on the measured
 # sources below are set on this analyzer.
-UNIT_ANALYZER = dict(eta_1H=1.0, eta_1V=1.0, eta_2H=1.0, eta_2V=1.0)
+UNIT_ANALYZER = dict(eta_1h=1.0, eta_1v=1.0, eta_2h=1.0, eta_2v=1.0)
 
 
 @pytest.mark.parametrize("basis", ["A", "D"])
@@ -158,7 +166,7 @@ UNIT_ANALYZER = dict(eta_1H=1.0, eta_1V=1.0, eta_2H=1.0, eta_2V=1.0)
     _preset("ideal"),
     _preset("paper-tableS1"),
     _preset("paper-tableS1", pair_cap=5),
-    _preset("ideal", t1H=0.7, t1V=0.6, t2H=0.5, t2V=0.8, eta_tH=0.8, eta_tV=0.9,
+    _preset("ideal", t_1h=0.7, t_1v=0.6, t_2h=0.5, t_2v=0.8, eta_th=0.8, eta_tv=0.9,
             eta_d=0.85, dark=1e-3, window_acceptance=0.9, pair_cap=4),
 ], ids=["ideal-2", "ideal-3", "paper-tableS1-3", "paper-tableS1-5", "lossy-dark-windowed"])
 def test_ensemble_matches_heralded_branches(params, basis):
@@ -168,7 +176,7 @@ def test_ensemble_matches_heralded_branches(params, basis):
     # polarization, and sfg_swap the same photon-herald probability.
     rng = np.random.default_rng(7)
     mu = rng.uniform(0.01, 0.3, size=4)
-    params = params.replace(eps1=SourceParams(mu[0], mu[1]), eps2=SourceParams(mu[2], mu[3]))
+    params = _with_sources(params, mu)
     fast_sfg, fast_dark = scaled_filter_blocks(params, basis=basis)
     branches, psi_in = sfg_heralded_branches(params, basis=basis)
     rho_sfg = ((1.0 - params.dark) * params.window_acceptance
@@ -206,8 +214,7 @@ def test_tsirelson_bound_respected():
 
 
 def test_qber_small_for_aligned_ideal_state():
-    params = make_params().replace(eps1=SourceParams(0.01, 0.01),
-                                   eps2=SourceParams(0.01, 0.01))
+    params = make_params().replace(mu_1h=0.01, mu_1v=0.01, mu_2h=0.01, mu_2v=0.01)
     rho_sfg, psi_in = sfg_heralded_operator(params, basis="A")
     rho = heralded_state_with_dark(rho_sfg, psi_in, 0.0)
     assert qber(rho, 0.0, 0.0) < 0.05
@@ -305,20 +312,16 @@ def test_optima_report_best_start_diagnostics():
         assert opt.converged is True
 
 
-ASYMMETRIC = CoincidenceEfficiencies(0.9, 0.8, 0.85, 0.7)
+ASYMMETRIC = _analyzer(0.9, 0.8, 0.85, 0.7)
 
 # (params, analyzer efficiencies, gain)
 KERNEL_CASES = {
     "ideal-2": (_preset("ideal", pair_cap=2), UNIT_EFFICIENCIES, 1.0),
     "tableS1-3-dark": (_preset("paper-tableS1", dark=0.1), ASYMMETRIC, 1.0),
     "tableS1-5": (_preset("paper-tableS1", pair_cap=5),
-                  _preset("paper-tableS1").analyzer_efficiencies(), 1.0),
+                  _preset("paper-tableS1"), 1.0),
     "tableS1-3-gain3": (_preset("paper-tableS1"), ASYMMETRIC, 3.0),
 }
-
-
-def _with_sources(params, mu):
-    return params.replace(eps1=SourceParams(mu[0], mu[1]), eps2=SourceParams(mu[2], mu[3]))
 
 
 def _outcome_mean(eta_first, eta_second, n):
@@ -334,8 +337,8 @@ def _readout(params, basis, thetas_a, thetas_b, effs, gain):
     rho_sfg, rho_dark = scaled_filter_blocks(params, basis)
     rho = gain * rho_sfg + rho_dark
     n = rho.shape[0] - 1
-    e = block_readout(rho, thetas_a, [_outcome_mean(effs.d_H, effs.d_V, n)],
-                      thetas_b, [_outcome_mean(effs.e_H, effs.e_V, n)])
+    e = block_readout(rho, thetas_a, [_outcome_mean(effs.eta_1h, effs.eta_1v, n)],
+                      thetas_b, [_outcome_mean(effs.eta_2h, effs.eta_2v, n)])
     return e[:, :, 0, 0] / np.einsum("NaaMbb->", rho)
 
 
@@ -531,8 +534,8 @@ def test_free_mu_trace_lists_mu():
 GRADIENT_CASES = {
     "ideal-2": (_preset("ideal", pair_cap=2), UNIT_EFFICIENCIES),
     "tableS1-3-dark": (_preset("paper-tableS1", dark=0.1), ASYMMETRIC),
-    "fig-s3-asymmetric": (_preset("fig-s3", t1H=0.6, t1V=0.5, t2H=0.7, t2V=0.65,
-                                  eta_tH=0.8, eta_tV=0.9), ASYMMETRIC),
+    "fig-s3-asymmetric": (_preset("fig-s3", t_1h=0.6, t_1v=0.5, t_2h=0.7, t_2v=0.65,
+                                  eta_th=0.8, eta_tv=0.9), ASYMMETRIC),
 }
 
 
@@ -624,8 +627,8 @@ def test_threshold_searches_match_or_beat_the_simplex_margins(monkeypatch):
 
 def _ideal_analyzer(**kwargs):
     """Measured sources with an ideal analyzer chain."""
-    return _preset("paper-tableS1", eta_tH=1.0, eta_tV=1.0, eta_d=1.0, eta_1H=1.0, eta_1V=1.0,
-                   eta_2H=1.0, eta_2V=1.0, window_acceptance=1.0, **kwargs)
+    return _preset("paper-tableS1", eta_th=1.0, eta_tv=1.0, eta_d=1.0, eta_1h=1.0, eta_1v=1.0,
+                   eta_2h=1.0, eta_2v=1.0, window_acceptance=1.0, **kwargs)
 
 
 # (parameters, gain, seed, number of starts)

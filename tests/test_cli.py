@@ -12,6 +12,7 @@ import pytest
 
 import sfgswap
 from sfgswap.cli import main
+from sfgswap.presets import PARAM_KEYS
 
 
 def run(tmp_path, *argv, name="out.txt"):
@@ -106,7 +107,7 @@ def test_bell_report(tmp_path):
     assert "S = " in text and "bell_violation = 1" in text
 
 
-def test_bell_reads_the_analyzer_efficiencies(tmp_path):
+def test_bell_reads_the_analyzer_arms_of_params(tmp_path):
     # The search reads the Bell-test analyzers of [params].
     _, base = run(tmp_path, "bell", "--preset", "ideal", "--set", "bell.n_starts=1",
                   name="a.txt")
@@ -519,3 +520,53 @@ def test_model_errors_exit_3(capsys):
                  "--set", "mu_2h=0", "--set", "mu_2v=0"])
     assert code == 3
     capsys.readouterr()
+
+
+def test_teleport_reports_the_truncation_weight(tmp_path):
+    # A bright input runs far past the cut at 2 pair_cap photons: the report
+    # says how much of its weight the cut drops, the CSV keeps its columns.
+    argv = ("teleport", "--preset", "ideal", "--set", "teleport.mean_photons=20")
+    code, text = run(tmp_path, *argv)
+    assert code == 0
+    assert "fidelity = 1\n" in text and "truncation_dropped = 0.999767124054\n" in text
+    code, table = run(tmp_path, *argv, "--format", "csv", name="out.csv")
+    assert code == 0 and "truncation" not in table
+
+
+# An out-of-range value of each [params] key, by key prefix.
+_OUT_OF_RANGE = {"mu_": "inf", "sfg_": "2", "t_": "2", "eta_": "-0.1", "window_": "1.5",
+                 "dark": "1", "pair_cap": "1"}
+
+
+@pytest.mark.parametrize("key", PARAM_KEYS)
+@pytest.mark.parametrize("kind", ["range", "nan", "word"])
+def test_every_params_refusal_names_the_key(capsys, key, kind):
+    value = {"nan": "nan", "word": "abc"}.get(kind) or next(
+        v for prefix, v in _OUT_OF_RANGE.items() if key.startswith(prefix))
+    assert main(["swap-sfg", "--preset", "ideal", "--set", f"{key}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {key} must be")
+    assert value in captured.err
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+@pytest.mark.parametrize("experiment, line", [
+    ("keyrate", "r = -0.163322031233"),
+    ("bell", "S = 1.90507683746"),
+])
+def test_readme_quotes_the_cli_output(tmp_path, experiment, line):
+    assert line in README
+    code, text = run(tmp_path, experiment, "--preset", "paper-tableS1", "--gain-factor", "3")
+    assert code == 0 and line + "\n" in text
+
+
+def test_readme_quotes_the_efficiency_threshold():
+    from sfgswap.bell import efficiency_threshold
+    from sfgswap.presets import get_preset, swap_params
+
+    assert "η = 0.6669921875." in README
+    params = swap_params(get_preset("ideal")["params"]).replace(pair_cap=2)
+    assert efficiency_threshold(params) == 0.6669921875

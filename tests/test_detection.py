@@ -26,7 +26,6 @@ from branch_route import (
     two_mode_rotation,
 )
 from sfgswap.detection import (
-    CoincidenceEfficiencies,
     _rotation_eig,
     analyzer_coefficients,
     arm_click_probs,
@@ -34,6 +33,7 @@ from sfgswap.detection import (
     rotation_blocks,
     trig_basis_and_derivative,
 )
+from sfgswap.protocols import ExperimentParams
 
 
 def test_click_prob_values():
@@ -129,7 +129,7 @@ def test_click_pattern_marginals_match_threshold_povm():
             for occ in product_basis(4, 2) if sum(occ) <= 2}
     psi = PureState(OUTPUT_REGISTER, amps, n_max=2).normalized()
     rho = DensityOperator.from_pure(psi)
-    effs = CoincidenceEfficiencies(0.9, 0.8, 0.7, 0.6)
+    effs = ExperimentParams(eta_1h=0.9, eta_1v=0.8, eta_2h=0.7, eta_2v=0.6)
     theta_d, theta_e = 0.2, 2.7
     table = joint_click_pattern_probs(rho, theta_d, theta_e, effs)
     assert len(table) == 16
@@ -137,14 +137,14 @@ def test_click_pattern_marginals_match_threshold_povm():
     # Weight vectors: the H-arm and V-arm click probabilities, then 1.
     one = np.ones((3, 3))
     e = block_readout(block_density([psi], 2),
-                      [theta_d], [*arm_click_probs(effs.d_H, effs.d_V, 2), one],
-                      [theta_e], [*arm_click_probs(effs.e_H, effs.e_V, 2), one])[0, 0]
+                      [theta_d], [*arm_click_probs(effs.eta_1h, effs.eta_1v, 2), one],
+                      [theta_e], [*arm_click_probs(effs.eta_2h, effs.eta_2v, 2), one])[0, 0]
     assert e[2, 2] == pytest.approx(1.0, abs=1e-12)
     kernel = (e[0, 2], e[1, 2], e[2, 0], e[2, 1])
     # Rotating (m2, m1) by pi - theta is the analyzer rotation of (m1, m2)
     # by theta, up to a phase that cancels in the POVM.
-    arms = (("dH", "dV", theta_d, effs.d_H), ("dV", "dH", math.pi - theta_d, effs.d_V),
-            ("eH", "eV", theta_e, effs.e_H), ("eV", "eH", math.pi - theta_e, effs.e_V))
+    arms = (("dH", "dV", theta_d, effs.eta_1h), ("dV", "dH", math.pi - theta_d, effs.eta_1v),
+            ("eH", "eV", theta_e, effs.eta_2h), ("eV", "eH", math.pi - theta_e, effs.eta_2v))
     for i, (mode, partner, theta, eta) in enumerate(arms):
         marginal = sum(p for (d, e), p in table.items() if (d + e)[i])
         povm = threshold_povm(OUTPUT_REGISTER, mode, partner, AnalyzerSetting(theta),

@@ -27,23 +27,23 @@ from branch_route import (
     sfg_branches,
     tmsv_pair,
 )
-from sfgswap.optics import SfgParams, SourceParams
+from sfgswap.protocols import ExperimentParams, _gamma
 
 
 def test_source_params_gamma():
-    src = SourceParams(0.05, 0.08)
-    assert src.gamma_H == pytest.approx(math.sqrt(0.05 / 1.05))
-    assert src.gamma_V == pytest.approx(math.sqrt(0.08 / 1.08))
+    params = ExperimentParams(mu_1h=0.05, mu_1v=0.08)
+    assert _gamma(params.mu_1h) == pytest.approx(math.sqrt(0.05 / 1.05))
+    assert _gamma(params.mu_1v) == pytest.approx(math.sqrt(0.08 / 1.08))
     with pytest.raises(ValueError):
-        SourceParams(-0.1, 0.0)
+        ExperimentParams(mu_1h=-0.1, mu_1v=0.0)
 
 
 def test_sfg_params_validation_and_scaling():
     with pytest.raises(ValueError):
-        SfgParams(1.5, 0.0)
-    sfg = SfgParams(0.1, 0.2)
+        ExperimentParams(sfg_h=1.5, sfg_v=0.0)
+    sfg = ExperimentParams(sfg_h=0.1, sfg_v=0.2)
     scaled = scaled_sfg(sfg, 3.0)
-    assert (scaled.eta_H, scaled.eta_V) == (pytest.approx(0.3), pytest.approx(0.6))
+    assert (scaled.sfg_h, scaled.sfg_v) == (pytest.approx(0.3), pytest.approx(0.6))
 
 
 def test_loss_map_validation():
@@ -52,10 +52,9 @@ def test_loss_map_validation():
 
 
 def test_tmsv_pair_geometric_amplitudes():
-    src = SourceParams(0.05, 0.05)
-    psi = tmsv_pair(src, ("sH", "sV"), ("iH", "iV"), pair_cap=3)
+    psi = tmsv_pair((0.05, 0.05), ("sH", "sV"), ("iH", "iV"), pair_cap=3)
     assert psi.is_normalized()
-    g = src.gamma_H
+    g = _gamma(0.05)
     a0 = psi.amps[(0, 0, 0, 0)]
     assert psi.amps[(1, 0, 1, 0)] / a0 == pytest.approx(g)
     assert psi.amps[(2, 0, 2, 0)] / a0 == pytest.approx(g * g)
@@ -66,8 +65,8 @@ def test_tmsv_pair_geometric_amplitudes():
 
 
 def test_build_swapping_input_total_cap():
-    psi = build_swapping_input(SourceParams(0.1, 0.1), SourceParams(0.1, 0.1),
-                               pair_cap=2)
+    psi = build_swapping_input(ExperimentParams(mu_1h=0.1, mu_1v=0.1, mu_2h=0.1, mu_2v=0.1,
+                                                pair_cap=2))
     assert psi.register == SWAP_REGISTER
     assert psi.is_normalized()
     assert max(sum(occ) for occ in psi.amps) <= 4
@@ -103,7 +102,7 @@ def test_sfg_dual_route_equivalence(seed):
     rng = np.random.default_rng(100 + seed)
     reg = ("aH", "aV", "bH", "bV")
     psi = random_state(rng, reg, n_max=3)
-    sfg = SfgParams(0.3, 0.4)
+    sfg = ExperimentParams(sfg_h=0.3, sfg_v=0.4)
     rho = apply_sfg_first_order(DensityOperator.from_pure(psi), sfg)
     full_reg = reg + ("cH", "cV")
     mix = DensityOperator.from_branches(sfg_branches([psi], sfg),
@@ -114,7 +113,7 @@ def test_sfg_dual_route_equivalence(seed):
 
 def test_sfg_conversion_amplitude_single_pair():
     psi = PureState(("aH", "aV", "bH", "bV"), {(1, 0, 1, 0): 1.0}, n_max=4)
-    out = sfg_branches([psi], SfgParams(0.25, 0.25))
+    out = sfg_branches([psi], ExperimentParams(sfg_h=0.25, sfg_v=0.25))
     assert len(out) == 1
     assert out[0].amps[(0, 0, 0, 0, 1, 0)] == pytest.approx(math.sqrt(0.25))
 
@@ -122,7 +121,7 @@ def test_sfg_conversion_amplitude_single_pair():
 def test_sfg_bosonic_enhancement_two_pairs():
     # aH bH on |2,0,2,0> gives a factor 2 before the cH+ creation.
     psi = PureState(("aH", "aV", "bH", "bV"), {(2, 0, 2, 0): 1.0}, n_max=5)
-    out = sfg_branches([psi], SfgParams(1.0, 1.0))
+    out = sfg_branches([psi], ExperimentParams(sfg_h=1.0, sfg_v=1.0))
     assert out[0].amps[(1, 0, 1, 0, 1, 0)] == pytest.approx(2.0)
 
 
@@ -130,7 +129,7 @@ def test_sfg_requires_vacuum_output_modes():
     psi = PureState(("aH", "aV", "bH", "bV", "cH", "cV"),
                     {(1, 0, 1, 0, 1, 0): 1.0}, n_max=4)
     with pytest.raises(ValueError):
-        apply_sfg_first_order(DensityOperator.from_pure(psi), SfgParams(1.0, 1.0))
+        apply_sfg_first_order(DensityOperator.from_pure(psi), ExperimentParams(sfg_h=1.0, sfg_v=1.0))
 
 
 def test_kraus_parity_check_matches_first_order_sfg():
@@ -138,7 +137,7 @@ def test_kraus_parity_check_matches_first_order_sfg():
     # acts exactly as the parity-check Kraus operator.
     psi = PureState(("aH", "aV", "bH", "bV", "dH"),
                     {(1, 0, 1, 0, 1): 0.6, (0, 1, 0, 1, 0): 0.8}, n_max=5)
-    sfg = SfgParams(0.5, 0.3)
+    sfg = ExperimentParams(sfg_h=0.5, sfg_v=0.3)
     kraus = kraus_parity_check(psi, sfg)
     assert kraus.norm_sq() == pytest.approx(0.36 * 0.5 + 0.64 * 0.3)
     branches = sfg_branches([psi], sfg)
@@ -151,7 +150,7 @@ def test_kraus_parity_check_matches_first_order_sfg():
 def test_kraus_parity_check_rejects_three_photons():
     psi = PureState(("aH", "aV", "bH", "bV"), {(2, 0, 1, 0): 1.0}, n_max=4)
     with pytest.raises(ValueError):
-        kraus_parity_check(psi, SfgParams(1.0, 1.0))
+        kraus_parity_check(psi, ExperimentParams(sfg_h=1.0, sfg_v=1.0))
 
 
 def test_pbs_mix_is_an_involution():

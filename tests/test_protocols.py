@@ -42,11 +42,11 @@ from branch_route import (
     tensor,
     tmsv_pair,
 )
-from sfgswap.optics import SfgParams, SourceParams
 from sfgswap.presets import get_preset, swap_params
 from sfgswap.protocols import (
     ExperimentParams,
     _coincidence_tables,
+    _gamma,
     _visibility_x,
     _visibility_z,
     error_event_probs,
@@ -59,9 +59,8 @@ from sfgswap.protocols import (
 
 
 def ideal_params(mu_h=0.05, mu_v=0.05, **kwargs):
-    return ExperimentParams(eps1=SourceParams(mu_h, mu_v),
-                            eps2=SourceParams(mu_h, mu_v),
-                            sfg=SfgParams(1.0, 1.0), **kwargs)
+    return ExperimentParams(mu_1h=mu_h, mu_1v=mu_v, mu_2h=mu_h, mu_2v=mu_v,
+                            sfg_h=1.0, sfg_v=1.0, **kwargs)
 
 
 @pytest.mark.parametrize("pair_cap", [2.5, 3.0, "3"])
@@ -95,10 +94,10 @@ _EFFICIENCY = st.floats(0.05, 1.0)
 def _experiments(draw):
     """Lossless-channel experiments with every other efficiency drawn."""
     mu = [draw(st.floats(1e-3, 0.3)) for _ in range(4)]
-    names = ("eta_tH", "eta_tV", "eta_1H", "eta_1V", "eta_2H", "eta_2V", "eta_d",
+    names = ("eta_th", "eta_tv", "eta_1h", "eta_1v", "eta_2h", "eta_2v", "eta_d",
              "window_acceptance")
-    return ExperimentParams(eps1=SourceParams(*mu[:2]), eps2=SourceParams(*mu[2:]),
-                            sfg=SfgParams(draw(_EFFICIENCY), draw(_EFFICIENCY)),
+    return ExperimentParams(**dict(zip(("mu_1h", "mu_1v", "mu_2h", "mu_2v"), mu)),
+                            sfg_h=draw(_EFFICIENCY), sfg_v=draw(_EFFICIENCY),
                             dark=draw(st.floats(0.0, 1e-3)),
                             pair_cap=draw(st.integers(2, 3)),
                             **{name: draw(_EFFICIENCY) for name in names})
@@ -111,12 +110,21 @@ def test_swap_reports_are_physical_and_the_herald_scales_with_the_channels(param
     # probability, for both analyzers; the photon herald of the SFG swap
     # needs one photon through each channel, so a uniform channel
     # transmittance s scales it by s^2.
-    lossy = params.replace(**dict.fromkeys(("t1H", "t1V", "t2H", "t2V"), s))
+    lossy = params.replace(**dict.fromkeys(("t_1h", "t_1v", "t_2h", "t_2v"), s))
     sfg, sfg_lossy = sfg_swap(params), sfg_swap(lossy)
     for report in (sfg, sfg_lossy, lo_swap(params), lo_swap(lossy)):
         assert abs(report.v_z) <= 1.0 and abs(report.v_x) <= 1.0
         assert 0.0 < report.herald_prob <= 1.0
     assert sfg_lossy.herald_prob == pytest.approx(s * s * sfg.herald_prob, rel=1e-12, abs=0.0)
+
+
+def test_rounding_leaves_no_probability_below_zero():
+    # On this case the X-basis readout rounds the exact zero of P_X_VV to
+    # -3.6e-19, which put V_X an ulp above 1.
+    params = ideal_params(mu_h=0.25, mu_v=0.25, eta_1h=0.25, eta_2v=0.75, pair_cap=2)
+    for report in (sfg_swap(params), lo_swap(params)):
+        assert min(*report.p_z.values(), *report.p_x.values()) >= 0.0
+        assert abs(report.v_z) <= 1.0 and abs(report.v_x) <= 1.0
 
 
 def test_heralded_operator_matches_kraus_route_at_two_pairs():
@@ -125,7 +133,7 @@ def test_heralded_operator_matches_kraus_route_at_two_pairs():
     # with the ideal parity-check Kraus operator followed by the herald.
     params = ideal_params(mu_h=0.08, mu_v=0.05, pair_cap=2)
     rho, psi_in = sfg_heralded_operator(params, basis="A")
-    kraus = kraus_parity_check(psi_in, params.sfg)
+    kraus = kraus_parity_check(psi_in, params)
     branches = herald_amplitude_branches([kraus], "A", DetectorModel(params.eta_d))
     ref = DensityOperator.from_branches(
         [b if b.register == OUTPUT_REGISTER else b.reorder(OUTPUT_REGISTER)
@@ -145,8 +153,7 @@ def test_heralded_state_leading_order_form():
     vv = rho.entries[((0, 1, 0, 1), (0, 1, 0, 1))].real
     cross = rho.entries[((1, 0, 1, 0), (0, 1, 0, 1))].real
     # Weight ratio tan^2(theta) with tan(theta) = gamma_V^2 / gamma_H^2.
-    g = SourceParams(0.01, 0.004)
-    tan_theta = (g.gamma_V / g.gamma_H) ** 2
+    tan_theta = (_gamma(0.004) / _gamma(0.01)) ** 2
     assert vv / hh == pytest.approx(tan_theta ** 2, rel=1e-9)
     # The single-pair block is pure with a relative minus sign (A herald).
     assert cross == pytest.approx(-math.sqrt(hh * vv), rel=1e-9)
@@ -173,7 +180,7 @@ def test_window_acceptance_scales_herald_only():
 
 
 def test_dark_counts_degrade_visibility():
-    params = ideal_params(t1H=0.5, t1V=0.5, t2H=0.5, t2V=0.5)
+    params = ideal_params(t_1h=0.5, t_1v=0.5, t_2h=0.5, t_2v=0.5)
     clean = sfg_swap(params)
     noisy = sfg_swap(params.replace(dark=clean.herald_prob))
     assert noisy.v_z < clean.v_z
@@ -186,13 +193,12 @@ def test_sfg_swap_matches_ensemble_with_dark_counts():
     # input.  Read the blocks of both heralds and the density reference route.
     params = swap_params(get_preset("ideal")["params"]).replace(dark=0.1)
     rep = sfg_swap(params)
-    effs = params.analyzer_efficiencies()
-    blocks = _coincidence_tables(sum(scaled_filter_blocks(params)), effs)
+    blocks = _coincidence_tables(sum(scaled_filter_blocks(params)), params)
     rho_sfg, psi_in = sfg_heralded_operator(params)
     rho = heralded_state_with_dark(rho_sfg, psi_in, params.dark)
     for (basis, theta), visibility, v in ((("z", 0.0), _visibility_z, rep.v_z),
                                           (("x", math.pi / 4), _visibility_x, rep.v_x)):
-        probs = joint_click_pattern_probs(rho, theta, theta, effs)
+        probs = joint_click_pattern_probs(rho, theta, theta, params)
         oracle = {d + e: sum(p for (cd, ce), p in probs.items() if cd[i] and ce[j])
                   for i, d in enumerate("HV") for j, e in enumerate("HV")}
         assert v == pytest.approx(visibility(blocks[basis]), abs=1e-12)
@@ -209,7 +215,7 @@ def test_heralded_ensemble_is_the_scaled_filter_to_the_last_bit(preset, dark):
         params = params.replace(dark=dark)
     rep = sfg_swap(params)
     rho_sfg, rho_dark = scaled_filter_blocks(params)
-    tables = _coincidence_tables(rho_sfg + rho_dark, params.analyzer_efficiencies())
+    tables = _coincidence_tables(rho_sfg + rho_dark, params)
     assert (rep.p_z, rep.p_x) == (tables["z"], tables["x"])
 
 
@@ -253,7 +259,7 @@ def test_lo_swap_low_pump_limit():
 
 def test_lo_swap_degrades_with_loss():
     clean = lo_swap(ideal_params())
-    lossy = lo_swap(ideal_params(t1H=0.3, t1V=0.3, t2H=0.3, t2V=0.3))
+    lossy = lo_swap(ideal_params(t_1h=0.3, t_1v=0.3, t_2h=0.3, t_2v=0.3))
     assert lossy.v_z < clean.v_z
     assert lossy.herald_prob > 0.0
     assert lossy.herald_prob < clean.herald_prob
@@ -261,7 +267,7 @@ def test_lo_swap_degrades_with_loss():
 
 # Each preset at its own channel transmittances (fig-s3 at the middle of its
 # loss sweep) and at asymmetric ones, at every pair cap the model runs.
-ASYMMETRIC_CHANNEL = {"t1H": 0.6, "t1V": 0.5, "t2H": 0.7, "t2V": 0.65}
+ASYMMETRIC_CHANNEL = {"t_1h": 0.6, "t_1v": 0.5, "t_2h": 0.7, "t_2v": 0.65}
 SWAP_CASES = {
     f"{preset}-{cap}-{channel}": swap_params(get_preset(preset)["params"]).replace(
         pair_cap=cap, **(ASYMMETRIC_CHANNEL if channel == "asym" else own))
@@ -312,7 +318,7 @@ def test_zero_herald_probability_is_named():
         lo_swap(params, eta_bsa=0.0)
 
 
-@pytest.mark.parametrize("arms", [("eta_1H", "eta_1V"), ("eta_2H", "eta_2V")])
+@pytest.mark.parametrize("arms", [("eta_1h", "eta_1v"), ("eta_2h", "eta_2v")])
 def test_zero_coincidence_probability_is_named(arms):
     # Blind analyzer arms on d or e: the swap heralds, but no coincidence
     # is ever counted, so no visibility exists.
@@ -337,7 +343,7 @@ def test_sfg_swap_visibilities_invariant_under_sfg_gain():
     # by 1e4; the measured preset's herald trace is of order 1e-11.
     params = swap_params(get_preset("paper-tableS1")["params"]).replace(
         dark=0.0, window_acceptance=1.0)
-    gained = params.replace(sfg=scaled_sfg(params.sfg, 1e4))
+    gained = scaled_sfg(params, 1e4)
     r0, r1 = sfg_swap(params), sfg_swap(gained)
     assert r1.v_z == pytest.approx(r0.v_z, abs=1e-10)
     assert r1.v_x == pytest.approx(r0.v_x, abs=1e-10)
@@ -474,12 +480,12 @@ def _teleport_density_route(params, pol, mean_photons, basis):
     """(fidelity, herald probability, one-photon weight) of ``teleport`` with
     every channel, the herald and the readout on density operators."""
     alpha, beta = (complex(x) for x in pol)
-    pair = tmsv_pair(params.eps1, ("aH", "aV"), ("dH", "dV"), params.pair_cap)
+    pair = tmsv_pair((params.mu_1h, params.mu_1v), ("aH", "aV"), ("dH", "dV"), params.pair_cap)
     z = math.sqrt(mean_photons)
     coh = _coherent_state(("bH", "bV"), (z * alpha, z * beta), 2 * params.pair_cap)
     psi = tensor(pair, coh).reorder(("aH", "aV", "bH", "bV", "dH", "dV"))
     rho = apply_loss(DensityOperator.from_pure(psi), channel_losses(params))
-    rho = apply_loss(apply_sfg_first_order(rho, params.sfg), c_losses(params))
+    rho = apply_loss(apply_sfg_first_order(rho, params), c_losses(params))
     rho = herald_projection(rho, basis, DetectorModel(params.eta_d)).reorder(("dH", "dV"))
     fidelity, weight = one_photon_fidelity(rho, alpha, beta if basis == "D" else -beta)
     return fidelity, rho.trace(), weight
