@@ -30,7 +30,7 @@ from .optimize import (
     monotone_threshold,
     multistart_maximize,
 )
-from .protocols import ExperimentParams, heralding_filter
+from .protocols import ExperimentParams, HeraldedEntries, _source_mu, heralding_filter
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -77,50 +77,9 @@ class BellSettings:
             object.__setattr__(self, "theta_a0", _wrap_angle(self.theta_a0))
 
 
-@dataclass(frozen=True)
-class HeraldedEntries:
-    """The nonzero entries of a heralded block density (``detection.block_readout``
-    with at most ``n`` photons per party), diagonal ones (a = a', b = b') first.
-
-    Entry e of the state of sources with amplitude ratios gamma = sqrt(mu / (1 + mu))
-    is (gain * sfg[e] + dark[e]) * prod_m gamma_m ** powers[m, e] over the modes
-    m = (1H, 1V, 2H, 2V), up to a factor common to all entries.
-    """
-
-    index: tuple  # (N_d, a, a', N_e, b, b') per entry
-    n_diagonal: int
-    sfg: np.ndarray
-    dark: np.ndarray
-    n: int
-    powers: np.ndarray
-
-    @classmethod
-    def of_filter(cls, filt: np.ndarray, params: ExperimentParams) -> "HeraldedEntries":
-        """Entries of the heralded state (``protocols.sfg_swap``) of the filter
-        ``filt`` at any sources: each entry of the outer product of
-        ``source_amplitudes`` is one monomial."""
-        N, a, a2, M, b, b2 = np.indices(filt.shape, sparse=True)
-        dark = params.dark * ((a == a2) & (b == b2) & (a <= N) & (b <= M)
-                              & (N + M < filt.shape[0]))
-        sfg = ((1.0 - params.dark) * params.window_acceptance) * filt
-        index = np.nonzero((sfg != 0.0) | (dark != 0.0))
-        diagonal = (index[1] == index[2]) & (index[4] == index[5])
-        order = np.argsort(~diagonal, kind="stable")
-        index = tuple(i[order] for i in index)
-        N, a, a2, M, b, b2 = index
-        return cls(index=index, n_diagonal=int(diagonal.sum()), sfg=sfg[index],
-                   dark=dark[index], n=filt.shape[0] - 1,
-                   powers=np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2]))
-
-
 def _heralded_entries(params: ExperimentParams) -> HeraldedEntries:
     """Entries of the |A>-heralded state of ``params``, the state every search reads."""
     return HeraldedEntries.of_filter(heralding_filter(params, basis="A"), params)
-
-
-def _source_mu(params: ExperimentParams) -> np.ndarray:
-    """The mean photon numbers (1H, 1V, 2H, 2V) of the sources of ``params``."""
-    return np.array([params.mu_1h, params.mu_1v, params.mu_2h, params.mu_2v])
 
 
 class SearchKernel:
@@ -128,11 +87,12 @@ class SearchKernel:
 
     Each party's analyzer operator is a trig polynomial in its angle
     (``_outcome_coefficients``), gathered at the state's nonzero entries
-    (``HeraldedEntries``), so an evaluation at new angles and source
-    strengths is a few small array operations.  Equals
-    ``detection.block_readout`` on the block density divided by its trace,
-    read through the analyzer efficiencies (``eta_1h`` to ``eta_2v``) of
-    ``analyzer``.
+    (``protocols.HeraldedEntries``), whose weights at new source strengths
+    are their monomials (``HeraldedEntries.monomials``), as in the swaps;
+    so an evaluation at new angles and source strengths is a few small
+    array operations.  The correlators are read through the analyzer
+    efficiencies (``eta_1h`` to ``eta_2v``) of ``analyzer`` and divided by
+    the trace of the state.
     """
 
     def __init__(self, entries: HeraldedEntries, analyzer: ExperimentParams, gain: float = 1.0):
@@ -140,20 +100,16 @@ class SearchKernel:
         n = entries.n
         self._ca = _outcome_coefficients(analyzer.eta_1h, analyzer.eta_1v, n)[:, N, a, a2]
         self._cb = _outcome_coefficients(analyzer.eta_2h, analyzer.eta_2v, n)[:, M, b, b2]
+        self._entries = entries
         self._weight = gain * entries.sfg + entries.dark
         self._n_diagonal = entries.n_diagonal
         self._n = n
-        self._exponents = np.arange(2 * n + 1)
         self._mode_powers = entries.powers.astype(float)
         self._diagonal_powers = self._mode_powers[:, :entries.n_diagonal]
-        # entry e of mode m's row of the flattened table gamma_m ** k
-        self._powers = np.arange(4)[:, None] * (2 * n + 1) + entries.powers
 
     def _state(self, mu):
         """Entry weights rho[..., e] and trace at mean photon numbers ``mu``."""
-        gamma = np.sqrt(mu / (1.0 + mu))
-        table = (gamma[..., None] ** self._exponents).reshape(gamma.shape[:-1] + (-1,))
-        rho = self._weight * table.take(self._powers, axis=-1).prod(axis=-2)
+        rho = self._weight * self._entries.monomials(mu)
         total = rho[..., :self._n_diagonal].sum(axis=-1)
         if not all(t > 0.0 for t in np.ravel(total).tolist()):
             raise ValueError("zero total herald probability")

@@ -9,10 +9,12 @@ H and V mode of each output arm followed by threshold detection of each arm
 + sin(theta) V+ and V+ -> -sin(theta) H+ + cos(theta) V+.
 
 An analyzer rotation keeps each party's photon number N and acts on the
-N-photon (H, V) block as the spin-N/2 representation of SU(2), so every
-pipeline readout is one contraction (``block_readout``) of small blocks of
-the state, and each analyzer operator is a trig polynomial in its angle
-(``analyzer_coefficients``), the form the Bell searches evaluate.  The
+N-photon (H, V) block as the spin-N/2 representation of SU(2), so each
+analyzer operator (``analyzer_operators``) is a small block per N and a
+trig polynomial in its angle (``analyzer_coefficients``).  Every pipeline
+reads a heralded state through these operators, gathered at the state's
+nonzero entries (``protocols.HeraldedEntries``): the swaps at their fixed
+angles, the Bell searches as trig polynomials.  The
 rotation of each block comes from its generator's eigensystem, which is
 closed form (``_rotation_eig``): the package makes no LAPACK call.  The
 pure-branch herald of ``tests/branch_route.py`` and the density-operator
@@ -98,8 +100,9 @@ def trig_basis_and_derivative(thetas, n: int) -> np.ndarray:
 
 
 def analyzer_coefficients(weight) -> np.ndarray:
-    """C[t, N, a, a'] with O(theta, weight) of ``block_readout`` equal to
-    sum_t T[t] C[t] over the trig basis T = ``trig_basis_and_derivative(theta)[0]``.
+    """C[t, N, a, a'] with the analyzer operator O(theta, weight) of
+    ``analyzer_operators`` equal to sum_t T[t] C[t] over the trig basis
+    T = ``trig_basis_and_derivative(theta)[0]``.
     On the N-photon block O(theta) is a trig polynomial of degree N in
     2 theta, so 2n + 1 equally spaced samples over one period fix every block
     exactly: a discrete Fourier transform, as the sampled basis is orthogonal
@@ -107,8 +110,7 @@ def analyzer_coefficients(weight) -> np.ndarray:
     weight = np.asarray(weight)
     n = weight.shape[0] - 1
     thetas = np.pi * np.arange(2 * n + 1) / (2 * n + 1)
-    r = rotation_blocks(-thetas, n)
-    ops = np.einsum("pNca,Nc,pNcb->pNab", r, weight, r)
+    ops = analyzer_operators(rotation_blocks(-thetas, n), [weight])[:, 0]
     norm = np.where(np.arange(2 * n + 1) == 0, 1.0, 2.0) / (2 * n + 1)
     basis = trig_basis_and_derivative(thetas, n)[:, 0]
     coef = norm[:, None] * (basis.T @ ops.reshape(2 * n + 1, -1))
@@ -127,20 +129,3 @@ def analyzer_operators(r: np.ndarray, weights) -> np.ndarray:
     for rotation blocks R = ``rotation_blocks(-thetas, n)``: the analyzer at
     angle thetas[p] with weight o[N, a] per photon-number state after it."""
     return np.einsum("pNca,iNc,pNcb->piNab", r, np.asarray(weights), r)
-
-
-def block_readout(rho: np.ndarray, thetas_d, weights_d, thetas_e, weights_e) -> np.ndarray:
-    """E[p, q, i, j] = Tr[rho (O(thetas_d[p], weights_d[i]) x O(thetas_e[q], weights_e[j]))]
-    for a block density rho, with O(theta, o) = R(-theta)^T diag(o) R(-theta) for a
-    weight o[N, a] per photon-number state after the analyzer.
-
-    The block density of a state on (dH, dV, eH, eV) with at most n photons
-    per party has entries [N_d, a, a', N_e, b, b'] =
-    Re <a, N_d - a; b, N_e - b| rho |a', N_d - a'; b', N_e - b'> (a, b count
-    H photons).  Readouts conserve N_d and N_e and their operators are real
-    symmetric, so nothing else is kept."""
-    k, n_d = rho.shape[0], len(thetas_d)
-    r = rotation_blocks(-np.concatenate([thetas_d, thetas_e]), k - 1)
-    e = (analyzer_operators(r[:n_d], weights_d).reshape(-1, k ** 3) @ rho.reshape(k ** 3, -1)
-         @ analyzer_operators(r[n_d:], weights_e).reshape(-1, k ** 3).T)
-    return e.reshape(n_d, -1, len(thetas_e), len(weights_e)).transpose(0, 2, 1, 3)

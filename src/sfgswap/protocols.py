@@ -10,15 +10,16 @@ The heralding pipeline is
 
 Loss, SFG and the herald act on the a, b and c modes only, and each pair
 source puts as many photons in d as in a (in e as in b), so the heralded
-state is a fixed heralding filter (``heralding_filter``) rescaled by the
-source amplitudes (``source_amplitudes``).  The filter and the
-linear-optical swap (``lo_swap``) are one array contraction over pair
-numbers: the heralded block density is
+state is a fixed filter, the heralded state of a unit-amplitude input,
+whose every nonzero entry scales with one monomial of the source
+amplitudes (``HeraldedEntries``).  The filters of both swaps are one array
+contraction over pair numbers:
 rho(n, n') = sum_l w(n, l) w(n', l) O(n - l, n' - l), with w the loss
 amplitude of losing l of the n photons on each analyzer mode and O what the
-herald does to the photons kept.  Every visibility readout is one
-contraction of the photon-number-block density (``detection.block_readout``);
-the Bell searches read the same blocks through ``bell.SearchKernel``.
+herald does to the photons kept.  The swaps and the Bell searches
+(``bell.SearchKernel``) read one form of state: the filter's entries
+weighted at the sources, contracted with each party's analyzer operators
+gathered at the same entries.
 Teleportation runs the same herald on arrays: one row per term of the pair
 and the coherent input, its loss amplitude times that of the SFG herald,
 with the fidelity read off the rows that leave one photon in d.
@@ -52,7 +53,6 @@ import numpy as np
 from .detection import (
     analyzer_operators,
     arm_click_probs,
-    block_readout,
     herald_sign,
     rotation_blocks,
 )
@@ -100,13 +100,17 @@ class ExperimentParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
+            if name == "pair_cap":
+                continue
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if name.startswith("mu_"):
                 if not 0.0 <= value < math.inf:
                     raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
             elif name == "dark":
                 if not 0.0 <= value < 1.0:
                     raise ValueError(f"dark must be in [0, 1), got {value!r}")
-            elif name != "pair_cap" and not 0.0 <= value <= 1.0:
+            elif not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         if not isinstance(self.pair_cap, numbers.Integral):
             raise ValueError(f"pair_cap must be an integer, got {self.pair_cap!r}")
@@ -160,14 +164,13 @@ class _SwapLayout:
     photon-number block of (d, e).  The SFG herald connects the rows of the
     d = -1 pairs, ``sfg_h`` to ``sfg_v``: converting an H pair of the first
     leaves the same photons as converting a V pair of the second.  The bins
-    are flat indices of the block density (``detection.block_readout``).
+    are flat indices of the block density (``HeraldedEntries``).
     """
 
     n: np.ndarray
     lost: np.ndarray
     root_kept: np.ndarray
     root_comb: np.ndarray  # [n, l] = sqrt(C(n, l))
-    source: np.ndarray  # flat index of each row's term in source_amplitudes
     pair_i: np.ndarray
     pair_j: np.ndarray
     pair_bins: np.ndarray
@@ -200,8 +203,6 @@ def _swap_layout(cap: int) -> _SwapLayout:
     layout = _SwapLayout(
         n=n, lost=lost, root_kept=np.sqrt(kept),
         root_comb=np.sqrt([[math.comb(x, y) for y in range(k)] for x in range(k)]),
-        source=np.ravel_multi_index((n[:, 0] + n[:, 1], n[:, 0], n[:, 2] + n[:, 3], n[:, 2]),
-                                    (k,) * 4),
         pair_i=i, pair_j=j, pair_bins=bins(i, j),
         pair_ahbv=np.ravel_multi_index((kept[i, 0] + kept[i, 3], kept[i, 0], kept[j, 0]), (k,) * 3),
         pair_bhav=np.ravel_multi_index((kept[i, 2] + kept[i, 1], kept[i, 2], kept[j, 2]), (k,) * 3),
@@ -231,13 +232,13 @@ def _binned_blocks(bins: np.ndarray, weights: np.ndarray, cap: int) -> np.ndarra
 
 
 def heralding_filter(params: ExperimentParams, basis: str = "A") -> np.ndarray:
-    """Block density R (``detection.block_readout``) of the heralded state of
-    the unit-amplitude input: amplitude 1 on every term of the swapping
-    input with at most ``pair_cap`` pairs.
+    """Block density R (``HeraldedEntries``) of the heralded state of the
+    unit-amplitude input: amplitude 1 on every term of the swapping input
+    with at most ``pair_cap`` pairs.
 
     It does not depend on the source strengths: the heralded state of any
-    sources is R times the outer product of their ``source_amplitudes``.
-    Each row's amplitude is its loss amplitude times that of
+    sources is R times one monomial of their amplitudes per entry
+    (``HeraldedEntries.monomials``).  Each row's amplitude is its loss amplitude times that of
     K = sqrt(eta_d / 2) (sqrt(sfg_h eta_th) aH bH +- sqrt(sfg_v eta_tv) aV bV)
     on its kept photons.
     """
@@ -258,36 +259,82 @@ def heralding_filter(params: ExperimentParams, basis: str = "A") -> np.ndarray:
                           params.pair_cap)
 
 
-def source_amplitudes(params: ExperimentParams) -> np.ndarray:
-    """c[N_d, a, N_e, b]: amplitude of the swapping input on the term with
-    a H and N_d - a V pairs from source 1 (on a, d) and b H and N_e - b V
-    pairs from source 2 (on b, e), at most ``pair_cap`` pairs in all and
-    renormalized, zero past the cap."""
-    cap = params.pair_cap
-    n = np.arange(cap + 1)
-    down = n[:, None] - n
-
-    def party(mu_h, mu_v):
-        return np.where(down >= 0, _gamma(mu_h) ** n * _gamma(mu_v) ** np.abs(down), 0.0)
-
-    c = np.multiply.outer(party(params.mu_1h, params.mu_1v), party(params.mu_2h, params.mu_2v))
-    c *= (np.add.outer(n, n) <= cap)[:, None, :, None]
-    return c / math.sqrt(np.vdot(c, c))
+def _source_mu(params: ExperimentParams) -> np.ndarray:
+    """The mean photon numbers (1H, 1V, 2H, 2V) of the sources of ``params``."""
+    return np.array([params.mu_1h, params.mu_1v, params.mu_2h, params.mu_2v])
 
 
-def _coincidence_tables(rho, params: ExperimentParams) -> dict:
-    """Coincidence probability of each (d arm, e arm) pair in each visibility
-    basis of a block density, read through the analyzers of ``params``, 'HV'
-    meaning the H arm of d and the V arm of e."""
-    n = rho.shape[0] - 1
-    thetas = [theta for _, theta in VISIBILITY_BASES]
-    c = block_readout(rho, thetas, arm_click_probs(params.eta_1h, params.eta_1v, n),
-                      thetas, arm_click_probs(params.eta_2h, params.eta_2v, n))
-    # rounding can leave a probability that is zero a little below it, and a
-    # visibility read from it an ulp outside [-1, 1]
-    return {name: {d + e: max(0.0, float(c[k, k, i, j]))
-                   for i, d in enumerate("HV") for j, e in enumerate("HV")}
-            for k, (name, _) in enumerate(VISIBILITY_BASES)}
+def _source_norm(params: ExperimentParams) -> float:
+    """Squared norm of the swapping input: the sum over its terms, with x_m
+    pairs in mode m = (1H, 1V, 2H, 2V) and at most ``pair_cap`` in all, of
+    prod_m gamma_m ** (2 x_m)."""
+    gamma = np.sqrt(_source_mu(params) / (1.0 + _source_mu(params)))
+    return float(np.prod(gamma ** (2 * _bounded_rows(4, params.pair_cap)), axis=1).sum())
+
+
+@dataclass(frozen=True)
+class HeraldedEntries:
+    """The nonzero entries of a heralded block density with at most ``n``
+    photons per party, diagonal ones (a = a', b = b') first.
+
+    The block density of a state on (dH, dV, eH, eV) has entries
+    [N_d, a, a', N_e, b, b'] =
+    Re <a, N_d - a; b, N_e - b| rho |a', N_d - a'; b', N_e - b'> (a, b count
+    H photons).  Analyzer readouts conserve N_d and N_e and their operators
+    are real symmetric, so nothing else is kept.
+
+    Entry e of the state of sources with amplitude ratios gamma = sqrt(mu / (1 + mu))
+    is (gain * sfg[e] + dark[e]) * prod_m gamma_m ** powers[m, e] over the modes
+    m = (1H, 1V, 2H, 2V) (``monomials``), up to a factor common to all entries:
+    one over the squared norm of the source amplitudes (``_source_norm``).
+    """
+
+    index: tuple  # (N_d, a, a', N_e, b, b') per entry
+    n_diagonal: int
+    sfg: np.ndarray
+    dark: np.ndarray
+    n: int
+    powers: np.ndarray
+
+    @classmethod
+    def of_filter(cls, filt: np.ndarray, params: ExperimentParams) -> "HeraldedEntries":
+        """Entries of the heralded state of the filter ``filt``
+        (``heralding_filter``): a photon herald within the window and no
+        dark count, weighted (1 - dark) window_acceptance, plus a dark-count
+        herald, which leaves the whole reduced input, on the (a, b)
+        diagonal.  Gathered through a mask of one byte per entry, so no
+        second block of floats is made."""
+        k = filt.shape[0]
+        flat = filt.ravel()
+        scale = (1.0 - params.dark) * params.window_acceptance
+        keep = flat != 0.0
+        keep[keep] = scale * flat[keep] != 0.0
+        if params.dark:  # every term of the input, on the diagonal
+            x = _bounded_rows(4, k - 1)
+            keep[np.ravel_multi_index((x[:, 0] + x[:, 1], x[:, 0], x[:, 0],
+                                       x[:, 2] + x[:, 3], x[:, 2], x[:, 2]), filt.shape)] = True
+        codes = np.flatnonzero(keep)
+        index = np.unravel_index(codes, filt.shape)
+        # a filter holds only terms of the input, so its diagonal is the dark herald's
+        diagonal = (index[1] == index[2]) & (index[4] == index[5])
+        order = np.argsort(~diagonal, kind="stable")
+        N, a, a2, M, b, b2 = index = tuple(i[order] for i in index)
+        return cls(index=index, n_diagonal=int(diagonal.sum()), sfg=scale * flat[codes[order]],
+                   dark=params.dark * diagonal[order], n=k - 1,
+                   powers=np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2]))
+
+    @functools.cached_property
+    def _table_index(self) -> np.ndarray:
+        # entry e of mode m's row of the flattened table gamma_m ** k
+        return np.arange(4)[:, None] * (2 * self.n + 1) + self.powers
+
+    def monomials(self, mu) -> np.ndarray:
+        """prod_m gamma_m ** powers[m, e] of each entry at the mean photon
+        numbers mu[..., m] of the modes (1H, 1V, 2H, 2V); a stack of mu
+        stacks the output."""
+        gamma = np.sqrt(mu / (1.0 + mu))
+        table = (gamma[..., None] ** np.arange(2 * self.n + 1)).reshape(gamma.shape[:-1] + (-1,))
+        return table.take(self._table_index, axis=-1).prod(axis=-2)
 
 
 def _coincidence_sum(p: dict, basis: str) -> float:
@@ -307,38 +354,44 @@ def _visibility_x(p: dict) -> float:
     return (p["HV"] + p["VH"] - p["HH"] - p["VV"]) / _coincidence_sum(p, "X")
 
 
-def _visibility_report(rho, herald_prob: float, params: ExperimentParams) -> VisibilityReport:
-    """Visibilities and fidelity bound of the heralded block density ``rho``,
-    read through the analyzers of ``params``."""
-    if np.einsum("NaaMbb->", rho) <= 0.0:
+def _visibility_report(entries: HeraldedEntries, rho, herald_prob: float,
+                       params: ExperimentParams) -> VisibilityReport:
+    """Visibilities, fidelity bound and coincidence tables of the heralded
+    state with weights ``rho`` on ``entries``, read through the analyzers of
+    ``params``: each arm's click operator at the angle of each visibility
+    basis, gathered at the entries.  An operator is formed at its angle, not
+    read off its trig polynomial, so that an exact zero of the Z basis stays
+    zero.  In a table, 'HV' means the H arm of d and the V arm of e."""
+    if rho[:entries.n_diagonal].sum() <= 0.0:
         raise ValueError("herald probability is zero")
-    tables = _coincidence_tables(rho, params)
-    v_z = _visibility_z(tables["z"])
-    v_x = _visibility_x(tables["x"])
+    N, a, a2, M, b, b2 = entries.index
+    r = rotation_blocks([-theta for _, theta in VISIBILITY_BASES], entries.n)
+    ops_d = analyzer_operators(r, arm_click_probs(params.eta_1h, params.eta_1v, entries.n))
+    ops_e = analyzer_operators(r, arm_click_probs(params.eta_2h, params.eta_2v, entries.n))
+    c = (ops_d[..., N, a, a2] * rho) @ ops_e[..., M, b, b2].swapaxes(-1, -2)
+    # rounding can leave a probability that is zero a little below it, and a
+    # visibility read from it an ulp outside [-1, 1]
+    p_z, p_x = ({d + e: max(0.0, float(c[k, i, j])) for i, d in enumerate("HV")
+                 for j, e in enumerate("HV")} for k in range(len(VISIBILITY_BASES)))
+    v_z, v_x = _visibility_z(p_z), _visibility_x(p_x)
     return VisibilityReport(v_z=v_z, v_x=v_x, fidelity_lower_bound=(v_z + v_x) / 2.0,
-                            herald_prob=herald_prob, p_z=tables["z"], p_x=tables["x"])
+                            herald_prob=herald_prob, p_z=p_z, p_x=p_x)
 
 
 def sfg_swap(params: ExperimentParams, basis: str = "A") -> VisibilityReport:
     """Full SFG-swapping pipeline: visibilities, fidelity bound, herald rate.
 
-    The heralded state is one block density: the ``heralding_filter`` times
-    the outer product of the ``source_amplitudes``, weighted by a photon
-    herald within the window and no dark count, scaled in place one
-    photon-number slice at a time so that no full-size temporary is made;
-    plus a dark-count herald, which leaves the whole reduced input, on the
-    (a, b) diagonal.  ``herald_prob`` is the photon herald within the
-    window, before dark-count mixing.
+    The heralded state is the entries (``HeraldedEntries.of_filter``) of the
+    ``heralding_filter``, a photon herald within the window and no dark
+    count plus a dark-count herald, each entry scaled by its source
+    monomial.  ``herald_prob`` is the photon herald within the window,
+    before dark-count mixing.
     """
-    rho = heralding_filter(params, basis)
-    c = source_amplitudes(params)
-    rho *= (1.0 - params.dark) * params.window_acceptance
-    for N, c_n in enumerate(c):
-        rho[N] *= np.einsum("aMb,cMd->acMbd", c_n, c_n)
-    herald_prob = float(np.einsum("NaaMbb->", rho)) / (1.0 - params.dark)
-    # the dark-count herald, through a writable view of the (a, b) diagonal
-    np.einsum("NaaMbb->NaMb", rho)[...] += params.dark * (c * c)
-    return _visibility_report(rho, herald_prob, params)
+    entries = HeraldedEntries.of_filter(heralding_filter(params, basis), params)
+    mono, norm = entries.monomials(_source_mu(params)), _source_norm(params)
+    photon = float((entries.sfg * mono)[:entries.n_diagonal].sum()) / norm
+    return _visibility_report(entries, (entries.sfg + entries.dark) * mono / norm,
+                              photon / (1.0 - params.dark), params)
 
 
 def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
@@ -347,27 +400,30 @@ def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
     The a and b modes are mixed on a polarizing beamsplitter and the BSA
     heralds on a four-fold coincidence: the diagonal arm of each output
     (efficiency ``eta_bsa``) plus one analyzer arm on each of d and e.
-    The BSA is assumed dark-count free; ``herald_prob`` is the probability
-    of its two-fold click.
+    The BSA is assumed dark-count free and has no coincidence window;
+    ``herald_prob`` is the probability of its two-fold click.
 
     The PBS sends aH and bV to one output and bH and aV to the other, each
     read in the diagonal basis with a threshold click on one arm, so the
     herald acts on the kept photons as the product of two analyzer operators
     (``detection.analyzer_operators``) at angle pi/4: on (aH, bV) clicking
-    on the V arm and on (bH, aV) clicking on the H arm.
+    on the V arm and on (bH, aV) clicking on the H arm.  As for the SFG
+    herald, the state is a filter of the unit-amplitude input whose
+    entries are scaled by their source monomials.
     """
     if not 0.0 <= eta_bsa <= 1.0:
         raise ValueError(f"eta_bsa must be in [0, 1], got {eta_bsa!r}")
     cap = params.pair_cap
     layout = _swap_layout(cap)
-    c = source_amplitudes(params).ravel()[layout.source]
-    w = _loss_amplitudes(layout, params, c)
+    w = _loss_amplitudes(layout, params, 1.0)
     clicks = arm_click_probs(eta_bsa, eta_bsa, cap)
     ops = analyzer_operators(rotation_blocks([-math.pi / 4], cap), clicks[::-1])[0]
     i, j = layout.pair_i, layout.pair_j
-    rho = _binned_blocks(layout.pair_bins, w[i] * w[j] * ops[0].ravel()[layout.pair_ahbv]
-                         * ops[1].ravel()[layout.pair_bhav], cap)
-    return _visibility_report(rho, float(np.einsum("NaaMbb->", rho)), params)
+    filt = _binned_blocks(layout.pair_bins, w[i] * w[j] * ops[0].ravel()[layout.pair_ahbv]
+                          * ops[1].ravel()[layout.pair_bhav], cap)
+    entries = HeraldedEntries.of_filter(filt, params.replace(dark=0.0, window_acceptance=1.0))
+    rho = entries.sfg * entries.monomials(_source_mu(params)) / _source_norm(params)
+    return _visibility_report(entries, rho, float(rho[:entries.n_diagonal].sum()), params)
 
 
 def error_event_probs(gamma: float, t: float) -> tuple:

@@ -10,8 +10,11 @@ diagonal, with CHSH and QBER on top.  It shares no readout code with the
 package.  Next to it sit the pure-branch swap pipelines, built from the
 channels of ``branch_route.py``: the reference for the array kernel of
 ``protocols.heralding_filter`` and ``protocols.lo_swap``.  ``scaled_filter_blocks``
-builds the state ``protocols.sfg_swap`` reads by explicit products of that
-filter and the source amplitudes.
+builds the state ``protocols.sfg_swap`` reads as dense block densities, by
+explicit products of that filter and the ``source_amplitudes``, and
+``block_readout`` contracts every block of such a density with the
+analyzer operators: the dense references for the package's gathered
+entries and readout.
 
 Entries are pruned relative to the operator's largest entry, so the route
 stays exact on operators of tiny trace such as the ``paper-tableS1``
@@ -50,15 +53,15 @@ from branch_route import (
     two_mode_rotation,
 )
 from sfgswap.bell import BellSettings
-from sfgswap.detection import HERALD_SIGNS
+from sfgswap.detection import HERALD_SIGNS, analyzer_operators, arm_click_probs, rotation_blocks
 from sfgswap.protocols import (
+    VISIBILITY_BASES,
     ExperimentParams,
     VisibilityReport,
-    _coincidence_tables,
+    _gamma,
     _visibility_x,
     _visibility_z,
     heralding_filter,
-    source_amplitudes,
 )
 
 # Analyzer arms of unit efficiency (the ExperimentParams defaults).
@@ -587,12 +590,29 @@ def heralded_state_with_dark(rho_sfg: DensityOperator, psi_in: PureState,
     return rho.scaled(1.0 / total)
 
 
+def source_amplitudes(params: ExperimentParams) -> np.ndarray:
+    """c[N_d, a, N_e, b]: amplitude of the swapping input on the term with
+    a H and N_d - a V pairs from source 1 (on a, d) and b H and N_e - b V
+    pairs from source 2 (on b, e), at most ``pair_cap`` pairs in all and
+    renormalized, zero past the cap."""
+    cap = params.pair_cap
+    n = np.arange(cap + 1)
+    down = n[:, None] - n
+
+    def party(mu_h, mu_v):
+        return np.where(down >= 0, _gamma(mu_h) ** n * _gamma(mu_v) ** np.abs(down), 0.0)
+
+    c = np.multiply.outer(party(params.mu_1h, params.mu_1v), party(params.mu_2h, params.mu_2v))
+    c *= (np.add.outer(n, n) <= cap)[:, None, :, None]
+    return c / math.sqrt(np.vdot(c, c))
+
+
 def scaled_filter_blocks(params: ExperimentParams, basis: str = "A") -> tuple:
     """The heralded state of ``params`` as block densities split by origin,
     (photon herald, dark-count herald), by explicit products: the
     ``protocols.heralding_filter`` times s c c' with s = (1 - dark)
     window_acceptance, and dark c^2 on the (a, b) diagonal, c the
-    ``protocols.source_amplitudes``."""
+    ``source_amplitudes``."""
     c = source_amplitudes(params)
     eye = np.eye(c.shape[1])
     s = (1.0 - params.dark) * params.window_acceptance
@@ -605,8 +625,8 @@ def scaled_filter_blocks(params: ExperimentParams, basis: str = "A") -> tuple:
 # from the Kraus branches of the input state.
 
 def block_density(pieces, n: int) -> np.ndarray:
-    """Block density (``detection.block_readout``) of the mixture of pure
-    ``pieces`` on (dH, dV, eH, eV), each party holding at most n photons."""
+    """Block density (``block_readout``) of the mixture of pure ``pieces``
+    on (dH, dV, eH, eV), each party holding at most n photons."""
     k = n + 1
     rho = np.zeros((k * k, k * k, k * k))  # [(N_d, N_e), (a, b), (a', b')]
     for chunk in (pieces[i:i + 32] for i in range(0, len(pieces), 32)):  # bounded scratch
@@ -616,6 +636,36 @@ def block_density(pieces, n: int) -> np.ndarray:
                 psi[(dH + dV) * k + eH + eV, dH * k + eH, i] = amp
         rho += (psi @ psi.conj().transpose(0, 2, 1)).real
     return np.ascontiguousarray(rho.reshape((k,) * 6).transpose(0, 2, 4, 1, 3, 5))
+
+
+def block_readout(rho: np.ndarray, thetas_d, weights_d, thetas_e, weights_e) -> np.ndarray:
+    """E[p, q, i, j] = Tr[rho (O(thetas_d[p], weights_d[i]) x O(thetas_e[q], weights_e[j]))]
+    for a block density rho, with O(theta, o) = R(-theta)^T diag(o) R(-theta) for a
+    weight o[N, a] per photon-number state after the analyzer: the dense
+    contraction of every block.
+
+    The block density of a state on (dH, dV, eH, eV) with at most n photons
+    per party has entries [N_d, a, a', N_e, b, b'] =
+    Re <a, N_d - a; b, N_e - b| rho |a', N_d - a'; b', N_e - b'> (a, b count
+    H photons).  Readouts conserve N_d and N_e and their operators are real
+    symmetric, so nothing else is kept."""
+    k, n_d = rho.shape[0], len(thetas_d)
+    r = rotation_blocks(-np.concatenate([thetas_d, thetas_e]), k - 1)
+    e = (analyzer_operators(r[:n_d], weights_d).reshape(-1, k ** 3) @ rho.reshape(k ** 3, -1)
+         @ analyzer_operators(r[n_d:], weights_e).reshape(-1, k ** 3).T)
+    return e.reshape(n_d, -1, len(thetas_e), len(weights_e)).transpose(0, 2, 1, 3)
+
+
+def coincidence_tables(rho: np.ndarray, params: ExperimentParams) -> dict:
+    """The coincidence tables of ``protocols.VisibilityReport`` read off a
+    block density by ``block_readout``, through the analyzers of ``params``."""
+    n = rho.shape[0] - 1
+    thetas = [theta for _, theta in VISIBILITY_BASES]
+    c = block_readout(rho, thetas, arm_click_probs(params.eta_1h, params.eta_1v, n),
+                      thetas, arm_click_probs(params.eta_2h, params.eta_2v, n))
+    return {name: {d + e: float(c[k, k, i, j])
+                   for i, d in enumerate("HV") for j, e in enumerate("HV")}
+            for k, (name, _) in enumerate(VISIBILITY_BASES)}
 
 
 def sfg_heralded_branches(params: ExperimentParams, basis: str = "A", gain: float = 1.0):
@@ -665,7 +715,7 @@ def branch_lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> Visibility
         amps = {occ: a * math.sqrt(click_prob(eta_bsa, occ[i_bH]) * click_prob(eta_bsa, occ[i_aV]))
                 for occ, a in phi.amps.items()}
         pieces.extend(reduced_branches(PureState(phi.register, amps, n_max=phi.n_max)))
-    tables = _coincidence_tables(block_density(pieces, params.pair_cap), params)
+    tables = coincidence_tables(block_density(pieces, params.pair_cap), params)
     v_z = _visibility_z(tables["z"])
     v_x = _visibility_x(tables["x"])
     return VisibilityReport(

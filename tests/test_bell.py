@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from density_route import (
     UNIT_EFFICIENCIES,
     block_density,
+    block_readout,
     chsh_value,
     heralded_state_with_dark,
     qber,
@@ -24,13 +25,11 @@ from sfgswap import bell
 from sfgswap.bell import (
     CANONICAL_X0,
     BellSettings,
-    HeraldedEntries,
     SearchKernel,
     TSIRELSON,
     _partial_entanglement_seed,
     _qber,
     _seed_chsh,
-    _source_mu,
     binary_entropy,
     dw_key_rate,
     dw_key_rate_slopes,
@@ -41,10 +40,16 @@ from sfgswap.bell import (
     sfg_gain_threshold,
 )
 from branch_route import reduced_branches
-from sfgswap.detection import arm_click_probs, block_readout
+from sfgswap.detection import arm_click_probs
 from sfgswap import optimize
 from sfgswap.presets import get_preset, swap_params
-from sfgswap.protocols import ExperimentParams, heralding_filter, sfg_swap
+from sfgswap.protocols import (
+    ExperimentParams,
+    HeraldedEntries,
+    _source_mu,
+    heralding_filter,
+    sfg_swap,
+)
 from simplex_reference import drive_one, maximize_starts
 
 
@@ -403,21 +408,26 @@ def test_seed_objective_is_bit_identical(eta):
 
 def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
     # Every evaluation of an efficiency-threshold search reads the search
-    # kernel: the heralding filter is built once and no block readout runs.
-    from sfgswap import detection
+    # kernel: the heralding filter is built once, each kernel call weighs
+    # the gathered entries once by their source monomials (the weights the
+    # swaps read too), and no swap readout runs.
+    from sfgswap import protocols
 
-    calls = {"heralding_filter": 0, "block_readout": 0, "evaluations": 0}
+    calls = dict.fromkeys(("heralding_filter", "monomials", "correlator_gradients",
+                           "_visibility_report", "evaluations"), 0)
 
-    def counted(module, name):
-        real = getattr(module, name)
+    def counted(owner, name):
+        real = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
     counted(bell, "heralding_filter")
-    counted(detection, "block_readout")
+    counted(HeraldedEntries, "monomials")
+    counted(SearchKernel, "correlator_gradients")
+    counted(protocols, "_visibility_report")
     real_maximize = bell.maximize_starts_bfgs
 
     def maximize(*args, **kwargs):
@@ -429,7 +439,8 @@ def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
     eta = efficiency_threshold(_preset("ideal", pair_cap=2), bracket=(0.6, 0.8), xtol=0.05)
     assert 0.6 < eta <= 0.8
     assert calls["evaluations"] > 1000
-    assert calls["heralding_filter"] == 1 and calls["block_readout"] == 0
+    assert calls["heralding_filter"] == 1 and calls["_visibility_report"] == 0
+    assert 0 < calls["monomials"] == calls["correlator_gradients"] < calls["evaluations"]
 
 
 @pytest.mark.parametrize("case", ["ideal-2", "tableS1-3-dark", "tableS1-5"])

@@ -10,6 +10,7 @@ from density_route import (
     AnalyzerSetting,
     DensityOperator,
     block_density,
+    block_readout,
     expectation,
     herald_projection,
     joint_click_pattern_probs,
@@ -29,7 +30,6 @@ from sfgswap.detection import (
     _rotation_eig,
     analyzer_coefficients,
     arm_click_probs,
-    block_readout,
     rotation_blocks,
     trig_basis_and_derivative,
 )

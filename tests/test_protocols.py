@@ -1,6 +1,7 @@
 """End-to-end swapping, teleportation, and error-event pipelines."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from density_route import (
     branch_heralding_filter,
     branch_lo_swap,
     apply_sfg_first_order,
+    coincidence_tables,
     herald_projection,
     heralded_state_with_dark,
     joint_click_pattern_probs,
@@ -42,11 +44,15 @@ from branch_route import (
     tensor,
     tmsv_pair,
 )
-from sfgswap.presets import get_preset, swap_params
+from sfgswap import protocols
+from sfgswap.bell import TSIRELSON, SearchKernel, _heralded_entries
+from sfgswap.presets import PARAM_KEYS, get_preset, swap_params
 from sfgswap.protocols import (
     ExperimentParams,
-    _coincidence_tables,
+    HeraldedEntries,
     _gamma,
+    _source_mu,
+    _source_norm,
     _visibility_x,
     _visibility_z,
     error_event_probs,
@@ -87,6 +93,16 @@ def test_experiment_params_rejects_bad_dark_by_name(dark):
         ideal_params(dark=dark)
 
 
+@pytest.mark.parametrize("value", ["0.5", None, 1j])
+@pytest.mark.parametrize("key", PARAM_KEYS)
+def test_experiment_params_rejects_a_non_number_by_name(key, value):
+    # Built in the library, not parsed from a config: refused with the field
+    # and the value, not with a bare TypeError from a comparison.
+    kind = "an integer" if key == "pair_cap" else "a number"
+    with pytest.raises(ValueError, match=f"^{key} must be {kind}, got {re.escape(repr(value))}"):
+        ExperimentParams(**{key: value})
+
+
 _EFFICIENCY = st.floats(0.05, 1.0)
 
 
@@ -116,6 +132,34 @@ def test_swap_reports_are_physical_and_the_herald_scales_with_the_channels(param
         assert abs(report.v_z) <= 1.0 and abs(report.v_x) <= 1.0
         assert 0.0 < report.herald_prob <= 1.0
     assert sfg_lossy.herald_prob == pytest.approx(s * s * sfg.herald_prob, rel=1e-12, abs=0.0)
+
+
+_ANGLES = st.lists(st.floats(-math.pi / 2, math.pi / 2), min_size=4, max_size=4)
+_MU = st.lists(st.floats(1e-3, 0.3), min_size=4, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_experiments(), basis=st.sampled_from("AD"), eta_bsa=_EFFICIENCY,
+       thetas=_ANGLES, mu=_MU)
+def test_swap_tables_are_the_dense_readout_and_chsh_is_bounded(params, basis, eta_bsa,
+                                                               thetas, mu):
+    # The gathered readout of both swaps equals block_readout of the dense
+    # block density (the scaled filter for the SFG herald, the pure branches
+    # for the linear-optical one), to 1e-13 of the herald probability; and the
+    # search kernel's CHSH value on the same entries obeys Tsirelson's bound
+    # at any angles and sources.
+    sfg, lo = sfg_swap(params, basis), lo_swap(params, eta_bsa)
+    lo_ref = branch_lo_swap(params, eta_bsa)
+    for rep, ref in ((sfg, coincidence_tables(sum(scaled_filter_blocks(params, basis)), params)),
+                     (lo, {"z": lo_ref.p_z, "x": lo_ref.p_x})):
+        for name, table in (("z", rep.p_z), ("x", rep.p_x)):
+            for ij, p in ref[name].items():
+                assert abs(table[ij] - p) <= 1e-13 * rep.herald_prob
+    kernel = SearchKernel(HeraldedEntries.of_filter(heralding_filter(params, basis), params),
+                          params)
+    e = kernel.correlator_gradients(thetas[:2], thetas[2:], np.array(mu))[0]
+    # rounding may put a correlator an ulp past its exact value
+    assert abs(e[0, 0] + e[1, 0] + e[0, 1] - e[1, 1]) <= TSIRELSON + 1e-12
 
 
 def test_rounding_leaves_no_probability_below_zero():
@@ -193,7 +237,7 @@ def test_sfg_swap_matches_ensemble_with_dark_counts():
     # input.  Read the blocks of both heralds and the density reference route.
     params = swap_params(get_preset("ideal")["params"]).replace(dark=0.1)
     rep = sfg_swap(params)
-    blocks = _coincidence_tables(sum(scaled_filter_blocks(params)), params)
+    blocks = coincidence_tables(sum(scaled_filter_blocks(params)), params)
     rho_sfg, psi_in = sfg_heralded_operator(params)
     rho = heralded_state_with_dark(rho_sfg, psi_in, params.dark)
     for (basis, theta), visibility, v in ((("z", 0.0), _visibility_z, rep.v_z),
@@ -205,34 +249,51 @@ def test_sfg_swap_matches_ensemble_with_dark_counts():
         assert v == pytest.approx(visibility(oracle), abs=1e-10)
 
 
+def _read_swaps(monkeypatch):
+    """Record the entries and weights each swap hands to its readout."""
+    seen = []
+    real = protocols._visibility_report
+
+    def counted(entries, rho, *args):
+        seen.append((entries, rho))
+        return real(entries, rho, *args)
+
+    monkeypatch.setattr(protocols, "_visibility_report", counted)
+    return seen
+
+
 @pytest.mark.parametrize("preset,dark", [("paper-tableS1", None), ("ideal", 0.1)])
-def test_heralded_ensemble_is_the_scaled_filter_to_the_last_bit(preset, dark):
-    # Scaling in place keeps the order of the factors, (s filter) (c c'),
-    # and the dark-count herald adds dark c^2 on the (a, b) diagonal: the
-    # tables sfg_swap reads are those of the explicit products, bit for bit.
+def test_sfg_swap_weighs_the_search_state_to_the_last_bit(monkeypatch, preset, dark):
+    # sfg_swap reads the state the Bell searches read: the same entries of
+    # the |A>-heralded filter, and as weights the search kernel's state at
+    # the sources of params over the source norm, bit for bit.
     params = swap_params(get_preset(preset)["params"])
     if dark is not None:
         params = params.replace(dark=dark)
-    rep = sfg_swap(params)
-    rho_sfg, rho_dark = scaled_filter_blocks(params)
-    tables = _coincidence_tables(rho_sfg + rho_dark, params)
-    assert (rep.p_z, rep.p_x) == (tables["z"], tables["x"])
+    seen = _read_swaps(monkeypatch)
+    sfg_swap(params)
+    [(entries, rho)] = seen
+    search = _heralded_entries(params)
+    for name in ("index", "sfg", "dark", "powers"):
+        assert np.array_equal(getattr(entries, name), getattr(search, name))
+    assert entries.n_diagonal == search.n_diagonal
+    state, _ = SearchKernel(search, params)._state(_source_mu(params))
+    assert np.array_equal(rho, state / _source_norm(params))
 
 
-def test_sfg_swap_reads_one_block_density(monkeypatch):
-    # Both heralds are one state, read by one block readout.
-    from sfgswap import protocols
-
-    calls = []
-    real = protocols.block_readout
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(protocols, "block_readout", counted)
-    sfg_swap(swap_params(get_preset("paper-tableS1")["params"]))
-    assert calls == [(4,) * 6]
+def test_each_swap_runs_one_gathered_readout(monkeypatch):
+    # Both heralds of sfg_swap are one state, and lo_swap's state takes the
+    # same form: each swap runs one readout, of one weight per gathered
+    # entry, with the cap's photon numbers.
+    params = swap_params(get_preset("paper-tableS1")["params"])
+    seen = _read_swaps(monkeypatch)
+    sfg_swap(params)
+    lo_swap(params)
+    assert len(seen) == 2
+    for entries, rho in seen:
+        assert entries.n == params.pair_cap
+        assert rho.shape == entries.sfg.shape == entries.dark.shape
+        assert 0 < entries.n_diagonal < rho.size
 
 
 def test_sfg_swap_makes_no_spare_full_size_block():
