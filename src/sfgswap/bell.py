@@ -30,7 +30,7 @@ from .optimize import (
     monotone_threshold,
     multistart_maximize,
 )
-from .protocols import ExperimentParams, HeraldedEntries, _source_mu, heralding_filter
+from .protocols import ExperimentParams, HeraldedEntries, _source_mu, heralded_entries
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -75,11 +75,6 @@ class BellSettings:
         object.__setattr__(self, "theta_b2", _wrap_angle(self.theta_b2))
         if self.theta_a0 is not None:
             object.__setattr__(self, "theta_a0", _wrap_angle(self.theta_a0))
-
-
-def _heralded_entries(params: ExperimentParams) -> HeraldedEntries:
-    """Entries of the |A>-heralded state of ``params``, the state every search reads."""
-    return HeraldedEntries.of_filter(heralding_filter(params, basis="A"), params)
 
 
 class SearchKernel:
@@ -281,8 +276,8 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False, gain: float =
     mean photon numbers of the sources) on the |A>-heralded state, read
     through the analyzer efficiencies of ``params``.
 
-    The heralding filter is built once, and each evaluation rescales its
-    nonzero entries by the source amplitudes: those of ``params``, or with
+    The heralded entries are gathered once, and each evaluation rescales
+    them by the source amplitudes: those of ``params``, or with
     ``free_mu`` two pump strengths varied per polarization within
     ``MU_BOUNDS`` and shared between the sources.  The search is
     ``optimize.multistart_maximize`` on the exact gradient
@@ -299,7 +294,7 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False, gain: float =
     printed digits of ln mu, so to about 10 digits.
     """
     lo, hi = MU_BOUNDS
-    kernel = SearchKernel(_heralded_entries(params), params, gain)
+    kernel = SearchKernel(heralded_entries(params), params, gain)
     if not free_mu:
         mu = _source_mu(params)
 
@@ -381,7 +376,7 @@ def optimize_key_rate(params: ExperimentParams, gain: float = 1.0, seed: int = 0
     the optimum through the search's own path, so r = ``dw_key_rate(S, Q)``
     holds exactly.
     """
-    kernel = SearchKernel(_heralded_entries(params), params, gain)
+    kernel = SearchKernel(heralded_entries(params), params, gain)
     return _key_rate_search(kernel, _source_mu(params), seed, n_starts, x0, trace)
 
 
@@ -525,7 +520,7 @@ def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int
         raise ValueError(f"bracket must satisfy 0 < lo < hi <= 1, got {tuple(bracket)!r}")
     if not (math.isfinite(xtol) and xtol > 0.0):
         raise ValueError(f"xtol must be finite and positive, got {xtol!r}")
-    entries = _heralded_entries(params)
+    entries = heralded_entries(params)
     warm = {"x0": None}
 
     def margin(eta):
@@ -575,7 +570,7 @@ def sfg_gain_threshold(params: ExperimentParams, bracket=(1.0, 1e4), rtol: float
         raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {tuple(bracket)!r}")
     if not (math.isfinite(rtol) and rtol > 0.0):
         raise ValueError(f"rtol must be finite and positive, got {rtol!r}")
-    entries, mu = _heralded_entries(params), _source_mu(params)
+    entries, mu = heralded_entries(params), _source_mu(params)
     warm = {"x0": None}
 
     def margin(log_gain):

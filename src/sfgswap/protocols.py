@@ -10,16 +10,16 @@ The heralding pipeline is
 
 Loss, SFG and the herald act on the a, b and c modes only, and each pair
 source puts as many photons in d as in a (in e as in b), so the heralded
-state is a fixed filter, the heralded state of a unit-amplitude input,
-whose every nonzero entry scales with one monomial of the source
-amplitudes (``HeraldedEntries``).  The filters of both swaps are one array
-contraction over pair numbers:
+state is that of a unit-amplitude input, whose every nonzero entry scales
+with one monomial of the source amplitudes (``HeraldedEntries``).  Both
+swaps herald by one sum over pair numbers:
 rho(n, n') = sum_l w(n, l) w(n', l) O(n - l, n' - l), with w the loss
 amplitude of losing l of the n photons on each analyzer mode and O what the
-herald does to the photons kept.  The swaps and the Bell searches
-(``bell.SearchKernel``) read one form of state: the filter's entries
-weighted at the sources, contracted with each party's analyzer operators
-gathered at the same entries.
+herald does to the photons kept, gathered by one ``np.bincount`` into the
+entries any herald can reach.  The swaps and the Bell searches
+(``bell.SearchKernel``) read one form of state: those entries weighted at
+the sources, contracted with each party's analyzer operators gathered at
+the same entries.
 Teleportation runs the same herald on arrays: one row per term of the pair
 and the coherent input, its loss amplitude times that of the SFG herald,
 with the fidelity read off the rows that leave one photon in d.
@@ -163,8 +163,12 @@ class _SwapLayout:
     analyzer, which conserves aH + bV and bH + aV, connects within one
     photon-number block of (d, e).  The SFG herald connects the rows of the
     d = -1 pairs, ``sfg_h`` to ``sfg_v``: converting an H pair of the first
-    leaves the same photons as converting a V pair of the second.  The bins
-    are flat indices of the block density (``HeraldedEntries``).
+    leaves the same photons as converting a V pair of the second.
+    ``index`` lists once each entry (N_d, a, a', N_e, b, b') of the block
+    density (``HeraldedEntries``) that a pair reaches, (n_i1H + n_i1V, n_i1H,
+    n_j1H, ...), diagonal ones (d = 0, where the dark-count herald also
+    lands) first and each part in lexicographic order; the slots are the
+    position there of each pair and each SFG row product.
     """
 
     n: np.ndarray
@@ -173,12 +177,15 @@ class _SwapLayout:
     root_comb: np.ndarray  # [n, l] = sqrt(C(n, l))
     pair_i: np.ndarray
     pair_j: np.ndarray
-    pair_bins: np.ndarray
+    pair_slots: np.ndarray
     pair_ahbv: np.ndarray  # flat index of (m_aH + m_bV, m_aH, m_aH') of each pair
     pair_bhav: np.ndarray  # flat index of (m_bH + m_aV, m_bH, m_bH')
     sfg_h: np.ndarray
     sfg_v: np.ndarray
-    sfg_bins: np.ndarray  # of (h, h), (v, v), (h, v), (v, h)
+    sfg_slots: np.ndarray  # of (h, h), (v, v), (h, v), (v, h)
+    index: np.ndarray  # [6, entry]
+    powers: np.ndarray  # [4, entry]
+    n_diagonal: int
 
 
 @functools.lru_cache(maxsize=None)
@@ -199,17 +206,31 @@ def _swap_layout(cap: int) -> _SwapLayout:
         return np.ravel_multi_index((n[i, 0] + n[i, 1], n[i, 0], n[j, 0],
                                      n[i, 2] + n[i, 3], n[i, 2], n[j, 2]), (k,) * 6)
 
+    pair_codes = bins(i, j)
+    mask = np.zeros(k ** 6, dtype=bool)  # one byte per entry; loads no numpy.ma
+    mask[pair_codes] = True
+    reached = np.flatnonzero(mask)  # sorted
+    index = np.stack(np.unravel_index(reached, (k,) * 6))
+    off = (index[1] != index[2]) | (index[4] != index[5])
+    order = np.argsort(off, kind="stable")
+    slot = np.empty_like(order)  # scattered: argsort(order) pages in 0.3 MB more of numpy
+    slot[order] = np.arange(order.size)
+    N, a, a2, M, b, b2 = index = index[:, order]
     h, v = i[d == -1], j[d == -1]
     layout = _SwapLayout(
         n=n, lost=lost, root_kept=np.sqrt(kept),
         root_comb=np.sqrt([[math.comb(x, y) for y in range(k)] for x in range(k)]),
-        pair_i=i, pair_j=j, pair_bins=bins(i, j),
+        pair_i=i, pair_j=j, pair_slots=slot[np.searchsorted(reached, pair_codes)],
         pair_ahbv=np.ravel_multi_index((kept[i, 0] + kept[i, 3], kept[i, 0], kept[j, 0]), (k,) * 3),
         pair_bhav=np.ravel_multi_index((kept[i, 2] + kept[i, 1], kept[i, 2], kept[j, 2]), (k,) * 3),
         sfg_h=h, sfg_v=v,
-        sfg_bins=np.concatenate([bins(h, h), bins(v, v), bins(h, v), bins(v, h)]))
+        sfg_slots=slot[np.searchsorted(reached, np.concatenate(
+            [bins(h, h), bins(v, v), bins(h, v), bins(v, h)]))],
+        index=index, powers=np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2]),
+        n_diagonal=int(off.size - off.sum()))
     for arr in vars(layout).values():
-        arr.setflags(write=False)  # shared by every caller
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)  # shared by every caller
     return layout
 
 
@@ -225,38 +246,21 @@ def _loss_amplitudes(layout: _SwapLayout, params: ExperimentParams, amp) -> np.n
     return amp
 
 
-def _binned_blocks(bins: np.ndarray, weights: np.ndarray, cap: int) -> np.ndarray:
-    """Block density with the sum of the weights of each bin."""
-    k = cap + 1
-    return np.bincount(bins, weights, minlength=k ** 6).reshape((k,) * 6)
-
-
-def heralding_filter(params: ExperimentParams, basis: str = "A") -> np.ndarray:
-    """Block density R (``HeraldedEntries``) of the heralded state of the
-    unit-amplitude input: amplitude 1 on every term of the swapping input
-    with at most ``pair_cap`` pairs.
-
-    It does not depend on the source strengths: the heralded state of any
-    sources is R times one monomial of their amplitudes per entry
-    (``HeraldedEntries.monomials``).  Each row's amplitude is its loss amplitude times that of
-    K = sqrt(eta_d / 2) (sqrt(sfg_h eta_th) aH bH +- sqrt(sfg_v eta_tv) aV bV)
-    on its kept photons.
-    """
-    sign = herald_sign(basis)
-    layout = _swap_layout(params.pair_cap)
-    w = _loss_amplitudes(layout, params, 1.0)
+def _sfg_amplitudes(params: ExperimentParams, sign: float, w, root_kept: np.ndarray,
+                    rows_h=slice(None), rows_v=slice(None)) -> list:
+    """Amplitudes [h, v] of the terms of the SFG herald K = sqrt(eta_d / 2)
+    (sqrt(sfg_h eta_th) aH bH + sign sqrt(sfg_v eta_tv) aV bV) on the rows
+    ``rows_h``, ``rows_v`` with loss amplitudes ``w`` and kept photons ``root_kept ** 2``."""
     amps = []
     for rows, (ca, cb), eta, eta_t, s in (
-            (layout.sfg_h, (0, 2), params.sfg_h, params.eta_th, 1.0),
-            (layout.sfg_v, (1, 3), params.sfg_v, params.eta_tv, sign)):
-        root = layout.root_kept[rows]
+            (rows_h, (0, 2), params.sfg_h, params.eta_th, 1.0),
+            (rows_v, (1, 3), params.sfg_v, params.eta_tv, sign)):
+        root = root_kept[rows]
         # The factors in the order the pure-branch route applies them, so
-        # that the lossless filter is the same to the last bit.
+        # that the lossless swap state is the same to the last bit.
         amps.append(w[rows] * root[:, ca] * root[:, cb] * math.sqrt(eta) * eta_t ** 0.5
                     * s / math.sqrt(2.0) * math.sqrt(params.eta_d))
-    h, v = amps
-    return _binned_blocks(layout.sfg_bins, np.concatenate([h * h, v * v, h * v, v * h]),
-                          params.pair_cap)
+    return amps
 
 
 def _source_mu(params: ExperimentParams) -> np.ndarray:
@@ -297,31 +301,21 @@ class HeraldedEntries:
     powers: np.ndarray
 
     @classmethod
-    def of_filter(cls, filt: np.ndarray, params: ExperimentParams) -> "HeraldedEntries":
-        """Entries of the heralded state of the filter ``filt``
-        (``heralding_filter``): a photon herald within the window and no
-        dark count, weighted (1 - dark) window_acceptance, plus a dark-count
-        herald, which leaves the whole reduced input, on the (a, b)
-        diagonal.  Gathered through a mask of one byte per entry, so no
-        second block of floats is made."""
-        k = filt.shape[0]
-        flat = filt.ravel()
-        scale = (1.0 - params.dark) * params.window_acceptance
-        keep = flat != 0.0
-        keep[keep] = scale * flat[keep] != 0.0
-        if params.dark:  # every term of the input, on the diagonal
-            x = _bounded_rows(4, k - 1)
-            keep[np.ravel_multi_index((x[:, 0] + x[:, 1], x[:, 0], x[:, 0],
-                                       x[:, 2] + x[:, 3], x[:, 2], x[:, 2]), filt.shape)] = True
-        codes = np.flatnonzero(keep)
-        index = np.unravel_index(codes, filt.shape)
-        # a filter holds only terms of the input, so its diagonal is the dark herald's
-        diagonal = (index[1] == index[2]) & (index[4] == index[5])
-        order = np.argsort(~diagonal, kind="stable")
-        N, a, a2, M, b, b2 = index = tuple(i[order] for i in index)
-        return cls(index=index, n_diagonal=int(diagonal.sum()), sfg=scale * flat[codes[order]],
-                   dark=params.dark * diagonal[order], n=k - 1,
-                   powers=np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2]))
+    def gather(cls, layout: _SwapLayout, slots: np.ndarray, weights: np.ndarray,
+               scale: float = 1.0, dark: float = 0.0) -> "HeraldedEntries":
+        """The layout's entries reached by a photon herald that sums ``weights``
+        at ``slots``, weighted ``scale``, or by a dark-count herald of weight
+        ``dark``, which leaves the whole reduced input, on the diagonal."""
+        sfg = scale * np.bincount(slots, weights, minlength=layout.powers.shape[1])
+        keep = sfg != 0.0
+        if dark:
+            keep[:layout.n_diagonal] = True
+        e = np.flatnonzero(keep)
+        diagonal = e < layout.n_diagonal
+        # take keeps rows contiguous ([:, e] would not), which fixes the kernel's sum order
+        return cls(index=tuple(layout.index.take(e, axis=1)), n_diagonal=int(diagonal.sum()),
+                   sfg=sfg[e], dark=dark * diagonal, n=layout.root_comb.shape[0] - 1,
+                   powers=layout.powers.take(e, axis=1))
 
     @functools.cached_property
     def _table_index(self) -> np.ndarray:
@@ -335,6 +329,21 @@ class HeraldedEntries:
         gamma = np.sqrt(mu / (1.0 + mu))
         table = (gamma[..., None] ** np.arange(2 * self.n + 1)).reshape(gamma.shape[:-1] + (-1,))
         return table.take(self._table_index, axis=-1).prod(axis=-2)
+
+
+def heralded_entries(params: ExperimentParams, basis: str = "A") -> HeraldedEntries:
+    """Entries of the state heralded on ``basis``: a photon herald within the
+    window and no dark count, weighted (1 - dark) window_acceptance, plus a
+    dark-count herald.  The photon herald is that of the unit-amplitude
+    input (amplitude 1 on every term with at most ``pair_cap`` pairs), each
+    row's amplitude its loss amplitude times that of K (``_sfg_amplitudes``)."""
+    sign = herald_sign(basis)
+    layout = _swap_layout(params.pair_cap)
+    h, v = _sfg_amplitudes(params, sign, _loss_amplitudes(layout, params, 1.0),
+                           layout.root_kept, layout.sfg_h, layout.sfg_v)
+    return HeraldedEntries.gather(layout, layout.sfg_slots,
+                                  np.concatenate([h * h, v * v, h * v, v * h]),
+                                  (1.0 - params.dark) * params.window_acceptance, params.dark)
 
 
 def _coincidence_sum(p: dict, basis: str) -> float:
@@ -381,13 +390,12 @@ def _visibility_report(entries: HeraldedEntries, rho, herald_prob: float,
 def sfg_swap(params: ExperimentParams, basis: str = "A") -> VisibilityReport:
     """Full SFG-swapping pipeline: visibilities, fidelity bound, herald rate.
 
-    The heralded state is the entries (``HeraldedEntries.of_filter``) of the
-    ``heralding_filter``, a photon herald within the window and no dark
-    count plus a dark-count herald, each entry scaled by its source
-    monomial.  ``herald_prob`` is the photon herald within the window,
-    before dark-count mixing.
+    The heralded state is the ``heralded_entries``, a photon herald within
+    the window and no dark count plus a dark-count herald, each entry
+    scaled by its source monomial.  ``herald_prob`` is the photon herald
+    within the window, before dark-count mixing.
     """
-    entries = HeraldedEntries.of_filter(heralding_filter(params, basis), params)
+    entries = heralded_entries(params, basis)
     mono, norm = entries.monomials(_source_mu(params)), _source_norm(params)
     photon = float((entries.sfg * mono)[:entries.n_diagonal].sum()) / norm
     return _visibility_report(entries, (entries.sfg + entries.dark) * mono / norm,
@@ -408,8 +416,8 @@ def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
     herald acts on the kept photons as the product of two analyzer operators
     (``detection.analyzer_operators``) at angle pi/4: on (aH, bV) clicking
     on the V arm and on (bH, aV) clicking on the H arm.  As for the SFG
-    herald, the state is a filter of the unit-amplitude input whose
-    entries are scaled by their source monomials.
+    herald, the state is that of the unit-amplitude input, gathered into
+    the layout's entries by pair, each entry scaled by its source monomial.
     """
     if not 0.0 <= eta_bsa <= 1.0:
         raise ValueError(f"eta_bsa must be in [0, 1], got {eta_bsa!r}")
@@ -419,9 +427,8 @@ def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
     clicks = arm_click_probs(eta_bsa, eta_bsa, cap)
     ops = analyzer_operators(rotation_blocks([-math.pi / 4], cap), clicks[::-1])[0]
     i, j = layout.pair_i, layout.pair_j
-    filt = _binned_blocks(layout.pair_bins, w[i] * w[j] * ops[0].ravel()[layout.pair_ahbv]
-                          * ops[1].ravel()[layout.pair_bhav], cap)
-    entries = HeraldedEntries.of_filter(filt, params.replace(dark=0.0, window_acceptance=1.0))
+    herald = w[i] * w[j] * ops[0].ravel()[layout.pair_ahbv] * ops[1].ravel()[layout.pair_bhav]
+    entries = HeraldedEntries.gather(layout, layout.pair_slots, herald)
     rho = entries.sfg * entries.monomials(_source_mu(params)) / _source_norm(params)
     return _visibility_report(entries, rho, float(rho[:entries.n_diagonal].sum()), params)
 
@@ -522,8 +529,8 @@ def teleport(params: ExperimentParams, input_polarization, input_mean_photons: f
     The pair is cut at ``pair_cap`` pairs and renormalized, the coherent
     input at 2 ``pair_cap`` photons, and so is their product; the weight
     the cuts drop is ``truncation_dropped``.  Each term's herald amplitude
-    is its loss amplitude times that of the SFG herald K of
-    ``heralding_filter``, which leaves its d photons as they are.
+    is its loss amplitude times that of the SFG herald K
+    (``_sfg_amplitudes``), which leaves its d photons as they are.
     """
     alpha, beta = (complex(x) for x in input_polarization)
     if not all(map(math.isfinite, (alpha.real, alpha.imag, beta.real, beta.imag))):
@@ -549,11 +556,7 @@ def teleport(params: ExperimentParams, input_polarization, input_mean_photons: f
     amp = g_h ** k * g_v ** l / pair_norm * norm * coh_h[m_h] * coh_v[m_v]
     intact = ~layout.lost.any(axis=1)
     dropped = max(0.0, 1.0 - float(np.vdot(amp[intact], amp[intact]).real))
-    w = _loss_amplitudes(layout, params, amp)
-    root = layout.root_kept
-    scale = math.sqrt(params.eta_d / 2.0)
-    h = w * root[:, 0] * root[:, 2] * (scale * math.sqrt(params.sfg_h * params.eta_th))
-    v = w * root[:, 1] * root[:, 3] * (sign * scale * math.sqrt(params.sfg_v * params.eta_tv))
+    h, v = _sfg_amplitudes(params, sign, _loss_amplitudes(layout, params, amp), layout.root_kept)
     herald_prob = float(np.vdot(h, h).real + np.vdot(v, v).real)
     if herald_prob <= 0.0:
         raise ValueError("herald probability is zero")

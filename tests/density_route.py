@@ -8,13 +8,15 @@ those operators, the herald as a projection, threshold-detector POVMs, and
 the sixteen joint click patterns read off the rotated photon-number
 diagonal, with CHSH and QBER on top.  It shares no readout code with the
 package.  Next to it sit the pure-branch swap pipelines, built from the
-channels of ``branch_route.py``: the reference for the array kernel of
-``protocols.heralding_filter`` and ``protocols.lo_swap``.  ``scaled_filter_blocks``
-builds the state ``protocols.sfg_swap`` reads as dense block densities, by
-explicit products of that filter and the ``source_amplitudes``, and
-``block_readout`` contracts every block of such a density with the
-analyzer operators: the dense references for the package's gathered
-entries and readout.
+channels of ``branch_route.py``: the reference for the heralds of
+``protocols.heralded_entries`` and ``protocols.lo_swap``, which gather into
+the entries a herald can reach and never form a dense block.
+``dense_block`` scatters such entries into a dense block density;
+``scaled_filter_blocks`` builds the state ``protocols.sfg_swap`` reads as
+dense block densities, by explicit products of the unit-amplitude herald
+and the ``source_amplitudes``, and ``block_readout`` contracts every block
+of such a density with the analyzer operators: the dense references for
+the package's gathered entries and readout.
 
 Entries are pruned relative to the operator's largest entry, so the route
 stays exact on operators of tiny trace such as the ``paper-tableS1``
@@ -61,7 +63,7 @@ from sfgswap.protocols import (
     _gamma,
     _visibility_x,
     _visibility_z,
-    heralding_filter,
+    heralded_entries,
 )
 
 # Analyzer arms of unit efficiency (the ExperimentParams defaults).
@@ -607,21 +609,29 @@ def source_amplitudes(params: ExperimentParams) -> np.ndarray:
     return c / math.sqrt(np.vdot(c, c))
 
 
+def dense_block(entries, weights) -> np.ndarray:
+    """The block density (``block_readout``) with ``weights`` at the
+    ``protocols.HeraldedEntries`` ``entries`` and zero elsewhere."""
+    rho = np.zeros((entries.n + 1,) * 6)
+    rho[entries.index] = weights
+    return rho
+
+
 def scaled_filter_blocks(params: ExperimentParams, basis: str = "A") -> tuple:
     """The heralded state of ``params`` as block densities split by origin,
-    (photon herald, dark-count herald), by explicit products: the
-    ``protocols.heralding_filter`` times s c c' with s = (1 - dark)
-    window_acceptance, and dark c^2 on the (a, b) diagonal, c the
-    ``source_amplitudes``."""
+    (photon herald, dark-count herald), by explicit products: the photon
+    herald of the unit-amplitude input, s R with s = (1 - dark)
+    window_acceptance (``protocols.heralded_entries``), times c c', and
+    dark c^2 on the (a, b) diagonal, c the ``source_amplitudes``."""
     c = source_amplitudes(params)
     eye = np.eye(c.shape[1])
-    s = (1.0 - params.dark) * params.window_acceptance
-    return (s * heralding_filter(params, basis) * np.einsum("NaMb,NcMd->NacMbd", c, c),
+    entries = heralded_entries(params, basis)
+    return (dense_block(entries, entries.sfg) * np.einsum("NaMb,NcMd->NacMbd", c, c),
             params.dark * np.einsum("NaMb,ac,bd->NacMbd", c * c, eye, eye))
 
 
 # Pure-branch swap pipelines: the states the array kernel of
-# ``protocols.heralding_filter`` and ``protocols.lo_swap`` computes, built
+# ``protocols.heralded_entries`` and ``protocols.lo_swap`` computes, built
 # from the Kraus branches of the input state.
 
 def block_density(pieces, n: int) -> np.ndarray:
@@ -680,8 +690,10 @@ def sfg_heralded_branches(params: ExperimentParams, basis: str = "A", gain: floa
 
 
 def branch_heralding_filter(params: ExperimentParams, basis: str = "A") -> np.ndarray:
-    """``protocols.heralding_filter`` from the branches of the unit-amplitude
-    input: amplitude 1 on every term with at most ``pair_cap`` pairs."""
+    """The photon herald of the unit-amplitude input of ``params``,
+    amplitude 1 on every term with at most ``pair_cap`` pairs, as a block
+    density (``protocols.heralded_entries`` without dark counts and with
+    the whole window), from its branches."""
     cap = params.pair_cap
     unit = {pairs + pairs: 1.0 for pairs in itertools.product(range(cap + 1), repeat=4)
             if sum(pairs) <= cap}

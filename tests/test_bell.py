@@ -47,7 +47,7 @@ from sfgswap.protocols import (
     ExperimentParams,
     HeraldedEntries,
     _source_mu,
-    heralding_filter,
+    heralded_entries,
     sfg_swap,
 )
 from simplex_reference import drive_one, maximize_starts
@@ -56,8 +56,7 @@ from simplex_reference import drive_one, maximize_starts
 def _kernel(params, effs=UNIT_EFFICIENCIES, gain=1.0, basis="A"):
     """The search kernel of the heralded state of ``params``, read through
     the analyzer efficiencies of ``effs``."""
-    return SearchKernel(HeraldedEntries.of_filter(heralding_filter(params, basis), params),
-                        effs, gain)
+    return SearchKernel(heralded_entries(params, basis), effs, gain)
 
 
 def _chsh_at(kernel, params, settings_):
@@ -175,7 +174,7 @@ UNIT_ANALYZER = dict(eta_1h=1.0, eta_1v=1.0, eta_2h=1.0, eta_2v=1.0)
             eta_d=0.85, dark=1e-3, window_acceptance=0.9, pair_cap=4),
 ], ids=["ideal-2", "ideal-3", "paper-tableS1-3", "paper-tableS1-5", "lossy-dark-windowed"])
 def test_ensemble_matches_heralded_branches(params, basis):
-    # The heralded state rescales one heralding filter by the source
+    # The heralded state rescales one unit-amplitude herald by the source
     # amplitudes; the full pipeline on the sources' own input state must
     # give the same blocks, with independent pump strengths per source and
     # polarization, and sfg_swap the same photon-herald probability.
@@ -258,9 +257,9 @@ def test_efficiency_threshold_eberhard_limit():
         "xtol-negative", "xtol-inf"])
 def test_efficiency_threshold_rejects_bad_arguments(monkeypatch, kwargs, argument):
     # Rejected by name before any search (each search starts from the
-    # heralding filter, so none may run).  Unchecked, xtol = nan ends the
+    # heralded entries, so none may run).  Unchecked, xtol = nan ends the
     # bisection at once with the upper bracket edge as the threshold.
-    monkeypatch.setattr(bell, "heralding_filter", None)
+    monkeypatch.setattr(bell, "heralded_entries", None)
     with pytest.raises(ValueError, match=argument):
         efficiency_threshold(_preset("ideal", pair_cap=2), **kwargs)
 
@@ -294,11 +293,11 @@ def test_efficiency_threshold_refusal_shows_the_scan():
         "rtol-negative", "rtol-inf"])
 def test_sfg_gain_threshold_rejects_bad_arguments(monkeypatch, kwargs, argument):
     # Rejected by name before any search (each search starts from the
-    # heralding filter, so none may run).  Unchecked, lo = 0 or -1 fails
+    # heralded entries, so none may run).  Unchecked, lo = 0 or -1 fails
     # with "math domain error", a reversed bracket is reported by its
     # logarithms, hi = inf fails after the searches with "zero total herald
     # probability", and rtol = nan is reported as xtol.
-    monkeypatch.setattr(bell, "heralding_filter", None)
+    monkeypatch.setattr(bell, "heralded_entries", None)
     with pytest.raises(ValueError, match=argument):
         sfg_gain_threshold(_preset("ideal", pair_cap=2), **kwargs)
 
@@ -408,12 +407,12 @@ def test_seed_objective_is_bit_identical(eta):
 
 def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
     # Every evaluation of an efficiency-threshold search reads the search
-    # kernel: the heralding filter is built once, each kernel call weighs
+    # kernel: the heralded entries are gathered once, each kernel call weighs
     # the gathered entries once by their source monomials (the weights the
     # swaps read too), and no swap readout runs.
     from sfgswap import protocols
 
-    calls = dict.fromkeys(("heralding_filter", "monomials", "correlator_gradients",
+    calls = dict.fromkeys(("heralded_entries", "monomials", "correlator_gradients",
                            "_visibility_report", "evaluations"), 0)
 
     def counted(owner, name):
@@ -424,7 +423,7 @@ def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(bell, "heralding_filter")
+    counted(bell, "heralded_entries")
     counted(HeraldedEntries, "monomials")
     counted(SearchKernel, "correlator_gradients")
     counted(protocols, "_visibility_report")
@@ -439,7 +438,7 @@ def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
     eta = efficiency_threshold(_preset("ideal", pair_cap=2), bracket=(0.6, 0.8), xtol=0.05)
     assert 0.6 < eta <= 0.8
     assert calls["evaluations"] > 1000
-    assert calls["heralding_filter"] == 1 and calls["_visibility_report"] == 0
+    assert calls["heralded_entries"] == 1 and calls["_visibility_report"] == 0
     assert 0 < calls["monomials"] == calls["correlator_gradients"] < calls["evaluations"]
 
 

@@ -152,6 +152,8 @@ def test_sweep_and_bell_make_no_lapack_call(tmp_path):
     # Every numpy.linalg entry point raises in a fresh interpreter (no cached
     # rotation table): the analyzer rotations are closed form, so the
     # pair_cap sweep of both analyzers and the free-mu Bell search run.
+    # Neither loads numpy.ma (np.unique would), which costs a request time
+    # and memory.
     script = textwrap.dedent(f"""
         import sys
         import numpy.linalg as la
@@ -170,6 +172,7 @@ def test_sweep_and_bell_make_no_lapack_call(tmp_path):
                       "--set", "bell.n_starts=1"]):
             code = sfgswap.cli.main(argv + ["--out", {str(tmp_path / "out.txt")!r}])
             assert code == 0, argv
+        assert "numpy.ma" not in sys.modules
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(sfgswap.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], env=env,

@@ -17,6 +17,7 @@ from density_route import (
     branch_lo_swap,
     apply_sfg_first_order,
     coincidence_tables,
+    dense_block,
     herald_projection,
     heralded_state_with_dark,
     joint_click_pattern_probs,
@@ -45,18 +46,17 @@ from branch_route import (
     tmsv_pair,
 )
 from sfgswap import protocols
-from sfgswap.bell import TSIRELSON, SearchKernel, _heralded_entries
+from sfgswap.bell import TSIRELSON, SearchKernel
 from sfgswap.presets import PARAM_KEYS, get_preset, swap_params
 from sfgswap.protocols import (
     ExperimentParams,
-    HeraldedEntries,
     _gamma,
     _source_mu,
     _source_norm,
     _visibility_x,
     _visibility_z,
     error_event_probs,
-    heralding_filter,
+    heralded_entries,
     lo_swap,
     qfc_teleport_strong_pump,
     sfg_swap,
@@ -134,6 +134,33 @@ def test_swap_reports_are_physical_and_the_herald_scales_with_the_channels(param
     assert sfg_lossy.herald_prob == pytest.approx(s * s * sfg.herald_prob, rel=1e-12, abs=0.0)
 
 
+def _least_eigenvalue_ratios(entries, rho):
+    """The least eigenvalue of each (N_d, N_e) block of the state with
+    weights ``rho`` on ``entries``, over the block's trace (0 on an empty
+    block)."""
+    k = entries.n + 1
+    blocks = dense_block(entries, rho).transpose(0, 3, 1, 4, 2, 5).reshape(k, k, k * k, k * k)
+    least = np.linalg.eigvalsh(blocks)[..., 0]
+    trace = np.trace(blocks, axis1=-2, axis2=-1)
+    return np.divide(least, trace, out=np.zeros_like(least), where=trace > 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_experiments(), eta_bsa=_EFFICIENCY)
+def test_every_block_of_both_heralded_states_is_psd(params, eta_bsa):
+    # The heralded state each swap reads, on both SFG herald bases and
+    # through the linear-optical analyzer, is a density operator: every
+    # photon-number block is positive semidefinite to 1e-12 of its trace.
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _read_swaps(mp)
+        sfg_swap(params, "A")
+        sfg_swap(params, "D")
+        lo_swap(params, eta_bsa)
+    assert len(seen) == 3
+    for entries, rho in seen:
+        assert _least_eigenvalue_ratios(entries, rho).min() >= -1e-12
+
+
 _ANGLES = st.lists(st.floats(-math.pi / 2, math.pi / 2), min_size=4, max_size=4)
 _MU = st.lists(st.floats(1e-3, 0.3), min_size=4, max_size=4)
 
@@ -144,7 +171,7 @@ _MU = st.lists(st.floats(1e-3, 0.3), min_size=4, max_size=4)
 def test_swap_tables_are_the_dense_readout_and_chsh_is_bounded(params, basis, eta_bsa,
                                                                thetas, mu):
     # The gathered readout of both swaps equals block_readout of the dense
-    # block density (the scaled filter for the SFG herald, the pure branches
+    # block density (the scaled entries for the SFG herald, the pure branches
     # for the linear-optical one), to 1e-13 of the herald probability; and the
     # search kernel's CHSH value on the same entries obeys Tsirelson's bound
     # at any angles and sources.
@@ -155,8 +182,7 @@ def test_swap_tables_are_the_dense_readout_and_chsh_is_bounded(params, basis, et
         for name, table in (("z", rep.p_z), ("x", rep.p_x)):
             for ij, p in ref[name].items():
                 assert abs(table[ij] - p) <= 1e-13 * rep.herald_prob
-    kernel = SearchKernel(HeraldedEntries.of_filter(heralding_filter(params, basis), params),
-                          params)
+    kernel = SearchKernel(heralded_entries(params, basis), params)
     e = kernel.correlator_gradients(thetas[:2], thetas[2:], np.array(mu))[0]
     # rounding may put a correlator an ulp past its exact value
     assert abs(e[0, 0] + e[1, 0] + e[0, 1] - e[1, 1]) <= TSIRELSON + 1e-12
@@ -264,8 +290,8 @@ def _read_swaps(monkeypatch):
 
 @pytest.mark.parametrize("preset,dark", [("paper-tableS1", None), ("ideal", 0.1)])
 def test_sfg_swap_weighs_the_search_state_to_the_last_bit(monkeypatch, preset, dark):
-    # sfg_swap reads the state the Bell searches read: the same entries of
-    # the |A>-heralded filter, and as weights the search kernel's state at
+    # sfg_swap reads the state the Bell searches read: the same |A>-heralded
+    # entries, and as weights the search kernel's state at
     # the sources of params over the source norm, bit for bit.
     params = swap_params(get_preset(preset)["params"])
     if dark is not None:
@@ -273,7 +299,7 @@ def test_sfg_swap_weighs_the_search_state_to_the_last_bit(monkeypatch, preset, d
     seen = _read_swaps(monkeypatch)
     sfg_swap(params)
     [(entries, rho)] = seen
-    search = _heralded_entries(params)
+    search = heralded_entries(params)
     for name in ("index", "sfg", "dark", "powers"):
         assert np.array_equal(getattr(entries, name), getattr(search, name))
     assert entries.n_diagonal == search.n_diagonal
@@ -310,6 +336,24 @@ def test_sfg_swap_makes_no_spare_full_size_block():
     finally:
         tracemalloc.stop()
     assert peak <= block + 3 * block // 4
+
+
+@pytest.mark.parametrize("swap", [sfg_swap, lo_swap], ids=["sfg", "lo"])
+@pytest.mark.parametrize("pair_cap", [5, 8])
+def test_no_swap_allocates_a_block_density(swap, pair_cap):
+    # Both heralds gather into the few entries the layout can reach (206 of
+    # 6^6 at pair_cap 5, 1,087 of 9^6 at 8), so a warm swap never holds
+    # even half of one dense block density of doubles.
+    params = swap_params(get_preset("paper-tableS1")["params"]).replace(pair_cap=pair_cap)
+    half_block = (pair_cap + 1) ** 6 * np.dtype(float).itemsize // 2
+    swap(params)  # build the cached layout and rotation tables first
+    tracemalloc.start()
+    try:
+        swap(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < half_block
 
 
 def test_lo_swap_low_pump_limit():
@@ -353,11 +397,18 @@ def test_lo_swap_matches_branch_route(case, eta_bsa):
             assert table[ij] == pytest.approx(p, abs=1e-12 * slow.herald_prob)
 
 
+def _unit_herald(params, basis):
+    """The photon herald of the unit-amplitude input, unscaled by the window
+    and dark counts, scattered from the gathered entries into a block."""
+    entries = heralded_entries(params.replace(dark=0.0, window_acceptance=1.0), basis)
+    return dense_block(entries, entries.sfg)
+
+
 @pytest.mark.parametrize("basis", ["A", "D"])
 @pytest.mark.parametrize("case", list(SWAP_CASES))
 def test_heralding_filter_matches_branch_route(case, basis):
     params = SWAP_CASES[case]
-    fast, slow = heralding_filter(params, basis), branch_heralding_filter(params, basis)
+    fast, slow = _unit_herald(params, basis), branch_heralding_filter(params, basis)
     assert fast.shape == slow.shape
     assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
     # The same nonzero entries, which the Bell searches gather.
@@ -392,10 +443,10 @@ def test_zero_coincidence_probability_is_named(arms):
 
 @pytest.mark.parametrize("basis", ["A", "D"])
 def test_lossless_heralding_filter_is_bit_exact(basis):
-    # The ideal filter at pair_cap 2 feeds the efficiency-threshold search,
+    # The ideal herald at pair_cap 2 feeds the efficiency-threshold search,
     # whose path turns on its last bits: 1/2 and 0.5000000000000001 differ.
     params = SWAP_CASES["ideal-2-own"]
-    assert np.array_equal(heralding_filter(params, basis), branch_heralding_filter(params, basis))
+    assert np.array_equal(_unit_herald(params, basis), branch_heralding_filter(params, basis))
 
 
 def test_sfg_swap_visibilities_invariant_under_sfg_gain():
