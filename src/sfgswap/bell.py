@@ -91,6 +91,8 @@ class SearchKernel:
     """
 
     def __init__(self, entries: HeraldedEntries, analyzer: ExperimentParams, gain: float = 1.0):
+        if not (math.isfinite(gain) and gain > 0.0):
+            raise ValueError(f"gain must be finite and positive, got {gain!r}")
         N, a, a2, M, b, b2 = entries.index
         n = entries.n
         self._ca = _outcome_coefficients(analyzer.eta_1h, analyzer.eta_1v, n)[:, N, a, a2]

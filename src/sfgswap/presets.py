@@ -22,6 +22,16 @@ _EPS_PARAMS = {
     "t_1h": 0.44, "t_1v": 0.48, "t_2h": 0.56, "t_2v": 0.57,
 }
 
+# Symmetric sources with a lossless, dark-free, unit-efficiency analyzer, which
+# the measured presets overlay; ``get_preset`` copies it for each preset.
+_IDEAL_PARAMS = {
+    "mu_1h": 0.05, "mu_1v": 0.05, "mu_2h": 0.05, "mu_2v": 0.05,
+    "eta_1h": 1.0, "eta_1v": 1.0, "eta_2h": 1.0, "eta_2v": 1.0,
+    "t_1h": 1.0, "t_1v": 1.0, "t_2h": 1.0, "t_2v": 1.0,
+    "sfg_h": 1.0, "sfg_v": 1.0, "eta_th": 1.0, "eta_tv": 1.0, "eta_d": 1.0,
+    "dark": 0.0, "window_acceptance": 1.0, "pair_cap": 3,
+}
+
 _PRESETS = {
     # Measured analyzer-unit benchmark: classical two-beam count rates,
     # collection and detection efficiencies, input powers, plus the
@@ -46,46 +56,20 @@ _PRESETS = {
     },
     # Source parameters alone, with an ideal (lossless, dark-free,
     # unit-efficiency) analyzer.
-    "paper-table2": {
-        "params": dict(_EPS_PARAMS, **{
-            "sfg_h": 1.0, "sfg_v": 1.0,
-            "eta_th": 1.0, "eta_tv": 1.0, "eta_d": 1.0,
-            "dark": 0.0, "window_acceptance": 1.0, "pair_cap": 3,
-        }),
-    },
+    "paper-table2": {"params": dict(_IDEAL_PARAMS, **_EPS_PARAMS)},
     # The full measured pipeline: sources, analyzer conversion
     # efficiencies, collection/detection losses, dark counts, and the
     # 96 % coincidence-window acceptance.
-    "paper-tableS1": {
-        "params": dict(_EPS_PARAMS, **{
-            "sfg_h": 2.31e-8, "sfg_v": 2.35e-8,
-            "eta_th": 0.43, "eta_tv": 0.40, "eta_d": 0.85,
-            "dark": 6.7e-11, "window_acceptance": 0.96, "pair_cap": 3,
-        }),
-    },
+    "paper-tableS1": {"params": dict(
+        _IDEAL_PARAMS, **_EPS_PARAMS, sfg_h=2.31e-8, sfg_v=2.35e-8,
+        eta_th=0.43, eta_tv=0.40, eta_d=0.85, dark=6.7e-11, window_acceptance=0.96)},
     # Loss-free reference point.
-    "ideal": {
-        "params": {
-            "mu_1h": 0.05, "mu_1v": 0.05, "mu_2h": 0.05, "mu_2v": 0.05,
-            "eta_1h": 1.0, "eta_1v": 1.0, "eta_2h": 1.0, "eta_2v": 1.0,
-            "t_1h": 1.0, "t_1v": 1.0, "t_2h": 1.0, "t_2v": 1.0,
-            "sfg_h": 1.0, "sfg_v": 1.0,
-            "eta_th": 1.0, "eta_tv": 1.0, "eta_d": 1.0,
-            "dark": 0.0, "window_acceptance": 1.0, "pair_cap": 3,
-        },
-    },
+    "ideal": {"params": _IDEAL_PARAMS},
     # Visibility-versus-loss comparison of the two analyzers: symmetric
     # sources, ideal collection and detection, loss swept on all four
     # channel modes at once.
     "fig-s3": {
-        "params": {
-            "mu_1h": 0.05, "mu_1v": 0.05, "mu_2h": 0.05, "mu_2v": 0.05,
-            "eta_1h": 1.0, "eta_1v": 1.0, "eta_2h": 1.0, "eta_2v": 1.0,
-            "t_1h": 1.0, "t_1v": 1.0, "t_2h": 1.0, "t_2v": 1.0,
-            "sfg_h": 1.0, "sfg_v": 1.0,
-            "eta_th": 1.0, "eta_tv": 1.0, "eta_d": 1.0,
-            "dark": 0.0, "window_acceptance": 1.0, "pair_cap": 3,
-        },
+        "params": _IDEAL_PARAMS,
         "sweep": {"variable": "loss", "start": 0.0, "stop": 0.9,
                   "steps": 19, "bsa": "both"},
     },

@@ -59,11 +59,11 @@ from .detection import (
 
 # Analyzer angle of both parties in the Z and X visibility measurements.
 VISIBILITY_BASES = (("z", 0.0), ("x", math.pi / 4))
-# Largest pair_cap accepted.  The layouts grow as C(pair_cap + 8, 8) rows
-# for a swap and C(2 pair_cap + 8, 8) for a teleport: a teleport on
-# paper-tableS1 takes about 0.8 s and 0.5 GB at 10, and 60 would ask for
-# 7.4e9 rows.  The truncation has converged well before: no visibility
-# moves by 1e-4 from pair_cap 7 to 8.
+# Largest pair_cap accepted.  The swap and teleport layouts have 43,758 and
+# 351,208 rows at 10 (``_swap_layout``, ``_teleport_layout``), where a cold
+# teleport on paper-tableS1 takes about 0.2 s and 0.1 GB; 60 would ask for
+# 7.4e9 and 1.0e11.  The truncation has converged well before: no
+# visibility moves by 1e-4 from pair_cap 7 to 8.
 PAIR_CAP_MAX = 10
 
 
@@ -124,9 +124,9 @@ class ExperimentParams:
         return replace(self, **kwargs)
 
 
-def _gamma(mu: float) -> float:
-    """Squeezing parameter of a source mode with mean photon number mu."""
-    return math.sqrt(mu / (1.0 + mu))
+def _gamma(mu):
+    """Squeezing parameter of a source mode (or of each) with mean photon number mu."""
+    return np.sqrt(mu / (1.0 + mu))
 
 
 @dataclass(frozen=True)
@@ -141,19 +141,50 @@ class VisibilityReport:
     p_x: dict
 
 
-def _bounded_rows(width: int, cap: int) -> np.ndarray:
-    """Every row of ``width`` nonnegative integers summing to at most ``cap``,
-    in lexicographic order."""
-    rows = np.zeros((1, 0), dtype=np.intp)
-    for _ in range(width):
-        room = cap + 1 - rows.sum(axis=1)
-        start = np.repeat(np.cumsum(room) - room, room)
-        rows = np.column_stack([np.repeat(rows, room, axis=0), np.arange(start.size) - start])
+def _bounded_rows(weights, cap: int) -> np.ndarray:
+    """Every row x of nonnegative integers, one per weight, with
+    sum_i weights[i] x_i <= cap, in lexicographic order."""
+    rows, room = np.zeros((1, 0), dtype=np.intp), np.full(1, cap)  # room left per row
+    for w in weights:
+        count = room // w + 1
+        x = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        rows = np.column_stack([np.repeat(rows, count, axis=0), x])
+        room = np.repeat(room, count) - w * x
     return rows
 
 
 @dataclass(frozen=True)
-class _SwapLayout:
+class _InputLayout:
+    """Rows of an input: n photons on (aH, aV, bH, bV), ``lost`` of them lost."""
+
+    n: np.ndarray
+    lost: np.ndarray
+    root_kept: np.ndarray
+    root_comb: np.ndarray  # [n, l] = sqrt(C(n, l))
+
+
+def _input_layout(cls, weights, cap: int, own):
+    """The read-only ``cls`` layout of ``_bounded_rows(weights, cap)``, rows of kept then
+    lost photons, and the fields ``own(n, rows, find)`` adds; ``find`` numbers rows."""
+    k = cap + 1  # no photon number exceeds cap
+    rows = _bounded_rows(weights, cap)
+    codes = np.ravel_multi_index(rows.T, (k,) * 8)  # sorted, as the rows are
+
+    def find(partners):
+        return np.searchsorted(codes, np.ravel_multi_index(partners.T, (k,) * 8))
+
+    n = rows[:, :4] + rows[:, 4:]
+    layout = cls(n=n, lost=rows[:, 4:].copy(), root_kept=np.sqrt(rows[:, :4]),  # a copy: frees rows
+                 root_comb=np.sqrt([[math.comb(x, y) for y in range(k)] for x in range(k)]),
+                 **own(n, rows, find))
+    for arr in vars(layout).values():
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return layout
+
+
+@dataclass(frozen=True)
+class _SwapLayout(_InputLayout):
     """Index layout of the heralded swap state at one ``pair_cap``.
 
     A row is a term of the swapping input with n = (n1H, n1V, n2H, n2V) pairs
@@ -171,10 +202,6 @@ class _SwapLayout:
     position there of each pair and each SFG row product.
     """
 
-    n: np.ndarray
-    lost: np.ndarray
-    root_kept: np.ndarray
-    root_comb: np.ndarray  # [n, l] = sqrt(C(n, l))
     pair_i: np.ndarray
     pair_j: np.ndarray
     pair_slots: np.ndarray
@@ -191,50 +218,44 @@ class _SwapLayout:
 @functools.lru_cache(maxsize=None)
 def _swap_layout(cap: int) -> _SwapLayout:
     k = cap + 1
-    rows = _bounded_rows(8, cap)
-    kept, lost = rows[:, :4], rows[:, 4:]
-    n = kept + lost
-    low = -np.minimum(kept[:, 0], kept[:, 2])
-    count = np.minimum(kept[:, 1], kept[:, 3]) - low + 1
-    i = np.repeat(np.arange(len(rows)), count)
-    d = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count) + low[i]
-    partners = rows[i] + np.multiply.outer(d, [1, -1, 1, -1, 0, 0, 0, 0])
-    codes = np.ravel_multi_index(rows.T, (k,) * 8)  # sorted, as the rows are
-    j = np.searchsorted(codes, np.ravel_multi_index(partners.T, (k,) * 8))
 
-    def bins(i, j):
-        return np.ravel_multi_index((n[i, 0] + n[i, 1], n[i, 0], n[j, 0],
-                                     n[i, 2] + n[i, 3], n[i, 2], n[j, 2]), (k,) * 6)
+    def own(n, rows, find):
+        kept, k3 = rows[:, :4], (k,) * 3  # k3: the shape of an analyzer block (N, a, a')
+        low = -np.minimum(kept[:, 0], kept[:, 2])
+        count = np.minimum(kept[:, 1], kept[:, 3]) - low + 1
+        i = np.repeat(np.arange(len(rows)), count)
+        d = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count) + low[i]
+        j = find(rows[i] + np.multiply.outer(d, [1, -1, 1, -1, 0, 0, 0, 0]))
 
-    pair_codes = bins(i, j)
-    mask = np.zeros(k ** 6, dtype=bool)  # one byte per entry; loads no numpy.ma
-    mask[pair_codes] = True
-    reached = np.flatnonzero(mask)  # sorted
-    index = np.stack(np.unravel_index(reached, (k,) * 6))
-    off = (index[1] != index[2]) | (index[4] != index[5])
-    order = np.argsort(off, kind="stable")
-    slot = np.empty_like(order)  # scattered: argsort(order) pages in 0.3 MB more of numpy
-    slot[order] = np.arange(order.size)
-    N, a, a2, M, b, b2 = index = index[:, order]
-    h, v = i[d == -1], j[d == -1]
-    layout = _SwapLayout(
-        n=n, lost=lost, root_kept=np.sqrt(kept),
-        root_comb=np.sqrt([[math.comb(x, y) for y in range(k)] for x in range(k)]),
-        pair_i=i, pair_j=j, pair_slots=slot[np.searchsorted(reached, pair_codes)],
-        pair_ahbv=np.ravel_multi_index((kept[i, 0] + kept[i, 3], kept[i, 0], kept[j, 0]), (k,) * 3),
-        pair_bhav=np.ravel_multi_index((kept[i, 2] + kept[i, 1], kept[i, 2], kept[j, 2]), (k,) * 3),
-        sfg_h=h, sfg_v=v,
-        sfg_slots=slot[np.searchsorted(reached, np.concatenate(
-            [bins(h, h), bins(v, v), bins(h, v), bins(v, h)]))],
-        index=index, powers=np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2]),
-        n_diagonal=int(off.size - off.sum()))
-    for arr in vars(layout).values():
-        if isinstance(arr, np.ndarray):
-            arr.setflags(write=False)  # shared by every caller
-    return layout
+        def bins(i, j):
+            return np.ravel_multi_index((n[i, 0] + n[i, 1], n[i, 0], n[j, 0],
+                                         n[i, 2] + n[i, 3], n[i, 2], n[j, 2]), (k,) * 6)
+
+        pair_codes = bins(i, j)
+        mask = np.zeros(k ** 6, dtype=bool)  # one byte per entry; loads no numpy.ma
+        mask[pair_codes] = True
+        reached = np.flatnonzero(mask)  # sorted
+        index = np.stack(np.unravel_index(reached, (k,) * 6))
+        off = (index[1] != index[2]) | (index[4] != index[5])
+        order = np.argsort(off, kind="stable")
+        slot = np.empty_like(order)  # scattered: argsort(order) pages in 0.3 MB more of numpy
+        slot[order] = np.arange(order.size)
+        N, a, a2, M, b, b2 = index = index[:, order]
+        h, v = i[d == -1], j[d == -1]
+        return dict(
+            pair_i=i, pair_j=j, pair_slots=slot[np.searchsorted(reached, pair_codes)],
+            pair_ahbv=np.ravel_multi_index((kept[i, 0] + kept[i, 3], kept[i, 0], kept[j, 0]), k3),
+            pair_bhav=np.ravel_multi_index((kept[i, 2] + kept[i, 1], kept[i, 2], kept[j, 2]), k3),
+            sfg_h=h, sfg_v=v,
+            sfg_slots=slot[np.searchsorted(reached, np.concatenate(
+                [bins(h, h), bins(v, v), bins(h, v), bins(v, h)]))],
+            index=index, powers=np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2]),
+            n_diagonal=int(off.size - off.sum()))
+
+    return _input_layout(_SwapLayout, (1,) * 8, cap, own)
 
 
-def _loss_amplitudes(layout: _SwapLayout, params: ExperimentParams, amp) -> np.ndarray:
+def _loss_amplitudes(layout: _InputLayout, params: ExperimentParams, amp) -> np.ndarray:
     """``amp`` times each row's channel-loss amplitude, the product over
     (aH, aV, bH, bV) of sqrt(C(n, l)) t^((n - l) / 2) (1 - t)^(l / 2)."""
     k = layout.root_comb.shape[0]
@@ -268,12 +289,19 @@ def _source_mu(params: ExperimentParams) -> np.ndarray:
     return np.array([params.mu_1h, params.mu_1v, params.mu_2h, params.mu_2v])
 
 
-def _source_norm(params: ExperimentParams) -> float:
-    """Squared norm of the swapping input: the sum over its terms, with x_m
-    pairs in mode m = (1H, 1V, 2H, 2V) and at most ``pair_cap`` in all, of
-    prod_m gamma_m ** (2 x_m)."""
-    gamma = np.sqrt(_source_mu(params) / (1.0 + _source_mu(params)))
-    return float(np.prod(gamma ** (2 * _bounded_rows(4, params.pair_cap)), axis=1).sum())
+@functools.lru_cache(maxsize=None)
+def _pair_powers(cap: int) -> np.ndarray:
+    """The read-only powers 2 x_m of each term of ``_source_norm``."""
+    powers = 2 * _bounded_rows((1,) * 4, cap)
+    powers.setflags(write=False)
+    return powers
+
+
+def _source_norm(mu, cap: int) -> float:
+    """Squared norm of the pair sources' input at mean photon numbers mu: the
+    sum over its terms, with x_m pairs in mode m = (1H, 1V, 2H, 2V) and at
+    most ``cap`` in all, of prod_m gamma_m ** (2 x_m)."""
+    return float(np.prod(_gamma(mu) ** _pair_powers(cap), axis=1).sum())
 
 
 @dataclass(frozen=True)
@@ -287,7 +315,7 @@ class HeraldedEntries:
     H photons).  Analyzer readouts conserve N_d and N_e and their operators
     are real symmetric, so nothing else is kept.
 
-    Entry e of the state of sources with amplitude ratios gamma = sqrt(mu / (1 + mu))
+    Entry e of the state of sources with amplitude ratios gamma (``_gamma``)
     is (gain * sfg[e] + dark[e]) * prod_m gamma_m ** powers[m, e] over the modes
     m = (1H, 1V, 2H, 2V) (``monomials``), up to a factor common to all entries:
     one over the squared norm of the source amplitudes (``_source_norm``).
@@ -326,7 +354,7 @@ class HeraldedEntries:
         """prod_m gamma_m ** powers[m, e] of each entry at the mean photon
         numbers mu[..., m] of the modes (1H, 1V, 2H, 2V); a stack of mu
         stacks the output."""
-        gamma = np.sqrt(mu / (1.0 + mu))
+        gamma = _gamma(mu)
         table = (gamma[..., None] ** np.arange(2 * self.n + 1)).reshape(gamma.shape[:-1] + (-1,))
         return table.take(self._table_index, axis=-1).prod(axis=-2)
 
@@ -395,8 +423,8 @@ def sfg_swap(params: ExperimentParams, basis: str = "A") -> VisibilityReport:
     scaled by its source monomial.  ``herald_prob`` is the photon herald
     within the window, before dark-count mixing.
     """
-    entries = heralded_entries(params, basis)
-    mono, norm = entries.monomials(_source_mu(params)), _source_norm(params)
+    entries, mu = heralded_entries(params, basis), _source_mu(params)
+    mono, norm = entries.monomials(mu), _source_norm(mu, params.pair_cap)
     photon = float((entries.sfg * mono)[:entries.n_diagonal].sum()) / norm
     return _visibility_report(entries, (entries.sfg + entries.dark) * mono / norm,
                               photon / (1.0 - params.dark), params)
@@ -422,14 +450,14 @@ def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
     if not 0.0 <= eta_bsa <= 1.0:
         raise ValueError(f"eta_bsa must be in [0, 1], got {eta_bsa!r}")
     cap = params.pair_cap
-    layout = _swap_layout(cap)
+    layout, mu = _swap_layout(cap), _source_mu(params)
     w = _loss_amplitudes(layout, params, 1.0)
     clicks = arm_click_probs(eta_bsa, eta_bsa, cap)
     ops = analyzer_operators(rotation_blocks([-math.pi / 4], cap), clicks[::-1])[0]
     i, j = layout.pair_i, layout.pair_j
     herald = w[i] * w[j] * ops[0].ravel()[layout.pair_ahbv] * ops[1].ravel()[layout.pair_bhav]
     entries = HeraldedEntries.gather(layout, layout.pair_slots, herald)
-    rho = entries.sfg * entries.monomials(_source_mu(params)) / _source_norm(params)
+    rho = entries.sfg * entries.monomials(mu) / _source_norm(mu, cap)
     return _visibility_report(entries, rho, float(rho[:entries.n_diagonal].sum()), params)
 
 
@@ -462,7 +490,7 @@ class TeleportReport:
 
 
 @dataclass(frozen=True)
-class _TeleportLayout:
+class _TeleportLayout(_InputLayout):
     """Index layout of the heralded teleport state at one ``pair_cap``.
 
     A row is a term of the teleport input, k H and l V pairs on (a, d) and
@@ -476,32 +504,17 @@ class _TeleportLayout:
     behind in a or d and adds to the herald probability alone.
     """
 
-    n: np.ndarray
-    lost: np.ndarray
-    root_kept: np.ndarray
-    root_comb: np.ndarray  # [n, l] = sqrt(C(n, l))
     one_h: np.ndarray
     one_v: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
 def _teleport_layout(cap: int) -> _TeleportLayout:
-    k = 2 * cap + 1
-    rows = _bounded_rows(8, 2 * cap)
-    n = rows[:, :4] + rows[:, 4:]
-    rows = rows[2 * (n[:, 0] + n[:, 1]) + n[:, 2] + n[:, 3] <= 2 * cap]
-    kept, lost = rows[:, :4], rows[:, 4:]
-    one = (kept[:, 0] == 1) & (kept[:, 1] == 0) & (kept[:, 2] > 0) & ~lost[:, :2].any(axis=1)
-    codes = np.ravel_multi_index(rows.T, (k,) * 8)  # sorted, as the rows are
-    partners = rows[one] + [-1, 1, -1, 1, 0, 0, 0, 0]
-    layout = _TeleportLayout(
-        n=kept + lost, lost=lost, root_kept=np.sqrt(kept),
-        root_comb=np.sqrt([[math.comb(x, y) for y in range(k)] for x in range(k)]),
-        one_h=np.flatnonzero(one),
-        one_v=np.searchsorted(codes, np.ravel_multi_index(partners.T, (k,) * 8)))
-    for arr in vars(layout).values():
-        arr.setflags(write=False)  # shared by every caller
-    return layout
+    def own(n, rows, find):
+        one = (rows[:, 0] == 1) & (rows[:, 1] == 0) & (rows[:, 2] > 0) & ~rows[:, 4:6].any(axis=1)
+        return dict(one_h=np.flatnonzero(one), one_v=find(rows[one] + [-1, 1, -1, 1, 0, 0, 0, 0]))
+
+    return _input_layout(_TeleportLayout, (2, 2, 1, 1, 2, 2, 1, 1), 2 * cap, own)
 
 
 def _one_photon_readout(h, v, alpha: complex, beta: complex) -> tuple:
@@ -545,9 +558,9 @@ def teleport(params: ExperimentParams, input_polarization, input_mean_photons: f
     cap = params.pair_cap
     layout = _teleport_layout(cap)
     k, l, m_h, m_v = layout.n.T
-    g_h, g_v = _gamma(params.mu_1h), _gamma(params.mu_1v)
-    kk, ll = np.indices((cap + 1, cap + 1))
-    pair_norm = math.sqrt(np.sum(np.where(kk + ll <= cap, g_h ** (2 * kk) * g_v ** (2 * ll), 0.0)))
+    mu = np.array([params.mu_1h, params.mu_1v, 0.0, 0.0])  # the pair of source 1 alone
+    g_h, g_v = _gamma(mu[:2])
+    pair_norm = math.sqrt(_source_norm(mu, cap))
     z = math.sqrt(input_mean_photons)
     root_fact = np.sqrt([float(math.factorial(m)) for m in range(2 * cap + 1)])
     m = np.arange(2 * cap + 1)

@@ -60,7 +60,6 @@ from sfgswap.protocols import (
     VISIBILITY_BASES,
     ExperimentParams,
     VisibilityReport,
-    _gamma,
     _visibility_x,
     _visibility_z,
     heralded_entries,
@@ -601,8 +600,11 @@ def source_amplitudes(params: ExperimentParams) -> np.ndarray:
     n = np.arange(cap + 1)
     down = n[:, None] - n
 
+    def gamma(mu):
+        return math.sqrt(mu / (1.0 + mu))
+
     def party(mu_h, mu_v):
-        return np.where(down >= 0, _gamma(mu_h) ** n * _gamma(mu_v) ** np.abs(down), 0.0)
+        return np.where(down >= 0, gamma(mu_h) ** n * gamma(mu_v) ** np.abs(down), 0.0)
 
     c = np.multiply.outer(party(params.mu_1h, params.mu_1v), party(params.mu_2h, params.mu_2v))
     c *= (np.add.outer(n, n) <= cap)[:, None, :, None]

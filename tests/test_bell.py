@@ -302,6 +302,17 @@ def test_sfg_gain_threshold_rejects_bad_arguments(monkeypatch, kwargs, argument)
         sfg_gain_threshold(_preset("ideal", pair_cap=2), **kwargs)
 
 
+@pytest.mark.parametrize("gain", [0.0, -1.0, float("nan"), float("inf")],
+                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("search", [optimize_chsh, optimize_key_rate], ids=["chsh", "keyrate"])
+def test_searches_reject_a_bad_gain_by_name(search, gain):
+    # Unchecked, gain -1 reads a violation off an unphysical state on
+    # paper-tableS1 (S = 2.0046, r = 0), gain 0 runs on dark counts alone,
+    # and nan or inf fails with "zero total herald probability".
+    with pytest.raises(ValueError, match=f"gain must be finite and positive, got {gain!r}"):
+        search(_preset("paper-tableS1"), gain=gain, n_starts=1)
+
+
 def test_optima_report_best_start_diagnostics():
     # converged and start_index come from the start that gave the optimum:
     # the optimizer trace of that start must reach the reported value.

@@ -25,6 +25,10 @@ def test_get_preset_returns_deep_copy():
     assert get_preset("ideal")["params"]["mu_1h"] == 0.05
 
 
+def test_fig_s3_sweeps_from_the_ideal_params():
+    assert get_preset("fig-s3")["params"] == get_preset("ideal")["params"]
+
+
 def test_get_preset_unknown_name():
     with pytest.raises(KeyError):
         get_preset("nope")

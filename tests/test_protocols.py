@@ -1,5 +1,6 @@
 """End-to-end swapping, teleportation, and error-event pipelines."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -50,9 +51,11 @@ from sfgswap.bell import TSIRELSON, SearchKernel
 from sfgswap.presets import PARAM_KEYS, get_preset, swap_params
 from sfgswap.protocols import (
     ExperimentParams,
+    _bounded_rows,
     _gamma,
     _source_mu,
     _source_norm,
+    _teleport_layout,
     _visibility_x,
     _visibility_z,
     error_event_probs,
@@ -77,7 +80,7 @@ def test_experiment_params_rejects_non_integer_pair_cap_by_name(pair_cap):
 
 @pytest.mark.parametrize("pair_cap", [11, 60])
 def test_experiment_params_rejects_pair_cap_above_the_maximum_by_name(pair_cap):
-    # The layouts grow as C(2 pair_cap + 8, 8): refused before any allocation.
+    # The layouts grow as about pair_cap ** 8: refused before any allocation.
     with pytest.raises(ValueError, match=f"pair_cap must be at most 10, got {pair_cap}"):
         ideal_params(pair_cap=pair_cap)
 
@@ -304,7 +307,7 @@ def test_sfg_swap_weighs_the_search_state_to_the_last_bit(monkeypatch, preset, d
         assert np.array_equal(getattr(entries, name), getattr(search, name))
     assert entries.n_diagonal == search.n_diagonal
     state, _ = SearchKernel(search, params)._state(_source_mu(params))
-    assert np.array_equal(rho, state / _source_norm(params))
+    assert np.array_equal(rho, state / _source_norm(_source_mu(params), params.pair_cap))
 
 
 def test_each_swap_runs_one_gathered_readout(monkeypatch):
@@ -639,3 +642,92 @@ def test_qfc_readout_matches_density_route(chi_tau):
         rep = qfc_teleport_strong_pump(alpha, beta, chi_tau, eta_d=0.85)
         assert rep.fidelity == pytest.approx(fidelity, abs=1e-12)
         assert rep.herald_prob == pytest.approx(rho.trace(), rel=1e-12, abs=1e-12)
+
+
+def _rows_at_most(width, total):
+    """Every tuple of ``width`` nonnegative integers summing to at most
+    ``total``, in lexicographic order."""
+    if width == 0:
+        yield ()
+        return
+    for x in range(total + 1):
+        for rest in _rows_at_most(width - 1, total - x):
+            yield (x,) + rest
+
+
+def test_bounded_rows_lists_every_weighted_row_in_order():
+    for weights, cap in (((1,) * 4, 3), ((2, 1, 3), 7), ((2, 2, 1, 1, 2, 2, 1, 1), 4)):
+        expected = [row for row in itertools.product(range(cap + 1), repeat=len(weights))
+                    if sum(w * x for w, x in zip(weights, row)) <= cap]
+        assert _bounded_rows(weights, cap).tolist() == [list(row) for row in expected]
+
+
+@pytest.mark.parametrize("pair_cap", [2, 3, 4, 5, 6])
+def test_teleport_layout_is_the_filtered_superset(pair_cap):
+    # The teleport input listed as every row of 8 photon counts (kept, then
+    # lost, on aH, aV, bH, bV) with at most 2 pair_cap in all, filtered to
+    # the rows with 2 (k + l) + mH + mV <= 2 pair_cap: k, l pairs on (a, d)
+    # count twice.  The layout lists the same rows, and so the same pairs.
+    rows = [(kH, kV, mH, mV, lkH, lkV, lmH, lmV)
+            for kH, kV, mH, mV, lkH, lkV, lmH, lmV in _rows_at_most(8, 2 * pair_cap)
+            if 2 * (kH + kV + lkH + lkV) + mH + mV + lmH + lmV <= 2 * pair_cap]
+    position = {row: i for i, row in enumerate(rows)}
+    rows = np.array(rows)
+    kept, lost = rows[:, :4], rows[:, 4:]
+    one = [i for i, row in enumerate(rows.tolist())
+           if row[:2] == [1, 0] and row[2] > 0 and row[4:6] == [0, 0]]
+    partners = [position[tuple(rows[i] + [-1, 1, -1, 1, 0, 0, 0, 0])] for i in one]
+    k = 2 * pair_cap + 1
+    layout = _teleport_layout(pair_cap)
+    assert np.array_equal(layout.n, kept + lost)
+    assert np.array_equal(layout.lost, lost)
+    assert np.array_equal(layout.root_kept, np.sqrt(kept))
+    assert np.array_equal(layout.root_comb,
+                          np.sqrt([[math.comb(x, y) for y in range(k)] for x in range(k)]))
+    assert layout.one_h.tolist() == one
+    assert layout.one_v.tolist() == partners
+    assert not any(arr.flags.writeable for arr in vars(layout).values())
+
+
+def test_cold_teleport_lists_only_its_own_terms():
+    # At pair_cap 8 the teleport input has 92,235 terms.  Listing every row of
+    # 8 counts up to 16 photons (735,471) and filtering it peaked at 115.7 MB
+    # under tracemalloc; the layout's own rows take about a sixth of that.
+    params = swap_params(get_preset("paper-tableS1")["params"]).replace(pair_cap=8)
+    _teleport_layout.cache_clear()
+    tracemalloc.start()
+    try:
+        teleport(params, (1.0, 0.0), 0.95)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
+@pytest.mark.parametrize("pair_cap", [2, 3, 5])
+@pytest.mark.parametrize("mu", [(0.06, 0.05, 0.08, 0.061), (0.3, 0.0, 0.01, 0.2),
+                                (0.05, 0.05, 0.0, 0.0)], ids=["measured", "one-off", "one-source"])
+def test_source_norm_is_the_sum_over_every_input_term(mu, pair_cap):
+    # gamma_m ** 2 = mu_m / (1 + mu_m) of each mode, raised to its pairs
+    # and summed over the terms with at most pair_cap pairs.
+    ratio = [m / (1.0 + m) for m in mu]
+    brute = sum(math.prod(r ** x for r, x in zip(ratio, row))
+                for row in itertools.product(range(pair_cap + 1), repeat=4) if sum(row) <= pair_cap)
+    assert _source_norm(np.array(mu), pair_cap) == pytest.approx(brute, rel=1e-14)
+
+
+def test_warm_pipelines_build_no_input_rows(monkeypatch):
+    # The layouts and the source norm's powers are built once per pair_cap:
+    # a second swap or teleport lists no input terms.
+    params = swap_params(get_preset("paper-tableS1")["params"])
+    runs = (lambda: sfg_swap(params), lambda: lo_swap(params),
+            lambda: teleport(params, (1.0, 0.0), 0.95))
+    for run in runs:
+        run()
+
+    def refuse(*args):
+        raise AssertionError("input rows built again")
+
+    monkeypatch.setattr(protocols, "_bounded_rows", refuse)
+    for run in runs:
+        run()
