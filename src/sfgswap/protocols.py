@@ -20,9 +20,9 @@ entries any herald can reach.  The swaps and the Bell searches
 (``bell.SearchKernel``) read one form of state: those entries weighted at
 the sources, contracted with each party's analyzer operators gathered at
 the same entries.
-Teleportation runs the same herald on arrays: one row per term of the pair
-and the coherent input, its loss amplitude times that of the SFG herald,
-with the fidelity read off the rows that leave one photon in d.
+Teleportation runs the same SFG herald as sums over the number of pairs:
+loss sums out binomially and the herald acts on the coherent input as a
+number, so no input term is listed, and the fidelity is closed form.
 Frequency-conversion teleportation is closed form: one pair, one exact
 rotation per polarization.  The pure-branch route of
 ``tests/branch_route.py`` and the density-operator route of
@@ -59,11 +59,9 @@ from .detection import (
 
 # Analyzer angle of both parties in the Z and X visibility measurements.
 VISIBILITY_BASES = (("z", 0.0), ("x", math.pi / 4))
-# Largest pair_cap accepted.  The swap and teleport layouts have 43,758 and
-# 351,208 rows at 10 (``_swap_layout``, ``_teleport_layout``), where a cold
-# teleport on paper-tableS1 takes about 0.2 s and 0.1 GB; 60 would ask for
-# 7.4e9 and 1.0e11.  The truncation has converged well before: no
-# visibility moves by 1e-4 from pair_cap 7 to 8.
+# Largest pair_cap accepted.  The swap layout has 43,758 rows at 10, built
+# cold in about 0.05 s and 16 MB (``_swap_layout``); 60 would ask for 7.4e9.
+# The truncation has converged well before: no visibility moves by 1e-4 from 7 to 8.
 PAIR_CAP_MAX = 10
 
 
@@ -141,50 +139,20 @@ class VisibilityReport:
     p_x: dict
 
 
-def _bounded_rows(weights, cap: int) -> np.ndarray:
-    """Every row x of nonnegative integers, one per weight, with
-    sum_i weights[i] x_i <= cap, in lexicographic order."""
+def _bounded_rows(width: int, cap: int) -> np.ndarray:
+    """Every row of ``width`` nonnegative integers summing to at most ``cap``,
+    in lexicographic order."""
     rows, room = np.zeros((1, 0), dtype=np.intp), np.full(1, cap)  # room left per row
-    for w in weights:
-        count = room // w + 1
+    for _ in range(width):
+        count = room + 1
         x = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
         rows = np.column_stack([np.repeat(rows, count, axis=0), x])
-        room = np.repeat(room, count) - w * x
+        room = np.repeat(room, count) - x
     return rows
 
 
 @dataclass(frozen=True)
-class _InputLayout:
-    """Rows of an input: n photons on (aH, aV, bH, bV), ``lost`` of them lost."""
-
-    n: np.ndarray
-    lost: np.ndarray
-    root_kept: np.ndarray
-    root_comb: np.ndarray  # [n, l] = sqrt(C(n, l))
-
-
-def _input_layout(cls, weights, cap: int, own):
-    """The read-only ``cls`` layout of ``_bounded_rows(weights, cap)``, rows of kept then
-    lost photons, and the fields ``own(n, rows, find)`` adds; ``find`` numbers rows."""
-    k = cap + 1  # no photon number exceeds cap
-    rows = _bounded_rows(weights, cap)
-    codes = np.ravel_multi_index(rows.T, (k,) * 8)  # sorted, as the rows are
-
-    def find(partners):
-        return np.searchsorted(codes, np.ravel_multi_index(partners.T, (k,) * 8))
-
-    n = rows[:, :4] + rows[:, 4:]
-    layout = cls(n=n, lost=rows[:, 4:].copy(), root_kept=np.sqrt(rows[:, :4]),  # a copy: frees rows
-                 root_comb=np.sqrt([[math.comb(x, y) for y in range(k)] for x in range(k)]),
-                 **own(n, rows, find))
-    for arr in vars(layout).values():
-        if isinstance(arr, np.ndarray):
-            arr.setflags(write=False)
-    return layout
-
-
-@dataclass(frozen=True)
-class _SwapLayout(_InputLayout):
+class _SwapLayout:
     """Index layout of the heralded swap state at one ``pair_cap``.
 
     A row is a term of the swapping input with n = (n1H, n1V, n2H, n2V) pairs
@@ -202,6 +170,10 @@ class _SwapLayout(_InputLayout):
     position there of each pair and each SFG row product.
     """
 
+    n: np.ndarray
+    lost: np.ndarray
+    root_kept: np.ndarray
+    root_comb: np.ndarray  # [n, l] = sqrt(C(n, l))
     pair_i: np.ndarray
     pair_j: np.ndarray
     pair_slots: np.ndarray
@@ -217,48 +189,54 @@ class _SwapLayout(_InputLayout):
 
 @functools.lru_cache(maxsize=None)
 def _swap_layout(cap: int) -> _SwapLayout:
-    k = cap + 1
+    k = cap + 1  # no photon number exceeds cap
+    k3 = (k,) * 3  # the shape of an analyzer block (N, a, a')
+    rows = _bounded_rows(8, cap)  # kept, then lost, photons on (aH, aV, bH, bV)
+    kept, n = rows[:, :4], rows[:, :4] + rows[:, 4:]
+    low = -np.minimum(kept[:, 0], kept[:, 2])
+    count = np.minimum(kept[:, 1], kept[:, 3]) - low + 1
+    i = np.repeat(np.arange(len(rows)), count)
+    d = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count) + low[i]
+    # the rows are sorted, and so are their codes
+    j = np.searchsorted(np.ravel_multi_index(rows.T, (k,) * 8), np.ravel_multi_index(
+        (rows[i] + np.multiply.outer(d, [1, -1, 1, -1, 0, 0, 0, 0])).T, (k,) * 8))
 
-    def own(n, rows, find):
-        kept, k3 = rows[:, :4], (k,) * 3  # k3: the shape of an analyzer block (N, a, a')
-        low = -np.minimum(kept[:, 0], kept[:, 2])
-        count = np.minimum(kept[:, 1], kept[:, 3]) - low + 1
-        i = np.repeat(np.arange(len(rows)), count)
-        d = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count) + low[i]
-        j = find(rows[i] + np.multiply.outer(d, [1, -1, 1, -1, 0, 0, 0, 0]))
+    def bins(i, j):
+        return np.ravel_multi_index((n[i, 0] + n[i, 1], n[i, 0], n[j, 0],
+                                     n[i, 2] + n[i, 3], n[i, 2], n[j, 2]), (k,) * 6)
 
-        def bins(i, j):
-            return np.ravel_multi_index((n[i, 0] + n[i, 1], n[i, 0], n[j, 0],
-                                         n[i, 2] + n[i, 3], n[i, 2], n[j, 2]), (k,) * 6)
-
-        pair_codes = bins(i, j)
-        mask = np.zeros(k ** 6, dtype=bool)  # one byte per entry; loads no numpy.ma
-        mask[pair_codes] = True
-        reached = np.flatnonzero(mask)  # sorted
-        index = np.stack(np.unravel_index(reached, (k,) * 6))
-        off = (index[1] != index[2]) | (index[4] != index[5])
-        order = np.argsort(off, kind="stable")
-        slot = np.empty_like(order)  # scattered: argsort(order) pages in 0.3 MB more of numpy
-        slot[order] = np.arange(order.size)
-        N, a, a2, M, b, b2 = index = index[:, order]
-        h, v = i[d == -1], j[d == -1]
-        return dict(
-            pair_i=i, pair_j=j, pair_slots=slot[np.searchsorted(reached, pair_codes)],
-            pair_ahbv=np.ravel_multi_index((kept[i, 0] + kept[i, 3], kept[i, 0], kept[j, 0]), k3),
-            pair_bhav=np.ravel_multi_index((kept[i, 2] + kept[i, 1], kept[i, 2], kept[j, 2]), k3),
-            sfg_h=h, sfg_v=v,
-            sfg_slots=slot[np.searchsorted(reached, np.concatenate(
-                [bins(h, h), bins(v, v), bins(h, v), bins(v, h)]))],
-            index=index, powers=np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2]),
-            n_diagonal=int(off.size - off.sum()))
-
-    return _input_layout(_SwapLayout, (1,) * 8, cap, own)
+    pair_codes = bins(i, j)
+    mask = np.zeros(k ** 6, dtype=bool)  # one byte per entry; loads no numpy.ma
+    mask[pair_codes] = True
+    reached = np.flatnonzero(mask)  # sorted
+    index = np.stack(np.unravel_index(reached, (k,) * 6))
+    off = (index[1] != index[2]) | (index[4] != index[5])
+    order = np.argsort(off, kind="stable")
+    slot = np.empty_like(order)  # scattered: argsort(order) pages in 0.3 MB more of numpy
+    slot[order] = np.arange(order.size)
+    N, a, a2, M, b, b2 = index = index[:, order]
+    h, v = i[d == -1], j[d == -1]
+    layout = _SwapLayout(
+        n=n, lost=rows[:, 4:].copy(), root_kept=np.sqrt(kept),  # a copy: frees rows
+        root_comb=np.sqrt([[math.comb(x, y) for y in range(k)] for x in range(k)]),
+        pair_i=i, pair_j=j, pair_slots=slot[np.searchsorted(reached, pair_codes)],
+        pair_ahbv=np.ravel_multi_index((kept[i, 0] + kept[i, 3], kept[i, 0], kept[j, 0]), k3),
+        pair_bhav=np.ravel_multi_index((kept[i, 2] + kept[i, 1], kept[i, 2], kept[j, 2]), k3),
+        sfg_h=h, sfg_v=v,
+        sfg_slots=slot[np.searchsorted(reached, np.concatenate(
+            [bins(h, h), bins(v, v), bins(h, v), bins(v, h)]))],
+        index=index, powers=np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2]),
+        n_diagonal=int(off.size - off.sum()))
+    for arr in vars(layout).values():
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return layout
 
 
-def _loss_amplitudes(layout: _InputLayout, params: ExperimentParams, amp) -> np.ndarray:
-    """``amp`` times each row's channel-loss amplitude, the product over
-    (aH, aV, bH, bV) of sqrt(C(n, l)) t^((n - l) / 2) (1 - t)^(l / 2)."""
-    k = layout.root_comb.shape[0]
+def _loss_amplitudes(layout: _SwapLayout, params: ExperimentParams) -> np.ndarray:
+    """Each row's channel-loss amplitude, the product over (aH, aV, bH, bV)
+    of sqrt(C(n, l)) t^((n - l) / 2) (1 - t)^(l / 2)."""
+    k, amp = layout.root_comb.shape[0], 1.0
     for col, t in enumerate((params.t_1h, params.t_1v, params.t_2h, params.t_2v)):
         n, l = layout.n[:, col], layout.lost[:, col]
         kept = np.array([t ** (x / 2.0) for x in range(k)])
@@ -268,7 +246,7 @@ def _loss_amplitudes(layout: _InputLayout, params: ExperimentParams, amp) -> np.
 
 
 def _sfg_amplitudes(params: ExperimentParams, sign: float, w, root_kept: np.ndarray,
-                    rows_h=slice(None), rows_v=slice(None)) -> list:
+                    rows_h, rows_v) -> list:
     """Amplitudes [h, v] of the terms of the SFG herald K = sqrt(eta_d / 2)
     (sqrt(sfg_h eta_th) aH bH + sign sqrt(sfg_v eta_tv) aV bV) on the rows
     ``rows_h``, ``rows_v`` with loss amplitudes ``w`` and kept photons ``root_kept ** 2``."""
@@ -292,7 +270,7 @@ def _source_mu(params: ExperimentParams) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _pair_powers(cap: int) -> np.ndarray:
     """The read-only powers 2 x_m of each term of ``_source_norm``."""
-    powers = 2 * _bounded_rows((1,) * 4, cap)
+    powers = 2 * _bounded_rows(4, cap)
     powers.setflags(write=False)
     return powers
 
@@ -367,7 +345,7 @@ def heralded_entries(params: ExperimentParams, basis: str = "A") -> HeraldedEntr
     row's amplitude its loss amplitude times that of K (``_sfg_amplitudes``)."""
     sign = herald_sign(basis)
     layout = _swap_layout(params.pair_cap)
-    h, v = _sfg_amplitudes(params, sign, _loss_amplitudes(layout, params, 1.0),
+    h, v = _sfg_amplitudes(params, sign, _loss_amplitudes(layout, params),
                            layout.root_kept, layout.sfg_h, layout.sfg_v)
     return HeraldedEntries.gather(layout, layout.sfg_slots,
                                   np.concatenate([h * h, v * v, h * v, v * h]),
@@ -451,7 +429,7 @@ def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
         raise ValueError(f"eta_bsa must be in [0, 1], got {eta_bsa!r}")
     cap = params.pair_cap
     layout, mu = _swap_layout(cap), _source_mu(params)
-    w = _loss_amplitudes(layout, params, 1.0)
+    w = _loss_amplitudes(layout, params)
     clicks = arm_click_probs(eta_bsa, eta_bsa, cap)
     ops = analyzer_operators(rotation_blocks([-math.pi / 4], cap), clicks[::-1])[0]
     i, j = layout.pair_i, layout.pair_j
@@ -489,32 +467,19 @@ class TeleportReport:
     truncation_dropped: float
 
 
-@dataclass(frozen=True)
-class _TeleportLayout(_InputLayout):
-    """Index layout of the heralded teleport state at one ``pair_cap``.
-
-    A row is a term of the teleport input, k H and l V pairs on (a, d) and
-    mH, mV coherent photons on b, so n = (k, l, mH, mV) on (aH, aV, bH, bV),
-    with at most 2 ``pair_cap`` photons in all, of which ``lost`` are lost
-    in the channel.  The herald leaves d with one photon only from the H
-    term of a row (1, 0, mH, mV) and the V term of (0, 1, mH - 1, mV + 1)
-    with no a photon lost and the same b photons lost: both leave
-    (0, 0, mH - 1 - lH, mV - lV) on (a, b), so each pair ``one_h``,
-    ``one_v`` is one pure state of d.  Every other term leaves a photon
-    behind in a or d and adds to the herald probability alone.
-    """
-
-    one_h: np.ndarray
-    one_v: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def _teleport_layout(cap: int) -> _TeleportLayout:
-    def own(n, rows, find):
-        one = (rows[:, 0] == 1) & (rows[:, 1] == 0) & (rows[:, 2] > 0) & ~rows[:, 4:6].any(axis=1)
-        return dict(one_h=np.flatnonzero(one), one_v=find(rows[one] + [-1, 1, -1, 1, 0, 0, 0, 0]))
-
-    return _input_layout(_TeleportLayout, (2, 2, 1, 1, 2, 2, 1, 1), 2 * cap, own)
+def _poisson_cdf(lam: float, top: int) -> tuple:
+    """P(m <= x) and P(m > x) for x = 0 .. ``top``, m Poisson of mean ``lam``;
+    where 1 - P(m <= x) would cancel, the tail sums its terms until they vanish."""
+    p = np.cumprod(np.r_[math.exp(-lam), lam / np.arange(1, top + 1)])
+    cdf = np.cumsum(p)
+    if lam >= top + 1:  # no tail is small
+        return cdf, 1.0 - cdf
+    beyond, term, m = 0.0, p[-1], top + 1
+    while beyond + term * lam / m != beyond:
+        term *= lam / m
+        beyond += term
+        m += 1
+    return cdf, np.cumsum(np.r_[beyond, p[:0:-1]])[::-1]
 
 
 def _one_photon_readout(h, v, alpha: complex, beta: complex) -> tuple:
@@ -533,17 +498,30 @@ def teleport(params: ExperimentParams, input_polarization, input_mean_photons: f
 
     The entangled pair comes from source 1 on modes (a, d); the coherent
     input enters the analyzer's b port with mean photon number
-    ``input_mean_photons`` split over H/V as |alpha|^2 : |beta|^2.  The
+    ``input_mean_photons`` = z^2 split over H/V as |alpha|^2 : |beta|^2.  The
     reported fidelity is evaluated on the one-photon subspace of mode d,
     mirroring the tomographic conditioning of a detected output photon.
     The amplitudes must be finite and normalized, and
     ``input_mean_photons`` finite and positive.
 
-    The pair is cut at ``pair_cap`` pairs and renormalized, the coherent
-    input at 2 ``pair_cap`` photons, and so is their product; the weight
-    the cuts drop is ``truncation_dropped``.  Each term's herald amplitude
-    is its loss amplitude times that of the SFG herald K
-    (``_sfg_amplitudes``), which leaves its d photons as they are.
+    The pair is cut at ``pair_cap`` pairs and renormalized, and its product
+    with the input at 2 ``pair_cap`` photons; ``truncation_dropped`` is the
+    weight this drops.  The report sums over the number j of pairs by three
+    identities, exact for the truncated input.  Loss keeps t of n photons on
+    average, sum_l C(n, l) t^(n - l) (1 - t)^l (n - l) = n t, so each term
+    of K^dagger K (K of ``heralded_entries``) weighs n_aH t_1h n_bH t_2h or
+    its V twin.  K acts on the coherent input as a number: its photons
+    m = m_H + m_V are Poisson of mean z^2, and the sum over m <= N of
+    p(m_H, m_V) m_H is z^2 |alpha|^2 P(m < N).  With
+    c_H = eta_d / 2 sfg_h eta_th t_1h t_2h and P_H(j) the normalized weight
+    of j pairs times their H pairs (likewise V), the herald probability is
+    the sum over j of [c_H z^2 |alpha|^2 P_H(j) + c_V z^2 |beta|^2 P_V(j)]
+    P(m < 2 (pair_cap - j)), and its j = 1 term leaves one photon in d.
+    Each state of d it leaves is (sqrt(h) alpha, sign sqrt(v) beta) times
+    an amplitude common to all, with h = c_H gamma_H^2, v = c_V gamma_V^2
+    and the herald's sign, so the fidelity to alpha|H> + sign beta|V> is
+    (|alpha|^2 sqrt(h) + |beta|^2 sqrt(v))^2 / (|alpha|^2 h + |beta|^2 v)
+    at every ``pair_cap``, mean photon number and herald basis.
     """
     alpha, beta = (complex(x) for x in input_polarization)
     if not all(map(math.isfinite, (alpha.real, alpha.imag, beta.real, beta.imag))):
@@ -554,30 +532,29 @@ def teleport(params: ExperimentParams, input_polarization, input_mean_photons: f
     if not (math.isfinite(input_mean_photons) and input_mean_photons > 0.0):
         raise ValueError(
             f"input_mean_photons must be finite and positive, got {input_mean_photons!r}")
-    sign = herald_sign(herald_basis)
+    herald_sign(herald_basis)  # the basis check: the sign leaves every output as it is
     cap = params.pair_cap
-    layout = _teleport_layout(cap)
-    k, l, m_h, m_v = layout.n.T
-    mu = np.array([params.mu_1h, params.mu_1v, 0.0, 0.0])  # the pair of source 1 alone
-    g_h, g_v = _gamma(mu[:2])
-    pair_norm = math.sqrt(_source_norm(mu, cap))
-    z = math.sqrt(input_mean_photons)
-    root_fact = np.sqrt([float(math.factorial(m)) for m in range(2 * cap + 1)])
-    m = np.arange(2 * cap + 1)
-    coh_h, coh_v = ((z * x) ** m / root_fact for x in (alpha, beta))
-    norm = math.exp(-(abs(z * alpha) ** 2 + abs(z * beta) ** 2) / 2.0)
-    amp = g_h ** k * g_v ** l / pair_norm * norm * coh_h[m_h] * coh_v[m_v]
-    intact = ~layout.lost.any(axis=1)
-    dropped = max(0.0, 1.0 - float(np.vdot(amp[intact], amp[intact]).real))
-    h, v = _sfg_amplitudes(params, sign, _loss_amplitudes(layout, params, amp), layout.root_kept)
-    herald_prob = float(np.vdot(h, h).real + np.vdot(v, v).real)
+    j = np.arange(cap + 1)
+    g2_h, g2_v = _gamma(np.array([params.mu_1h, params.mu_1v])) ** 2  # the pair of source 1
+    # weight of j pairs, and times their H (V) pairs, before the pair norm
+    pair = np.convolve(g2_h ** j, g2_v ** j)[:cap + 1]
+    pair_h = np.convolve(j * g2_h ** j, g2_v ** j)[:cap + 1]
+    pair_v = np.convolve(g2_h ** j, j * g2_v ** j)[:cap + 1]
+    lam_h, lam_v = (input_mean_photons * abs(x) ** 2 for x in (alpha, beta))
+    cdf, tail = _poisson_cdf(lam_h + lam_v, 2 * cap)
+    c_h = params.eta_d / 2.0 * params.sfg_h * params.eta_th * params.t_1h * params.t_2h
+    c_v = params.eta_d / 2.0 * params.sfg_v * params.eta_tv * params.t_1v * params.t_2v
+    norm = pair.sum()
+    below = np.r_[0.0, cdf][2 * (cap - j)]  # P(m <= 2 (cap - j) - 1): one b photon to herald
+    herald = (c_h * lam_h * pair_h + c_v * lam_v * pair_v) * below / norm
+    herald_prob = float(herald.sum())
     if herald_prob <= 0.0:
         raise ValueError("herald probability is zero")
-    # Heralding on D transfers (alpha, beta); heralding on A flips the sign
-    # of the V component.
-    one, fidelity = _one_photon_readout(h[layout.one_h], v[layout.one_v], alpha, sign * beta)
+    _, fidelity = _one_photon_readout(math.sqrt(c_h * g2_h) * alpha, math.sqrt(c_v * g2_v) * beta,
+                                      alpha, beta)
     return TeleportReport(fidelity=fidelity, herald_prob=herald_prob,
-                          one_photon_weight=one / herald_prob, truncation_dropped=dropped)
+                          one_photon_weight=float(herald[1]) / herald_prob,
+                          truncation_dropped=float(pair @ tail[::-2]) / norm)
 
 
 @dataclass(frozen=True)

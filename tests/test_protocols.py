@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import pdtrc
 
 from dense_oracle import dense_density, product_basis
 from density_route import (
@@ -55,7 +56,6 @@ from sfgswap.protocols import (
     _gamma,
     _source_mu,
     _source_norm,
-    _teleport_layout,
     _visibility_x,
     _visibility_z,
     error_event_probs,
@@ -560,13 +560,12 @@ READOUT_POLARIZATIONS = [(1.0, 0.0), (R2, R2), (R2, 1j * R2)]
 BRANCH_POLARIZATIONS = READOUT_POLARIZATIONS + [(0.6, -0.8j)]
 
 
-@pytest.mark.parametrize("mean_photons", [0.05, 0.95])
-@pytest.mark.parametrize("basis", ["D", "A"])
-@pytest.mark.parametrize("pair_cap", [2, 3, 4])
+@pytest.mark.parametrize("pair_cap, basis, mean_photons", [
+    *itertools.product([2, 3, 4], ["A", "D"], [0.05, 0.95]), (6, "D", 0.95)])
 def test_teleport_matches_branch_route(pair_cap, basis, mean_photons):
-    # The rows of the array route and the sparse branches truncate alike: the
-    # pair at pair_cap pairs, renormalized; the coherent input and the
-    # product at 2 pair_cap photons, with the weight dropped reported.
+    # The sums over pair number and the sparse branches truncate alike: the
+    # pair at pair_cap pairs, renormalized; the product with the coherent
+    # input at 2 pair_cap photons, with the weight dropped reported.
     params = swap_params(get_preset("paper-tableS1")["params"]).replace(pair_cap=pair_cap)
     for pol in BRANCH_POLARIZATIONS:
         fast = teleport(params, pol, mean_photons, herald_basis=basis)
@@ -644,64 +643,60 @@ def test_qfc_readout_matches_density_route(chi_tau):
         assert rep.herald_prob == pytest.approx(rho.trace(), rel=1e-12, abs=1e-12)
 
 
-def _rows_at_most(width, total):
-    """Every tuple of ``width`` nonnegative integers summing to at most
-    ``total``, in lexicographic order."""
-    if width == 0:
-        yield ()
-        return
-    for x in range(total + 1):
-        for rest in _rows_at_most(width - 1, total - x):
-            yield (x,) + rest
-
-
 def test_bounded_rows_lists_every_weighted_row_in_order():
-    for weights, cap in (((1,) * 4, 3), ((2, 1, 3), 7), ((2, 2, 1, 1, 2, 2, 1, 1), 4)):
-        expected = [row for row in itertools.product(range(cap + 1), repeat=len(weights))
-                    if sum(w * x for w, x in zip(weights, row)) <= cap]
-        assert _bounded_rows(weights, cap).tolist() == [list(row) for row in expected]
+    for width, cap in ((4, 3), (3, 7), (8, 4)):
+        expected = [row for row in itertools.product(range(cap + 1), repeat=width)
+                    if sum(row) <= cap]
+        assert _bounded_rows(width, cap).tolist() == [list(row) for row in expected]
 
 
-@pytest.mark.parametrize("pair_cap", [2, 3, 4, 5, 6])
-def test_teleport_layout_is_the_filtered_superset(pair_cap):
-    # The teleport input listed as every row of 8 photon counts (kept, then
-    # lost, on aH, aV, bH, bV) with at most 2 pair_cap in all, filtered to
-    # the rows with 2 (k + l) + mH + mV <= 2 pair_cap: k, l pairs on (a, d)
-    # count twice.  The layout lists the same rows, and so the same pairs.
-    rows = [(kH, kV, mH, mV, lkH, lkV, lmH, lmV)
-            for kH, kV, mH, mV, lkH, lkV, lmH, lmV in _rows_at_most(8, 2 * pair_cap)
-            if 2 * (kH + kV + lkH + lkV) + mH + mV + lmH + lmV <= 2 * pair_cap]
-    position = {row: i for i, row in enumerate(rows)}
-    rows = np.array(rows)
-    kept, lost = rows[:, :4], rows[:, 4:]
-    one = [i for i, row in enumerate(rows.tolist())
-           if row[:2] == [1, 0] and row[2] > 0 and row[4:6] == [0, 0]]
-    partners = [position[tuple(rows[i] + [-1, 1, -1, 1, 0, 0, 0, 0])] for i in one]
-    k = 2 * pair_cap + 1
-    layout = _teleport_layout(pair_cap)
-    assert np.array_equal(layout.n, kept + lost)
-    assert np.array_equal(layout.lost, lost)
-    assert np.array_equal(layout.root_kept, np.sqrt(kept))
-    assert np.array_equal(layout.root_comb,
-                          np.sqrt([[math.comb(x, y) for y in range(k)] for x in range(k)]))
-    assert layout.one_h.tolist() == one
-    assert layout.one_v.tolist() == partners
-    assert not any(arr.flags.writeable for arr in vars(layout).values())
+def test_teleport_at_the_largest_pair_cap_peaks_below_a_megabyte(monkeypatch):
+    # Teleport sums over pair number and lists no input term: listing the
+    # 351,208 terms at pair_cap 10 peaked at 60.2 MB under tracemalloc.
+    params = swap_params(get_preset("paper-tableS1")["params"]).replace(pair_cap=10)
 
+    def refuse(*args):
+        raise AssertionError("input rows listed")
 
-def test_cold_teleport_lists_only_its_own_terms():
-    # At pair_cap 8 the teleport input has 92,235 terms.  Listing every row of
-    # 8 counts up to 16 photons (735,471) and filtering it peaked at 115.7 MB
-    # under tracemalloc; the layout's own rows take about a sixth of that.
-    params = swap_params(get_preset("paper-tableS1")["params"]).replace(pair_cap=8)
-    _teleport_layout.cache_clear()
+    monkeypatch.setattr(protocols, "_bounded_rows", refuse)
     tracemalloc.start()
     try:
         teleport(params, (1.0, 0.0), 0.95)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("preset", ["ideal", "paper-tableS1", "fig-s3"])
+def test_teleport_fidelity_is_the_same_at_every_pair_cap(preset):
+    # The one-photon states of d the herald leaves differ only by a common
+    # amplitude, so the fidelity depends on neither the truncation, the
+    # input's mean photon number nor the herald basis.
+    base = swap_params(get_preset(preset)["params"])
+    for pol in BRANCH_POLARIZATIONS:
+        fidelities = {teleport(base.replace(pair_cap=cap), pol, mean_photons,
+                               herald_basis=basis).fidelity
+                      for cap in range(2, 11) for basis in "DA"
+                      for mean_photons in (0.05, 0.95, 20.0)}
+        assert len(fidelities) == 1, (pol, fidelities)
+
+
+@pytest.mark.parametrize("mean_photons", [0.05, 0.95, 20.0])
+@pytest.mark.parametrize("pair_cap", [2, 3, 7, 10])
+def test_teleport_truncation_dropped_is_the_poisson_tail(pair_cap, mean_photons):
+    # The product cut drops the coherent photons beyond 2 (pair_cap - j)
+    # beside j pairs: sum_j P(j) P(m > 2 pair_cap - 2 j), every digit of it,
+    # though it is 1e-8 or less at the lowest mean photon numbers.
+    params = swap_params(get_preset("paper-tableS1")["params"]).replace(pair_cap=pair_cap)
+    ratio = [m / (1.0 + m) for m in (params.mu_1h, params.mu_1v)]
+    pairs = [sum(ratio[0] ** k * ratio[1] ** (j - k) for k in range(j + 1))
+             for j in range(pair_cap + 1)]
+    exact = sum(w * pdtrc(2 * (pair_cap - j), mean_photons)
+                for j, w in enumerate(pairs)) / sum(pairs)
+    for pol in BRANCH_POLARIZATIONS:
+        rep = teleport(params, pol, mean_photons)
+        assert rep.truncation_dropped == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("pair_cap", [2, 3, 5])
