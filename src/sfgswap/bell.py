@@ -109,7 +109,7 @@ class SearchKernel:
         rho = self._weight * self._entries.monomials(mu)
         total = rho[..., :self._n_diagonal].sum(axis=-1)
         if not all(t > 0.0 for t in np.ravel(total).tolist()):
-            raise ValueError("zero total herald probability")
+            raise ValueError("herald probability is zero")
         return rho, total
 
     def correlator_gradients(self, thetas_a, thetas_b, mu):
@@ -416,81 +416,52 @@ def _key_rate_search(kernel: SearchKernel, mu, seed, n_starts, x0, trace) -> Chs
                        start_index=res.start_index)
 
 
-def _seed_chsh(eta: float, x) -> tuple:
-    """CHSH value of the single-pair model of ``_partial_entanglement_seed``
-    at x = (t, a1, a2, b1, b2), and its gradient in x, both in closed form
-    from one set of cosines and sines.
+_MARGIN_BOUNDS = [(1e-4, 1.0)] + _FREE_ANGLES  # (mu_V / mu_H, a1, a2, b1, b2)
 
-    With the weights (1, 1, 1, -1) of the four correlators the value is
-    2 - 4 p_a1 - 4 p_b1 + 4 eta^2 sum_ab w_ab amp_ab^2, where amp_ab =
-    c cos a sin b + s sin a cos b is the amplitude of a double click."""
-    # state cos(t)|HV> + sin(t)|VH> in this parametrization; the seed maps
-    # it to the |HH>/|VV> form of the heralded state afterwards
-    t, a1, a2, b1, b2 = x
-    c, s = math.cos(t), math.sin(t)
-    ca1, sa1, ca2, sa2 = math.cos(a1), math.sin(a1), math.cos(a2), math.sin(a2)
-    cb1, sb1, cb2, sb2 = math.cos(b1), math.sin(b1), math.cos(b2), math.sin(b2)
 
-    def amp(ca, sa, cb, sb):
-        # amp_ab and its derivatives in t, a and b
-        return (c * ca * sb + s * sa * cb, c * sa * cb - s * ca * sb,
-                s * ca * cb - c * sa * sb, c * ca * cb - s * sa * sb)
+def _margin_objective(kernel: SearchKernel):
+    """S through ``kernel`` and its gradient at points x = (ratio, a1, a2,
+    b1, b2), with mu = MU_FLOOR (1, ratio, 1, ratio): the objective of an
+    efficiency-threshold margin and of its seed."""
+    def objective(x):
+        mu = np.full((len(x), 4), MU_FLOOR)
+        mu[:, 1::2] = MU_FLOOR * x[:, :1]
+        s, ds_a, ds_b, ds_mu = _chsh_gradient(
+            *kernel.correlator_gradients(x[:, 1:3], x[:, 3:5], mu))
+        grad = np.empty_like(x)
+        grad[:, 0] = MU_FLOOR * ds_mu[:, 1]
+        grad[:, 1:3] = ds_a
+        grad[:, 3:5] = ds_b
+        return s, grad
 
-    m11, t11, a11, b11 = amp(ca1, sa1, cb1, sb1)
-    m21, t21, a21, b21 = amp(ca2, sa2, cb1, sb1)
-    m12, t12, a12, b12 = amp(ca1, sa1, cb2, sb2)
-    m22, t22, a22, b22 = amp(ca2, sa2, cb2, sb2)
-    p_a1 = eta * ((c * ca1) ** 2 + (s * sa1) ** 2)
-    p_a2 = eta * ((c * ca2) ** 2 + (s * sa2) ** 2)
-    p_b1 = eta * ((s * cb1) ** 2 + (c * sb1) ** 2)
-    p_b2 = eta * ((s * cb2) ** 2 + (c * sb2) ** 2)
-    eta2 = eta * eta
+    return objective
 
-    def corr(p_a, p_b, m):
-        return 1.0 - 2.0 * p_a - 2.0 * p_b + 4.0 * (eta2 * m ** 2)
 
-    value = (corr(p_a1, p_b1, m11) + corr(p_a2, p_b1, m21)
-             + corr(p_a1, p_b2, m12) - corr(p_a2, p_b2, m22))
-    k = 8.0 * eta * eta
-    c2t, s2t = c * c - s * s, 2.0 * s * c
-    # d p_a1 / dt = -eta sin 2t cos 2a1 and d p_b1 / dt = eta sin 2t cos 2b1
-    c2a1, c2b1 = ca1 * ca1 - sa1 * sa1, cb1 * cb1 - sb1 * sb1
-    return value, (4.0 * eta * s2t * (c2a1 - c2b1)
-                   + k * (m11 * t11 + m21 * t21 + m12 * t12 - m22 * t22),
-                   8.0 * eta * sa1 * ca1 * c2t + k * (m11 * a11 + m12 * a12),
-                   k * (m21 * a21 - m22 * a22),
-                   -8.0 * eta * sb1 * cb1 * c2t + k * (m11 * b11 + m21 * b21),
-                   k * (m12 * b12 - m22 * b22))
+# The one-pair sector gamma_1H gamma_2H |HH> - gamma_1V gamma_2V |VV> of the
+# |A>-heralded state: the populations of HH and VV, then the two coherences.
+_ONE_PAIR = HeraldedEntries(
+    index=tuple(np.array([(1, 1, 1, 1, 1, 1), (1, 0, 0, 1, 0, 0),
+                          (1, 1, 0, 1, 1, 0), (1, 0, 1, 1, 0, 1)]).T),
+    n_diagonal=2, sfg=np.array([1.0, 1.0, -1.0, -1.0]), dark=np.zeros(4), n=1,
+    powers=np.array([(2, 0, 1, 1), (0, 2, 1, 1), (2, 0, 1, 1), (0, 2, 1, 1)]))
+# pump ratios cot t0 of weakly entangled states, at near-axis angles
+_SEED_STARTS = [(math.cos(t0) / math.sin(t0), _wrap_angle(math.pi / 2 - 0.03),
+                 _wrap_angle(math.pi / 2 + 0.34), 1.54, -1.23) for t0 in (1.2, 1.4, 1.5)]
 
 
 @functools.lru_cache(maxsize=128)
 def _partial_entanglement_seed(eta: float):
-    """Starting point for the CHSH search at symmetric efficiency ``eta``.
-
-    Solves the single-pair limit exactly: a pure state cos(t)|HH> +
-    sin(t)|VV> measured by threshold detectors of efficiency eta, outcome
-    -1 only when the H-arm detector clicks and +1 otherwise (no-click
-    events are kept).  Near the critical efficiency the optimum is a
-    weakly entangled state with near-axis angles, a basin the maximally
-    entangled starting point never reaches.  The three starts run a
-    projected BFGS search on the closed-form value and gradient
-    (``_seed_chsh``).
-
-    Returns (amplitude ratio tan(t), four analyzer angles).
-    """
+    """Start of the margin search at symmetric efficiency ``eta``: the optimum
+    of the margin's own search on the one-pair state ``_ONE_PAIR``, from
+    ``_SEED_STARTS``.  Near the critical efficiency it is weakly entangled,
+    with near-axis angles, a basin the maximally entangled start never
+    reaches.  Returns (pump-strength ratio, four wrapped analyzer angles)."""
     eta = float(eta)
-
-    def objective(x):
-        values, grads = zip(*[_seed_chsh(eta, p) for p in x.tolist()])
-        return values, grads
-
-    bounds = [(math.pi / 4, math.pi / 2)] + _FREE_ANGLES
-    runs = maximize_starts_bfgs(objective, bounds,
-                                [(t0, -0.03, 0.34, 1.54, -1.23) for t0 in (1.2, 1.4, 1.5)])
-    t, a1, a2, b1, b2 = best_run(runs).x
-    ratio = abs(math.cos(t) / math.sin(t))
-    return ratio, (_wrap_angle(a1 + math.pi / 2), _wrap_angle(a2 + math.pi / 2),
-                   _wrap_angle(b1), _wrap_angle(b2))
+    analyzer = ExperimentParams(eta_1h=eta, eta_1v=eta, eta_2h=eta, eta_2v=eta)
+    runs = maximize_starts_bfgs(_margin_objective(SearchKernel(_ONE_PAIR, analyzer)),
+                                _MARGIN_BOUNDS, _SEED_STARTS)
+    ratio, *angles = best_run(runs).x
+    return ratio, tuple(map(_wrap_angle, angles))
 
 
 def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int = 0,
@@ -500,19 +471,19 @@ def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int
 
     At each efficiency the polarization asymmetry of the pump and the four
     analyzer angles are re-optimized, and the margin is S - 2.  The search
-    is seeded from the exact single-pair optimum, which pins the weakly
-    entangled basin where the margin near the critical efficiency is of
-    order 1e-4; the pump strength sits at ``MU_FLOOR``, since the margin
-    grows as the multi-pair contamination (of order mu) shrinks.  The
-    threshold is found by ``optimize.monotone_threshold``: a pre-scan that
-    checks the optimized S is nondecreasing in the efficiency, then a
-    bisection that searches only the efficiencies whose sign the scan leaves
-    open.  Each efficiency's search runs its two or three starts (the seed,
-    the canonical angles, and the optimum of the last efficiency searched)
-    in lockstep and keeps the first of the best.  Both the seed and this
-    search are projected BFGS (``optimize.maximize_starts_bfgs``) on exact
-    gradients: the seed's in closed form, this one from ``_chsh_gradient``.
-    Every start is given, so ``seed`` does not change the result.
+    is seeded from the same search on the one-pair state
+    (``_partial_entanglement_seed``), which pins the weakly entangled basin
+    where the margin near the critical efficiency is of order 1e-4; the pump
+    strength sits at ``MU_FLOOR``, since the margin grows as the multi-pair
+    contamination (of order mu) shrinks.  The threshold is found by
+    ``optimize.monotone_threshold``: a pre-scan that checks the optimized S
+    is nondecreasing in the efficiency, then a bisection that searches only
+    the efficiencies whose sign the scan leaves open.  Each efficiency's
+    search runs its two or three starts (the seed, the canonical angles, and
+    the optimum of the last efficiency searched) in lockstep and keeps the
+    first of the best: projected BFGS (``optimize.maximize_starts_bfgs``) on
+    the objective it shares with the seed, ``_margin_objective``.  Every
+    start is given, so ``seed`` does not change the result.
 
     The bracket must satisfy 0 < lo < hi <= 1, and ``xtol`` must be finite
     and positive.
@@ -529,24 +500,10 @@ def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int
         analyzer = params.replace(eta_1h=eta, eta_1v=eta, eta_2h=eta, eta_2v=eta)
         kernel = SearchKernel(entries, analyzer)
         ratio0, angles0 = _partial_entanglement_seed(eta)
-
-        def objective(x):
-            # x = (ratio, a1, a2, b1, b2) with mu = MU_FLOOR (1, ratio, 1, ratio)
-            mu = np.full((len(x), 4), MU_FLOOR)
-            mu[:, 1::2] = MU_FLOOR * x[:, :1]
-            s, ds_a, ds_b, ds_mu = _chsh_gradient(
-                *kernel.correlator_gradients(x[:, 1:3], x[:, 3:5], mu))
-            grad = np.empty_like(x)
-            grad[:, 0] = MU_FLOOR * ds_mu[:, 1]
-            grad[:, 1:3] = ds_a
-            grad[:, 3:5] = ds_b
-            return s, grad
-
-        bounds = [(1e-4, 1.0)] + _FREE_ANGLES
-        starts = [(max(ratio0, 1e-4),) + angles0, (1.0,) + CANONICAL_X0]
+        starts = [(ratio0,) + angles0, (1.0,) + CANONICAL_X0]
         if warm["x0"] is not None:
             starts.append(warm["x0"])
-        best = best_run(maximize_starts_bfgs(objective, bounds, starts))
+        best = best_run(maximize_starts_bfgs(_margin_objective(kernel), _MARGIN_BOUNDS, starts))
         warm["x0"] = best.x
         return best.value - 2.0
 

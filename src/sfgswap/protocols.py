@@ -482,14 +482,14 @@ def _poisson_cdf(lam: float, top: int) -> tuple:
     return cdf, np.cumsum(np.r_[beyond, p[:0:-1]])[::-1]
 
 
-def _one_photon_readout(h, v, alpha: complex, beta: complex) -> tuple:
-    """One-photon weight and fidelity to alpha|H> + beta|V> of the pure states
-    of d with amplitude h on |H> and v on |V>."""
+def _one_photon_readout(h, v, alpha: complex, beta: complex) -> float:
+    """Fidelity to alpha|H> + beta|V> of the pure states of d with amplitude
+    h on |H> and v on |V>."""
     one = float(np.vdot(h, h).real + np.vdot(v, v).real)
     if one <= 0.0:
         raise ValueError("no one-photon component in the output state")
     overlap = alpha.conjugate() * h + beta.conjugate() * v
-    return one, float(np.vdot(overlap, overlap).real) / one
+    return float(np.vdot(overlap, overlap).real) / one
 
 
 def teleport(params: ExperimentParams, input_polarization, input_mean_photons: float,
@@ -550,8 +550,8 @@ def teleport(params: ExperimentParams, input_polarization, input_mean_photons: f
     herald_prob = float(herald.sum())
     if herald_prob <= 0.0:
         raise ValueError("herald probability is zero")
-    _, fidelity = _one_photon_readout(math.sqrt(c_h * g2_h) * alpha, math.sqrt(c_v * g2_v) * beta,
-                                      alpha, beta)
+    fidelity = _one_photon_readout(math.sqrt(c_h * g2_h) * alpha, math.sqrt(c_v * g2_v) * beta,
+                                   alpha, beta)
     return TeleportReport(fidelity=fidelity, herald_prob=herald_prob,
                           one_photon_weight=float(herald[1]) / herald_prob,
                           truncation_dropped=float(pair @ tail[::-2]) / norm)
@@ -596,6 +596,6 @@ def qfc_teleport_strong_pump(alpha: complex, beta: complex, chi_tau: float,
     fidelity = 0.0
     if herald_prob > 0.0:
         nrm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-        fidelity = _one_photon_readout(h, v, alpha / nrm, beta / nrm)[1]
+        fidelity = _one_photon_readout(h, v, alpha / nrm, beta / nrm)
     return QfcReport(fidelity=fidelity, herald_prob=herald_prob,
                      conversion_angle_H=angles[0], conversion_angle_V=angles[1])

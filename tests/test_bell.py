@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from density_route import (
     block_density,
     block_readout,
     chsh_value,
+    dense_block,
     heralded_state_with_dark,
     qber,
     scaled_filter_blocks,
@@ -29,7 +31,6 @@ from sfgswap.bell import (
     TSIRELSON,
     _partial_entanglement_seed,
     _qber,
-    _seed_chsh,
     binary_entropy,
     dw_key_rate,
     dw_key_rate_slopes,
@@ -46,6 +47,7 @@ from sfgswap.presets import get_preset, swap_params
 from sfgswap.protocols import (
     ExperimentParams,
     HeraldedEntries,
+    _gamma,
     _source_mu,
     heralded_entries,
     sfg_swap,
@@ -244,6 +246,11 @@ def test_efficiency_threshold_eberhard_limit():
     assert eta == 0.6669921875
 
 
+def test_efficiency_threshold_of_criterion_5_to_the_bit():
+    # Criterion 5's search: the ideal preset at its pair_cap of 3.
+    assert efficiency_threshold(_preset("ideal")) == 0.6845703125
+
+
 @pytest.mark.parametrize("kwargs, argument", [
     ({"bracket": (0.5, 1.5)}, "bracket"),
     ({"bracket": (0.8, 0.6)}, "bracket"),
@@ -295,8 +302,8 @@ def test_sfg_gain_threshold_rejects_bad_arguments(monkeypatch, kwargs, argument)
     # Rejected by name before any search (each search starts from the
     # heralded entries, so none may run).  Unchecked, lo = 0 or -1 fails
     # with "math domain error", a reversed bracket is reported by its
-    # logarithms, hi = inf fails after the searches with "zero total herald
-    # probability", and rtol = nan is reported as xtol.
+    # logarithms, hi = inf fails after the searches with "herald probability
+    # is zero", and rtol = nan is reported as xtol.
     monkeypatch.setattr(bell, "heralded_entries", None)
     with pytest.raises(ValueError, match=argument):
         sfg_gain_threshold(_preset("ideal", pair_cap=2), **kwargs)
@@ -308,7 +315,7 @@ def test_sfg_gain_threshold_rejects_bad_arguments(monkeypatch, kwargs, argument)
 def test_searches_reject_a_bad_gain_by_name(search, gain):
     # Unchecked, gain -1 reads a violation off an unphysical state on
     # paper-tableS1 (S = 2.0046, r = 0), gain 0 runs on dark counts alone,
-    # and nan or inf fails with "zero total herald probability".
+    # and nan or inf fails with "herald probability is zero".
     with pytest.raises(ValueError, match=f"gain must be finite and positive, got {gain!r}"):
         search(_preset("paper-tableS1"), gain=gain, n_starts=1)
 
@@ -346,15 +353,27 @@ def _outcome_mean(eta_first, eta_second, n):
     return 1.0 - 2.0 * p_first * (1.0 - p_second)
 
 
-def _readout(params, basis, thetas_a, thetas_b, effs, gain):
-    """Normalized correlators from ``block_readout`` on the dense heralded
-    state of ``params``, its photon-herald part scaled by ``gain``."""
-    rho_sfg, rho_dark = scaled_filter_blocks(params, basis)
-    rho = gain * rho_sfg + rho_dark
+def _block_correlators(rho, thetas_a, thetas_b, effs):
+    """Normalized correlators from ``block_readout`` on the block density
+    ``rho``, read through the analyzer efficiencies of ``effs``."""
     n = rho.shape[0] - 1
     e = block_readout(rho, thetas_a, [_outcome_mean(effs.eta_1h, effs.eta_1v, n)],
                       thetas_b, [_outcome_mean(effs.eta_2h, effs.eta_2v, n)])
     return e[:, :, 0, 0] / np.einsum("NaaMbb->", rho)
+
+
+def _readout(params, basis, thetas_a, thetas_b, effs, gain):
+    """Normalized correlators from ``block_readout`` on the dense heralded
+    state of ``params``, its photon-herald part scaled by ``gain``."""
+    rho_sfg, rho_dark = scaled_filter_blocks(params, basis)
+    return _block_correlators(gain * rho_sfg + rho_dark, thetas_a, thetas_b, effs)
+
+
+def _one_pair(basis):
+    """The seed's one-pair state (``bell._ONE_PAIR``), the one-pair sector of
+    the |A>-heralded state, or its twin with the coherences' sign of |D>."""
+    entries = bell._ONE_PAIR
+    return entries if basis == "A" else replace(entries, sfg=np.abs(entries.sfg))
 
 
 @pytest.mark.parametrize("basis", ["A", "D"])
@@ -385,8 +404,10 @@ def test_search_kernel_matches_block_readout_and_density_route(case, basis):
 
 
 def _unhoisted_seed_objective(eta):
-    # The single-pair objective as it was before each cosine and sine was
-    # hoisted out of corr: 24 trig calls per evaluation.
+    # The CHSH value of cos(t)|HV> + sin(t)|VH> at x = (t, a1, a2, b1, b2),
+    # measured by threshold detectors of efficiency eta (-1 only when the
+    # H-arm detector clicks), in closed form from the click probabilities of
+    # each party and of a double click, with each cosine and sine taken anew.
     def corr(t, a, b):
         c, s = math.cos(t), math.sin(t)
         p_a = eta * ((c * math.cos(a)) ** 2 + (s * math.sin(a)) ** 2)
@@ -403,17 +424,50 @@ def _unhoisted_seed_objective(eta):
     return objective
 
 
-@pytest.mark.parametrize("eta", [np.linspace(0.5, 1.0, 8)[3], 0.6669921875, 0.9])
-def test_seed_objective_is_bit_identical(eta):
-    # The seed's three starts, stepped together and evaluated per point on
-    # Python floats as _partial_entanglement_seed does.
-    bounds = [(math.pi / 4, math.pi / 2)] + _angle_bounds(4)
-    starts = [(t0, -0.03, 0.34, 1.54, -1.23) for t0 in (1.2, 1.4, 1.5)]
-    runs = [maximize_starts(lambda x, f=objective: [f(p) for p in x.tolist()], bounds, starts,
-                            xatol=1e-9)
-            for objective in (lambda p: _seed_chsh(float(eta), p)[0],
-                              _unhoisted_seed_objective(eta))]
-    assert runs[0] == runs[1]
+@pytest.mark.parametrize("basis", ["A", "D"])
+def test_one_pair_state_is_the_one_pair_sector_of_the_herald(basis):
+    # The seed's state (and its |D> twin) is the (N_d, N_e) = (1, 1) sector
+    # of the heralded state, entry by entry up to order and a positive factor.
+    def by_entry(entries):
+        # weight of each entry, keyed by its (N_d, a, a', N_e, b, b') and powers
+        keys = np.vstack(entries.index + tuple(entries.powers)).T.tolist()
+        return dict(zip(map(tuple, keys), (entries.sfg + entries.dark).tolist()))
+
+    sector = {key: weight for key, weight in by_entry(
+        heralded_entries(_preset("ideal", pair_cap=2), basis)).items() if key[0] == key[3] == 1}
+    one_pair = by_entry(_one_pair(basis))
+    assert sector.keys() == one_pair.keys()
+    factor = sector[(1, 1, 1, 1, 1, 1, 2, 0, 2, 0)]
+    assert factor > 0.0
+    for key, weight in one_pair.items():
+        assert sector[key] == pytest.approx(factor * weight, rel=1e-14)
+    # diagonal entries first, as HeraldedEntries lists them
+    a, a2 = bell._ONE_PAIR.index[1:3]
+    assert bell._ONE_PAIR.n_diagonal == 2 and (a == a2).tolist() == [True, True, False, False]
+
+
+@pytest.mark.parametrize("eta", [0.5, 0.6669921875, 0.9, 1.0])
+def test_seed_objective_is_the_one_pair_closed_form(eta):
+    # The margin's objective on the one-pair kernel is the closed form at
+    # t = atan2(gamma_H^2, gamma_V^2), mu = MU_FLOOR (1, r, 1, r), with party
+    # a's angles less pi/2; its gradient is a central difference of it.
+    kernel = SearchKernel(bell._ONE_PAIR, _analyzer(eta, eta, eta, eta))
+    objective = bell._margin_objective(kernel)
+    closed = _unhoisted_seed_objective(eta)
+    rng = np.random.default_rng(17)
+    x = np.column_stack((rng.uniform(1e-4, 1.0, 12),
+                         rng.uniform(-math.pi / 2, math.pi / 2, (12, 4))))
+    x = np.vstack((bell._SEED_STARTS, x))
+    values, grads = objective(x)
+    for point, value, grad in zip(x, values.tolist(), grads):
+        ratio, a1, a2, b1, b2 = point.tolist()
+        g2_h, g2_v = (_gamma(np.array([bell.MU_FLOOR, bell.MU_FLOOR * ratio])) ** 2).tolist()
+        t = math.atan2(g2_h, g2_v)
+        assert abs(value - closed((t, a1 - math.pi / 2, a2 - math.pi / 2, b1, b2))) <= 1e-12
+        for i in range(5):
+            h = 1e-6 * ratio if i == 0 else 1e-6
+            fd = _central_difference(lambda y: objective(y[None])[0][0], point, i, h)
+            assert abs(fd - grad[i]) <= 1e-8
 
 
 def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
@@ -448,7 +502,9 @@ def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
     bell._partial_entanglement_seed.cache_clear()
     eta = efficiency_threshold(_preset("ideal", pair_cap=2), bracket=(0.6, 0.8), xtol=0.05)
     assert 0.6 < eta <= 0.8
-    assert calls["evaluations"] > 1000
+    # every search from given starts, so the count is exact: 693 in the
+    # seeds' searches and 149 in the margins'
+    assert calls["evaluations"] == 842
     assert calls["heralded_entries"] == 1 and calls["_visibility_report"] == 0
     assert 0 < calls["monomials"] == calls["correlator_gradients"] < calls["evaluations"]
 
@@ -557,6 +613,8 @@ GRADIENT_CASES = {
     "tableS1-3-dark": (_preset("paper-tableS1", dark=0.1), ASYMMETRIC),
     "fig-s3-asymmetric": (_preset("fig-s3", t_1h=0.6, t_1v=0.5, t_2h=0.7, t_2v=0.65,
                                   eta_th=0.8, eta_tv=0.9), ASYMMETRIC),
+    # the seed's one-pair state (``_one_pair``) near the critical efficiency
+    "one-pair": (None, _analyzer(0.7, 0.7, 0.7, 0.7)),
 }
 
 
@@ -574,7 +632,8 @@ def test_correlator_gradients_match_central_differences(case, basis):
     # source strengths, against a central difference of the correlators.
     params, effs = GRADIENT_CASES[case]
     rng = np.random.default_rng(13)
-    kernel = _kernel(params, effs, basis=basis)
+    kernel = (SearchKernel(_one_pair(basis), effs) if params is None
+              else _kernel(params, effs, basis=basis))
     for _ in range(3):
         thetas_a = rng.uniform(-math.pi / 2, math.pi / 2, size=3)
         thetas_b = rng.uniform(-math.pi / 2, math.pi / 2, size=2)
@@ -598,27 +657,21 @@ def test_correlator_gradients_match_central_differences(case, basis):
             assert np.abs(fd - de_mu[k]).max() <= 1e-8
         # The correlators are those of block_readout on the state at these
         # sources.
-        slow = _readout(_with_sources(params, mu), basis, thetas_a, thetas_b, effs, 1.0)
+        if params is None:
+            entries = _one_pair(basis)
+            slow = _block_correlators(dense_block(entries, entries.sfg * entries.monomials(mu)),
+                                      thetas_a, thetas_b, effs)
+        else:
+            slow = _readout(_with_sources(params, mu), basis, thetas_a, thetas_b, effs, 1.0)
         assert np.abs(e - slow).max() <= 1e-13
-
-
-@pytest.mark.parametrize("eta", [0.5, 0.6669921875, 0.9, 1.0])
-def test_seed_gradient_matches_central_differences(eta):
-    rng = np.random.default_rng(17)
-    points = [(1.2, -0.03, 0.34, 1.54, -1.23)] + list(
-        rng.uniform(-math.pi / 2, math.pi / 2, size=(10, 5)))
-    for x in points:
-        _, g = _seed_chsh(eta, list(x))
-        for i in range(5):
-            fd = _central_difference(lambda y: _seed_chsh(eta, list(y))[0], x, i, 1e-6)
-            assert abs(fd - g[i]) <= 1e-8
 
 
 def test_threshold_searches_match_or_beat_the_simplex_margins(monkeypatch):
     # The gradient searches reach the simplex searches' optima: at every
     # efficiency the threshold search evaluates, the margin is no lower than a
     # Nelder-Mead search from the same starts (less 1e-11), and the seed's
-    # single-pair S no lower than Nelder-Mead's on the seed (less 1e-12).
+    # one-pair S no lower than Nelder-Mead's on the seed (less 1e-12).  Each
+    # efficiency runs the seed's search, then the margin's, in one box.
     params = _preset("ideal", pair_cap=2)
     visited = []
     real_maximize = bell.maximize_starts_bfgs
@@ -634,13 +687,13 @@ def test_threshold_searches_match_or_beat_the_simplex_margins(monkeypatch):
     bell._partial_entanglement_seed.cache_clear()
     assert eta == 0.6749999999999999
     assert len(visited) == 18  # 9 efficiencies, each a seed and a margin search
-    for objective, bounds, starts, value in visited:
+    for k, (objective, bounds, starts, value) in enumerate(visited):
         # Nelder-Mead in the simplex searches' own box; the angles there are
         # the same up to their period
         box = [bounds[0]] + _angle_bounds(4)
         wrapped = [(x[0],) + tuple((a + math.pi / 2) % math.pi - math.pi / 2 for a in x[1:])
                    for x in starts]
-        seed = bounds[0][0] > 0.5
+        seed = k % 2 == 0
         simplex = max(run.value for run in maximize_starts(
             lambda x: objective(x)[0], box, wrapped, xatol=1e-9 if seed else 1e-6))
         assert value >= simplex - (1e-12 if seed else 1e-11)

@@ -280,8 +280,10 @@ def test_non_finite_sweep_end_is_refused_by_its_key(monkeypatch, capsys, sweep, 
 
 
 def test_zero_herald_probability_is_a_model_error(capsys):
-    assert main(["swap-sfg", "--preset", "ideal", "--set", "params.eta_d=0"]) == 3
-    assert "herald probability is zero" in capsys.readouterr().err
+    # The swaps and the searches name a vanishing herald alike.
+    for command in ("swap-sfg", "bell", "keyrate"):
+        assert main([command, "--preset", "ideal", "--set", "params.eta_d=0"]) == 3
+        assert "model error: herald probability is zero" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["swap-sfg", "swap-lo"])
