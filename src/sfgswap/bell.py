@@ -32,9 +32,6 @@ from .optimize import (
 )
 from .protocols import ExperimentParams, HeraldedEntries, _source_mu, heralded_entries
 
-TSIRELSON = 2.0 * math.sqrt(2.0)
-
-
 @functools.lru_cache(maxsize=256)
 def _outcome_coefficients(eta_first: float, eta_second: float, n: int):
     """Trig-polynomial coefficients C[t, N, a, a'] (``detection.analyzer_coefficients``)
@@ -421,8 +418,8 @@ _MARGIN_BOUNDS = [(1e-4, 1.0)] + _FREE_ANGLES  # (mu_V / mu_H, a1, a2, b1, b2)
 
 def _margin_objective(kernel: SearchKernel):
     """S through ``kernel`` and its gradient at points x = (ratio, a1, a2,
-    b1, b2), with mu = MU_FLOOR (1, ratio, 1, ratio): the objective of an
-    efficiency-threshold margin and of its seed."""
+    b1, b2), with mu = MU_FLOOR (1, ratio, 1, ratio): the objective of every
+    efficiency-threshold margin."""
     def objective(x):
         mu = np.full((len(x), 4), MU_FLOOR)
         mu[:, 1::2] = MU_FLOOR * x[:, :1]
@@ -437,31 +434,11 @@ def _margin_objective(kernel: SearchKernel):
     return objective
 
 
-# The one-pair sector gamma_1H gamma_2H |HH> - gamma_1V gamma_2V |VV> of the
-# |A>-heralded state: the populations of HH and VV, then the two coherences.
-_ONE_PAIR = HeraldedEntries(
-    index=tuple(np.array([(1, 1, 1, 1, 1, 1), (1, 0, 0, 1, 0, 0),
-                          (1, 1, 0, 1, 1, 0), (1, 0, 1, 1, 0, 1)]).T),
-    n_diagonal=2, sfg=np.array([1.0, 1.0, -1.0, -1.0]), dark=np.zeros(4), n=1,
-    powers=np.array([(2, 0, 1, 1), (0, 2, 1, 1), (2, 0, 1, 1), (0, 2, 1, 1)]))
-# pump ratios cot t0 of weakly entangled states, at near-axis angles
-_SEED_STARTS = [(math.cos(t0) / math.sin(t0), _wrap_angle(math.pi / 2 - 0.03),
-                 _wrap_angle(math.pi / 2 + 0.34), 1.54, -1.23) for t0 in (1.2, 1.4, 1.5)]
-
-
-@functools.lru_cache(maxsize=128)
-def _partial_entanglement_seed(eta: float):
-    """Start of the margin search at symmetric efficiency ``eta``: the optimum
-    of the margin's own search on the one-pair state ``_ONE_PAIR``, from
-    ``_SEED_STARTS``.  Near the critical efficiency it is weakly entangled,
-    with near-axis angles, a basin the maximally entangled start never
-    reaches.  Returns (pump-strength ratio, four wrapped analyzer angles)."""
-    eta = float(eta)
-    analyzer = ExperimentParams(eta_1h=eta, eta_1v=eta, eta_2h=eta, eta_2v=eta)
-    runs = maximize_starts_bfgs(_margin_objective(SearchKernel(_ONE_PAIR, analyzer)),
-                                _MARGIN_BOUNDS, _SEED_STARTS)
-    ratio, *angles = best_run(runs).x
-    return ratio, tuple(map(_wrap_angle, angles))
+# pump ratios cot t0 of weakly entangled states, at near-axis angles: near
+# the critical efficiency the optimum sits in this basin, which the maximally
+# entangled start never reaches
+_MARGIN_STARTS = [(math.cos(t0) / math.sin(t0), _wrap_angle(math.pi / 2 - 0.03),
+                   _wrap_angle(math.pi / 2 + 0.34), 1.54, -1.23) for t0 in (1.2, 1.4, 1.5)]
 
 
 def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int = 0,
@@ -470,20 +447,19 @@ def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int
     |A>-heralded state.
 
     At each efficiency the polarization asymmetry of the pump and the four
-    analyzer angles are re-optimized, and the margin is S - 2.  The search
-    is seeded from the same search on the one-pair state
-    (``_partial_entanglement_seed``), which pins the weakly entangled basin
-    where the margin near the critical efficiency is of order 1e-4; the pump
-    strength sits at ``MU_FLOOR``, since the margin grows as the multi-pair
+    analyzer angles are re-optimized, and the margin is S - 2, in one search
+    per efficiency: projected BFGS (``optimize.maximize_starts_bfgs``) on
+    ``_margin_objective``, run in lockstep from the three fixed starts
+    ``_MARGIN_STARTS`` and, after the first efficiency, the optimum of the
+    last efficiency searched, keeping the first of the best.  The fixed
+    starts are weakly entangled, at near-axis angles, the basin where the
+    margin near the critical efficiency is of order 1e-4; the pump strength
+    sits at ``MU_FLOOR``, since the margin grows as the multi-pair
     contamination (of order mu) shrinks.  The threshold is found by
     ``optimize.monotone_threshold``: a pre-scan that checks the optimized S
     is nondecreasing in the efficiency, then a bisection that searches only
-    the efficiencies whose sign the scan leaves open.  Each efficiency's
-    search runs its two or three starts (the seed, the canonical angles, and
-    the optimum of the last efficiency searched) in lockstep and keeps the
-    first of the best: projected BFGS (``optimize.maximize_starts_bfgs``) on
-    the objective it shares with the seed, ``_margin_objective``.  Every
-    start is given, so ``seed`` does not change the result.
+    the efficiencies whose sign the scan leaves open.  Every start is given,
+    so ``seed`` does not change the result.
 
     The bracket must satisfy 0 < lo < hi <= 1, and ``xtol`` must be finite
     and positive.
@@ -499,10 +475,7 @@ def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int
     def margin(eta):
         analyzer = params.replace(eta_1h=eta, eta_1v=eta, eta_2h=eta, eta_2v=eta)
         kernel = SearchKernel(entries, analyzer)
-        ratio0, angles0 = _partial_entanglement_seed(eta)
-        starts = [(ratio0,) + angles0, (1.0,) + CANONICAL_X0]
-        if warm["x0"] is not None:
-            starts.append(warm["x0"])
+        starts = _MARGIN_STARTS if warm["x0"] is None else _MARGIN_STARTS + [warm["x0"]]
         best = best_run(maximize_starts_bfgs(_margin_objective(kernel), _MARGIN_BOUNDS, starts))
         warm["x0"] = best.x
         return best.value - 2.0

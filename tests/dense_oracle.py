@@ -19,6 +19,9 @@ import numpy as np
 from density_route import DensityOperator, expectation, partial_trace, sandwich, unitary_column_map
 from branch_route import PureState, apply_annihilation, apply_creation, tensor, two_mode_rotation
 
+# Tsirelson's bound on |S|
+TSIRELSON = 2.0 * math.sqrt(2.0)
+
 
 def product_basis(n_modes: int, n_max: int):
     """All occupation tuples with 0..n_max photons per mode."""

@@ -4,7 +4,6 @@ import csv
 import io
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,8 +27,6 @@ from sfgswap.bell import (
     CANONICAL_X0,
     BellSettings,
     SearchKernel,
-    TSIRELSON,
-    _partial_entanglement_seed,
     _qber,
     binary_entropy,
     dw_key_rate,
@@ -41,6 +38,7 @@ from sfgswap.bell import (
     sfg_gain_threshold,
 )
 from branch_route import reduced_branches
+from dense_oracle import TSIRELSON
 from sfgswap.detection import arm_click_probs
 from sfgswap import optimize
 from sfgswap.presets import get_preset, swap_params
@@ -226,16 +224,6 @@ def test_qber_small_for_aligned_ideal_state():
     assert qber(rho, 0.0, 0.0) < 0.05
 
 
-def test_partial_entanglement_seed_shape():
-    ratio, angles = _partial_entanglement_seed(0.70)
-    assert 0.0 < ratio <= 1.0
-    assert len(angles) == 4
-    for a in angles:
-        assert -math.pi / 2 <= a < math.pi / 2
-    # Near the critical efficiency the optimum is weakly entangled.
-    assert ratio < 0.5
-
-
 def test_efficiency_threshold_eberhard_limit():
     # At a weak pump the threshold approaches Eberhard's 2/3 for threshold
     # detectors with no-click events kept (PRA 47, R747 (1993)).
@@ -249,6 +237,12 @@ def test_efficiency_threshold_eberhard_limit():
 def test_efficiency_threshold_of_criterion_5_to_the_bit():
     # Criterion 5's search: the ideal preset at its pair_cap of 3.
     assert efficiency_threshold(_preset("ideal")) == 0.6845703125
+
+
+def test_efficiency_threshold_of_a_lossy_preset_to_the_bit():
+    # paper-table2's channel loss gives its pair_cap 3 state weights other
+    # than the ideal preset's.
+    assert efficiency_threshold(_preset("paper-table2")) == 0.68359375
 
 
 @pytest.mark.parametrize("kwargs, argument", [
@@ -369,11 +363,16 @@ def _readout(params, basis, thetas_a, thetas_b, effs, gain):
     return _block_correlators(gain * rho_sfg + rho_dark, thetas_a, thetas_b, effs)
 
 
-def _one_pair(basis):
-    """The seed's one-pair state (``bell._ONE_PAIR``), the one-pair sector of
-    the |A>-heralded state, or its twin with the coherences' sign of |D>."""
-    entries = bell._ONE_PAIR
-    return entries if basis == "A" else replace(entries, sfg=np.abs(entries.sfg))
+def _one_pair(basis="A"):
+    """The one-pair state gamma_1H gamma_2H |HH> - gamma_1V gamma_2V |VV>,
+    the one-pair sector of the |A>-heralded state (the populations of HH and
+    VV, then the two coherences), or its twin with the coherences' sign of |D>."""
+    sign = -1.0 if basis == "A" else 1.0
+    return HeraldedEntries(
+        index=tuple(np.array([(1, 1, 1, 1, 1, 1), (1, 0, 0, 1, 0, 0),
+                              (1, 1, 0, 1, 1, 0), (1, 0, 1, 1, 0, 1)]).T),
+        n_diagonal=2, sfg=np.array([1.0, 1.0, sign, sign]), dark=np.zeros(4), n=1,
+        powers=np.array([(2, 0, 1, 1), (0, 2, 1, 1), (2, 0, 1, 1), (0, 2, 1, 1)]))
 
 
 @pytest.mark.parametrize("basis", ["A", "D"])
@@ -426,7 +425,7 @@ def _unhoisted_seed_objective(eta):
 
 @pytest.mark.parametrize("basis", ["A", "D"])
 def test_one_pair_state_is_the_one_pair_sector_of_the_herald(basis):
-    # The seed's state (and its |D> twin) is the (N_d, N_e) = (1, 1) sector
+    # The one-pair state (and its |D> twin) is the (N_d, N_e) = (1, 1) sector
     # of the heralded state, entry by entry up to order and a positive factor.
     def by_entry(entries):
         # weight of each entry, keyed by its (N_d, a, a', N_e, b, b') and powers
@@ -442,8 +441,8 @@ def test_one_pair_state_is_the_one_pair_sector_of_the_herald(basis):
     for key, weight in one_pair.items():
         assert sector[key] == pytest.approx(factor * weight, rel=1e-14)
     # diagonal entries first, as HeraldedEntries lists them
-    a, a2 = bell._ONE_PAIR.index[1:3]
-    assert bell._ONE_PAIR.n_diagonal == 2 and (a == a2).tolist() == [True, True, False, False]
+    a, a2 = _one_pair().index[1:3]
+    assert _one_pair().n_diagonal == 2 and (a == a2).tolist() == [True, True, False, False]
 
 
 @pytest.mark.parametrize("eta", [0.5, 0.6669921875, 0.9, 1.0])
@@ -451,13 +450,13 @@ def test_seed_objective_is_the_one_pair_closed_form(eta):
     # The margin's objective on the one-pair kernel is the closed form at
     # t = atan2(gamma_H^2, gamma_V^2), mu = MU_FLOOR (1, r, 1, r), with party
     # a's angles less pi/2; its gradient is a central difference of it.
-    kernel = SearchKernel(bell._ONE_PAIR, _analyzer(eta, eta, eta, eta))
+    kernel = SearchKernel(_one_pair(), _analyzer(eta, eta, eta, eta))
     objective = bell._margin_objective(kernel)
     closed = _unhoisted_seed_objective(eta)
     rng = np.random.default_rng(17)
     x = np.column_stack((rng.uniform(1e-4, 1.0, 12),
                          rng.uniform(-math.pi / 2, math.pi / 2, (12, 4))))
-    x = np.vstack((bell._SEED_STARTS, x))
+    x = np.vstack((bell._MARGIN_STARTS, x))
     values, grads = objective(x)
     for point, value, grad in zip(x, values.tolist(), grads):
         ratio, a1, a2, b1, b2 = point.tolist()
@@ -499,12 +498,10 @@ def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
         calls["evaluations"] += sum(res.n_evaluations for res in runs)
         return runs
     monkeypatch.setattr(bell, "maximize_starts_bfgs", maximize)
-    bell._partial_entanglement_seed.cache_clear()
     eta = efficiency_threshold(_preset("ideal", pair_cap=2), bracket=(0.6, 0.8), xtol=0.05)
     assert 0.6 < eta <= 0.8
-    # every search from given starts, so the count is exact: 693 in the
-    # seeds' searches and 149 in the margins'
-    assert calls["evaluations"] == 842
+    # every search from given starts, so the count is exact
+    assert calls["evaluations"] == 824
     assert calls["heralded_entries"] == 1 and calls["_visibility_report"] == 0
     assert 0 < calls["monomials"] == calls["correlator_gradients"] < calls["evaluations"]
 
@@ -613,7 +610,7 @@ GRADIENT_CASES = {
     "tableS1-3-dark": (_preset("paper-tableS1", dark=0.1), ASYMMETRIC),
     "fig-s3-asymmetric": (_preset("fig-s3", t_1h=0.6, t_1v=0.5, t_2h=0.7, t_2v=0.65,
                                   eta_th=0.8, eta_tv=0.9), ASYMMETRIC),
-    # the seed's one-pair state (``_one_pair``) near the critical efficiency
+    # the one-pair state (``_one_pair``) near the critical efficiency
     "one-pair": (None, _analyzer(0.7, 0.7, 0.7, 0.7)),
 }
 
@@ -669,34 +666,41 @@ def test_correlator_gradients_match_central_differences(case, basis):
 def test_threshold_searches_match_or_beat_the_simplex_margins(monkeypatch):
     # The gradient searches reach the simplex searches' optima: at every
     # efficiency the threshold search evaluates, the margin is no lower than a
-    # Nelder-Mead search from the same starts (less 1e-11), and the seed's
-    # one-pair S no lower than Nelder-Mead's on the seed (less 1e-12).  Each
-    # efficiency runs the seed's search, then the margin's, in one box.
+    # Nelder-Mead search from the same starts (less 1e-11).  Each efficiency
+    # runs one search, and near the critical efficiency its optimum is weakly
+    # entangled.
     params = _preset("ideal", pair_cap=2)
-    visited = []
+    etas, visited = [], []
     real_maximize = bell.maximize_starts_bfgs
+    real_threshold = bell.monotone_threshold
 
     def maximize(objective, bounds, starts):
         runs = real_maximize(objective, bounds, starts)
-        visited.append((objective, bounds, starts, optimize.best_run(runs).value))
+        visited.append((objective, bounds, starts, optimize.best_run(runs)))
         return runs
 
+    def threshold(margin, *args):
+        def recorded_margin(eta):
+            etas.append(eta)
+            return margin(eta)
+        return real_threshold(recorded_margin, *args)
+
     monkeypatch.setattr(bell, "maximize_starts_bfgs", maximize)
-    bell._partial_entanglement_seed.cache_clear()
+    monkeypatch.setattr(bell, "monotone_threshold", threshold)
     eta = efficiency_threshold(params, bracket=(0.6, 0.8), xtol=0.05)
-    bell._partial_entanglement_seed.cache_clear()
     assert eta == 0.6749999999999999
-    assert len(visited) == 18  # 9 efficiencies, each a seed and a margin search
-    for k, (objective, bounds, starts, value) in enumerate(visited):
+    assert len(etas) == len(visited) == 9
+    for eta, (objective, bounds, starts, best) in zip(etas, visited):
         # Nelder-Mead in the simplex searches' own box; the angles there are
         # the same up to their period
         box = [bounds[0]] + _angle_bounds(4)
         wrapped = [(x[0],) + tuple((a + math.pi / 2) % math.pi - math.pi / 2 for a in x[1:])
                    for x in starts]
-        seed = k % 2 == 0
         simplex = max(run.value for run in maximize_starts(
-            lambda x: objective(x)[0], box, wrapped, xatol=1e-9 if seed else 1e-6))
-        assert value >= simplex - (1e-12 if seed else 1e-11)
+            lambda x: objective(x)[0], box, wrapped, xatol=1e-6))
+        assert best.value >= simplex - 1e-11
+        if eta <= 0.7:
+            assert best.x[0] < 0.5  # the pump ratio mu_V / mu_H
 
 
 def _ideal_analyzer(**kwargs):

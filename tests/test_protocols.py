@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import pdtrc
 
-from dense_oracle import dense_density, product_basis
+from dense_oracle import TSIRELSON, dense_density, product_basis
 from density_route import (
     DensityOperator,
     apply_loss,
@@ -48,7 +48,7 @@ from branch_route import (
     tmsv_pair,
 )
 from sfgswap import protocols
-from sfgswap.bell import TSIRELSON, SearchKernel
+from sfgswap.bell import SearchKernel
 from sfgswap.presets import PARAM_KEYS, get_preset, swap_params
 from sfgswap.protocols import (
     ExperimentParams,
