@@ -13,8 +13,8 @@ starts of a search step in lockstep (``_lockstep``), each a coroutine that
 asks for one point at a time, so all of them share one objective call per
 step and each ends where it would end alone.  ``maximize_starts_bfgs`` runs
 given starts; ``multistart_maximize`` draws seeded ones and keeps the best.
-The draws are those of ``np.random.default_rng(seed)``, made by a port of
-its PCG64 generator in Python integers (``_Pcg64``).
+The draws come from Python's ``random.Random(seed)``, whose ``random()``
+sequence for an integer seed Python keeps the same across versions.
 
 ``monotone_threshold`` finds where a nondecreasing function turns positive:
 a fixed pre-scan that checks monotonicity and the sign change, then a
@@ -29,6 +29,7 @@ import csv
 import io
 import math
 import operator
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -223,72 +224,17 @@ def best_run(runs) -> OptimizeResult:
     return best
 
 
-# Seeded starts come from numpy's default generator, PCG64 (O'Neill,
-# HMC-CS-2014-0905) seeded through numpy's SeedSequence, here in Python
-# integers so that no search loads numpy.random: ``_Pcg64(seed).random(n)``
-# equals ``np.random.default_rng(seed).random(n)`` bit for bit.
-_M32 = 0xFFFFFFFF
-_M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _seed_hash(const: int, mult: int):
-    """SeedSequence's hash of 32-bit words, its constant stepping by ``mult``
-    after each word."""
-    def hashed(value):
-        nonlocal const
-        value ^= const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-    return hashed
-
-
-class _Pcg64:
-    """PCG64 with XSL-RR 128/64 output, seeded as ``np.random.default_rng``."""
-
-    def __init__(self, seed):
-        try:
-            seed = operator.index(seed)
-        except TypeError:
-            raise TypeError(f"seed must be a non-negative integer, got {seed!r}") from None
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-        # SeedSequence: the seed's 32-bit words, least significant first,
-        # mixed into a pool of four
-        words = [seed >> 32 * k & _M32 for k in range((seed.bit_length() + 31) // 32 or 1)]
-        hashmix = _seed_hash(0x43B0D7E5, 0x931E8875)
-
-        def mix(x, y):
-            x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-            return x ^ x >> 16
-
-        pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in words[4:]:
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(word))
-        # generate_state(4, uint64): eight 32-bit words, paired low word
-        # first, are the PCG state s1 + 2^64 s0 and stream i1 + 2^64 i0
-        out = _seed_hash(0x8B51F9DD, 0x58F38DED)
-        state = [out(pool[i % 4]) for i in range(8)]
-        s0, s1, i0, i1 = (state[k] | state[k + 1] << 32 for k in range(0, 8, 2))
-        self._inc = ((i0 << 64 | i1) << 1 | 1) & _M128
-        self._state = (self._inc + (s0 << 64 | s1)) & _M128
-        self._next64()
-
-    def _next64(self) -> int:
-        state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
-        word, rot = (state >> 64 ^ state) & _M64, state >> 122
-        return (word >> rot | word << (64 - rot)) & _M64
-
-    def random(self, n: int) -> np.ndarray:
-        """The next n uniform doubles in [0, 1), as ``Generator.random(n)``."""
-        return np.array([(self._next64() >> 11) * 2.0 ** -53 for _ in range(n)])
+def _integer_at_least(value, least: int, refusal: str) -> int:
+    """``value`` as a Python int, or ``refusal`` raised with the value: a
+    TypeError when it is no integer (numpy integers are), a ValueError when
+    it is below ``least``."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{refusal}, got {value!r}") from None
+    if index < least:
+        raise ValueError(f"{refusal}, got {value!r}")
+    return index
 
 
 def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: int = 0,
@@ -304,11 +250,12 @@ def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: i
             sets how the starts are spread: over a finite box, the affine
             map onto it; over periodic parameters left unbounded, one
             period of each.
-        n_starts: number of starts, at least 1.  Start k > 0 is
-            ``start_at(r)`` at a point r of the unit cube drawn from
-            numpy's default generator seeded with ``seed`` (``_Pcg64``, the
-            same draws); start 0 is ``x0``, or ``start_at`` at the cube's
-            center.  The generator is created only when a start is drawn.
+        n_starts: number of starts, an integer of at least 1.  Start
+            k > 0 is ``start_at(r)`` at the point r of the unit cube whose
+            n coordinates are the next n draws of ``random.Random(seed)``;
+            start 0 is ``x0``, or ``start_at`` at the cube's center.  The
+            generator is created, and ``seed`` checked, only when a start
+            is drawn.
         seed: non-negative integer seed for the start points.
         x0: optional explicit first start.
         trace: optional text stream receiving a CSV trace
@@ -318,13 +265,13 @@ def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: i
         OptimizeResult of the best start (``best_run``), with the evaluations
         of every start.
     """
-    if n_starts < 1:
-        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
+    n_starts = _integer_at_least(n_starts, 1, "n_starts must be an integer of at least 1")
     n = len(bounds)
     starts = [start_at(np.full(n, 0.5)) if x0 is None else np.asarray(x0, dtype=float)]
     if n_starts > 1:
-        rng = _Pcg64(seed)
-        starts += [start_at(rng.random(n)) for _ in range(1, n_starts)]
+        rng = random.Random(_integer_at_least(seed, 0, "seed must be a non-negative integer"))
+        starts += [start_at(np.array([rng.random() for _ in range(n)]))
+                   for _ in range(1, n_starts)]
     if not np.isfinite(starts).all():
         raise ValueError("every start must be finite")
     runs = maximize_starts_bfgs(objective, bounds, starts, trace=trace)

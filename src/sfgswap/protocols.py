@@ -56,6 +56,7 @@ from .detection import (
     herald_sign,
     rotation_blocks,
 )
+from .efficiency import fidelity_lower_bound
 
 # Analyzer angle of both parties in the Z and X visibility measurements.
 VISIBILITY_BASES = (("z", 0.0), ("x", math.pi / 4))
@@ -389,7 +390,7 @@ def _visibility_report(entries: HeraldedEntries, rho, herald_prob: float,
     p_z, p_x = ({d + e: max(0.0, float(c[k, i, j])) for i, d in enumerate("HV")
                  for j, e in enumerate("HV")} for k in range(len(VISIBILITY_BASES)))
     v_z, v_x = _visibility_z(p_z), _visibility_x(p_x)
-    return VisibilityReport(v_z=v_z, v_x=v_x, fidelity_lower_bound=(v_z + v_x) / 2.0,
+    return VisibilityReport(v_z=v_z, v_x=v_x, fidelity_lower_bound=fidelity_lower_bound(v_z, v_x),
                             herald_prob=herald_prob, p_z=p_z, p_x=p_x)
 
 

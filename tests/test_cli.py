@@ -136,7 +136,7 @@ def test_runtime_needs_no_scipy(tmp_path):
                                  "--set", "bell.free_mu=true",
                                  "--set", "bell.n_starts=1",
                                  "--out", {str(out)!r}])
-        # seeded starts come from optimize._Pcg64: no request loads numpy.random
+        # seeded starts come from Python's random: no request loads numpy.random
         assert "numpy.random" not in sys.modules
         sys.exit(code)
     """)
@@ -180,13 +180,9 @@ def test_sweep_and_bell_make_no_lapack_call(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_drawn_start_needs_no_numpy_random(tmp_path, monkeypatch):
+def test_drawn_start_needs_no_numpy_random(tmp_path):
     # With numpy.random unimportable, a search with a drawn start runs and
-    # gives the S of the same search drawing from np.random.default_rng.
-    import numpy as np
-
-    from sfgswap import optimize
-
+    # prints what the same search prints in this process.
     argv = ["bell", "--preset", "paper-tableS1", "--gain-factor", "3",
             "--set", "bell.n_starts=2"]
     out = tmp_path / "blocked.txt"
@@ -200,8 +196,7 @@ def test_drawn_start_needs_no_numpy_random(tmp_path, monkeypatch):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    monkeypatch.setattr(optimize, "_Pcg64", np.random.default_rng)
-    code, text = run(tmp_path, *argv, name="numpy.txt")
+    code, text = run(tmp_path, *argv, name="in-process.txt")
     assert code == 0 and "S = " in text
     assert out.read_text() == text
 
@@ -471,14 +466,25 @@ def test_search_flags_are_refused_where_no_search_runs(capsys, experiment, flag)
     assert f"{flag[0]} applies only to bell and keyrate" in captured.err
 
 
-def test_seed_flag_spells_the_bell_seed_key(tmp_path):
-    # On this search the drawn second start decides the result, so the seed
-    # shows in the output.
+def test_seed_flag_spells_the_bell_seed_key(tmp_path, monkeypatch):
+    # --seed 2 and bell.seed=2 print the same bytes, and the seed reaches
+    # the search.
+    from sfgswap import bell
+
+    seeds = []
+
+    def record(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return real(*args, **kwargs)
+
+    real = bell.optimize_chsh
+    monkeypatch.setattr(bell, "optimize_chsh", record)
     base = ("bell", "--preset", "paper-tableS1", "--gain-factor", "30",
             "--set", "bell.n_starts=2")
     code, flag = run(tmp_path, *base, "--seed", "2", name="flag.txt")
-    assert code == 0 and flag != run(tmp_path, *base, name="default.txt")[1]
+    assert code == 0 and "S = " in flag
     assert run(tmp_path, *base, "--set", "bell.seed=2", name="key.txt") == (0, flag)
+    assert seeds == [2, 2]
 
 
 @pytest.mark.parametrize("assignment, message", [

@@ -3,6 +3,7 @@
 
 import io
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -126,8 +127,9 @@ def test_lockstep_trace_groups_rows_by_start():
     assert len(table) == res.n_evaluations
     assert [int(r[0]) for r in table] == sorted(int(r[0]) for r in table)
     lows, highs = np.array([-1.0, -2.0]), np.array([1.0, 2.0])
-    rng = np.random.default_rng(4)
-    starts = [np.zeros(2)] + [lows + rng.random(2) * (highs - lows) for _ in range(2)]
+    rng = random.Random(4)
+    starts = [np.zeros(2)] + [lows + np.array([rng.random(), rng.random()]) * (highs - lows)
+                              for _ in range(2)]
     for s, start in enumerate(starts):
         own = [r for r in table if int(r[0]) == s]
         assert [int(r[1]) for r in own] == list(range(len(own)))
@@ -135,22 +137,6 @@ def test_lockstep_trace_groups_rows_by_start():
         alone = io.StringIO()
         maximize_starts_bfgs(objective, bounds, [start], trace=alone)
         assert [r[1:] for r in rows(alone)] == [r[1:] for r in own]
-
-
-# Seeds of one to seven 32-bit words, with the edges of one and two words,
-# the seeds the CLI's bell requests are checked at, and numpy integers.
-PCG_SEEDS = [*range(300), 1000, 6011, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 10**30,
-             2**200 + 5, np.uint64(2**63 + 1), np.int32(7)]
-
-
-def test_seeded_draws_match_numpy_bit_for_bit():
-    # Draws of lengths 1..8 and back, one stream each, so every draw
-    # continues where the last one stopped.
-    for seed in PCG_SEEDS:
-        ours, numpys = optimize._Pcg64(seed), np.random.default_rng(seed)
-        for n in [*range(1, 9), *range(8, 0, -1)]:
-            got, want = ours.random(n), numpys.random(n)
-            assert got.dtype == want.dtype and np.array_equal(got, want), (seed, n)
 
 
 @pytest.mark.parametrize("seed, error", [(-1, ValueError), (-(2**40), ValueError),
@@ -162,9 +148,15 @@ def test_multistart_rejects_bad_seed_by_name(seed, error):
                             n_starts=2, seed=seed)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 1000, 6011])
-def test_multistart_starts_are_numpys_draws(monkeypatch, seed):
-    # Start k > 0 is start_at of the k-th draw of np.random.default_rng(seed).
+@pytest.mark.parametrize("n_starts", [2.0, "2", None, 1.5])
+def test_multistart_rejects_non_integer_n_starts_by_name(n_starts):
+    with pytest.raises(TypeError, match="n_starts must be an integer of at least 1"):
+        multistart_maximize(_rows(lambda x: x[0]), [(0.0, 1.0)], _onto([(0.0, 1.0)]),
+                            n_starts=n_starts)
+
+
+def _drawn_starts(monkeypatch, seed, n_starts=8):
+    """The starts ``multistart_maximize`` runs on a 3-parameter box."""
     seen = []
 
     def record(objective, bounds, starts, trace=None):
@@ -174,12 +166,39 @@ def test_multistart_starts_are_numpys_draws(monkeypatch, seed):
     real = optimize.maximize_starts_bfgs
     monkeypatch.setattr(optimize, "maximize_starts_bfgs", record)
     bounds = [(-1.0, 1.0), (-2.0, 2.0), (0.0, 3.0)]
-    multistart_maximize(_rows(lambda x: -x @ x), bounds, _onto(bounds), n_starts=8, seed=seed)
-    rng = np.random.default_rng(seed)
-    want = [_onto(bounds)(np.full(3, 0.5))] + [_onto(bounds)(rng.random(3)) for _ in range(7)]
+    multistart_maximize(_rows(lambda x: -x @ x), bounds, _onto(bounds), n_starts=n_starts,
+                        seed=seed)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1000, 6011])
+def test_multistart_starts_are_numpys_draws(monkeypatch, seed):
+    # Start k > 0 is start_at of draws 3(k - 1) .. 3k - 1 of random.Random(seed).
+    bounds = [(-1.0, 1.0), (-2.0, 2.0), (0.0, 3.0)]
+    rng = random.Random(seed)
+    want = [_onto(bounds)(np.full(3, 0.5))] + [
+        _onto(bounds)(np.array([rng.random() for _ in range(3)])) for _ in range(7)]
+    seen = _drawn_starts(monkeypatch, seed)
     assert len(seen) == 8
     for got, expected in zip(seen, want):
         assert got.dtype == np.float64 and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("seed, first", [
+    (0, [0.6888437030500962, 1.03181761176121, 1.261714742492535]),
+    (2**64 + 3, [0.8259368910944314, 1.690796586831183, 2.4888707727264494]),
+], ids=["0", "2**64+3"])
+def test_first_drawn_start_is_pinned(monkeypatch, seed, first):
+    # A change of generator moves these literal draws.
+    assert list(_drawn_starts(monkeypatch, seed, n_starts=2)[1]) == first
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint64(2**63 + 1), np.int32(7)])
+def test_numpy_integers_draw_as_python_ints(monkeypatch, seed):
+    numpys = _drawn_starts(monkeypatch, seed, n_starts=np.int64(8))
+    monkeypatch.undo()
+    pythons = _drawn_starts(monkeypatch, int(seed))
+    assert all(np.array_equal(a, b) for a, b in zip(numpys, pythons, strict=True))
 
 
 @pytest.mark.parametrize("n_starts", [0, -3])
