@@ -11,11 +11,9 @@ contributes to the correlators.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -288,9 +286,8 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False, gain: float =
     an exchange of H and V nearly maps onto each other (one with the H pump
     strong, one with the V pump strong), and a local search reaches only one
     of them, so the search goes on from the mirror image of its best point
-    (``_mirror``) as start ``n_starts`` and keeps the better.  Its trace
-    lists both searches, with (mu_H, mu_V) as x0 and x1, mapped from the 12
-    printed digits of ln mu, so to about 10 digits.
+    (``_mirror``) as its final start and keeps the better.  Its trace lists
+    its own coordinates, ln mu_H and ln mu_V, as x0 and x1.
     """
     lo, hi = MU_BOUNDS
     kernel = SearchKernel(heralded_entries(params), params, gain)
@@ -322,18 +319,12 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False, gain: float =
     if x0 is None:
         x0 = (0.05, 0.05) + CANONICAL_X0
     bounds = [(math.log(lo), math.log(hi))] * 2 + _FREE_ANGLES
-    traces = [io.StringIO(), io.StringIO()] if trace is not None else [None, None]
-    seeded = multistart_maximize(objective, bounds, start_at, n_starts=n_starts, seed=seed,
-                                 x0=np.concatenate((np.log(x0[:2]), x0[2:])), trace=traces[0])
-    mirrored = multistart_maximize(objective, bounds, start_at, n_starts=1,
-                                   x0=_mirror(seeded.x), trace=traces[1])
-    res = best_run([seeded, replace(mirrored, start_index=n_starts)])
-    if trace is not None:
-        _write_free_mu_trace(trace, traces, n_starts)
+    res = multistart_maximize(objective, bounds, start_at, n_starts=n_starts, seed=seed,
+                              x0=np.concatenate((np.log(x0[:2]), x0[2:])), trace=trace,
+                              final_start=_mirror)
     mu_h, mu_v = np.clip(np.exp(res.x[:2]), lo, hi).tolist()
     return ChshOptimum(value=res.value, settings=BellSettings(*res.x[2:6]),
-                       mu_h=mu_h, mu_v=mu_v, s=res.value,
-                       n_evaluations=seeded.n_evaluations + mirrored.n_evaluations,
+                       mu_h=mu_h, mu_v=mu_v, s=res.value, n_evaluations=res.n_evaluations,
                        converged=res.converged, start_index=res.start_index)
 
 
@@ -342,20 +333,6 @@ def _mirror(x):
     a1, a2, b1, b2): the pump strengths exchanged and every analyzer turned
     by pi/2."""
     return np.concatenate((x[1::-1], np.add(x[2:], math.pi / 2)))
-
-
-def _write_free_mu_trace(trace, blocks, n_starts: int):
-    """Write the CSV traces ``blocks`` of a free-mu search, its seeded starts
-    and then its mirror search, to ``trace`` as one: one header, the mirror
-    search as start ``n_starts``, and each ln mu mapped back to mu."""
-    writer = csv.writer(trace)
-    for k, block in enumerate(blocks):
-        header, *rows = csv.reader(io.StringIO(block.getvalue()))
-        if k == 0:
-            writer.writerow(header)
-        for start, iteration, value, *x in rows:
-            writer.writerow([int(start) + k * n_starts, iteration, value]
-                            + [f"{math.exp(float(v)):.12g}" for v in x[:2]] + x[2:])
 
 
 def optimize_key_rate(params: ExperimentParams, gain: float = 1.0, seed: int = 0,

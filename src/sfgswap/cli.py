@@ -386,18 +386,17 @@ def _run_efficiency(config, experiment):
             bench = SfgBenchInputs(**group(f"bench_{row}."),
                                    lambda_a=lam_a, lambda_b=lam_b, f=rep_rate)
             results[f"eta_sfg_{row}_from_counts"] = sfg_eff_from_counts(bench)
-    eta_th = None
     if "crystal.eta_shg" in values:
-        eta_th = sfg_eff_theoretical(CrystalParams(**group("crystal.")))
-        results["eta_sfg_theoretical"] = eta_th
-    if "profile_a.fwhm_nm" in values and eta_th is not None:
+        results["eta_sfg_theoretical"] = sfg_eff_theoretical(CrystalParams(**group("crystal.")))
+    if "profile_a.fwhm_nm" in values:
         prof_a = SpectralProfile(**group("profile_a."))
         prof_b = SpectralProfile(**group("profile_b."))
         center_pm = 1.0 / (1.0 / prof_a.center_nm + 1.0 / prof_b.center_nm)
         prof_pm = SpectralProfile(center_pm, **group("profile_pm."))
         results["spectral_overlap"] = spectral_overlap_gaussian(prof_a, prof_b, prof_pm)
-        results["eta_sfg_effective"] = sfg_eff_effective(
-            eta_th, prof_a, prof_b, prof_pm)
+        if "eta_sfg_theoretical" in results:
+            results["eta_sfg_effective"] = sfg_eff_effective(
+                results["eta_sfg_theoretical"], prof_a, prof_b, prof_pm)
     if not results:
         raise ConfigError("efficiency section provided no computable inputs")
     header = ",".join(f"{k} (dimensionless)" for k in results)

@@ -12,7 +12,8 @@ search is a projected BFGS search with a backtracking line search
 starts of a search step in lockstep (``_lockstep``), each a coroutine that
 asks for one point at a time, so all of them share one objective call per
 step and each ends where it would end alone.  ``maximize_starts_bfgs`` runs
-given starts; ``multistart_maximize`` draws seeded ones and keeps the best.
+given starts; ``multistart_maximize`` draws seeded ones, can go on from one
+more that the best point maps to, keeps the best, and writes the CSV trace.
 The draws come from Python's ``random.Random(seed)``, whose ``random()``
 sequence for an integer seed Python keeps the same across versions.
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import operator
 import random
@@ -166,7 +168,7 @@ def bfgs_steps(x0, lows, highs):
     return x, f, nfev, converged
 
 
-def maximize_starts_bfgs(objective, bounds, starts, trace: io.TextIOBase = None) -> list:
+def maximize_starts_bfgs(objective, bounds, starts, trace: list = None) -> list:
     """Maximize ``objective`` over box ``bounds`` by projected BFGS
     (``bfgs_steps``) from each start.
 
@@ -181,15 +183,15 @@ def maximize_starts_bfgs(objective, bounds, starts, trace: io.TextIOBase = None)
         bounds: sequence of (low, high) pairs, one per parameter; a pair
             may be infinite.
         starts: the starting points.
-        trace: optional text stream receiving a CSV trace (start, iteration,
-            objective, parameters), with rows grouped by start in start order.
+        trace: optional list receiving one row (start, value, point) per
+            evaluation, in the order evaluated: the index of the start in
+            ``starts``, the objective, and the point as a list of floats.
 
     Returns:
         One OptimizeResult per start, in order, each with that start's own
         evaluation count (one value with its gradient per evaluation).
     """
     lows, highs = np.array(bounds, dtype=float).T
-    rows = [[] for _ in starts]
 
     def evaluate(x, owners):
         values, grads = objective(x)
@@ -198,18 +200,10 @@ def maximize_starts_bfgs(objective, bounds, starts, trace: io.TextIOBase = None)
         if grads.shape != x.shape or not np.isfinite(grads).all():
             raise ValueError("objective returned a gradient of the wrong shape or non-finite")
         if trace is not None:
-            for i, v, p in zip(owners, values, x.tolist()):
-                rows[i].append((v, p))
+            trace.extend(zip(owners, values, x.tolist()))
         return list(zip(map(operator.neg, values), -grads))
 
     runs = _lockstep([bfgs_steps(x0, lows, highs) for x0 in starts], evaluate)
-    if trace is not None:
-        writer = csv.writer(trace)
-        writer.writerow(["start", "iteration", "objective"]
-                        + [f"x{i}" for i in range(len(bounds))])
-        for i, start_rows in enumerate(rows):
-            for it, (v, xc) in enumerate(start_rows):
-                writer.writerow([i, it, f"{v:.12g}"] + [f"{xi:.12g}" for xi in xc])
     return [OptimizeResult(x=tuple(x.tolist()), value=-f, start_index=i,
                            n_evaluations=nfev, converged=converged)
             for i, (x, f, nfev, converged) in enumerate(runs)]
@@ -238,7 +232,7 @@ def _integer_at_least(value, least: int, refusal: str) -> int:
 
 
 def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: int = 0,
-                        x0=None, trace: io.TextIOBase = None) -> OptimizeResult:
+                        x0=None, trace: io.TextIOBase = None, final_start=None) -> OptimizeResult:
     """Maximize ``objective`` over box ``bounds`` with multi-start projected BFGS.
 
     Args:
@@ -258,12 +252,15 @@ def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: i
             is drawn.
         seed: non-negative integer seed for the start points.
         x0: optional explicit first start.
-        trace: optional text stream receiving a CSV trace
-            (start, iteration, objective, parameters).
+        trace: optional text stream receiving a CSV trace (start, iteration,
+            objective, parameters): one header, then a row per evaluation,
+            grouped by start in start order.
+        final_start: optional map from the best point of the starts above
+            to one more start, searched after them as start ``n_starts``.
 
     Returns:
-        OptimizeResult of the best start (``best_run``), with the evaluations
-        of every start.
+        OptimizeResult of the best start (``best_run``, the final start
+        last), with the evaluations of every start.
     """
     n_starts = _integer_at_least(n_starts, 1, "n_starts must be an integer of at least 1")
     n = len(bounds)
@@ -274,7 +271,22 @@ def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: i
                    for _ in range(1, n_starts)]
     if not np.isfinite(starts).all():
         raise ValueError("every start must be finite")
-    runs = maximize_starts_bfgs(objective, bounds, starts, trace=trace)
+    rows = None if trace is None else []
+    runs = maximize_starts_bfgs(objective, bounds, starts, trace=rows)
+    if final_start is not None:
+        last = None if trace is None else []
+        (run,) = maximize_starts_bfgs(objective, bounds, [final_start(best_run(runs).x)],
+                                      trace=last)
+        runs = runs + [replace(run, start_index=n_starts)]
+        if trace is not None:
+            rows += [(n_starts, v, x) for _, v, x in last]
+    if trace is not None:
+        writer = csv.writer(trace)
+        writer.writerow(["start", "iteration", "objective"] + [f"x{i}" for i in range(n)])
+        by_start = operator.itemgetter(0)
+        for start, own in itertools.groupby(sorted(rows, key=by_start), by_start):
+            for it, (_, v, x) in enumerate(own):
+                writer.writerow([start, it, f"{v:.12g}"] + [f"{xi:.12g}" for xi in x])
     return replace(best_run(runs), n_evaluations=sum(res.n_evaluations for res in runs))
 
 

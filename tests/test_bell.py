@@ -585,24 +585,38 @@ def test_free_mu_search_goes_on_from_the_mirror_image(monkeypatch):
     assert opt.mu_h < opt.mu_v == pytest.approx(bell.MU_BOUNDS[1])
 
 
-def test_free_mu_trace_lists_mu():
+def test_free_mu_trace_lists_ln_mu():
     # One header; the seeded starts, then the mirror search as start
-    # n_starts; x0 and x1 hold the pump strengths, not their logarithms
-    # (mapped from the 12 digits of ln mu, so to about 10 digits), and the
-    # optimum's row gives the reported value and pump strengths.
+    # n_starts; x0 and x1 hold the search's own coordinates, ln mu_H and
+    # ln mu_V, and the optimum's row gives the reported value and pump
+    # strengths.
     stream = io.StringIO()
     opt = optimize_chsh(_preset("ideal"), free_mu=True, n_starts=3, seed=1, trace=stream)
     header, *rows = csv.reader(io.StringIO(stream.getvalue()))
     assert header == ["start", "iteration", "objective", "x0", "x1", "x2", "x3", "x4", "x5"]
     assert len(rows) == opt.n_evaluations
     assert sorted({int(r[0]) for r in rows}) == [0, 1, 2, 3]
-    mu = np.array([[float(v) for v in r[3:5]] for r in rows])
-    lo, hi = bell.MU_BOUNDS
-    assert (lo * (1 - 1e-9) <= mu).all() and (mu <= hi * (1 + 1e-9)).all()
-    assert [float(v) for v in rows[0][3:5]] == pytest.approx([0.05, 0.05], rel=1e-10)
+    ln_mu = np.array([[float(v) for v in r[3:5]] for r in rows])
+    # the box edges as printed: rounding to 12 digits keeps the order
+    lo, hi = (float(f"{math.log(b):.12g}") for b in bell.MU_BOUNDS)
+    assert (lo <= ln_mu).all() and (ln_mu <= hi).all()
+    assert rows[0][3:5] == [f"{math.log(0.05):.12g}"] * 2
     best = max((r for r in rows if int(r[0]) == opt.start_index), key=lambda r: float(r[2]))
     assert float(best[2]) == pytest.approx(opt.value, abs=1e-11)
-    assert [float(v) for v in best[3:5]] == pytest.approx([opt.mu_h, opt.mu_v], rel=1e-9)
+    assert [math.exp(float(v)) for v in best[3:5]] == pytest.approx([opt.mu_h, opt.mu_v],
+                                                                    rel=1e-9)
+
+
+@pytest.mark.parametrize("search", [
+    lambda trace: optimize_chsh(_preset("paper-tableS1"), gain=3.0, n_starts=3, seed=2,
+                                trace=trace),
+    lambda trace: optimize_chsh(_preset("ideal"), free_mu=True, n_starts=3, seed=1,
+                                trace=trace),
+    lambda trace: optimize_key_rate(_preset("paper-tableS1", pair_cap=2, **UNIT_ANALYZER),
+                                    gain=30.0, n_starts=3, seed=4, trace=trace),
+], ids=["chsh", "chsh-free-mu", "key-rate"])
+def test_tracing_changes_no_result(search):
+    assert search(io.StringIO()) == search(None)
 
 
 GRADIENT_CASES = {

@@ -12,7 +12,7 @@ import pytest
 
 import sfgswap
 from sfgswap.cli import main
-from sfgswap.presets import PARAM_KEYS
+from sfgswap.presets import PARAM_KEYS, get_preset
 
 
 def run(tmp_path, *argv, name="out.txt"):
@@ -90,6 +90,20 @@ def test_efficiency_preset(tmp_path):
     assert "eta_sfg_h_from_counts" in text
     assert "eta_sfg_theoretical" in text
     assert "eta_sfg_effective" in text
+
+
+def test_efficiency_reports_the_overlap_of_profiles_alone(tmp_path):
+    # The spectral overlap needs only the three profiles; without crystal
+    # constants there is no theoretical efficiency to reduce by it.
+    profiles = {key: get_preset("paper-table1")["efficiency"][key]
+                for key in ("lambda_a", "lambda_b", "rep_rate", "profile_a.center_nm",
+                            "profile_a.fwhm_nm", "profile_b.center_nm", "profile_b.fwhm_nm",
+                            "profile_pm.fwhm_nm")}
+    args = [arg for key, value in profiles.items()
+            for arg in ("--set", f"efficiency.{key}={value}")]
+    code, text = run(tmp_path, "efficiency", *args)
+    assert code == 0
+    assert text == "spectral_overlap = 0.577636921171\n"
 
 
 def test_teleport_and_qfc(tmp_path):

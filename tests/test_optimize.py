@@ -135,8 +135,50 @@ def test_lockstep_trace_groups_rows_by_start():
         assert [int(r[1]) for r in own] == list(range(len(own)))
         assert own[0][3:] == [f"{v:.12g}" for v in start]
         alone = io.StringIO()
-        maximize_starts_bfgs(objective, bounds, [start], trace=alone)
+        multistart_maximize(objective, bounds, _onto(bounds), n_starts=1, x0=start, trace=alone)
         assert [r[1:] for r in rows(alone)] == [r[1:] for r in own]
+
+
+def _two_peaks(p):
+    # a low peak at -0.5 (value 1) and a high one at 0.5 (value 2), split
+    # by a valley at 0
+    return math.exp(-20.0 * (p[0] + 0.5) ** 2) + 2.0 * math.exp(-20.0 * (p[0] - 0.5) ** 2)
+
+
+@pytest.mark.parametrize("jump, wins", [(1.0, True), (0.0, False)], ids=["higher", "tie"])
+def test_final_start_runs_after_the_drawn_starts(jump, wins):
+    # Every drawn start lies in the low basin; the final start is searched
+    # from the best of them moved by ``jump``: into the high basin it wins
+    # as start n_starts, and back onto the low peak it ties and loses to
+    # the earlier run.
+    bounds = [(-1.0, 1.0)]
+    objective = _rows(_two_peaks)
+    seen = []
+
+    def final_start(x):
+        seen.append(x)
+        return np.add(x, jump)
+
+    stream = io.StringIO()
+    res = multistart_maximize(objective, bounds, lambda r: -0.9 + 0.8 * r, n_starts=3, seed=2,
+                              trace=stream, final_start=final_start)
+    drawn = multistart_maximize(objective, bounds, lambda r: -0.9 + 0.8 * r, n_starts=3, seed=2)
+    (last,) = maximize_starts_bfgs(objective, bounds, [np.add(drawn.x, jump)])
+    assert seen == [drawn.x] and drawn.value == pytest.approx(1.0)
+    assert res.n_evaluations == drawn.n_evaluations + last.n_evaluations
+    if wins:
+        assert (res.start_index, res.x, res.value) == (3, last.x, last.value)
+        assert res.value == pytest.approx(2.0)
+    else:
+        assert last.value == drawn.value
+        assert res == replace(drawn, n_evaluations=res.n_evaluations)
+    header, *rows = [line.split(",") for line in stream.getvalue().splitlines()]
+    assert header == ["start", "iteration", "objective", "x0"]
+    assert len(rows) == res.n_evaluations
+    assert [int(r[0]) for r in rows] == sorted(int(r[0]) for r in rows)
+    own = [r for r in rows if r[0] == "3"]
+    assert [int(r[1]) for r in own] == list(range(last.n_evaluations))
+    assert own[0][3] == f"{drawn.x[0] + jump:.12g}"
 
 
 @pytest.mark.parametrize("seed, error", [(-1, ValueError), (-(2**40), ValueError),
