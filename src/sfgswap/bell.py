@@ -72,6 +72,11 @@ class BellSettings:
             object.__setattr__(self, "theta_a0", _wrap_angle(self.theta_a0))
 
 
+# The pump Jacobian d mu_k / d y_j of a search at fixed source strengths.
+_FIXED_PUMP = np.zeros((4, 0))
+_FIXED_PUMP.setflags(write=False)
+
+
 class SearchKernel:
     """Normalized CHSH correlators of one heralded state, precomputed for a search.
 
@@ -96,8 +101,7 @@ class SearchKernel:
         self._weight = gain * entries.sfg + entries.dark
         self._n_diagonal = entries.n_diagonal
         self._n = n
-        self._mode_powers = entries.powers.astype(float)
-        self._diagonal_powers = self._mode_powers[:, :entries.n_diagonal]
+        self._powers = entries.powers.astype(float)
 
     def _state(self, mu):
         """Entry weights rho[..., e] and trace at mean photon numbers ``mu``."""
@@ -107,24 +111,25 @@ class SearchKernel:
             raise ValueError("herald probability is zero")
         return rho, total
 
-    def correlator_gradients(self, thetas_a, thetas_b, mu):
+    def correlator_gradients(self, thetas_a, thetas_b, mu, dmu=_FIXED_PUMP):
         """E[p, q] at analyzer angles thetas_a[p] and thetas_b[q] and the mean
         photon numbers ``mu`` of the modes (1H, 1V, 2H, 2V), with its exact
         derivatives.
 
-        Returns (E, dE_a, dE_b, dE_mu): dE_a[p, q] is the derivative of
+        Returns (E, dE_a, dE_b, dE_y): dE_a[p, q] is the derivative of
         E[p, q] in thetas_a[p] and dE_b[p, q] in thetas_b[q] (E[p, q] does not
-        depend on the other angles), and dE_mu[k, p, q] in mu[k].  An angle
-        derivative is the same trig polynomial in the derivative basis
-        (``trig_basis_and_derivative``).  A source strength scales entry e by
-        gamma ** powers, so d rho_e / d mu_k = rho_e powers[k, e] /
-        (2 mu_k (1 + mu_k)), and the trace follows by the quotient rule; at
-        mu_k = 0 that derivative is not finite and reads inf or nan.  One product
+        depend on the other angles), and dE_y[j, p, q] in a search's pump
+        coordinate y_j, given its Jacobian dmu[k, j] = d mu_k / d y_j (by
+        default none).  An angle derivative is the same trig polynomial in
+        the derivative basis (``trig_basis_and_derivative``).  A source
+        strength scales entry e by gamma ** powers, so d rho_e / d y_j =
+        rho_e w[j, e], w[j, e] = sum_k dmu[k, j] powers[k, e] / (2 mu_k (1 +
+        mu_k)), and the trace follows by the quotient rule.  One product
         serves every numerator: party a's rows (each angle's operator and its
-        derivative, then the operators times each mode's powers) against party
-        b's (operator, derivative).  Stacked angles, of shape (m, p) and (m, q),
-        with ``mu`` of shape (m, 4) or (4,) stack every output, each point as
-        it is alone."""
+        derivative, then the operators times each w[j]) against party b's
+        (operator, derivative).  Stacked angles, of shape (m, p) and (m, q),
+        with ``mu`` of shape (m, 4) or (4,) and ``dmu`` of shape (m, 4, J) or
+        (4, J) stack every output, each point as it is alone."""
         mu = np.asarray(mu, dtype=float)
         rho, total = self._state(mu)
         thetas_a = np.asarray(thetas_a, dtype=float)
@@ -133,22 +138,22 @@ class SearchKernel:
         n_a = 2 * thetas_a.shape[-1]
         ops_a = rows[..., :n_a, :] @ self._ca
         ops_b = rows[..., n_a:, :] @ self._cb
-        by_mode = ops_a[..., None, ::2, :] * self._mode_powers[:, None, :]
+        w = (dmu / (2.0 * mu * (1.0 + mu))[..., None]).swapaxes(-1, -2) @ self._powers
+        n_y, n_e = w.shape[-2:]
+        by_pump = ops_a[..., None, ::2, :] * w[..., None, :]
         ops_a = np.concatenate(
-            (ops_a, by_mode.reshape(by_mode.shape[:-3] + (-1, by_mode.shape[-1]))), axis=-2)
+            (ops_a, by_pump.reshape(by_pump.shape[:-3] + (n_y * n_a // 2, n_e))), axis=-2)
         m = (ops_a * rho[..., None, :]) @ ops_b.swapaxes(-1, -2) / total[..., None, None]
         e = m[..., :n_a:2, ::2]
         de_a = m[..., 1:n_a:2, ::2]
         de_b = m[..., :n_a:2, 1::2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rate = 0.5 / (mu * (1.0 + mu))
-            # summed along the entries as in ``_state``, so a stack sums each
-            # point in the same order as that point alone
-            dtotal = rate * (rho[..., None, :self._n_diagonal] * self._diagonal_powers).sum(
-                axis=-1) / total[..., None]
-            num = m[..., n_a:, ::2].reshape(m.shape[:-2] + (4, n_a // 2, -1))
-            de_mu = num * rate[..., None, None] - e[..., None, :, :] * dtotal[..., None, None]
-        return e, de_a, de_b, de_mu
+        # summed along the entries as in ``_state``, so a stack sums each point
+        # in the same order as that point alone
+        dtotal = (rho[..., None, :self._n_diagonal] * w[..., :self._n_diagonal]).sum(
+            axis=-1) / total[..., None]
+        num = m[..., n_a:, ::2].reshape(m.shape[:-2] + (n_y,) + e.shape[-2:])
+        de_y = num - e[..., None, :, :] * dtotal[..., None, None]
+        return e, de_a, de_b, de_y
 
 
 def _qber(e: float) -> float:
@@ -220,10 +225,7 @@ class ChshOptimum:
     start_index: int = 0
 
 
-# Columns of a search point: the shared pump strengths (mu_H, mu_V) of a
-# free-mu search as (1H, 1V, 2H, 2V), and party a's angles of a key-rate
-# search as (a1, a2, a0).
-_SHARED_MU = np.array([0, 1, 0, 1])
+# Columns of a key-rate search point: party a's angles (a1, a2, a0).
 _KEY_ANGLES_A = np.array([1, 2, 0])
 
 
@@ -249,22 +251,41 @@ def _angle_start(r):
 _CHSH_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
-def _chsh_gradient(e, de_a, de_b, de_mu=None):
+def _chsh_gradient(e, de_a, de_b, de_y):
     """S = E11 + E21 + E12 - E22 at stacked points and its derivatives, from
     ``SearchKernel.correlator_gradients``; rows of party a past the first
     two are not part of S.
 
-    Returns (S, dS_a, dS_b, dS_mu): dS_a[m, p] in thetas_a[p] (p < 2),
-    dS_b[m, q] in thetas_b[q], and, given dE_mu, dS_mu[m, k] in the pump
-    strengths mu_H (k = 0) and mu_V (k = 1) that both sources share, so
-    mu = (mu_H, mu_V, mu_H, mu_V); else None.
+    Returns (S, dS): dS[m] lists the derivatives in the pump coordinates
+    y_j, then in thetas_a[p] (p < 2), then in thetas_b[q].
     """
     s = e[:, 0, 0] + e[:, 1, 0] + e[:, 0, 1] - e[:, 1, 1]
-    ds_a = (de_a[:, :2] * _CHSH_SIGNS).sum(axis=2)
-    ds_b = (de_b[:, :2] * _CHSH_SIGNS).sum(axis=1)
-    if de_mu is None:
-        return s, ds_a, ds_b, None
-    return s, ds_a, ds_b, ((de_mu[:, :2] + de_mu[:, 2:]) * _CHSH_SIGNS).sum(axis=(2, 3))
+    return s, np.concatenate(((de_y[:, :, :2] * _CHSH_SIGNS).sum(axis=(2, 3)),
+                              (de_a[:, :2] * _CHSH_SIGNS).sum(axis=2),
+                              (de_b[:, :2] * _CHSH_SIGNS).sum(axis=1)), axis=1)
+
+
+def _chsh_objective(kernel: SearchKernel, pump):
+    """S through ``kernel`` and its gradient at points x = (y, a1, a2, b1,
+    b2), the objective of every CHSH search: ``pump`` maps the pump
+    coordinates y to the source strengths mu (1H, 1V, 2H, 2V) and their
+    Jacobian d mu_k / d y_j (``SearchKernel.correlator_gradients``)."""
+    def objective(x):
+        return _chsh_gradient(*kernel.correlator_gradients(x[:, -4:-2], x[:, -2:],
+                                                           *pump(x[:, :-4])))
+
+    return objective
+
+
+# d mu_k / d mu_P of the pump strengths (mu_H, mu_V) that both sources share.
+_SHARED_PUMP = np.eye(2)[[0, 1, 0, 1]]
+
+
+def _free_mu_pump(y):
+    """The source strengths at y = (ln mu_H, ln mu_V), shared by both
+    sources, and their Jacobian."""
+    mu = np.exp(y) @ _SHARED_PUMP.T
+    return mu, mu[..., None] * _SHARED_PUMP
 
 
 def optimize_chsh(params: ExperimentParams, free_mu: bool = False, gain: float = 1.0,
@@ -276,9 +297,9 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False, gain: float =
     The heralded entries are gathered once, and each evaluation rescales
     them by the source amplitudes: those of ``params``, or with
     ``free_mu`` two pump strengths varied per polarization within
-    ``MU_BOUNDS`` and shared between the sources.  The search is
-    ``optimize.multistart_maximize`` on the exact gradient
-    (``_chsh_gradient``); the angles run unbounded, and random starts are
+    ``MU_BOUNDS`` and shared between the sources (``_free_mu_pump``).  The
+    search is ``optimize.multistart_maximize`` on the exact gradient
+    (``_chsh_objective``); the angles run unbounded, and random starts are
     drawn within one period.  A free-mu search runs over ln mu, so that a
     step changes a pump strength in proportion to it, which keeps a search
     from being drawn at once to the weak-pump edge of the box; its random
@@ -291,39 +312,21 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False, gain: float =
     """
     lo, hi = MU_BOUNDS
     kernel = SearchKernel(heralded_entries(params), params, gain)
-    if not free_mu:
-        mu = _source_mu(params)
-
-        def fixed(x):
-            e, de_a, de_b, _ = kernel.correlator_gradients(x[:, 0:2], x[:, 2:4], mu)
-            s, ds_a, ds_b, _ = _chsh_gradient(e, de_a, de_b)
-            return s, np.concatenate((ds_a, ds_b), axis=1)
-
-        res = multistart_maximize(fixed, _FREE_ANGLES, _angle_start, n_starts=n_starts,
-                                  seed=seed, x0=x0 if x0 is not None else CANONICAL_X0,
-                                  trace=trace)
-        return ChshOptimum(value=res.value, settings=BellSettings(*res.x), s=res.value,
-                           n_evaluations=res.n_evaluations, converged=res.converged,
-                           start_index=res.start_index)
-
-    def objective(x):
-        # x = (ln mu_H, ln mu_V, a1, a2, b1, b2)
-        mu = np.exp(x[:, :2])
-        s, ds_a, ds_b, ds_mu = _chsh_gradient(*kernel.correlator_gradients(
-            x[:, 2:4], x[:, 4:6], mu.take(_SHARED_MU, axis=1)))
-        return s, np.concatenate((ds_mu * mu, ds_a, ds_b), axis=1)
+    mu = _source_mu(params)
+    pump, n_y = (_free_mu_pump, 2) if free_mu else ((lambda y: (mu, _FIXED_PUMP)), 0)
+    if x0 is None:
+        x0 = (0.05, 0.05)[:n_y] + CANONICAL_X0
 
     def start_at(r):
-        return np.concatenate((np.log(lo + r[:2] * (hi - lo)), _angle_start(r[2:])))
+        return np.concatenate((np.log(lo + r[:n_y] * (hi - lo)), _angle_start(r[n_y:])))
 
-    if x0 is None:
-        x0 = (0.05, 0.05) + CANONICAL_X0
-    bounds = [(math.log(lo), math.log(hi))] * 2 + _FREE_ANGLES
-    res = multistart_maximize(objective, bounds, start_at, n_starts=n_starts, seed=seed,
-                              x0=np.concatenate((np.log(x0[:2]), x0[2:])), trace=trace,
-                              final_start=_mirror)
-    mu_h, mu_v = np.clip(np.exp(res.x[:2]), lo, hi).tolist()
-    return ChshOptimum(value=res.value, settings=BellSettings(*res.x[2:6]),
+    res = multistart_maximize(_chsh_objective(kernel, pump),
+                              [(math.log(lo), math.log(hi))] * n_y + _FREE_ANGLES, start_at,
+                              n_starts=n_starts, seed=seed, trace=trace,
+                              x0=np.concatenate((np.log(x0[:n_y]), x0[n_y:])),
+                              final_start=_mirror if free_mu else None)
+    mu_h, mu_v = np.clip(np.exp(res.x[:n_y]), lo, hi).tolist() if free_mu else (None, None)
+    return ChshOptimum(value=res.value, settings=BellSettings(*res.x[n_y:]),
                        mu_h=mu_h, mu_v=mu_v, s=res.value, n_evaluations=res.n_evaluations,
                        converged=res.converged, start_index=res.start_index)
 
@@ -360,20 +363,19 @@ def _key_rate_search(kernel: SearchKernel, mu, seed, n_starts, x0, trace) -> Chs
     """The search of ``optimize_key_rate`` at the source strengths ``mu``."""
     def readout(x):
         # S and the raw QBER Q = (1 - E[a0, b1]) / 2 at points x, with derivatives
-        e, de_a, de_b, _ = kernel.correlator_gradients(x.take(_KEY_ANGLES_A, axis=1), x[:, 3:5],
-                                                       mu)
-        s, ds_a, ds_b, _ = _chsh_gradient(e, de_a, de_b)
-        return s.tolist(), [_qber(v) for v in e[:, 2, 0].tolist()], de_a, de_b, ds_a, ds_b
+        grads = kernel.correlator_gradients(x.take(_KEY_ANGLES_A, axis=1), x[:, 3:5], mu)
+        e, de_a, de_b, _ = grads
+        s, ds = _chsh_gradient(*grads)
+        return s.tolist(), [_qber(v) for v in e[:, 2, 0].tolist()], de_a, de_b, ds
 
     def objective(x):
-        s, qs, de_a, de_b, ds_a, ds_b = readout(x)
+        s, qs, de_a, de_b, ds = readout(x)
         slopes = np.array([dw_key_rate_slopes(*p) for p in zip(s, qs)])
         # where Q is clamped at 0 or 1, dr/dQ is zero
         dr_de = -0.5 * slopes[:, 1]
         grad = np.empty_like(x)
         grad[:, 0] = dr_de * de_a[:, 2, 0]
-        grad[:, 1:3] = slopes[:, :1] * ds_a
-        grad[:, 3:5] = slopes[:, :1] * ds_b
+        grad[:, 1:5] = slopes[:, :1] * ds
         grad[:, 3] += dr_de * de_b[:, 2, 0]
         return [dw_key_rate(*p) for p in zip(s, qs)], grad
 
@@ -393,22 +395,12 @@ def _key_rate_search(kernel: SearchKernel, mu, seed, n_starts, x0, trace) -> Chs
 _MARGIN_BOUNDS = [(1e-4, 1.0)] + _FREE_ANGLES  # (mu_V / mu_H, a1, a2, b1, b2)
 
 
-def _margin_objective(kernel: SearchKernel):
-    """S through ``kernel`` and its gradient at points x = (ratio, a1, a2,
-    b1, b2), with mu = MU_FLOOR (1, ratio, 1, ratio): the objective of every
-    efficiency-threshold margin."""
-    def objective(x):
-        mu = np.full((len(x), 4), MU_FLOOR)
-        mu[:, 1::2] = MU_FLOOR * x[:, :1]
-        s, ds_a, ds_b, ds_mu = _chsh_gradient(
-            *kernel.correlator_gradients(x[:, 1:3], x[:, 3:5], mu))
-        grad = np.empty_like(x)
-        grad[:, 0] = MU_FLOOR * ds_mu[:, 1]
-        grad[:, 1:3] = ds_a
-        grad[:, 3:5] = ds_b
-        return s, grad
-
-    return objective
+def _margin_pump(y):
+    """The source strengths MU_FLOOR (1, r, 1, r) of every efficiency margin
+    at y = (r,), the pump ratio mu_V / mu_H, and their Jacobian."""
+    mu = np.full((len(y), 4), MU_FLOOR)
+    mu[:, 1::2] = MU_FLOOR * y
+    return mu, MU_FLOOR * _SHARED_PUMP[:, 1:]
 
 
 # pump ratios cot t0 of weakly entangled states, at near-axis angles: near
@@ -426,7 +418,8 @@ def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int
     At each efficiency the polarization asymmetry of the pump and the four
     analyzer angles are re-optimized, and the margin is S - 2, in one search
     per efficiency: projected BFGS (``optimize.maximize_starts_bfgs``) on
-    ``_margin_objective``, run in lockstep from the three fixed starts
+    ``_chsh_objective`` at the pump ratio mu_V / mu_H (``_margin_pump``),
+    run in lockstep from the three fixed starts
     ``_MARGIN_STARTS`` and, after the first efficiency, the optimum of the
     last efficiency searched, keeping the first of the best.  The fixed
     starts are weakly entangled, at near-axis angles, the basin where the
@@ -453,7 +446,8 @@ def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int
         analyzer = params.replace(eta_1h=eta, eta_1v=eta, eta_2h=eta, eta_2v=eta)
         kernel = SearchKernel(entries, analyzer)
         starts = _MARGIN_STARTS if warm["x0"] is None else _MARGIN_STARTS + [warm["x0"]]
-        best = best_run(maximize_starts_bfgs(_margin_objective(kernel), _MARGIN_BOUNDS, starts))
+        best = best_run(maximize_starts_bfgs(_chsh_objective(kernel, _margin_pump),
+                                             _MARGIN_BOUNDS, starts))
         warm["x0"] = best.x
         return best.value - 2.0
 

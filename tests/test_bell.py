@@ -451,7 +451,7 @@ def test_seed_objective_is_the_one_pair_closed_form(eta):
     # t = atan2(gamma_H^2, gamma_V^2), mu = MU_FLOOR (1, r, 1, r), with party
     # a's angles less pi/2; its gradient is a central difference of it.
     kernel = SearchKernel(_one_pair(), _analyzer(eta, eta, eta, eta))
-    objective = bell._margin_objective(kernel)
+    objective = bell._chsh_objective(kernel, bell._margin_pump)
     closed = _unhoisted_seed_objective(eta)
     rng = np.random.default_rng(17)
     x = np.column_stack((rng.uniform(1e-4, 1.0, 12),
@@ -516,11 +516,37 @@ def test_search_kernel_stacked_points_match_lone_points(case):
     thetas_b = rng.uniform(-math.pi / 2, math.pi / 2, size=(6, 2))
     mu = rng.uniform(1e-4, 0.4, size=(6, 4))
     # each of (E, dE_a, dE_b, dE_mu)
-    stacked = kernel.correlator_gradients(thetas_a, thetas_b, mu)
+    stacked = kernel.correlator_gradients(thetas_a, thetas_b, mu, np.eye(4))
     for i in range(6):
-        alone = kernel.correlator_gradients(thetas_a[i], thetas_b[i], mu[i])
+        alone = kernel.correlator_gradients(thetas_a[i], thetas_b[i], mu[i], np.eye(4))
         for many, one in zip(stacked, alone):
             assert np.array_equal(many[i], one)
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_pump_derivatives_are_the_chain_rule_of_the_per_mode_ones(case):
+    # At stacked points, dE_y through a pump Jacobian dmu[k, j] = d mu_k / d y_j
+    # of 1, 2 or 3 columns, one per point or one for all, is dmu applied to
+    # the per-mode derivatives (the identity pump), to 1e-12 of its largest
+    # entry; E, dE_a and dE_b do not depend on the pump.
+    params, effs, gain = KERNEL_CASES[case]
+    rng = np.random.default_rng(37)
+    kernel = _kernel(params, effs, gain)
+    thetas_a = rng.uniform(-math.pi / 2, math.pi / 2, size=(5, 3))
+    thetas_b = rng.uniform(-math.pi / 2, math.pi / 2, size=(5, 2))
+    mu = rng.uniform(1e-4, 0.4, size=(5, 4))
+    *fixed, de_y = kernel.correlator_gradients(thetas_a, thetas_b, mu)
+    assert de_y.shape == (5, 0, 3, 2)
+    de_mu = kernel.correlator_gradients(thetas_a, thetas_b, mu, np.eye(4))[3]
+    for n_y in (1, 2, 3):
+        stacked = rng.normal(size=(5, 4, n_y))
+        for dmu in (stacked, stacked[0]):
+            *angles, de_y = kernel.correlator_gradients(thetas_a, thetas_b, mu, dmu)
+            chain = np.einsum("...kj,...kpq->...jpq", dmu, de_mu)
+            assert de_y.shape == chain.shape == (5, n_y, 3, 2)
+            assert np.abs(de_y - chain).max() <= 1e-12 * np.abs(chain).max()
+            for with_pump, without in zip(angles, fixed):
+                assert np.abs(with_pump - without).max() <= 1e-15
 
 
 @pytest.mark.parametrize("search, n_starts", [
@@ -649,7 +675,7 @@ def test_correlator_gradients_match_central_differences(case, basis):
         thetas_a = rng.uniform(-math.pi / 2, math.pi / 2, size=3)
         thetas_b = rng.uniform(-math.pi / 2, math.pi / 2, size=2)
         mu = rng.uniform(0.005, 0.3, size=4)
-        e, de_a, de_b, de_mu = kernel.correlator_gradients(thetas_a, thetas_b, mu)
+        e, de_a, de_b, de_mu = kernel.correlator_gradients(thetas_a, thetas_b, mu, np.eye(4))
         for p in range(3):
             fd = _central_difference(lambda t: kernel.correlator_gradients(t, thetas_b, mu)[0],
                                      thetas_a, p, 1e-6)
@@ -675,6 +701,23 @@ def test_correlator_gradients_match_central_differences(case, basis):
         else:
             slow = _readout(_with_sources(params, mu), basis, thetas_a, thetas_b, effs, 1.0)
         assert np.abs(e - slow).max() <= 1e-13
+
+
+@pytest.mark.parametrize("preset", ["ideal", "paper-tableS1"])
+def test_free_mu_objective_matches_central_differences(preset):
+    # The free-mu search's gradient in (ln mu_H, ln mu_V, a1, a2, b1, b2),
+    # through the shared pump's Jacobian, against a central difference of its
+    # values, at random points with the pump strengths inside MU_BOUNDS.
+    objective = bell._chsh_objective(_kernel(_preset(preset, **UNIT_ANALYZER)),
+                                     bell._free_mu_pump)
+    rng = np.random.default_rng(41)
+    x = np.column_stack((rng.uniform(*np.log(bell.MU_BOUNDS), size=(8, 2)),
+                         rng.uniform(-math.pi / 2, math.pi / 2, size=(8, 4))))
+    _, grads = objective(x)
+    for point, grad in zip(x, grads):
+        for i in range(6):
+            fd = _central_difference(lambda y: objective(y[None])[0][0], point, i, 1e-6)
+            assert abs(fd - grad[i]) <= 1e-8
 
 
 def test_threshold_searches_match_or_beat_the_simplex_margins(monkeypatch):
