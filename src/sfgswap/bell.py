@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,11 +83,11 @@ class SearchKernel:
     Each party's analyzer operator is a trig polynomial in its angle
     (``_outcome_coefficients``), gathered at the state's nonzero entries
     (``protocols.HeraldedEntries``), whose weights at new source strengths
-    are their monomials (``HeraldedEntries.monomials``), as in the swaps;
-    so an evaluation at new angles and source strengths is a few small
-    array operations.  The correlators are read through the analyzer
-    efficiencies (``eta_1h`` to ``eta_2v``) of ``analyzer`` and divided by
-    the trace of the state.
+    the swaps read too (``HeraldedEntries.state``), with the photon herald
+    scaled by ``gain``; so an evaluation at new angles and source strengths
+    is a few small array operations.  The correlators are read through the
+    analyzer efficiencies (``eta_1h`` to ``eta_2v``) of ``analyzer`` and
+    divided by the trace of the state.
     """
 
     def __init__(self, entries: HeraldedEntries, analyzer: ExperimentParams, gain: float = 1.0):
@@ -97,24 +97,14 @@ class SearchKernel:
         n = entries.n
         self._ca = _outcome_coefficients(analyzer.eta_1h, analyzer.eta_1v, n)[:, N, a, a2]
         self._cb = _outcome_coefficients(analyzer.eta_2h, analyzer.eta_2v, n)[:, M, b, b2]
-        self._entries = entries
-        self._weight = gain * entries.sfg + entries.dark
-        self._n_diagonal = entries.n_diagonal
+        self._entries = replace(entries, sfg=gain * entries.sfg)
         self._n = n
         self._powers = entries.powers.astype(float)
 
-    def _state(self, mu):
-        """Entry weights rho[..., e] and trace at mean photon numbers ``mu``."""
-        rho = self._weight * self._entries.monomials(mu)
-        total = rho[..., :self._n_diagonal].sum(axis=-1)
-        if not all(t > 0.0 for t in np.ravel(total).tolist()):
-            raise ValueError("herald probability is zero")
-        return rho, total
-
     def correlator_gradients(self, thetas_a, thetas_b, mu, dmu=_FIXED_PUMP):
         """E[p, q] at analyzer angles thetas_a[p] and thetas_b[q] and the mean
-        photon numbers ``mu`` of the modes (1H, 1V, 2H, 2V), with its exact
-        derivatives.
+        photon numbers ``mu`` of the modes (1H, 1V, 2H, 2V), read from the
+        state there (``HeraldedEntries.state``), with its exact derivatives.
 
         Returns (E, dE_a, dE_b, dE_y): dE_a[p, q] is the derivative of
         E[p, q] in thetas_a[p] and dE_b[p, q] in thetas_b[q] (E[p, q] does not
@@ -131,7 +121,7 @@ class SearchKernel:
         with ``mu`` of shape (m, 4) or (4,) and ``dmu`` of shape (m, 4, J) or
         (4, J) stack every output, each point as it is alone."""
         mu = np.asarray(mu, dtype=float)
-        rho, total = self._state(mu)
+        rho, total = self._entries.state(mu)
         thetas_a = np.asarray(thetas_a, dtype=float)
         rows = trig_basis_and_derivative(np.concatenate((thetas_a, thetas_b), axis=-1), self._n)
         rows = rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1]))
@@ -147,10 +137,10 @@ class SearchKernel:
         e = m[..., :n_a:2, ::2]
         de_a = m[..., 1:n_a:2, ::2]
         de_b = m[..., :n_a:2, 1::2]
-        # summed along the entries as in ``_state``, so a stack sums each point
-        # in the same order as that point alone
-        dtotal = (rho[..., None, :self._n_diagonal] * w[..., :self._n_diagonal]).sum(
-            axis=-1) / total[..., None]
+        # summed along the entries as in ``HeraldedEntries.state``, so a stack
+        # sums each point in the same order as that point alone
+        d = self._entries.n_diagonal
+        dtotal = (rho[..., None, :d] * w[..., :d]).sum(axis=-1) / total[..., None]
         num = m[..., n_a:, ::2].reshape(m.shape[:-2] + (n_y,) + e.shape[-2:])
         de_y = num - e[..., None, :, :] * dtotal[..., None, None]
         return e, de_a, de_b, de_y

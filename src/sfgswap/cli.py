@@ -59,10 +59,12 @@ def _given(key, raw):
 
 
 def _number(key, raw) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key {key!r} is not a number: {raw!r}")
+    if not isinstance(raw, bool):  # a JSON true is not the number 1
+        try:
+            return float(raw)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"key {key!r} is not a number: {raw!r}")
 
 
 def _integer(key, raw) -> int:

@@ -95,8 +95,8 @@ def _pair_cap(value) -> int:
     """``pair_cap`` as an int, from any number or numeric string without a
     fractional part: a fractional cap is refused, not truncated."""
     try:
-        number = float(value)
-    except (TypeError, ValueError):
+        number = _number("pair_cap", value)
+    except ValueError:
         number = math.nan
     if not number.is_integer():
         raise ValueError(f"pair_cap must be an integer, got {value!r}")
@@ -104,10 +104,12 @@ def _pair_cap(value) -> int:
 
 
 def _number(key: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be a number, got {value!r}") from None
+    if not isinstance(value, bool):  # a JSON true is not the number 1
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{key} must be a number, got {value!r}")
 
 
 def swap_params(section: dict) -> ExperimentParams:

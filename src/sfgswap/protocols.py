@@ -15,11 +15,13 @@ with one monomial of the source amplitudes (``HeraldedEntries``).  Both
 swaps herald by one sum over pair numbers:
 rho(n, n') = sum_l w(n, l) w(n', l) O(n - l, n' - l), with w the loss
 amplitude of losing l of the n photons on each analyzer mode and O what the
-herald does to the photons kept, gathered by one ``np.bincount`` into the
-entries any herald can reach.  The swaps and the Bell searches
-(``bell.SearchKernel``) read one form of state: those entries weighted at
-the sources, contracted with each party's analyzer operators gathered at
-the same entries.
+herald does to the photons kept: one weight on each pair of input terms
+(n, n') of the layout (``_swap_layout``), the two heralds differing only in
+its values, gathered by one ``np.bincount`` into the entries any herald can
+reach.  The swaps and the Bell searches (``bell.SearchKernel``) read one
+form of state, those entries weighted at the sources
+(``HeraldedEntries.state``), contracted with each party's analyzer
+operators gathered at the same entries.
 Teleportation runs the same SFG herald as sums over the number of pairs:
 loss sums out binomially and the herald acts on the coherent input as a
 number, so no input term is listed, and the fidelity is closed form.
@@ -101,7 +103,7 @@ class ExperimentParams:
         for name, value in vars(self).items():
             if name == "pair_cap":
                 continue
-            if not isinstance(value, numbers.Real):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
             if name.startswith("mu_"):
                 if not 0.0 <= value < math.inf:
@@ -111,7 +113,7 @@ class ExperimentParams:
                     raise ValueError(f"dark must be in [0, 1), got {value!r}")
             elif not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        if not isinstance(self.pair_cap, numbers.Integral):
+        if isinstance(self.pair_cap, bool) or not isinstance(self.pair_cap, numbers.Integral):
             raise ValueError(f"pair_cap must be an integer, got {self.pair_cap!r}")
         if self.pair_cap < 2:
             raise ValueError(f"pair_cap must be at least 2, got {self.pair_cap!r}: the SFG "
@@ -162,13 +164,14 @@ class _SwapLayout:
     m_j = m_i + d (1, -1, 1, -1): the kept photons that the linear-optical
     analyzer, which conserves aH + bV and bH + aV, connects within one
     photon-number block of (d, e).  The SFG herald connects the rows of the
-    d = -1 pairs, ``sfg_h`` to ``sfg_v``: converting an H pair of the first
-    leaves the same photons as converting a V pair of the second.
+    pairs with |d| <= 1: a row with itself, and where |d| = 1, converting an
+    H pair of one leaves the photons that converting a V pair of the other
+    does.  So every herald is a weight on each pair, gathered at its slot.
     ``index`` lists once each entry (N_d, a, a', N_e, b, b') of the block
     density (``HeraldedEntries``) that a pair reaches, (n_i1H + n_i1V, n_i1H,
     n_j1H, ...), diagonal ones (d = 0, where the dark-count herald also
-    lands) first and each part in lexicographic order; the slots are the
-    position there of each pair and each SFG row product.
+    lands) first and each part in lexicographic order; a pair's slot is the
+    position there of its entry.
     """
 
     n: np.ndarray
@@ -177,12 +180,10 @@ class _SwapLayout:
     root_comb: np.ndarray  # [n, l] = sqrt(C(n, l))
     pair_i: np.ndarray
     pair_j: np.ndarray
+    pair_d: np.ndarray
     pair_slots: np.ndarray
     pair_ahbv: np.ndarray  # flat index of (m_aH + m_bV, m_aH, m_aH') of each pair
     pair_bhav: np.ndarray  # flat index of (m_bH + m_aV, m_bH, m_bH')
-    sfg_h: np.ndarray
-    sfg_v: np.ndarray
-    sfg_slots: np.ndarray  # of (h, h), (v, v), (h, v), (v, h)
     index: np.ndarray  # [6, entry]
     powers: np.ndarray  # [4, entry]
     n_diagonal: int
@@ -201,12 +202,8 @@ def _swap_layout(cap: int) -> _SwapLayout:
     # the rows are sorted, and so are their codes
     j = np.searchsorted(np.ravel_multi_index(rows.T, (k,) * 8), np.ravel_multi_index(
         (rows[i] + np.multiply.outer(d, [1, -1, 1, -1, 0, 0, 0, 0])).T, (k,) * 8))
-
-    def bins(i, j):
-        return np.ravel_multi_index((n[i, 0] + n[i, 1], n[i, 0], n[j, 0],
-                                     n[i, 2] + n[i, 3], n[i, 2], n[j, 2]), (k,) * 6)
-
-    pair_codes = bins(i, j)
+    pair_codes = np.ravel_multi_index((n[i, 0] + n[i, 1], n[i, 0], n[j, 0],
+                                       n[i, 2] + n[i, 3], n[i, 2], n[j, 2]), (k,) * 6)
     mask = np.zeros(k ** 6, dtype=bool)  # one byte per entry; loads no numpy.ma
     mask[pair_codes] = True
     reached = np.flatnonzero(mask)  # sorted
@@ -216,16 +213,12 @@ def _swap_layout(cap: int) -> _SwapLayout:
     slot = np.empty_like(order)  # scattered: argsort(order) pages in 0.3 MB more of numpy
     slot[order] = np.arange(order.size)
     N, a, a2, M, b, b2 = index = index[:, order]
-    h, v = i[d == -1], j[d == -1]
     layout = _SwapLayout(
         n=n, lost=rows[:, 4:].copy(), root_kept=np.sqrt(kept),  # a copy: frees rows
         root_comb=np.sqrt([[math.comb(x, y) for y in range(k)] for x in range(k)]),
-        pair_i=i, pair_j=j, pair_slots=slot[np.searchsorted(reached, pair_codes)],
+        pair_i=i, pair_j=j, pair_d=d, pair_slots=slot[np.searchsorted(reached, pair_codes)],
         pair_ahbv=np.ravel_multi_index((kept[i, 0] + kept[i, 3], kept[i, 0], kept[j, 0]), k3),
         pair_bhav=np.ravel_multi_index((kept[i, 2] + kept[i, 1], kept[i, 2], kept[j, 2]), k3),
-        sfg_h=h, sfg_v=v,
-        sfg_slots=slot[np.searchsorted(reached, np.concatenate(
-            [bins(h, h), bins(v, v), bins(h, v), bins(v, h)]))],
         index=index, powers=np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2]),
         n_diagonal=int(off.size - off.sum()))
     for arr in vars(layout).values():
@@ -244,23 +237,6 @@ def _loss_amplitudes(layout: _SwapLayout, params: ExperimentParams) -> np.ndarra
         gone = np.array([(1.0 - t) ** (x / 2.0) for x in range(k)])
         amp = amp * layout.root_comb[n, l] * kept[n - l] * gone[l]
     return amp
-
-
-def _sfg_amplitudes(params: ExperimentParams, sign: float, w, root_kept: np.ndarray,
-                    rows_h, rows_v) -> list:
-    """Amplitudes [h, v] of the terms of the SFG herald K = sqrt(eta_d / 2)
-    (sqrt(sfg_h eta_th) aH bH + sign sqrt(sfg_v eta_tv) aV bV) on the rows
-    ``rows_h``, ``rows_v`` with loss amplitudes ``w`` and kept photons ``root_kept ** 2``."""
-    amps = []
-    for rows, (ca, cb), eta, eta_t, s in (
-            (rows_h, (0, 2), params.sfg_h, params.eta_th, 1.0),
-            (rows_v, (1, 3), params.sfg_v, params.eta_tv, sign)):
-        root = root_kept[rows]
-        # The factors in the order the pure-branch route applies them, so
-        # that the lossless swap state is the same to the last bit.
-        amps.append(w[rows] * root[:, ca] * root[:, cb] * math.sqrt(eta) * eta_t ** 0.5
-                    * s / math.sqrt(2.0) * math.sqrt(params.eta_d))
-    return amps
 
 
 def _source_mu(params: ExperimentParams) -> np.ndarray:
@@ -295,8 +271,8 @@ class HeraldedEntries:
     are real symmetric, so nothing else is kept.
 
     Entry e of the state of sources with amplitude ratios gamma (``_gamma``)
-    is (gain * sfg[e] + dark[e]) * prod_m gamma_m ** powers[m, e] over the modes
-    m = (1H, 1V, 2H, 2V) (``monomials``), up to a factor common to all entries:
+    is (sfg[e] + dark[e]) * prod_m gamma_m ** powers[m, e] over the modes
+    m = (1H, 1V, 2H, 2V) (``state``), up to a factor common to all entries:
     one over the squared norm of the source amplitudes (``_source_norm``).
     """
 
@@ -308,12 +284,15 @@ class HeraldedEntries:
     powers: np.ndarray
 
     @classmethod
-    def gather(cls, layout: _SwapLayout, slots: np.ndarray, weights: np.ndarray,
-               scale: float = 1.0, dark: float = 0.0) -> "HeraldedEntries":
-        """The layout's entries reached by a photon herald that sums ``weights``
-        at ``slots``, weighted ``scale``, or by a dark-count herald of weight
-        ``dark``, which leaves the whole reduced input, on the diagonal."""
-        sfg = scale * np.bincount(slots, weights, minlength=layout.powers.shape[1])
+    def gather(cls, layout: _SwapLayout, weights: np.ndarray, scale: float = 1.0,
+               dark: float = 0.0) -> "HeraldedEntries":
+        """The layout's entries reached by a photon herald of weight
+        ``weights`` on each pair (or a stack of such weights, summed in the
+        stack's order) at the pairs' slots and weighted ``scale``, or by a
+        dark-count herald of weight ``dark``, which leaves the whole reduced
+        input, on the diagonal."""
+        slots = np.broadcast_to(layout.pair_slots, weights.shape).ravel()
+        sfg = scale * np.bincount(slots, weights.ravel(), minlength=layout.powers.shape[1])
         keep = sfg != 0.0
         if dark:
             keep[:layout.n_diagonal] = True
@@ -337,19 +316,42 @@ class HeraldedEntries:
         table = (gamma[..., None] ** np.arange(2 * self.n + 1)).reshape(gamma.shape[:-1] + (-1,))
         return table.take(self._table_index, axis=-1).prod(axis=-2)
 
+    def state(self, mu):
+        """Entry weights rho[..., e] = (sfg[e] + dark[e]) monomial[e] at the
+        mean photon numbers ``mu``, not divided by the source norm, and their
+        trace, the sum of the diagonal ones; a stack of mu stacks both.  A
+        zero trace is refused: nothing is heralded."""
+        rho = (self.sfg + self.dark) * self.monomials(mu)
+        total = rho[..., :self.n_diagonal].sum(axis=-1)
+        if not all(t > 0.0 for t in np.ravel(total).tolist()):
+            raise ValueError("herald probability is zero")
+        return rho, total
+
 
 def heralded_entries(params: ExperimentParams, basis: str = "A") -> HeraldedEntries:
     """Entries of the state heralded on ``basis``: a photon herald within the
     window and no dark count, weighted (1 - dark) window_acceptance, plus a
     dark-count herald.  The photon herald is that of the unit-amplitude
-    input (amplitude 1 on every term with at most ``pair_cap`` pairs), each
-    row's amplitude its loss amplitude times that of K (``_sfg_amplitudes``)."""
-    sign = herald_sign(basis)
+    input (amplitude 1 on every term with at most ``pair_cap`` pairs) under
+    K = sqrt(eta_d / 2) (sqrt(sfg_h eta_th) aH bH + sign sqrt(sfg_v eta_tv) aV bV):
+    a row's amplitudes h, v under the two terms are its loss amplitude times
+    theirs.  A pair (i, j) of the layout weighs h_i h_j + v_i v_j where d = 0
+    (i = j), h_i v_j where d = -1, v_i h_j where d = 1 and nothing where
+    |d| >= 2.  The weight is split by the term on row i, and the H part of
+    every pair is gathered before the V part, which fixes each entry's sum
+    order."""
     layout = _swap_layout(params.pair_cap)
-    h, v = _sfg_amplitudes(params, sign, _loss_amplitudes(layout, params),
-                           layout.root_kept, layout.sfg_h, layout.sfg_v)
-    return HeraldedEntries.gather(layout, layout.sfg_slots,
-                                  np.concatenate([h * h, v * v, h * v, v * h]),
+    w, root = _loss_amplitudes(layout, params), layout.root_kept
+    # the factors in the order the pure-branch route applies them, so that
+    # the lossless swap state is the same to the last bit
+    h, v = (w * root[:, ca] * root[:, cb] * math.sqrt(eta) * eta_t ** 0.5 * s / math.sqrt(2.0)
+            * math.sqrt(params.eta_d) for (ca, cb), eta, eta_t, s in (
+                ((0, 2), params.sfg_h, params.eta_th, 1.0),
+                ((1, 3), params.sfg_v, params.eta_tv, herald_sign(basis))))
+    i, j, d = layout.pair_i, layout.pair_j, layout.pair_d
+    weights = np.stack([h[i] * np.where(d == 0, h[j], (d == -1) * v[j]),
+                        v[i] * np.where(d == 0, v[j], (d == 1) * h[j])])
+    return HeraldedEntries.gather(layout, weights,
                                   (1.0 - params.dark) * params.window_acceptance, params.dark)
 
 
@@ -378,8 +380,6 @@ def _visibility_report(entries: HeraldedEntries, rho, herald_prob: float,
     basis, gathered at the entries.  An operator is formed at its angle, not
     read off its trig polynomial, so that an exact zero of the Z basis stays
     zero.  In a table, 'HV' means the H arm of d and the V arm of e."""
-    if rho[:entries.n_diagonal].sum() <= 0.0:
-        raise ValueError("herald probability is zero")
     N, a, a2, M, b, b2 = entries.index
     r = rotation_blocks([-theta for _, theta in VISIBILITY_BASES], entries.n)
     ops_d = analyzer_operators(r, arm_click_probs(params.eta_1h, params.eta_1v, entries.n))
@@ -398,15 +398,14 @@ def sfg_swap(params: ExperimentParams, basis: str = "A") -> VisibilityReport:
     """Full SFG-swapping pipeline: visibilities, fidelity bound, herald rate.
 
     The heralded state is the ``heralded_entries``, a photon herald within
-    the window and no dark count plus a dark-count herald, each entry
-    scaled by its source monomial.  ``herald_prob`` is the photon herald
-    within the window, before dark-count mixing.
+    the window and no dark count plus a dark-count herald, read at the
+    sources (``HeraldedEntries.state``).  ``herald_prob`` is the photon
+    herald within the window, before dark-count mixing.
     """
     entries, mu = heralded_entries(params, basis), _source_mu(params)
-    mono, norm = entries.monomials(mu), _source_norm(mu, params.pair_cap)
-    photon = float((entries.sfg * mono)[:entries.n_diagonal].sum()) / norm
-    return _visibility_report(entries, (entries.sfg + entries.dark) * mono / norm,
-                              photon / (1.0 - params.dark), params)
+    rho, norm = entries.state(mu)[0], _source_norm(mu, params.pair_cap)
+    photon = float((entries.sfg * entries.monomials(mu))[:entries.n_diagonal].sum()) / norm
+    return _visibility_report(entries, rho / norm, photon / (1.0 - params.dark), params)
 
 
 def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
@@ -424,7 +423,8 @@ def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
     (``detection.analyzer_operators``) at angle pi/4: on (aH, bV) clicking
     on the V arm and on (bH, aV) clicking on the H arm.  As for the SFG
     herald, the state is that of the unit-amplitude input, gathered into
-    the layout's entries by pair, each entry scaled by its source monomial.
+    the layout's entries by pair and read at the sources
+    (``HeraldedEntries.state``).
     """
     if not 0.0 <= eta_bsa <= 1.0:
         raise ValueError(f"eta_bsa must be in [0, 1], got {eta_bsa!r}")
@@ -435,8 +435,8 @@ def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
     ops = analyzer_operators(rotation_blocks([-math.pi / 4], cap), clicks[::-1])[0]
     i, j = layout.pair_i, layout.pair_j
     herald = w[i] * w[j] * ops[0].ravel()[layout.pair_ahbv] * ops[1].ravel()[layout.pair_bhav]
-    entries = HeraldedEntries.gather(layout, layout.pair_slots, herald)
-    rho = entries.sfg * entries.monomials(mu) / _source_norm(mu, cap)
+    entries = HeraldedEntries.gather(layout, herald)
+    rho = entries.state(mu)[0] / _source_norm(mu, cap)
     return _visibility_report(entries, rho, float(rho[:entries.n_diagonal].sum()), params)
 
 

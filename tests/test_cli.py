@@ -394,12 +394,25 @@ def test_unknown_experiment_keys_are_config_errors(tmp_path, capsys, argv, messa
      'key teleport.herald_basis must be a number, string or boolean, got ["D"]'),
     ("sweep", {"sweep": {"variable": None, "start": 0.01, "stop": 0.1, "steps": 2}},
      "key sweep.variable must be a number, string or boolean, got null"),
-], ids=["polarization-number", "sweep-variable-list", "herald-basis-list", "sweep-variable-null"])
+    ("swap-sfg", {"params": {"mu_1h": True}}, "mu_1h must be a number, got True"),
+    ("swap-lo", {"params": {"t_1h": False}}, "t_1h must be a number, got False"),
+    ("swap-sfg", {"params": {"pair_cap": True}}, "pair_cap must be an integer, got True"),
+    ("sweep", {"sweep": {"variable": "mu", "start": True, "stop": 0.1, "steps": 2}},
+     "key 'start' is not a number: True"),
+    ("sweep", {"sweep": {"variable": "pair_cap", "start": 3, "stop": True, "steps": 2}},
+     "key 'stop' is not a number: True"),
+    ("teleport", {"teleport": {"mean_photons": True}}, "key 'mean_photons' is not a number: True"),
+    ("bell", {"bell": {"gain_factor": True, "n_starts": 1}},
+     "key 'gain_factor' is not a number: True"),
+], ids=["polarization-number", "sweep-variable-list", "herald-basis-list", "sweep-variable-null",
+        "params-mu-true", "params-t-false", "params-pair-cap-true", "sweep-start-true",
+        "sweep-stop-true", "teleport-mean-photons-true", "bell-gain-factor-true"])
 def test_json_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, experiment, config,
                                                          message):
     # A JSON list, object or null is refused when the file is read, and a
     # number where a name is due is read as its text; each used to end in a
-    # traceback with exit 1.
+    # traceback with exit 1.  A JSON true or false where a number is due is
+    # refused too; it used to be read as 1 or 0, and the run went on.
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
     code, text = run(tmp_path, experiment, "--preset", "ideal", "--config", str(cfg))

@@ -96,11 +96,12 @@ def test_experiment_params_rejects_bad_dark_by_name(dark):
         ideal_params(dark=dark)
 
 
-@pytest.mark.parametrize("value", ["0.5", None, 1j])
+@pytest.mark.parametrize("value", ["0.5", None, 1j, True, False])
 @pytest.mark.parametrize("key", PARAM_KEYS)
 def test_experiment_params_rejects_a_non_number_by_name(key, value):
     # Built in the library, not parsed from a config: refused with the field
-    # and the value, not with a bare TypeError from a comparison.
+    # and the value, not with a bare TypeError from a comparison.  A bool is
+    # an int, but a flag is not a number: True is not read as 1.
     kind = "an integer" if key == "pair_cap" else "a number"
     with pytest.raises(ValueError, match=f"^{key} must be {kind}, got {re.escape(repr(value))}"):
         ExperimentParams(**{key: value})
@@ -294,8 +295,8 @@ def _read_swaps(monkeypatch):
 @pytest.mark.parametrize("preset,dark", [("paper-tableS1", None), ("ideal", 0.1)])
 def test_sfg_swap_weighs_the_search_state_to_the_last_bit(monkeypatch, preset, dark):
     # sfg_swap reads the state the Bell searches read: the same |A>-heralded
-    # entries, and as weights the search kernel's state at
-    # the sources of params over the source norm, bit for bit.
+    # entries, and as weights their state (HeraldedEntries.state) at the
+    # sources of params over the source norm, bit for bit.
     params = swap_params(get_preset(preset)["params"])
     if dark is not None:
         params = params.replace(dark=dark)
@@ -306,7 +307,7 @@ def test_sfg_swap_weighs_the_search_state_to_the_last_bit(monkeypatch, preset, d
     for name in ("index", "sfg", "dark", "powers"):
         assert np.array_equal(getattr(entries, name), getattr(search, name))
     assert entries.n_diagonal == search.n_diagonal
-    state, _ = SearchKernel(search, params)._state(_source_mu(params))
+    state, _ = search.state(_source_mu(params))
     assert np.array_equal(rho, state / _source_norm(_source_mu(params), params.pair_cap))
 
 
