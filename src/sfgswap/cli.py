@@ -23,7 +23,7 @@ from .efficiency import (
     sfg_eff_theoretical,
     spectral_overlap_gaussian,
 )
-from .presets import PARAM_KEYS, get_preset, presets, swap_params
+from .presets import PARAM_KEYS, _integer, _number, get_preset, presets, swap_params
 from .protocols import lo_swap, qfc_teleport_strong_pump, sfg_swap, teleport
 
 CSV_METRICS = ("V_Z", "V_X", "F_low", "S", "Q", "r", "herald_prob")
@@ -56,22 +56,6 @@ class _Values(dict):
 
 def _given(key, raw):
     return raw
-
-
-def _number(key, raw) -> float:
-    if not isinstance(raw, bool):  # a JSON true is not the number 1
-        try:
-            return float(raw)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"key {key!r} is not a number: {raw!r}")
-
-
-def _integer(key, raw) -> int:
-    try:
-        return int(str(raw).strip())
-    except ValueError:
-        raise ConfigError(f"key {key!r} is not an integer: {raw!r}")
 
 
 def _boolean(key, raw) -> bool:
@@ -201,7 +185,10 @@ def _read(config: dict, experiment: str, name: str) -> _Values:
     values = _Values()
     for key, (parse, default, check, *_) in keys.items():
         if key in section:
-            values[key] = parse(key, section[key])
+            try:
+                values[key] = parse(key, section[key])
+            except ValueError as exc:
+                raise ConfigError(str(exc))
         elif default is None:
             continue
         else:
@@ -297,7 +284,7 @@ def _build_params(config: dict, experiment: str, **assignments):
     section = {**_read(config, experiment, "params"), **assignments}
     try:
         return swap_params(section)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc))
 
 
@@ -452,13 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override a single configuration key "
                              "(section.key=value; bare keys go to [params])")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--seed", type=int,
-                        help="seed for optimizer restarts (bell.seed)")
+    parser.add_argument("--seed", help="seed for optimizer restarts (bell.seed)")
     parser.add_argument("--format", choices=("csv", "report"),
                         default="report", dest="fmt")
-    parser.add_argument("--gain-factor", type=float, default=None,
-                        help="multiplier on the analyzer conversion efficiency "
-                             "(bell.gain_factor)")
+    parser.add_argument("--gain-factor", help="multiplier on the analyzer conversion efficiency "
+                                                 "(bell.gain_factor)")
     return parser
 
 

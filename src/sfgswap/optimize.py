@@ -220,10 +220,10 @@ def best_run(runs) -> OptimizeResult:
 
 def _integer_at_least(value, least: int, refusal: str) -> int:
     """``value`` as a Python int, or ``refusal`` raised with the value: a
-    TypeError when it is no integer (numpy integers are), a ValueError when
-    it is below ``least``."""
+    TypeError when it is no integer (numpy integers are; a bool is not), a
+    ValueError when it is below ``least``."""
     try:
-        index = operator.index(value)
+        index = operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise TypeError(f"{refusal}, got {value!r}") from None
     if index < least:

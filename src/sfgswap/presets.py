@@ -91,25 +91,30 @@ def get_preset(name: str) -> dict:
     return copy.deepcopy(_PRESETS[name])
 
 
-def _pair_cap(value) -> int:
-    """``pair_cap`` as an int, from any number or numeric string without a
-    fractional part: a fractional cap is refused, not truncated."""
-    try:
-        number = _number("pair_cap", value)
-    except ValueError:
-        number = math.nan
-    if not number.is_integer():
-        raise ValueError(f"pair_cap must be an integer, got {value!r}")
-    return int(number)
-
-
 def _number(key: str, value) -> float:
     if not isinstance(value, bool):  # a JSON true is not the number 1
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise ValueError(f"{key} must be a number, got {value!r}")
+
+
+def _integer(key: str, value) -> int:
+    """``value`` as an int, from integer text (read exactly) or any number or
+    numeric string without a fractional part: a fraction is refused."""
+    if not isinstance(value, bool):  # a JSON true is not the number 1
+        try:
+            return int(str(value).strip())
+        except ValueError:
+            pass
+        try:
+            number = _number(key, value)
+        except ValueError:
+            number = math.nan
+        if number.is_integer():
+            return int(number)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def swap_params(section: dict) -> ExperimentParams:
@@ -118,5 +123,5 @@ def swap_params(section: dict) -> ExperimentParams:
     unknown = set(section).difference(PARAM_KEYS)
     if unknown:
         raise KeyError(f"unknown parameter keys: {', '.join(sorted(unknown))}")
-    return ExperimentParams(**{key: _pair_cap(value) if key == "pair_cap" else _number(key, value)
+    return ExperimentParams(**{key: (_integer if key == "pair_cap" else _number)(key, value)
                                for key, value in section.items()})

@@ -398,12 +398,12 @@ def test_unknown_experiment_keys_are_config_errors(tmp_path, capsys, argv, messa
     ("swap-lo", {"params": {"t_1h": False}}, "t_1h must be a number, got False"),
     ("swap-sfg", {"params": {"pair_cap": True}}, "pair_cap must be an integer, got True"),
     ("sweep", {"sweep": {"variable": "mu", "start": True, "stop": 0.1, "steps": 2}},
-     "key 'start' is not a number: True"),
+     "start must be a number, got True"),
     ("sweep", {"sweep": {"variable": "pair_cap", "start": 3, "stop": True, "steps": 2}},
-     "key 'stop' is not a number: True"),
-    ("teleport", {"teleport": {"mean_photons": True}}, "key 'mean_photons' is not a number: True"),
+     "stop must be a number, got True"),
+    ("teleport", {"teleport": {"mean_photons": True}}, "mean_photons must be a number, got True"),
     ("bell", {"bell": {"gain_factor": True, "n_starts": 1}},
-     "key 'gain_factor' is not a number: True"),
+     "gain_factor must be a number, got True"),
 ], ids=["polarization-number", "sweep-variable-list", "herald-basis-list", "sweep-variable-null",
         "params-mu-true", "params-t-false", "params-pair-cap-true", "sweep-start-true",
         "sweep-stop-true", "teleport-mean-photons-true", "bell-gain-factor-true"])
@@ -535,7 +535,7 @@ def test_bad_efficiency_values_exit_2(capsys, assignment, message):
 @pytest.mark.parametrize("argv, message", [
     (("--set", "bell.n_starts=0"), "'n_starts' must be at least 1"),
     (("--set", "bell.n_starts=-3"), "'n_starts' must be at least 1"),
-    (("--set", "bell.n_starts=1.5"), "'n_starts' is not an integer"),
+    (("--set", "bell.n_starts=1.5"), "n_starts must be an integer, got '1.5'"),
     (("--seed", "-1"), "--seed must be non-negative"),
     (("--gain-factor", "0"), "gain factor must be finite and positive"),
     (("--gain-factor", "-2"), "gain factor must be finite and positive"),
@@ -550,6 +550,66 @@ def test_bad_search_inputs_exit_2(tmp_path, capsys, experiment, argv, message):
                      "--set", "bell.n_starts=1", *argv)
     assert code == 2 and text == ""
     assert message in capsys.readouterr().err
+
+
+# Each integer key, a run that reads it, and the routes a value reaches it by:
+# a --set override, a JSON config, and for bell.seed the flag that spells it.
+_INTEGER_KEYS = {
+    "pair_cap": (("swap-sfg", "--preset", "ideal"), ("set", "json")),
+    "sweep.steps": (("sweep", "--preset", "fig-s3"), ("set", "json")),
+    "bell.n_starts": (("bell", "--preset", "ideal"), ("set", "json")),
+    "bell.seed": (("bell", "--preset", "ideal", "--set", "bell.n_starts=2"),
+                  ("set", "json", "flag")),
+}
+_INTEGER_ROUTES = [(key, route) for key, (_, routes) in _INTEGER_KEYS.items() for route in routes]
+
+
+def _integer_run(tmp_path, key, route, value, name="out.txt"):
+    """Run ``key``'s experiment with ``value`` given to the key by ``route``."""
+    section, _, name_in_section = key.rpartition(".")
+    if route == "json":
+        cfg = tmp_path / "integer.json"
+        cfg.write_text(json.dumps({section or "params": {name_in_section: value}}))
+        spelled = ("--config", str(cfg))
+    else:
+        spelled = ("--seed", value) if route == "flag" else ("--set", f"{key}={value}")
+    return run(tmp_path, *_INTEGER_KEYS[key][0], *spelled, name=name)
+
+
+@pytest.mark.parametrize("key, route", _INTEGER_ROUTES)
+def test_integral_spellings_of_an_integer_key_print_the_same_bytes(tmp_path, key, route):
+    # One integer rule for every key and route: an integral number or
+    # numeric string is the integer it spells.
+    spellings = (3.0, "3.0", " 3 ") if route == "json" else ("3.0", " 3 ")
+    code, want = _integer_run(tmp_path, key, route, 3 if route == "json" else "3")
+    assert code == 0 and want
+    for i, value in enumerate(spellings):
+        assert _integer_run(tmp_path, key, route, value, name=f"{i}.txt") == (0, want)
+
+
+@pytest.mark.parametrize("value", [2.5, True, "nan", "inf"])
+@pytest.mark.parametrize("key, route", _INTEGER_ROUTES)
+def test_non_integers_of_an_integer_key_exit_2_by_name(tmp_path, capsys, key, route, value):
+    # A fraction is refused, not truncated; a flag and a non-finite value are
+    # no integer.
+    if route != "json":
+        value = str(value).lower()
+    code, text = _integer_run(tmp_path, key, route, value)
+    assert code == 2 and text == ""
+    name = key.rpartition(".")[2]
+    assert f"config error: {name} must be an integer, got {value!r}" in capsys.readouterr().err
+
+
+def test_seed_text_is_read_to_every_digit(tmp_path):
+    # 10**23 - 1 is no float: read through one it would be 99999999999999991611392,
+    # which draws other starts.
+    argv = ("bell", "--preset", "ideal", "--set", "bell.n_starts=2")
+    code, text = run(tmp_path, *argv, "--seed", "99999999999999999999999")
+    assert code == 0
+    assert run(tmp_path, *argv, "--set", "bell.seed=99999999999999999999999",
+               name="set.txt") == (0, text)
+    assert run(tmp_path, *argv, "--seed", str(int(float("99999999999999999999999"))),
+               name="float.txt")[1] != text
 
 
 def test_model_errors_exit_3(capsys):

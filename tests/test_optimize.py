@@ -11,11 +11,13 @@ import pytest
 from scipy.optimize import minimize
 
 from sfgswap import optimize
+from sfgswap.bell import optimize_chsh
 from sfgswap.optimize import (
     maximize_starts_bfgs,
     monotone_threshold,
     multistart_maximize,
 )
+from sfgswap.presets import get_preset, swap_params
 from simplex_reference import drive_one, nelder_mead
 
 
@@ -195,6 +197,16 @@ def test_multistart_rejects_non_integer_n_starts_by_name(n_starts):
     with pytest.raises(TypeError, match="n_starts must be an integer of at least 1"):
         multistart_maximize(_rows(lambda x: x[0]), [(0.0, 1.0)], _onto([(0.0, 1.0)]),
                             n_starts=n_starts)
+
+
+@pytest.mark.parametrize("kwargs, name", [({"n_starts": True}, "n_starts"),
+                                          ({"n_starts": 2, "seed": False}, "seed")])
+def test_searches_refuse_a_bool_count_or_seed_by_name(kwargs, name):
+    # A bool is an int, but a flag is not a count: n_starts=True used to run
+    # one start and seed=False to draw from seed 0.
+    params = swap_params(get_preset("ideal")["params"])
+    with pytest.raises(TypeError, match=f"^{name} must be .*, got {kwargs[name]!r}$"):
+        optimize_chsh(params, **kwargs)
 
 
 def _drawn_starts(monkeypatch, seed, n_starts=8):

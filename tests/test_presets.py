@@ -71,6 +71,13 @@ def test_swap_params_rejects_non_integer_pair_cap_by_name(value):
         swap_params({"pair_cap": value})
 
 
+def test_swap_params_refuses_an_integer_past_the_float_range_by_name():
+    # A JSON integer literal of 401 digits has no float; it used to end in an
+    # OverflowError traceback.
+    with pytest.raises(ValueError, match="^mu_1h must be a number, got 1000"):
+        swap_params({"mu_1h": 10**400})
+
+
 def test_param_keys_are_the_experiment_params_fields():
     assert PARAM_KEYS == tuple(field.name for field in dataclasses.fields(ExperimentParams))
     assert len(PARAM_KEYS) == 20

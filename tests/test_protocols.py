@@ -243,6 +243,22 @@ def test_sfg_swap_ideal_low_pump_visibilities():
     assert rep.herald_prob > 0.0
 
 
+@pytest.mark.parametrize("preset, rtol", [("ideal", 2.1e-9), ("fig-s3", 2.1e-9),
+                                           ("paper-table2", 1.7e-8), ("paper-tableS1", 1.7e-8)])
+def test_herald_probability_rises_to_its_untruncated_closed_form(preset, rtol):
+    # Without the cut at pair_cap pairs the herald is the closed form
+    # H = window eta_d / 2 (sfg_h eta_th t_1h t_2h mu_1h mu_2h + the same for
+    # V).  A cap drops the sources' weight above it, so the herald rises to H
+    # with the cap.
+    p = swap_params(get_preset(preset)["params"])
+    h_inf = p.window_acceptance * p.eta_d / 2 * (
+        p.sfg_h * p.eta_th * p.t_1h * p.t_2h * p.mu_1h * p.mu_2h
+        + p.sfg_v * p.eta_tv * p.t_1v * p.t_2v * p.mu_1v * p.mu_2v)
+    heralds = [sfg_swap(p.replace(pair_cap=cap)).herald_prob for cap in (3, 5, 8, 10)]
+    assert heralds == sorted(set(heralds)) and heralds[-1] < h_inf
+    assert (h_inf - heralds[-1]) / h_inf < rtol
+
+
 def test_window_acceptance_scales_herald_only():
     base = ideal_params()
     windowed = base.replace(window_acceptance=0.9)
