@@ -11,16 +11,15 @@ The heralding pipeline is
 Loss, SFG and the herald act on the a, b and c modes only, and each pair
 source puts as many photons in d as in a (in e as in b), so the heralded
 state is that of a unit-amplitude input, whose every nonzero entry scales
-with one monomial of the source amplitudes (``HeraldedEntries``).  Both
-swaps herald by one sum over pair numbers:
+with one monomial of the source amplitudes (``HeraldedEntries``).  One
+builder (``heralded_entries``) serves both swaps, the herald its one input:
 rho(n, n') = sum_l w(n, l) w(n', l) O(n - l, n' - l), with w the loss
 amplitude of losing l of the n photons on each analyzer mode and O what the
-herald does to the photons kept: one weight on each pair of input terms
-(n, n') of the layout (``_swap_layout``), the two heralds differing only in
-its values, gathered by one ``np.bincount`` into the entries any herald can
-reach.  The swaps and the Bell searches (``bell.SearchKernel``) read one
-form of state, those entries weighted at the sources
-(``HeraldedEntries.state``), contracted with each party's analyzer
+herald does to the photons kept, one weight on each pair of input terms
+(n, n') of the layout (``_swap_layout``) gathered by one ``np.bincount``
+into the entries any herald can reach.  The swaps (``_swap_report``) and the
+Bell searches (``bell.SearchKernel``) read those entries weighted at the
+sources (``HeraldedEntries.state``), contracted with each party's analyzer
 operators gathered at the same entries.
 Teleportation runs the same SFG herald as sums over the number of pairs:
 loss sums out binomially and the herald acts on the coherent input as a
@@ -53,6 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detection import (
+    HERALD_SIGNS,
     analyzer_operators,
     arm_click_probs,
     herald_sign,
@@ -154,7 +154,7 @@ def _bounded_rows(width: int, cap: int) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SwapLayout:
     """Index layout of the heralded swap state at one ``pair_cap``.
 
@@ -259,7 +259,7 @@ def _source_norm(mu, cap: int) -> float:
     return float(np.prod(_gamma(mu) ** _pair_powers(cap), axis=1).sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeraldedEntries:
     """The nonzero entries of a heralded block density with at most ``n``
     photons per party, diagonal ones (a = a', b = b') first.
@@ -328,27 +328,49 @@ class HeraldedEntries:
         return rho, total
 
 
-def heralded_entries(params: ExperimentParams, basis: str = "A") -> HeraldedEntries:
-    """Entries of the state heralded on ``basis``: a photon herald within the
-    window and no dark count, weighted (1 - dark) window_acceptance, plus a
-    dark-count herald.  The photon herald is that of the unit-amplitude
-    input (amplitude 1 on every term with at most ``pair_cap`` pairs) under
-    K = sqrt(eta_d / 2) (sqrt(sfg_h eta_th) aH bH + sign sqrt(sfg_v eta_tv) aV bV):
-    a row's amplitudes h, v under the two terms are its loss amplitude times
-    theirs.  A pair (i, j) of the layout weighs h_i h_j + v_i v_j where d = 0
-    (i = j), h_i v_j where d = -1, v_i h_j where d = 1 and nothing where
-    |d| >= 2.  The weight is split by the term on row i, and the H part of
-    every pair is gathered before the V part, which fixes each entry's sum
-    order."""
+def heralded_entries(params: ExperimentParams, herald: str = "A",
+                     eta_bsa: float = 1.0) -> HeraldedEntries:
+    """Entries of the state heralded by ``herald``: the SFG photon projected
+    on |D> or |A> ("D", "A") or the linear-optical Bell-state analyzer
+    ("lo", diagonal-arm efficiency ``eta_bsa``).  Each herald is a weight on
+    each pair (i, j) of the layout's rows of the unit-amplitude input
+    (amplitude 1 on every term with at most ``pair_cap`` pairs), times the
+    rows' loss amplitudes w.
+
+    The SFG herald is a photon herald within the window and no dark count,
+    weighted (1 - dark) window_acceptance, plus a dark-count herald, under
+    K = sqrt(eta_d / 2) (sqrt(sfg_h eta_th) aH bH + sign sqrt(sfg_v eta_tv) aV bV),
+    a row's amplitudes h, v under the two terms being w times theirs.  A
+    pair weighs h_i h_j + v_i v_j where d = 0 (i = j), h_i v_j where d = -1,
+    v_i h_j where d = 1 and nothing where |d| >= 2, split by the term on row
+    i and gathered H part first, which fixes each entry's sum order.
+
+    The BSA, dark-count free and with no window, mixes a and b on a
+    polarizing beamsplitter, which sends aH and bV to one output and bH and
+    aV to the other, and reads each output in the diagonal basis with a
+    threshold click on one arm.  So it acts on the kept photons as the
+    product of two analyzer operators (``detection.analyzer_operators``) at
+    angle pi/4: on (aH, bV) clicking on the V arm, on (bH, aV) on the H arm.
+    """
+    if herald == "lo":
+        if not 0.0 <= eta_bsa <= 1.0:
+            raise ValueError(f"eta_bsa must be in [0, 1], got {eta_bsa!r}")
+    elif herald not in HERALD_SIGNS:
+        raise ValueError(f"herald must be 'D', 'A' or 'lo', got {herald!r}")
     layout = _swap_layout(params.pair_cap)
-    w, root = _loss_amplitudes(layout, params), layout.root_kept
+    w, i, j = _loss_amplitudes(layout, params), layout.pair_i, layout.pair_j
+    if herald == "lo":
+        clicks = arm_click_probs(eta_bsa, eta_bsa, params.pair_cap)
+        ops = analyzer_operators(rotation_blocks([-math.pi / 4], params.pair_cap), clicks[::-1])[0]
+        return HeraldedEntries.gather(layout, w[i] * w[j] * ops[0].ravel()[layout.pair_ahbv]
+                                      * ops[1].ravel()[layout.pair_bhav])
+    root, d = layout.root_kept, layout.pair_d
     # the factors in the order the pure-branch route applies them, so that
     # the lossless swap state is the same to the last bit
     h, v = (w * root[:, ca] * root[:, cb] * math.sqrt(eta) * eta_t ** 0.5 * s / math.sqrt(2.0)
             * math.sqrt(params.eta_d) for (ca, cb), eta, eta_t, s in (
                 ((0, 2), params.sfg_h, params.eta_th, 1.0),
-                ((1, 3), params.sfg_v, params.eta_tv, herald_sign(basis))))
-    i, j, d = layout.pair_i, layout.pair_j, layout.pair_d
+                ((1, 3), params.sfg_v, params.eta_tv, HERALD_SIGNS[herald])))
     weights = np.stack([h[i] * np.where(d == 0, h[j], (d == -1) * v[j]),
                         v[i] * np.where(d == 0, v[j], (d == 1) * h[j])])
     return HeraldedEntries.gather(layout, weights,
@@ -394,50 +416,28 @@ def _visibility_report(entries: HeraldedEntries, rho, herald_prob: float,
                             herald_prob=herald_prob, p_z=p_z, p_x=p_x)
 
 
-def sfg_swap(params: ExperimentParams, basis: str = "A") -> VisibilityReport:
-    """Full SFG-swapping pipeline: visibilities, fidelity bound, herald rate.
-
-    The heralded state is the ``heralded_entries``, a photon herald within
-    the window and no dark count plus a dark-count herald, read at the
-    sources (``HeraldedEntries.state``).  ``herald_prob`` is the photon
-    herald within the window, before dark-count mixing.
-    """
-    entries, mu = heralded_entries(params, basis), _source_mu(params)
+def _swap_report(entries: HeraldedEntries, params: ExperimentParams,
+                 dark: float = 0.0) -> VisibilityReport:
+    """The report of the heralded ``entries`` at the sources of ``params``
+    over the source norm; ``herald_prob`` is their photon herald (``sfg``)
+    within the window, before the mixing of a dark-count probability ``dark``."""
+    mu = _source_mu(params)
     rho, norm = entries.state(mu)[0], _source_norm(mu, params.pair_cap)
     photon = float((entries.sfg * entries.monomials(mu))[:entries.n_diagonal].sum()) / norm
-    return _visibility_report(entries, rho / norm, photon / (1.0 - params.dark), params)
+    return _visibility_report(entries, rho / norm, photon / (1.0 - dark), params)
+
+
+def sfg_swap(params: ExperimentParams, basis: str = "A") -> VisibilityReport:
+    """Full SFG-swapping pipeline: visibilities, fidelity bound and herald rate."""
+    herald_sign(basis)  # the basis check: "lo" is no SFG herald
+    return _swap_report(heralded_entries(params, basis), params, params.dark)
 
 
 def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
-    """Linear-optical Bell-state-analyzer counterpart of ``sfg_swap``.
-
-    The a and b modes are mixed on a polarizing beamsplitter and the BSA
-    heralds on a four-fold coincidence: the diagonal arm of each output
-    (efficiency ``eta_bsa``) plus one analyzer arm on each of d and e.
-    The BSA is assumed dark-count free and has no coincidence window;
-    ``herald_prob`` is the probability of its two-fold click.
-
-    The PBS sends aH and bV to one output and bH and aV to the other, each
-    read in the diagonal basis with a threshold click on one arm, so the
-    herald acts on the kept photons as the product of two analyzer operators
-    (``detection.analyzer_operators``) at angle pi/4: on (aH, bV) clicking
-    on the V arm and on (bH, aV) clicking on the H arm.  As for the SFG
-    herald, the state is that of the unit-amplitude input, gathered into
-    the layout's entries by pair and read at the sources
-    (``HeraldedEntries.state``).
-    """
-    if not 0.0 <= eta_bsa <= 1.0:
-        raise ValueError(f"eta_bsa must be in [0, 1], got {eta_bsa!r}")
-    cap = params.pair_cap
-    layout, mu = _swap_layout(cap), _source_mu(params)
-    w = _loss_amplitudes(layout, params)
-    clicks = arm_click_probs(eta_bsa, eta_bsa, cap)
-    ops = analyzer_operators(rotation_blocks([-math.pi / 4], cap), clicks[::-1])[0]
-    i, j = layout.pair_i, layout.pair_j
-    herald = w[i] * w[j] * ops[0].ravel()[layout.pair_ahbv] * ops[1].ravel()[layout.pair_bhav]
-    entries = HeraldedEntries.gather(layout, herald)
-    rho = entries.state(mu)[0] / _source_norm(mu, cap)
-    return _visibility_report(entries, rho, float(rho[:entries.n_diagonal].sum()), params)
+    """Linear-optical Bell-state-analyzer counterpart of ``sfg_swap``
+    (``heralded_entries`` with the "lo" herald); ``herald_prob`` is the
+    probability of the BSA's two-fold click."""
+    return _swap_report(heralded_entries(params, "lo", eta_bsa), params)
 
 
 def error_event_probs(gamma: float, t: float) -> tuple:

@@ -23,6 +23,22 @@ from branch_route import PureState, apply_annihilation, apply_creation, tensor, 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
 
+def vacuum_share(entries, mu) -> float:
+    """The weight of the heralded state of ``entries`` at the sources ``mu``
+    that leaves a party with no photon (N_d = 0 or N_e = 0), over its trace."""
+    rho, total = entries.state(mu)
+    d = entries.n_diagonal
+    empty = (entries.index[0][:d] == 0) | (entries.index[3][:d] == 0)
+    return float(rho[:d][empty].sum() / total)
+
+
+def faithful_chsh_bound(v: float) -> float:
+    """The bound on |S| of a state with vacuum share v: a party with no
+    photon has a fixed outcome, so that share's part of S is at most 2, and
+    the rest obeys Tsirelson's bound."""
+    return (1.0 - v) * TSIRELSON + 2.0 * v
+
+
 def product_basis(n_modes: int, n_max: int):
     """All occupation tuples with 0..n_max photons per mode."""
     return list(itertools.product(range(n_max + 1), repeat=n_modes))

@@ -38,7 +38,7 @@ from sfgswap.bell import (
     sfg_gain_threshold,
 )
 from branch_route import reduced_branches
-from dense_oracle import TSIRELSON
+from dense_oracle import TSIRELSON, faithful_chsh_bound, vacuum_share
 from sfgswap.detection import arm_click_probs
 from sfgswap import optimize
 from sfgswap.presets import get_preset, swap_params
@@ -215,6 +215,56 @@ def test_tsirelson_bound_respected():
     for _ in range(25):
         settings_ = BellSettings(*rng.uniform(-math.pi / 2, math.pi / 2, size=4))
         assert abs(_chsh_at(kernel, params, settings_)) <= TSIRELSON + 1e-9
+
+
+def _fixed_mu_search(entries, params, n_starts):
+    """The fixed-mu search of ``optimize_chsh`` (seed 0) on the heralded
+    ``entries`` read through the analyzers of ``params``."""
+    mu = _source_mu(params)
+    objective = bell._chsh_objective(SearchKernel(entries, params),
+                                     lambda y: (mu, bell._FIXED_PUMP))
+    return optimize.multistart_maximize(objective, bell._FREE_ANGLES, bell._angle_start,
+                                        n_starts=n_starts, seed=0, x0=CANONICAL_X0)
+
+
+CHANNEL_MODES = ("t_1h", "t_1v", "t_2h", "t_2v")
+
+
+@pytest.mark.parametrize("loss, s_lo, bound_lo", [(0.0, 2.22247, 2.4308), (0.9, 2.17082, 2.4436)])
+def test_only_the_lo_herald_leaves_a_party_without_a_photon(loss, s_lo, bound_lo):
+    # On ideal with loss on all four channel modes.  The SFG herald needs a
+    # photon from each source, so it leaves no party empty (vacuum share 0)
+    # and S reaches 2.61891.  The linear-optical herald also fires on a
+    # double pair from one source, which leaves the other party empty: near
+    # half its state, where a party's outcome is fixed, so its optimum stays
+    # within the bound (1 - v) 2 sqrt 2 + 2 v of its vacuum share v.
+    params = _preset("ideal", pair_cap=3, **dict.fromkeys(CHANNEL_MODES, 1.0 - loss))
+    mu = _source_mu(params)
+    sfg, lo = heralded_entries(params, "A"), heralded_entries(params, "lo")
+    best_sfg = _fixed_mu_search(sfg, params, 8).value
+    assert best_sfg == optimize_chsh(params, n_starts=8, seed=0).value
+    assert round(best_sfg, 5) == 2.61891 and vacuum_share(sfg, mu) == 0.0
+    best_lo = _fixed_mu_search(lo, params, 8).value
+    bound = faithful_chsh_bound(vacuum_share(lo, mu))
+    assert round(best_lo, 5) == s_lo and round(bound, 4) == bound_lo
+    assert best_lo <= bound
+
+
+def test_one_start_search_behind_the_lo_herald():
+    params = _preset("ideal", pair_cap=3)
+    res = _fixed_mu_search(heralded_entries(params, "lo"), params, 1)
+    assert abs(res.value - 2.222468733177096) <= 1e-9
+    assert res.n_evaluations == 12
+
+
+@pytest.mark.parametrize("pair_cap", [3, 6])
+def test_sfg_chsh_optimum_does_not_depend_on_channel_loss(pair_cap):
+    # The Bell-test twin of criterion 9's flat SFG visibility: on ideal the
+    # optimized S behind the SFG herald is the same at every channel loss.
+    values = [optimize_chsh(_preset("ideal", pair_cap=pair_cap,
+                                    **dict.fromkeys(CHANNEL_MODES, 1.0 - loss)),
+                            n_starts=8, seed=0).value for loss in (0.0, 0.3, 0.6, 0.9)]
+    assert max(values) - min(values) <= 1e-12
 
 
 def test_qber_small_for_aligned_ideal_state():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import pdtrc
 
-from dense_oracle import TSIRELSON, dense_density, product_basis
+from dense_oracle import TSIRELSON, dense_density, faithful_chsh_bound, product_basis, vacuum_share
 from density_route import (
     DensityOperator,
     apply_loss,
@@ -177,8 +177,9 @@ def test_swap_tables_are_the_dense_readout_and_chsh_is_bounded(params, basis, et
     # The gathered readout of both swaps equals block_readout of the dense
     # block density (the scaled entries for the SFG herald, the pure branches
     # for the linear-optical one), to 1e-13 of the herald probability; and the
-    # search kernel's CHSH value on the same entries obeys Tsirelson's bound
-    # at any angles and sources.
+    # search kernel's CHSH value on the entries of either herald obeys
+    # Tsirelson's bound at any angles and sources, and the tighter bound of
+    # its vacuum share, where a party with no photon has a fixed outcome.
     sfg, lo = sfg_swap(params, basis), lo_swap(params, eta_bsa)
     lo_ref = branch_lo_swap(params, eta_bsa)
     for rep, ref in ((sfg, coincidence_tables(sum(scaled_filter_blocks(params, basis)), params)),
@@ -186,10 +187,13 @@ def test_swap_tables_are_the_dense_readout_and_chsh_is_bounded(params, basis, et
         for name, table in (("z", rep.p_z), ("x", rep.p_x)):
             for ij, p in ref[name].items():
                 assert abs(table[ij] - p) <= 1e-13 * rep.herald_prob
-    kernel = SearchKernel(heralded_entries(params, basis), params)
-    e = kernel.correlator_gradients(thetas[:2], thetas[2:], np.array(mu))[0]
-    # rounding may put a correlator an ulp past its exact value
-    assert abs(e[0, 0] + e[1, 0] + e[0, 1] - e[1, 1]) <= TSIRELSON + 1e-12
+    mu = np.array(mu)
+    for entries in (heralded_entries(params, basis), heralded_entries(params, "lo", eta_bsa)):
+        e = SearchKernel(entries, params).correlator_gradients(thetas[:2], thetas[2:], mu)[0]
+        s = abs(e[0, 0] + e[1, 0] + e[0, 1] - e[1, 1])
+        # rounding may put a correlator an ulp past its exact value
+        assert s <= TSIRELSON + 1e-12
+        assert s <= faithful_chsh_bound(vacuum_share(entries, mu)) + 1e-12
 
 
 def test_rounding_leaves_no_probability_below_zero():
@@ -325,6 +329,50 @@ def test_sfg_swap_weighs_the_search_state_to_the_last_bit(monkeypatch, preset, d
     assert entries.n_diagonal == search.n_diagonal
     state, _ = search.state(_source_mu(params))
     assert np.array_equal(rho, state / _source_norm(_source_mu(params), params.pair_cap))
+
+
+@pytest.mark.parametrize("eta_bsa", [1.0, 0.8])
+def test_lo_swap_weighs_the_search_state(monkeypatch, eta_bsa):
+    # lo_swap reads the entries a search gets from the "lo" herald of
+    # heralded_entries, weighted by their state at the sources of params
+    # over the source norm, bit for bit; its herald is dark-count free.
+    params = swap_params(get_preset("paper-tableS1")["params"])
+    seen = _read_swaps(monkeypatch)
+    rep = lo_swap(params, eta_bsa)
+    [(entries, rho)] = seen
+    search = heralded_entries(params, "lo", eta_bsa)
+    for name in ("index", "sfg", "dark", "powers"):
+        assert np.array_equal(getattr(entries, name), getattr(search, name))
+    assert not search.dark.any()
+    state, total = search.state(_source_mu(params))
+    norm = _source_norm(_source_mu(params), params.pair_cap)
+    assert np.array_equal(rho, state / norm)
+    assert rep.herald_prob == total / norm
+
+
+def test_heralded_entries_refuses_an_unknown_herald_by_name():
+    params = ideal_params()
+    with pytest.raises(ValueError, match="herald must be 'D', 'A' or 'lo', got 'X'"):
+        heralded_entries(params, "X")
+    for eta_bsa in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"eta_bsa must be in \[0, 1\]"):
+            heralded_entries(params, "lo", eta_bsa)
+        with pytest.raises(ValueError, match=r"eta_bsa must be in \[0, 1\]"):
+            lo_swap(params, eta_bsa)
+    # the linear-optical herald is no basis of the SFG photon
+    with pytest.raises(ValueError, match="herald basis must be 'D' or 'A', got 'lo'"):
+        sfg_swap(params, "lo")
+
+
+def test_heralded_entries_and_layouts_compare_by_identity():
+    # Both hold numpy arrays, which neither compare to one truth value nor
+    # hash: equality is identity, so comparing or hashing them never raises.
+    params = ideal_params()
+    first, second = heralded_entries(params), heralded_entries(params)
+    assert first == first and first != second and len({first, second}) == 2
+    layout = protocols._swap_layout(params.pair_cap)
+    assert layout == protocols._swap_layout(params.pair_cap)  # cached per cap
+    assert layout != protocols._swap_layout(params.pair_cap + 1) and len({layout}) == 1
 
 
 def test_each_swap_runs_one_gathered_readout(monkeypatch):
