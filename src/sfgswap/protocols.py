@@ -12,18 +12,18 @@ Loss, SFG and the herald act on the a, b and c modes only, and each pair
 source puts as many photons in d as in a (in e as in b), so the heralded
 state is that of a unit-amplitude input, whose every nonzero entry scales
 with one monomial of the source amplitudes (``HeraldedEntries``).  One
-builder (``heralded_entries``) serves both swaps, the herald its one input:
-rho(n, n') = sum_l w(n, l) w(n', l) O(n - l, n' - l), with w the loss
-amplitude of losing l of the n photons on each analyzer mode and O what the
-herald does to the photons kept, one weight on each pair of input terms
-(n, n') of the layout (``_swap_layout``) gathered by one ``np.bincount``
-into the entries any herald can reach.  The swaps (``_swap_report``) and the
-Bell searches (``bell.SearchKernel``) read those entries weighted at the
-sources (``HeraldedEntries.state``), contracted with each party's analyzer
-operators gathered at the same entries.
-Teleportation runs the same SFG herald as sums over the number of pairs:
-loss sums out binomially and the herald acts on the coherent input as a
-number, so no input term is listed, and the fidelity is closed form.
+builder (``heralded_entries``) serves both swaps, the herald its one input,
+and weighs the entries (n, n') of the layout (``_swap_layout``): the SFG
+herald in closed form, as loss commutes through it (see the conventions),
+the linear-optical one as rho(n, n') = sum_l w(n, l) w(n', l) O(n - l, n' - l),
+w the loss amplitude of losing l of the n photons on each analyzer mode and
+O the herald on the photons kept, gathered by one ``np.bincount``.  The swaps
+(``_swap_report``) and the Bell searches (``bell.SearchKernel``) read those
+entries weighted at the sources (``HeraldedEntries.state``), contracted
+with each party's analyzer operators gathered at the same entries.
+Teleportation runs the same SFG herald as sums over the number of pairs: it
+acts on the coherent input as a number, so no input term is listed, and the
+fidelity is closed form.
 Frequency-conversion teleportation is closed form: one pair, one exact
 rotation per polarization.  The pure-branch route of
 ``tests/branch_route.py`` and the density-operator route of
@@ -39,6 +39,10 @@ Conventions:
   * The sum-frequency interaction is kept to first order in the coupling,
     with efficiency (chi tau)^2 per polarization; the converted branch
     creates exactly one photon in the c modes.
+  * Loss commutes through the SFG herald.  Each loss Kraus operator E_l
+    obeys a E_l = sqrt(t) E_l a, and a and b are traced after the herald,
+    so the herald K after loss is K before it with its H term scaled by
+    sqrt(t_1h t_2h) and its V term by sqrt(t_1v t_2v).
 """
 
 from __future__ import annotations
@@ -163,24 +167,19 @@ class _SwapLayout:
     m = n - l kept.  The rows of a pair (i, j) share l, and
     m_j = m_i + d (1, -1, 1, -1): the kept photons that the linear-optical
     analyzer, which conserves aH + bV and bH + aV, connects within one
-    photon-number block of (d, e).  The SFG herald connects the rows of the
-    pairs with |d| <= 1: a row with itself, and where |d| = 1, converting an
-    H pair of one leaves the photons that converting a V pair of the other
-    does.  So every herald is a weight on each pair, gathered at its slot.
-    ``index`` lists once each entry (N_d, a, a', N_e, b, b') of the block
-    density (``HeraldedEntries``) that a pair reaches, (n_i1H + n_i1V, n_i1H,
-    n_j1H, ...), diagonal ones (d = 0, where the dark-count herald also
-    lands) first and each part in lexicographic order; a pair's slot is the
-    position there of its entry.
+    photon-number block of (d, e).  ``index`` lists once each entry
+    (N_d, a, a', N_e, b, b') of the block density (``HeraldedEntries``) that
+    a pair reaches, (n_i1H + n_i1V, n_i1H, n_j1H, ...), so a' - a = b' - b
+    = d, diagonal ones (d = 0, where the dark-count herald also lands) first
+    and each part in lexicographic order; a pair's slot is the position
+    there of its entry.  Those with l = 0 and |d| <= 1 hold the SFG herald.
     """
 
     n: np.ndarray
     lost: np.ndarray
-    root_kept: np.ndarray
     root_comb: np.ndarray  # [n, l] = sqrt(C(n, l))
     pair_i: np.ndarray
     pair_j: np.ndarray
-    pair_d: np.ndarray
     pair_slots: np.ndarray
     pair_ahbv: np.ndarray  # flat index of (m_aH + m_bV, m_aH, m_aH') of each pair
     pair_bhav: np.ndarray  # flat index of (m_bH + m_aV, m_bH, m_bH')
@@ -214,9 +213,9 @@ def _swap_layout(cap: int) -> _SwapLayout:
     slot[order] = np.arange(order.size)
     N, a, a2, M, b, b2 = index = index[:, order]
     layout = _SwapLayout(
-        n=n, lost=rows[:, 4:].copy(), root_kept=np.sqrt(kept),  # a copy: frees rows
+        n=n, lost=rows[:, 4:].copy(),  # a copy: frees rows
         root_comb=np.sqrt([[math.comb(x, y) for y in range(k)] for x in range(k)]),
-        pair_i=i, pair_j=j, pair_d=d, pair_slots=slot[np.searchsorted(reached, pair_codes)],
+        pair_i=i, pair_j=j, pair_slots=slot[np.searchsorted(reached, pair_codes)],
         pair_ahbv=np.ravel_multi_index((kept[i, 0] + kept[i, 3], kept[i, 0], kept[j, 0]), k3),
         pair_bhav=np.ravel_multi_index((kept[i, 2] + kept[i, 1], kept[i, 2], kept[j, 2]), k3),
         index=index, powers=np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2]),
@@ -284,15 +283,10 @@ class HeraldedEntries:
     powers: np.ndarray
 
     @classmethod
-    def gather(cls, layout: _SwapLayout, weights: np.ndarray, scale: float = 1.0,
-               dark: float = 0.0) -> "HeraldedEntries":
-        """The layout's entries reached by a photon herald of weight
-        ``weights`` on each pair (or a stack of such weights, summed in the
-        stack's order) at the pairs' slots and weighted ``scale``, or by a
-        dark-count herald of weight ``dark``, which leaves the whole reduced
-        input, on the diagonal."""
-        slots = np.broadcast_to(layout.pair_slots, weights.shape).ravel()
-        sfg = scale * np.bincount(slots, weights.ravel(), minlength=layout.powers.shape[1])
+    def gather(cls, layout: _SwapLayout, sfg: np.ndarray, dark: float = 0.0) -> "HeraldedEntries":
+        """The layout's entries reached by a photon herald of weight ``sfg``
+        on each entry, or by a dark-count herald of weight ``dark``, which
+        leaves the whole reduced input, on the diagonal."""
         keep = sfg != 0.0
         if dark:
             keep[:layout.n_diagonal] = True
@@ -332,18 +326,16 @@ def heralded_entries(params: ExperimentParams, herald: str = "A",
                      eta_bsa: float = 1.0) -> HeraldedEntries:
     """Entries of the state heralded by ``herald``: the SFG photon projected
     on |D> or |A> ("D", "A") or the linear-optical Bell-state analyzer
-    ("lo", diagonal-arm efficiency ``eta_bsa``).  Each herald is a weight on
-    each pair (i, j) of the layout's rows of the unit-amplitude input
-    (amplitude 1 on every term with at most ``pair_cap`` pairs), times the
-    rows' loss amplitudes w.
+    ("lo", diagonal-arm efficiency ``eta_bsa``) of the unit-amplitude input
+    (amplitude 1 on every term with at most ``pair_cap`` pairs).
 
     The SFG herald is a photon herald within the window and no dark count,
     weighted (1 - dark) window_acceptance, plus a dark-count herald, under
-    K = sqrt(eta_d / 2) (sqrt(sfg_h eta_th) aH bH + sign sqrt(sfg_v eta_tv) aV bV),
-    a row's amplitudes h, v under the two terms being w times theirs.  A
-    pair weighs h_i h_j + v_i v_j where d = 0 (i = j), h_i v_j where d = -1,
-    v_i h_j where d = 1 and nothing where |d| >= 2, split by the term on row
-    i and gathered H part first, which fixes each entry's sum order.
+    K = sqrt(eta_d / 2) (sqrt(sfg_h eta_th) aH bH + sign sqrt(sfg_v eta_tv) aV bV)
+    with the channel loss commuted through it.  With h(n), v(n) the
+    amplitudes of its two terms on input term n, entry (n, n') weighs
+    h(n) h(n') + v(n) v(n') where d = a' - a = 0, v(n) h(n') where d = 1,
+    h(n) v(n') where d = -1 and nothing where |d| >= 2.
 
     The BSA, dark-count free and with no window, mixes a and b on a
     polarizing beamsplitter, which sends aH and bV to one output and bH and
@@ -358,23 +350,26 @@ def heralded_entries(params: ExperimentParams, herald: str = "A",
     elif herald not in HERALD_SIGNS:
         raise ValueError(f"herald must be 'D', 'A' or 'lo', got {herald!r}")
     layout = _swap_layout(params.pair_cap)
-    w, i, j = _loss_amplitudes(layout, params), layout.pair_i, layout.pair_j
     if herald == "lo":
+        w, i, j = _loss_amplitudes(layout, params), layout.pair_i, layout.pair_j
         clicks = arm_click_probs(eta_bsa, eta_bsa, params.pair_cap)
         ops = analyzer_operators(rotation_blocks([-math.pi / 4], params.pair_cap), clicks[::-1])[0]
-        return HeraldedEntries.gather(layout, w[i] * w[j] * ops[0].ravel()[layout.pair_ahbv]
-                                      * ops[1].ravel()[layout.pair_bhav])
-    root, d = layout.root_kept, layout.pair_d
-    # the factors in the order the pure-branch route applies them, so that
-    # the lossless swap state is the same to the last bit
-    h, v = (w * root[:, ca] * root[:, cb] * math.sqrt(eta) * eta_t ** 0.5 * s / math.sqrt(2.0)
-            * math.sqrt(params.eta_d) for (ca, cb), eta, eta_t, s in (
-                ((0, 2), params.sfg_h, params.eta_th, 1.0),
-                ((1, 3), params.sfg_v, params.eta_tv, HERALD_SIGNS[herald])))
-    weights = np.stack([h[i] * np.where(d == 0, h[j], (d == -1) * v[j]),
-                        v[i] * np.where(d == 0, v[j], (d == 1) * h[j])])
-    return HeraldedEntries.gather(layout, weights,
-                                  (1.0 - params.dark) * params.window_acceptance, params.dark)
+        weights = w[i] * w[j] * ops[0].ravel()[layout.pair_ahbv] * ops[1].ravel()[layout.pair_bhav]
+        return HeraldedEntries.gather(layout, np.bincount(layout.pair_slots, weights,
+                                                          minlength=layout.powers.shape[1]))
+    N, a, a2, M, b, b2 = layout.index
+    ah, bh, root = np.stack([a, a2]), np.stack([b, b2]), np.sqrt(np.arange(params.pair_cap + 1))
+    # K's H and V terms on n and n' (the H photons ah in a and bh in b), the
+    # factors in the order the pure-branch route applies them, so that the
+    # lossless swap state is the same to the last bit
+    (h, h2), (v, v2) = (math.sqrt(t) * root[x] * root[y] * math.sqrt(eta) * eta_t ** 0.5 * s
+                        / math.sqrt(2.0) * math.sqrt(params.eta_d) for t, x, y, eta, eta_t, s in (
+        (params.t_1h * params.t_2h, ah, bh, params.sfg_h, params.eta_th, 1.0),
+        (params.t_1v * params.t_2v, N - ah, M - bh, params.sfg_v, params.eta_tv,
+         HERALD_SIGNS[herald])))
+    sfg = np.select([a2 == a, a2 == a + 1, a2 == a - 1], [h * h2 + v * v2, v * h2, h * v2])
+    return HeraldedEntries.gather(
+        layout, (1.0 - params.dark) * params.window_acceptance * sfg, params.dark)
 
 
 def _coincidence_sum(p: dict, basis: str) -> float:
@@ -386,16 +381,21 @@ def _coincidence_sum(p: dict, basis: str) -> float:
     return s
 
 
-def _visibility_z(p: dict) -> float:
-    return (p["HH"] + p["VV"] - p["HV"] - p["VH"]) / _coincidence_sum(p, "Z")
+def _visibility_z(p: dict, basis: str = "Z") -> float:
+    return (p["HH"] + p["VV"] - p["HV"] - p["VH"]) / _coincidence_sum(p, basis)
 
 
-def _visibility_x(p: dict) -> float:
+def _visibility_x(p: dict, sign: float = -1.0) -> float:
+    """X visibility of a state heralded with sign ``sign``: the diagonal
+    outcomes of d and e agree on |D> (+1), as on HH + VV, and differ on |A>
+    and through the BSA (-1), as on HH - VV."""
+    if sign > 0.0:
+        return _visibility_z(p, "X")
     return (p["HV"] + p["VH"] - p["HH"] - p["VV"]) / _coincidence_sum(p, "X")
 
 
 def _visibility_report(entries: HeraldedEntries, rho, herald_prob: float,
-                       params: ExperimentParams) -> VisibilityReport:
+                       params: ExperimentParams, sign: float) -> VisibilityReport:
     """Visibilities, fidelity bound and coincidence tables of the heralded
     state with weights ``rho`` on ``entries``, read through the analyzers of
     ``params``: each arm's click operator at the angle of each visibility
@@ -411,26 +411,26 @@ def _visibility_report(entries: HeraldedEntries, rho, herald_prob: float,
     # visibility read from it an ulp outside [-1, 1]
     p_z, p_x = ({d + e: max(0.0, float(c[k, i, j])) for i, d in enumerate("HV")
                  for j, e in enumerate("HV")} for k in range(len(VISIBILITY_BASES)))
-    v_z, v_x = _visibility_z(p_z), _visibility_x(p_x)
+    v_z, v_x = _visibility_z(p_z), _visibility_x(p_x, sign)
     return VisibilityReport(v_z=v_z, v_x=v_x, fidelity_lower_bound=fidelity_lower_bound(v_z, v_x),
                             herald_prob=herald_prob, p_z=p_z, p_x=p_x)
 
 
-def _swap_report(entries: HeraldedEntries, params: ExperimentParams,
-                 dark: float = 0.0) -> VisibilityReport:
-    """The report of the heralded ``entries`` at the sources of ``params``
-    over the source norm; ``herald_prob`` is their photon herald (``sfg``)
-    within the window, before the mixing of a dark-count probability ``dark``."""
+def _swap_report(entries: HeraldedEntries, params: ExperimentParams, dark: float = 0.0,
+                 sign: float = -1.0) -> VisibilityReport:
+    """The report of ``entries`` heralded with sign ``sign`` at the sources of
+    ``params`` over the source norm; ``herald_prob`` is their photon herald
+    (``sfg``) within the window, before the mixing of a dark-count probability ``dark``."""
     mu = _source_mu(params)
     rho, norm = entries.state(mu)[0], _source_norm(mu, params.pair_cap)
     photon = float((entries.sfg * entries.monomials(mu))[:entries.n_diagonal].sum()) / norm
-    return _visibility_report(entries, rho / norm, photon / (1.0 - dark), params)
+    return _visibility_report(entries, rho / norm, photon / (1.0 - dark), params, sign)
 
 
 def sfg_swap(params: ExperimentParams, basis: str = "A") -> VisibilityReport:
     """Full SFG-swapping pipeline: visibilities, fidelity bound and herald rate."""
-    herald_sign(basis)  # the basis check: "lo" is no SFG herald
-    return _swap_report(heralded_entries(params, basis), params, params.dark)
+    sign = herald_sign(basis)  # also the basis check: "lo" is no SFG herald
+    return _swap_report(heralded_entries(params, basis), params, params.dark, sign)
 
 
 def lo_swap(params: ExperimentParams, eta_bsa: float = 1.0) -> VisibilityReport:
@@ -507,13 +507,11 @@ def teleport(params: ExperimentParams, input_polarization, input_mean_photons: f
 
     The pair is cut at ``pair_cap`` pairs and renormalized, and its product
     with the input at 2 ``pair_cap`` photons; ``truncation_dropped`` is the
-    weight this drops.  The report sums over the number j of pairs by three
-    identities, exact for the truncated input.  Loss keeps t of n photons on
-    average, sum_l C(n, l) t^(n - l) (1 - t)^l (n - l) = n t, so each term
-    of K^dagger K (K of ``heralded_entries``) weighs n_aH t_1h n_bH t_2h or
-    its V twin.  K acts on the coherent input as a number: its photons
-    m = m_H + m_V are Poisson of mean z^2, and the sum over m <= N of
-    p(m_H, m_V) m_H is z^2 |alpha|^2 P(m < N).  With
+    weight this drops.  The report sums over the number j of pairs, exact
+    for the truncated input.  Loss commutes through K (``heralded_entries``,
+    see the conventions), and K acts on the coherent input as a number: its
+    photons m = m_H + m_V are Poisson of mean z^2, and the sum over m <= N
+    of p(m_H, m_V) m_H is z^2 |alpha|^2 P(m < N).  With
     c_H = eta_d / 2 sfg_h eta_th t_1h t_2h and P_H(j) the normalized weight
     of j pairs times their H pairs (likewise V), the herald probability is
     the sum over j of [c_H z^2 |alpha|^2 P_H(j) + c_V z^2 |beta|^2 P_V(j)]

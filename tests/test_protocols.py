@@ -48,7 +48,7 @@ from branch_route import (
     tmsv_pair,
 )
 from sfgswap import protocols
-from sfgswap.bell import SearchKernel
+from sfgswap.bell import SearchKernel, optimize_chsh
 from sfgswap.presets import PARAM_KEYS, get_preset, swap_params
 from sfgswap.protocols import (
     ExperimentParams,
@@ -515,6 +515,62 @@ def test_lossless_heralding_filter_is_bit_exact(basis):
     # whose path turns on its last bits: 1/2 and 0.5000000000000001 differ.
     params = SWAP_CASES["ideal-2-own"]
     assert np.array_equal(_unit_herald(params, basis), branch_heralding_filter(params, basis))
+
+
+def test_both_sfg_heralds_read_one_visibility_on_a_symmetric_state():
+    # |D> leaves HH + VV, whose diagonal outcomes agree, and |A> HH - VV,
+    # whose outcomes differ: read with its herald's sign, each state's X
+    # visibility, and with it the fidelity bound, is the same.
+    params = swap_params(get_preset("ideal")["params"])
+    d, a = sfg_swap(params, "D"), sfg_swap(params, "A")
+    assert a.v_x > 0.8
+    for name in ("v_z", "v_x", "fidelity_lower_bound"):
+        assert abs(getattr(d, name) - getattr(a, name)) <= 1e-15
+
+
+def test_the_sfg_heralds_sum_over_no_lost_photons(monkeypatch):
+    # Channel loss commutes through the SFG herald, so its entries are closed
+    # form: neither its swaps nor a search behind it forms a loss amplitude,
+    # and the linear-optical herald forms them once.
+    params = SWAP_CASES["paper-tableS1-3-asym"]
+    real, calls = protocols._loss_amplitudes, []
+
+    def refuse(*args):
+        raise AssertionError("the SFG herald formed loss amplitudes")
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(protocols, "_loss_amplitudes", refuse)
+    sfg_swap(params, "A")
+    sfg_swap(params, "D")
+    optimize_chsh(params, n_starts=1)
+    monkeypatch.setattr(protocols, "_loss_amplitudes", counted)
+    lo_swap(params)
+    assert len(calls) == 1
+
+
+CHANNELS = ("t_1h", "t_1v", "t_2h", "t_2v")
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_experiments(), basis=st.sampled_from("AD"),
+       t=st.lists(_EFFICIENCY, min_size=4, max_size=4))
+def test_the_sfg_swap_sees_the_channels_only_through_their_products(params, basis, t):
+    # Loss commutes through the SFG herald and scales its H term by
+    # sqrt(t_1h t_2h) and its V term by sqrt(t_1v t_2v): swapping t_1h and
+    # t_2h, or moving each product onto one channel, leaves the swap as it is.
+    t_1h, t_1v, t_2h, t_2v = t
+    ref = sfg_swap(params.replace(**dict(zip(CHANNELS, t))), basis)
+    for channels in ((t_2h, t_1v, t_1h, t_2v), (t_1h * t_2h, t_1v * t_2v, 1.0, 1.0),
+                     (1.0, t_1v * t_2v, t_1h * t_2h, 1.0)):
+        rep = sfg_swap(params.replace(**dict(zip(CHANNELS, channels))), basis)
+        for name in ("v_z", "v_x", "herald_prob"):
+            assert getattr(rep, name) == pytest.approx(getattr(ref, name), rel=1e-13, abs=0.0)
+        for table in ("p_z", "p_x"):
+            for ij, p in getattr(ref, table).items():
+                assert abs(getattr(rep, table)[ij] - p) <= 1e-13 * ref.herald_prob
 
 
 def test_sfg_swap_visibilities_invariant_under_sfg_gain():
