@@ -13,11 +13,10 @@ source puts as many photons in d as in a (in e as in b), so the heralded
 state is that of a unit-amplitude input, whose every nonzero entry scales
 with one monomial of the source amplitudes (``HeraldedEntries``).  One
 builder (``heralded_entries``) serves both swaps, the herald its one input,
-and weighs the entries (n, n') of the layout (``_swap_layout``): the SFG
-herald in closed form, as loss commutes through it (see the conventions),
-the linear-optical one as rho(n, n') = sum_l w(n, l) w(n', l) O(n - l, n' - l),
-w the loss amplitude of losing l of the n photons on each analyzer mode and
-O the herald on the photons kept, gathered by one ``np.bincount``.  The swaps
+and weighs the entries (n, n') of the layout (``_swap_layout``) in closed
+form: loss commutes through the SFG herald, and it turns each arm of the
+linear-optical analyzer into an arm at another angle and efficiency (see
+the conventions), so no herald sums over lost photons.  The swaps
 (``_swap_report``) and the Bell searches (``bell.SearchKernel``) read those
 entries weighted at the sources (``HeraldedEntries.state``), contracted
 with each party's analyzer operators gathered at the same entries.
@@ -43,6 +42,13 @@ Conventions:
     obeys a E_l = sqrt(t) E_l a, and a and b are traced after the herald,
     so the herald K after loss is K before it with its H term scaled by
     sqrt(t_1h t_2h) and its V term by sqrt(t_1v t_2v).
+  * Loss turns a threshold arm into another arm.  An arm of efficiency eta
+    on the mode c = u_x x + u_y y clicks with 1 - (1 - eta)^(c+ c), whose
+    no-click part :exp(-eta c+ c): is normally ordered, and loss maps the
+    no-click element Gamma(M) to Gamma(1 - T^(1/2) (1 - M) T^(1/2))
+    (Quesada, Arrazola & Killoran, PRA 98, 062322 (2018)).  So loss t_x on
+    x and t_y on y leaves the arm of efficiency eta (t_x u_x^2 + t_y u_y^2)
+    on the mode along sqrt(t_x) u_x x + sqrt(t_y) u_y y.
 """
 
 from __future__ import annotations
@@ -66,8 +72,8 @@ from .efficiency import fidelity_lower_bound
 
 # Analyzer angle of both parties in the Z and X visibility measurements.
 VISIBILITY_BASES = (("z", 0.0), ("x", math.pi / 4))
-# Largest pair_cap accepted.  The swap layout has 43,758 rows at 10, built
-# cold in about 0.05 s and 16 MB (``_swap_layout``); 60 would ask for 7.4e9.
+# Largest pair_cap accepted.  The swap layout lists 2,583 entries at 10, built
+# cold in about 1 ms and 0.45 MB (``_swap_layout``); 60 would list 8.0e6.
 # The truncation has converged well before: no visibility moves by 1e-4 from 7 to 8.
 PAIR_CAP_MAX = 10
 
@@ -160,82 +166,39 @@ def _bounded_rows(width: int, cap: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _SwapLayout:
-    """Index layout of the heralded swap state at one ``pair_cap``.
+    """The entries of the heralded swap state at ``pair_cap`` ``cap``.
 
-    A row is a term of the swapping input with n = (n1H, n1V, n2H, n2V) pairs
-    of which l of the photons on (aH, aV, bH, bV) are lost in the channel and
-    m = n - l kept.  The rows of a pair (i, j) share l, and
-    m_j = m_i + d (1, -1, 1, -1): the kept photons that the linear-optical
-    analyzer, which conserves aH + bV and bH + aV, connects within one
-    photon-number block of (d, e).  ``index`` lists once each entry
-    (N_d, a, a', N_e, b, b') of the block density (``HeraldedEntries``) that
-    a pair reaches, (n_i1H + n_i1V, n_i1H, n_j1H, ...), so a' - a = b' - b
-    = d, diagonal ones (d = 0, where the dark-count herald also lands) first
-    and each part in lexicographic order; a pair's slot is the position
-    there of its entry.  Those with l = 0 and |d| <= 1 hold the SFG herald.
+    ``index`` lists each entry (N_d, a, a', N_e, b, b') of the block density
+    (``HeraldedEntries``) that an input term n = (a, N_d - a, b, N_e - b) of
+    at most ``cap`` pairs in (1H, 1V, 2H, 2V) reaches together with the term
+    n + d (1, -1, 1, -1): the terms the linear-optical analyzer, which
+    conserves aH + bV and bH + aV, connects within one photon-number block
+    of (d, e), so a' - a = b' - b = d.  Those with |d| <= 1 hold the SFG
+    herald.  Diagonal entries (d = 0, where the dark-count herald also
+    lands) come first, and each part is in lexicographic order.
     """
 
-    n: np.ndarray
-    lost: np.ndarray
-    root_comb: np.ndarray  # [n, l] = sqrt(C(n, l))
-    pair_i: np.ndarray
-    pair_j: np.ndarray
-    pair_slots: np.ndarray
-    pair_ahbv: np.ndarray  # flat index of (m_aH + m_bV, m_aH, m_aH') of each pair
-    pair_bhav: np.ndarray  # flat index of (m_bH + m_aV, m_bH, m_bH')
     index: np.ndarray  # [6, entry]
     powers: np.ndarray  # [4, entry]
     n_diagonal: int
+    cap: int
 
 
 @functools.lru_cache(maxsize=None)
 def _swap_layout(cap: int) -> _SwapLayout:
-    k = cap + 1  # no photon number exceeds cap
-    k3 = (k,) * 3  # the shape of an analyzer block (N, a, a')
-    rows = _bounded_rows(8, cap)  # kept, then lost, photons on (aH, aV, bH, bV)
-    kept, n = rows[:, :4], rows[:, :4] + rows[:, 4:]
-    low = -np.minimum(kept[:, 0], kept[:, 2])
-    count = np.minimum(kept[:, 1], kept[:, 3]) - low + 1
-    i = np.repeat(np.arange(len(rows)), count)
+    n = _bounded_rows(4, cap)  # pairs in (1H, 1V, 2H, 2V)
+    low = -np.minimum(n[:, 0], n[:, 2])
+    count = np.minimum(n[:, 1], n[:, 3]) - low + 1
+    i = np.repeat(np.arange(len(n)), count)
     d = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count) + low[i]
-    # the rows are sorted, and so are their codes
-    j = np.searchsorted(np.ravel_multi_index(rows.T, (k,) * 8), np.ravel_multi_index(
-        (rows[i] + np.multiply.outer(d, [1, -1, 1, -1, 0, 0, 0, 0])).T, (k,) * 8))
-    pair_codes = np.ravel_multi_index((n[i, 0] + n[i, 1], n[i, 0], n[j, 0],
-                                       n[i, 2] + n[i, 3], n[i, 2], n[j, 2]), (k,) * 6)
-    mask = np.zeros(k ** 6, dtype=bool)  # one byte per entry; loads no numpy.ma
-    mask[pair_codes] = True
-    reached = np.flatnonzero(mask)  # sorted
-    index = np.stack(np.unravel_index(reached, (k,) * 6))
-    off = (index[1] != index[2]) | (index[4] != index[5])
-    order = np.argsort(off, kind="stable")
-    slot = np.empty_like(order)  # scattered: argsort(order) pages in 0.3 MB more of numpy
-    slot[order] = np.arange(order.size)
-    N, a, a2, M, b, b2 = index = index[:, order]
-    layout = _SwapLayout(
-        n=n, lost=rows[:, 4:].copy(),  # a copy: frees rows
-        root_comb=np.sqrt([[math.comb(x, y) for y in range(k)] for x in range(k)]),
-        pair_i=i, pair_j=j, pair_slots=slot[np.searchsorted(reached, pair_codes)],
-        pair_ahbv=np.ravel_multi_index((kept[i, 0] + kept[i, 3], kept[i, 0], kept[j, 0]), k3),
-        pair_bhav=np.ravel_multi_index((kept[i, 2] + kept[i, 1], kept[i, 2], kept[j, 2]), k3),
-        index=index, powers=np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2]),
-        n_diagonal=int(off.size - off.sum()))
-    for arr in vars(layout).values():
-        if isinstance(arr, np.ndarray):
-            arr.setflags(write=False)
-    return layout
-
-
-def _loss_amplitudes(layout: _SwapLayout, params: ExperimentParams) -> np.ndarray:
-    """Each row's channel-loss amplitude, the product over (aH, aV, bH, bV)
-    of sqrt(C(n, l)) t^((n - l) / 2) (1 - t)^(l / 2)."""
-    k, amp = layout.root_comb.shape[0], 1.0
-    for col, t in enumerate((params.t_1h, params.t_1v, params.t_2h, params.t_2v)):
-        n, l = layout.n[:, col], layout.lost[:, col]
-        kept = np.array([t ** (x / 2.0) for x in range(k)])
-        gone = np.array([(1.0 - t) ** (x / 2.0) for x in range(k)])
-        amp = amp * layout.root_comb[n, l] * kept[n - l] * gone[l]
-    return amp
+    N, a, M, b = n[i, 0] + n[i, 1], n[i, 0], n[i, 2] + n[i, 3], n[i, 2]
+    index = np.stack([N, a, a + d, M, b, b + d])
+    N, a, a2, M, b, b2 = index = index[:, np.lexsort(
+        (np.ravel_multi_index(index, (cap + 1,) * 6), d != 0))]
+    powers = np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2])
+    for arr in (index, powers):
+        arr.setflags(write=False)
+    return _SwapLayout(index, powers, int(np.count_nonzero(d == 0)), cap)
 
 
 def _source_mu(params: ExperimentParams) -> np.ndarray:
@@ -294,7 +257,7 @@ class HeraldedEntries:
         diagonal = e < layout.n_diagonal
         # take keeps rows contiguous ([:, e] would not), which fixes the kernel's sum order
         return cls(index=tuple(layout.index.take(e, axis=1)), n_diagonal=int(diagonal.sum()),
-                   sfg=sfg[e], dark=dark * diagonal, n=layout.root_comb.shape[0] - 1,
+                   sfg=sfg[e], dark=dark * diagonal, n=layout.cap,
                    powers=layout.powers.take(e, axis=1))
 
     @functools.cached_property
@@ -340,24 +303,32 @@ def heralded_entries(params: ExperimentParams, herald: str = "A",
     The BSA, dark-count free and with no window, mixes a and b on a
     polarizing beamsplitter, which sends aH and bV to one output and bH and
     aV to the other, and reads each output in the diagonal basis with a
-    threshold click on one arm.  So it acts on the kept photons as the
-    product of two analyzer operators (``detection.analyzer_operators``) at
-    angle pi/4: on (aH, bV) clicking on the V arm, on (bH, aV) on the H arm.
+    threshold click on one arm.  So it acts on the photons that reach it as
+    the product of two analyzer operators (``detection.analyzer_operators``)
+    at angle pi/4: on (aH, bV) clicking on the V arm, on (bH, aV) on the H
+    arm.  The loss t_a of the a mode and t_b of the b mode of each pair
+    turns its arm into the one at angle atan2(sqrt(t_a), sqrt(t_b)) with
+    efficiency eta_bsa (t_a + t_b) / 2 (see the conventions), so entry
+    (n, n') weighs the product of the two operators' (n, n') entries.
     """
     if herald == "lo":
+        if isinstance(eta_bsa, bool) or not isinstance(eta_bsa, numbers.Real):
+            raise ValueError(f"eta_bsa must be a number, got {eta_bsa!r}")
         if not 0.0 <= eta_bsa <= 1.0:
             raise ValueError(f"eta_bsa must be in [0, 1], got {eta_bsa!r}")
     elif herald not in HERALD_SIGNS:
         raise ValueError(f"herald must be 'D', 'A' or 'lo', got {herald!r}")
     layout = _swap_layout(params.pair_cap)
-    if herald == "lo":
-        w, i, j = _loss_amplitudes(layout, params), layout.pair_i, layout.pair_j
-        clicks = arm_click_probs(eta_bsa, eta_bsa, params.pair_cap)
-        ops = analyzer_operators(rotation_blocks([-math.pi / 4], params.pair_cap), clicks[::-1])[0]
-        weights = w[i] * w[j] * ops[0].ravel()[layout.pair_ahbv] * ops[1].ravel()[layout.pair_bhav]
-        return HeraldedEntries.gather(layout, np.bincount(layout.pair_slots, weights,
-                                                          minlength=layout.powers.shape[1]))
     N, a, a2, M, b, b2 = layout.index
+    if herald == "lo":
+        # the V arm of (aH, bV) and the H arm of (bH, aV) after the loss t_a, t_b
+        (theta_v, eta_v), (theta_h, eta_h) = (
+            (math.atan2(math.sqrt(t_a), math.sqrt(t_b)), eta_bsa * (t_a + t_b) / 2.0)
+            for t_a, t_b in ((params.t_1h, params.t_2v), (params.t_1v, params.t_2h)))
+        ops = analyzer_operators(rotation_blocks([-theta_v, -theta_h], params.pair_cap),
+                                 arm_click_probs(eta_h, eta_v, params.pair_cap)[::-1])
+        return HeraldedEntries.gather(layout, ops[0, 0][a + M - b, a, a2]
+                                      * ops[1, 1][b + N - a, b, b2])
     ah, bh, root = np.stack([a, a2]), np.stack([b, b2]), np.sqrt(np.arange(params.pair_cap + 1))
     # K's H and V terms on n and n' (the H photons ah in a and bh in b), the
     # factors in the order the pure-branch route applies them, so that the

@@ -48,7 +48,7 @@ from branch_route import (
     tmsv_pair,
 )
 from sfgswap import protocols
-from sfgswap.bell import SearchKernel, optimize_chsh
+from sfgswap.bell import SearchKernel
 from sfgswap.presets import PARAM_KEYS, get_preset, swap_params
 from sfgswap.protocols import (
     ExperimentParams,
@@ -483,8 +483,10 @@ def test_heralding_filter_matches_branch_route(case, basis):
     assert np.array_equal(fast != 0.0, slow != 0.0)
 
 
-@pytest.mark.parametrize("eta_bsa", [1.5, -0.5, float("nan"), float("inf")])
+@pytest.mark.parametrize("eta_bsa", [1.5, -0.5, float("nan"), float("inf"), True, "0.5", None, 1j])
 def test_lo_swap_rejects_bad_eta_bsa_by_name(eta_bsa):
+    # A flag is not an efficiency: True is not read as 1.  A string, None or
+    # a complex number is refused by name, not with a bare TypeError.
     with pytest.raises(ValueError, match="eta_bsa"):
         lo_swap(SWAP_CASES["ideal-3-own"], eta_bsa)
 
@@ -528,29 +530,6 @@ def test_both_sfg_heralds_read_one_visibility_on_a_symmetric_state():
         assert abs(getattr(d, name) - getattr(a, name)) <= 1e-15
 
 
-def test_the_sfg_heralds_sum_over_no_lost_photons(monkeypatch):
-    # Channel loss commutes through the SFG herald, so its entries are closed
-    # form: neither its swaps nor a search behind it forms a loss amplitude,
-    # and the linear-optical herald forms them once.
-    params = SWAP_CASES["paper-tableS1-3-asym"]
-    real, calls = protocols._loss_amplitudes, []
-
-    def refuse(*args):
-        raise AssertionError("the SFG herald formed loss amplitudes")
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(protocols, "_loss_amplitudes", refuse)
-    sfg_swap(params, "A")
-    sfg_swap(params, "D")
-    optimize_chsh(params, n_starts=1)
-    monkeypatch.setattr(protocols, "_loss_amplitudes", counted)
-    lo_swap(params)
-    assert len(calls) == 1
-
-
 CHANNELS = ("t_1h", "t_1v", "t_2h", "t_2v")
 
 
@@ -571,6 +550,22 @@ def test_the_sfg_swap_sees_the_channels_only_through_their_products(params, basi
         for table in ("p_z", "p_x"):
             for ij, p in getattr(ref, table).items():
                 assert abs(getattr(rep, table)[ij] - p) <= 1e-13 * ref.herald_prob
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_experiments(), eta_bsa=_EFFICIENCY, s=_EFFICIENCY)
+def test_the_lo_herald_sees_channel_loss_as_bsa_efficiency(params, eta_bsa, s):
+    # Loss turns each arm of the linear-optical analyzer into an arm at
+    # another angle and efficiency.  A uniform channel transmittance s keeps
+    # the angle, pi/4, and scales the efficiency: the swap through it is the
+    # lossless swap through an analyzer of efficiency eta_bsa s.
+    ref = lo_swap(params, eta_bsa * s)
+    rep = lo_swap(params.replace(**dict.fromkeys(CHANNELS, s)), eta_bsa)
+    for name in ("v_z", "v_x", "herald_prob"):
+        assert getattr(rep, name) == pytest.approx(getattr(ref, name), rel=1e-13, abs=0.0)
+    for table in ("p_z", "p_x"):
+        for ij, p in getattr(ref, table).items():
+            assert abs(getattr(rep, table)[ij] - p) <= 1e-13 * ref.herald_prob
 
 
 def test_sfg_swap_visibilities_invariant_under_sfg_gain():
@@ -769,6 +764,25 @@ def test_bounded_rows_lists_every_weighted_row_in_order():
         expected = [row for row in itertools.product(range(cap + 1), repeat=width)
                     if sum(row) <= cap]
         assert _bounded_rows(width, cap).tolist() == [list(row) for row in expected]
+
+
+@pytest.mark.parametrize("cap", range(2, 8))
+def test_swap_layout_lists_every_entry_in_order(cap):
+    # Every (N_d, a, a', N_e, b, b') with N_d + N_e <= cap, a, a' <= N_d,
+    # b, b' <= N_e and a' - a = b' - b: diagonal ones first, then each part
+    # in lexicographic order, which fixes the sum order of every readout.
+    # An entry's powers are the pairs (a, N_d - a, b, N_e - b) of its row
+    # plus those of its column.
+    N, a, a2, M, b, b2 = index = np.indices((cap + 1,) * 6).reshape(6, -1)
+    index = index[:, (N + M <= cap) & (a <= N) & (a2 <= N) & (b <= M) & (b2 <= M)
+                  & (a2 - a == b2 - b)]
+    diagonal = index[1] == index[2]
+    N, a, a2, M, b, b2 = index = np.concatenate([index[:, diagonal], index[:, ~diagonal]], axis=1)
+    layout = protocols._swap_layout(cap)
+    assert np.array_equal(layout.index, index)
+    assert np.array_equal(layout.powers, np.stack([a, N - a, b, M - b])
+                          + np.stack([a2, N - a2, b2, M - b2]))
+    assert layout.n_diagonal == np.count_nonzero(diagonal)
 
 
 def test_teleport_at_the_largest_pair_cap_peaks_below_a_megabyte(monkeypatch):
