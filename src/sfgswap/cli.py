@@ -121,7 +121,9 @@ _EFFICIENCY_KEYS = ("lambda_a", "lambda_b", "rep_rate",
 # range check (a test of the value and the message if it fails).  A fourth
 # item names the experiments that read a key, where fewer read it than read
 # its section.  presets.swap_params parses and checks the [params] keys.
-# --gain-factor and --seed spell keys of [bell].
+# --gain-factor and --seed spell keys of [bell].  teleport.herald_basis is
+# checked (D or A) but changes no output: the herald's sign leaves every
+# teleport number as it is.
 SECTIONS = {
     "params": ({**dict.fromkeys(_NEEDS_PARAMS, True), "qfc": False},
                dict.fromkeys(PARAM_KEYS, (_given, None, None))),
@@ -414,8 +416,12 @@ def _run_sweep(config, experiment):
     points = [_build_params(config, experiment, **_sweep_assignments(variable, v)) for v in values]
     analyzers = [(name, swap) for name, swap in (("sfg", sfg_swap), ("lo", lo_swap))
                  if opts["bsa"] in (name, "both")]
-    rows = [((value, name), _swap_metrics(swap(params)))
-            for value, params in zip(values, points) for name, swap in analyzers]
+    rows = []
+    for value, params in zip(values, points):
+        try:
+            rows += [((value, name), _swap_metrics(swap(params))) for name, swap in analyzers]
+        except ValueError as exc:  # a model error names its point
+            raise ValueError(f"at {variable} = {_fmt(value)}: {exc}") from exc
     # sweeps are tabular in either output format
     return None, _csv_lines(rows, (variable, "bsa"), ("dimensionless", "label"))
 

@@ -11,15 +11,18 @@ The heralding pipeline is
 Loss, SFG and the herald act on the a, b and c modes only, and each pair
 source puts as many photons in d as in a (in e as in b), so the heralded
 state is that of a unit-amplitude input, whose every nonzero entry scales
-with one monomial of the source amplitudes (``HeraldedEntries``).  One
-builder (``heralded_entries``) serves both swaps, the herald its one input,
-and weighs the entries (n, n') of the layout (``_swap_layout``) in closed
-form: loss commutes through the SFG herald, and it turns each arm of the
-linear-optical analyzer into an arm at another angle and efficiency (see
-the conventions), so no herald sums over lost photons.  The swaps
-(``_swap_report``) and the Bell searches (``bell.SearchKernel``) read those
-entries weighted at the sources (``HeraldedEntries.state``), contracted
-with each party's analyzer operators gathered at the same entries.
+with one monomial of the source amplitudes (``HeraldedEntries``).  The
+layout (``_swap_layout``) is the unit-amplitude input's own entry list, one
+per ``pair_cap``, and the squared norm of the sources (``_source_norm``) is
+its trace.  One builder (``heralded_entries``) serves both swaps, the herald
+its one input: it weighs the layout's entries (n, n') in closed form and
+keeps the nonzero ones (``HeraldedEntries.gather``).  Loss commutes through
+the SFG herald, and it turns each arm of the linear-optical analyzer into
+an arm at another angle and efficiency (see the conventions), so no herald
+sums over lost photons.  The swaps (``_swap_report``) and the Bell searches
+(``bell.SearchKernel``) read those entries weighted at the sources
+(``HeraldedEntries.state``), contracted with each party's analyzer
+operators gathered at the same entries.
 Teleportation runs the same SFG herald as sums over the number of pairs: it
 acts on the coherent input as a number, so no input term is listed, and the
 fidelity is closed form.
@@ -165,63 +168,6 @@ def _bounded_rows(width: int, cap: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _SwapLayout:
-    """The entries of the heralded swap state at ``pair_cap`` ``cap``.
-
-    ``index`` lists each entry (N_d, a, a', N_e, b, b') of the block density
-    (``HeraldedEntries``) that an input term n = (a, N_d - a, b, N_e - b) of
-    at most ``cap`` pairs in (1H, 1V, 2H, 2V) reaches together with the term
-    n + d (1, -1, 1, -1): the terms the linear-optical analyzer, which
-    conserves aH + bV and bH + aV, connects within one photon-number block
-    of (d, e), so a' - a = b' - b = d.  Those with |d| <= 1 hold the SFG
-    herald.  Diagonal entries (d = 0, where the dark-count herald also
-    lands) come first, and each part is in lexicographic order.
-    """
-
-    index: np.ndarray  # [6, entry]
-    powers: np.ndarray  # [4, entry]
-    n_diagonal: int
-    cap: int
-
-
-@functools.lru_cache(maxsize=None)
-def _swap_layout(cap: int) -> _SwapLayout:
-    n = _bounded_rows(4, cap)  # pairs in (1H, 1V, 2H, 2V)
-    low = -np.minimum(n[:, 0], n[:, 2])
-    count = np.minimum(n[:, 1], n[:, 3]) - low + 1
-    i = np.repeat(np.arange(len(n)), count)
-    d = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count) + low[i]
-    N, a, M, b = n[i, 0] + n[i, 1], n[i, 0], n[i, 2] + n[i, 3], n[i, 2]
-    index = np.stack([N, a, a + d, M, b, b + d])
-    N, a, a2, M, b, b2 = index = index[:, np.lexsort(
-        (np.ravel_multi_index(index, (cap + 1,) * 6), d != 0))]
-    powers = np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2])
-    for arr in (index, powers):
-        arr.setflags(write=False)
-    return _SwapLayout(index, powers, int(np.count_nonzero(d == 0)), cap)
-
-
-def _source_mu(params: ExperimentParams) -> np.ndarray:
-    """The mean photon numbers (1H, 1V, 2H, 2V) of the sources of ``params``."""
-    return np.array([params.mu_1h, params.mu_1v, params.mu_2h, params.mu_2v])
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_powers(cap: int) -> np.ndarray:
-    """The read-only powers 2 x_m of each term of ``_source_norm``."""
-    powers = 2 * _bounded_rows(4, cap)
-    powers.setflags(write=False)
-    return powers
-
-
-def _source_norm(mu, cap: int) -> float:
-    """Squared norm of the pair sources' input at mean photon numbers mu: the
-    sum over its terms, with x_m pairs in mode m = (1H, 1V, 2H, 2V) and at
-    most ``cap`` in all, of prod_m gamma_m ** (2 x_m)."""
-    return float(np.prod(_gamma(mu) ** _pair_powers(cap), axis=1).sum())
-
-
-@dataclass(frozen=True, eq=False)
 class HeraldedEntries:
     """The nonzero entries of a heralded block density with at most ``n``
     photons per party, diagonal ones (a = a', b = b') first.
@@ -235,7 +181,8 @@ class HeraldedEntries:
     Entry e of the state of sources with amplitude ratios gamma (``_gamma``)
     is (sfg[e] + dark[e]) * prod_m gamma_m ** powers[m, e] over the modes
     m = (1H, 1V, 2H, 2V) (``state``), up to a factor common to all entries:
-    one over the squared norm of the source amplitudes (``_source_norm``).
+    one over the squared norm of the source amplitudes (``_source_norm``),
+    the trace of the unit-amplitude input's entries (``_swap_layout``).
     """
 
     index: tuple  # (N_d, a, a', N_e, b, b') per entry
@@ -245,20 +192,19 @@ class HeraldedEntries:
     n: int
     powers: np.ndarray
 
-    @classmethod
-    def gather(cls, layout: _SwapLayout, sfg: np.ndarray, dark: float = 0.0) -> "HeraldedEntries":
-        """The layout's entries reached by a photon herald of weight ``sfg``
-        on each entry, or by a dark-count herald of weight ``dark``, which
-        leaves the whole reduced input, on the diagonal."""
+    def gather(self, sfg: np.ndarray, dark: float = 0.0) -> "HeraldedEntries":
+        """These entries reached by a photon herald of weight ``sfg`` on each
+        entry, or by a dark-count herald of weight ``dark``, which leaves the
+        whole reduced input, on the diagonal, weighted by those heralds."""
         keep = sfg != 0.0
         if dark:
-            keep[:layout.n_diagonal] = True
+            keep[:self.n_diagonal] = True
         e = np.flatnonzero(keep)
-        diagonal = e < layout.n_diagonal
+        diagonal = e < self.n_diagonal
         # take keeps rows contiguous ([:, e] would not), which fixes the kernel's sum order
-        return cls(index=tuple(layout.index.take(e, axis=1)), n_diagonal=int(diagonal.sum()),
-                   sfg=sfg[e], dark=dark * diagonal, n=layout.cap,
-                   powers=layout.powers.take(e, axis=1))
+        return replace(self, index=tuple(np.take(self.index, e, axis=1)),
+                       n_diagonal=int(diagonal.sum()), sfg=sfg[e], dark=dark * diagonal,
+                       powers=self.powers.take(e, axis=1))
 
     @functools.cached_property
     def _table_index(self) -> np.ndarray:
@@ -283,6 +229,49 @@ class HeraldedEntries:
         if not all(t > 0.0 for t in np.ravel(total).tolist()):
             raise ValueError("herald probability is zero")
         return rho, total
+
+
+@functools.lru_cache(maxsize=None)
+def _swap_layout(cap: int) -> HeraldedEntries:
+    """The read-only entries of the unit-amplitude input (amplitude 1 on every
+    term of at most ``cap`` pairs), each of weight sfg = 1 and dark = 0.
+
+    They are each entry (N_d, a, a', N_e, b, b') that an input term
+    n = (a, N_d - a, b, N_e - b) of at most ``cap`` pairs in (1H, 1V, 2H, 2V)
+    reaches together with the term n + d (1, -1, 1, -1): the terms the
+    linear-optical analyzer, which conserves aH + bV and bH + aV, connects
+    within one photon-number block of (d, e), so a' - a = b' - b = d.  Those
+    with |d| <= 1 hold the SFG herald.  Diagonal entries (d = 0, one per
+    input term, where the dark-count herald also lands) come first, and
+    each part is in lexicographic order.
+    """
+    n = _bounded_rows(4, cap)  # pairs in (1H, 1V, 2H, 2V)
+    low = -np.minimum(n[:, 0], n[:, 2])
+    count = np.minimum(n[:, 1], n[:, 3]) - low + 1
+    i = np.repeat(np.arange(len(n)), count)
+    d = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count) + low[i]
+    N, a, M, b = n[i, 0] + n[i, 1], n[i, 0], n[i, 2] + n[i, 3], n[i, 2]
+    index = np.stack([N, a, a + d, M, b, b + d])
+    N, a, a2, M, b, b2 = index = index[:, np.lexsort(
+        (np.ravel_multi_index(index, (cap + 1,) * 6), d != 0))]
+    powers = np.stack([a + a2, 2 * N - a - a2, b + b2, 2 * M - b - b2])
+    sfg, dark = np.ones(i.size), np.zeros(i.size)
+    for arr in (index, powers, sfg, dark):
+        arr.setflags(write=False)
+    return HeraldedEntries(tuple(index), int(np.count_nonzero(d == 0)), sfg, dark, cap, powers)
+
+
+def _source_mu(params: ExperimentParams) -> np.ndarray:
+    """The mean photon numbers (1H, 1V, 2H, 2V) of the sources of ``params``."""
+    return np.array([params.mu_1h, params.mu_1v, params.mu_2h, params.mu_2v])
+
+
+def _source_norm(mu, cap: int) -> float:
+    """Squared norm of the pair sources' input at mean photon numbers mu: the
+    trace of the unit-amplitude input's entries (``_swap_layout``), whose
+    diagonal ones are its terms, with x_m pairs in mode m = (1H, 1V, 2H, 2V)
+    and at most ``cap`` in all, of weight prod_m gamma_m ** (2 x_m)."""
+    return float(_swap_layout(cap).state(mu)[1])
 
 
 def heralded_entries(params: ExperimentParams, herald: str = "A",
@@ -327,8 +316,7 @@ def heralded_entries(params: ExperimentParams, herald: str = "A",
             for t_a, t_b in ((params.t_1h, params.t_2v), (params.t_1v, params.t_2h)))
         ops = analyzer_operators(rotation_blocks([-theta_v, -theta_h], params.pair_cap),
                                  arm_click_probs(eta_h, eta_v, params.pair_cap)[::-1])
-        return HeraldedEntries.gather(layout, ops[0, 0][a + M - b, a, a2]
-                                      * ops[1, 1][b + N - a, b, b2])
+        return layout.gather(ops[0, 0][a + M - b, a, a2] * ops[1, 1][b + N - a, b, b2])
     ah, bh, root = np.stack([a, a2]), np.stack([b, b2]), np.sqrt(np.arange(params.pair_cap + 1))
     # K's H and V terms on n and n' (the H photons ah in a and bh in b), the
     # factors in the order the pure-branch route applies them, so that the
@@ -339,8 +327,7 @@ def heralded_entries(params: ExperimentParams, herald: str = "A",
         (params.t_1v * params.t_2v, N - ah, M - bh, params.sfg_v, params.eta_tv,
          HERALD_SIGNS[herald])))
     sfg = np.select([a2 == a, a2 == a + 1, a2 == a - 1], [h * h2 + v * v2, v * h2, h * v2])
-    return HeraldedEntries.gather(
-        layout, (1.0 - params.dark) * params.window_acceptance * sfg, params.dark)
+    return layout.gather((1.0 - params.dark) * params.window_acceptance * sfg, params.dark)
 
 
 def _coincidence_sum(p: dict, basis: str) -> float:

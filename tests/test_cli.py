@@ -241,6 +241,20 @@ def test_sweep_rows_follow_input_order(tmp_path):
     assert values == ["0", "0", "0.45", "0.45", "0.9", "0.9"]
 
 
+@pytest.mark.parametrize("sets,point", [
+    (("sweep.stop=1.0", "sweep.steps=3"), "loss = 1"),
+    (("sweep.stop=1.0", "sweep.steps=3", "sweep.bsa=lo"), "loss = 1"),
+    (("sweep.variable=mu", "sweep.start=0", "sweep.stop=0.1", "sweep.steps=3"), "mu = 0"),
+], ids=["sfg-full-loss", "lo-full-loss", "mu-from-zero"])
+def test_a_sweep_point_that_heralds_nothing_is_named(capsys, sets, point):
+    # The model error of one point exits 3 and says which point it is.
+    argv = ["sweep", "--preset", "fig-s3"]
+    for assignment in sets:
+        argv += ["--set", assignment]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"model error: at {point}: herald probability is zero\n"
+
+
 def test_sweep_has_no_jobs_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--preset", "fig-s3", "--jobs", "2"])

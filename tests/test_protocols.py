@@ -772,7 +772,8 @@ def test_swap_layout_lists_every_entry_in_order(cap):
     # b, b' <= N_e and a' - a = b' - b: diagonal ones first, then each part
     # in lexicographic order, which fixes the sum order of every readout.
     # An entry's powers are the pairs (a, N_d - a, b, N_e - b) of its row
-    # plus those of its column.
+    # plus those of its column.  The layout is the unit-amplitude input's
+    # entry list: weight 1 on every entry, no dark-count herald, read-only.
     N, a, a2, M, b, b2 = index = np.indices((cap + 1,) * 6).reshape(6, -1)
     index = index[:, (N + M <= cap) & (a <= N) & (a2 <= N) & (b <= M) & (b2 <= M)
                   & (a2 - a == b2 - b)]
@@ -783,6 +784,9 @@ def test_swap_layout_lists_every_entry_in_order(cap):
     assert np.array_equal(layout.powers, np.stack([a, N - a, b, M - b])
                           + np.stack([a2, N - a2, b2, M - b2]))
     assert layout.n_diagonal == np.count_nonzero(diagonal)
+    assert layout.n == cap and (layout.sfg == 1.0).all() and not layout.dark.any()
+    assert not any(x.flags.writeable for x in (*layout.index, layout.powers, layout.sfg,
+                                               layout.dark))
 
 
 def test_teleport_at_the_largest_pair_cap_peaks_below_a_megabyte(monkeypatch):
@@ -834,12 +838,13 @@ def test_teleport_truncation_dropped_is_the_poisson_tail(pair_cap, mean_photons)
         assert rep.truncation_dropped == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("pair_cap", [2, 3, 5])
+@pytest.mark.parametrize("pair_cap", [2, 3, 5, 7, 10])
 @pytest.mark.parametrize("mu", [(0.06, 0.05, 0.08, 0.061), (0.3, 0.0, 0.01, 0.2),
                                 (0.05, 0.05, 0.0, 0.0)], ids=["measured", "one-off", "one-source"])
 def test_source_norm_is_the_sum_over_every_input_term(mu, pair_cap):
     # gamma_m ** 2 = mu_m / (1 + mu_m) of each mode, raised to its pairs
-    # and summed over the terms with at most pair_cap pairs.
+    # and summed over the terms with at most pair_cap pairs: the trace of
+    # the swap layout, up to the largest one (PAIR_CAP_MAX).
     ratio = [m / (1.0 + m) for m in mu]
     brute = sum(math.prod(r ** x for r, x in zip(ratio, row))
                 for row in itertools.product(range(pair_cap + 1), repeat=4) if sum(row) <= pair_cap)
