@@ -1,0 +1,68 @@
+"""The argument rules of the library: every number an entry point takes is
+checked here, before any work is done.
+
+A refusal is a ValueError that names the argument and the value given, in
+one of two forms: "<name> must be a number, got <value>" (a pair of
+numbers, for a pair) for what is no number, and "<name> must be <rule>, got
+<value>" for a number out of range.  A bool is an int, but a flag is not a
+number: True is never read as 1.  numpy scalars are numbers, as numpy
+registers its types with ``numbers``.  A checked value is returned as it
+was given, so no numeric path changes.  The rules that several arguments
+share (``POSITIVE``, ``UNIT``, ...) are pairs of a test and what it asks.
+
+Parsing config text into numbers is another job, done by the CLI's parsers
+(``presets._number``, ``presets._integer`` and ``cli._read``).
+"""
+
+import cmath
+import math
+import numbers
+import operator
+
+POSITIVE = (lambda x: 0.0 < x < math.inf, "finite and positive")
+NONNEGATIVE = (lambda x: 0.0 <= x < math.inf, "finite and nonnegative")
+UNIT = (lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+BELOW_ONE = (lambda x: 0.0 <= x < 1.0, "in [0, 1)")
+FRACTION = (lambda x: 0.0 < x <= 1.0, "in (0, 1]")
+
+
+def real(name: str, value, test, rule: str, kind=numbers.Real):
+    """``value``, a number of ``kind`` that passes ``test``; refused by
+    ``name`` as no number, or as not ``rule``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not test(value):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
+def amplitude(name: str, value):
+    """``value``, a finite complex number; refused by ``name`` otherwise."""
+    return real(name, value, cmath.isfinite, "finite", numbers.Complex)
+
+
+def pair(name: str, value, test, rule: str, kind=numbers.Real) -> tuple:
+    """``value`` as a tuple (x, y) of two numbers of ``kind`` that passes
+    test(x, y); refused by ``name`` as no pair of numbers, or as not ``rule``."""
+    try:
+        x, y = value
+    except (TypeError, ValueError):
+        x = y = None
+    if not all(isinstance(v, kind) and not isinstance(v, bool) for v in (x, y)):
+        raise ValueError(f"{name} must be a pair of numbers, got {value!r}")
+    if not test(x, y):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return x, y
+
+
+def integer_at_least(value, least: int, refusal: str) -> int:
+    """``value`` as a Python int, or ``refusal`` raised with the value: a
+    TypeError when it is no integer (numpy integers are; a bool is not), a
+    ValueError when it is below ``least``."""
+    try:
+        index = operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise TypeError(f"{refusal}, got {value!r}") from None
+    if index < least:
+        raise ValueError(f"{refusal}, got {value!r}")
+    return index

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._checks import POSITIVE, pair, real
 from .detection import (
     analyzer_coefficients,
     arm_click_probs,
@@ -91,8 +92,7 @@ class SearchKernel:
     """
 
     def __init__(self, entries: HeraldedEntries, analyzer: ExperimentParams, gain: float = 1.0):
-        if not (math.isfinite(gain) and gain > 0.0):
-            raise ValueError(f"gain must be finite and positive, got {gain!r}")
+        real("gain", gain, *POSITIVE)
         N, a, a2, M, b, b2 = entries.index
         n = entries.n
         self._ca = _outcome_coefficients(analyzer.eta_1h, analyzer.eta_1v, n)[:, N, a, a2]
@@ -424,11 +424,8 @@ def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int
     The bracket must satisfy 0 < lo < hi <= 1, and ``xtol`` must be finite
     and positive.
     """
-    lo, hi = bracket
-    if not 0.0 < lo < hi <= 1.0:
-        raise ValueError(f"bracket must satisfy 0 < lo < hi <= 1, got {tuple(bracket)!r}")
-    if not (math.isfinite(xtol) and xtol > 0.0):
-        raise ValueError(f"xtol must be finite and positive, got {xtol!r}")
+    lo, hi = pair("bracket", bracket, lambda lo, hi: 0.0 < lo < hi <= 1.0, "in (0, 1] with lo < hi")
+    real("xtol", xtol, *POSITIVE)
     entries = heralded_entries(params)
     warm = {"x0": None}
 
@@ -458,11 +455,9 @@ def sfg_gain_threshold(params: ExperimentParams, bracket=(1.0, 1e4), rtol: float
     The bracket must satisfy 0 < lo < hi < inf, and ``rtol`` must be
     finite and positive.
     """
-    lo, hi = bracket
-    if not 0.0 < lo < hi < math.inf:
-        raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {tuple(bracket)!r}")
-    if not (math.isfinite(rtol) and rtol > 0.0):
-        raise ValueError(f"rtol must be finite and positive, got {rtol!r}")
+    lo, hi = pair("bracket", bracket, lambda lo, hi: 0.0 < lo < hi < math.inf,
+                  "finite and positive with lo < hi")
+    real("rtol", rtol, *POSITIVE)
     entries, mu = heralded_entries(params), _source_mu(params)
     warm = {"x0": None}
 

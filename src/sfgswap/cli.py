@@ -13,6 +13,7 @@ import math
 import sys
 
 from . import bell
+from ._checks import FRACTION, NONNEGATIVE, POSITIVE
 from .detection import HERALD_SIGNS
 from .efficiency import (
     CrystalParams,
@@ -24,7 +25,7 @@ from .efficiency import (
     spectral_overlap_gaussian,
 )
 from .presets import PARAM_KEYS, _integer, _number, get_preset, presets, swap_params
-from .protocols import lo_swap, qfc_teleport_strong_pump, sfg_swap, teleport
+from .protocols import _POLARIZATION_TOL, lo_swap, qfc_teleport_strong_pump, sfg_swap, teleport
 
 CSV_METRICS = ("V_Z", "V_X", "F_low", "S", "Q", "r", "herald_prob")
 CSV_UNITS = {
@@ -92,18 +93,13 @@ def _polarization(key, raw) -> tuple:
         raise ConfigError(f"unknown polarization {name!r}")
     if len(pol) != 2:
         raise ConfigError(f"polarization needs two amplitudes, got {name!r}")
-    # The tolerance ``protocols.teleport`` accepts.
-    if not abs(math.sqrt(abs(pol[0]) ** 2 + abs(pol[1]) ** 2) - 1.0) <= 1e-9:
+    if not abs(math.sqrt(abs(pol[0]) ** 2 + abs(pol[1]) ** 2) - 1.0) <= _POLARIZATION_TOL:
         raise ConfigError(f"polarization must be normalized, got {name!r}")
     return pol
 
 
-def _positive(x: float) -> bool:
-    return math.isfinite(x) and x > 0.0
-
-
-_POSITIVE = (_positive, "key {key!r} must be finite and positive, got {!r}")
-_FRACTION = (lambda x: 0.0 < x <= 1.0, "key {key!r} must be in (0, 1], got {!r}")
+_POSITIVE = (POSITIVE[0], "key {key!r} must be finite and positive, got {!r}")
+_FRACTION = (FRACTION[0], "key {key!r} must be in (0, 1], got {!r}")
 _FINITE = (math.isfinite, "key {key!r} must be finite, got {!r}")
 
 
@@ -130,19 +126,19 @@ SECTIONS = {
     "teleport": ({"teleport": False}, {
         "polarization": (_polarization, POLARIZATIONS["D"], None),
         "mean_photons": (_number, 0.95, (
-            _positive, "mean_photons must be finite and positive, got {!r}")),
+            POSITIVE[0], "mean_photons must be finite and positive, got {!r}")),
         "herald_basis": (_text, "D", (
             HERALD_SIGNS.__contains__, "herald basis must be 'D' or 'A', got {!r}")),
     }),
     "qfc": ({"qfc": False}, {
         "alpha": (_complex, complex(1 / math.sqrt(2)), None),
         "beta": (_complex, complex(1 / math.sqrt(2)), None),
-        "chi_tau": (_number, 0.1, (lambda x: math.isfinite(x) and x >= 0.0,
+        "chi_tau": (_number, 0.1, (NONNEGATIVE[0],
                                    "chi_tau must be finite and nonnegative, got {!r}")),
     }),
     "bell": ({"bell": False, "keyrate": False}, {
         "gain_factor": (_number, 1.0, (
-            _positive, "gain factor must be finite and positive, got {!r}")),
+            POSITIVE[0], "gain factor must be finite and positive, got {!r}")),
         "n_starts": (_integer, 8, (lambda n: n >= 1, "key 'n_starts' must be at least 1, got {!r}")),
         "seed": (_integer, 0, (lambda n: n >= 0, "--seed must be non-negative, got {!r}")),
         "free_mu": (_boolean, False, None, ("bell",)),

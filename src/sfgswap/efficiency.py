@@ -13,18 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._checks import FRACTION, NONNEGATIVE, POSITIVE, real
+
 PLANCK_H = 6.62607015e-34  # J s
 SPEED_OF_LIGHT = 299792458.0  # m / s
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-
-
-def _require_positive(obj, names) -> None:
-    """Refuse a field of ``obj`` that is not finite and positive, by name."""
-    for name in names:
-        v = getattr(obj, name)
-        if not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -48,11 +42,8 @@ class SfgBenchInputs:
     f: float
 
     def __post_init__(self):
-        _require_positive(self, ("c_sfg", "p_a", "p_b", "lambda_a", "lambda_b", "f"))
-        for name in ("eta_t", "eta_d"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {v!r}")
+        for name, value in vars(self).items():
+            real(name, value, *(FRACTION if name in ("eta_t", "eta_d") else POSITIVE))
 
 
 @dataclass(frozen=True)
@@ -74,7 +65,8 @@ class CrystalParams:
     lam: float
 
     def __post_init__(self):
-        _require_positive(self, ("eta_shg", "length_cm", "delta_nu_hat", "tbp", "lam"))
+        for name, value in vars(self).items():
+            real(name, value, *POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -85,7 +77,8 @@ class SpectralProfile:
     fwhm_nm: float
 
     def __post_init__(self):
-        _require_positive(self, ("center_nm", "fwhm_nm"))
+        for name, value in vars(self).items():
+            real(name, value, *POSITIVE)
 
     @property
     def sigma_nm(self) -> float:
@@ -141,14 +134,12 @@ def sfg_eff_effective(eta_th: float, a: SpectralProfile, b: SpectralProfile,
                       pm: SpectralProfile) -> float:
     """Effective efficiency: the theoretical value reduced by the overlap
     of the photon spectra with the phase-matching acceptance."""
-    if not (math.isfinite(eta_th) and eta_th >= 0.0):
-        raise ValueError(f"eta_th must be finite and nonnegative, got {eta_th!r}")
+    real("eta_th", eta_th, *NONNEGATIVE)
     return eta_th * spectral_overlap_gaussian(a, b, pm)
 
 
 def fidelity_lower_bound(v_z: float, v_x: float) -> float:
     """Certified fidelity lower bound (V_Z + V_X) / 2."""
     for name, v in (("v_z", v_z), ("v_x", v_x)):
-        if not -1.0 <= v <= 1.0:
-            raise ValueError(f"{name} must be in [-1, 1]")
+        real(name, v, lambda x: -1.0 <= x <= 1.0, "in [-1, 1]")
     return (v_z + v_x) / 2.0

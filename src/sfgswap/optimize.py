@@ -36,6 +36,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._checks import POSITIVE, integer_at_least, pair, real
+
 
 @dataclass(frozen=True)
 class OptimizeResult:
@@ -218,19 +220,6 @@ def best_run(runs) -> OptimizeResult:
     return best
 
 
-def _integer_at_least(value, least: int, refusal: str) -> int:
-    """``value`` as a Python int, or ``refusal`` raised with the value: a
-    TypeError when it is no integer (numpy integers are; a bool is not), a
-    ValueError when it is below ``least``."""
-    try:
-        index = operator.index(None if isinstance(value, bool) else value)
-    except TypeError:
-        raise TypeError(f"{refusal}, got {value!r}") from None
-    if index < least:
-        raise ValueError(f"{refusal}, got {value!r}")
-    return index
-
-
 def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: int = 0,
                         x0=None, trace: io.TextIOBase = None, final_start=None) -> OptimizeResult:
     """Maximize ``objective`` over box ``bounds`` with multi-start projected BFGS.
@@ -262,11 +251,11 @@ def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: i
         OptimizeResult of the best start (``best_run``, the final start
         last), with the evaluations of every start.
     """
-    n_starts = _integer_at_least(n_starts, 1, "n_starts must be an integer of at least 1")
+    n_starts = integer_at_least(n_starts, 1, "n_starts must be an integer of at least 1")
     n = len(bounds)
     starts = [start_at(np.full(n, 0.5)) if x0 is None else np.asarray(x0, dtype=float)]
     if n_starts > 1:
-        rng = random.Random(_integer_at_least(seed, 0, "seed must be a non-negative integer"))
+        rng = random.Random(integer_at_least(seed, 0, "seed must be a non-negative integer"))
         starts += [start_at(np.array([rng.random() for _ in range(n)]))
                    for _ in range(1, n_starts)]
     if not np.isfinite(starts).all():
@@ -310,10 +299,8 @@ def monotone_threshold(f, lo: float, hi: float, xtol: float) -> float:
     and positive, or the halving would never stop; both are checked before f
     is called.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"bracket must be finite with lo < hi, got ({lo!r}, {hi!r})")
-    if not (math.isfinite(xtol) and xtol > 0.0):
-        raise ValueError(f"xtol must be finite and positive, got {xtol!r}")
+    pair("bracket", (lo, hi), lambda lo, hi: -math.inf < lo < hi < math.inf, "finite with lo < hi")
+    real("xtol", xtol, *POSITIVE)
     xs = np.linspace(lo, hi, PRESCAN_POINTS)
     ys = [f(x) for x in xs]
     if not all(ys[i + 1] >= ys[i] - 1e-12 for i in range(PRESCAN_POINTS - 1)):

@@ -64,6 +64,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _checks
 from .detection import (
     HERALD_SIGNS,
     analyzer_operators,
@@ -79,6 +80,15 @@ VISIBILITY_BASES = (("z", 0.0), ("x", math.pi / 4))
 # cold in about 1 ms and 0.45 MB (``_swap_layout``); 60 would list 8.0e6.
 # The truncation has converged well before: no visibility moves by 1e-4 from 7 to 8.
 PAIR_CAP_MAX = 10
+_POLARIZATION_TOL = 1e-9  # how far from 1 the norm of a polarization (alpha, beta) may be
+
+
+# The rule of each field of ExperimentParams but pair_cap (``_checks.real``).
+_FIELD_RULES = {
+    **dict.fromkeys(("mu_1h", "mu_1v", "mu_2h", "mu_2v"), _checks.NONNEGATIVE),
+    **dict.fromkeys(("sfg_h", "sfg_v", "t_1h", "t_1v", "t_2h", "t_2v", "eta_th", "eta_tv",
+                     "eta_1h", "eta_1v", "eta_2h", "eta_2v", "eta_d"), _checks.UNIT),
+    "dark": _checks.BELOW_ONE, "window_acceptance": _checks.UNIT}
 
 
 @dataclass(frozen=True)
@@ -113,26 +123,14 @@ class ExperimentParams:
     pair_cap: int = 3
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if name == "pair_cap":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if name.startswith("mu_"):
-                if not 0.0 <= value < math.inf:
-                    raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-            elif name == "dark":
-                if not 0.0 <= value < 1.0:
-                    raise ValueError(f"dark must be in [0, 1), got {value!r}")
-            elif not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+        for name, rule in _FIELD_RULES.items():
+            _checks.real(name, getattr(self, name), *rule)
         if isinstance(self.pair_cap, bool) or not isinstance(self.pair_cap, numbers.Integral):
             raise ValueError(f"pair_cap must be an integer, got {self.pair_cap!r}")
-        if self.pair_cap < 2:
-            raise ValueError(f"pair_cap must be at least 2, got {self.pair_cap!r}: the SFG "
-                             "herald needs one photon from each of two pairs")
-        if self.pair_cap > PAIR_CAP_MAX:
-            raise ValueError(f"pair_cap must be at most {PAIR_CAP_MAX}, got {self.pair_cap!r}")
+        _checks.real("pair_cap", self.pair_cap, lambda n: n >= 2,
+                     "at least 2 (the SFG herald needs one photon from each of two pairs)")
+        _checks.real("pair_cap", self.pair_cap, lambda n: n <= PAIR_CAP_MAX,
+                     f"at most {PAIR_CAP_MAX}")
 
     def replace(self, **kwargs) -> "ExperimentParams":
         return replace(self, **kwargs)
@@ -301,10 +299,7 @@ def heralded_entries(params: ExperimentParams, herald: str = "A",
     (n, n') weighs the product of the two operators' (n, n') entries.
     """
     if herald == "lo":
-        if isinstance(eta_bsa, bool) or not isinstance(eta_bsa, numbers.Real):
-            raise ValueError(f"eta_bsa must be a number, got {eta_bsa!r}")
-        if not 0.0 <= eta_bsa <= 1.0:
-            raise ValueError(f"eta_bsa must be in [0, 1], got {eta_bsa!r}")
+        _checks.real("eta_bsa", eta_bsa, *_checks.UNIT)
     elif herald not in HERALD_SIGNS:
         raise ValueError(f"herald must be 'D', 'A' or 'lo', got {herald!r}")
     layout = _swap_layout(params.pair_cap)
@@ -380,7 +375,7 @@ def _swap_report(entries: HeraldedEntries, params: ExperimentParams, dark: float
     ``params`` over the source norm; ``herald_prob`` is their photon herald
     (``sfg``) within the window, before the mixing of a dark-count probability ``dark``."""
     mu = _source_mu(params)
-    rho, norm = entries.state(mu)[0], _source_norm(mu, params.pair_cap)
+    rho, norm = entries.state(mu)[0], _source_norm(mu, entries.n)
     photon = float((entries.sfg * entries.monomials(mu))[:entries.n_diagonal].sum()) / norm
     return _visibility_report(entries, rho / norm, photon / (1.0 - dark), params, sign)
 
@@ -408,10 +403,8 @@ def error_event_probs(gamma: float, t: float) -> tuple:
     photon with gamma^6 t^2 (1 - t).  Only the first kind can still herald
     through the SFG analyzer.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must be in [0, 1)")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must be in [0, 1]")
+    _checks.real("gamma", gamma, *_checks.BELOW_ONE)
+    _checks.real("t", t, *_checks.UNIT)
     base = (gamma ** 6) * t * t * (1.0 - t)
     return 2.0 * base, base
 
@@ -480,15 +473,11 @@ def teleport(params: ExperimentParams, input_polarization, input_mean_photons: f
     (|alpha|^2 sqrt(h) + |beta|^2 sqrt(v))^2 / (|alpha|^2 h + |beta|^2 v)
     at every ``pair_cap``, mean photon number and herald basis.
     """
-    alpha, beta = (complex(x) for x in input_polarization)
-    if not all(map(math.isfinite, (alpha.real, alpha.imag, beta.real, beta.imag))):
-        raise ValueError(f"input_polarization must be finite, got {input_polarization!r}")
-    nrm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"input_polarization must be normalized, got {input_polarization!r}")
-    if not (math.isfinite(input_mean_photons) and input_mean_photons > 0.0):
-        raise ValueError(
-            f"input_mean_photons must be finite and positive, got {input_mean_photons!r}")
+    alpha, beta = map(complex, _checks.pair(
+        "input_polarization", input_polarization,
+        lambda a, b: abs(math.sqrt(abs(a) ** 2 + abs(b) ** 2) - 1.0) <= _POLARIZATION_TOL,
+        "finite and normalized", numbers.Complex))
+    _checks.real("input_mean_photons", input_mean_photons, *_checks.POSITIVE)
     herald_sign(herald_basis)  # the basis check: the sign leaves every output as it is
     cap = params.pair_cap
     j = np.arange(cap + 1)
@@ -537,15 +526,12 @@ def qfc_teleport_strong_pump(alpha: complex, beta: complex, chi_tau: float,
     photon inherits (alpha, beta); for strong pumps the transfer degrades
     toward polarization-insensitive conversion.
     """
-    alpha, beta = complex(alpha), complex(beta)
-    if not all(map(math.isfinite, (alpha.real, alpha.imag, beta.real, beta.imag))):
-        raise ValueError(f"alpha and beta must be finite, got {alpha!r} and {beta!r}")
+    alpha = complex(_checks.amplitude("alpha", alpha))
+    beta = complex(_checks.amplitude("beta", beta))
     if alpha == 0 and beta == 0:
         raise ValueError("alpha and beta must not both be zero")
-    if not (math.isfinite(chi_tau) and chi_tau >= 0.0):
-        raise ValueError(f"chi_tau must be finite and nonnegative, got {chi_tau!r}")
-    if not 0.0 <= eta_d <= 1.0:
-        raise ValueError(f"eta_d must be in [0, 1], got {eta_d!r}")
+    _checks.real("chi_tau", chi_tau, *_checks.NONNEGATIVE)
+    _checks.real("eta_d", eta_d, *_checks.UNIT)
     angles = abs(alpha) * chi_tau, abs(beta) * chi_tau
     h, v = (math.sqrt(eta_d) / 2.0 * cmath.rect(math.sin(theta), cmath.phase(x))
             for theta, x in zip(angles, (alpha, beta)))
