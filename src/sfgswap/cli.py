@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import bell
-from ._checks import FRACTION, NONNEGATIVE, POSITIVE
+from ._checks import FRACTION, NONNEGATIVE, POSITIVE, check
 from .detection import HERALD_SIGNS
 from .efficiency import (
     CrystalParams,
@@ -25,7 +25,7 @@ from .efficiency import (
     spectral_overlap_gaussian,
 )
 from .presets import PARAM_KEYS, _integer, _number, get_preset, presets, swap_params
-from .protocols import _POLARIZATION_TOL, lo_swap, qfc_teleport_strong_pump, sfg_swap, teleport
+from .protocols import _normalized, lo_swap, qfc_teleport_strong_pump, sfg_swap, teleport
 
 CSV_METRICS = ("V_Z", "V_X", "F_low", "S", "Q", "r", "herald_prob")
 CSV_UNITS = {
@@ -93,14 +93,9 @@ def _polarization(key, raw) -> tuple:
         raise ConfigError(f"unknown polarization {name!r}")
     if len(pol) != 2:
         raise ConfigError(f"polarization needs two amplitudes, got {name!r}")
-    if not abs(math.sqrt(abs(pol[0]) ** 2 + abs(pol[1]) ** 2) - 1.0) <= _POLARIZATION_TOL:
+    if not _normalized(*pol):
         raise ConfigError(f"polarization must be normalized, got {name!r}")
     return pol
-
-
-_POSITIVE = (POSITIVE[0], "key {key!r} must be finite and positive, got {!r}")
-_FRACTION = (FRACTION[0], "key {key!r} must be in (0, 1], got {!r}")
-_FINITE = (math.isfinite, "key {key!r} must be finite, got {!r}")
 
 
 _NEEDS_PARAMS = ("swap-sfg", "swap-lo", "teleport", "bell", "keyrate", "sweep")
@@ -114,7 +109,8 @@ _EFFICIENCY_KEYS = ("lambda_a", "lambda_b", "rep_rate",
 
 # Every config section: the experiments that read it (True where one needs
 # it), and for each key its parser, its default (None: required) and its
-# range check (a test of the value and the message if it fails).  A fourth
+# rule, a ``_checks`` rule pair (a test of the value and what it asks; None:
+# any value), refused as "<key> must be <rule>, got <value>".  A fourth
 # item names the experiments that read a key, where fewer read it than read
 # its section.  presets.swap_params parses and checks the [params] keys.
 # --gain-factor and --seed spell keys of [bell].  teleport.herald_basis is
@@ -125,34 +121,30 @@ SECTIONS = {
                dict.fromkeys(PARAM_KEYS, (_given, None, None))),
     "teleport": ({"teleport": False}, {
         "polarization": (_polarization, POLARIZATIONS["D"], None),
-        "mean_photons": (_number, 0.95, (
-            POSITIVE[0], "mean_photons must be finite and positive, got {!r}")),
-        "herald_basis": (_text, "D", (
-            HERALD_SIGNS.__contains__, "herald basis must be 'D' or 'A', got {!r}")),
+        "mean_photons": (_number, 0.95, POSITIVE),
+        "herald_basis": (_text, "D", (HERALD_SIGNS.__contains__, "'D' or 'A'")),
     }),
     "qfc": ({"qfc": False}, {
         "alpha": (_complex, complex(1 / math.sqrt(2)), None),
         "beta": (_complex, complex(1 / math.sqrt(2)), None),
-        "chi_tau": (_number, 0.1, (NONNEGATIVE[0],
-                                   "chi_tau must be finite and nonnegative, got {!r}")),
+        "chi_tau": (_number, 0.1, NONNEGATIVE),
     }),
     "bell": ({"bell": False, "keyrate": False}, {
-        "gain_factor": (_number, 1.0, (
-            POSITIVE[0], "gain factor must be finite and positive, got {!r}")),
-        "n_starts": (_integer, 8, (lambda n: n >= 1, "key 'n_starts' must be at least 1, got {!r}")),
-        "seed": (_integer, 0, (lambda n: n >= 0, "--seed must be non-negative, got {!r}")),
+        "gain_factor": (_number, 1.0, POSITIVE),
+        "n_starts": (_integer, 8, (lambda n: n >= 1, "at least 1")),
+        "seed": (_integer, 0, (lambda n: n >= 0, "nonnegative")),
         "free_mu": (_boolean, False, None, ("bell",)),
     }),
     "sweep": ({"sweep": False}, {
-        "variable": (_text, "", (bool, "sweep needs a variable")),
-        "steps": (_integer, None, (lambda n: n >= 2, "key 'steps' must be at least 2, got {!r}")),
-        "start": (_number, None, _FINITE),
-        "stop": (_number, None, _FINITE),
-        "bsa": (_text, "sfg", (("sfg", "lo", "both").__contains__,
-                               "sweep bsa must be sfg, lo or both, not {!r}")),
+        "variable": (_text, "", (("loss", "t", "mu", *PARAM_KEYS).__contains__,
+                                 "loss, t, mu or a [params] key")),
+        "steps": (_integer, None, (lambda n: n >= 2, "at least 2")),
+        "start": (_number, None, (math.isfinite, "finite")),
+        "stop": (_number, None, (math.isfinite, "finite")),
+        "bsa": (_text, "sfg", (("sfg", "lo", "both").__contains__, "sfg, lo or both")),
     }),
     "efficiency": ({"efficiency": True}, {
-        key: (_number, None, _FRACTION if key.endswith((".eta_t", ".eta_d")) else _POSITIVE)
+        key: (_number, None, FRACTION if key.endswith((".eta_t", ".eta_d")) else POSITIVE)
         for key in _EFFICIENCY_KEYS}),
 }
 
@@ -181,18 +173,15 @@ def _read(config: dict, experiment: str, name: str) -> _Values:
         article = "an" if name[0] in "aeiou" else "a"
         raise ConfigError(f"{experiment} experiment needs {article} [{name}] section")
     values = _Values()
-    for key, (parse, default, check, *_) in keys.items():
-        if key in section:
-            try:
-                values[key] = parse(key, section[key])
-            except ValueError as exc:
-                raise ConfigError(str(exc))
-        elif default is None:
+    for key, (parse, default, rule, *_) in keys.items():
+        if key not in section and default is None:
             continue
-        else:
-            values[key] = default
-        if check and not check[0](values[key]):
-            raise ConfigError(check[1].format(values[key], key=key))
+        try:
+            values[key] = parse(key, section[key]) if key in section else default
+            if rule:
+                check(key, values[key], *rule)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
     return values
 
 
@@ -405,8 +394,6 @@ def _sweep_assignments(variable: str, value: float) -> dict:
 def _run_sweep(config, experiment):
     opts = _read(config, experiment, "sweep")
     variable, steps, start, stop = (opts[key] for key in ("variable", "steps", "start", "stop"))
-    if not set(_sweep_assignments(variable, 0.0)) <= SECTIONS["params"][1].keys():
-        raise ConfigError(f"unknown sweep variable {variable!r}")
     values = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
     # Every point's parameters are checked before any point runs.
     points = [_build_params(config, experiment, **_sweep_assignments(variable, v)) for v in values]

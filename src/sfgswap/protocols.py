@@ -80,7 +80,11 @@ VISIBILITY_BASES = (("z", 0.0), ("x", math.pi / 4))
 # cold in about 1 ms and 0.45 MB (``_swap_layout``); 60 would list 8.0e6.
 # The truncation has converged well before: no visibility moves by 1e-4 from 7 to 8.
 PAIR_CAP_MAX = 10
-_POLARIZATION_TOL = 1e-9  # how far from 1 the norm of a polarization (alpha, beta) may be
+
+
+def _normalized(alpha, beta) -> bool:
+    """Whether the polarization (alpha, beta) has norm 1, to within 1e-9."""
+    return abs(math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2) - 1.0) <= 1e-9
 
 
 # The rule of each field of ExperimentParams but pair_cap (``_checks.real``).
@@ -127,10 +131,10 @@ class ExperimentParams:
             _checks.real(name, getattr(self, name), *rule)
         if isinstance(self.pair_cap, bool) or not isinstance(self.pair_cap, numbers.Integral):
             raise ValueError(f"pair_cap must be an integer, got {self.pair_cap!r}")
-        _checks.real("pair_cap", self.pair_cap, lambda n: n >= 2,
-                     "at least 2 (the SFG herald needs one photon from each of two pairs)")
-        _checks.real("pair_cap", self.pair_cap, lambda n: n <= PAIR_CAP_MAX,
-                     f"at most {PAIR_CAP_MAX}")
+        _checks.check("pair_cap", self.pair_cap, lambda n: n >= 2,
+                      "at least 2 (the SFG herald needs one photon from each of two pairs)")
+        _checks.check("pair_cap", self.pair_cap, lambda n: n <= PAIR_CAP_MAX,
+                      f"at most {PAIR_CAP_MAX}")
 
     def replace(self, **kwargs) -> "ExperimentParams":
         return replace(self, **kwargs)
@@ -473,10 +477,8 @@ def teleport(params: ExperimentParams, input_polarization, input_mean_photons: f
     (|alpha|^2 sqrt(h) + |beta|^2 sqrt(v))^2 / (|alpha|^2 h + |beta|^2 v)
     at every ``pair_cap``, mean photon number and herald basis.
     """
-    alpha, beta = map(complex, _checks.pair(
-        "input_polarization", input_polarization,
-        lambda a, b: abs(math.sqrt(abs(a) ** 2 + abs(b) ** 2) - 1.0) <= _POLARIZATION_TOL,
-        "finite and normalized", numbers.Complex))
+    alpha, beta = map(complex, _checks.pair("input_polarization", input_polarization,
+                                            _normalized, "finite and normalized", numbers.Complex))
     _checks.real("input_mean_photons", input_mean_photons, *_checks.POSITIVE)
     herald_sign(herald_basis)  # the basis check: the sign leaves every output as it is
     cap = params.pair_cap

@@ -121,3 +121,22 @@ def test_every_argument_accepts_numpy_scalars(monkeypatch, case):
         call(_numpy(good))
     except _Reached:
         pass
+
+
+HUGE = 10**400  # an int beyond the float range, which Python compares exactly with inf
+
+
+@pytest.mark.parametrize("call, name, rule, value", [
+    (lambda: ExperimentParams(mu_1h=HUGE), "mu_1h", "finite and nonnegative", HUGE),
+    (lambda: qfc_teleport_strong_pump(HUGE, 0.5, 0.1), "alpha", "finite", HUGE),
+    (lambda: teleport(IDEAL, (HUGE, 0), 0.9), "input_polarization", "finite and normalized",
+     (HUGE, 0)),
+    (lambda: teleport(IDEAL, (1.0, 0.0), HUGE), "input_mean_photons", "finite and positive",
+     HUGE),
+], ids=["ExperimentParams-mu_1h", "qfc-alpha", "teleport-input_polarization",
+        "teleport-input_mean_photons"])
+def test_an_integer_beyond_the_float_range_is_refused_by_name(call, name, rule, value):
+    # Refused as out of range, not accepted (0 < 10**400 < inf holds) nor
+    # failed later with a bare OverflowError.
+    with pytest.raises(ValueError, match=rf"^{name} must be {rule}, got {re.escape(repr(value))}$"):
+        call()

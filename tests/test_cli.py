@@ -299,7 +299,7 @@ def test_non_finite_sweep_end_is_refused_by_its_key(monkeypatch, capsys, sweep, 
     monkeypatch.setattr(sfgswap.cli, "sfg_swap", ran.append)
     assert main([*sweep, "--set", f"sweep.{key}={value}"]) == 2
     assert ran == []
-    assert f"config error: key {key!r} must be finite, got {value}" in capsys.readouterr().err
+    assert f"config error: {key} must be finite, got {value}" in capsys.readouterr().err
 
 
 def test_zero_herald_probability_is_a_model_error(capsys):
@@ -529,12 +529,12 @@ def test_seed_flag_spells_the_bell_seed_key(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("assignment, message", [
-    ("efficiency.rep_rate=nan", "'rep_rate' must be finite and positive"),
-    ("profile_a.center_nm=-1", "'profile_a.center_nm' must be finite and positive"),
-    ("profile_pm.fwhm_nm=0", "'profile_pm.fwhm_nm' must be finite and positive"),
-    ("crystal.length_cm=-1", "'crystal.length_cm' must be finite and positive"),
-    ("bench_h.p_a=0", "'bench_h.p_a' must be finite and positive"),
-    ("bench_h.eta_t=1.5", "'bench_h.eta_t' must be in (0, 1]"),
+    ("efficiency.rep_rate=nan", "rep_rate must be finite and positive"),
+    ("profile_a.center_nm=-1", "profile_a.center_nm must be finite and positive"),
+    ("profile_pm.fwhm_nm=0", "profile_pm.fwhm_nm must be finite and positive"),
+    ("crystal.length_cm=-1", "crystal.length_cm must be finite and positive"),
+    ("bench_h.p_a=0", "bench_h.p_a must be finite and positive"),
+    ("bench_h.eta_t=1.5", "bench_h.eta_t must be in (0, 1]"),
 ], ids=["rep_rate=nan", "center=-1", "pm_fwhm=0", "length=-1", "p_a=0", "eta_t=1.5"])
 def test_bad_efficiency_values_exit_2(capsys, assignment, message):
     # Checked at the edge, not passed through to the calculators (nan) or
@@ -547,14 +547,14 @@ def test_bad_efficiency_values_exit_2(capsys, assignment, message):
 
 @pytest.mark.parametrize("experiment", ["bell", "keyrate"])
 @pytest.mark.parametrize("argv, message", [
-    (("--set", "bell.n_starts=0"), "'n_starts' must be at least 1"),
-    (("--set", "bell.n_starts=-3"), "'n_starts' must be at least 1"),
+    (("--set", "bell.n_starts=0"), "n_starts must be at least 1"),
+    (("--set", "bell.n_starts=-3"), "n_starts must be at least 1"),
     (("--set", "bell.n_starts=1.5"), "n_starts must be an integer, got '1.5'"),
-    (("--seed", "-1"), "--seed must be non-negative"),
-    (("--gain-factor", "0"), "gain factor must be finite and positive"),
-    (("--gain-factor", "-2"), "gain factor must be finite and positive"),
-    (("--gain-factor", "nan"), "gain factor must be finite and positive"),
-    (("--set", "bell.gain_factor=inf"), "gain factor must be finite and positive"),
+    (("--seed", "-1"), "seed must be nonnegative"),
+    (("--gain-factor", "0"), "gain_factor must be finite and positive"),
+    (("--gain-factor", "-2"), "gain_factor must be finite and positive"),
+    (("--gain-factor", "nan"), "gain_factor must be finite and positive"),
+    (("--set", "bell.gain_factor=inf"), "gain_factor must be finite and positive"),
 ], ids=["n_starts=0", "n_starts=-3", "n_starts=1.5", "seed=-1", "gain=0", "gain=-2",
         "gain=nan", "bell.gain_factor=inf"])
 def test_bad_search_inputs_exit_2(tmp_path, capsys, experiment, argv, message):
@@ -564,6 +564,42 @@ def test_bad_search_inputs_exit_2(tmp_path, capsys, experiment, argv, message):
                      "--set", "bell.n_starts=1", *argv)
     assert code == 2 and text == ""
     assert message in capsys.readouterr().err
+
+
+_SWEEP = ("sweep", "--preset", "fig-s3")
+_EFFICIENCY = ("efficiency", "--preset", "paper-table1")
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (("teleport", "--preset", "ideal", "--set", "teleport.mean_photons=0"),
+     "mean_photons must be finite and positive, got 0.0"),
+    (("teleport", "--preset", "ideal", "--set", "teleport.herald_basis=X"),
+     "herald_basis must be 'D' or 'A', got 'X'"),
+    (("qfc", "--set", "qfc.chi_tau=-1"), "chi_tau must be finite and nonnegative, got -1.0"),
+    (("bell", "--preset", "ideal", "--gain-factor", "0"),
+     "gain_factor must be finite and positive, got 0.0"),
+    (("bell", "--preset", "ideal", "--set", "bell.n_starts=0"), "n_starts must be at least 1, got 0"),
+    (("keyrate", "--preset", "ideal", "--seed", "-1"), "seed must be nonnegative, got -1"),
+    (("sweep", "--preset", "ideal", "--set", "sweep.start=0", "--set", "sweep.stop=1",
+      "--set", "sweep.steps=2"), "variable must be loss, t, mu or a [params] key, got ''"),
+    ((*_SWEEP, "--set", "sweep.variable=bogus"),
+     "variable must be loss, t, mu or a [params] key, got 'bogus'"),
+    ((*_SWEEP, "--set", "sweep.steps=1"), "steps must be at least 2, got 1"),
+    ((*_SWEEP, "--set", "sweep.start=nan"), "start must be finite, got nan"),
+    ((*_SWEEP, "--set", "sweep.stop=-inf"), "stop must be finite, got -inf"),
+    ((*_SWEEP, "--set", "sweep.bsa=x"), "bsa must be sfg, lo or both, got 'x'"),
+    ((*_EFFICIENCY, "--set", "bench_v.p_b=0"), "bench_v.p_b must be finite and positive, got 0.0"),
+    ((*_EFFICIENCY, "--set", "bench_h.eta_t=1.5"), "bench_h.eta_t must be in (0, 1], got 1.5"),
+], ids=["mean_photons", "herald_basis", "chi_tau", "gain_factor", "n_starts", "seed",
+        "variable-empty", "variable-unknown", "steps", "start", "stop", "bsa",
+        "efficiency-positive", "efficiency-fraction"])
+def test_every_key_rule_refuses_in_one_form(capsys, argv, refusal):
+    # Each rule of cli.SECTIONS is a _checks rule pair, and its refusal reads
+    # "<key> must be <rule>, got <value>", whatever the key.
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {refusal}\n"
 
 
 # Each integer key, a run that reads it, and the routes a value reaches it by:
