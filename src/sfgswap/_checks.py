@@ -12,7 +12,8 @@ range is out of every range, though Python compares 10**400 exactly with
 inf.  A checked value is returned as it was given, so no numeric path
 changes.  A rule is a pair of a test and what it asks: those that several
 arguments share are named here (``POSITIVE``, ``UNIT``, ...), and the third
-item of each ``cli.SECTIONS`` key is one.
+item of each ``cli.SECTIONS`` key is one.  A record checks its fields
+against a table of rules by field name (``fields``).
 
 Parsing config text into numbers is another job, done by the CLI's parsers
 (``presets._number``, ``presets._integer`` and ``cli._read``).
@@ -54,6 +55,15 @@ def real(name: str, value, test, rule: str, kind=numbers.Real):
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return check(name, value, lambda x: _fits(x) and test(x), rule)
+
+
+def fields(record, rules: dict, default=None) -> None:
+    """Check each field of the dataclass ``record`` by ``real`` against its
+    rule in ``rules``, or ``default`` (None: the field is not checked)."""
+    for name, value in vars(record).items():
+        rule = rules.get(name, default)
+        if rule:
+            real(name, value, *rule)
 
 
 def amplitude(name: str, value):

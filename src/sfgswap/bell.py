@@ -65,12 +65,9 @@ class BellSettings:
     theta_a0: float = None
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_a1", _wrap_angle(self.theta_a1))
-        object.__setattr__(self, "theta_a2", _wrap_angle(self.theta_a2))
-        object.__setattr__(self, "theta_b1", _wrap_angle(self.theta_b1))
-        object.__setattr__(self, "theta_b2", _wrap_angle(self.theta_b2))
-        if self.theta_a0 is not None:
-            object.__setattr__(self, "theta_a0", _wrap_angle(self.theta_a0))
+        for name, theta in vars(self).items():
+            if theta is not None or name != "theta_a0":  # theta_a0 alone is optional
+                object.__setattr__(self, name, _wrap_angle(theta))
 
 
 # The pump Jacobian d mu_k / d y_j of a search at fixed source strengths.

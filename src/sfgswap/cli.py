@@ -13,9 +13,11 @@ import math
 import sys
 
 from . import bell
-from ._checks import FRACTION, NONNEGATIVE, POSITIVE, check
+from ._checks import NONNEGATIVE, POSITIVE, check
 from .detection import HERALD_SIGNS
 from .efficiency import (
+    INPUT_DEFAULT,
+    INPUT_RULES,
     CrystalParams,
     SfgBenchInputs,
     SpectralProfile,
@@ -98,6 +100,16 @@ def _polarization(key, raw) -> tuple:
     return pol
 
 
+# The swap of each Bell-state analyzer: the SFG herald and the linear-optical
+# one.  Each swap is looked up by its name at the call, so a wrapper put on
+# that name (a traced span, a test's stub) sees every call.
+ANALYZERS = {"sfg": lambda params: sfg_swap(params), "lo": lambda params: lo_swap(params)}
+_CHANNELS = ("t_1h", "t_1v", "t_2h", "t_2v")
+# The sweep shorthands: each sets four [params] keys, the channel
+# transmittances or the pump strengths, to one map of the swept value.
+SHORTHANDS = {"loss": (_CHANNELS, lambda v: 1.0 - v), "t": (_CHANNELS, lambda v: v),
+              "mu": (("mu_1h", "mu_1v", "mu_2h", "mu_2v"), lambda v: v)}
+
 _NEEDS_PARAMS = ("swap-sfg", "swap-lo", "teleport", "bell", "keyrate", "sweep")
 _EFFICIENCY_KEYS = ("lambda_a", "lambda_b", "rep_rate",
                     *(f"bench_{row}.{field}" for row in "hv"
@@ -136,15 +148,16 @@ SECTIONS = {
         "free_mu": (_boolean, False, None, ("bell",)),
     }),
     "sweep": ({"sweep": False}, {
-        "variable": (_text, "", (("loss", "t", "mu", *PARAM_KEYS).__contains__,
-                                 "loss, t, mu or a [params] key")),
+        "variable": (_text, "", ((*SHORTHANDS, *PARAM_KEYS).__contains__,
+                                 f"{', '.join(SHORTHANDS)} or a [params] key")),
         "steps": (_integer, None, (lambda n: n >= 2, "at least 2")),
         "start": (_number, None, (math.isfinite, "finite")),
         "stop": (_number, None, (math.isfinite, "finite")),
-        "bsa": (_text, "sfg", (("sfg", "lo", "both").__contains__, "sfg, lo or both")),
+        "bsa": (_text, "sfg", ((*ANALYZERS, "both").__contains__,
+                               f"{', '.join(ANALYZERS)} or both")),
     }),
     "efficiency": ({"efficiency": True}, {
-        key: (_number, None, FRACTION if key.endswith((".eta_t", ".eta_d")) else POSITIVE)
+        key: (_number, None, INPUT_RULES.get(key.rpartition(".")[2], INPUT_DEFAULT))
         for key in _EFFICIENCY_KEYS}),
 }
 
@@ -289,7 +302,7 @@ def _swap_metrics(rep) -> dict:
 
 def _run_swap(config, experiment):
     params = _build_params(config, experiment)
-    rep = lo_swap(params) if experiment == "swap-lo" else sfg_swap(params)
+    rep = ANALYZERS[experiment.removeprefix("swap-")](params)
     metrics = _swap_metrics(rep)
     for name, table in (("P_Z", rep.p_z), ("P_X", rep.p_x)):
         metrics.update({f"{name}_{ij}": p for ij, p in table.items()})
@@ -380,15 +393,8 @@ def _run_efficiency(config, experiment):
 
 
 def _sweep_assignments(variable: str, value: float) -> dict:
-    if variable == "loss":
-        t = 1.0 - value
-        return {"t_1h": t, "t_1v": t, "t_2h": t, "t_2v": t}
-    if variable == "t":
-        return {"t_1h": value, "t_1v": value, "t_2h": value, "t_2v": value}
-    if variable == "mu":
-        return {"mu_1h": value, "mu_1v": value,
-                "mu_2h": value, "mu_2v": value}
-    return {variable: value}
+    keys, to = SHORTHANDS.get(variable, ((variable,), lambda v: v))
+    return dict.fromkeys(keys, to(value))
 
 
 def _run_sweep(config, experiment):
@@ -397,8 +403,7 @@ def _run_sweep(config, experiment):
     values = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
     # Every point's parameters are checked before any point runs.
     points = [_build_params(config, experiment, **_sweep_assignments(variable, v)) for v in values]
-    analyzers = [(name, swap) for name, swap in (("sfg", sfg_swap), ("lo", lo_swap))
-                 if opts["bsa"] in (name, "both")]
+    analyzers = [(name, swap) for name, swap in ANALYZERS.items() if opts["bsa"] in (name, "both")]
     rows = []
     for value, params in zip(values, points):
         try:

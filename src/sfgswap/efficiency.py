@@ -13,16 +13,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._checks import FRACTION, NONNEGATIVE, POSITIVE, real
+from ._checks import FRACTION, NONNEGATIVE, POSITIVE, fields, real
 
 PLANCK_H = 6.62607015e-34  # J s
 SPEED_OF_LIGHT = 299792458.0  # m / s
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
+# The rule of each measured input by field name, and the rule of every input
+# not named: the collection transmittance and detector efficiency are
+# fractions, every other input is finite and positive.  ``cli.SECTIONS``
+# reads the [efficiency] keys' rules from here.
+INPUT_RULES, INPUT_DEFAULT = {"eta_t": FRACTION, "eta_d": FRACTION}, POSITIVE
+
+
+class _MeasuredInputs:
+    """A record of measured inputs: each field is checked on construction
+    against its rule in ``INPUT_RULES``, or ``INPUT_DEFAULT``
+    (``_checks.fields``)."""
+
+    def __post_init__(self):
+        fields(self, INPUT_RULES, INPUT_DEFAULT)
+
 
 @dataclass(frozen=True)
-class SfgBenchInputs:
+class SfgBenchInputs(_MeasuredInputs):
     """Measured quantities of a classical-input conversion benchmark.
 
     c_sfg: detected sum-frequency count rate (counts / s)
@@ -41,13 +56,9 @@ class SfgBenchInputs:
     lambda_b: float
     f: float
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            real(name, value, *(FRACTION if name in ("eta_t", "eta_d") else POSITIVE))
-
 
 @dataclass(frozen=True)
-class CrystalParams:
+class CrystalParams(_MeasuredInputs):
     """Waveguide parameters entering the theoretical efficiency.
 
     eta_shg: second-harmonic benchmark efficiency, fractional W^-1 cm^-2
@@ -64,21 +75,13 @@ class CrystalParams:
     tbp: float
     lam: float
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            real(name, value, *POSITIVE)
-
 
 @dataclass(frozen=True)
-class SpectralProfile:
+class SpectralProfile(_MeasuredInputs):
     """Gaussian spectral distribution: center and FWHM in nm."""
 
     center_nm: float
     fwhm_nm: float
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            real(name, value, *POSITIVE)
 
     @property
     def sigma_nm(self) -> float:

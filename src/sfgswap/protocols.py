@@ -87,7 +87,7 @@ def _normalized(alpha, beta) -> bool:
     return abs(math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2) - 1.0) <= 1e-9
 
 
-# The rule of each field of ExperimentParams but pair_cap (``_checks.real``).
+# The rule of each field of ExperimentParams but pair_cap (``_checks.fields``).
 _FIELD_RULES = {
     **dict.fromkeys(("mu_1h", "mu_1v", "mu_2h", "mu_2v"), _checks.NONNEGATIVE),
     **dict.fromkeys(("sfg_h", "sfg_v", "t_1h", "t_1v", "t_2h", "t_2v", "eta_th", "eta_tv",
@@ -127,8 +127,7 @@ class ExperimentParams:
     pair_cap: int = 3
 
     def __post_init__(self):
-        for name, rule in _FIELD_RULES.items():
-            _checks.real(name, getattr(self, name), *rule)
+        _checks.fields(self, _FIELD_RULES)
         if isinstance(self.pair_cap, bool) or not isinstance(self.pair_cap, numbers.Integral):
             raise ValueError(f"pair_cap must be an integer, got {self.pair_cap!r}")
         _checks.check("pair_cap", self.pair_cap, lambda n: n >= 2,

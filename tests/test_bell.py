@@ -295,6 +295,42 @@ def test_efficiency_threshold_of_a_lossy_preset_to_the_bit():
     assert efficiency_threshold(_preset("paper-table2")) == 0.68359375
 
 
+def test_efficiency_threshold_signs_hold_under_a_wide_search(monkeypatch):
+    # Near the threshold the driver's searches can stop short of the optimum:
+    # on paper-table2 they read -2.80e-5 at 0.681640625 and -1.32e-5 at
+    # 0.6826171875, where a search from the fixed starts and 48 seeded
+    # uniform ones reads -3.43e-7 at both.  What the threshold rests on is
+    # the sign: at every efficiency the driver visits within 0.01 of its
+    # threshold, the wide search gives the driver's sign.
+    visited = []
+    real_maximize = bell.maximize_starts_bfgs
+    real_threshold = bell.monotone_threshold
+
+    def maximize(objective, bounds, starts):
+        runs = real_maximize(objective, bounds, starts)
+        visited[-1] += (objective, bounds, optimize.best_run(runs).value)
+        return runs
+
+    def threshold(margin, *args):
+        def recorded_margin(eta):
+            visited.append((eta,))
+            return margin(eta)
+        return real_threshold(recorded_margin, *args)
+
+    monkeypatch.setattr(bell, "maximize_starts_bfgs", maximize)
+    monkeypatch.setattr(bell, "monotone_threshold", threshold)
+    threshold_eta = efficiency_threshold(_preset("paper-table2"))
+    assert threshold_eta == 0.68359375
+    lows, highs = np.array([(1e-4, 1.0)] + [(-math.pi / 2, math.pi / 2)] * 4).T
+    wide_starts = bell._MARGIN_STARTS + [
+        tuple(x) for x in np.random.default_rng(0).uniform(lows, highs, (48, 5))]
+    near = [v for v in visited if abs(v[0] - threshold_eta) <= 0.01]
+    assert len(near) == 5
+    for eta, objective, bounds, value in near:
+        wide = optimize.best_run(real_maximize(objective, bounds, wide_starts)).value
+        assert (wide > 2.0) == (value > 2.0), (eta, value - 2.0, wide - 2.0)
+
+
 @pytest.mark.parametrize("kwargs, argument", [
     ({"bracket": (0.5, 1.5)}, "bracket"),
     ({"bracket": (0.8, 0.6)}, "bracket"),

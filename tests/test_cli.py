@@ -650,9 +650,22 @@ def test_non_integers_of_an_integer_key_exit_2_by_name(tmp_path, capsys, key, ro
     assert f"config error: {name} must be an integer, got {value!r}" in capsys.readouterr().err
 
 
-def test_seed_text_is_read_to_every_digit(tmp_path):
+def test_seed_text_is_read_to_every_digit(tmp_path, monkeypatch):
     # 10**23 - 1 is no float: read through one it would be 99999999999999991611392,
-    # which draws other starts.
+    # which draws other starts.  Both seeds print S = 2.61891400439; the
+    # printed angles differ only because a tie is broken at the last bit (the
+    # drawn start wins at 10**23 - 1, the canonical one at the float's seed),
+    # so the seed each search is given is read too.
+    from sfgswap import bell
+
+    seeds = []
+
+    def record(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return real(*args, **kwargs)
+
+    real = bell.optimize_chsh
+    monkeypatch.setattr(bell, "optimize_chsh", record)
     argv = ("bell", "--preset", "ideal", "--set", "bell.n_starts=2")
     code, text = run(tmp_path, *argv, "--seed", "99999999999999999999999")
     assert code == 0
@@ -660,6 +673,8 @@ def test_seed_text_is_read_to_every_digit(tmp_path):
                name="set.txt") == (0, text)
     assert run(tmp_path, *argv, "--seed", str(int(float("99999999999999999999999"))),
                name="float.txt")[1] != text
+    assert seeds == [10**23 - 1, 10**23 - 1, 99999999999999991611392]
+    assert all(type(seed) is int for seed in seeds)
 
 
 def test_model_errors_exit_3(capsys):
