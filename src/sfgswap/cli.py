@@ -2,7 +2,13 @@
 key=value (INI) or JSON configuration, and emit CSV or human-readable
 reports.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on model errors.
+Each report is the library's result record, printed key by key: a
+``TeleportReport`` or ``QfcReport`` field by field, and a CHSH optimum's
+value, ``BellSettings`` and pump strengths.  ``presets`` lists the bundles
+through the same output path, refusals and exit codes as every experiment.
+
+Exit codes: 0 on success, 2 on configuration and output errors, 3 on model
+errors.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import argparse
 import cmath
 import math
 import sys
+from dataclasses import asdict
 
 from . import bell
 from ._checks import NONNEGATIVE, POSITIVE, check
@@ -29,7 +36,7 @@ from .efficiency import (
 from .presets import PARAM_KEYS, _integer, _number, get_preset, presets, swap_params
 from .protocols import _normalized, lo_swap, qfc_teleport_strong_pump, sfg_swap, teleport
 
-CSV_METRICS = ("V_Z", "V_X", "F_low", "S", "Q", "r", "herald_prob")
+# The CSV columns, in order, and their units.
 CSV_UNITS = {
     "V_Z": "dimensionless", "V_X": "dimensionless",
     "F_low": "dimensionless", "S": "dimensionless", "Q": "dimensionless",
@@ -248,7 +255,9 @@ def _apply_sets(config: dict, sets) -> dict:
         section, dot, rest = key.partition(".")
         if not dot:
             section, rest = "params", key
-        elif any(name.startswith(section + ".") for name in _EFFICIENCY_KEYS):
+        if not rest.strip():  # no key, or nothing after its dot
+            raise ConfigError(f"--set expects key=value, got {item!r}")
+        if dot and any(name.startswith(section + ".") for name in _EFFICIENCY_KEYS):
             # a dotted key of [efficiency], such as crystal.lam
             section, rest = "efficiency", key
         config.setdefault(section, {})[rest.strip()] = value.strip()
@@ -263,11 +272,11 @@ def _fmt(value) -> str:
 
 def _csv_lines(rows, swept_names=(), swept_units=()) -> str:
     header = [f"{n} ({u})" for n, u in zip(swept_names, swept_units)]
-    header += [f"{m} ({CSV_UNITS[m]})" for m in CSV_METRICS]
+    header += [f"{m} ({unit})" for m, unit in CSV_UNITS.items()]
     lines = [",".join(header)]
     for swept, metrics in rows:
         cells = [_fmt(v) if not isinstance(v, str) else v for v in swept]
-        cells += [_fmt(metrics.get(m)) for m in CSV_METRICS]
+        cells += [_fmt(metrics.get(m)) for m in CSV_UNITS]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -298,7 +307,13 @@ def _swap_metrics(rep) -> dict:
             "herald_prob": rep.herald_prob}
 
 
-# Each _run_* function returns the metrics of its report and its CSV table.
+def _transfer_outputs(rep):
+    # a transfer's fidelity goes in the F_low column
+    return asdict(rep), _csv_lines([((), {"F_low": rep.fidelity, "herald_prob": rep.herald_prob})])
+
+
+# Each _run_* function returns the metrics of its report (None: the table is
+# the report) and its CSV table.
 
 def _run_swap(config, experiment):
     params = _build_params(config, experiment)
@@ -312,24 +327,16 @@ def _run_swap(config, experiment):
 def _run_teleport(config, experiment):
     opts = _read(config, experiment, "teleport")
     params = _build_params(config, experiment)
-    rep = teleport(params, opts["polarization"], opts["mean_photons"],
-                   herald_basis=opts["herald_basis"])
-    return ({"fidelity": rep.fidelity, "herald_prob": rep.herald_prob,
-             "one_photon_weight": rep.one_photon_weight,
-             "truncation_dropped": rep.truncation_dropped},
-            _csv_lines([((), {"F_low": rep.fidelity, "herald_prob": rep.herald_prob})]))
+    return _transfer_outputs(teleport(params, opts["polarization"], opts["mean_photons"],
+                                      herald_basis=opts["herald_basis"]))
 
 
 def _run_qfc(config, experiment):
     opts = _read(config, experiment, "qfc")
     if opts["alpha"] == 0 and opts["beta"] == 0:
         raise ConfigError("alpha and beta must not both be zero")
-    rep = qfc_teleport_strong_pump(opts["alpha"], opts["beta"], opts["chi_tau"],
-                                   _build_params(config, experiment).eta_d)
-    return ({"fidelity": rep.fidelity, "herald_prob": rep.herald_prob,
-             "conversion_angle_H": rep.conversion_angle_H,
-             "conversion_angle_V": rep.conversion_angle_V},
-            _csv_lines([((), {"F_low": rep.fidelity, "herald_prob": rep.herald_prob})]))
+    return _transfer_outputs(qfc_teleport_strong_pump(
+        opts["alpha"], opts["beta"], opts["chi_tau"], _build_params(config, experiment).eta_d))
 
 
 def _run_bell(config, experiment):
@@ -337,15 +344,9 @@ def _run_bell(config, experiment):
     opts = _read(config, experiment, "bell")
     res = bell.optimize_chsh(params, free_mu=opts["free_mu"], gain=opts["gain_factor"],
                              seed=opts["seed"], n_starts=opts["n_starts"])
-    metrics = {"S": res.value,
-               "theta_a1": res.settings.theta_a1,
-               "theta_a2": res.settings.theta_a2,
-               "theta_b1": res.settings.theta_b1,
-               "theta_b2": res.settings.theta_b2}
-    if opts["free_mu"]:
-        metrics["mu_h"] = res.mu_h
-        metrics["mu_v"] = res.mu_v
-    metrics["bell_violation"] = 1.0 if res.value > 2.0 else 0.0
+    # theta_a0, and at a fixed pump mu_h and mu_v, are None: not printed
+    metrics = {"S": res.value, **asdict(res.settings), "mu_h": res.mu_h, "mu_v": res.mu_v,
+               "bell_violation": 1.0 if res.value > 2.0 else 0.0}
     return metrics, _csv_lines([((opts["gain_factor"],), {"S": res.value})],
                                ("gain_factor",), ("dimensionless",))
 
@@ -368,12 +369,12 @@ def _run_efficiency(config, experiment):
         return {key[len(prefix):]: values[key] for key in _EFFICIENCY_KEYS
                 if key.startswith(prefix)}
 
-    lam_a, lam_b, rep_rate = values["lambda_a"], values["lambda_b"], values["rep_rate"]
     results = {}
     for row in ("h", "v"):
         if f"bench_{row}.c_sfg" in values:
-            bench = SfgBenchInputs(**group(f"bench_{row}."),
-                                   lambda_a=lam_a, lambda_b=lam_b, f=rep_rate)
+            # only a count-rate row reads the wavelengths and the pulse rate
+            bench = SfgBenchInputs(lambda_a=values["lambda_a"], lambda_b=values["lambda_b"],
+                                   f=values["rep_rate"], **group(f"bench_{row}."))
             results[f"eta_sfg_{row}_from_counts"] = sfg_eff_from_counts(bench)
     if "crystal.eta_shg" in values:
         results["eta_sfg_theoretical"] = sfg_eff_theoretical(CrystalParams(**group("crystal.")))
@@ -414,9 +415,13 @@ def _run_sweep(config, experiment):
     return None, _csv_lines(rows, (variable, "bsa"), ("dimensionless", "label"))
 
 
+def _run_presets(config, experiment):
+    return None, "\n".join(presets()) + "\n"
+
+
 RUNNERS = {"swap-sfg": _run_swap, "swap-lo": _run_swap, "teleport": _run_teleport,
            "qfc": _run_qfc, "bell": _run_bell, "keyrate": _run_keyrate,
-           "efficiency": _run_efficiency, "sweep": _run_sweep}
+           "efficiency": _run_efficiency, "sweep": _run_sweep, "presets": _run_presets}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulations of entanglement swapping with a "
                     "sum-frequency-generation Bell-state analyzer.")
     parser.add_argument("experiment",
-                        choices=(*RUNNERS, "presets"),
+                        choices=RUNNERS,
                         help="experiment to run, or 'presets' to list bundles")
     parser.add_argument("--config", help="INI or JSON configuration file")
     parser.add_argument("--preset", help="named parameter bundle")
@@ -444,11 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.experiment == "presets":
-        _emit("\n".join(presets()) + "\n", args.out)
-        return 0
-
     try:
         config = {}
         if args.preset:

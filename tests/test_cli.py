@@ -30,6 +30,49 @@ def test_presets_listing(tmp_path):
     assert "paper-tableS1" in names
 
 
+def test_presets_refuses_a_bad_output_path_like_every_experiment(tmp_path, capsys):
+    # The listing goes through the experiments' output path: a directory
+    # that is not there is an output error, not a traceback.
+    for argv in (["presets"], ["swap-sfg", "--preset", "ideal"]):
+        assert main([*argv, "--out", str(tmp_path / "missing" / "out.txt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("output error: [Errno 2] No such file or directory")
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (("--set", "junk"), "--set expects key=value, got 'junk'"),
+    (("--set", "bogus=1"), "unknown key(s) in [params]: bogus"),
+    (("--preset", "nope"), "\"unknown preset 'nope'; available: "),
+], ids=["malformed-set", "unknown-key", "unknown-preset"])
+def test_presets_reads_its_flags_like_every_experiment(capsys, argv, refusal):
+    # presets reads no section, as efficiency reads no [params]: its flags
+    # are read and refused, not ignored.
+    assert main(["presets", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"config error: {refusal}")
+
+
+_ANGLES = ["theta_a1", "theta_a2", "theta_b1", "theta_b2"]
+_ONE_START = ("--set", "bell.n_starts=1")
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (("teleport",), ["fidelity", "herald_prob", "one_photon_weight", "truncation_dropped"]),
+    (("qfc",), ["fidelity", "herald_prob", "conversion_angle_H", "conversion_angle_V"]),
+    (("bell", *_ONE_START), ["S", *_ANGLES, "bell_violation"]),
+    (("bell", *_ONE_START, "--set", "bell.free_mu=true"),
+     ["S", *_ANGLES, "mu_h", "mu_v", "bell_violation"]),
+    (("keyrate", *_ONE_START), ["r", "S", "Q"]),
+], ids=["teleport", "qfc", "bell", "bell-free-mu", "keyrate"])
+def test_each_report_prints_its_record_keys_in_order(tmp_path, argv, keys):
+    # A report prints its result record's fields; theta_a0, and the pump
+    # strengths of a fixed-pump search, are unset and not printed.
+    code, text = run(tmp_path, argv[0], "--preset", "ideal", *argv[1:])
+    assert code == 0
+    assert [line.split(" = ")[0] for line in text.splitlines()] == keys
+
+
 def test_swap_sfg_report(tmp_path):
     code, text = run(tmp_path, "swap-sfg", "--preset", "ideal")
     assert code == 0
@@ -104,6 +147,26 @@ def test_efficiency_reports_the_overlap_of_profiles_alone(tmp_path):
     code, text = run(tmp_path, "efficiency", *args)
     assert code == 0
     assert text == "spectral_overlap = 0.577636921171\n"
+
+
+_TABLE1 = get_preset("paper-table1")["efficiency"]
+
+
+@pytest.mark.parametrize("prefix, report", [
+    ("crystal.", "eta_sfg_theoretical = 4.15716820713e-08\n"),
+    ("profile_", "spectral_overlap = 0.577636921171\n"),
+], ids=["crystal", "profiles"])
+def test_efficiency_reads_the_wavelengths_only_with_a_count_rate_row(tmp_path, capsys, prefix,
+                                                                     report):
+    # lambda_a, lambda_b and rep_rate enter only the count-rate efficiency:
+    # the crystal constants alone, or the three profiles alone, give their
+    # result without them.
+    args = [arg for key, value in _TABLE1.items() if key.startswith(prefix)
+            for arg in ("--set", f"{key}={value}")]
+    assert run(tmp_path, "efficiency", *args) == (0, report)
+    # A count-rate row still needs them.
+    assert main(["efficiency", *args, "--set", "bench_h.c_sfg=1"]) == 2
+    assert capsys.readouterr().err == "config error: missing required key 'lambda_a'\n"
 
 
 def test_teleport_and_qfc(tmp_path):
@@ -357,6 +420,16 @@ def test_experiment_section_is_a_config_error(tmp_path, capsys, route):
     assert "[experiment] is not a config section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("assignment", ["=5", " =5", "bell.=5", "bell. =5", "crystal.=5"])
+def test_an_empty_set_key_is_refused_as_malformed(capsys, assignment):
+    # An empty key, or nothing after its dot, is a malformed --set, not an
+    # unknown key with an empty name.
+    assert main(["swap-sfg", "--preset", "ideal", "--set", assignment]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: --set expects key=value, got {assignment!r}\n"
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["swap-sfg", "--preset", "nope"]) == 2
     assert main(["swap-sfg", "--preset", "ideal", "--set", "oops"]) == 2
@@ -494,7 +567,8 @@ def test_every_preset_key_is_in_the_table():
 
 
 @pytest.mark.parametrize("experiment",
-                         ["swap-sfg", "swap-lo", "teleport", "qfc", "efficiency", "sweep"])
+                         ["swap-sfg", "swap-lo", "teleport", "qfc", "efficiency", "sweep",
+                          "presets"])
 @pytest.mark.parametrize("flag", [("--gain-factor", "2"), ("--seed", "1")],
                          ids=["gain-factor", "seed"])
 def test_search_flags_are_refused_where_no_search_runs(capsys, experiment, flag):
