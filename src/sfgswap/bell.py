@@ -23,12 +23,7 @@ from .detection import (
     arm_click_probs,
     trig_basis_and_derivative,
 )
-from .optimize import (
-    best_run,
-    maximize_starts_bfgs,
-    monotone_threshold,
-    multistart_maximize,
-)
+from .optimize import monotone_threshold, multistart_maximize
 from .protocols import ExperimentParams, HeraldedEntries, _source_mu, heralded_entries
 
 @functools.lru_cache(maxsize=256)
@@ -125,7 +120,9 @@ class SearchKernel:
         n_a = 2 * thetas_a.shape[-1]
         ops_a = rows[..., :n_a, :] @ self._ca
         ops_b = rows[..., n_a:, :] @ self._cb
-        w = (dmu / (2.0 * mu * (1.0 + mu))[..., None]).swapaxes(-1, -2) @ self._powers
+        # with no pump coordinate nothing is divided, so no mu can overflow here
+        w = (dmu / (2.0 * mu * (1.0 + mu))[..., None] if dmu.shape[-1] else dmu)
+        w = w.swapaxes(-1, -2) @ self._powers
         n_y, n_e = w.shape[-2:]
         by_pump = ops_a[..., None, ::2, :] * w[..., None, :]
         ops_a = np.concatenate(
@@ -212,10 +209,6 @@ class ChshOptimum:
     start_index: int = 0
 
 
-# Columns of a key-rate search point: party a's angles (a1, a2, a0).
-_KEY_ANGLES_A = np.array([1, 2, 0])
-
-
 # A search leaves the analyzer angles unbounded: every CHSH value has
 # period pi in each angle, and a box edge at +/-pi/2 would only add corners
 # where a search stops short of an optimum across the edge.
@@ -252,26 +245,60 @@ def _chsh_gradient(e, de_a, de_b, de_y):
                               (de_b[:, :2] * _CHSH_SIGNS).sum(axis=1)), axis=1)
 
 
-def _chsh_objective(kernel: SearchKernel, pump):
-    """S through ``kernel`` and its gradient at points x = (y, a1, a2, b1,
-    b2), the objective of every CHSH search: ``pump`` maps the pump
-    coordinates y to the source strengths mu (1H, 1V, 2H, 2V) and their
-    Jacobian d mu_k / d y_j (``SearchKernel.correlator_gradients``)."""
+def _s_and_q(e, de_a, de_b, de_y):
+    """S (``_chsh_gradient``) and the raw QBER Q = (1 - E[a0, b1]) / 2 at
+    stacked points, each a list of floats, and dS; party a's third row is
+    its key angle a0."""
+    s, ds = _chsh_gradient(e, de_a, de_b, de_y)
+    return s.tolist(), [_qber(v) for v in e[:, 2, 0].tolist()], ds
+
+
+def _key_rate_gradient(e, de_a, de_b, de_y):
+    """r = ``dw_key_rate(S, Q)`` at stacked points (a0, a1, a2, b1, b2) and
+    its gradient dr = dr/dS dS + dr/dQ dQ (``dw_key_rate_slopes``), from
+    ``SearchKernel.correlator_gradients`` with party a's rows (a1, a2, a0)
+    (``_s_and_q``)."""
+    s, qs, ds = _s_and_q(e, de_a, de_b, de_y)
+    slopes = np.array([dw_key_rate_slopes(*p) for p in zip(s, qs)])
+    # where Q is clamped at 0 or 1, dr/dQ is zero
+    dr_de = -0.5 * slopes[:, 1]
+    grad = np.empty((len(s), 5))
+    grad[:, 0] = dr_de * de_a[:, 2, 0]
+    grad[:, 1:] = slopes[:, :1] * ds
+    grad[:, 3] += dr_de * de_b[:, 2, 0]
+    return [dw_key_rate(*p) for p in zip(s, qs)], grad
+
+
+def _search_objective(kernel: SearchKernel, pump, target):
+    """The objective of every Bell search: ``target`` read from ``kernel``
+    at points x = (y, a0, a1, a2, b1, b2), where the target is
+    ``_chsh_gradient`` (S and its gradient) or ``_key_rate_gradient`` (r and
+    its gradient), or ``_s_and_q`` to read S and Q.  ``pump`` maps a point
+    to the source strengths mu (1H, 1V, 2H, 2V) and their Jacobian
+    d mu_k / d y_j in its first J coordinates y
+    (``SearchKernel.correlator_gradients``).  Only a key-rate point has the
+    key angle a0; party a's rows go to the kernel as (a1, a2, a0)."""
     def objective(x):
-        return _chsh_gradient(*kernel.correlator_gradients(x[:, -4:-2], x[:, -2:],
-                                                           *pump(x[:, :-4])))
+        mu, dmu = pump(x)
+        thetas_a = np.concatenate((x[:, -4:-2], x[:, dmu.shape[-1]:-4]), axis=1)
+        return target(*kernel.correlator_gradients(thetas_a, x[:, -2:], mu, dmu))
 
     return objective
+
+
+def _fixed_pump(mu):
+    """The pump of a search at the fixed source strengths ``mu``: no coordinate."""
+    return lambda x: (mu, _FIXED_PUMP)
 
 
 # d mu_k / d mu_P of the pump strengths (mu_H, mu_V) that both sources share.
 _SHARED_PUMP = np.eye(2)[[0, 1, 0, 1]]
 
 
-def _free_mu_pump(y):
-    """The source strengths at y = (ln mu_H, ln mu_V), shared by both
-    sources, and their Jacobian."""
-    mu = np.exp(y) @ _SHARED_PUMP.T
+def _free_mu_pump(x):
+    """The source strengths at the first coordinates y = (ln mu_H, ln mu_V)
+    of a point x, shared by both sources, and their Jacobian."""
+    mu = np.exp(x[:, :2]) @ _SHARED_PUMP.T
     return mu, mu[..., None] * _SHARED_PUMP
 
 
@@ -286,8 +313,9 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False, gain: float =
     ``free_mu`` two pump strengths varied per polarization within
     ``MU_BOUNDS`` and shared between the sources (``_free_mu_pump``).  The
     search is ``optimize.multistart_maximize`` on the exact gradient
-    (``_chsh_objective``); the angles run unbounded, and random starts are
-    drawn within one period.  A free-mu search runs over ln mu, so that a
+    (``_search_objective`` with ``_chsh_gradient``), from ``x0`` and then
+    random starts; the angles run unbounded, and random starts are drawn
+    within one period.  A free-mu search runs over ln mu, so that a
     step changes a pump strength in proportion to it, which keeps a search
     from being drawn at once to the weak-pump edge of the box; its random
     starts are still uniform in mu.  Its landscape has a pair of optima that
@@ -299,18 +327,17 @@ def optimize_chsh(params: ExperimentParams, free_mu: bool = False, gain: float =
     """
     lo, hi = MU_BOUNDS
     kernel = SearchKernel(heralded_entries(params), params, gain)
-    mu = _source_mu(params)
-    pump, n_y = (_free_mu_pump, 2) if free_mu else ((lambda y: (mu, _FIXED_PUMP)), 0)
+    pump, n_y = (_free_mu_pump, 2) if free_mu else (_fixed_pump(_source_mu(params)), 0)
     if x0 is None:
         x0 = (0.05, 0.05)[:n_y] + CANONICAL_X0
 
     def start_at(r):
         return np.concatenate((np.log(lo + r[:n_y] * (hi - lo)), _angle_start(r[n_y:])))
 
-    res = multistart_maximize(_chsh_objective(kernel, pump),
+    res = multistart_maximize(_search_objective(kernel, pump, _chsh_gradient),
                               [(math.log(lo), math.log(hi))] * n_y + _FREE_ANGLES, start_at,
                               n_starts=n_starts, seed=seed, trace=trace,
-                              x0=np.concatenate((np.log(x0[:n_y]), x0[n_y:])),
+                              starts=[np.concatenate((np.log(x0[:n_y]), x0[n_y:]))],
                               final_start=_mirror if free_mu else None)
     mu_h, mu_v = np.clip(np.exp(res.x[:n_y]), lo, hi).tolist() if free_mu else (None, None)
     return ChshOptimum(value=res.value, settings=BellSettings(*res.x[n_y:]),
@@ -333,45 +360,30 @@ def optimize_key_rate(params: ExperimentParams, gain: float = 1.0, seed: int = 0
     The free parameters are the key-generation angle theta_a0 and the four
     CHSH angles; the source strengths stay at their configured values.
     The search is ``optimize.multistart_maximize`` on the exact gradient
-    dr = dr/dS dS + dr/dQ dQ (``dw_key_rate_slopes``); the angles run
-    unbounded, and random starts are drawn within one period.
+    (``_search_objective`` with ``_key_rate_gradient``), from ``x0`` and
+    then random starts; the angles run unbounded, and random starts are
+    drawn within one period.
 
     The reported QBER is min(Q, 1 - Q), the error rate after Bob flips his
     key bit where Q > 1/2.  The rate is symmetric in Q, so a search may end
     at either; r is the same for both.  The reported S and Q are read at
-    the optimum through the search's own path, so r = ``dw_key_rate(S, Q)``
-    holds exactly.
+    the optimum through the search's own objective on a one-row stack
+    (``_s_and_q``), so r = ``dw_key_rate(S, Q)`` holds exactly.
     """
     kernel = SearchKernel(heralded_entries(params), params, gain)
     return _key_rate_search(kernel, _source_mu(params), seed, n_starts, x0, trace)
 
 
 def _key_rate_search(kernel: SearchKernel, mu, seed, n_starts, x0, trace) -> ChshOptimum:
-    """The search of ``optimize_key_rate`` at the source strengths ``mu``."""
-    def readout(x):
-        # S and the raw QBER Q = (1 - E[a0, b1]) / 2 at points x, with derivatives
-        grads = kernel.correlator_gradients(x.take(_KEY_ANGLES_A, axis=1), x[:, 3:5], mu)
-        e, de_a, de_b, _ = grads
-        s, ds = _chsh_gradient(*grads)
-        return s.tolist(), [_qber(v) for v in e[:, 2, 0].tolist()], de_a, de_b, ds
-
-    def objective(x):
-        s, qs, de_a, de_b, ds = readout(x)
-        slopes = np.array([dw_key_rate_slopes(*p) for p in zip(s, qs)])
-        # where Q is clamped at 0 or 1, dr/dQ is zero
-        dr_de = -0.5 * slopes[:, 1]
-        grad = np.empty_like(x)
-        grad[:, 0] = dr_de * de_a[:, 2, 0]
-        grad[:, 1:5] = slopes[:, :1] * ds
-        grad[:, 3] += dr_de * de_b[:, 2, 0]
-        return [dw_key_rate(*p) for p in zip(s, qs)], grad
-
-    if x0 is None:
-        x0 = (0.0,) + CANONICAL_X0
-    res = multistart_maximize(objective, _FREE_ANGLES + _FREE_ANGLES[:1], _angle_start,
-                              n_starts=n_starts, seed=seed, x0=x0, trace=trace)
+    """The search of ``optimize_key_rate`` at the source strengths ``mu``,
+    from ``x0`` (by default (0,) + ``CANONICAL_X0``) and then random starts."""
+    pump = _fixed_pump(mu)
+    res = multistart_maximize(_search_objective(kernel, pump, _key_rate_gradient),
+                              _FREE_ANGLES + _FREE_ANGLES[:1], _angle_start, n_starts=n_starts,
+                              seed=seed, starts=[(0.0,) + CANONICAL_X0 if x0 is None else x0],
+                              trace=trace)
     # a one-row stack gives the point bit for bit as the search saw it
-    (s,), (q,), *_ = readout(np.array([res.x]))
+    (s,), (q,), _ = _search_objective(kernel, pump, _s_and_q)(np.array([res.x]))
     q = min(q, 1.0 - q)  # Bob's key bit flipped where Q > 1/2
     return ChshOptimum(value=res.value,
                        settings=BellSettings(*res.x[1:5], theta_a0=res.x[0]),
@@ -382,11 +394,12 @@ def _key_rate_search(kernel: SearchKernel, mu, seed, n_starts, x0, trace) -> Chs
 _MARGIN_BOUNDS = [(1e-4, 1.0)] + _FREE_ANGLES  # (mu_V / mu_H, a1, a2, b1, b2)
 
 
-def _margin_pump(y):
+def _margin_pump(x):
     """The source strengths MU_FLOOR (1, r, 1, r) of every efficiency margin
-    at y = (r,), the pump ratio mu_V / mu_H, and their Jacobian."""
-    mu = np.full((len(y), 4), MU_FLOOR)
-    mu[:, 1::2] = MU_FLOOR * y
+    at the first coordinate y = (r,) of a point x, the pump ratio
+    mu_V / mu_H, and their Jacobian."""
+    mu = np.full((len(x), 4), MU_FLOOR)
+    mu[:, 1::2] = MU_FLOOR * x[:, :1]
     return mu, MU_FLOOR * _SHARED_PUMP[:, 1:]
 
 
@@ -404,11 +417,11 @@ def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int
 
     At each efficiency the polarization asymmetry of the pump and the four
     analyzer angles are re-optimized, and the margin is S - 2, in one search
-    per efficiency: projected BFGS (``optimize.maximize_starts_bfgs``) on
-    ``_chsh_objective`` at the pump ratio mu_V / mu_H (``_margin_pump``),
-    run in lockstep from the three fixed starts
-    ``_MARGIN_STARTS`` and, after the first efficiency, the optimum of the
-    last efficiency searched, keeping the first of the best.  The fixed
+    per efficiency: ``optimize.multistart_maximize`` on ``_search_objective``
+    with ``_chsh_gradient`` at the pump ratio mu_V / mu_H (``_margin_pump``),
+    from one list of starts, all given, so none is drawn: the three fixed
+    starts ``_MARGIN_STARTS`` and, after the first efficiency, the optimum
+    of the last efficiency searched, keeping the first of the best.  The fixed
     starts are weakly entangled, at near-axis angles, the basin where the
     margin near the critical efficiency is of order 1e-4; the pump strength
     sits at ``MU_FLOOR``, since the margin grows as the multi-pair
@@ -424,15 +437,15 @@ def efficiency_threshold(params: ExperimentParams, bracket=(0.5, 1.0), seed: int
     lo, hi = pair("bracket", bracket, lambda lo, hi: 0.0 < lo < hi <= 1.0, "in (0, 1] with lo < hi")
     real("xtol", xtol, *POSITIVE)
     entries = heralded_entries(params)
-    warm = {"x0": None}
+    warm = []
 
     def margin(eta):
         analyzer = params.replace(eta_1h=eta, eta_1v=eta, eta_2h=eta, eta_2v=eta)
-        kernel = SearchKernel(entries, analyzer)
-        starts = _MARGIN_STARTS if warm["x0"] is None else _MARGIN_STARTS + [warm["x0"]]
-        best = best_run(maximize_starts_bfgs(_chsh_objective(kernel, _margin_pump),
-                                             _MARGIN_BOUNDS, starts))
-        warm["x0"] = best.x
+        objective = _search_objective(SearchKernel(entries, analyzer), _margin_pump, _chsh_gradient)
+        starts = _MARGIN_STARTS + warm
+        best = multistart_maximize(objective, _MARGIN_BOUNDS, None, n_starts=len(starts),
+                                   starts=starts)
+        warm[:] = [best.x]
         return best.value - 2.0
 
     return monotone_threshold(margin, lo, hi, xtol)

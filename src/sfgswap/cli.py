@@ -255,7 +255,7 @@ def _apply_sets(config: dict, sets) -> dict:
         section, dot, rest = key.partition(".")
         if not dot:
             section, rest = "params", key
-        if not rest.strip():  # no key, or nothing after its dot
+        if not (section and rest.strip()):  # no key, or nothing before or after its dot
             raise ConfigError(f"--set expects key=value, got {item!r}")
         if dot and any(name.startswith(section + ".") for name in _EFFICIENCY_KEYS):
             # a dotted key of [efficiency], such as crystal.lam

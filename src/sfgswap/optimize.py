@@ -12,8 +12,9 @@ search is a projected BFGS search with a backtracking line search
 starts of a search step in lockstep (``_lockstep``), each a coroutine that
 asks for one point at a time, so all of them share one objective call per
 step and each ends where it would end alone.  ``maximize_starts_bfgs`` runs
-given starts; ``multistart_maximize`` draws seeded ones, can go on from one
-more that the best point maps to, keeps the best, and writes the CSV trace.
+given starts; ``multistart_maximize`` runs one list of starts, the given ones
+and then seeded draws, can go on from one more that the best point maps to,
+keeps the best, and writes the CSV trace.
 The draws come from Python's ``random.Random(seed)``, whose ``random()``
 sequence for an integer seed Python keeps the same across versions.
 
@@ -221,7 +222,7 @@ def best_run(runs) -> OptimizeResult:
 
 
 def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: int = 0,
-                        x0=None, trace: io.TextIOBase = None, final_start=None) -> OptimizeResult:
+                        starts=(), trace: io.TextIOBase = None, final_start=None) -> OptimizeResult:
     """Maximize ``objective`` over box ``bounds`` with multi-start projected BFGS.
 
     Args:
@@ -232,20 +233,22 @@ def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: i
         start_at: map from the unit cube [0, 1)^n to starting points, which
             sets how the starts are spread: over a finite box, the affine
             map onto it; over periodic parameters left unbounded, one
-            period of each.
-        n_starts: number of starts, an integer of at least 1.  Start
-            k > 0 is ``start_at(r)`` at the point r of the unit cube whose
-            n coordinates are the next n draws of ``random.Random(seed)``;
-            start 0 is ``x0``, or ``start_at`` at the cube's center.  The
-            generator is created, and ``seed`` checked, only when a start
-            is drawn.
+            period of each.  It is called only for a start not given.
+        n_starts: number of starts, an integer of at least 1.  The given
+            ``starts`` come first; with none given, start 0 is ``start_at``
+            at the cube's center.  Each further start up to ``n_starts`` is
+            ``start_at(r)`` at the point r of the unit cube whose n
+            coordinates are the next n draws of ``random.Random(seed)``.
+            The generator is created, and ``seed`` checked, only when a
+            start is drawn; more given starts than ``n_starts`` are all
+            searched.
         seed: non-negative integer seed for the start points.
-        x0: optional explicit first start.
+        starts: the given starts, searched first and in order.
         trace: optional text stream receiving a CSV trace (start, iteration,
             objective, parameters): one header, then a row per evaluation,
             grouped by start in start order.
         final_start: optional map from the best point of the starts above
-            to one more start, searched after them as start ``n_starts``.
+            to one more start, searched after them as the last start.
 
     Returns:
         OptimizeResult of the best start (``best_run``, the final start
@@ -253,11 +256,11 @@ def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: i
     """
     n_starts = integer_at_least(n_starts, 1, "n_starts must be an integer of at least 1")
     n = len(bounds)
-    starts = [start_at(np.full(n, 0.5)) if x0 is None else np.asarray(x0, dtype=float)]
-    if n_starts > 1:
+    starts = [np.asarray(x, dtype=float) for x in starts] or [start_at(np.full(n, 0.5))]
+    if n_starts > len(starts):
         rng = random.Random(integer_at_least(seed, 0, "seed must be a non-negative integer"))
         starts += [start_at(np.array([rng.random() for _ in range(n)]))
-                   for _ in range(1, n_starts)]
+                   for _ in range(len(starts), n_starts)]
     if not np.isfinite(starts).all():
         raise ValueError("every start must be finite")
     rows = None if trace is None else []
@@ -266,9 +269,9 @@ def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: i
         last = None if trace is None else []
         (run,) = maximize_starts_bfgs(objective, bounds, [final_start(best_run(runs).x)],
                                       trace=last)
-        runs = runs + [replace(run, start_index=n_starts)]
+        runs = runs + [replace(run, start_index=len(starts))]
         if trace is not None:
-            rows += [(n_starts, v, x) for _, v, x in last]
+            rows += [(len(starts), v, x) for _, v, x in last]
     if trace is not None:
         writer = csv.writer(trace)
         writer.writerow(["start", "iteration", "objective"] + [f"x{i}" for i in range(n)])

@@ -367,6 +367,9 @@ def _visibility_report(entries: HeraldedEntries, rho, herald_prob: float,
     # visibility read from it an ulp outside [-1, 1]
     p_z, p_x = ({d + e: max(0.0, float(c[k, i, j])) for i, d in enumerate("HV")
                  for j, e in enumerate("HV")} for k in range(len(VISIBILITY_BASES)))
+    if (p := max(herald_prob, *p_z.values(), *p_x.values())) > 1.0:
+        raise ValueError(f"heralded probability {p:.3g} exceeds 1: sfg and mu are outside "
+                         "the first-order model")
     v_z, v_x = _visibility_z(p_z), _visibility_x(p_x, sign)
     return VisibilityReport(v_z=v_z, v_x=v_x, fidelity_lower_bound=fidelity_lower_bound(v_z, v_x),
                             herald_prob=herald_prob, p_z=p_z, p_x=p_x)

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -221,10 +222,10 @@ def _fixed_mu_search(entries, params, n_starts):
     """The fixed-mu search of ``optimize_chsh`` (seed 0) on the heralded
     ``entries`` read through the analyzers of ``params``."""
     mu = _source_mu(params)
-    objective = bell._chsh_objective(SearchKernel(entries, params),
-                                     lambda y: (mu, bell._FIXED_PUMP))
+    objective = bell._search_objective(SearchKernel(entries, params),
+                                       lambda y: (mu, bell._FIXED_PUMP), bell._chsh_gradient)
     return optimize.multistart_maximize(objective, bell._FREE_ANGLES, bell._angle_start,
-                                        n_starts=n_starts, seed=0, x0=CANONICAL_X0)
+                                        n_starts=n_starts, seed=0, starts=[CANONICAL_X0])
 
 
 CHANNEL_MODES = ("t_1h", "t_1v", "t_2h", "t_2v")
@@ -303,11 +304,11 @@ def test_efficiency_threshold_signs_hold_under_a_wide_search(monkeypatch):
     # the sign: at every efficiency the driver visits within 0.01 of its
     # threshold, the wide search gives the driver's sign.
     visited = []
-    real_maximize = bell.maximize_starts_bfgs
+    real_maximize = optimize.maximize_starts_bfgs
     real_threshold = bell.monotone_threshold
 
-    def maximize(objective, bounds, starts):
-        runs = real_maximize(objective, bounds, starts)
+    def maximize(objective, bounds, starts, **kwargs):
+        runs = real_maximize(objective, bounds, starts, **kwargs)
         visited[-1] += (objective, bounds, optimize.best_run(runs).value)
         return runs
 
@@ -317,7 +318,7 @@ def test_efficiency_threshold_signs_hold_under_a_wide_search(monkeypatch):
             return margin(eta)
         return real_threshold(recorded_margin, *args)
 
-    monkeypatch.setattr(bell, "maximize_starts_bfgs", maximize)
+    monkeypatch.setattr(optimize, "maximize_starts_bfgs", maximize)
     monkeypatch.setattr(bell, "monotone_threshold", threshold)
     threshold_eta = efficiency_threshold(_preset("paper-table2"))
     assert threshold_eta == 0.68359375
@@ -537,7 +538,7 @@ def test_seed_objective_is_the_one_pair_closed_form(eta):
     # t = atan2(gamma_H^2, gamma_V^2), mu = MU_FLOOR (1, r, 1, r), with party
     # a's angles less pi/2; its gradient is a central difference of it.
     kernel = SearchKernel(_one_pair(), _analyzer(eta, eta, eta, eta))
-    objective = bell._chsh_objective(kernel, bell._margin_pump)
+    objective = bell._search_objective(kernel, bell._margin_pump, bell._chsh_gradient)
     closed = _unhoisted_seed_objective(eta)
     rng = np.random.default_rng(17)
     x = np.column_stack((rng.uniform(1e-4, 1.0, 12),
@@ -577,13 +578,13 @@ def test_threshold_search_builds_no_state_per_evaluation(monkeypatch):
     counted(HeraldedEntries, "monomials")
     counted(SearchKernel, "correlator_gradients")
     counted(protocols, "_visibility_report")
-    real_maximize = bell.maximize_starts_bfgs
+    real_maximize = optimize.maximize_starts_bfgs
 
     def maximize(*args, **kwargs):
         runs = real_maximize(*args, **kwargs)
         calls["evaluations"] += sum(res.n_evaluations for res in runs)
         return runs
-    monkeypatch.setattr(bell, "maximize_starts_bfgs", maximize)
+    monkeypatch.setattr(optimize, "maximize_starts_bfgs", maximize)
     eta = efficiency_threshold(_preset("ideal", pair_cap=2), bracket=(0.6, 0.8), xtol=0.05)
     assert 0.6 < eta <= 0.8
     # every search from given starts, so the count is exact
@@ -794,8 +795,8 @@ def test_free_mu_objective_matches_central_differences(preset):
     # The free-mu search's gradient in (ln mu_H, ln mu_V, a1, a2, b1, b2),
     # through the shared pump's Jacobian, against a central difference of its
     # values, at random points with the pump strengths inside MU_BOUNDS.
-    objective = bell._chsh_objective(_kernel(_preset(preset, **UNIT_ANALYZER)),
-                                     bell._free_mu_pump)
+    objective = bell._search_objective(_kernel(_preset(preset, **UNIT_ANALYZER)),
+                                       bell._free_mu_pump, bell._chsh_gradient)
     rng = np.random.default_rng(41)
     x = np.column_stack((rng.uniform(*np.log(bell.MU_BOUNDS), size=(8, 2)),
                          rng.uniform(-math.pi / 2, math.pi / 2, size=(8, 4))))
@@ -814,11 +815,11 @@ def test_threshold_searches_match_or_beat_the_simplex_margins(monkeypatch):
     # entangled.
     params = _preset("ideal", pair_cap=2)
     etas, visited = [], []
-    real_maximize = bell.maximize_starts_bfgs
+    real_maximize = optimize.maximize_starts_bfgs
     real_threshold = bell.monotone_threshold
 
-    def maximize(objective, bounds, starts):
-        runs = real_maximize(objective, bounds, starts)
+    def maximize(objective, bounds, starts, **kwargs):
+        runs = real_maximize(objective, bounds, starts, **kwargs)
         visited.append((objective, bounds, starts, optimize.best_run(runs)))
         return runs
 
@@ -828,7 +829,7 @@ def test_threshold_searches_match_or_beat_the_simplex_margins(monkeypatch):
             return margin(eta)
         return real_threshold(recorded_margin, *args)
 
-    monkeypatch.setattr(bell, "maximize_starts_bfgs", maximize)
+    monkeypatch.setattr(optimize, "maximize_starts_bfgs", maximize)
     monkeypatch.setattr(bell, "monotone_threshold", threshold)
     eta = efficiency_threshold(params, bracket=(0.6, 0.8), xtol=0.05)
     assert eta == 0.6749999999999999
@@ -987,6 +988,18 @@ def test_key_rate_optimum_is_the_rate_of_its_own_s_and_q(gain, seed):
     opt = optimize_key_rate(_preset("paper-tableS1", **UNIT_ANALYZER), gain=gain, seed=seed,
                             n_starts=2)
     assert opt.value == dw_key_rate(opt.s, opt.q)
+
+
+@pytest.mark.parametrize("search, value", [(optimize_chsh, 2.03935769613),
+                                           (optimize_key_rate, -0.188773213606)])
+def test_a_fixed_pump_search_divides_by_no_source_strength(search, value):
+    # A search at fixed source strengths has no pump coordinate, so its
+    # kernel forms no pump derivative: a source strength of 1e300 raises no
+    # overflow warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        opt = search(_preset("ideal", mu_1h=1e300), n_starts=1)
+    assert opt.value == pytest.approx(value, abs=1e-11)
 
 
 def test_dw_key_rate_slopes_at_the_clamps():

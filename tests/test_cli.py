@@ -379,6 +379,17 @@ def test_blind_analyzer_arms_are_a_model_error(command, capsys):
             in capsys.readouterr().err)
 
 
+def test_a_probability_above_one_is_a_model_error(capsys):
+    # The SFG herald is first order in chi tau, so its weight grows as
+    # sfg mu^2 without bound: a pump this strong is outside the model.
+    strong = [arg for mode in ("1h", "1v", "2h", "2v") for arg in ("--set", f"mu_{mode}=2")]
+    assert main(["swap-sfg", "--preset", "ideal", "--set", "pair_cap=10"] + strong) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("model error: heralded probability 1.68 exceeds 1: sfg and mu are "
+                            "outside the first-order model\n")
+
+
 def test_pair_cap_above_the_maximum_is_a_config_error(capsys):
     assert main(["swap-sfg", "--preset", "ideal", "--set", "pair_cap=60"]) == 2
     assert "pair_cap must be at most 10, got 60" in capsys.readouterr().err
@@ -420,10 +431,11 @@ def test_experiment_section_is_a_config_error(tmp_path, capsys, route):
     assert "[experiment] is not a config section" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("assignment", ["=5", " =5", "bell.=5", "bell. =5", "crystal.=5"])
+@pytest.mark.parametrize("assignment", ["=5", " =5", "bell.=5", "bell. =5", "crystal.=5",
+                                        ".x=5"])
 def test_an_empty_set_key_is_refused_as_malformed(capsys, assignment):
-    # An empty key, or nothing after its dot, is a malformed --set, not an
-    # unknown key with an empty name.
+    # An empty key, or nothing before or after its dot, is a malformed --set,
+    # not an unknown key or section with an empty name.
     assert main(["swap-sfg", "--preset", "ideal", "--set", assignment]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

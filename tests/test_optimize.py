@@ -137,7 +137,8 @@ def test_lockstep_trace_groups_rows_by_start():
         assert [int(r[1]) for r in own] == list(range(len(own)))
         assert own[0][3:] == [f"{v:.12g}" for v in start]
         alone = io.StringIO()
-        multistart_maximize(objective, bounds, _onto(bounds), n_starts=1, x0=start, trace=alone)
+        multistart_maximize(objective, bounds, _onto(bounds), n_starts=1, starts=[start],
+                            trace=alone)
         assert [r[1:] for r in rows(alone)] == [r[1:] for r in own]
 
 
@@ -287,7 +288,7 @@ def test_multistart_reports_best_start_convergence(monkeypatch):
 
     monkeypatch.setattr(optimize, "bfgs_steps", steps)
     res = multistart_maximize(_rows(lambda x: -(x[0] - 0.3) ** 2), [(-1.0, 1.0)],
-                              _onto([(-1.0, 1.0)]), n_starts=2, seed=0, x0=(0.3,))
+                              _onto([(-1.0, 1.0)]), n_starts=2, seed=0, starts=[(0.3,)])
     assert len(starts) == 2 and starts[1][3]
     assert res.start_index == 0
     assert not res.converged
@@ -324,7 +325,7 @@ def test_multistart_rejects_non_finite_start(x0):
         raise AssertionError("objective called")
 
     with pytest.raises(ValueError, match="every start must be finite"):
-        multistart_maximize(objective, [(-1.0, 1.0)], _onto([(-1.0, 1.0)]), n_starts=1, x0=x0)
+        multistart_maximize(objective, [(-1.0, 1.0)], _onto([(-1.0, 1.0)]), n_starts=1, starts=[x0])
 
 
 def test_maximize_rejects_a_wrong_number_of_values():

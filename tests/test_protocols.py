@@ -111,16 +111,19 @@ _EFFICIENCY = st.floats(0.05, 1.0)
 
 
 @st.composite
-def _experiments(draw):
-    """Lossless-channel experiments with every other efficiency drawn."""
+def _experiments(draw, channel=st.just(1.0), dark=st.floats(0.0, 1e-3),
+                 pair_cap=st.integers(2, 3)):
+    """Experiments with every efficiency drawn, each channel transmittance
+    drawn from ``channel`` (by default lossless), and the dark-count
+    probability and the cap from their strategies."""
     mu = [draw(st.floats(1e-3, 0.3)) for _ in range(4)]
     names = ("eta_th", "eta_tv", "eta_1h", "eta_1v", "eta_2h", "eta_2v", "eta_d",
              "window_acceptance")
     return ExperimentParams(**dict(zip(("mu_1h", "mu_1v", "mu_2h", "mu_2v"), mu)),
                             sfg_h=draw(_EFFICIENCY), sfg_v=draw(_EFFICIENCY),
-                            dark=draw(st.floats(0.0, 1e-3)),
-                            pair_cap=draw(st.integers(2, 3)),
-                            **{name: draw(_EFFICIENCY) for name in names})
+                            dark=draw(dark), pair_cap=draw(pair_cap),
+                            **{name: draw(_EFFICIENCY) for name in names},
+                            **{name: draw(channel) for name in ("t_1h", "t_1v", "t_2h", "t_2v")})
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,6 +139,40 @@ def test_swap_reports_are_physical_and_the_herald_scales_with_the_channels(param
         assert abs(report.v_z) <= 1.0 and abs(report.v_x) <= 1.0
         assert 0.0 < report.herald_prob <= 1.0
     assert sfg_lossy.herald_prob == pytest.approx(s * s * sfg.herald_prob, rel=1e-12, abs=0.0)
+
+
+# Exchanges that map the experiment onto itself: sources 1 <-> 2 (with
+# parties d <-> e), and H <-> V; with the relabeling of each coincidence
+# table they imply.
+_EXCHANGES = {
+    "sources": ([("mu_1h", "mu_2h"), ("mu_1v", "mu_2v"), ("t_1h", "t_2h"), ("t_1v", "t_2v"),
+                 ("eta_1h", "eta_2h"), ("eta_1v", "eta_2v")],
+                {"HH": "HH", "HV": "VH", "VH": "HV", "VV": "VV"}),
+    "polarizations": ([("mu_1h", "mu_1v"), ("mu_2h", "mu_2v"), ("sfg_h", "sfg_v"),
+                       ("t_1h", "t_1v"), ("t_2h", "t_2v"), ("eta_th", "eta_tv"),
+                       ("eta_1h", "eta_1v"), ("eta_2h", "eta_2v")],
+                      {"HH": "VV", "HV": "VH", "VH": "HV", "VV": "HH"}),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=_experiments(channel=_EFFICIENCY,
+                           dark=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+                           pair_cap=st.sampled_from([2, 3, 5])),
+       exchange=st.sampled_from(sorted(_EXCHANGES)), swap=st.sampled_from([sfg_swap, lo_swap]))
+def test_swaps_keep_the_exchange_symmetries(params, exchange, swap):
+    # Exchanging sources 1 and 2, or H and V, maps the experiment onto
+    # itself: the visibilities, the fidelity bound and the herald keep their
+    # values, and each coincidence table its entries, relabeled.
+    pairs, relabel = _EXCHANGES[exchange]
+    exchanged = params.replace(**{b: getattr(params, a) for a, b in pairs},
+                               **{a: getattr(params, b) for a, b in pairs})
+    rep, mirrored = swap(params), swap(exchanged)
+    for name in ("v_z", "v_x", "fidelity_lower_bound", "herald_prob"):
+        assert getattr(mirrored, name) == pytest.approx(getattr(rep, name), rel=1e-11, abs=0.0)
+    for table, mirrored_table in ((rep.p_z, mirrored.p_z), (rep.p_x, mirrored.p_x)):
+        for ij, p in table.items():
+            assert abs(mirrored_table[relabel[ij]] - p) <= 1e-12 * sum(table.values())
 
 
 def _least_eigenvalue_ratios(entries, rho):
