@@ -3,18 +3,18 @@
 The objectives in this package (CHSH value, key rate) are smooth and low
 dimensional but can have several local optima in the measurement angles, so
 each search runs from a fixed number of starting points and keeps the best
-result (``best_run``: the highest value, the lowest start index on a tie).
-Given the same seed the outcome is reproducible.
+result: the highest value, the lowest start index on a tie.  Given the same
+seed the outcome is reproducible.
 
 Each objective returns its values with their exact gradients, and every
-search is a projected BFGS search with a backtracking line search
-(``bfgs_steps``); its tolerances are the module constants ``QN_*``.  The
-starts of a search step in lockstep (``_lockstep``), each a coroutine that
-asks for one point at a time, so all of them share one objective call per
-step and each ends where it would end alone.  ``maximize_starts_bfgs`` runs
-given starts; ``multistart_maximize`` runs one list of starts, the given ones
-and then seeded draws, can go on from one more that the best point maps to,
-keeps the best, and writes the CSV trace.
+search is a projected BFGS ascent with a backtracking line search
+(``bfgs_steps``), which maximizes what the objective returns; its
+tolerances are the module constants ``QN_*``.  Each start is a coroutine
+that asks for one point at a time, and ``maximize_starts_bfgs`` steps the
+starts together, so all of them share one objective call per step and each
+ends where it would end alone.  ``multistart_maximize`` runs one list of
+starts, the given ones and then seeded draws, can go on from one more that
+the best point maps to, keeps the best, and writes the CSV trace.
 The draws come from Python's ``random.Random(seed)``, whose ``random()``
 sequence for an integer seed Python keeps the same across versions.
 
@@ -53,30 +53,6 @@ class OptimizeResult:
     converged: bool
 
 
-def _lockstep(searches, evaluate) -> list:
-    """Step coroutine searches together until each returns.
-
-    Each search yields the one point it needs next and is then sent the
-    reply to it.  At each step the pending points of the unfinished searches
-    go to ``evaluate(x, owners)`` as the rows of one (m, n) array, with
-    ``owners[j]`` the index of the search that asked for row j, and it
-    returns one reply per row.  A search's own arithmetic never sees the
-    others, so each ends where it would end alone.  Returns what each search
-    returns, in order.
-    """
-    pending = {i: next(search) for i, search in enumerate(searches)}
-    results = [None] * len(searches)
-    while pending:
-        owners = list(pending)
-        for i, reply in zip(owners, evaluate(np.array(list(pending.values())), owners)):
-            try:
-                pending[i] = searches[i].send(reply)
-            except StopIteration as stop:
-                results[i] = stop.value
-                del pending[i]
-    return results
-
-
 def _finite_values(values, m: int) -> list:
     """The objective's m values as Python floats, each checked finite."""
     values = list(map(float, values))
@@ -96,8 +72,8 @@ def _finite_values(values, m: int) -> list:
 # 1e-8), and the step is then judged by the slope at the trial point, the
 # approximate Wolfe test of Hager and Zhang (SIAM J. Optim. 16, 170 (2005)),
 # which is the Armijo test for a quadratic.  A search gives up when
-# QN_MAX_BACKTRACKS halvings of a steepest-descent step find no acceptable
-# point, or after QN_MAXITER iterations.  A steepest-descent step first
+# QN_MAX_BACKTRACKS halvings of a steepest-ascent step find no acceptable
+# point, or after QN_MAXITER accepted steps.  A steepest-ascent step first
 # moves no parameter by more than QN_FIRST_STEP.
 QN_GTOL = 1e-10
 QN_ARMIJO = 1e-4
@@ -108,54 +84,50 @@ QN_FIRST_STEP = 0.1
 
 
 def bfgs_steps(x0, lows, highs):
-    """Projected BFGS with a backtracking line search, minimizing over the
+    """Projected BFGS with a backtracking line search, maximizing over the
     box [lows, highs], as a coroutine.
 
     Each step yields one point and is sent (f, g), the objective and its
-    gradient there.  A parameter at a bound whose descent direction points
+    gradient there.  A parameter at a bound whose ascent direction points
     out of the box is held; the quasi-Newton direction moves the
     others, and each trial point is projected into the box.  When a
-    quasi-Newton direction goes uphill or its line search fails, the search
-    restarts from the steepest descent.  Returns (x, f, evaluations,
+    quasi-Newton direction goes downhill or its line search fails, the
+    search restarts from the steepest ascent.  Returns (x, f, evaluations,
     converged): the last accepted point, its objective, the number of points
     evaluated, and whether the projected gradient fell to QN_GTOL.
     """
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lows), highs)
     f, g = yield x
-    nfev = 1
+    nfev, iterations = 1, 0
     h = None  # inverse Hessian estimate; None until the first curvature pair
-    converged = False
-    for _ in range(QN_MAXITER):
-        held = np.where(g > 0.0, x <= lows, x >= highs)
+    while iterations < QN_MAXITER:
+        held = np.where(g < 0.0, x <= lows, x >= highs)
         pg = np.where(held, 0.0, g)
         if abs(pg).max() <= QN_GTOL:
-            converged = True
-            break
-        d = None if h is None else np.where(held, 0.0, h @ -pg)
-        if d is None or g @ d >= 0.0:
-            h, d = None, -pg
-        while True:
-            step = 1.0 if h is not None else min(1.0, QN_FIRST_STEP / abs(d).max())
-            band = QN_FNOISE * max(1.0, abs(f))
-            for _ in range(QN_MAX_BACKTRACKS):
-                xn = np.minimum(np.maximum(x + step * d, lows), highs)
-                fn, gn = yield xn
-                nfev += 1
-                s = xn - x
-                slope = g @ s
-                if slope < 0.0 and (fn <= f + QN_ARMIJO * slope if abs(fn - f) > band
-                                    else gn @ s <= (2.0 * QN_ARMIJO - 1.0) * slope):
-                    break
-                step *= 0.5
-            else:
-                if h is None:
-                    return x, f, nfev, False
-                h, d = None, -pg  # retry along the steepest descent
-                continue
-            break
+            return x, f, nfev, True
+        d = None if h is None else np.where(held, 0.0, h @ pg)
+        if d is None or g @ d <= 0.0:
+            h, d = None, pg
+        step = 1.0 if h is not None else min(1.0, QN_FIRST_STEP / abs(d).max())
+        band = QN_FNOISE * max(1.0, abs(f))
+        for _ in range(QN_MAX_BACKTRACKS):
+            xn = np.minimum(np.maximum(x + step * d, lows), highs)
+            fn, gn = yield xn
+            nfev += 1
+            s = xn - x
+            slope = g @ s
+            if slope > 0.0 and (fn >= f + QN_ARMIJO * slope if abs(fn - f) > band
+                                else gn @ s >= (2.0 * QN_ARMIJO - 1.0) * slope):
+                break
+            step *= 0.5
+        else:
+            if h is None:
+                return x, f, nfev, False
+            h = None  # retry along the steepest ascent
+            continue
         # held parameters did not move: their gradient change says nothing
         # about the curvature the free ones see
-        y = np.where(held, 0.0, gn - g)
+        y = np.where(held, 0.0, g - gn)
         sy, yy = s @ y, y @ y
         if sy > 1e-12 * yy:
             if h is None:
@@ -167,18 +139,20 @@ def bfgs_steps(x0, lows, highs):
             b = (0.5 * (1.0 + (y @ hy) / sy)) * s - hy
             ab = np.multiply.outer(a, b)
             h = h + ab + ab.T
-        x, f, g = xn, fn, gn
-    return x, f, nfev, converged
+        x, f, g, iterations = xn, fn, gn, iterations + 1
+    return x, f, nfev, False
 
 
 def maximize_starts_bfgs(objective, bounds, starts, trace: list = None) -> list:
     """Maximize ``objective`` over box ``bounds`` by projected BFGS
     (``bfgs_steps``) from each start.
 
-    The starts run in lockstep (``_lockstep``): at each step the next point
-    of every unfinished search is passed to the objective as one row of an
-    (m, n) array, so a vectorized objective serves them in one call.  Each
-    search is the same as it would be alone.
+    The starts step together: each search is a coroutine that asks for one
+    point at a time, and at each step the pending point of every unfinished
+    search is passed to the objective as one row of an (m, n) array, so a
+    vectorized objective serves them in one call, and each search is sent
+    its own row's reply.  A search's own arithmetic never sees the others,
+    so each ends where it would end alone.
 
     Args:
         objective: callable on an (m, n) array of points, returns their m
@@ -195,30 +169,27 @@ def maximize_starts_bfgs(objective, bounds, starts, trace: list = None) -> list:
         evaluation count (one value with its gradient per evaluation).
     """
     lows, highs = np.array(bounds, dtype=float).T
-
-    def evaluate(x, owners):
+    searches = [bfgs_steps(x0, lows, highs) for x0 in starts]
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    runs = [None] * len(searches)
+    while pending:
+        x = np.array(list(pending.values()))
         values, grads = objective(x)
         values = _finite_values(values, len(x))
         grads = np.asarray(grads, dtype=float)
         if grads.shape != x.shape or not np.isfinite(grads).all():
             raise ValueError("objective returned a gradient of the wrong shape or non-finite")
         if trace is not None:
-            trace.extend(zip(owners, values, x.tolist()))
-        return list(zip(map(operator.neg, values), -grads))
-
-    runs = _lockstep([bfgs_steps(x0, lows, highs) for x0 in starts], evaluate)
-    return [OptimizeResult(x=tuple(x.tolist()), value=-f, start_index=i,
+            trace.extend(zip(pending, values, x.tolist()))
+        for i, reply in zip(list(pending), zip(values, grads)):
+            try:
+                pending[i] = searches[i].send(reply)
+            except StopIteration as stop:
+                runs[i] = stop.value
+                del pending[i]
+    return [OptimizeResult(x=tuple(x.tolist()), value=f, start_index=i,
                            n_evaluations=nfev, converged=converged)
             for i, (x, f, nfev, converged) in enumerate(runs)]
-
-
-def best_run(runs) -> OptimizeResult:
-    """The run of highest value, the first of them on a tie."""
-    best = runs[0]
-    for res in runs[1:]:
-        if res.value > best.value:
-            best = res
-    return best
 
 
 def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: int = 0,
@@ -243,7 +214,9 @@ def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: i
             start is drawn; more given starts than ``n_starts`` are all
             searched.
         seed: non-negative integer seed for the start points.
-        starts: the given starts, searched first and in order.
+        starts: the given starts, searched first and in order.  Every
+            start, given or drawn, must have one coordinate per bound and be
+            finite; both are checked before the objective is called.
         trace: optional text stream receiving a CSV trace (start, iteration,
             objective, parameters): one header, then a row per evaluation,
             grouped by start in start order.
@@ -251,8 +224,9 @@ def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: i
             to one more start, searched after them as the last start.
 
     Returns:
-        OptimizeResult of the best start (``best_run``, the final start
-        last), with the evaluations of every start.
+        OptimizeResult of the best start (the highest value, the first of
+        them on a tie, the final start last), with the evaluations of every
+        start.
     """
     n_starts = integer_at_least(n_starts, 1, "n_starts must be an integer of at least 1")
     n = len(bounds)
@@ -261,13 +235,17 @@ def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: i
         rng = random.Random(integer_at_least(seed, 0, "seed must be a non-negative integer"))
         starts += [start_at(np.array([rng.random() for _ in range(n)]))
                    for _ in range(len(starts), n_starts)]
+    for x in starts:
+        if x.shape != (n,):
+            raise ValueError(f"every start must have {n} coordinates, one per bound, got {x.size}")
     if not np.isfinite(starts).all():
         raise ValueError("every start must be finite")
     rows = None if trace is None else []
+    by_value = operator.attrgetter("value")
     runs = maximize_starts_bfgs(objective, bounds, starts, trace=rows)
     if final_start is not None:
         last = None if trace is None else []
-        (run,) = maximize_starts_bfgs(objective, bounds, [final_start(best_run(runs).x)],
+        (run,) = maximize_starts_bfgs(objective, bounds, [final_start(max(runs, key=by_value).x)],
                                       trace=last)
         runs = runs + [replace(run, start_index=len(starts))]
         if trace is not None:
@@ -279,7 +257,7 @@ def multistart_maximize(objective, bounds, start_at, n_starts: int = 16, seed: i
         for start, own in itertools.groupby(sorted(rows, key=by_start), by_start):
             for it, (_, v, x) in enumerate(own):
                 writer.writerow([start, it, f"{v:.12g}"] + [f"{xi:.12g}" for xi in x])
-    return replace(best_run(runs), n_evaluations=sum(res.n_evaluations for res in runs))
+    return replace(max(runs, key=by_value), n_evaluations=sum(res.n_evaluations for res in runs))
 
 
 # Samples of the monotone pre-scan of ``monotone_threshold``, lo and hi included.

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import operator
 import re
 import warnings
 
@@ -285,6 +286,33 @@ def test_efficiency_threshold_eberhard_limit():
     assert eta == 0.6669921875
 
 
+def test_efficiency_threshold_work_is_pinned(monkeypatch):
+    # The `threshold` benchmark request's search: 15 margin searches, 643
+    # objective calls on 2,034 rows in all, each row one evaluation of some
+    # start.  A change to the search's work shows here.
+    searches, calls = [], []
+    real_search, real_objective = bell.multistart_maximize, bell._search_objective
+
+    def search(*args, **kwargs):
+        searches.append(real_search(*args, **kwargs))
+        return searches[-1]
+
+    def search_objective(*args):
+        objective = real_objective(*args)
+
+        def counted(x):
+            calls.append(len(x))
+            return objective(x)
+        return counted
+
+    monkeypatch.setattr(bell, "multistart_maximize", search)
+    monkeypatch.setattr(bell, "_search_objective", search_objective)
+    assert efficiency_threshold(_preset("ideal", pair_cap=2)) == 0.6669921875
+    assert len(searches) == 15
+    assert (len(calls), sum(calls)) == (643, 2034)
+    assert sum(res.n_evaluations for res in searches) == 2034
+
+
 def test_efficiency_threshold_of_criterion_5_to_the_bit():
     # Criterion 5's search: the ideal preset at its pair_cap of 3.
     assert efficiency_threshold(_preset("ideal")) == 0.6845703125
@@ -309,7 +337,7 @@ def test_efficiency_threshold_signs_hold_under_a_wide_search(monkeypatch):
 
     def maximize(objective, bounds, starts, **kwargs):
         runs = real_maximize(objective, bounds, starts, **kwargs)
-        visited[-1] += (objective, bounds, optimize.best_run(runs).value)
+        visited[-1] += (objective, bounds, max(runs, key=operator.attrgetter("value")).value)
         return runs
 
     def threshold(margin, *args):
@@ -328,7 +356,8 @@ def test_efficiency_threshold_signs_hold_under_a_wide_search(monkeypatch):
     near = [v for v in visited if abs(v[0] - threshold_eta) <= 0.01]
     assert len(near) == 5
     for eta, objective, bounds, value in near:
-        wide = optimize.best_run(real_maximize(objective, bounds, wide_starts)).value
+        wide = max(real_maximize(objective, bounds, wide_starts),
+                   key=operator.attrgetter("value")).value
         assert (wide > 2.0) == (value > 2.0), (eta, value - 2.0, wide - 2.0)
 
 
@@ -399,6 +428,19 @@ def test_searches_reject_a_bad_gain_by_name(search, gain):
     # and nan or inf fails with "herald probability is zero".
     with pytest.raises(ValueError, match=f"gain must be finite and positive, got {gain!r}"):
         search(_preset("paper-tableS1"), gain=gain, n_starts=1)
+
+
+@pytest.mark.parametrize("search, x0, n", [
+    (lambda p, x0: optimize_chsh(p, x0=x0), (0.1, 0.2), 4),
+    (lambda p, x0: optimize_chsh(p, free_mu=True, x0=x0), (0.1, 0.2, 0.3), 6),
+    (lambda p, x0: optimize_key_rate(p, x0=x0), (0, 0, 0, 0), 5),
+], ids=["chsh", "chsh-free-mu", "keyrate"])
+def test_searches_reject_a_start_of_the_wrong_length_by_name(search, x0, n):
+    # Unchecked, the start meets the drawn ones or the bounds in numpy's
+    # "inhomogeneous shape" or "could not be broadcast" error.
+    with pytest.raises(ValueError, match=f"every start must have {n} coordinates, one per "
+                                         f"bound, got {len(x0)}"):
+        search(_preset("ideal"), x0)
 
 
 def test_optima_report_best_start_diagnostics():
@@ -664,14 +706,15 @@ def test_lockstep_search_matches_each_start_alone(monkeypatch, search, n_starts)
     for call in calls:
         lows, highs = np.array(call["bounds"]).T
 
-        def minimand(x):
+        def at_one_point(x):
             values, grads = call["objective"](x[None])
-            return -float(values[0]), -np.asarray(grads, dtype=float)[0]
+            return float(values[0]), np.asarray(grads, dtype=float)[0]
 
         for start, run in zip(call["starts"], call["runs"]):
-            x, f, nfev, converged = drive_one(optimize.bfgs_steps(start, lows, highs), minimand)
+            x, f, nfev, converged = drive_one(optimize.bfgs_steps(start, lows, highs),
+                                              at_one_point)
             assert np.array_equal(np.clip(x, lows, highs), run.x)
-            assert (-f, nfev, converged) == (run.value, run.n_evaluations, run.converged)
+            assert (f, nfev, converged) == (run.value, run.n_evaluations, run.converged)
 
 
 def test_free_mu_search_goes_on_from_the_mirror_image(monkeypatch):
@@ -690,7 +733,7 @@ def test_free_mu_search_goes_on_from_the_mirror_image(monkeypatch):
     opt = optimize_chsh(_preset("paper-tableS1", **UNIT_ANALYZER), free_mu=True, gain=3.0,
                         n_starts=1, x0=(0.4, 0.25, 1.75, 0.98, 1.75, 0.98))
     (_, seeded), (mirror_starts, (mirrored,)) = calls
-    best = optimize.best_run(seeded).x
+    best = max(seeded, key=operator.attrgetter("value")).x
     assert np.array_equal(mirror_starts[0], [best[1], best[0]] + [a + math.pi / 2
                                                                   for a in best[2:]])
     assert max(run.value for run in seeded) < mirrored.value == opt.value
@@ -820,7 +863,7 @@ def test_threshold_searches_match_or_beat_the_simplex_margins(monkeypatch):
 
     def maximize(objective, bounds, starts, **kwargs):
         runs = real_maximize(objective, bounds, starts, **kwargs)
-        visited.append((objective, bounds, starts, optimize.best_run(runs)))
+        visited.append((objective, bounds, starts, max(runs, key=operator.attrgetter("value"))))
         return runs
 
     def threshold(margin, *args):

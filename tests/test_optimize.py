@@ -105,9 +105,9 @@ def test_lockstep_starts_match_lone_searches(func):
     lows, highs = np.array(bounds).T
     for i, (x0, run) in enumerate(zip(starts, runs)):
         x, f, nfev, converged = drive_one(optimize.bfgs_steps(x0, lows, highs),
-                                          lambda x: (func(x), gradient(x)))
+                                          lambda x: (-func(x), -gradient(x)))
         assert np.array_equal(np.clip(x, -1.0, 1.0), run.x)
-        assert -f == run.value
+        assert f == run.value
         assert (nfev, converged, i) == (run.n_evaluations, run.converged, run.start_index)
 
 
@@ -326,6 +326,19 @@ def test_multistart_rejects_non_finite_start(x0):
 
     with pytest.raises(ValueError, match="every start must be finite"):
         multistart_maximize(objective, [(-1.0, 1.0)], _onto([(-1.0, 1.0)]), n_starts=1, starts=[x0])
+
+
+@pytest.mark.parametrize("x0", [(0.5,), (0.5, 0.5, 0.5)], ids=["short", "long"])
+def test_multistart_rejects_a_start_of_the_wrong_length(x0):
+    # Refused by name before the objective is called; unchecked, a short
+    # start broadcasts against the bounds and a long one fails in numpy.
+    def objective(x):
+        raise AssertionError("objective called")
+
+    bounds = [(-1.0, 1.0)] * 2
+    with pytest.raises(ValueError, match=f"every start must have 2 coordinates, one per bound, "
+                                         f"got {len(x0)}"):
+        multistart_maximize(objective, bounds, _onto(bounds), n_starts=1, starts=[x0])
 
 
 def test_maximize_rejects_a_wrong_number_of_values():
